@@ -27,9 +27,17 @@ func BinomialBitLen(n, k int) (int, error) {
 	if c.Sign() == 0 {
 		return 0, fmt.Errorf("encoding: C(%d,%d) is zero", n, k)
 	}
-	// ⌈log2 c⌉ = bitlen(c-1) for c >= 1.
-	cm1 := new(big.Int).Sub(c, big.NewInt(1))
-	return cm1.BitLen(), nil
+	return ceilLog2(c), nil
+}
+
+// ceilLog2 returns ⌈log₂ c⌉ for c ≥ 1: the bit length, less one when c is
+// a power of two.
+func ceilLog2(c *big.Int) int {
+	n := c.BitLen()
+	if c.TrailingZeroBits() == uint(n-1) {
+		return n - 1
+	}
+	return n
 }
 
 // SubsetRank maps a strictly increasing w-subset of [0, m) to its rank in
@@ -136,7 +144,7 @@ func readBigInt(r *BitReader, width int) (*big.Int, error) {
 		}
 		v.Lsh(v, 1)
 		if b == 1 {
-			v.Or(v, big.NewInt(1))
+			v.SetBit(v, 0, 1)
 		}
 	}
 	return v, nil

@@ -19,14 +19,37 @@ import (
 //	C(a−1, b−1) = C(a, b) · b / a
 //
 // Both divisions are exact over the integers, so the stream stays precise.
+// The only big binomial a subset costs is C(m, w): it gives the code width
+// ⌈log₂ C(m,w)⌉, bounds the rank, and yields the scan's starting value
+// C(m−1, w−1) = C(m, w) · w / m by the same exact update.
+
+// subsetTotal returns C(m, w), the number of w-subsets of [0, m).
+func subsetTotal(m, w int) (*big.Int, error) {
+	if w < 0 || w > m {
+		return nil, fmt.Errorf("encoding: subset of size %d over universe %d", w, m)
+	}
+	return new(big.Int).Binomial(int64(m), int64(w)), nil
+}
+
+// scanStart returns C(m−1, w−1) = total · w / m for total = C(m, w), w ≥ 1.
+func scanStart(total *big.Int, m, w int) *big.Int {
+	cur := new(big.Int).Mul(total, big.NewInt(int64(w)))
+	return cur.Quo(cur, big.NewInt(int64(m)))
+}
 
 // EnumerativeRank maps a strictly increasing w-subset of [0, m) to its rank
 // in [0, C(m, w)) under the lexicographic enumerative code.
 func EnumerativeRank(m int, subset []int) (*big.Int, error) {
-	w := len(subset)
-	if w > m || m < 0 {
-		return nil, fmt.Errorf("encoding: subset of size %d over universe %d", w, m)
+	total, err := subsetTotal(m, len(subset))
+	if err != nil {
+		return nil, err
 	}
+	return enumerativeRank(m, subset, total)
+}
+
+// enumerativeRank is EnumerativeRank given total = C(m, len(subset)).
+func enumerativeRank(m int, subset []int, total *big.Int) (*big.Int, error) {
+	w := len(subset)
 	rank := new(big.Int)
 	if w == 0 {
 		return rank, nil
@@ -40,7 +63,7 @@ func EnumerativeRank(m int, subset []int) (*big.Int, error) {
 	}
 	// cur = C(m-v-1, r-1) as v scans the universe.
 	r := w
-	cur := new(big.Int).Binomial(int64(m-1), int64(w-1))
+	cur := scanStart(total, m, w)
 	tmp := new(big.Int)
 	idx := 0
 	for v := 0; v < m && r > 0; v++ {
@@ -78,10 +101,15 @@ func EnumerativeRank(m int, subset []int) (*big.Int, error) {
 
 // EnumerativeUnrank inverts EnumerativeRank.
 func EnumerativeUnrank(m, w int, rank *big.Int) ([]int, error) {
-	if w < 0 || w > m {
-		return nil, fmt.Errorf("encoding: subset size %d outside [0,%d]", w, m)
+	total, err := subsetTotal(m, w)
+	if err != nil {
+		return nil, err
 	}
-	total := new(big.Int).Binomial(int64(m), int64(w))
+	return enumerativeUnrank(m, w, rank, total)
+}
+
+// enumerativeUnrank is EnumerativeUnrank given total = C(m, w).
+func enumerativeUnrank(m, w int, rank, total *big.Int) ([]int, error) {
 	if rank.Sign() < 0 || rank.Cmp(total) >= 0 {
 		return nil, fmt.Errorf("encoding: rank %v outside [0, C(%d,%d))", rank, m, w)
 	}
@@ -91,7 +119,7 @@ func EnumerativeUnrank(m, w int, rank *big.Int) ([]int, error) {
 	}
 	r := w
 	rem := new(big.Int).Set(rank)
-	cur := new(big.Int).Binomial(int64(m-1), int64(w-1))
+	cur := scanStart(total, m, w)
 	tmp := new(big.Int)
 	for v := 0; v < m && r > 0; v++ {
 		a := int64(m - v - 1)
@@ -126,26 +154,26 @@ func EnumerativeUnrank(m, w int, rank *big.Int) ([]int, error) {
 // WriteSubsetFast encodes a w-subset of [0, m) in exactly ⌈log₂ C(m,w)⌉
 // bits using the streaming enumerative code. Decoder must know m and w.
 func WriteSubsetFast(w *BitWriter, m int, subset []int) error {
-	rank, err := EnumerativeRank(m, subset)
+	total, err := subsetTotal(m, len(subset))
 	if err != nil {
 		return err
 	}
-	width, err := BinomialBitLen(m, len(subset))
+	rank, err := enumerativeRank(m, subset, total)
 	if err != nil {
 		return err
 	}
-	return writeBigInt(w, rank, width)
+	return writeBigInt(w, rank, ceilLog2(total))
 }
 
 // ReadSubsetFast decodes a subset written with WriteSubsetFast.
 func ReadSubsetFast(r *BitReader, m, size int) ([]int, error) {
-	width, err := BinomialBitLen(m, size)
+	total, err := subsetTotal(m, size)
 	if err != nil {
 		return nil, err
 	}
-	rank, err := readBigInt(r, width)
+	rank, err := readBigInt(r, ceilLog2(total))
 	if err != nil {
 		return nil, err
 	}
-	return EnumerativeUnrank(m, size, rank)
+	return enumerativeUnrank(m, size, rank, total)
 }

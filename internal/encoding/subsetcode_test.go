@@ -128,6 +128,73 @@ func TestEnumerativeMatchesCombinatorialBitLen(t *testing.T) {
 	}
 }
 
+// The fast coder derives its scan start and code width from one binomial;
+// pin it as a property against the independent combinatorial-number-system
+// coder (SubsetRank/SubsetUnrank): on random subsets both codes round-trip,
+// rank into [0, C(m,w)), and spend exactly BinomialBitLen bits.
+func TestEnumerativeRoundTripMatchesCombinatorial(t *testing.T) {
+	src := rng.New(91)
+	check := func(mRaw uint16, wRaw uint16) bool {
+		m := int(mRaw % 160)
+		w := 0
+		if m > 0 {
+			w = int(wRaw) % (m + 1)
+		}
+		subset := src.SampleWithoutReplacement(m, w)
+		total := Binomial(m, w)
+		fastRank, err := EnumerativeRank(m, subset)
+		if err != nil {
+			t.Logf("EnumerativeRank(%d, %v): %v", m, subset, err)
+			return false
+		}
+		rank, err := SubsetRank(m, subset)
+		if err != nil {
+			t.Logf("SubsetRank(%d, %v): %v", m, subset, err)
+			return false
+		}
+		for _, r := range []*big.Int{fastRank, rank} {
+			if r.Sign() < 0 || r.Cmp(total) >= 0 {
+				t.Logf("m=%d w=%d: rank %v outside [0, %v)", m, w, r, total)
+				return false
+			}
+		}
+		fastBack, err := EnumerativeUnrank(m, w, fastRank)
+		if err != nil || !equalInts(fastBack, subset) {
+			t.Logf("m=%d w=%d: fast unrank %v, %v", m, w, fastBack, err)
+			return false
+		}
+		back, err := SubsetUnrank(m, w, rank)
+		if err != nil || !equalInts(back, subset) {
+			t.Logf("m=%d w=%d: unrank %v, %v", m, w, back, err)
+			return false
+		}
+		wantBits, err := BinomialBitLen(m, w)
+		if err != nil {
+			return false
+		}
+		var fast, slow BitWriter
+		if WriteSubsetFast(&fast, m, subset) != nil || WriteSubset(&slow, m, subset) != nil {
+			return false
+		}
+		if fast.Len() != wantBits || slow.Len() != wantBits {
+			t.Logf("m=%d w=%d: wrote %d and %d bits, want %d", m, w, fast.Len(), slow.Len(), wantBits)
+			return false
+		}
+		r, _ := NewBitReader(fast.Bytes(), fast.Len())
+		got, err := ReadSubsetFast(r, m, w)
+		if err != nil || !equalInts(got, subset) {
+			t.Logf("m=%d w=%d: fast read %v, %v", m, w, got, err)
+			return false
+		}
+		r, _ = NewBitReader(slow.Bytes(), slow.Len())
+		got, err = ReadSubset(r, m, w)
+		return err == nil && equalInts(got, subset)
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 400}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func BenchmarkEnumerativeRankLarge(b *testing.B) {
 	src := rng.New(90)
 	const m, w = 16384, 2048

@@ -282,12 +282,7 @@ func Run(sched blackboard.Scheduler, players []blackboard.Player, public *rng.So
 		coordEps[i] = newEndpoint(coordLinks[i], injCoord[i], timeout, maxRetries, cfg.Recorder, cfg.Causal, telemetry.NetrunLink, i)
 		playerEps[i] = newEndpoint(playerLinks[i], injPlayer[i], timeout, maxRetries, cfg.Recorder, cfg.Causal, telemetry.NetrunLink, i)
 	}
-	closeAll := func() {
-		for i := 0; i < k; i++ {
-			coordEps[i].close()
-			playerEps[i].close()
-		}
-	}
+	closeAll := func() { closeAndWait(coordEps, playerEps) }
 
 	// runMu serializes all protocol-state access: Stepper calls on the
 	// coordinator and Speak on player goroutines. The turn discipline means

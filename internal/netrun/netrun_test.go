@@ -2,6 +2,7 @@ package netrun_test
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -553,5 +554,128 @@ func TestRunValidation(t *testing.T) {
 	// The zero config must work end to end.
 	if _, err := netrun.Run(sched, []blackboard.Player{player}, nil, netrun.Config{}); err != nil {
 		t.Fatalf("zero config: %v", err)
+	}
+}
+
+// runtimes enumerates the legacy shared-board runtime (nil) and every
+// topology.
+func runtimes() []netrun.Topology {
+	return append([]netrun.Topology{nil}, topologies()...)
+}
+
+func runtimeName(topo netrun.Topology) string {
+	if topo == nil {
+		return "board"
+	}
+	return topo.Name()
+}
+
+// E20's corrupt-only cell, over 20 seeds: a corrupted retransmission
+// arrives while the receiver's NACK suppression is on, and the sender must
+// repair it at once rather than sit out the 1 s ARQ timeout. Every run
+// therefore finishes far under one timeout.
+func TestCorruptionRepairsWithoutTimeouts(t *testing.T) {
+	inst, err := disj.GenerateFromMuN(rng.New(21), 64, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := faults.Parse("corrupt=0.04")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const timeout = time.Second
+	for _, topo := range []netrun.Topology{nil, netrun.Ring{}} {
+		t.Run(runtimeName(topo), func(t *testing.T) {
+			var corruptions int
+			for seed := uint64(1); seed <= 20; seed++ {
+				proto, err := disj.NewOptimalProtocol(inst, disj.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				start := time.Now()
+				res := netFingerprint(t, proto, nil, netrun.Config{Topology: topo, Faults: plan, Seed: seed, Timeout: timeout})
+				if elapsed := time.Since(start); elapsed >= timeout/2 {
+					t.Fatalf("seed %d took %v: a corrupted frame waited out the %v timeout", seed, elapsed, timeout)
+				}
+				corruptions += res.Stats.Faults.Corruptions
+			}
+			if corruptions == 0 {
+				t.Fatal("no corruption injected across 20 seeds")
+			}
+		})
+	}
+}
+
+// Every goroutine a run starts — player loops, link loops and read
+// loops — has exited by the time Run returns, on every runtime.
+func TestRunReleasesGoroutines(t *testing.T) {
+	inst, err := disj.GenerateDisjoint(rng.New(505), 48, 4, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := faults.Parse("drop=0.05,dup=0.05,corrupt=0.05")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, topo := range runtimes() {
+		t.Run(runtimeName(topo), func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			for seed := uint64(1); seed <= 3; seed++ {
+				proto, err := disj.NewOptimalProtocol(inst, disj.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				netFingerprint(t, proto, nil, netrun.Config{Topology: topo, Faults: plan, Seed: seed, Timeout: time.Second})
+			}
+			// A goroutine that has called wg.Done may still be returning
+			// when Wait does; give it a moment. A leaked one never exits.
+			after := runtime.NumGoroutine()
+			for deadline := time.Now().Add(time.Second); after > before && time.Now().Before(deadline); after = runtime.NumGoroutine() {
+				runtime.Gosched()
+			}
+			if after > before {
+				t.Fatalf("%d goroutines before the runs, %d after", before, after)
+			}
+		})
+	}
+}
+
+// Allocation budget of one fault-free n=64, k=4 run: half of what the
+// delivery layer allocated with fixed-capacity channel queues (153 KB on
+// the shared-board path, 379 KB on the star). Oversized per-run buffers
+// coming back would blow it.
+func TestRunAllocationBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("benchmark-based budget")
+	}
+	inst, err := disj.GenerateDisjoint(rng.New(1), 64, 4, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		topo   netrun.Topology
+		budget int64
+	}{
+		{nil, 153_000 / 2},
+		{netrun.Star{}, 379_000 / 2},
+	} {
+		res := testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				proto, err := disj.NewOptimalProtocol(inst, disj.Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := netrun.Run(proto.Scheduler(), proto.Players(), nil, netrun.Config{Topology: tc.topo, Limits: proto.Limits()}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		if res.N == 0 {
+			t.Fatalf("%s: benchmark did not run", runtimeName(tc.topo))
+		}
+		if got := res.AllocedBytesPerOp(); got > tc.budget {
+			t.Errorf("%s: %d B/op, budget %d", runtimeName(tc.topo), got, tc.budget)
+		}
 	}
 }

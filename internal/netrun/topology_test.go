@@ -323,6 +323,47 @@ func TestTopologyFaultReproducibility(t *testing.T) {
 	}
 }
 
+// Same seed ⇒ the same per-link stats, every time. On the ring, relays
+// still carry the last turn's syncs when the schedule ends; a teardown
+// that raced them would make wire bits vary from run to run. 40 runs per
+// seed catch a timing-dependent frame order that two runs would miss.
+func TestTopologyStatsDeterminism(t *testing.T) {
+	inst, err := disj.GenerateDisjoint(rng.New(111), 48, 4, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := faults.Parse("drop=0.06,dup=0.06,corrupt=0.04")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, topo := range []netrun.Topology{netrun.Ring{}, netrun.Mesh{}} {
+		t.Run(topo.Name(), func(t *testing.T) {
+			for _, seed := range []uint64{23, 24} {
+				var want []netrun.LinkStats
+				for i := 0; i < 40; i++ {
+					proto, err := disj.NewOptimalProtocol(inst, disj.Options{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					res := netFingerprint(t, proto, nil, netrun.Config{
+						Topology: topo, Faults: plan, Seed: seed,
+						Timeout: 500 * time.Millisecond, MaxRetries: 10,
+					})
+					if i == 0 {
+						want = res.Stats.PerLink
+						continue
+					}
+					for l, got := range res.Stats.PerLink {
+						if got != want[l] {
+							t.Fatalf("seed %d run %d: link %v stats %+v, first run %+v", seed, i, got.Link, got, want[l])
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
 // The per-link netrun.topo.<l>.* counters must equal the returned
 // PerLink stats exactly, and the aggregate netrun.* counters the totals.
 func TestTopologyRecorderMatchesStats(t *testing.T) {

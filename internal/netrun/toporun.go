@@ -3,6 +3,7 @@ package netrun
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"broadcastic/internal/blackboard"
@@ -34,6 +35,10 @@ import (
 // application conversation is in flight at a time and the sequence of
 // frames on every physical link — and therefore every injector draw and
 // wire-bit count — is a pure function of (protocol, topology, seed).
+// sendFrom returns at the first hop's ack, so when the schedule ends the
+// last turn's syncs may still be relaying (ring); a successful run settles
+// every routed frame at its destination, and drains every read loop,
+// before it reads the stats.
 //
 // Syncs carry the board index of their message (encodeIndexedSync): on
 // gossip topologies syncs from different speakers race, and the replica
@@ -88,10 +93,6 @@ func ParseDelivery(name string) (DeliveryMode, error) {
 // maxTopoNodes bounds node ids to one envelope byte.
 const maxTopoNodes = 256
 
-// topoInboxCap buffers routed frames addressed to a node; generous so
-// relays never stall behind a busy application loop.
-const topoInboxCap = 1024
-
 // routedFrame is one application frame delivered to its destination node.
 type routedFrame struct {
 	src     int
@@ -114,11 +115,14 @@ func (nl *nodeLink) send(kind byte, payload []byte) error {
 }
 
 // topoNode is one participant: its id, its incident links keyed by
-// neighbor, and the inbox its receive loops deliver to.
+// neighbor, and the inbox its receive loops deliver to. The node's
+// application loop (coordinator or player) is the inbox's one consumer
+// and owns timer.
 type topoNode struct {
 	id    int
 	links map[int]*nodeLink
-	inbox chan routedFrame
+	inbox mailbox[routedFrame]
+	timer waitTimer
 }
 
 // topoRun holds the wiring of one topology run.
@@ -128,6 +132,12 @@ type topoRun struct {
 	nodes        []*topoNode
 	done         chan struct{}
 	recvDeadline time.Duration
+
+	// inFlight counts routed frames handed to a first hop that have
+	// neither reached their destination's inbox nor been given up by a
+	// relay; settled gets a token whenever it drops to zero.
+	inFlight atomic.Int64
+	settled  chan struct{}
 }
 
 // sendFrom routes one application frame from node n toward dst: wrap in
@@ -138,26 +148,42 @@ func (r *topoRun) sendFrom(n *topoNode, dst int, kind byte, payload []byte) erro
 	if !ok {
 		return fmt.Errorf("netrun: topology %s routes %d->%d via non-neighbor %d", r.topo.Name(), n.id, dst, next)
 	}
+	r.inFlight.Add(1)
 	return nl.send(frameRouted, encodeRoutedPayload(n.id, dst, kind, payload))
 }
 
 // recvAt surfaces the next frame addressed to node n.
 func (r *topoRun) recvAt(n *topoNode, deadline time.Duration) (routedFrame, error) {
-	timer := time.NewTimer(deadline)
-	defer timer.Stop()
-	select {
-	case rf := <-n.inbox:
-		return rf, nil
-	case <-timer.C:
-		return routedFrame{}, fmt.Errorf("netrun: node %d: no frame within %v", n.id, deadline)
-	case <-r.done:
-		// Drain a frame that raced with the close.
+	rf, err := n.inbox.next(&n.timer, deadline, r.done)
+	if err == errNoItem {
+		return rf, fmt.Errorf("netrun: node %d: no frame within %v", n.id, deadline)
+	}
+	return rf, err
+}
+
+// land retires one routed frame from inFlight.
+func (r *topoRun) land() {
+	if r.inFlight.Add(-1) <= 0 {
 		select {
-		case rf := <-n.inbox:
-			return rf, nil
+		case r.settled <- struct{}{}:
 		default:
 		}
-		return routedFrame{}, ErrLinkClosed
+	}
+}
+
+// settle waits, at most d on timer t, until every routed frame has landed.
+func (r *topoRun) settle(t *waitTimer, d time.Duration) {
+	if r.inFlight.Load() == 0 {
+		return
+	}
+	expired := t.arm(d)
+	defer t.disarm()
+	for r.inFlight.Load() > 0 {
+		select {
+		case <-r.settled:
+		case <-expired:
+			return
+		}
 	}
 }
 
@@ -180,19 +206,20 @@ func (r *topoRun) serveLink(n *topoNode, ep *endpoint) {
 		}
 		if dst == n.id {
 			src, _, kind, payload, _ := decodeRoutedPayload(in.payload)
-			select {
-			case n.inbox <- routedFrame{src: src, kind: kind, payload: payload}:
-			case <-r.done:
-				return
-			}
+			n.inbox.put(routedFrame{src: src, kind: kind, payload: payload})
+			r.land()
 			continue
 		}
 		next := r.topo.NextHop(r.k, n.id, dst)
 		nl, ok := n.links[next]
 		if !ok {
+			r.land()
 			return
 		}
 		if err := nl.send(frameRouted, in.payload); err != nil {
+			// Given up. A late ack may mean the next hop has it after all
+			// and lands it again; settle then merely ends early.
+			r.land()
 			return
 		}
 	}
@@ -302,10 +329,10 @@ func runTopology(sched blackboard.Scheduler, players []blackboard.Player, public
 	// the per-link Stats breakdown which also sums the two directions.
 	epA := make([]*endpoint, len(links))
 	epB := make([]*endpoint, len(links))
-	r := &topoRun{topo: topo, k: k, done: make(chan struct{})}
+	r := &topoRun{topo: topo, k: k, done: make(chan struct{}), settled: make(chan struct{}, 1)}
 	r.nodes = make([]*topoNode, k+1)
 	for id := range r.nodes {
-		r.nodes[id] = &topoNode{id: id, links: make(map[int]*nodeLink), inbox: make(chan routedFrame, topoInboxCap)}
+		r.nodes[id] = &topoNode{id: id, links: make(map[int]*nodeLink), inbox: newMailbox[routedFrame]()}
 	}
 	for l, lid := range links {
 		epA[l] = newEndpoint(sideA[l], injAB[l], timeout, maxRetries, cfg.Recorder, cfg.Causal, telemetry.NetrunTopo, l)
@@ -317,10 +344,7 @@ func runTopology(sched blackboard.Scheduler, players []blackboard.Player, public
 	closeAll := func() {
 		closeOnce.Do(func() {
 			close(r.done)
-			for l := range links {
-				epA[l].close()
-				epB[l].close()
-			}
+			closeAndWait(epA, epB)
 		})
 	}
 
@@ -413,6 +437,7 @@ func runTopology(sched blackboard.Scheduler, players []blackboard.Player, public
 			return abort(err)
 		}
 		if done {
+			r.settle(&coord.timer, r.recvDeadline)
 			return finish(nil), nil
 		}
 

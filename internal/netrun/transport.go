@@ -48,9 +48,12 @@ const maxFrameBytes = 1 << 22
 // channels. It is the default transport: no serialization overhead beyond
 // the frame bytes themselves, no syscalls, and deterministic capacity.
 type ChanTransport struct {
-	// Buffer is the per-direction channel capacity (0 = a sensible default).
+	// Buffer is the per-direction channel capacity (0 = the default, 16).
 	// The stop-and-wait delivery layer keeps at most a handful of frames in
-	// flight, so the default is generous.
+	// flight per direction (the current frame, its duplicate, a duplicate
+	// left over from the previous frame, and acks), and read loops never
+	// wait on their consumers, so a link only fills while its reader is
+	// descheduled.
 	Buffer int
 }
 
@@ -67,7 +70,7 @@ func (t *ChanTransport) Open(k int) ([]Link, []Link, error) {
 	}
 	buffer := t.Buffer
 	if buffer <= 0 {
-		buffer = 64
+		buffer = 16
 	}
 	coord := make([]Link, k)
 	players := make([]Link, k)

@@ -62,13 +62,14 @@ func packFrame(kind byte, seq uint32, payload []byte) []byte {
 	return f
 }
 
+// zeroCRCField stands in for the crc field while the checksum is computed.
+var zeroCRCField [4]byte
+
 // crcOf computes the frame checksum with the crc field treated as zero.
 func crcOf(f []byte) uint32 {
-	crc := crc32.NewIEEE()
-	crc.Write(f[:5])
-	crc.Write([]byte{0, 0, 0, 0})
-	crc.Write(f[9:])
-	return crc.Sum32()
+	crc := crc32.Update(0, crc32.IEEETable, f[:5])
+	crc = crc32.Update(crc, crc32.IEEETable, zeroCRCField[:])
+	return crc32.Update(crc, crc32.IEEETable, f[9:])
 }
 
 // parseFrame validates the layout and checksum; ok=false means the frame
@@ -214,10 +215,12 @@ type endpointStats struct {
 //   - A corrupted frame fails its CRC at the receiver, which answers with
 //     a NACK; the sender retransmits on receipt. The receiver suppresses
 //     further NACKs until a good data frame arrives, so one repair round
-//     triggers exactly one retransmission.
+//     triggers exactly one retransmission. The sender mirrors that
+//     suppression flag — it knows which of its frames it corrupted — so
+//     when it corrupts a frame the receiver will not NACK, it retransmits
+//     at once, as for a known drop.
 //   - The per-attempt timeout (doubling per retry, capped at 8x) is the
-//     backstop for losses neither side can observe — real link failures,
-//     or an injected corruption of the retransmission itself.
+//     backstop for losses neither side can observe: real link failures.
 //
 // Faults are applied on the send side of data frames only. Acks and nacks
 // bypass the injector by design: they carry no protocol content (board
@@ -229,7 +232,9 @@ type endpointStats struct {
 //
 // Exactly one goroutine calls send and one goroutine (the owner of recv)
 // consumes inbound frames; the internal read loop is the only reader of
-// the raw link.
+// the raw link. The read loop hands data frames to an unbounded mailbox,
+// so it never waits on the consumer: frames nobody has asked for yet are
+// still acked at once.
 type endpoint struct {
 	raw        Link
 	inj        *faults.Injector // nil when link faults are disabled
@@ -258,13 +263,22 @@ type endpoint struct {
 	// nackPending suppresses repeat nacks until a good data frame arrives;
 	// owned by the read loop.
 	nackPending bool
+	// peerNackPending is the sender's copy of the peer's nackPending,
+	// advanced by the frames it puts on the wire; owned by the sending
+	// goroutine.
+	peerNackPending bool
 
-	dataCh chan inbound
+	data   mailbox[inbound]
 	ackCh  chan uint32
 	nackCh chan struct{}
 
+	// sendTimer and recvTimer are reused by every send and recv wait;
+	// each is owned by the goroutine that calls send or recv.
+	sendTimer, recvTimer waitTimer
+
 	closed    chan struct{}
 	closeOnce sync.Once
+	readDone  chan struct{} // closed when the read loop has exited
 
 	stats endpointStats
 }
@@ -290,10 +304,11 @@ func newEndpoint(raw Link, inj *faults.Injector, timeout time.Duration, maxRetri
 		rec:        rec,
 		cause:      cause,
 		linkAttr:   causal.Int("link", link),
-		dataCh:     make(chan inbound, 256),
+		data:       newMailbox[inbound](),
 		ackCh:      make(chan uint32, 64),
 		nackCh:     make(chan struct{}, 64),
 		closed:     make(chan struct{}),
+		readDone:   make(chan struct{}),
 	}
 	if rec != nil {
 		ep.names = linkMetricNames{
@@ -359,10 +374,27 @@ func (ep *endpoint) close() {
 	})
 }
 
+// closeAndWait severs every endpoint, then waits until each read loop has
+// drained what its link still held and exited, so the stats are final and
+// no goroutine outlives the run.
+func closeAndWait(eps ...[]*endpoint) {
+	for _, group := range eps {
+		for _, ep := range group {
+			ep.close()
+		}
+	}
+	for _, group := range eps {
+		for _, ep := range group {
+			<-ep.readDone
+		}
+	}
+}
+
 // readLoop is the sole reader of the raw link. It acks and forwards new
 // data frames, nacks corrupted ones, discards duplicates, and routes acks
 // and nacks to the sender.
 func (ep *endpoint) readLoop() {
+	defer close(ep.readDone)
 	for {
 		frame, err := ep.raw.Recv()
 		if err != nil {
@@ -405,14 +437,9 @@ func (ep *endpoint) readLoop() {
 		// frame is recvSeq+1.
 		ep.recvSeq = seq
 		ep.sendControl(frameAck, seq)
-		// Copy the payload out of the frame so the consumer owns its bytes.
-		p := make([]byte, len(payload))
-		copy(p, payload)
-		select {
-		case ep.dataCh <- inbound{kind: kind, payload: p}:
-		case <-ep.closed:
-			return
-		}
+		// The payload aliases the frame: every frame is freshly allocated
+		// per send and never written once it is on the wire.
+		ep.data.put(inbound{kind: kind, payload: payload})
 	}
 }
 
@@ -468,18 +495,18 @@ func (ep *endpoint) send(kind byte, payload []byte) error {
 				hop.Context().Event(causal.NetrunRetry, ep.linkAttr, causal.Int("attempt", attempt))
 			}
 		}
-		delivered, err := ep.sendRaw(frame, true)
+		delivered, err := ep.sendRaw(frame)
 		if err != nil {
 			return fmt.Errorf("%w: %v", ErrDelivery, err)
 		}
 		if delivered {
-			timer := time.NewTimer(timeout)
+			expired := ep.sendTimer.arm(timeout)
 		await:
 			for {
 				select {
 				case ackSeq := <-ep.ackCh:
 					if ackSeq == seq {
-						timer.Stop()
+						ep.sendTimer.disarm()
 						if ep.rec != nil {
 							// Ack latency spans first transmission to the
 							// matching ack, retransmissions included.
@@ -493,15 +520,15 @@ func (ep *endpoint) send(kind byte, payload []byte) error {
 					// duplicate); keep waiting within this attempt.
 				case <-ep.nackCh:
 					// The receiver saw a corrupted frame; retransmit now.
-					timer.Stop()
 					break await
-				case <-timer.C:
+				case <-expired:
 					break await
 				case <-ep.closed:
-					timer.Stop()
+					ep.sendTimer.disarm()
 					return fmt.Errorf("%w: %v", ErrDelivery, ErrLinkClosed)
 				}
 			}
+			ep.sendTimer.disarm()
 		}
 		if attempt >= ep.maxRetries {
 			return fmt.Errorf("%w: no ack for frame kind %d after %d attempts", ErrDelivery, kind, attempt+1)
@@ -515,14 +542,15 @@ func (ep *endpoint) send(kind byte, payload []byte) error {
 	}
 }
 
-// sendRaw puts one frame on the wire, applying the injector's decision
-// when faultable. A dropped frame still counts its wire bits (the sender
+// sendRaw puts one data frame on the wire, applying the injector's
+// decision. A dropped frame still counts its wire bits (the sender
 // transmitted; the medium ate it), keeping the delivered-bits overhead
-// metric honest; delivered=false tells the caller to retransmit without
-// waiting, since the loss is known to this side.
-func (ep *endpoint) sendRaw(frame []byte, faultable bool) (delivered bool, err error) {
+// metric honest. delivered=false tells the caller to retransmit without
+// waiting, because this side knows no ack or NACK will come: the frame was
+// dropped, or it was corrupted while the peer's NACK suppression was on.
+func (ep *endpoint) sendRaw(frame []byte) (delivered bool, err error) {
 	bits := int64(8 * len(frame))
-	if !faultable || ep.inj == nil {
+	if ep.inj == nil {
 		ep.writeMu.Lock()
 		defer ep.writeMu.Unlock()
 		ep.stats.wireBits.Add(bits)
@@ -549,6 +577,13 @@ func (ep *endpoint) sendRaw(frame []byte, faultable bool) (delivered bool, err e
 		ep.recordWireBits(bits)
 		return false, nil
 	}
+	// Advance the mirror of the peer's NACK suppression exactly as the
+	// peer's read loop will when this frame (and its duplicate) arrives: a
+	// corrupted frame sets it, NACKing only if it was clear; a good frame
+	// clears it. A corruption the peer will not NACK is repaired now.
+	corrupted := d.CorruptBit >= 0
+	silent := corrupted && ep.peerNackPending
+	ep.peerNackPending = corrupted
 	ep.stats.wireBits.Add(bits)
 	ep.recordWireBits(bits)
 	if err := ep.raw.Send(out); err != nil {
@@ -558,28 +593,19 @@ func (ep *endpoint) sendRaw(frame []byte, faultable bool) (delivered bool, err e
 		ep.recordFault(faults.Duplicate)
 		ep.stats.wireBits.Add(bits)
 		ep.recordWireBits(bits)
-		return true, ep.raw.Send(out)
+		if err := ep.raw.Send(out); err != nil {
+			return false, err
+		}
 	}
-	return true, nil
+	return !silent, nil
 }
 
 // recv surfaces the next application frame, or an error after the deadline
 // or once the link is severed.
 func (ep *endpoint) recv(deadline time.Duration) (inbound, error) {
-	timer := time.NewTimer(deadline)
-	defer timer.Stop()
-	select {
-	case in := <-ep.dataCh:
-		return in, nil
-	case <-timer.C:
-		return inbound{}, fmt.Errorf("netrun: no frame within %v", deadline)
-	case <-ep.closed:
-		// Drain a frame that raced with the close.
-		select {
-		case in := <-ep.dataCh:
-			return in, nil
-		default:
-		}
-		return inbound{}, ErrLinkClosed
+	in, err := ep.data.next(&ep.recvTimer, deadline, ep.closed)
+	if err == errNoItem {
+		return in, fmt.Errorf("netrun: no frame within %v", deadline)
 	}
+	return in, err
 }

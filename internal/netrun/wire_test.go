@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"broadcastic/internal/blackboard"
+	"broadcastic/internal/faults"
+	"broadcastic/internal/rng"
 	"broadcastic/internal/telemetry"
 	"broadcastic/internal/telemetry/causal"
 )
@@ -98,7 +100,7 @@ func newEndpointPair(t *testing.T, wrapA func(Link) Link, timeout time.Duration,
 	}
 	a := newEndpoint(rawA, nil, timeout, maxRetries, nil, causal.Context{}, telemetry.NetrunLink, 0)
 	b := newEndpoint(players[0], nil, timeout, maxRetries, nil, causal.Context{}, telemetry.NetrunLink, 0)
-	t.Cleanup(func() { a.close(); b.close() })
+	t.Cleanup(func() { closeAndWait([]*endpoint{a, b}) })
 	return a, b
 }
 
@@ -142,6 +144,120 @@ func TestEndpointGivesUp(t *testing.T) {
 	}
 	if got := a.stats.retries.Load(); got != 2 {
 		t.Fatalf("retries = %d, want 2", got)
+	}
+}
+
+// The read loop hands data frames to an unbounded mailbox, so frames
+// nobody consumes yet are still acked at once: the sender never retries
+// and never waits out a timeout, however far the consumer falls behind.
+func TestEndpointUnconsumedFrames(t *testing.T) {
+	const frames = 1500
+	a, b := newEndpointPair(t, nil, time.Second, 3)
+	start := time.Now()
+	for i := 0; i < frames; i++ {
+		if err := a.send(frameSync, []byte{byte(i), byte(i >> 8)}); err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+	}
+	if got := a.stats.retries.Load(); got != 0 {
+		t.Fatalf("%d unconsumed frames cost %d retries", frames, got)
+	}
+	if elapsed := time.Since(start); elapsed >= time.Second {
+		t.Fatalf("%d sends took %v: a send waited out its timeout", frames, elapsed)
+	}
+	for i := 0; i < frames; i++ {
+		in, err := b.recv(time.Second)
+		if err != nil || in.payload[0] != byte(i) || in.payload[1] != byte(i>>8) {
+			t.Fatalf("frame %d surfaced as %+v, %v", i, in, err)
+		}
+	}
+}
+
+// A corrupted retransmission reaches the receiver while its NACK
+// suppression is on, so no NACK comes back. The sender mirrors that flag
+// and retransmits at once instead of waiting out the timeout: with every
+// frame corrupted, the whole retry budget is spent in far less than one
+// timeout.
+func TestEndpointRepairsSilentCorruptionAtOnce(t *testing.T) {
+	plan, err := faults.Parse("corrupt=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, players, err := NewChanTransport().Open(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const timeout, maxRetries = 2 * time.Second, 6
+	a := newEndpoint(coord[0], plan.NewInjector(rng.New(1)), timeout, maxRetries, nil, causal.Context{}, telemetry.NetrunLink, 0)
+	b := newEndpoint(players[0], nil, timeout, maxRetries, nil, causal.Context{}, telemetry.NetrunLink, 0)
+	t.Cleanup(func() { closeAndWait([]*endpoint{a, b}) })
+	start := time.Now()
+	if err := a.send(frameSync, []byte("x")); !errors.Is(err, ErrDelivery) {
+		t.Fatalf("err = %v, want ErrDelivery", err)
+	}
+	if elapsed := time.Since(start); elapsed >= timeout/2 {
+		t.Fatalf("retry budget took %v, want far under the %v timeout", elapsed, timeout)
+	}
+	if got := a.stats.retries.Load(); got != maxRetries {
+		t.Fatalf("retries = %d, want %d", got, maxRetries)
+	}
+}
+
+func TestMailboxFIFOAndClose(t *testing.T) {
+	mb := newMailbox[int]()
+	var timer waitTimer
+	done := make(chan struct{})
+	for i := 0; i < 100; i++ {
+		mb.put(i)
+	}
+	for i := 0; i < 100; i++ {
+		if v, err := mb.next(&timer, time.Second, done); err != nil || v != i {
+			t.Fatalf("item %d: got %d, %v", i, v, err)
+		}
+	}
+	if _, err := mb.next(&timer, time.Millisecond, done); err != errNoItem {
+		t.Fatalf("empty mailbox: err = %v, want errNoItem", err)
+	}
+	// The timer that just fired is reused by the next wait.
+	go mb.put(7)
+	if v, err := mb.next(&timer, time.Second, done); err != nil || v != 7 {
+		t.Fatalf("waiting take: got %d, %v", v, err)
+	}
+	// An item queued before the close is still delivered after it.
+	mb.put(8)
+	close(done)
+	if v, err := mb.next(&timer, time.Second, done); err != nil || v != 8 {
+		t.Fatalf("take after close: got %d, %v", v, err)
+	}
+	if _, err := mb.next(&timer, time.Second, done); err != ErrLinkClosed {
+		t.Fatalf("closed empty mailbox: err = %v, want ErrLinkClosed", err)
+	}
+}
+
+// A node inbox is filled by one link loop per incident link at once: every
+// item arrives exactly once, in each producer's order.
+func TestMailboxConcurrentProducers(t *testing.T) {
+	const producers, items = 4, 500
+	mb := newMailbox[[2]int]()
+	var timer waitTimer
+	done := make(chan struct{})
+	for p := 0; p < producers; p++ {
+		go func(p int) {
+			for i := 0; i < items; i++ {
+				mb.put([2]int{p, i})
+			}
+		}(p)
+	}
+	next := make([]int, producers)
+	for n := 0; n < producers*items; n++ {
+		v, err := mb.next(&timer, 5*time.Second, done)
+		if err != nil {
+			t.Fatalf("item %d: %v", n, err)
+		}
+		if v[1] != next[v[0]] {
+			t.Fatalf("producer %d: got item %d, want %d", v[0], v[1], next[v[0]])
+		}
+		next[v[0]]++
 	}
 }
 
