@@ -7,17 +7,17 @@
 // Usage:
 //
 //	netdisj [-n 1024] [-k 6] [-kind mun|disjoint|intersecting]
-//	        [-transport chan|pipe|tcp] [-topology board|star|ring|mesh]
+//	        [-transport chan|pipe|tcp] [-topology star|ring|mesh]
 //	        [-model broadcast|coordinator]
 //	        [-faults "drop=0.05,corrupt=0.02"]
 //	        [-seed 1] [-timeout 250ms] [-retries 12] [-trials 2]
 //	        [-serve addr] [-runtrace dir] [-log level] [-version]
 //
-// With -topology, the run routes every frame over the chosen explicit
-// link graph (internal/netrun Topology) and reports per-link wire
-// accounting; -model coordinator switches to the message-passing protocol
-// of the coordinator model (players ship bitmaps to a hub, Θ(n·k) bits),
-// which requires an explicit topology.
+// -topology picks the link graph the run routes its frames over
+// (internal/netrun Topology, default star), and the report breaks wire
+// traffic down per link; -model coordinator switches to the
+// message-passing protocol of the coordinator model (players ship bitmaps
+// to a hub, Θ(n·k) bits).
 //
 // With -serve, the observability plane (/metrics, /healthz, /runs,
 // /debug/pprof) is up for the duration of the run; with -runtrace, each
@@ -59,7 +59,7 @@ func run(args []string) error {
 	k := fs.Int("k", 6, "number of players")
 	kind := fs.String("kind", "mun", "instance kind: mun (hard distribution), disjoint, intersecting")
 	transport := fs.String("transport", "chan", "transport: chan, pipe or tcp")
-	topology := fs.String("topology", "board", "topology: board (legacy shared-board wiring), star, ring or mesh")
+	topology := fs.String("topology", "star", "topology: star, ring or mesh")
 	model := fs.String("model", "broadcast", "delivery model: broadcast (replicas synced) or coordinator (message-passing)")
 	faultSpec := fs.String("faults", "", `fault mix, e.g. "drop=0.05,dup=0.05,corrupt=0.02,delay=0.2:1ms" (empty: none)`)
 	seed := fs.Uint64("seed", 1, "random seed (instances and fault streams)")
@@ -107,9 +107,6 @@ func run(args []string) error {
 	delivery, err := netrun.ParseDelivery(*model)
 	if err != nil {
 		return err
-	}
-	if delivery == netrun.DeliverCoordinator && topo == nil {
-		return fmt.Errorf("-model coordinator requires an explicit -topology (star, ring or mesh)")
 	}
 	plan, err := faults.Parse(*faultSpec)
 	if err != nil {
@@ -288,15 +285,8 @@ func writeTrace(path string, sink *tracelog.Sink) error {
 
 func totalRetries(s netrun.Stats) int64 {
 	var total int64
-	if len(s.PerLink) > 0 {
-		// Topology runs account per physical link, not per player.
-		for _, ls := range s.PerLink {
-			total += ls.Retries
-		}
-		return total
-	}
-	for _, ps := range s.PerPlayer {
-		total += ps.Retries
+	for _, ls := range s.PerLink {
+		total += ls.Retries
 	}
 	return total
 }

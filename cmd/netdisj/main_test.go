@@ -43,7 +43,12 @@ func TestRunTopologySmoke(t *testing.T) {
 	if err := run([]string{"-model", "bogus"}); err == nil {
 		t.Fatal("bogus model accepted")
 	}
-	if err := run([]string{"-model", "coordinator"}); err == nil {
-		t.Fatal("coordinator model without a topology accepted")
+	if err := run([]string{"-topology", "board"}); err == nil {
+		t.Fatal("removed board topology accepted")
+	}
+	// The default topology is the star, so the coordinator model needs no
+	// -topology flag.
+	if err := run([]string{"-n", "64", "-k", "3", "-model", "coordinator", "-trials", "1"}); err != nil {
+		t.Fatalf("coordinator model on the default topology: %v", err)
 	}
 }

@@ -308,9 +308,9 @@ func TestFaultReproducibility(t *testing.T) {
 	if a.Stats.Faults != b.Stats.Faults {
 		t.Fatalf("fault tallies differ: %v vs %v", a.Stats.Faults, b.Stats.Faults)
 	}
-	for i := range a.Stats.PerPlayer {
-		if a.Stats.PerPlayer[i].Retries != b.Stats.PerPlayer[i].Retries {
-			t.Fatalf("player %d retries differ: %d vs %d", i, a.Stats.PerPlayer[i].Retries, b.Stats.PerPlayer[i].Retries)
+	for l := range a.Stats.PerLink {
+		if a.Stats.PerLink[l].Retries != b.Stats.PerLink[l].Retries {
+			t.Fatalf("link %d retries differ: %d vs %d", l, a.Stats.PerLink[l].Retries, b.Stats.PerLink[l].Retries)
 		}
 	}
 	// A different seed draws a different fault sequence (while the board
@@ -335,10 +335,10 @@ func TestFaultReproducibility(t *testing.T) {
 func recordedFaults(rec *telemetry.Collector, k int) faults.Counts {
 	var c faults.Counts
 	for i := 0; i < k; i++ {
-		c.Drops += int(rec.Counter(telemetry.Indexed(telemetry.NetrunLink, i, "faults.drop")))
-		c.Duplicates += int(rec.Counter(telemetry.Indexed(telemetry.NetrunLink, i, "faults.dup")))
-		c.Corruptions += int(rec.Counter(telemetry.Indexed(telemetry.NetrunLink, i, "faults.corrupt")))
-		c.Delays += int(rec.Counter(telemetry.Indexed(telemetry.NetrunLink, i, "faults.delay")))
+		c.Drops += int(rec.Counter(telemetry.Indexed(telemetry.NetrunTopo, i, "faults.drop")))
+		c.Duplicates += int(rec.Counter(telemetry.Indexed(telemetry.NetrunTopo, i, "faults.dup")))
+		c.Corruptions += int(rec.Counter(telemetry.Indexed(telemetry.NetrunTopo, i, "faults.corrupt")))
+		c.Delays += int(rec.Counter(telemetry.Indexed(telemetry.NetrunTopo, i, "faults.delay")))
 	}
 	return c
 }
@@ -351,10 +351,10 @@ func recordedFaults(rec *telemetry.Collector, k int) faults.Counts {
 func assertRecorderMatchesStats(t *testing.T, rec *telemetry.Collector, res *netrun.Result, k int) {
 	t.Helper()
 	var retries, badFrames, dupFrames int64
-	for _, ps := range res.Stats.PerPlayer {
-		retries += ps.Retries
-		badFrames += ps.BadFrames
-		dupFrames += ps.DupFrames
+	for _, ls := range res.Stats.PerLink {
+		retries += ls.Retries
+		badFrames += ls.BadFrames
+		dupFrames += ls.DupFrames
 	}
 	if got := rec.Counter(telemetry.NetrunRetries); got != retries {
 		t.Errorf("recorded retries %d, stats %d", got, retries)
@@ -452,8 +452,8 @@ func TestRecorderMatchesStatsOnRepairPaths(t *testing.T) {
 		t.Fatal(err)
 	}
 	var retries int64
-	for _, ps := range res.Stats.PerPlayer {
-		retries += ps.Retries
+	for _, ls := range res.Stats.PerLink {
+		retries += ls.Retries
 	}
 	if retries == 0 {
 		t.Fatal("fault mix produced no retransmissions; test is vacuous")
@@ -557,19 +557,6 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
-// runtimes enumerates the legacy shared-board runtime (nil) and every
-// topology.
-func runtimes() []netrun.Topology {
-	return append([]netrun.Topology{nil}, topologies()...)
-}
-
-func runtimeName(topo netrun.Topology) string {
-	if topo == nil {
-		return "board"
-	}
-	return topo.Name()
-}
-
 // E20's corrupt-only cell, over 20 seeds: a corrupted retransmission
 // arrives while the receiver's NACK suppression is on, and the sender must
 // repair it at once rather than sit out the 1 s ARQ timeout. Every run
@@ -584,8 +571,8 @@ func TestCorruptionRepairsWithoutTimeouts(t *testing.T) {
 		t.Fatal(err)
 	}
 	const timeout = time.Second
-	for _, topo := range []netrun.Topology{nil, netrun.Ring{}} {
-		t.Run(runtimeName(topo), func(t *testing.T) {
+	for _, topo := range []netrun.Topology{netrun.Star{}, netrun.Ring{}} {
+		t.Run(topo.Name(), func(t *testing.T) {
 			var corruptions int
 			for seed := uint64(1); seed <= 20; seed++ {
 				proto, err := disj.NewOptimalProtocol(inst, disj.Options{})
@@ -606,8 +593,8 @@ func TestCorruptionRepairsWithoutTimeouts(t *testing.T) {
 	}
 }
 
-// Every goroutine a run starts — player loops, link loops and read
-// loops — has exited by the time Run returns, on every runtime.
+// Every goroutine a run starts — player loops and read loops — has exited
+// by the time Run returns, on every topology.
 func TestRunReleasesGoroutines(t *testing.T) {
 	inst, err := disj.GenerateDisjoint(rng.New(505), 48, 4, 0.3)
 	if err != nil {
@@ -617,8 +604,8 @@ func TestRunReleasesGoroutines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, topo := range runtimes() {
-		t.Run(runtimeName(topo), func(t *testing.T) {
+	for _, topo := range topologies() {
+		t.Run(topo.Name(), func(t *testing.T) {
 			before := runtime.NumGoroutine()
 			for seed := uint64(1); seed <= 3; seed++ {
 				proto, err := disj.NewOptimalProtocol(inst, disj.Options{})
@@ -640,10 +627,9 @@ func TestRunReleasesGoroutines(t *testing.T) {
 	}
 }
 
-// Allocation budget of one fault-free n=64, k=4 run: half of what the
-// delivery layer allocated with fixed-capacity channel queues (153 KB on
-// the shared-board path, 379 KB on the star). Oversized per-run buffers
-// coming back would blow it.
+// Allocation budget of one fault-free n=64, k=4 run on the default star:
+// half of what the delivery layer allocated with fixed-capacity channel
+// queues (153 KB). Oversized per-run buffers coming back would blow it.
 func TestRunAllocationBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark-based budget")
@@ -652,30 +638,23 @@ func TestRunAllocationBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		topo   netrun.Topology
-		budget int64
-	}{
-		{nil, 153_000 / 2},
-		{netrun.Star{}, 379_000 / 2},
-	} {
-		res := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				proto, err := disj.NewOptimalProtocol(inst, disj.Options{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := netrun.Run(proto.Scheduler(), proto.Players(), nil, netrun.Config{Topology: tc.topo, Limits: proto.Limits()}); err != nil {
-					b.Fatal(err)
-				}
+	const budget = 153_000 / 2
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			proto, err := disj.NewOptimalProtocol(inst, disj.Options{})
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
-		if res.N == 0 {
-			t.Fatalf("%s: benchmark did not run", runtimeName(tc.topo))
+			if _, err := netrun.Run(proto.Scheduler(), proto.Players(), nil, netrun.Config{Limits: proto.Limits()}); err != nil {
+				b.Fatal(err)
+			}
 		}
-		if got := res.AllocedBytesPerOp(); got > tc.budget {
-			t.Errorf("%s: %d B/op, budget %d", runtimeName(tc.topo), got, tc.budget)
-		}
+	})
+	if res.N == 0 {
+		t.Fatal("benchmark did not run")
+	}
+	if got := res.AllocedBytesPerOp(); got > budget {
+		t.Errorf("%d B/op, budget %d", got, budget)
 	}
 }

@@ -16,7 +16,8 @@ func CoordinatorNode(k int) int { return k }
 // wired. The runtime opens one transport link per LinkID, routes every
 // application frame hop by hop along NextHop, and accounts wire traffic
 // per physical link — so the same protocol pays different wire costs on
-// different topologies while producing the same transcript.
+// different topologies while producing the same transcript. Star is the
+// default.
 //
 // Implementations must be deterministic pure functions of (k, at, dst):
 // routing feeds the per-link fault streams, and reproducibility of wire
@@ -43,10 +44,11 @@ type Topology interface {
 	Gossip() bool
 }
 
-// Star is the coordinator/hub topology: one link per player, all routes
-// through the hub. It is the explicit-topology twin of the legacy
-// shared-board wiring — same link set, same frame flow — plus the routing
-// envelope, so conformance across topologies can be pinned against it.
+// Star is the coordinator/hub topology and the default: one link per
+// player, all routes through the hub. The coordinator talks to every
+// player directly, so no frame is relayed and none carries a routing
+// envelope — the blackboard's shared medium as one TURN/MSG/SYNC link per
+// player.
 type Star struct{}
 
 // Name implements Topology.
@@ -159,19 +161,16 @@ func ParseTransport(name string) (Transport, error) {
 	return nil, fmt.Errorf("netrun: unknown transport %q (want chan, pipe or tcp)", name)
 }
 
-// ParseTopology maps a CLI topology name to a Topology. "board" (and "")
-// name the legacy shared-board runtime and return nil — the Config
-// encoding for "no explicit topology".
+// ParseTopology maps a CLI topology name to a Topology; "" names the
+// default, the star.
 func ParseTopology(name string) (Topology, error) {
 	switch name {
-	case "", "board":
-		return nil, nil
-	case "star":
+	case "", "star":
 		return Star{}, nil
 	case "ring":
 		return Ring{}, nil
 	case "mesh":
 		return Mesh{}, nil
 	}
-	return nil, fmt.Errorf("netrun: unknown topology %q (want board, star, ring or mesh)", name)
+	return nil, fmt.Errorf("netrun: unknown topology %q (want star, ring or mesh)", name)
 }

@@ -2,7 +2,6 @@ package netrun_test
 
 import (
 	"errors"
-	"fmt"
 	"os"
 	"testing"
 	"time"
@@ -324,9 +323,11 @@ func TestTopologyFaultReproducibility(t *testing.T) {
 }
 
 // Same seed ⇒ the same per-link stats, every time. On the ring, relays
-// still carry the last turn's syncs when the schedule ends; a teardown
-// that raced them would make wire bits vary from run to run. 40 runs per
-// seed catch a timing-dependent frame order that two runs would miss.
+// still carry the last turn's syncs when the schedule ends, and on every
+// topology the last sender may still be between a frame and its injected
+// duplicate; a teardown that raced either would make wire bits or
+// duplicate counts vary from run to run. 40 runs per seed catch a
+// timing-dependent frame order that two runs would miss.
 func TestTopologyStatsDeterminism(t *testing.T) {
 	inst, err := disj.GenerateDisjoint(rng.New(111), 48, 4, 0.3)
 	if err != nil {
@@ -336,7 +337,7 @@ func TestTopologyStatsDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, topo := range []netrun.Topology{netrun.Ring{}, netrun.Mesh{}} {
+	for _, topo := range topologies() {
 		t.Run(topo.Name(), func(t *testing.T) {
 			for _, seed := range []uint64{23, 24} {
 				var want []netrun.LinkStats
@@ -405,11 +406,6 @@ func TestTopologyRecorderMatchesStats(t *testing.T) {
 			if got := rec.Counter(telemetry.NetrunWireBits); got != total || got != res.Stats.WireBits {
 				t.Errorf("recorded wire bits %d, per-link sum %d, stats %d", got, total, res.Stats.WireBits)
 			}
-			// The legacy per-player family must stay silent on the
-			// topology path: the two metric namespaces never mix.
-			if got := rec.Counter(telemetry.Indexed(telemetry.NetrunLink, 0, "wire_bits")); got != 0 {
-				t.Errorf("topology run recorded %d bits under the legacy netrun.link family", got)
-			}
 		})
 	}
 }
@@ -475,14 +471,13 @@ func TestTopologyValidation(t *testing.T) {
 			t.Fatalf("ParseTopology(%q) = %v, %v", name, topo, err)
 		}
 	}
-	for _, name := range []string{"", "board"} {
-		topo, err := netrun.ParseTopology(name)
-		if err != nil || topo != nil {
-			t.Fatalf("ParseTopology(%q) = %v, %v (want nil, nil)", name, topo, err)
-		}
+	if topo, err := netrun.ParseTopology(""); err != nil || topo != (netrun.Star{}) {
+		t.Fatalf(`ParseTopology("") = %v, %v (want the star)`, topo, err)
 	}
-	if _, err := netrun.ParseTopology("torus"); err == nil {
-		t.Fatal("unknown topology accepted")
+	for _, name := range []string{"board", "torus"} {
+		if _, err := netrun.ParseTopology(name); err == nil {
+			t.Fatalf("unknown topology %q accepted", name)
+		}
 	}
 	for _, tc := range []struct {
 		name string
@@ -497,23 +492,34 @@ func TestTopologyValidation(t *testing.T) {
 		t.Fatal("unknown delivery mode accepted")
 	}
 
-	// Delivery modes require a topology.
-	players := []blackboard.Player{blackboard.FuncPlayer(func(b *blackboard.Board) (blackboard.Message, error) {
-		return blackboard.Message{}, fmt.Errorf("never runs")
-	})}
-	sched := blackboard.FuncScheduler(func(b *blackboard.Board) (int, bool, error) { return 0, true, nil })
-	if _, err := netrun.Run(sched, players, nil, netrun.Config{Delivery: netrun.DeliverCoordinator}); err == nil {
-		t.Fatal("coordinator delivery without a topology accepted")
+	// Node ids have no one-byte cap: a 300-player star run over chan
+	// matches the sequential runtime.
+	const k = 300
+	newProto := func() (blackboard.Scheduler, []blackboard.Player) {
+		sched := &blackboard.RoundRobin{K: k, Stop: func(b *blackboard.Board) (bool, error) {
+			return b.NumMessages() >= k, nil
+		}}
+		players := make([]blackboard.Player, k)
+		for i := range players {
+			i := i
+			players[i] = blackboard.FuncPlayer(func(b *blackboard.Board) (blackboard.Message, error) {
+				return blackboard.Message{Player: i, Bits: []byte{byte(i) & 0x80}, Len: 1}, nil
+			})
+		}
+		return sched, players
 	}
-
-	// Node ids must fit the one-byte envelope.
-	big := make([]blackboard.Player, 256)
-	for i := range big {
-		big[i] = players[0]
+	sched, players := newProto()
+	ref, err := blackboard.Run(sched, players, nil, blackboard.Limits{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := netrun.Run(sched, big, nil, netrun.Config{Topology: netrun.Star{}}); err == nil {
-		t.Fatal("256-player topology run accepted")
+	sched, players = newProto()
+	res, err := netrun.Run(sched, players, nil, netrun.Config{Transport: netrun.NewChanTransport()})
+	if err != nil {
+		t.Fatalf("%d-player star run: %v", k, err)
 	}
+	requireSameBoard(t, ref.Board, res.Board)
+	requireLinkAccounting(t, res, netrun.Star{}, k, true)
 }
 
 // Topology shape invariants: link sets, routing and hop bounds.

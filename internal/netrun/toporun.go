@@ -13,38 +13,47 @@ import (
 	"broadcastic/internal/telemetry/causal"
 )
 
-// This file is the explicit-topology runtime: the counterpart of the
-// shared-board loop in netrun.go for runs with Config.Topology set.
+// This file is the runtime Run executes, on whichever Topology the run
+// is wired with.
 //
 // # Frame flow
 //
 // Every node (players 0..k-1 and the coordinator at id k) owns one ARQ
-// endpoint per incident physical link. Application frames travel inside
-// frameRouted envelopes ([src][dst][inner kind][inner payload]); a node
-// receiving an envelope addressed elsewhere forwards it to
-// Topology.NextHop — store-and-forward with per-hop reliability, so the
-// stop-and-wait ARQ, retry budgets and fault plans of wire.go apply to
-// each physical link exactly as they do to a player link on the legacy
-// path.
+// endpoint per incident physical link. The read loops of a node's
+// endpoints put every frame they receive into the node's inbox, tagged
+// with the neighbor it came from, and the node's own loop (coordinator or
+// player) is the inbox's one consumer and the one sender on all of its
+// endpoints. A frame for a neighbor goes out bare: the receiver takes its
+// source from the link it came in on. Only a frame that must be relayed —
+// NextHop(at, dst) != dst, which on the built-in topologies happens on the
+// ring alone — travels inside a frameRouted envelope ([src][dst][inner
+// kind][inner payload]), and a node that finds an envelope addressed
+// elsewhere in its inbox forwards it to Topology.NextHop from its own loop.
+// This is store-and-forward with per-hop reliability: the stop-and-wait
+// ARQ, retry budgets and fault plans of wire.go apply to each physical
+// link on its own. Forwarding from the node loop cannot deadlock, because
+// read loops ack every frame without waiting on the node.
 //
 // # Ordering and determinism
 //
-// Each endpoint has exactly one receive loop, and forwarding preserves
-// arrival order per inbound link, so frames that share a route stay FIFO
-// end to end. Because the protocols are turn-based ping-pong, at most one
-// application conversation is in flight at a time and the sequence of
-// frames on every physical link — and therefore every injector draw and
-// wire-bit count — is a pure function of (protocol, topology, seed).
-// sendFrom returns at the first hop's ack, so when the schedule ends the
-// last turn's syncs may still be relaying (ring); a successful run settles
-// every routed frame at its destination, and drains every read loop,
-// before it reads the stats.
+// A node's loop sends on each outbound link in the order it takes frames
+// from its inbox, and frames that share a route stay FIFO end to end.
+// Because the protocols are turn-based ping-pong, at most one application
+// conversation is in flight at a time and the sequence of frames on every
+// physical link — and therefore every injector draw and wire-bit count —
+// is a pure function of (protocol, topology, seed). sendFrom returns at
+// the first hop's ack, so when the schedule ends the last turn's syncs
+// may still be relaying (ring); a successful run settles every relayed
+// frame at its destination, stops every node loop, and only then closes
+// the links and drains every read loop, before it reads the stats.
 //
-// Syncs carry the board index of their message (encodeIndexedSync): on
-// gossip topologies syncs from different speakers race, and the replica
-// buffers out-of-order arrivals to append in canonical board order. A
-// player announced as speaker first drains pending syncs until its
-// replica reaches the turn's message count.
+// Star and ring syncs all leave the coordinator along one FIFO route per
+// player, so they arrive in board order. On gossip topologies (mesh)
+// syncs from different speakers race, so they carry the board index of
+// their message (encodeIndexedSync) and the replica buffers out-of-order
+// arrivals to append in canonical board order. A player announced as
+// speaker first drains pending syncs until its replica reaches the turn's
+// message count.
 //
 // # Delivery modes
 //
@@ -55,8 +64,7 @@ import (
 // players must speak from their private input alone — the mode the
 // coordinator-model DISJ protocol (internal/disj) is written for.
 
-// DeliveryMode selects how delivered messages propagate on the topology
-// path.
+// DeliveryMode selects how delivered messages propagate.
 type DeliveryMode int
 
 const (
@@ -90,42 +98,18 @@ func ParseDelivery(name string) (DeliveryMode, error) {
 	return 0, fmt.Errorf("netrun: unknown delivery mode %q (want broadcast or coordinator)", name)
 }
 
-// maxTopoNodes bounds node ids to one envelope byte.
-const maxTopoNodes = 256
-
-// routedFrame is one application frame delivered to its destination node.
-type routedFrame struct {
-	src     int
-	kind    byte
-	payload []byte
-}
-
-// nodeLink is a node's sending side of one incident physical link. The
-// mutex serializes the node's application loop and its forwarders, which
-// may emit on the same outbound link.
-type nodeLink struct {
-	ep *endpoint
-	mu sync.Mutex
-}
-
-func (nl *nodeLink) send(kind byte, payload []byte) error {
-	nl.mu.Lock()
-	defer nl.mu.Unlock()
-	return nl.ep.send(kind, payload)
-}
-
-// topoNode is one participant: its id, its incident links keyed by
-// neighbor, and the inbox its receive loops deliver to. The node's
-// application loop (coordinator or player) is the inbox's one consumer
-// and owns timer.
+// topoNode is one participant: its id, its endpoints keyed by neighbor,
+// and the inbox their read loops deliver to. The node's loop (coordinator
+// or player) is the inbox's one consumer and the one sender on every
+// endpoint, and owns timer.
 type topoNode struct {
 	id    int
-	links map[int]*nodeLink
-	inbox mailbox[routedFrame]
+	links map[int]*endpoint
+	inbox mailbox[inbound]
 	timer waitTimer
 }
 
-// topoRun holds the wiring of one topology run.
+// topoRun holds the wiring of one run.
 type topoRun struct {
 	topo         Topology
 	k            int
@@ -133,35 +117,67 @@ type topoRun struct {
 	done         chan struct{}
 	recvDeadline time.Duration
 
-	// inFlight counts routed frames handed to a first hop that have
-	// neither reached their destination's inbox nor been given up by a
-	// relay; settled gets a token whenever it drops to zero.
+	// inFlight counts relayed frames handed to a first hop that have
+	// neither reached their destination nor been given up by a relay;
+	// settled gets a token whenever it drops to zero.
 	inFlight atomic.Int64
 	settled  chan struct{}
 }
 
-// sendFrom routes one application frame from node n toward dst: wrap in
-// an envelope, hand it to the next hop's link, and let relays carry it on.
+// sendFrom sends one application frame from node n toward dst: bare to a
+// neighbor, inside a routing envelope when a relay must carry it on.
 func (r *topoRun) sendFrom(n *topoNode, dst int, kind byte, payload []byte) error {
 	next := r.topo.NextHop(r.k, n.id, dst)
-	nl, ok := n.links[next]
+	ep, ok := n.links[next]
 	if !ok {
 		return fmt.Errorf("netrun: topology %s routes %d->%d via non-neighbor %d", r.topo.Name(), n.id, dst, next)
 	}
-	r.inFlight.Add(1)
-	return nl.send(frameRouted, encodeRoutedPayload(n.id, dst, kind, payload))
-}
-
-// recvAt surfaces the next frame addressed to node n.
-func (r *topoRun) recvAt(n *topoNode, deadline time.Duration) (routedFrame, error) {
-	rf, err := n.inbox.next(&n.timer, deadline, r.done)
-	if err == errNoItem {
-		return rf, fmt.Errorf("netrun: node %d: no frame within %v", n.id, deadline)
+	if next == dst {
+		return ep.send(kind, payload)
 	}
-	return rf, err
+	r.inFlight.Add(1)
+	return ep.send(frameRouted, encodeRoutedPayload(n.id, dst, kind, payload))
 }
 
-// land retires one routed frame from inFlight.
+// recvAt returns the next frame addressed to node n, tagged with the node
+// that sent it. On the way it forwards frames in transit, and drops
+// envelopes that do not decode, counting each as a bad frame of the link
+// it came in on.
+func (r *topoRun) recvAt(n *topoNode, deadline time.Duration) (inbound, error) {
+	for {
+		in, err := n.inbox.next(&n.timer, deadline, r.done)
+		if err == errNoItem {
+			return inbound{}, fmt.Errorf("netrun: node %d: no frame within %v", n.id, deadline)
+		}
+		if err != nil {
+			return inbound{}, err
+		}
+		switch in.kind {
+		case linkClosed:
+			return inbound{}, fmt.Errorf("netrun: node %d: link to node %d: %w", n.id, in.from, ErrLinkClosed)
+		case frameRouted:
+		default:
+			return in, nil
+		}
+		src, dst, kind, payload, err := decodeRoutedPayload(in.payload, r.k)
+		if err != nil {
+			n.links[in.from].countBad()
+			continue
+		}
+		if dst == n.id {
+			r.land()
+			return inbound{kind: kind, from: src, payload: payload}, nil
+		}
+		next := r.topo.NextHop(r.k, n.id, dst)
+		if ep, ok := n.links[next]; !ok || ep.send(frameRouted, in.payload) != nil {
+			// Given up. A late ack may mean the next hop has it after all
+			// and lands it again; settle then merely ends early.
+			r.land()
+		}
+	}
+}
+
+// land retires one relayed frame from inFlight.
 func (r *topoRun) land() {
 	if r.inFlight.Add(-1) <= 0 {
 		select {
@@ -171,7 +187,7 @@ func (r *topoRun) land() {
 	}
 }
 
-// settle waits, at most d on timer t, until every routed frame has landed.
+// settle waits, at most d on timer t, until every relayed frame has landed.
 func (r *topoRun) settle(t *waitTimer, d time.Duration) {
 	if r.inFlight.Load() == 0 {
 		return
@@ -182,44 +198,6 @@ func (r *topoRun) settle(t *waitTimer, d time.Duration) {
 		select {
 		case <-r.settled:
 		case <-expired:
-			return
-		}
-	}
-}
-
-// serveLink is one endpoint's receive loop at node n: deliver frames
-// addressed to n, forward the rest along their route. Exits when the
-// endpoint closes.
-func (r *topoRun) serveLink(n *topoNode, ep *endpoint) {
-	const idleDeadline = time.Hour // teardown closes the link; this is a backstop
-	for {
-		in, err := ep.recv(idleDeadline)
-		if err != nil {
-			return
-		}
-		if in.kind != frameRouted {
-			continue // not addressable; drop
-		}
-		_, dst, _, _, err := decodeRoutedPayload(in.payload)
-		if err != nil {
-			continue
-		}
-		if dst == n.id {
-			src, _, kind, payload, _ := decodeRoutedPayload(in.payload)
-			n.inbox.put(routedFrame{src: src, kind: kind, payload: payload})
-			r.land()
-			continue
-		}
-		next := r.topo.NextHop(r.k, n.id, dst)
-		nl, ok := n.links[next]
-		if !ok {
-			r.land()
-			return
-		}
-		if err := nl.send(frameRouted, in.payload); err != nil {
-			// Given up. A late ack may mean the next hop has it after all
-			// and lands it again; settle then merely ends early.
-			r.land()
 			return
 		}
 	}
@@ -253,16 +231,11 @@ func (rb *replicaBoard) apply(idx int, msg blackboard.Message) error {
 	}
 }
 
-// runTopology executes the protocol on the explicit-topology runtime.
-// Invoked by Run when Config.Topology is set, after the shared
-// validation; the board-level contract (transcript, bits, outcome
-// identical to blackboard.Run) is the same as the legacy path's.
+// runTopology executes the protocol on cfg.Topology. Run invokes it after
+// validating the players and the fault plan and defaulting the topology.
 func runTopology(sched blackboard.Scheduler, players []blackboard.Player, public *rng.Source, cfg Config) (*Result, error) {
 	k := len(players)
 	topo := cfg.Topology
-	if k+1 > maxTopoNodes {
-		return nil, fmt.Errorf("netrun: topology runtime supports at most %d players, got %d", maxTopoNodes-1, k)
-	}
 	if len(cfg.Faults.CrashTurns) > 0 {
 		if _, ok := topo.(Star); !ok {
 			return nil, fmt.Errorf("netrun: crash faults are supported on the star topology only (a dead relay on %s severs other players' routes)", topo.Name())
@@ -305,23 +278,26 @@ func runTopology(sched blackboard.Scheduler, players []blackboard.Player, public
 	}
 	st.SetRecorder(cfg.Recorder)
 
-	// One transport pair per physical link: sideA terminates at the lower
-	// node id, sideB at the higher.
-	sideA, sideB, err := transport.Open(len(links))
+	// One transport pair per physical link: the coordinator-side Link
+	// terminates at the higher node id B (the coordinator, on the star),
+	// the player-side Link at A.
+	sideB, sideA, err := transport.Open(len(links))
 	if err != nil {
 		return nil, err
 	}
 
-	// One fault stream per link direction: A->B draws from child 2l,
-	// B->A from child 2l+1 — the same convention as the legacy path's
-	// per-player directions, keyed by link index.
+	// One fault stream per link direction: the direction leaving the
+	// higher node id (B->A) draws from child 2l, A->B from child 2l+1. On
+	// the star that gives coordinator->player i stream 2i and player
+	// i->coordinator stream 2i+1. Injectors exist only when link faults are
+	// on, so a fault-free run consumes no randomness.
 	injAB := make([]*faults.Injector, len(links))
 	injBA := make([]*faults.Injector, len(links))
 	if cfg.Faults.Enabled() {
 		streams := rng.New(cfg.Seed).SplitN(2 * len(links))
 		for l := range links {
-			injAB[l] = cfg.Faults.NewInjector(streams[2*l])
-			injBA[l] = cfg.Faults.NewInjector(streams[2*l+1])
+			injBA[l] = cfg.Faults.NewInjector(streams[2*l])
+			injAB[l] = cfg.Faults.NewInjector(streams[2*l+1])
 		}
 	}
 
@@ -332,20 +308,25 @@ func runTopology(sched blackboard.Scheduler, players []blackboard.Player, public
 	r := &topoRun{topo: topo, k: k, done: make(chan struct{}), settled: make(chan struct{}, 1)}
 	r.nodes = make([]*topoNode, k+1)
 	for id := range r.nodes {
-		r.nodes[id] = &topoNode{id: id, links: make(map[int]*nodeLink), inbox: newMailbox[routedFrame]()}
+		r.nodes[id] = &topoNode{id: id, links: make(map[int]*endpoint), inbox: newMailbox[inbound]()}
 	}
 	for l, lid := range links {
-		epA[l] = newEndpoint(sideA[l], injAB[l], timeout, maxRetries, cfg.Recorder, cfg.Causal, telemetry.NetrunTopo, l)
-		epB[l] = newEndpoint(sideB[l], injBA[l], timeout, maxRetries, cfg.Recorder, cfg.Causal, telemetry.NetrunTopo, l)
-		r.nodes[lid.A].links[lid.B] = &nodeLink{ep: epA[l]}
-		r.nodes[lid.B].links[lid.A] = &nodeLink{ep: epB[l]}
+		a, b := r.nodes[lid.A], r.nodes[lid.B]
+		epA[l] = newEndpoint(sideA[l], injAB[l], timeout, maxRetries, cfg.Recorder, cfg.Causal, l, &a.inbox, b.id)
+		epB[l] = newEndpoint(sideB[l], injBA[l], timeout, maxRetries, cfg.Recorder, cfg.Causal, l, &b.inbox, a.id)
+		a.links[b.id] = epA[l]
+		b.links[a.id] = epB[l]
 	}
-	var closeOnce sync.Once
-	closeAll := func() {
-		closeOnce.Do(func() {
-			close(r.done)
-			closeAndWait(epA, epB)
-		})
+	// teardown stops the node loops first, then severs every link and
+	// waits for its read loops to drain it. A loop stops only between
+	// sends, so no frame or injected duplicate is still on its way when the
+	// links close, and the stats read next are the same on every same-seed
+	// run.
+	var wg sync.WaitGroup
+	teardown := func() {
+		close(r.done)
+		wg.Wait()
+		closeAndWait(epA, epB)
 	}
 
 	// A route of h hops can wait through h links' worth of retransmission
@@ -356,29 +337,26 @@ func runTopology(sched blackboard.Scheduler, players []blackboard.Player, public
 	}
 	r.recvDeadline = time.Duration(hops) * (time.Duration(maxRetries+1)*(8*timeout+cfg.Faults.MaxDelay) + timeout)
 
-	// runMu serializes protocol-state access exactly as on the legacy path.
+	// runMu serializes all protocol-state access: Stepper calls on the
+	// coordinator and Speak on player goroutines. The turn discipline means
+	// there is never contention; the mutex exists for the happens-before
+	// edges (shared scheduler/player state, shared public rng) that raw
+	// socket I/O does not provide.
 	var runMu sync.Mutex
 
+	// Replicas share the canonical public source: public randomness is a
+	// shared resource in the broadcast model, and the ping-pong discipline
+	// (under runMu) makes every draw happen in sequential order.
 	replicas := make([]*replicaBoard, k)
 	for i := 0; i < k; i++ {
 		board, err := blackboard.NewBoard(k, public)
 		if err != nil {
-			closeAll()
+			teardown()
 			return nil, err
 		}
 		replicas[i] = &replicaBoard{board: board}
 	}
 
-	var wg sync.WaitGroup
-	for _, n := range r.nodes {
-		for _, nl := range n.links {
-			wg.Add(1)
-			go func(n *topoNode, ep *endpoint) {
-				defer wg.Done()
-				r.serveLink(n, ep)
-			}(n, nl.ep)
-		}
-	}
 	for i := 0; i < k; i++ {
 		wg.Add(1)
 		go func(i int) {
@@ -389,14 +367,12 @@ func runTopology(sched blackboard.Scheduler, players []blackboard.Player, public
 
 	coord := r.nodes[CoordinatorNode(k)]
 	stats := Stats{
-		PerPlayer: make([]PlayerStats, k),
 		PerLink:   make([]LinkStats, len(links)),
 		Transport: transport.Name(),
 		Topology:  topo.Name(),
 	}
 	finish := func(crashed []int) *Result {
-		closeAll()
-		wg.Wait()
+		teardown()
 		for l := range links {
 			ls := &stats.PerLink[l]
 			ls.Link = links[l]
@@ -417,6 +393,8 @@ func runTopology(sched blackboard.Scheduler, players []blackboard.Player, public
 	crash := func(player int, cause error) (*Result, error) {
 		telemetry.Count(cfg.Recorder, telemetry.NetrunCrashes, 1)
 		if cfg.Causal.Enabled() {
+			// A crash is the unrecoverable failure of the run: mark the
+			// instant and trigger the trace's flight-recorder auto-dump.
 			cfg.Causal.Fail(causal.NetrunCrash,
 				causal.Int("player", player), causal.String("error", cause.Error()))
 		}
@@ -424,8 +402,7 @@ func runTopology(sched blackboard.Scheduler, players []blackboard.Player, public
 		return res, &CrashError{Player: player, Cause: cause}
 	}
 	abort := func(err error) (*Result, error) {
-		closeAll()
-		wg.Wait()
+		teardown()
 		return nil, err
 	}
 
@@ -441,7 +418,10 @@ func runTopology(sched blackboard.Scheduler, players []blackboard.Player, public
 			return finish(nil), nil
 		}
 
-		turnStart := time.Now()
+		var turnStart time.Time
+		if cfg.Recorder != nil {
+			turnStart = time.Now()
+		}
 		if err := r.sendFrom(coord, speaker, frameTurn, encodeTurnPayload(st.Board().NumMessages())); err != nil {
 			return crash(speaker, err)
 		}
@@ -451,11 +431,11 @@ func runTopology(sched blackboard.Scheduler, players []blackboard.Player, public
 		}
 		switch {
 		case rf.kind == frameErr:
-			return abort(fmt.Errorf("netrun: player %d: %s", rf.src, rf.payload))
+			return abort(fmt.Errorf("netrun: player %d: %s", rf.from, rf.payload))
 		case rf.kind != frameMsg:
-			return abort(fmt.Errorf("netrun: player %d sent unexpected frame kind %d", rf.src, rf.kind))
-		case rf.src != speaker:
-			return abort(fmt.Errorf("netrun: expected message from player %d, got one from %d", speaker, rf.src))
+			return abort(fmt.Errorf("netrun: player %d sent unexpected frame kind %d", rf.from, rf.kind))
+		case rf.from != speaker:
+			return abort(fmt.Errorf("netrun: expected message from player %d, got one from %d", speaker, rf.from))
 		}
 		msg, err := decodeMessagePayload(rf.payload)
 		if err != nil {
@@ -469,10 +449,12 @@ func runTopology(sched blackboard.Scheduler, players []blackboard.Player, public
 			return abort(err)
 		}
 
-		// Propagate the delivered message. On gossip topologies the
-		// speaker already distributed it; in coordinator mode nobody does.
+		// Propagate the delivered message so every replica catches up
+		// before the next turn can reach any player. On gossip topologies
+		// the speaker already distributed it; in coordinator mode nobody
+		// does.
 		if cfg.Delivery == DeliverBroadcast && !topo.Gossip() {
-			syncPayload := encodeIndexedSync(st.Board().NumMessages()-1, msg)
+			syncPayload := encodeMessagePayload(msg)
 			for i := 0; i < k; i++ {
 				if err := r.sendFrom(coord, i, frameSync, syncPayload); err != nil {
 					return crash(i, err)
@@ -480,36 +462,48 @@ func runTopology(sched blackboard.Scheduler, players []blackboard.Player, public
 			}
 		}
 
-		ps := &stats.PerPlayer[speaker]
-		ps.Turns++
-		latency := time.Since(turnStart)
-		ps.Latency += latency
 		if cfg.Recorder != nil {
 			cfg.Recorder.Count(telemetry.NetrunTurns, 1)
-			cfg.Recorder.Observe(telemetry.NetrunTurnNs, float64(latency))
+			cfg.Recorder.Observe(telemetry.NetrunTurnNs, float64(time.Since(turnStart)))
 		}
 	}
 }
 
-// playerLoop runs one player node on the topology path: apply syncs,
-// speak on turns (draining late gossip first), gossip its own message on
-// gossip topologies, and die silently on a scheduled crash turn. Closing
-// the node's endpoints on exit severs its links, which on the star
-// topology is how the coordinator notices a crash.
+// playerLoop runs one player node: apply syncs, speak on turns (draining
+// late syncs first), gossip its own message on gossip topologies, relay
+// frames in transit (inside recvAt), and die silently on a scheduled
+// crash turn. A player that stops on its own — crashed or failed — severs
+// its links, which on the star is how the coordinator notices a crash. A
+// player stopped by teardown leaves them open: a neighbor may still be
+// sending it a frame's injected duplicate, and teardown closes the links
+// once every loop has stopped.
 func (r *topoRun) playerLoop(i int, player blackboard.Player, replica *replicaBoard, runMu *sync.Mutex, crashTurn int, mode DeliveryMode) {
 	n := r.nodes[i]
 	defer func() {
-		for _, nl := range n.links {
-			nl.ep.close()
+		select {
+		case <-r.done:
+			return
+		default:
+		}
+		for _, ep := range n.links {
+			ep.close()
 		}
 	}()
 	const idleDeadline = time.Hour // teardown closes the run; this is a backstop
 	coordID := CoordinatorNode(r.k)
+	gossip := r.topo.Gossip()
 	turns := 0
 	fail := func(err error) {
 		r.sendFrom(n, coordID, frameErr, []byte(err.Error()))
 	}
 	applySync := func(payload []byte) error {
+		if !gossip {
+			msg, err := decodeMessagePayload(payload)
+			if err != nil {
+				return err
+			}
+			return replica.board.Append(msg)
+		}
 		idx, msg, err := decodeIndexedSync(payload)
 		if err != nil {
 			return err
@@ -570,7 +564,7 @@ func (r *topoRun) playerLoop(i int, player blackboard.Player, replica *replicaBo
 				return
 			}
 			encoded := encodeMessagePayload(msg)
-			if mode == DeliverBroadcast && r.topo.Gossip() {
+			if mode == DeliverBroadcast && gossip {
 				// Speaker-distributed sync: send the message to every peer
 				// directly, then append the canonical (round-tripped) copy
 				// to our own replica.

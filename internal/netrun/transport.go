@@ -9,8 +9,8 @@ import (
 	"sync"
 )
 
-// Link is one endpoint of a bidirectional frame pipe between the
-// coordinator and a player. Send delivers one opaque frame to the peer;
+// Link is one endpoint of a bidirectional frame pipe between two nodes of
+// a topology. Send delivers one opaque frame to the peer;
 // Recv blocks for the next one. Links carry raw frames only — ordering,
 // acknowledgement, deduplication and fault tolerance live in the endpoint
 // layer above (wire.go). Send and Recv may be called from different
@@ -22,13 +22,13 @@ type Link interface {
 	Close() error
 }
 
-// Transport creates the coordinator↔player links of a run.
+// Transport creates the physical links of a run.
 type Transport interface {
 	// Name identifies the transport in stats and CLI flags.
 	Name() string
-	// Open creates k link pairs: coord[i] is the coordinator's endpoint of
-	// the link to player i, players[i] the player's endpoint of the same
-	// link.
+	// Open creates k link pairs, one per topology link: the run attaches
+	// coord[i] to the higher node id of link i (the coordinator, on the
+	// star) and players[i] to the lower.
 	Open(k int) (coord, players []Link, err error)
 }
 

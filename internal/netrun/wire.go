@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,14 +41,19 @@ func kindName(kind byte) string {
 // Frame kinds. A frame is the unit the delivery layer retransmits; the
 // coordinator and players exchange exactly one kind per protocol event.
 const (
-	frameSync   byte = iota + 1 // coordinator -> player: board append to mirror
+	frameSync   byte = iota + 1 // to a player: board append to mirror
 	frameTurn                   // coordinator -> player: your turn to speak
 	frameMsg                    // player -> coordinator: the spoken message
 	frameErr                    // player -> coordinator: player-side failure
 	frameAck                    // either direction: delivery acknowledgement
 	frameNack                   // either direction: corrupted frame received, retransmit now
-	frameRouted                 // topology runtime: envelope carrying [src][dst][inner kind][inner payload]
+	frameRouted                 // relayed frame: envelope carrying [src][dst][inner kind][inner payload]
 )
+
+// linkClosed is the inbound kind a read loop delivers once its link has
+// failed, so the node waiting on its inbox learns of it at once. No frame
+// on the wire has kind 0.
+const linkClosed byte = 0
 
 // packFrame lays out [kind 1B][seq 4B BE][crc32 4B BE][payload]. The
 // checksum covers kind, seq and payload (with the crc field zeroed), so a
@@ -88,6 +94,21 @@ func parseFrame(f []byte) (kind byte, seq uint32, payload []byte, ok bool) {
 	return kind, binary.BigEndian.Uint32(f[1:5]), f[9:], true
 }
 
+// errMalformed reports a payload that is not the encoding of any value.
+var errMalformed = errors.New("netrun: malformed payload")
+
+// readUvarint reads one minimally encoded uvarint that fits an int and
+// returns it with the rest of p. A minimal encoding ends in a nonzero byte
+// unless it is the one-byte zero, so every accepted value has exactly one
+// encoding and decoded payloads re-encode to the bytes they came from.
+func readUvarint(p []byte) (int, []byte, bool) {
+	v, n := binary.Uvarint(p)
+	if n <= 0 || (n > 1 && p[n-1] == 0) || v > math.MaxInt {
+		return 0, nil, false
+	}
+	return int(v), p[n:], true
+}
+
 // encodeMessagePayload serializes a board message: uvarint player, uvarint
 // bit length, then exactly the packed payload bytes. The encoding is
 // lossless in both content and length, so replica boards append the same
@@ -98,59 +119,73 @@ func encodeMessagePayload(m blackboard.Message) []byte {
 	return append(buf, m.Bits[:(m.Len+7)/8]...)
 }
 
-// decodeMessagePayload inverts encodeMessagePayload.
+// decodeMessagePayload inverts encodeMessagePayload. It accepts only
+// canonical encodings: minimal varints, exactly the packed bytes, and zero
+// padding bits after the last message bit, as Board.Append requires.
 func decodeMessagePayload(payload []byte) (blackboard.Message, error) {
-	player, n := binary.Uvarint(payload)
-	if n <= 0 {
-		return blackboard.Message{}, errors.New("netrun: message payload missing player")
+	player, rest, ok := readUvarint(payload)
+	if !ok {
+		return blackboard.Message{}, fmt.Errorf("%w: message has no valid player", errMalformed)
 	}
-	payload = payload[n:]
-	bitLen, n := binary.Uvarint(payload)
-	if n <= 0 {
-		return blackboard.Message{}, errors.New("netrun: message payload missing bit length")
+	bitLen, rest, ok := readUvarint(rest)
+	if !ok {
+		return blackboard.Message{}, fmt.Errorf("%w: message has no valid bit length", errMalformed)
 	}
-	payload = payload[n:]
-	want := (int(bitLen) + 7) / 8
-	if len(payload) != want {
-		return blackboard.Message{}, fmt.Errorf("netrun: message payload has %d bytes for %d bits", len(payload), bitLen)
+	want := bitLen / 8
+	if bitLen%8 != 0 {
+		want++
+	}
+	if len(rest) != want {
+		return blackboard.Message{}, fmt.Errorf("%w: message has %d bytes for %d bits", errMalformed, len(rest), bitLen)
+	}
+	if bitLen%8 != 0 && rest[want-1]&(0xff>>uint(bitLen%8)) != 0 {
+		return blackboard.Message{}, fmt.Errorf("%w: message has nonzero padding bits", errMalformed)
 	}
 	bits := make([]byte, want)
-	copy(bits, payload)
-	return blackboard.Message{Player: int(player), Bits: bits, Len: int(bitLen)}, nil
+	copy(bits, rest)
+	return blackboard.Message{Player: player, Bits: bits, Len: bitLen}, nil
 }
 
 // encodeRoutedPayload wraps an application frame in a routing envelope:
-// [src 1B][dst 1B][inner kind 1B][inner payload]. The topology runtime
-// carries every application frame inside a frameRouted envelope so relay
-// nodes can forward hop by hop without understanding the inner kind; the
-// three envelope bytes are charged to the wire like any other header.
+// [src uvarint][dst uvarint][inner kind 1B][inner payload]. Only frames
+// that a relay must forward carry one: a frame for a neighbor goes out
+// bare, and its receiver takes the source from the link it came in on.
+// The envelope bytes are charged to the wire like any other header.
 func encodeRoutedPayload(src, dst int, kind byte, payload []byte) []byte {
-	buf := make([]byte, 3+len(payload))
-	buf[0] = byte(src)
-	buf[1] = byte(dst)
-	buf[2] = kind
-	copy(buf[3:], payload)
-	return buf
+	buf := make([]byte, 0, 3+len(payload))
+	buf = binary.AppendUvarint(buf, uint64(src))
+	buf = binary.AppendUvarint(buf, uint64(dst))
+	buf = append(buf, kind)
+	return append(buf, payload...)
 }
 
-// decodeRoutedPayload inverts encodeRoutedPayload. Only protocol-event
-// kinds may travel inside an envelope: acks, nacks and nested envelopes
-// are delivery-layer artifacts of a single hop.
-func decodeRoutedPayload(p []byte) (src, dst int, kind byte, payload []byte, err error) {
-	if len(p) < 3 {
-		return 0, 0, 0, nil, errors.New("netrun: routed payload shorter than envelope")
+// decodeRoutedPayload inverts encodeRoutedPayload for a run whose node ids
+// are 0..maxNode. Only protocol-event kinds may travel inside an envelope:
+// acks, nacks and nested envelopes are delivery-layer artifacts of a
+// single hop.
+func decodeRoutedPayload(p []byte, maxNode int) (src, dst int, kind byte, payload []byte, err error) {
+	src, rest, ok := readUvarint(p)
+	if ok {
+		dst, rest, ok = readUvarint(rest)
 	}
-	kind = p[2]
+	if !ok || len(rest) == 0 {
+		return 0, 0, 0, nil, fmt.Errorf("%w: routing envelope", errMalformed)
+	}
+	if src > maxNode || dst > maxNode {
+		return 0, 0, 0, nil, fmt.Errorf("%w: envelope names node %d->%d, run has nodes 0..%d", errMalformed, src, dst, maxNode)
+	}
+	kind = rest[0]
 	if kind < frameSync || kind > frameErr {
-		return 0, 0, 0, nil, fmt.Errorf("netrun: routed envelope carries invalid inner kind %d", kind)
+		return 0, 0, 0, nil, fmt.Errorf("%w: envelope carries inner kind %d", errMalformed, kind)
 	}
-	return int(p[0]), int(p[1]), kind, p[3:], nil
+	return src, dst, kind, rest[1:], nil
 }
 
 // encodeIndexedSync prefixes a sync payload with the board index of the
-// message it carries. Topologies where syncs from different origins race
-// (mesh gossip) need the index to restore board order at the replica; the
-// star and ring paths carry it too so every topology shares one codec.
+// message it carries. Only gossip topologies (mesh) use it: there syncs
+// from different speakers race, and the index restores board order at the
+// replica. Star and ring syncs all come from the coordinator along one
+// FIFO route, so they arrive in board order and carry no index.
 func encodeIndexedSync(index int, m blackboard.Message) []byte {
 	buf := binary.AppendUvarint(nil, uint64(index))
 	return append(buf, encodeMessagePayload(m)...)
@@ -158,15 +193,15 @@ func encodeIndexedSync(index int, m blackboard.Message) []byte {
 
 // decodeIndexedSync inverts encodeIndexedSync.
 func decodeIndexedSync(payload []byte) (int, blackboard.Message, error) {
-	idx, n := binary.Uvarint(payload)
-	if n <= 0 {
-		return 0, blackboard.Message{}, errors.New("netrun: sync payload missing board index")
+	idx, rest, ok := readUvarint(payload)
+	if !ok {
+		return 0, blackboard.Message{}, fmt.Errorf("%w: sync has no valid board index", errMalformed)
 	}
-	msg, err := decodeMessagePayload(payload[n:])
+	msg, err := decodeMessagePayload(rest)
 	if err != nil {
 		return 0, blackboard.Message{}, err
 	}
-	return int(idx), msg, nil
+	return idx, msg, nil
 }
 
 // encodeTurnPayload carries the board's message count at the moment of the
@@ -176,19 +211,22 @@ func encodeTurnPayload(numMessages int) []byte {
 }
 
 func decodeTurnPayload(payload []byte) (int, error) {
-	v, n := binary.Uvarint(payload)
-	if n <= 0 {
-		return 0, errors.New("netrun: malformed turn payload")
+	v, rest, ok := readUvarint(payload)
+	if !ok || len(rest) != 0 {
+		return 0, fmt.Errorf("%w: turn", errMalformed)
 	}
-	return int(v), nil
+	return v, nil
 }
 
 // ErrDelivery wraps a frame that exhausted its retransmission budget.
 var ErrDelivery = errors.New("netrun: delivery failed")
 
-// inbound is one application frame surfaced by the delivery layer.
+// inbound is one application frame surfaced by the delivery layer, tagged
+// with the node it came from: the neighbor it arrived from, or, once a
+// node has unwrapped a relayed frame addressed to it, its source.
 type inbound struct {
 	kind    byte
+	from    int
 	payload []byte
 }
 
@@ -230,9 +268,9 @@ type endpointStats struct {
 // are discarded silently (no re-ack): with reliable acks, a duplicate can
 // only be an injected Duplicate decision, never evidence of a lost ack.
 //
-// Exactly one goroutine calls send and one goroutine (the owner of recv)
-// consumes inbound frames; the internal read loop is the only reader of
-// the raw link. The read loop hands data frames to an unbounded mailbox,
+// Exactly one goroutine calls send; the internal read loop is the only
+// reader of the raw link. The read loop hands data frames to its node's
+// inbox, an unbounded mailbox it shares with the node's other endpoints,
 // so it never waits on the consumer: frames nobody has asked for yet are
 // still acked at once.
 type endpoint struct {
@@ -268,13 +306,15 @@ type endpoint struct {
 	// goroutine.
 	peerNackPending bool
 
-	data   mailbox[inbound]
+	// inbox receives data frames, each tagged with peer, the node id at
+	// the far end of the link.
+	inbox  *mailbox[inbound]
+	peer   int
 	ackCh  chan uint32
 	nackCh chan struct{}
 
-	// sendTimer and recvTimer are reused by every send and recv wait;
-	// each is owned by the goroutine that calls send or recv.
-	sendTimer, recvTimer waitTimer
+	// sendTimer is reused by every send wait; the sending goroutine owns it.
+	sendTimer waitTimer
 
 	closed    chan struct{}
 	closeOnce sync.Once
@@ -290,12 +330,10 @@ type linkMetricNames struct {
 	fault                                          [faults.NumKinds]string
 }
 
-// newEndpoint builds the ARQ layer over one raw link. prefix selects the
-// per-link metric family — telemetry.NetrunLink on the legacy shared-board
-// path (indexed by player), telemetry.NetrunTopo on the topology path
-// (indexed by physical link) — so the two runtimes' wire accounting stays
-// distinguishable on /metrics.
-func newEndpoint(raw Link, inj *faults.Injector, timeout time.Duration, maxRetries int, rec telemetry.Recorder, cause causal.Context, prefix string, link int) *endpoint {
+// newEndpoint builds the ARQ layer over one raw link, the link with index
+// link in the run's topology, whose far end is node peer. Its read loop
+// delivers data frames to inbox; its metrics are netrun.topo.<link>.*.
+func newEndpoint(raw Link, inj *faults.Injector, timeout time.Duration, maxRetries int, rec telemetry.Recorder, cause causal.Context, link int, inbox *mailbox[inbound], peer int) *endpoint {
 	ep := &endpoint{
 		raw:        raw,
 		inj:        inj,
@@ -304,7 +342,8 @@ func newEndpoint(raw Link, inj *faults.Injector, timeout time.Duration, maxRetri
 		rec:        rec,
 		cause:      cause,
 		linkAttr:   causal.Int("link", link),
-		data:       newMailbox[inbound](),
+		inbox:      inbox,
+		peer:       peer,
 		ackCh:      make(chan uint32, 64),
 		nackCh:     make(chan struct{}, 64),
 		closed:     make(chan struct{}),
@@ -312,22 +351,22 @@ func newEndpoint(raw Link, inj *faults.Injector, timeout time.Duration, maxRetri
 	}
 	if rec != nil {
 		ep.names = linkMetricNames{
-			wireBits:  telemetry.Indexed(prefix, link, "wire_bits"),
-			retries:   telemetry.Indexed(prefix, link, "retries"),
-			badFrames: telemetry.Indexed(prefix, link, "bad_frames"),
-			dupFrames: telemetry.Indexed(prefix, link, "dup_frames"),
-			ackNs:     telemetry.Indexed(prefix, link, "ack_ns"),
+			wireBits:  telemetry.Indexed(telemetry.NetrunTopo, link, "wire_bits"),
+			retries:   telemetry.Indexed(telemetry.NetrunTopo, link, "retries"),
+			badFrames: telemetry.Indexed(telemetry.NetrunTopo, link, "bad_frames"),
+			dupFrames: telemetry.Indexed(telemetry.NetrunTopo, link, "dup_frames"),
+			ackNs:     telemetry.Indexed(telemetry.NetrunTopo, link, "ack_ns"),
 		}
 		for k := 0; k < faults.NumKinds; k++ {
-			ep.names.fault[k] = telemetry.Indexed(prefix, link, "faults."+faults.Kind(k).String())
+			ep.names.fault[k] = telemetry.Indexed(telemetry.NetrunTopo, link, "faults."+faults.Kind(k).String())
 		}
 	}
 	go ep.readLoop()
 	return ep
 }
 
-// recordWireBits, recordRetry, recordBad, recordDup and recordFault mirror
-// one stats update into the Recorder; each costs one branch when disabled.
+// recordWireBits, recordRetry, recordDup and recordFault mirror one stats
+// update into the Recorder; each costs one branch when disabled.
 func (ep *endpoint) recordWireBits(bits int64) {
 	if ep.rec != nil {
 		ep.rec.Count(telemetry.NetrunWireBits, bits)
@@ -342,7 +381,10 @@ func (ep *endpoint) recordRetry() {
 	}
 }
 
-func (ep *endpoint) recordBad() {
+// countBad records one discarded frame: one that failed its checksum, or
+// a checksummed envelope that does not decode.
+func (ep *endpoint) countBad() {
+	ep.stats.badFrames.Add(1)
 	if ep.rec != nil {
 		ep.rec.Count(telemetry.NetrunBadFrames, 1)
 		ep.rec.Count(ep.names.badFrames, 1)
@@ -366,7 +408,7 @@ func (ep *endpoint) recordFault(kind faults.Kind) {
 	}
 }
 
-// close severs the endpoint; pending sends and recvs unblock with errors.
+// close severs the endpoint; a pending send unblocks with an error.
 func (ep *endpoint) close() {
 	ep.closeOnce.Do(func() {
 		close(ep.closed)
@@ -390,21 +432,22 @@ func closeAndWait(eps ...[]*endpoint) {
 	}
 }
 
-// readLoop is the sole reader of the raw link. It acks and forwards new
-// data frames, nacks corrupted ones, discards duplicates, and routes acks
-// and nacks to the sender.
+// readLoop is the sole reader of the raw link. It acks new data frames and
+// hands them to the inbox, nacks corrupted ones, discards duplicates, and
+// routes acks and nacks to the sender. When the link fails it tells the
+// inbox, so a node waiting on a dead peer does not sit out its deadline.
 func (ep *endpoint) readLoop() {
 	defer close(ep.readDone)
 	for {
 		frame, err := ep.raw.Recv()
 		if err != nil {
 			ep.close()
+			ep.inbox.put(inbound{kind: linkClosed, from: ep.peer})
 			return
 		}
 		kind, seq, payload, ok := parseFrame(frame)
 		if !ok {
-			ep.stats.badFrames.Add(1)
-			ep.recordBad()
+			ep.countBad()
 			if !ep.nackPending {
 				ep.nackPending = true
 				ep.sendControl(frameNack, ep.recvSeq)
@@ -439,7 +482,7 @@ func (ep *endpoint) readLoop() {
 		ep.sendControl(frameAck, seq)
 		// The payload aliases the frame: every frame is freshly allocated
 		// per send and never written once it is on the wire.
-		ep.data.put(inbound{kind: kind, payload: payload})
+		ep.inbox.put(inbound{kind: kind, from: ep.peer, payload: payload})
 	}
 }
 
@@ -598,14 +641,4 @@ func (ep *endpoint) sendRaw(frame []byte) (delivered bool, err error) {
 		}
 	}
 	return !silent, nil
-}
-
-// recv surfaces the next application frame, or an error after the deadline
-// or once the link is severed.
-func (ep *endpoint) recv(deadline time.Duration) (inbound, error) {
-	in, err := ep.data.next(&ep.recvTimer, deadline, ep.closed)
-	if err == errNoItem {
-		return in, fmt.Errorf("netrun: no frame within %v", deadline)
-	}
-	return in, err
 }

@@ -2,14 +2,15 @@ package netrun
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"math"
 	"testing"
 	"time"
 
 	"broadcastic/internal/blackboard"
 	"broadcastic/internal/faults"
 	"broadcastic/internal/rng"
-	"broadcastic/internal/telemetry"
 	"broadcastic/internal/telemetry/causal"
 )
 
@@ -61,16 +62,64 @@ func TestMessagePayloadRoundTrip(t *testing.T) {
 			t.Fatalf("round trip %+v -> %+v", m, got)
 		}
 	}
-	for _, bad := range [][]byte{{}, {0x01}, {0x00, 0x09}} {
-		if _, err := decodeMessagePayload(bad); err == nil {
-			t.Fatalf("malformed payload %x accepted", bad)
+	maxUint := binary.AppendUvarint(nil, math.MaxUint64)
+	for _, bad := range [][]byte{
+		{}, {0x01}, {0x00, 0x09},
+		append([]byte{0x00}, maxUint...), // bit length 2^64-1
+		append(maxUint, 0x00),            // player 2^64-1
+		{0x80, 0x00, 0x00},               // non-minimal player
+		{0x00, 0x01, 0x40},               // nonzero padding bit
+		{0x00, 0x01, 0x80, 0x00},         // trailing byte
+	} {
+		if m, err := decodeMessagePayload(bad); err == nil {
+			t.Fatalf("malformed payload %x accepted as %+v", bad, m)
 		}
 	}
 	if n, err := decodeTurnPayload(encodeTurnPayload(42)); err != nil || n != 42 {
 		t.Fatalf("turn payload: %d, %v", n, err)
 	}
-	if _, err := decodeTurnPayload(nil); err == nil {
-		t.Fatal("empty turn payload accepted")
+	for _, bad := range [][]byte{nil, {5, 0xff}, {0x80, 0x00}, maxUint} {
+		if n, err := decodeTurnPayload(bad); err == nil {
+			t.Fatalf("malformed turn payload %x accepted as %d", bad, n)
+		}
+	}
+}
+
+func TestRoutedAndSyncPayloads(t *testing.T) {
+	const k = 300
+	msg := blackboard.Message{Player: 299, Bits: []byte{0xa0}, Len: 3}
+	for _, tc := range []struct{ src, dst int }{{k, 0}, {3, k}, {200, 299}} {
+		p := encodeRoutedPayload(tc.src, tc.dst, frameSync, encodeMessagePayload(msg))
+		src, dst, kind, inner, err := decodeRoutedPayload(p, k)
+		if err != nil || src != tc.src || dst != tc.dst || kind != frameSync || !bytes.Equal(inner, encodeMessagePayload(msg)) {
+			t.Fatalf("envelope %d->%d decodes as %d->%d kind %d %x, %v", tc.src, tc.dst, src, dst, kind, inner, err)
+		}
+	}
+	for _, bad := range [][]byte{
+		{}, {0x01}, {0x01, 0x02},
+		encodeRoutedPayload(1, k+5, frameSync, nil), // no such node
+		encodeRoutedPayload(k+1, 0, frameSync, nil),
+		encodeRoutedPayload(1, 2, frameAck, nil), // not a protocol event
+		{0x81, 0x00, 0x02, frameTurn},            // non-minimal src
+	} {
+		if _, _, _, _, err := decodeRoutedPayload(bad, k); err == nil {
+			t.Fatalf("malformed envelope %x accepted", bad)
+		}
+	}
+
+	idx, got, err := decodeIndexedSync(encodeIndexedSync(7, msg))
+	if err != nil || idx != 7 || got.Player != msg.Player || got.Len != msg.Len || !bytes.Equal(got.Bits, msg.Bits) {
+		t.Fatalf("indexed sync decodes as %d %+v, %v", idx, got, err)
+	}
+	for _, bad := range [][]byte{
+		nil,
+		append(binary.AppendUvarint(nil, math.MaxUint64), encodeMessagePayload(msg)...), // index 2^64-1
+		append([]byte{0x87, 0x00}, encodeMessagePayload(msg)...),                        // non-minimal index
+		append(encodeIndexedSync(7, msg), 0x00),                                         // trailing byte
+	} {
+		if idx, m, err := decodeIndexedSync(bad); err == nil {
+			t.Fatalf("malformed sync %x accepted as %d %+v", bad, idx, m)
+		}
 	}
 }
 
@@ -88,6 +137,19 @@ func (l *lossyLink) Send(frame []byte) error {
 	return l.Link.Send(frame)
 }
 
+// newTestEndpoint builds an endpoint with an inbox of its own, like a node
+// with a single link.
+func newTestEndpoint(raw Link, inj *faults.Injector, timeout time.Duration, maxRetries int) *endpoint {
+	inbox := newMailbox[inbound]()
+	return newEndpoint(raw, inj, timeout, maxRetries, nil, causal.Context{}, 0, &inbox, 0)
+}
+
+// recv waits up to d for the next frame in ep's inbox.
+func recv(ep *endpoint, d time.Duration) (inbound, error) {
+	var timer waitTimer
+	return ep.inbox.next(&timer, d, ep.closed)
+}
+
 func newEndpointPair(t *testing.T, wrapA func(Link) Link, timeout time.Duration, maxRetries int) (*endpoint, *endpoint) {
 	t.Helper()
 	coord, players, err := NewChanTransport().Open(1)
@@ -98,8 +160,8 @@ func newEndpointPair(t *testing.T, wrapA func(Link) Link, timeout time.Duration,
 	if wrapA != nil {
 		rawA = wrapA(rawA)
 	}
-	a := newEndpoint(rawA, nil, timeout, maxRetries, nil, causal.Context{}, telemetry.NetrunLink, 0)
-	b := newEndpoint(players[0], nil, timeout, maxRetries, nil, causal.Context{}, telemetry.NetrunLink, 0)
+	a := newTestEndpoint(rawA, nil, timeout, maxRetries)
+	b := newTestEndpoint(players[0], nil, timeout, maxRetries)
 	t.Cleanup(func() { closeAndWait([]*endpoint{a, b}) })
 	return a, b
 }
@@ -109,7 +171,7 @@ func TestEndpointDelivers(t *testing.T) {
 	if err := a.send(frameSync, []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
-	in, err := b.recv(time.Second)
+	in, err := recv(b, time.Second)
 	if err != nil || in.kind != frameSync || string(in.payload) != "hello" {
 		t.Fatalf("recv = %+v, %v", in, err)
 	}
@@ -123,7 +185,7 @@ func TestEndpointRetransmits(t *testing.T) {
 	if err := a.send(frameTurn, encodeTurnPayload(1)); err != nil {
 		t.Fatal(err)
 	}
-	in, err := b.recv(time.Second)
+	in, err := recv(b, time.Second)
 	if err != nil || in.kind != frameTurn {
 		t.Fatalf("recv = %+v, %v", in, err)
 	}
@@ -131,7 +193,7 @@ func TestEndpointRetransmits(t *testing.T) {
 		t.Fatalf("retries = %d, want 2", got)
 	}
 	// Exactly one copy must surface despite the retransmissions.
-	if _, err := b.recv(50 * time.Millisecond); err == nil {
+	if _, err := recv(b, 50*time.Millisecond); err == nil {
 		t.Fatal("duplicate frame surfaced")
 	}
 }
@@ -166,7 +228,7 @@ func TestEndpointUnconsumedFrames(t *testing.T) {
 		t.Fatalf("%d sends took %v: a send waited out its timeout", frames, elapsed)
 	}
 	for i := 0; i < frames; i++ {
-		in, err := b.recv(time.Second)
+		in, err := recv(b, time.Second)
 		if err != nil || in.payload[0] != byte(i) || in.payload[1] != byte(i>>8) {
 			t.Fatalf("frame %d surfaced as %+v, %v", i, in, err)
 		}
@@ -188,8 +250,8 @@ func TestEndpointRepairsSilentCorruptionAtOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	const timeout, maxRetries = 2 * time.Second, 6
-	a := newEndpoint(coord[0], plan.NewInjector(rng.New(1)), timeout, maxRetries, nil, causal.Context{}, telemetry.NetrunLink, 0)
-	b := newEndpoint(players[0], nil, timeout, maxRetries, nil, causal.Context{}, telemetry.NetrunLink, 0)
+	a := newTestEndpoint(coord[0], plan.NewInjector(rng.New(1)), timeout, maxRetries)
+	b := newTestEndpoint(players[0], nil, timeout, maxRetries)
 	t.Cleanup(func() { closeAndWait([]*endpoint{a, b}) })
 	start := time.Now()
 	if err := a.send(frameSync, []byte("x")); !errors.Is(err, ErrDelivery) {

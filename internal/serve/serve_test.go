@@ -37,7 +37,7 @@ func get(t *testing.T, url string) (int, string, http.Header) {
 func TestMetricsEndpointMatchesCollector(t *testing.T) {
 	col := telemetry.NewCollector()
 	col.Count("blackboard.bits", 1234)
-	col.Count("netrun.link.0.wire_bits", 500)
+	col.Count("netrun.topo.0.wire_bits", 500)
 	col.Observe("sim.cell_ns", 2048)
 	ts := httptest.NewServer(NewMux(col, NewBroker()))
 	defer ts.Close()
@@ -57,7 +57,7 @@ func TestMetricsEndpointMatchesCollector(t *testing.T) {
 	if body != want.String() {
 		t.Errorf("/metrics diverges from promtext.WriteCollector:\n%s\n---\n%s", body, want.String())
 	}
-	for _, sample := range []string{"blackboard_bits 1234", "netrun_link_0_wire_bits 500"} {
+	for _, sample := range []string{"blackboard_bits 1234", "netrun_topo_0_wire_bits 500"} {
 		if !strings.Contains(body, sample+"\n") {
 			t.Errorf("/metrics missing sample %q:\n%s", sample, body)
 		}
@@ -383,7 +383,7 @@ func TestShutdownEndsFollowStream(t *testing.T) {
 // — shared Collector, Chrome-trace sink, progress hook, live HTTP server
 // — renders a table byte-identical to a bare run, and the /metrics
 // exposition agrees exactly with the final Collector snapshot
-// (blackboard_bits and every netrun_link_*_wire_bits series included).
+// (blackboard_bits and every netrun_topo_*_wire_bits series included).
 func TestObservedExperimentEndToEnd(t *testing.T) {
 	exps := sim.Experiments()
 	var e20 sim.Experiment
@@ -446,7 +446,7 @@ func TestObservedExperimentEndToEnd(t *testing.T) {
 	for _, c := range ex.Counters {
 		name := promtext.SanitizeName(c.Name)
 		if name != "blackboard_bits" &&
-			!(strings.HasPrefix(name, "netrun_link_") && strings.HasSuffix(name, "_wire_bits")) {
+			!(strings.HasPrefix(name, "netrun_topo_") && strings.HasSuffix(name, "_wire_bits")) {
 			continue
 		}
 		got, ok := sampleValue(name)

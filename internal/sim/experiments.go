@@ -1573,8 +1573,8 @@ func E20NetworkedOverhead(cfg Config) (*Table, error) {
 			}
 			wireBits = append(wireBits, float64(res.Stats.WireBits))
 			var r int64
-			for _, ps := range res.Stats.PerPlayer {
-				r += ps.Retries
+			for _, ls := range res.Stats.PerLink {
+				r += ls.Retries
 			}
 			retries = append(retries, float64(r))
 			injected.Add(res.Stats.Faults)

@@ -14,8 +14,8 @@ const (
 	BlackboardPlayer      = "blackboard.player"       // per-player prefix
 
 	// Concurrent networked runtime (internal/netrun). Per-link metrics use
-	// Indexed(NetrunLink, player, field) with fields "wire_bits",
-	// "retries", "bad_frames", "dup_frames".
+	// Indexed(NetrunTopo, link, field) with fields "wire_bits", "retries",
+	// "bad_frames", "dup_frames", "ack_ns" and "faults.<kind>".
 	NetrunTurns     = "netrun.turns"      // counter: turns completed
 	NetrunWireBits  = "netrun.wire_bits"  // counter: bits on all links, both directions
 	NetrunRetries   = "netrun.retries"    // counter: retransmission attempts beyond the first send
@@ -25,8 +25,7 @@ const (
 	NetrunCrashes   = "netrun.crashes"    // counter: players crashed
 	NetrunAckNs     = "netrun.ack_ns"     // histogram: data-frame send-to-ack latency
 	NetrunTurnNs    = "netrun.turn_ns"    // histogram: turn announcement-to-delivery latency
-	NetrunLink      = "netrun.link"       // per-link prefix (legacy shared-board runtime, indexed by player)
-	NetrunTopo      = "netrun.topo"       // per-link prefix (topology runtime, indexed by physical link)
+	NetrunTopo      = "netrun.topo"       // per-link prefix, indexed by physical link in Topology.Links order
 
 	// Experiment harness (internal/sim) and worker pool (internal/pool).
 	SimCells         = "sim.cells"           // counter: sweep cells evaluated

@@ -9,7 +9,7 @@
 //
 //   - Collector counters become Prometheus counters under their sanitized
 //     dot-path name: "blackboard.bits" -> "blackboard_bits",
-//     "netrun.link.3.wire_bits" -> "netrun_link_3_wire_bits".
+//     "netrun.topo.3.wire_bits" -> "netrun_topo_3_wire_bits".
 //   - Collector gauges become Prometheus gauges the same way.
 //   - Collector histograms become Prometheus histograms: cumulative
 //     power-of-two "_bucket{le=...}" series (from the Collector's magnitude

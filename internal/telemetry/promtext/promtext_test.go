@@ -11,8 +11,8 @@ import (
 func TestSanitizeName(t *testing.T) {
 	cases := []struct{ in, want string }{
 		{"blackboard.bits", "blackboard_bits"},
-		{"netrun.link.3.wire_bits", "netrun_link_3_wire_bits"},
-		{"netrun.link.0.faults.drop", "netrun_link_0_faults_drop"},
+		{"netrun.topo.3.wire_bits", "netrun_topo_3_wire_bits"},
+		{"netrun.topo.0.faults.drop", "netrun_topo_0_faults_drop"},
 		{"already_fine:series", "already_fine:series"},
 		{"", "_"},
 		{"9lives", "_9lives"},
@@ -29,7 +29,7 @@ func TestSanitizeName(t *testing.T) {
 func TestWriteCounterAndHistogram(t *testing.T) {
 	col := telemetry.NewCollector()
 	col.Count("blackboard.bits", 1234)
-	col.Count("netrun.link.1.wire_bits", 99)
+	col.Count("netrun.topo.1.wire_bits", 99)
 	col.Observe("sim.cell_ns", 3)   // bucket [2,4)
 	col.Observe("sim.cell_ns", 3)   // same bucket
 	col.Observe("sim.cell_ns", 100) // bucket [64,128)
@@ -40,7 +40,7 @@ func TestWriteCounterAndHistogram(t *testing.T) {
 	out := sb.String()
 	for _, want := range []string{
 		"# TYPE blackboard_bits counter\nblackboard_bits 1234\n",
-		"netrun_link_1_wire_bits 99\n",
+		"netrun_topo_1_wire_bits 99\n",
 		"# TYPE sim_cell_ns histogram\n",
 		"sim_cell_ns_bucket{le=\"4\"} 2\n",
 		"sim_cell_ns_bucket{le=\"128\"} 3\n",
@@ -68,7 +68,7 @@ func TestWriteDeterministic(t *testing.T) {
 	build := func() *telemetry.Collector {
 		col := telemetry.NewCollector()
 		// Insertion order differs per call; output must not.
-		names := []string{"z.last", "a.first", "m.middle", "netrun.link.10.wire_bits", "netrun.link.2.wire_bits"}
+		names := []string{"z.last", "a.first", "m.middle", "netrun.topo.10.wire_bits", "netrun.topo.2.wire_bits"}
 		for i, n := range names {
 			col.Count(n, int64(i+1))
 			col.Observe(n+".ns", float64(i+1))

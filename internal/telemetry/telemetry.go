@@ -14,7 +14,7 @@
 // enabled Recorder changes no transcript, table or experiment output bit.
 //
 // Metric names are dot-separated paths (e.g. "blackboard.bits",
-// "netrun.link.3.wire_bits"); per-entity metrics embed the entity index so
+// "netrun.topo.3.wire_bits"); per-entity metrics embed the entity index so
 // a flat snapshot still reads as a breakdown. The canonical names emitted
 // by the instrumented layers are declared in names.go.
 package telemetry
@@ -145,8 +145,8 @@ func (s Span) End() {
 	s.rec.Observe(s.name, float64(time.Since(s.start)))
 }
 
-// Indexed renders a per-entity metric name, e.g. Indexed("netrun.link",
-// 3, "wire_bits") -> "netrun.link.3.wire_bits". Only recording paths call
+// Indexed renders a per-entity metric name, e.g. Indexed("netrun.topo",
+// 3, "wire_bits") -> "netrun.topo.3.wire_bits". Only recording paths call
 // it, so the formatting cost is paid exclusively when a Recorder is
 // installed.
 func Indexed(prefix string, index int, field string) string {

@@ -103,7 +103,7 @@ func TestSpanRecordsDuration(t *testing.T) {
 }
 
 func TestIndexed(t *testing.T) {
-	if got := Indexed("netrun.link", 3, "wire_bits"); got != "netrun.link.3.wire_bits" {
+	if got := Indexed("netrun.topo", 3, "wire_bits"); got != "netrun.topo.3.wire_bits" {
 		t.Fatalf("Indexed = %q", got)
 	}
 }

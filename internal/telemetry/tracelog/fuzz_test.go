@@ -14,7 +14,7 @@ func FuzzEncode(f *testing.F) {
 	f.Add("sim.cell_ns", "X", 1.5, 2.5, int64(3), "run-1")
 	f.Add("", "i", math.NaN(), math.Inf(1), int64(-1), "")
 	f.Add("evil\"name\\\x00\xff", "C", math.Inf(-1), -0.0, int64(1<<62), "run\n2")
-	f.Add("netrun.link.999999999999.ack_ns", "M", 1e308, 1e308, int64(0), "s")
+	f.Add("netrun.topo.999999999999.ack_ns", "M", 1e308, 1e308, int64(0), "s")
 	f.Fuzz(func(t *testing.T, name, phase string, ts, dur float64, delta int64, runID string) {
 		tr := &Trace{
 			TraceEvents: []Event{{
@@ -41,7 +41,7 @@ func FuzzEncode(f *testing.F) {
 // WriteTo to always produce parseable JSON.
 func FuzzSink(f *testing.F) {
 	f.Add("blackboard.bits", int64(5), "sim.cell_ns", 100.0)
-	f.Add("netrun.link.3.faults.drop", int64(1), "netrun.link.3.ack_ns", math.Inf(1))
+	f.Add("netrun.topo.3.faults.drop", int64(1), "netrun.topo.3.ack_ns", math.Inf(1))
 	f.Add("", int64(0), "", math.NaN())
 	f.Fuzz(func(t *testing.T, countName string, delta int64, obsName string, value float64) {
 		s := New("fuzz-run", nil)

@@ -13,11 +13,11 @@
 //   - Observations of *_ns metrics (spans: netrun turn/ack latency, sim
 //     cell wall time, pool worker busy time, estimator shards) become
 //     complete ("X") duration events, placed on a track derived from the
-//     metric name: netrun.link.<i>.* lands on "player <i>", other netrun.*
+//     metric name: netrun.topo.<l>.* lands on "link <l>", other netrun.*
 //     on "coordinator", pool.* / sim.* / core.* / blackboard.* on their
 //     layer's track.
 //   - Counts of fault and crash metrics (netrun.faults,
-//     netrun.link.<i>.faults.<kind>, netrun.crashes) become instant ("i")
+//     netrun.topo.<l>.faults.<kind>, netrun.crashes) become instant ("i")
 //     events — each injected fault is visible at its moment of injection.
 //   - All other counts become counter ("C") events carrying the cumulative
 //     value, so Perfetto renders bit and message totals as rising series.
@@ -118,7 +118,7 @@ func Encode(w io.Writer, t *Trace) error {
 }
 
 // Track ids. Fixed small ids keep related events on stable rows in the
-// viewer; per-player tracks start at playerTidBase + link index.
+// viewer; per-link tracks start at linkTidBase + link index.
 const (
 	tidCoordinator = 1
 	tidPool        = 2
@@ -127,7 +127,7 @@ const (
 	tidEstimator   = 5
 	tidOther       = 6
 	tidJobs        = 7
-	playerTidBase  = 16
+	linkTidBase    = 16
 )
 
 // metricsPid is the process id of the aggregate metrics plane; causal
@@ -141,10 +141,10 @@ const (
 
 // trackFor derives the display track from a metric's dot-path.
 func trackFor(name string) (tid int, label string) {
-	if rest, ok := strings.CutPrefix(name, telemetry.NetrunLink+"."); ok {
+	if rest, ok := strings.CutPrefix(name, telemetry.NetrunTopo+"."); ok {
 		if dot := strings.IndexByte(rest, '.'); dot > 0 {
 			if idx, err := strconv.Atoi(rest[:dot]); err == nil && idx >= 0 {
-				return playerTidBase + idx, "player " + rest[:dot]
+				return linkTidBase + idx, "link " + rest[:dot]
 			}
 		}
 	}

@@ -31,7 +31,7 @@ func TestSinkSpanAndCounterEvents(t *testing.T) {
 	s.Count("blackboard.bits", 10)
 	s.Count("blackboard.bits", 5)
 	s.Observe("sim.cell_ns", 2e6) // a 2ms span
-	s.Count("netrun.link.2.faults.drop", 1)
+	s.Count("netrun.topo.2.faults.drop", 1)
 	var buf bytes.Buffer
 	if _, err := s.WriteTo(&buf); err != nil {
 		t.Fatal(err)
@@ -40,7 +40,7 @@ func TestSinkSpanAndCounterEvents(t *testing.T) {
 	if tr.OtherData["runId"] != "run-1" {
 		t.Errorf("runId = %q, want run-1", tr.OtherData["runId"])
 	}
-	var sawSpan, sawCounter, sawInstant, sawPlayerTrack bool
+	var sawSpan, sawCounter, sawInstant, sawLinkTrack bool
 	for _, ev := range tr.TraceEvents {
 		switch {
 		case ev.Phase == "X" && ev.Name == "sim.cell_ns":
@@ -50,20 +50,20 @@ func TestSinkSpanAndCounterEvents(t *testing.T) {
 			}
 		case ev.Phase == "C" && ev.Name == "blackboard.bits":
 			sawCounter = true
-		case ev.Phase == "i" && ev.Name == "netrun.link.2.faults.drop":
+		case ev.Phase == "i" && ev.Name == "netrun.topo.2.faults.drop":
 			sawInstant = true
-			if ev.Tid != playerTidBase+2 {
-				t.Errorf("fault instant on tid %d, want %d", ev.Tid, playerTidBase+2)
+			if ev.Tid != linkTidBase+2 {
+				t.Errorf("fault instant on tid %d, want %d", ev.Tid, linkTidBase+2)
 			}
 		case ev.Phase == "M" && ev.Name == "thread_name":
-			if name, _ := ev.Args["name"].(string); name == "player 2" {
-				sawPlayerTrack = true
+			if name, _ := ev.Args["name"].(string); name == "link 2" {
+				sawLinkTrack = true
 			}
 		}
 	}
-	if !sawSpan || !sawCounter || !sawInstant || !sawPlayerTrack {
-		t.Fatalf("missing events: span=%v counter=%v instant=%v playerTrack=%v",
-			sawSpan, sawCounter, sawInstant, sawPlayerTrack)
+	if !sawSpan || !sawCounter || !sawInstant || !sawLinkTrack {
+		t.Fatalf("missing events: span=%v counter=%v instant=%v linkTrack=%v",
+			sawSpan, sawCounter, sawInstant, sawLinkTrack)
 	}
 	// The last blackboard.bits counter event must carry the cumulative 15.
 	var last float64
@@ -93,7 +93,7 @@ func TestSinkTeesToNext(t *testing.T) {
 // TestNetrunE20Trace is the acceptance pin for the tentpole: an E20-style
 // netrun execution (optimal DISJ protocol under a drop/dup/corrupt fault
 // mix) traced through a Sink yields parseable Chrome trace JSON containing
-// spans for the coordinator, spans for every player, and one instant event
+// spans for the coordinator, spans for every link, and one instant event
 // per injected fault — while the transcript stays bit-identical to the
 // sequential reference.
 func TestNetrunE20Trace(t *testing.T) {
@@ -142,14 +142,14 @@ func TestNetrunE20Trace(t *testing.T) {
 	tr := decodeTrace(t, buf.Bytes())
 
 	coordSpans := 0
-	playerSpans := make(map[int]int)
+	linkSpans := make(map[int]int)
 	faultInstants := 0
 	for _, ev := range tr.TraceEvents {
 		switch {
 		case ev.Phase == "X" && ev.Name == telemetry.NetrunTurnNs:
 			coordSpans++
-		case ev.Phase == "X" && strings.HasPrefix(ev.Name, telemetry.NetrunLink+".") && strings.HasSuffix(ev.Name, ".ack_ns"):
-			playerSpans[ev.Tid-playerTidBase]++
+		case ev.Phase == "X" && strings.HasPrefix(ev.Name, telemetry.NetrunTopo+".") && strings.HasSuffix(ev.Name, ".ack_ns"):
+			linkSpans[ev.Tid-linkTidBase]++
 		case ev.Phase == "i" && ev.Name == telemetry.NetrunFaults:
 			faultInstants++
 		}
@@ -157,9 +157,10 @@ func TestNetrunE20Trace(t *testing.T) {
 	if coordSpans == 0 {
 		t.Error("no coordinator turn spans in trace")
 	}
+	// The run uses the default star, whose link i is player i's.
 	for i := 0; i < k; i++ {
-		if playerSpans[i] == 0 {
-			t.Errorf("no spans for player %d in trace", i)
+		if linkSpans[i] == 0 {
+			t.Errorf("no spans for link %d in trace", i)
 		}
 	}
 	injected := res.Stats.Faults
@@ -194,7 +195,7 @@ func TestSnapshotDeterministicForEqualRuns(t *testing.T) {
 	build := func() []byte {
 		s := New("same-run", nil)
 		s.Count("blackboard.bits", 3)
-		s.Count("netrun.link.1.faults.drop", 1)
+		s.Count("netrun.topo.1.faults.drop", 1)
 		tr := s.Snapshot()
 		// Zero the wall-clock fields: determinism is about structure
 		// (event order, tracks, names, values), not timestamps.
