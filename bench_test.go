@@ -28,9 +28,7 @@ import (
 	"time"
 
 	"broadcastic/internal/andk"
-	"broadcastic/internal/batch"
 	"broadcastic/internal/core"
-	"broadcastic/internal/disj"
 	"broadcastic/internal/dist"
 	"broadcastic/internal/ir"
 	"broadcastic/internal/pool"
@@ -194,51 +192,13 @@ func BenchmarkE21_TopologySeparation(b *testing.B) { runExperiment(b, sim.E21Top
 // from. They flow through recordSample like everything else and are gated
 // by cmd/benchgate alongside the experiment entries.
 
-// benchEstimateCIC times EstimateCIC on the sequential AND_k protocol
-// under the paper's hard distribution μ — the exact workload inside E4/E5
-// — at a fixed modest sample count so ns/op measures engine cost, not grid
-// size.
-func benchEstimateCIC(b *testing.B, k int) {
-	b.Helper()
-	spec, err := andk.NewSequential(k)
-	if err != nil {
-		b.Fatal(err)
-	}
-	mu, err := dist.NewMu(k)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const samples = 200
-	// Untimed warm-up op (same idiom as benchDistSample): builds the CDF
-	// and lane-scratch caches so a single timed iteration measures the
-	// steady-state estimator, keeping ns/op meaningful at -benchtime 1x.
-	if _, err := core.EstimateCIC(spec, mu, rng.New(1), samples); err != nil {
-		b.Fatal(err)
-	}
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	mallocsBefore := ms.Mallocs
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		src := rng.New(1)
-		if _, err := core.EstimateCIC(spec, mu, src, samples); err != nil {
-			b.Fatal(err)
-		}
-	}
-	elapsed := b.Elapsed()
-	runtime.ReadMemStats(&ms)
-	n := float64(b.N)
-	recordSample(b.Name(), int64(b.N), float64(elapsed)/n, float64(ms.Mallocs-mallocsBefore)/n, nil)
-}
-
-func BenchmarkEstimateCIC_K4(b *testing.B)  { benchEstimateCIC(b, 4) }
-func BenchmarkEstimateCIC_K16(b *testing.B) { benchEstimateCIC(b, 16) }
-func BenchmarkEstimateCIC_K64(b *testing.B) { benchEstimateCIC(b, 64) }
-
-// benchEstimateCICCompiled is the same workload pinned to the compiled-IR
-// engine: it runs the default engine resolution but fails the benchmark
-// unless the IR program served every sample, so the gated number can
-// never silently degrade into measuring a fallback engine.
+// benchEstimateCICCompiled times EstimateCIC on the sequential AND_k
+// protocol under the paper's hard distribution μ — the exact workload
+// inside E4/E5 — at a fixed modest sample count so ns/op measures engine
+// cost, not grid size. It runs the default engine resolution but fails
+// the benchmark unless the compiled-IR program served every sample, so
+// the gated number can never silently degrade into measuring the scalar
+// fallback.
 func benchEstimateCICCompiled(b *testing.B, k int) {
 	b.Helper()
 	spec, err := andk.NewSequential(k)
@@ -252,8 +212,9 @@ func benchEstimateCICCompiled(b *testing.B, k int) {
 	const samples = 200
 	col := telemetry.NewCollector()
 	opts := core.EstimateOptions{Recorder: col}
-	// Untimed warm-up op, as in benchEstimateCIC; also compiles and caches
-	// the program so timed ops measure cached-program execution.
+	// Untimed warm-up op: builds the CDF caches and compiles and caches
+	// the program, so a single timed iteration measures cached-program
+	// execution, keeping ns/op meaningful at -benchtime 1x.
 	if _, err := core.EstimateCICOpts(spec, mu, rng.New(1), samples, opts); err != nil {
 		b.Fatal(err)
 	}
@@ -292,7 +253,8 @@ func BenchmarkEstimateCICCompiled_K64(b *testing.B) { benchEstimateCICCompiled(b
 // BenchmarkIRCompile times one uncached CompileEstimator of the K16
 // sequential AND_k protocol under μ — the cost the program cache
 // amortizes away. irCompileSpec adapts core.Spec's Transcript signatures
-// to ir.Spec's plain []int ones, as internal/core does privately.
+// to ir.Spec's plain []int ones and forwards StateKey, as internal/core
+// does privately, so this is the merged per-edge compile.
 func BenchmarkIRCompile(b *testing.B) {
 	const k = 16
 	spec, err := andk.NewSequential(k)
@@ -339,11 +301,12 @@ func (a irCompileSpec) MessageBits(t []int, symbol int) (int, error) {
 	return a.s.MessageBits(core.Transcript(t), symbol)
 }
 func (a irCompileSpec) Output(t []int) (int, error) { return a.s.Output(core.Transcript(t)) }
+func (a irCompileSpec) StateKey(t []int) uint64     { return a.s.(ir.StateKeyer).StateKey(t) }
 
-// benchEstimateCICScalar is the same workload with both fast engines
+// benchEstimateCICScalar is the same workload with the compiled engine
 // disabled, keeping the scalar estimator's cost on file so the
-// BENCH_*.json trajectory shows the compiled and word-parallel wins (and
-// any scalar regression) separately from the default path.
+// BENCH_*.json trajectory shows the compiled win (and any scalar
+// regression) separately from the default path.
 func benchEstimateCICScalar(b *testing.B, k int) {
 	b.Helper()
 	spec, err := andk.NewSequential(k)
@@ -355,8 +318,8 @@ func benchEstimateCICScalar(b *testing.B, k int) {
 		b.Fatal(err)
 	}
 	const samples = 200
-	opts := core.EstimateOptions{DisableIR: true, DisableLanes: true}
-	// Untimed warm-up op, as in benchEstimateCIC.
+	opts := core.EstimateOptions{DisableIR: true}
+	// Untimed warm-up op, as in benchEstimateCICCompiled.
 	if _, err := core.EstimateCICOpts(spec, mu, rng.New(1), samples, opts); err != nil {
 		b.Fatal(err)
 	}
@@ -379,8 +342,8 @@ func benchEstimateCICScalar(b *testing.B, k int) {
 func BenchmarkEstimateCICScalar_K16(b *testing.B) { benchEstimateCICScalar(b, 16) }
 
 // BenchmarkParallelSpecScalar times the scalar estimator on the 4-fold
-// parallel AND_4 task (ParallelSpec over ProductOfPriors) with both fast
-// engines disabled — the workload whose per-step transcript re-splitting
+// parallel AND_4 task (ParallelSpec over ProductOfPriors) with the
+// compiled engine disabled — the workload whose per-step transcript re-splitting
 // the memoized ParallelSpec walk turns from O(L²) to O(L) interface
 // calls. A regression here means the split memo stopped engaging.
 func BenchmarkParallelSpecScalar(b *testing.B) {
@@ -402,8 +365,8 @@ func BenchmarkParallelSpecScalar(b *testing.B) {
 		b.Fatal(err)
 	}
 	const samples = 50
-	opts := core.EstimateOptions{DisableIR: true, DisableLanes: true}
-	// Untimed warm-up op, as in benchEstimateCIC.
+	opts := core.EstimateOptions{DisableIR: true}
+	// Untimed warm-up op, as in benchEstimateCICCompiled.
 	if _, err := core.EstimateCICOpts(spec, prior, rng.New(1), samples, opts); err != nil {
 		b.Fatal(err)
 	}
@@ -421,68 +384,6 @@ func BenchmarkParallelSpecScalar(b *testing.B) {
 	runtime.ReadMemStats(&ms)
 	n := float64(b.N)
 	recordSample(b.Name(), int64(b.N), float64(elapsed)/n, float64(ms.Mallocs-mallocsBefore)/n, nil)
-}
-
-// BenchmarkBatchExec_K64 times the raw 64-lane executor on the 64-player
-// sequential AND kernel: one op runs 64 protocol instances to completion,
-// so ns/op is the engine's cost per word of decisions.
-func BenchmarkBatchExec_K64(b *testing.B) {
-	const k = 64
-	ex, err := batch.NewExec(batch.LaneSpec{Players: k, SpeakCap: k, HaltOnZero: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	inputs := make([]uint64, k)
-	rng.New(1).Uint64s(inputs)
-	var sink uint64
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	mallocsBefore := ms.Mallocs
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out, err := ex.Run(inputs, ^uint64(0))
-		if err != nil {
-			b.Fatal(err)
-		}
-		sink ^= out
-	}
-	elapsed := b.Elapsed()
-	runtime.ReadMemStats(&ms)
-	if sink == 1<<63 {
-		b.Fatal("impossible")
-	}
-	n := float64(b.N)
-	recordSample(b.Name(), int64(b.N), float64(elapsed)/n, float64(ms.Mallocs-mallocsBefore)/n, nil)
-}
-
-// BenchmarkGenerateFromMuNBatch times batched μ^n instance generation at
-// the E1 quick-scale shape (n=256, k=4): one op fills all 64 lanes and
-// reads back the disjointness ground truth, reusing the batch across
-// iterations the way the sim loop does.
-func BenchmarkGenerateFromMuNBatch(b *testing.B) {
-	const n, k = 256, 4
-	src := rng.New(1)
-	var dst *disj.BatchInstance
-	var sink int
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	mallocsBefore := ms.Mallocs
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		dst, err = disj.GenerateFromMuNBatch(dst, src, n, k, batch.Lanes)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sink += dst.CountDisjoint()
-	}
-	elapsed := b.Elapsed()
-	runtime.ReadMemStats(&ms)
-	if sink < 0 {
-		b.Fatal("impossible")
-	}
-	n2 := float64(b.N)
-	recordSample(b.Name(), int64(b.N), float64(elapsed)/n2, float64(ms.Mallocs-mallocsBefore)/n2, nil)
 }
 
 // benchDistSample times prob.Dist.Sample over a 256-outcome distribution

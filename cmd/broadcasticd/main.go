@@ -64,8 +64,7 @@ func run(args []string, out io.Writer) error {
 	scale := fs.String("scale", "quick", "experiment scale: quick or full")
 	only := fs.String("only", "", "comma-separated experiment IDs to run (e.g. E4,E7)")
 	parallel := fs.Int("parallel", 0, "worker goroutines per sweep (0 = one per CPU); output is identical for every value")
-	batched := fs.Bool("batch", true, "use the 64-lane word-parallel engine where eligible; output is identical either way")
-	noir := fs.Bool("noir", false, "disable the compiled-IR fast path (escape hatch; output is identical either way)")
+	noir := fs.Bool("noir", false, "disable the compiled-IR fast path and run the scalar estimator (output is identical either way)")
 	once := fs.Bool("once", false, "exit when the suite completes instead of serving until a signal")
 	runtrace := fs.String("runtrace", "", "directory for per-experiment Chrome trace-event files")
 	suite := fs.Bool("suite", true, "run the experiment suite at startup (disable for a pure job service)")
@@ -90,7 +89,7 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	cfg := sim.Config{Seed: *seed, Workers: *parallel, DisableBatching: !*batched, DisableIR: *noir}
+	cfg := sim.Config{Seed: *seed, Workers: *parallel, DisableIR: *noir}
 	switch *scale {
 	case "quick":
 		cfg.Scale = sim.Quick

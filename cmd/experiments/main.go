@@ -49,8 +49,7 @@ func run(args []string, out *os.File) error {
 	scale := fs.String("scale", "full", "experiment scale: quick or full")
 	only := fs.String("only", "", "comma-separated experiment IDs to run (e.g. E4,E7)")
 	parallel := fs.Int("parallel", 0, "worker goroutines per sweep (0 = one per CPU); output is identical for every value")
-	batched := fs.Bool("batch", true, "use the 64-lane word-parallel engine where eligible; output is identical either way")
-	noir := fs.Bool("noir", false, "disable the compiled-IR fast path (escape hatch; output is identical either way)")
+	noir := fs.Bool("noir", false, "disable the compiled-IR fast path and run the scalar estimator (output is identical either way)")
 	telemetryPath := fs.String("telemetry", "", "write per-experiment benchjson telemetry to this file")
 	serveAddr := fs.String("serve", "", "serve /metrics, /healthz, /runs and /debug/pprof on this address for the duration of the run")
 	runtrace := fs.String("runtrace", "", "directory for per-experiment Chrome trace-event files")
@@ -79,7 +78,7 @@ func run(args []string, out *os.File) error {
 			fmt.Fprintln(os.Stderr, "experiments: profiles:", err)
 		}
 	}()
-	cfg := sim.Config{Seed: *seed, Workers: *parallel, DisableBatching: !*batched, DisableIR: *noir}
+	cfg := sim.Config{Seed: *seed, Workers: *parallel, DisableIR: *noir}
 	switch *scale {
 	case "quick":
 		cfg.Scale = sim.Quick

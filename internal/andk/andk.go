@@ -22,7 +22,10 @@
 //     error side of the Lemma 5 analysis.
 //
 // All types implement core.Spec, so the information-cost engine can
-// enumerate or sample them directly.
+// enumerate or sample them directly. Sequential, BroadcastAll and
+// Truncated also name their sufficient prefix state (StateKey), which
+// lets the compiled estimator run them in O(k) states at any k; Lazy's
+// opening coin makes it compile as a plain transcript tree.
 package andk
 
 import (
@@ -131,6 +134,22 @@ func (s *Sequential) Output(t core.Transcript) (int, error) {
 // internal/ir.Keyer): behavior is fully determined by k.
 func (s *Sequential) IRKey() string { return "andk.seq/" + strconv.Itoa(s.k) }
 
+// StateKey implements ir.StateKeyer: a reachable prefix's continuation
+// depends only on its length and on whether a 0 has been written, so the
+// compiled estimator has one state per length.
+func (s *Sequential) StateKey(t []int) uint64 { return zeroWritten(t) }
+
+// zeroWritten is the sufficient state shared by the AND_k protocols here:
+// 1 once some player has written a 0, else 0.
+func zeroWritten(t []int) uint64 {
+	for _, bit := range t {
+		if bit == 0 {
+			return 1
+		}
+	}
+	return 0
+}
+
 var _ core.Spec = (*Sequential)(nil)
 
 // BroadcastAll is the protocol in which every player writes its bit.
@@ -186,6 +205,11 @@ func (b *BroadcastAll) Output(t core.Transcript) (int, error) {
 
 // IRKey names the protocol for the compiled-IR program cache.
 func (b *BroadcastAll) IRKey() string { return "andk.all/" + strconv.Itoa(b.k) }
+
+// StateKey implements ir.StateKeyer: the output depends only on whether
+// a 0 has been written, so the compiled estimator has at most two states
+// per length.
+func (b *BroadcastAll) StateKey(t []int) uint64 { return zeroWritten(t) }
 
 var _ core.Spec = (*BroadcastAll)(nil)
 
@@ -248,6 +272,9 @@ func (tr *Truncated) Output(t core.Transcript) (int, error) {
 func (tr *Truncated) IRKey() string {
 	return "andk.trunc/" + strconv.Itoa(tr.k) + "," + strconv.Itoa(tr.m)
 }
+
+// StateKey implements ir.StateKeyer, as for Sequential.
+func (tr *Truncated) StateKey(t []int) uint64 { return zeroWritten(t) }
 
 var _ core.Spec = (*Truncated)(nil)
 

@@ -7,6 +7,7 @@ import (
 	"broadcastic/internal/core"
 	"broadcastic/internal/dist"
 	"broadcastic/internal/rng"
+	"broadcastic/internal/telemetry"
 )
 
 func TestClosedFormValidation(t *testing.T) {
@@ -15,6 +16,110 @@ func TestClosedFormValidation(t *testing.T) {
 	}
 	if _, err := SequentialICExact(1); err == nil {
 		t.Fatal("k=1 IC succeeded")
+	}
+	if _, err := BroadcastAllCICExact(1); err == nil {
+		t.Fatal("k=1 broadcast-all CIC succeeded")
+	}
+	for _, km := range [][2]int{{1, 1}, {4, 0}, {4, 5}} {
+		if _, err := TruncatedCICExact(km[0], km[1]); err == nil {
+			t.Fatalf("truncated CIC at k=%d m=%d succeeded", km[0], km[1])
+		}
+	}
+}
+
+// TestBroadcastAllAndTruncatedClosedFormsMatchEnumeration pins the
+// closed forms against exact transcript-tree enumeration at every
+// enumerable k and every truncation m.
+func TestBroadcastAllAndTruncatedClosedFormsMatchEnumeration(t *testing.T) {
+	for k := 2; k <= 10; k++ {
+		mu, err := dist.NewMu(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all, err := NewBroadcastAll(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		report, err := core.ExactCosts(all, mu, core.TreeLimits{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cic, err := BroadcastAllCICExact(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(cic-report.CIC) > 1e-9 {
+			t.Fatalf("k=%d: broadcast-all closed form %v vs enumerated %v", k, cic, report.CIC)
+		}
+		for m := 1; m <= k; m++ {
+			tr, err := NewTruncated(k, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			report, err := core.ExactCosts(tr, mu, core.TreeLimits{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cic, err := TruncatedCICExact(k, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Abs(cic-report.CIC) > 1e-9 {
+				t.Fatalf("k=%d m=%d: truncated closed form %v vs enumerated %v", k, m, cic, report.CIC)
+			}
+		}
+		seq, err := SequentialCICExact(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if full, _ := TruncatedCICExact(k, k); math.Abs(full-seq) > 1e-12 {
+			t.Fatalf("k=%d: truncated at m=k %v != sequential %v", k, full, seq)
+		}
+	}
+}
+
+// TestClosedFormsMatchCompiledEstimate pins the compiled estimator, far
+// past enumeration, against the closed forms it shares no code with: the
+// Sequential, BroadcastAll and Truncated(k, ⌈k/2⌉) estimates under μ must
+// each land within 4 standard errors, with the IR engine serving every
+// sample.
+func TestClosedFormsMatchCompiledEstimate(t *testing.T) {
+	const samples = 4000
+	for _, k := range []int{64, 1024, 2048} {
+		mu, err := dist.NewMu(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := (k + 1) / 2
+		seq, _ := NewSequential(k)
+		all, _ := NewBroadcastAll(k)
+		tr, _ := NewTruncated(k, m)
+		seqCIC, _ := SequentialCICExact(k)
+		allCIC, _ := BroadcastAllCICExact(k)
+		trCIC, _ := TruncatedCICExact(k, m)
+		for _, tc := range []struct {
+			name  string
+			spec  core.Spec
+			exact float64
+		}{
+			{"sequential", seq, seqCIC},
+			{"broadcast-all", all, allCIC},
+			{"truncated", tr, trCIC},
+		} {
+			col := telemetry.NewCollector()
+			est, err := core.EstimateCICOpts(tc.spec, mu, rng.New(uint64(k)), samples,
+				core.EstimateOptions{Workers: 2, Recorder: col})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := col.Snapshot()[telemetry.CoreCICIRSamples]; got != samples {
+				t.Fatalf("k=%d %s: IR engine served %v samples, want %d", k, tc.name, got, samples)
+			}
+			if diff := math.Abs(est.Mean - tc.exact); diff > 4*est.StdErr {
+				t.Fatalf("k=%d %s: estimate %v ± %v vs closed form %v (%.1f stderr)",
+					k, tc.name, est.Mean, est.StdErr, tc.exact, diff/est.StdErr)
+			}
+		}
 	}
 }
 

@@ -76,16 +76,10 @@ type EstimateOptions struct {
 	Workers int
 	// Recorder receives estimator telemetry; nil disables recording.
 	Recorder telemetry.Recorder
-	// DisableLanes forces the scalar engine even for (spec, prior) pairs
-	// the 64-lane batch engine could serve. The estimate is bit-identical
-	// either way — pinned by the batching-equivalence tests — so the knob
-	// exists only for benchmark comparisons and the experiments' -batch
-	// flag, never for correctness.
-	DisableLanes bool
-	// DisableIR forces the interpreted engines (lanes, then scalar) even
-	// for keyed (spec, prior) pairs the compiled-IR engine could serve.
-	// Bit-identical either way — pinned by the ir_equiv tests — so like
-	// DisableLanes it exists only for comparisons and the -noir flag.
+	// DisableIR forces the scalar engine even for keyed (spec, prior)
+	// pairs the compiled-IR engine could serve. Bit-identical either way —
+	// pinned by the ir_equiv tests — so it exists only for comparisons,
+	// as the scalar reference, and for the -noir flag.
 	DisableIR bool
 	// Causal, when enabled, records one core.cic.shard span per estimator
 	// shard (with the serving engine and shard index as attributes) into
@@ -97,11 +91,9 @@ type EstimateOptions struct {
 // Estimate* variant delegates to. Engine precedence per estimation:
 // when the keyed (spec, prior) pair compiles to an ir.Program (cached
 // across calls — see internal/ir), shards run the compiled table loop;
-// otherwise, when the protocol certifies a lane kernel and the prior
-// exposes two-point rows (see lane.go), shards run on the 64-lane batch
-// engine; otherwise they run on the scalar engine. All paths share the
-// shard layout and merge, so results are bit-identical across worker
-// counts and across engines.
+// otherwise they run on the scalar engine. Both share the shard layout
+// and merge, so results are bit-identical across worker counts and
+// across engines.
 func EstimateCICOpts(spec Spec, prior Prior, src *rng.Source, samples int, opts EstimateOptions) (*CICEstimate, error) {
 	if err := validateShapes(spec, prior); err != nil {
 		return nil, err
@@ -116,10 +108,6 @@ func EstimateCICOpts(spec Spec, prior Prior, src *rng.Source, samples int, opts 
 	if !opts.DisableIR {
 		prog = irEstimatorProgram(spec, prior, opts.Recorder)
 	}
-	var plan *lanePlan
-	if prog == nil && !opts.DisableLanes {
-		plan = newLanePlan(spec, prior, nil)
-	}
 	rec := opts.Recorder
 	shards := (samples + cicShardSize - 1) / cicShardSize
 	streams := src.SplitN(shards)
@@ -128,15 +116,11 @@ func EstimateCICOpts(spec Spec, prior Prior, src *rng.Source, samples int, opts 
 		rec.Count(telemetry.CoreCICShards, int64(shards))
 		if prog != nil {
 			rec.Count(telemetry.CoreCICIRSamples, int64(samples))
-		} else if plan != nil {
-			rec.Count(telemetry.CoreCICLaneSamples, int64(samples))
 		}
 	}
 	engine := "scalar"
 	if prog != nil {
 		engine = "ir"
-	} else if plan != nil {
-		engine = "lanes"
 	}
 	parts, err := pool.MapRecorded(pool.Workers(opts.Workers), shards, func(i int) (cicPartial, error) {
 		count := cicShardSize
@@ -151,12 +135,9 @@ func EstimateCICOpts(spec Spec, prior Prior, src *rng.Source, samples int, opts 
 		}
 		var p cicPartial
 		var err error
-		switch {
-		case prog != nil:
+		if prog != nil {
 			p.sum, p.sumSq, p.bitsSum = prog.Shard(streams[i], count)
-		case plan != nil:
-			p = laneShard(plan, streams[i], count)
-		default:
+		} else {
 			p, err = cicShard(spec, prior, streams[i], count)
 		}
 		cspan.End()

@@ -74,16 +74,17 @@ func TestEstimateCICShardRaggedBudgets(t *testing.T) {
 	}
 }
 
-// TestEstimateCICBatchingEquivalence is the engine half of the
-// serial-equivalence guarantee: the compiled-IR engine (the default), the
-// 64-lane engine (IR disabled) and the scalar engine (both disabled) must
-// produce the identical CICEstimate — every field, every bit — at 1 and 4
-// workers, on every lane-eligible protocol shape. The telemetry counters
-// prove each engine genuinely engaged rather than silently falling back.
-func TestEstimateCICBatchingEquivalence(t *testing.T) {
+// TestEstimateCICCompiledMatchesScalar is the engine half of the
+// serial-equivalence guarantee: the compiled-IR engine (the default) and
+// the scalar engine (IR disabled) must produce the identical CICEstimate —
+// every field, every bit — at 1 and 4 workers, for the AND_k protocols
+// under μ from small k up to k=2048, where their programs score per edge
+// on merged states. The telemetry counter proves the IR engine served
+// every sample rather than silently falling back.
+func TestEstimateCICCompiledMatchesScalar(t *testing.T) {
 	// 1300 samples spans multiple shards including a ragged final shard.
 	const samples = 1300
-	for _, k := range []int{4, 32, 64} {
+	for _, k := range []int{4, 32, 64, 1024, 2048} {
 		mu, err := dist.NewMu(k)
 		if err != nil {
 			t.Fatal(err)
@@ -101,10 +102,6 @@ func TestEstimateCICBatchingEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, spec := range []core.Spec{seq, all, trunc} {
-			// BroadcastAll's transcript tree has 2^k − 1 interior states,
-			// outside the compiler's gate beyond k=16; the default path
-			// must then serve those samples on the lane engine instead.
-			wantIR := spec != core.Spec(all) || k <= 16
 			for _, workers := range []int{1, 4} {
 				col := telemetry.NewCollector()
 				compiled, err := core.EstimateCICOpts(spec, mu, rng.New(17), samples,
@@ -112,45 +109,29 @@ func TestEstimateCICBatchingEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				snap := col.Snapshot()
-				if wantIR {
-					if got := snap[telemetry.CoreCICIRSamples]; got != samples {
-						t.Fatalf("k=%d workers=%d %T: IR engine served %v samples, want %d",
-							k, workers, spec, got, samples)
-					}
-				} else if got := snap[telemetry.CoreCICLaneSamples]; got != samples {
-					t.Fatalf("k=%d workers=%d %T: lane fallback served %v samples, want %d",
-						k, workers, spec, got, samples)
-				}
-				laneCol := telemetry.NewCollector()
-				batched, err := core.EstimateCICOpts(spec, mu, rng.New(17), samples,
-					core.EstimateOptions{Workers: workers, Recorder: laneCol, DisableIR: true})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got := laneCol.Snapshot()[telemetry.CoreCICLaneSamples]; got != samples {
-					t.Fatalf("k=%d workers=%d %T: lane engine served %v samples, want %d",
+				if got := col.Snapshot()[telemetry.CoreCICIRSamples]; got != samples {
+					t.Fatalf("k=%d workers=%d %T: IR engine served %v samples, want %d",
 						k, workers, spec, got, samples)
 				}
 				scalar, err := core.EstimateCICOpts(spec, mu, rng.New(17), samples,
-					core.EstimateOptions{Workers: workers, DisableIR: true, DisableLanes: true})
+					core.EstimateOptions{Workers: workers, DisableIR: true})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if *compiled != *batched || *batched != *scalar {
-					t.Fatalf("k=%d workers=%d %T: compiled %+v, batched %+v, scalar %+v differ",
-						k, workers, spec, compiled, batched, scalar)
+				if *compiled != *scalar {
+					t.Fatalf("k=%d workers=%d %T: compiled %+v != scalar %+v",
+						k, workers, spec, compiled, scalar)
 				}
 			}
 		}
 	}
 }
 
-// TestEstimateCICLazyFallsBackToScalar pins the per-engine fallback
-// rules end to end: the Lazy protocol's opening coin is a
-// non-deterministic message, so the lane engine must never serve it —
-// the compiled-IR engine does by default (randomized messages compile
-// fine), and with IR disabled it must run on the scalar engine.
+// TestEstimateCICLazyFallsBackToScalar pins the engine fallback end to
+// end: the Lazy protocol's opening coin is a randomized message and
+// player 0 speaks twice, so its program scores per leaf — the compiled-IR
+// engine still serves it by default, and with IR disabled it must run on
+// the scalar engine with the identical result.
 func TestEstimateCICLazyFallsBackToScalar(t *testing.T) {
 	lazy, err := andk.NewLazy(8, 0.25, 0)
 	if err != nil {
@@ -178,11 +159,7 @@ func TestEstimateCICLazyFallsBackToScalar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := scol.Snapshot()
-	if got := snap[telemetry.CoreCICLaneSamples]; got != 0 {
-		t.Fatalf("lane engine engaged on a non-lane protocol: %v samples", got)
-	}
-	if got := snap[telemetry.CoreCICIRSamples]; got != 0 {
+	if got := scol.Snapshot()[telemetry.CoreCICIRSamples]; got != 0 {
 		t.Fatalf("IR engine engaged with DisableIR set: %v samples", got)
 	}
 	if *scalar != *est {

@@ -52,6 +52,13 @@ func irSpecProgram(spec Spec, rec telemetry.Recorder) *ir.Program {
 	return ir.SpecProgram(irSpec{spec}, key, rec)
 }
 
+// irMergeSpec is irSpec for a spec that also names its sufficient state,
+// so the estimator compile can merge equivalent prefixes (ir.StateKeyer).
+type irMergeSpec struct {
+	irSpec
+	ir.StateKeyer
+}
+
 // irEstimatorProgram returns the cached estimator program for the keyed
 // (spec, prior) pair, or nil when either side is unkeyed or the pair is
 // ineligible. A core.Prior satisfies ir.Prior structurally, so only the
@@ -69,7 +76,11 @@ func irEstimatorProgram(spec Spec, prior Prior, rec telemetry.Recorder) *ir.Prog
 	if skey == "" || pkey == "" {
 		return nil
 	}
-	p := ir.EstimatorProgram(irSpec{spec}, prior, skey, pkey, rec)
+	var is ir.Spec = irSpec{spec}
+	if sk, ok := spec.(ir.StateKeyer); ok {
+		is = irMergeSpec{irSpec{spec}, sk}
+	}
+	p := ir.EstimatorProgram(is, prior, skey, pkey, rec)
 	if p == nil || !p.Estimator() {
 		return nil
 	}

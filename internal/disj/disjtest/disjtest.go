@@ -3,9 +3,9 @@
 // It exists to fix an idiom smell: disj's in-package _test file used to
 // export GenerateFromMuNOrSmallK, which leaks a test helper into every
 // in-package test build but is invisible to other packages' tests. As a
-// proper helper package it is importable by any external test (disj's
-// own, the lane engine's equivalence suites) without duplication, and it
-// never ships in production builds because only _test files import it.
+// proper helper package it is importable by any external test without
+// duplication, and it never ships in production builds because only
+// _test files import it.
 package disjtest
 
 import (

@@ -328,16 +328,26 @@ func (d *Lemma6Dist) EpsPrime() float64 { return d.epsPrime }
 // Sample draws an input: all-ones with probability ε′, else a single
 // uniformly random zero. The zero position is −1 for the all-ones input.
 func (d *Lemma6Dist) Sample(src *rng.Source) (x []int, zeroAt int) {
+	zeroAt = d.SampleZero(src)
 	x = make([]int, d.k)
 	for i := range x {
 		x[i] = 1
 	}
-	if src.Bernoulli(d.epsPrime) {
-		return x, -1
+	if zeroAt >= 0 {
+		x[zeroAt] = 0
 	}
-	z := src.Intn(d.k)
-	x[z] = 0
-	return x, z
+	return x, zeroAt
+}
+
+// SampleZero draws only the zero position of a Sample draw (−1 for the
+// all-ones input), consuming the stream exactly as Sample does without
+// allocating the input. An input is determined by its zero position, so
+// this is all E6's trial loop needs.
+func (d *Lemma6Dist) SampleZero(src *rng.Source) int {
+	if src.Bernoulli(d.epsPrime) {
+		return -1
+	}
+	return src.Intn(d.k)
 }
 
 // Prob returns the probability of input x under the distribution.

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"broadcastic/internal/info"
 	"broadcastic/internal/prob"
 	"broadcastic/internal/rng"
 )
@@ -436,5 +437,104 @@ func TestMuNSampleRejectsHugeN(t *testing.T) {
 	src := rng.New(1)
 	if _, _, err := big.Sample(src); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSampleZeroMatchesSample pins draw-for-draw identity between the
+// allocation-free SampleZero and the allocating Sample.
+func TestSampleZeroMatchesSample(t *testing.T) {
+	d, err := NewLemma6Dist(64, 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := rng.New(77), rng.New(77)
+	for trial := 0; trial < 2000; trial++ {
+		x, zeroAt := d.Sample(a)
+		got := d.SampleZero(b)
+		if got != zeroAt {
+			t.Fatalf("trial %d: SampleZero %d != Sample zeroAt %d", trial, got, zeroAt)
+		}
+		for i, v := range x {
+			want := 1
+			if i == zeroAt {
+				want = 0
+			}
+			if v != want {
+				t.Fatalf("trial %d: x[%d]=%d inconsistent with zeroAt %d", trial, i, v, zeroAt)
+			}
+		}
+	}
+	// Same stream position afterwards.
+	if a.Uint64() != b.Uint64() {
+		t.Fatal("SampleZero left the stream at a different position than Sample")
+	}
+}
+
+// TestMuLaneRowsMatchPlayerDist pins the two-row table μ's conditionals
+// form: PlayerDist(z, i) is exactly Point(0) when i == z and exactly
+// Bernoulli(1 − 1/k) otherwise, so the compiled estimator's row index
+// (which interns rows by value) holds two rows for μ at every k.
+func TestMuLaneRowsMatchPlayerDist(t *testing.T) {
+	for _, k := range []int{2, 5, 64} {
+		m, err := NewMu(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		special, err := prob.Point(2, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		regular, err := prob.Bernoulli(1 - 1/float64(k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		distinct := map[[2]uint64]bool{}
+		for z := 0; z < k; z++ {
+			for i := 0; i < k; i++ {
+				got, err := m.PlayerDist(z, i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := regular
+				if i == z {
+					want = special
+				}
+				var key [2]uint64
+				for v := 0; v < 2; v++ {
+					if got.P(v) != want.P(v) {
+						t.Fatalf("k=%d z=%d player %d: P(%d)=%v, want %v",
+							k, z, i, v, got.P(v), want.P(v))
+					}
+					key[v] = math.Float64bits(got.P(v))
+				}
+				distinct[key] = true
+			}
+		}
+		if len(distinct) != 2 {
+			t.Fatalf("k=%d: %d distinct conditional rows, want 2", k, len(distinct))
+		}
+	}
+}
+
+// TestMuRowsScoreSilentPlayersZero pins the property per-edge scoring of
+// μ relies on: both conditional rows sum to exactly 1.0, so a player who
+// never speaks contributes exactly +0.0 to the estimator's divergence sum.
+func TestMuRowsScoreSilentPlayersZero(t *testing.T) {
+	ones := []float64{1, 1}
+	for k := 2; k <= 4096; k++ {
+		m, err := NewMu(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, player := range []int{0, 1} {
+			row, err := m.PlayerDist(0, player)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d, err := info.QDivergenceSum([][]float64{ones}, [][]float64{row.Probs()})
+			if err != nil || math.Float64bits(d) != 0 {
+				t.Fatalf("k=%d player %d: silent term %v (err %v), want +0.0", k, player, d, err)
+			}
+		}
 	}
 }

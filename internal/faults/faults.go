@@ -21,6 +21,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -77,7 +78,8 @@ type Plan struct {
 	CrashTurns map[int]int
 }
 
-// Validate checks probability ranges and delay consistency.
+// Validate checks probability ranges (NaN is outside every range) and
+// delay consistency.
 func (p Plan) Validate() error {
 	for _, pr := range []struct {
 		name string
@@ -85,7 +87,7 @@ func (p Plan) Validate() error {
 	}{
 		{"drop", p.Drop}, {"dup", p.Duplicate}, {"corrupt", p.Corrupt}, {"delay", p.DelayProb},
 	} {
-		if pr.v < 0 || pr.v > 1 {
+		if math.IsNaN(pr.v) || pr.v < 0 || pr.v > 1 {
 			return fmt.Errorf("faults: %s probability %v outside [0,1]", pr.name, pr.v)
 		}
 	}
@@ -155,7 +157,9 @@ func (p Plan) String() string {
 //
 // Fields are comma-separated; delay takes probability:max-duration; crash
 // takes player@turn and may repeat for several players. "none" or the
-// empty string yield the zero Plan.
+// empty string yield the zero Plan. A delay of probability 0 is no delay,
+// so its duration is dropped: every accepted plan re-parses from String
+// to itself.
 func Parse(s string) (Plan, error) {
 	var p Plan
 	s = strings.TrimSpace(s)
@@ -219,6 +223,9 @@ func Parse(s string) (Plan, error) {
 	}
 	if err := p.Validate(); err != nil {
 		return Plan{}, err
+	}
+	if p.DelayProb == 0 {
+		p.MaxDelay = 0
 	}
 	return p, nil
 }

@@ -60,6 +60,7 @@ func TestParseRoundTrip(t *testing.T) {
 		"delay=0.2:3ms",
 		"drop=0.2,crash=1@4",
 		"crash=0@0,crash=2@7",
+		"delay=0:5ms",
 	}
 	for _, s := range cases {
 		p, err := Parse(s)
@@ -93,6 +94,7 @@ func TestParseErrors(t *testing.T) {
 	for _, s := range []string{
 		"drop", "drop=x", "delay=0.5", "delay=0.5:zz", "crash=1", "crash=a@2",
 		"crash=1@b", "bogus=1", "drop=1.5", "delay=0.5:-1ms",
+		"drop=NaN", "dup=nan", "corrupt=-Inf", "delay=NaN:1ms", "delay=0:-1ms",
 	} {
 		if _, err := Parse(s); err == nil {
 			t.Fatalf("Parse(%q) succeeded", s)

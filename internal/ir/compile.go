@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 
@@ -27,19 +28,37 @@ func CompileSpec(spec Spec) *Program {
 }
 
 // CompileEstimator is CompileSpec plus the prior-dependent tables: the
-// auxiliary sampler, per-(z, player) conditional pool ids, and the
-// precomputed inner divergence table inner[z][leaf] =
-// Σ_i D(posterior_i ‖ prior_i) — the exact value the dynamic estimator
-// computes at a sampled leaf, built through the same info.QDivergenceSum
-// on the same q-factor and prior rows.
+// auxiliary sampler, the per-(z, player) conditional row index, and the
+// scoring table — per-edge divergence terms when the program qualifies
+// (see the package comment), otherwise the per-leaf table inner[z][leaf] =
+// Σ_i D(posterior_i ‖ prior_i). Both are built through the same
+// info.QDivergenceSum the dynamic estimator calls, on the same q-factor
+// and prior rows.
+//
+// A spec implementing StateKeyer first compiles with equivalent prefixes
+// merged. Merging is sound only under per-edge scoring (a merged leaf has
+// no single q-factor row), so when that program does not qualify the
+// spec compiles again as a plain tree.
 func CompileEstimator(spec Spec, prior Prior) *Program {
 	if spec.NumPlayers() != prior.NumPlayers() || spec.InputSize() != prior.InputSize() {
 		return nil
+	}
+	if sk, ok := spec.(StateKeyer); ok {
+		if c := newCompiler(spec); c != nil {
+			c.keyer, c.merged = sk, make(map[mergeKey]int32)
+			if p := c.compileEstimator(prior); p != nil {
+				return p
+			}
+		}
 	}
 	c := newCompiler(spec)
 	if c == nil {
 		return nil
 	}
+	return c.compileEstimator(prior)
+}
+
+func (c *compiler) compileEstimator(prior Prior) *Program {
 	root, ok := c.walk(nil, 0)
 	if !ok {
 		return nil
@@ -55,6 +74,13 @@ func CompileEstimator(spec Spec, prior Prior) *Program {
 // The walk mirrors core.EnumerateTranscripts exactly — same q-factor
 // multiply order, same reachability pruning — so the compiled leaf set
 // and its float annotations match dynamic enumeration bit for bit.
+//
+// With a keyer the walk merges prefixes of equal (depth, StateKey) into
+// one node, visiting each merged subtree once. Path-dependent leaf data
+// (bits, symbols, q-factors) is then not recorded, and the walk aborts at
+// the first edge that does not lead to a higher-numbered speaker: only
+// such monotone programs score per edge, and only per-edge scoring can
+// use merged states.
 type compiler struct {
 	spec      Spec
 	k         int
@@ -68,7 +94,7 @@ type compiler struct {
 	msgDist    []int32
 	edges      []int32
 	symBits    []int32
-	fused      []int32
+	fused      []fusedCell
 	leafBits   []int32
 	leafOut    []int32
 	leafDepth  []int32
@@ -78,13 +104,27 @@ type compiler struct {
 
 	pool    []poolDist
 	poolIdx map[string]int32
+	// intern's reusable key buffers, and the previous call's key and id:
+	// prior rows arrive in long runs of one distribution.
+	key, lastKey []byte
+	lastID       int32
 
 	q    [][]float64
 	seen []bool // players who spoke on the current root-to-state path
 
+	keyer  StateKeyer         // nil: compile the plain tree
+	merged map[mergeKey]int32 // encoded node per merged prefix class
+
 	fixedWidth    bool
 	deterministic bool
 	speakOnce     bool
+	monotone      bool // every edge leads to a leaf or a higher-numbered speaker
+}
+
+// mergeKey names a class of merged prefixes: equal length, equal key.
+type mergeKey struct {
+	depth int
+	key   uint64
 }
 
 func newCompiler(spec Spec) *compiler {
@@ -103,6 +143,7 @@ func newCompiler(spec Spec) *compiler {
 		fixedWidth:    true,
 		deterministic: true,
 		speakOnce:     true,
+		monotone:      true,
 	}
 	for i := range c.q {
 		c.q[i] = make([]float64, inputSize)
@@ -114,16 +155,23 @@ func newCompiler(spec Spec) *compiler {
 }
 
 // intern deduplicates a distribution into the pool, keyed by the exact
-// float64 bit patterns of its probability vector.
+// float64 bit patterns of its probability vector. A hit allocates nothing,
+// and a repeat of the previous call skips the map, which keeps the
+// auxSize × k prior-row pass cheap.
 func (c *compiler) intern(d prob.Dist) int32 {
-	p := d.Probs()
-	key := make([]byte, 8*len(p))
-	for i, v := range p {
-		binary.LittleEndian.PutUint64(key[i*8:], math.Float64bits(v))
+	c.key = c.key[:0]
+	for i := 0; i < d.Size(); i++ {
+		c.key = binary.LittleEndian.AppendUint64(c.key, math.Float64bits(d.P(i)))
 	}
-	if id, ok := c.poolIdx[string(key)]; ok {
+	if bytes.Equal(c.key, c.lastKey) {
+		return c.lastID
+	}
+	c.key, c.lastKey = c.lastKey, c.key
+	if id, ok := c.poolIdx[string(c.lastKey)]; ok {
+		c.lastID = id
 		return id
 	}
+	p := d.Probs()
 	cum := make([]float64, len(p))
 	acc := 0.0
 	last := int32(len(p) - 1)
@@ -143,7 +191,8 @@ func (c *compiler) intern(d prob.Dist) int32 {
 	}
 	id := int32(len(c.pool))
 	c.pool = append(c.pool, poolDist{cum: cum, last: last, det: det, dist: d})
-	c.poolIdx[string(key)] = id
+	c.poolIdx[string(c.lastKey)] = id
+	c.lastID = id
 	return id
 }
 
@@ -207,7 +256,7 @@ func (c *compiler) walk(t []int, bits int) (node int32, ok bool) {
 	// so the row must sit at state*inputSize before recursion allocates
 	// child states. The cells are filled after the children exist.
 	for v := 0; v < c.inputSize; v++ {
-		c.fused = append(c.fused, nodeNone)
+		c.fused = append(c.fused, fusedCell{next: nodeNone})
 	}
 
 	if c.seen[speaker] {
@@ -238,9 +287,15 @@ func (c *compiler) walk(t []int, bits int) (node int32, ok bool) {
 		if int32(sb) != width {
 			c.fixedWidth = false
 		}
-		child, ok := c.walk(append(t, sym), bits+sb)
+		child, ok := c.child(append(t, sym), bits+sb)
 		if !ok {
 			return 0, false
+		}
+		if child >= 0 && c.speaker[child] <= int32(speaker) {
+			c.monotone = false
+			if c.keyer != nil {
+				return 0, false
+			}
 		}
 		c.edges[int(transBase)+sym] = child
 		c.symBits[int(transBase)+sym] = int32(sb)
@@ -249,46 +304,66 @@ func (c *compiler) walk(t []int, bits int) (node int32, ok bool) {
 	c.seen[speaker] = savedSeen
 
 	// Fused transitions: when input v's message is a point mass, one
-	// table load replaces the whole sample-and-branch step.
+	// table load replaces the whole sample step.
 	for v := 0; v < c.inputSize; v++ {
 		if det := c.pool[distRow[v]].det; det >= 0 {
-			c.fused[int(state)*c.inputSize+v] = c.edges[int(transBase)+int(det)]
+			e := transBase + det
+			c.fused[int(state)*c.inputSize+v] = fusedCell{next: c.edges[e], edge: e}
 		}
 	}
 	return state, true
 }
 
+// child compiles the node for prefix t: the plain subtree walk, or, when
+// merging, the node already compiled for t's (depth, key) class.
+func (c *compiler) child(t []int, bits int) (int32, bool) {
+	if c.keyer == nil {
+		return c.walk(t, bits)
+	}
+	mk := mergeKey{depth: len(t), key: c.keyer.StateKey(t)}
+	if node, ok := c.merged[mk]; ok {
+		return node, true
+	}
+	node, ok := c.walk(t, bits)
+	if ok {
+		c.merged[mk] = node
+	}
+	return node, ok
+}
+
 func (c *compiler) emitLeaf(t []int, bits int) (int32, bool) {
-	leaf := len(c.leafBits)
-	if (leaf+1)*c.k*c.inputSize > maxLeafQCells {
+	leaf := len(c.leafOut)
+	if c.keyer == nil && (leaf+1)*c.k*c.inputSize > maxLeafQCells {
 		return 0, false
 	}
 	out, err := c.spec.Output(t)
 	if err != nil {
 		return 0, false
 	}
-	c.leafBits = append(c.leafBits, int32(bits))
 	c.leafOut = append(c.leafOut, int32(out))
 	c.leafDepth = append(c.leafDepth, int32(len(t)))
-	for _, s := range t {
-		c.leafSyms = append(c.leafSyms, int32(s))
-	}
-	c.leafSymOff = append(c.leafSymOff, int32(len(c.leafSyms)))
-	for i := 0; i < c.k; i++ {
-		c.leafQ = append(c.leafQ, c.q[i]...)
+	if c.keyer == nil {
+		c.leafBits = append(c.leafBits, int32(bits))
+		for _, s := range t {
+			c.leafSyms = append(c.leafSyms, int32(s))
+		}
+		c.leafSymOff = append(c.leafSymOff, int32(len(c.leafSyms)))
+		for i := 0; i < c.k; i++ {
+			c.leafQ = append(c.leafQ, c.q[i]...)
+		}
 	}
 	return int32(-(leaf + 1)), true
 }
 
 func (c *compiler) finish(root int32) *Program {
-	if len(c.leafBits) == 0 {
+	if len(c.leafOut) == 0 {
 		return nil
 	}
-	p := &Program{
+	return &Program{
 		k:             c.k,
 		inputSize:     c.inputSize,
 		numStates:     len(c.speaker),
-		numLeaves:     len(c.leafBits),
+		numLeaves:     len(c.leafOut),
 		root:          root,
 		speaker:       c.speaker,
 		alphabet:      c.alphabet,
@@ -310,21 +385,17 @@ func (c *compiler) finish(root int32) *Program {
 		deterministic: c.deterministic,
 		speakOnce:     c.speakOnce,
 	}
-	p.leafBitsF = make([]float64, len(p.leafBits))
-	for i, b := range p.leafBits {
-		p.leafBitsF[i] = float64(b)
-	}
-	return p
 }
 
 // extendEstimator adds the prior-dependent tables to a freshly compiled
 // program. The aux sampler replicates core's auxDist (prob.Normalize over
-// AuxProb weights); the inner table is built by info.QDivergenceSum on
+// AuxProb weights); the scoring table is built by info.QDivergenceSum on
 // the exact q-factor and prior-probability rows the dynamic estimator
-// would hand it, so the values are shared-code identical.
+// would hand it, so the values are shared-code identical. It fails on a
+// merged program that does not qualify for per-edge scoring.
 func (c *compiler) extendEstimator(p *Program, prior Prior) bool {
 	auxSize := prior.AuxSize()
-	if auxSize < 1 || auxSize*p.k > maxAuxCells || auxSize*p.numLeaves > maxAuxCells {
+	if auxSize < 1 || auxSize > maxRowCells/p.k {
 		return false
 	}
 	w := make([]float64, auxSize)
@@ -335,7 +406,6 @@ func (c *compiler) extendEstimator(p *Program, prior Prior) bool {
 	if err != nil {
 		return false
 	}
-	p.zd = zd
 	zp := zd.Probs()
 	p.auxCum = make([]float64, auxSize)
 	acc := 0.0
@@ -355,54 +425,137 @@ func (c *compiler) extendEstimator(p *Program, prior Prior) bool {
 		p.auxDet = -1
 	}
 
-	p.priorDist = make([]int32, auxSize*p.k)
+	// Row index: the distinct conditionals, and per (z, player) which one
+	// applies. rowOfPool maps a pool id to its row index + 1.
+	p.rowOf = make([]uint16, auxSize*p.k)
+	var rowOfPool []int32
 	for z := 0; z < auxSize; z++ {
 		for i := 0; i < p.k; i++ {
 			d, err := prior.PlayerDist(z, i)
 			if err != nil || d.Size() > p.inputSize {
 				return false
 			}
-			p.priorDist[z*p.k+i] = c.intern(d)
+			id := c.intern(d)
+			for int(id) >= len(rowOfPool) {
+				rowOfPool = append(rowOfPool, 0)
+			}
+			if rowOfPool[id] == 0 {
+				if len(p.rows) == maxRows {
+					return false
+				}
+				p.rows = append(p.rows, id)
+				rowOfPool[id] = int32(len(p.rows))
+			}
+			p.rowOf[z*p.k+i] = uint16(rowOfPool[id] - 1)
 		}
 	}
 	p.pool = c.pool // intern may have grown the pool
+	priors := make([][]float64, len(p.rows))
+	for r, id := range p.rows {
+		priors[r] = p.pool[id].dist.Probs()
+	}
 
 	// Binary-input conditionals flatten to two-compare threshold rows,
 	// unlocking the pool-free shard loop (see Program.shardBinary).
 	if p.inputSize == 2 {
-		p.priorTwo = make([]twoPoint, len(p.priorDist))
-		for i, id := range p.priorDist {
-			pd := &p.pool[id]
-			tp := twoPoint{c0: pd.cum[0], c1: pd.cum[0], det: pd.det, last: pd.last}
-			if len(pd.cum) > 1 {
-				tp.c1 = pd.cum[1]
-			}
-			p.priorTwo[i] = tp
+		p.rowTwo = make([]twoPoint, len(p.rows))
+		for r, id := range p.rows {
+			p.rowTwo[r] = newTwoPoint(&p.pool[id])
 		}
 	}
 
-	// Inner table: for each (z, leaf), the exact divergence sum the
-	// dynamic sample computes after landing on that leaf under that z.
+	perEdge := c.monotone && silentRowsScoreZero(priors, p.inputSize) &&
+		len(p.rows)*len(p.edges) <= maxEdgeTerms
+	var ok bool
+	switch {
+	case perEdge:
+		ok = p.buildEdgeTerms(priors)
+	case c.keyer != nil:
+		return false
+	default:
+		ok = p.buildInner(priors, auxSize)
+	}
+	if !ok {
+		return false
+	}
+	p.estimator = true
+	p.auxSize = auxSize
+	return true
+}
+
+// silentRowsScoreZero reports whether every prior row contributes exactly
+// +0.0 to the divergence sum for a player who never spoke (q-row all
+// ones). Row mass summing to exactly 1.0 makes it so; without it per-edge
+// scoring could not skip silent players.
+func silentRowsScoreZero(priors [][]float64, inputSize int) bool {
+	ones := make([]float64, inputSize)
+	for v := range ones {
+		ones[v] = 1
+	}
+	for _, pr := range priors {
+		d, err := info.QDivergenceSum([][]float64{ones}, [][]float64{pr})
+		if err != nil || math.Float64bits(d) != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// buildEdgeTerms fills the per-edge scoring table: for each prior row r
+// and reachable edge e, the divergence term of a speaker with row r who
+// sent e's symbol from e's state. The speaker has not spoken before, so
+// its q-row is 1·P(sym | v) — exactly the row the per-leaf sum sees.
+func (p *Program) buildEdgeTerms(priors [][]float64) bool {
+	numEdges := len(p.edges)
+	p.edgeTerm = make([]float64, len(priors)*numEdges)
+	q := make([]float64, p.inputSize)
+	for s := 0; s < p.numStates; s++ {
+		base := int(p.transBase[s])
+		for sym := 0; sym < int(p.alphabet[s]); sym++ {
+			if p.edges[base+sym] == nodeNone {
+				continue
+			}
+			for v := range q {
+				q[v] = 1 * p.pool[p.msgDist[int(p.distBase[s])+v]].dist.P(sym)
+			}
+			for r, pr := range priors {
+				d, err := info.QDivergenceSum([][]float64{q}, [][]float64{pr})
+				if err != nil {
+					return false
+				}
+				p.edgeTerm[r*numEdges+base+sym] = d
+			}
+		}
+	}
+	p.numEdges = numEdges
+	return true
+}
+
+// buildInner fills the per-leaf scoring table: for each (z, leaf), the
+// exact divergence sum the dynamic sample computes after landing on that
+// leaf under that z.
+func (p *Program) buildInner(priors [][]float64, auxSize int) bool {
+	if auxSize*p.k > maxAuxCells || auxSize*p.numLeaves > maxAuxCells {
+		return false
+	}
 	p.inner = make([]float64, auxSize*p.numLeaves)
-	priors := make([][]float64, p.k)
+	pz := make([][]float64, p.k)
 	q := make([][]float64, p.k)
 	rowSize := p.k * p.inputSize
 	for z := 0; z < auxSize; z++ {
 		for i := 0; i < p.k; i++ {
-			priors[i] = p.pool[p.priorDist[z*p.k+i]].dist.Probs()
+			pz[i] = priors[p.rowOf[z*p.k+i]]
 		}
 		for l := 0; l < p.numLeaves; l++ {
 			for i := 0; i < p.k; i++ {
 				q[i] = p.leafQ[l*rowSize+i*p.inputSize : l*rowSize+(i+1)*p.inputSize]
 			}
-			in, err := info.QDivergenceSum(q, priors)
+			in, err := info.QDivergenceSum(q, pz)
 			if err != nil {
 				return false
 			}
 			p.inner[z*p.numLeaves+l] = in
 		}
 	}
-	p.estimator = true
-	p.auxSize = auxSize
 	return true
 }

@@ -14,10 +14,10 @@
 //
 //   - Float semantics: the per-leaf q-factors are accumulated at compile
 //     time by the exact multiply order the dynamic walk uses
-//     (q[v] = saved[v]·P(sym|v) along the path), and the estimator's
-//     inner table is built through info.QDivergenceSum — the same
-//     function the scalar estimator calls — so the values agree by
-//     shared code, not replication.
+//     (q[v] = saved[v]·P(sym|v) along the path), and every scoring table —
+//     per leaf or per edge, see below — is built through
+//     info.QDivergenceSum, the same function the scalar estimator calls,
+//     so the values agree by shared code, not replication.
 //   - Sampling: sampleCum replicates prob.Dist's cached binary search
 //     over the identical in-order partial sums; prob pins that search
 //     bit-equal to the linear scan, so table sampling returns the exact
@@ -27,6 +27,19 @@
 //     compiled loop reads only the positions it needs via rng.Lookahead
 //     and reconciles with one rng.Skip — same stream values, same final
 //     state, at any worker count.
+//
+// Scoring. Lemma 3 gives the transcript likelihood a product form, so the
+// estimator's inner term Σ_i D(posterior_i ‖ prior_i) is a sum over
+// players. An estimator program scores per edge when every edge leads to
+// a leaf or a strictly higher-numbered speaker (so no player speaks twice
+// and path order is player order) and every distinct prior row scores
+// exactly +0.0 for a silent player: the inner term is then the path-order
+// sum of one precomputed term per (prior row, edge), bit-identical to the
+// per-leaf sum because the skipped silent terms are exact no-ops. Every other
+// estimator program scores from a per-(aux, leaf) table. Specs that name
+// their sufficient state (StateKeyer) compile per-edge programs with
+// equivalent prefixes merged, so the state count no longer grows with the
+// transcript tree.
 //
 // Eligibility. Compilation is gated: bounded state count (≤ 64k interior
 // states), bounded input domain, edge and table budgets, and the dynamic
@@ -73,6 +86,17 @@ type Keyer interface {
 	IRKey() string
 }
 
+// StateKeyer is implemented by specs whose transcript prefixes collapse to
+// a small sufficient state. The contract: any two prefixes the protocol
+// can reach that have equal length and equal StateKey have identical
+// continuations — the same speakers, alphabets, message distributions,
+// bit charges and outputs on every extension. Estimator compilation then
+// merges such prefixes into one state. StateKey must be a pure function
+// of t and must not retain it.
+type StateKeyer interface {
+	StateKey(t []int) uint64
+}
+
 // Compilation gates. A spec outside any bound compiles to nil. The depth
 // gate mirrors core's transcript-tree depth limit so a compiled program
 // can never accept a transcript the dynamic engine would refuse.
@@ -81,7 +105,10 @@ const (
 	maxStates     = 1 << 16 // interior transcript states
 	maxDistCells  = 1 << 20 // states × inputSize message-distribution cells
 	maxEdges      = 1 << 20 // Σ alphabet over states
-	maxAuxCells   = 1 << 20 // auxSize × players and auxSize × leaves
+	maxAuxCells   = 1 << 20 // auxSize × players and auxSize × leaves, per-leaf scoring
 	maxLeafQCells = 1 << 22 // leaves × players × inputSize q-factor floats
+	maxRowCells   = 1 << 22 // auxSize × players row-index cells (μ at k=2048)
+	maxRows       = 1 << 16 // distinct prior rows (the row index is a uint16)
+	maxEdgeTerms  = 1 << 22 // distinct prior rows × edges, per-edge scoring
 	maxDepth      = 4096    // mirrors core's defaultMaxDepth
 )

@@ -230,12 +230,24 @@ func TestCompileGates(t *testing.T) {
 // referenceSample replays one estimator sample through the public prob
 // API with the dynamic path's draw discipline: one uniform for z, one per
 // player input in player order, one per message (even point masses).
-func referenceSample(t *testing.T, spec Spec, p *Program, src *rng.Source) (z, leaf int, msgs uint64) {
+func referenceSample(t *testing.T, spec Spec, prior Prior, p *Program, src *rng.Source) (z, leaf int, msgs uint64) {
 	t.Helper()
-	z = p.zd.Sample(src)
+	w := make([]float64, prior.AuxSize())
+	for i := range w {
+		w[i] = prior.AuxProb(i)
+	}
+	zd, err := prob.Normalize(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	z = zd.Sample(src)
 	x := make([]int, p.k)
 	for i := 0; i < p.k; i++ {
-		x[i] = p.pool[p.priorDist[z*p.k+i]].dist.Sample(src)
+		d, err := prior.PlayerDist(z, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x[i] = d.Sample(src)
 	}
 	var tr []int
 	for {
@@ -291,12 +303,15 @@ func TestShardMatchesReference(t *testing.T) {
 		cmp := rng.New(7)
 		mark := ref.Mark()
 		var wantSum, wantSumSq, wantBits float64
+		if p.PerEdge() {
+			t.Fatalf("bias=%v: a player speaks twice, yet the program scores per edge", bias)
+		}
 		for s := 0; s < n; s++ {
-			z, leaf, _ := referenceSample(t, spec, p, ref)
+			z, leaf, _ := referenceSample(t, spec, prior, p, ref)
 			in := p.inner[z*p.numLeaves+leaf]
 			wantSum += in
 			wantSumSq += in * in
-			wantBits += p.leafBitsF[leaf]
+			wantBits += float64(p.leafBits[leaf])
 		}
 		sum, sumSq, bits := p.Shard(cmp, n)
 		if sum != wantSum || sumSq != wantSumSq || bits != wantBits {
@@ -309,19 +324,26 @@ func TestShardMatchesReference(t *testing.T) {
 	}
 }
 
+// TestShardZeroAllocs pins the steady-state shard loop allocation-free on
+// every scoring path: per leaf, and per edge on the general and the
+// binary loop, merged or not.
 func TestShardZeroAllocs(t *testing.T) {
-	spec := testSpec{k: 3, inputSize: 4, rounds: 5, bias: 0.3}
-	p := CompileEstimator(spec, testPrior{k: 3, inputSize: 4, auxSize: 3})
-	if p == nil {
-		t.Fatal("CompileEstimator returned nil")
-	}
-	src := rng.New(3)
-	p.Shard(src, 16) // warm the scratch pool
-	allocs := testing.AllocsPerRun(100, func() {
-		p.Shard(src, 64)
-	})
-	if allocs != 0 {
-		t.Fatalf("Shard allocates %v per run, want 0", allocs)
+	for name, p := range map[string]*Program{
+		"per-leaf":        CompileEstimator(testSpec{k: 3, inputSize: 4, rounds: 5, bias: 0.3}, testPrior{k: 3, inputSize: 4, auxSize: 3}),
+		"per-edge":        CompileEstimator(monoSpec{testSpec{k: 3, inputSize: 4, rounds: 3, bias: 0.3}}, exactPrior(3)),
+		"per-edge binary": CompileEstimator(keyedChain{chainSpec{16, 16, true}}, muPrior{16}),
+	} {
+		if p == nil || p.PerEdge() != (name != "per-leaf") {
+			t.Fatalf("%s: fixture compiled to %v", name, p)
+		}
+		src := rng.New(3)
+		p.Shard(src, 16) // warm the scratch pool
+		allocs := testing.AllocsPerRun(100, func() {
+			p.Shard(src, 64)
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: Shard allocates %v per run, want 0", name, allocs)
+		}
 	}
 }
 
@@ -395,6 +417,9 @@ func TestSampleWalkMatchesReference(t *testing.T) {
 	}
 }
 
+// TestEstimatorRows pins the compact conditional index: every
+// (z, player) cell names a distinct row whose probabilities are exactly
+// the prior's PlayerDist(z, player).
 func TestEstimatorRows(t *testing.T) {
 	spec := testSpec{k: 3, inputSize: 4, rounds: 3, bias: 0.3}
 	prior := testPrior{k: 3, inputSize: 4, auxSize: 3}
@@ -402,17 +427,13 @@ func TestEstimatorRows(t *testing.T) {
 	if p == nil {
 		t.Fatal("CompileEstimator returned nil")
 	}
-	zd, rows, rowTable, ok := p.EstimatorRows()
-	if !ok {
-		t.Fatal("EstimatorRows not ok on an estimator program")
-	}
-	if zd.Size() != 3 || len(rowTable) != 9 {
-		t.Fatalf("zd size %d rowTable len %d", zd.Size(), len(rowTable))
+	if len(p.rowOf) != 9 || len(p.rows) != 3 {
+		t.Fatalf("rowOf len %d, %d distinct rows; want 9 and 3", len(p.rowOf), len(p.rows))
 	}
 	for z := 0; z < 3; z++ {
 		for i := 0; i < 3; i++ {
 			want, _ := prior.PlayerDist(z, i)
-			got := rows[rowTable[z*3+i]]
+			got := p.pool[p.rows[p.rowOf[z*3+i]]].dist
 			for v := 0; v < 4; v++ {
 				if got.P(v) != want.P(v) {
 					t.Fatalf("row (z=%d, i=%d): P(%d)=%v, want %v", z, i, v, got.P(v), want.P(v))
@@ -420,8 +441,8 @@ func TestEstimatorRows(t *testing.T) {
 			}
 		}
 	}
-	if _, _, _, ok := CompileSpec(spec).EstimatorRows(); ok {
-		t.Fatal("EstimatorRows must refuse a spec-only program")
+	if CompileSpec(spec).Estimator() {
+		t.Fatal("a spec-only program claims estimator tables")
 	}
 }
 

@@ -10,8 +10,8 @@ import (
 
 // Node encoding inside the flat tables: values ≥ 0 are interior state
 // ids, values in [-numLeaves, -1] encode leaf -(v+1), and nodeNone marks
-// cells no execution can reach (symbols with zero probability under every
-// input, or non-deterministic cells of the fused table).
+// edges no execution can reach (symbols with zero probability under every
+// input).
 const nodeNone = int32(math.MinInt32)
 
 // poolDist is one deduplicated distribution of the program's pool, in the
@@ -25,7 +25,7 @@ type poolDist struct {
 	cum  []float64
 	last int32
 	det  int32
-	dist prob.Dist // original form, for lane-plan construction
+	dist prob.Dist // original form, for building the scoring tables
 }
 
 // sampleCum maps a uniform draw u ∈ [0,1) to an outcome by the exact
@@ -67,16 +67,15 @@ type Program struct {
 	msgDist   []int32
 	edges     []int32 // encoded next node per (state, symbol)
 	symBits   []int32 // declared MessageBits per (state, symbol)
-	// fused[s*inputSize+v] short-circuits a whole step when the message
-	// for input v is deterministic: it holds the encoded node the det
-	// symbol leads to, or nodeNone when the cell needs a real sample.
-	fused []int32
+	// fused[s*inputSize+v] short-circuits a step when the message for
+	// input v is deterministic (see fusedCell).
+	fused []fusedCell
 
 	pool []poolDist
 
-	// Per-leaf tables.
+	// Per-leaf tables. Merged programs (compiled with a StateKeyer) keep
+	// only leafOut and leafDepth: the rest depend on the path taken.
 	leafBits   []int32
-	leafBitsF  []float64 // float64(leafBits), pre-converted for the shard loop
 	leafOut    []int32
 	leafDepth  []int32 // messages on the complete transcript
 	leafSymOff []int32 // numLeaves+1 offsets into leafSyms
@@ -90,17 +89,23 @@ type Program struct {
 	// Estimator extension (zero-valued on spec-only programs).
 	estimator bool
 	auxSize   int
-	zd        prob.Dist
 	auxCum    []float64
 	auxLast   int32
 	auxDet    int32
-	priorDist []int32   // auxSize × k pool ids
-	inner     []float64 // auxSize × numLeaves precomputed Σ_i D(post_i ‖ prior_i)
-	// priorTwo is the binary-input fast-loop form of priorDist (inputSize
-	// == 2 only, nil otherwise): per (z, player), the exact linear-scan
-	// thresholds of the player's conditional, so the hot shard loop draws
-	// an input with two compares instead of a pool indirection.
-	priorTwo []twoPoint
+	rows      []int32  // pool id of each distinct prior conditional row
+	rowOf     []uint16 // auxSize × k: row index of player i's conditional given z
+	// rowTwo is the binary-input fast-loop form of rows (inputSize == 2
+	// only, nil otherwise): the exact linear-scan thresholds of each row,
+	// so the hot shard loop draws an input with two compares instead of a
+	// pool indirection.
+	rowTwo []twoPoint
+	// Scoring: exactly one of the two tables is set. edgeTerm (per-edge
+	// programs) holds rows × numEdges divergence terms, summed along the
+	// path; inner (per-leaf programs) holds auxSize × numLeaves
+	// precomputed Σ_i D(post_i ‖ prior_i).
+	edgeTerm []float64
+	numEdges int
+	inner    []float64
 
 	keySHA string
 
@@ -120,8 +125,12 @@ func (p *Program) NumStates() int { return p.numStates }
 func (p *Program) NumLeaves() int { return p.numLeaves }
 
 // Estimator reports whether the program carries the prior-dependent
-// tables (aux sampler, per-player conditionals, inner divergence table).
+// tables (aux sampler, per-player conditionals, scoring table).
 func (p *Program) Estimator() bool { return p.estimator }
+
+// PerEdge reports whether the estimator program scores per edge (see the
+// package comment) rather than from a per-leaf table.
+func (p *Program) PerEdge() bool { return p.edgeTerm != nil }
 
 // FixedWidth reports whether every reachable message's declared bit
 // charge equals the fixed-width encoding of its alphabet — the condition
@@ -138,6 +147,16 @@ func (p *Program) Deterministic() bool { return p.deterministic }
 // Empty for programs compiled outside the cache.
 func (p *Program) KeySHA() string { return p.keySHA }
 
+// fusedCell is one (state, input) cell of the fused table: when the
+// speaker's message for that input is a point mass, next is the node its
+// symbol leads to and edge that symbol's edge index (into edges, symBits
+// and the per-edge terms); next is nodeNone when the cell needs a real
+// sample. Keeping next beside edge keeps the walk's node-to-node chain at
+// one load per step.
+type fusedCell struct {
+	next, edge int32
+}
+
 // twoPoint is a binary conditional row in flattened sampling form. c0 and
 // c1 are the in-order partial sums (c1 duplicates c0 for single-outcome
 // rows), last the positive-mass fallback, det the single outcome of a
@@ -147,6 +166,26 @@ type twoPoint struct {
 	c0, c1 float64
 	det    int32
 	last   int32
+}
+
+// newTwoPoint flattens a pooled conditional of at most two outcomes.
+func newTwoPoint(pd *poolDist) twoPoint {
+	tp := twoPoint{c0: pd.cum[0], c1: pd.cum[0], det: pd.det, last: pd.last}
+	if len(pd.cum) > 1 {
+		tp.c1 = pd.cum[1]
+	}
+	return tp
+}
+
+// sample maps a uniform u ∈ [0,1) to an outcome by the linear scan.
+func (t *twoPoint) sample(u float64) int32 {
+	if u < t.c0 {
+		return 0
+	}
+	if u < t.c1 {
+		return 1
+	}
+	return t.last
 }
 
 // shardScratch is the pooled per-shard state of the estimator executor:
@@ -178,14 +217,19 @@ func (p *Program) putScratch(sc *shardScratch) { p.scratch.Put(sc) }
 // deterministic cells skip even the peek — and advances the stream past
 // all 1+k+T positions with one Skip, so the stream state after every
 // sample is identical to the dynamic path's.
+//
+// Bits are the integer sum of the path's per-edge charges, which equals
+// the leaf's total charge on tree programs and is the only charge merged
+// programs have.
 func (p *Program) Shard(src *rng.Source, count int) (sum, sumSq, bitsSum float64) {
-	if p.speakOnce && p.priorTwo != nil {
+	if p.speakOnce && p.rowTwo != nil {
 		return p.shardBinary(src, count)
 	}
 	sc := p.getScratch()
 	defer p.putScratch(sc)
 
-	k64 := uint64(p.k)
+	k := p.k
+	k64 := uint64(k)
 	inputSize := p.inputSize
 	for s := 0; s < count; s++ {
 		var z int32
@@ -201,18 +245,20 @@ func (p *Program) Shard(src *rng.Source, count int) (sum, sumSq, bitsSum float64
 			}
 			sc.epoch = 1
 		}
-		prior := p.priorDist[int(z)*p.k : int(z)*p.k+p.k]
+		rowOf := p.rowOf[int(z)*k : int(z)*k+k]
 
 		node := p.root
 		depth := uint64(0)
+		in, bits := 0.0, 0
 		for node >= 0 {
 			st := node
 			sp := p.speaker[st]
+			r := rowOf[sp]
 			var x int32
 			if sc.stamp[sp] == sc.epoch {
 				x = sc.x[sp]
 			} else {
-				pd := &p.pool[prior[sp]]
+				pd := &p.pool[p.rows[r]]
 				if pd.det >= 0 {
 					x = pd.det
 				} else {
@@ -221,22 +267,27 @@ func (p *Program) Shard(src *rng.Source, count int) (sum, sumSq, bitsSum float64
 				sc.x[sp] = x
 				sc.stamp[sp] = sc.epoch
 			}
-			if f := p.fused[int(st)*inputSize+int(x)]; f != nodeNone {
-				node = f
-			} else {
+			f := p.fused[int(st)*inputSize+int(x)]
+			e := f.edge
+			if node = f.next; node == nodeNone {
 				md := &p.pool[p.msgDist[int(p.distBase[st])+int(x)]]
-				sym := sampleCum(md.cum, md.last, rng.U01(src.Lookahead(1+k64+depth)))
-				node = p.edges[int(p.transBase[st])+int(sym)]
+				e = p.transBase[st] + sampleCum(md.cum, md.last, rng.U01(src.Lookahead(1+k64+depth)))
+				node = p.edges[e]
 			}
+			if p.edgeTerm != nil {
+				in += p.edgeTerm[int(r)*p.numEdges+int(e)]
+			}
+			bits += int(p.symBits[e])
 			depth++
 		}
 		src.Skip(1 + k64 + depth)
 
-		leaf := -node - 1
-		in := p.inner[int(z)*p.numLeaves+int(leaf)]
+		if p.edgeTerm == nil {
+			in = p.inner[int(z)*p.numLeaves+int(-node-1)]
+		}
 		sum += in
 		sumSq += in * in
-		bitsSum += p.leafBitsF[leaf]
+		bitsSum += float64(bits)
 	}
 	return sum, sumSq, bitsSum
 }
@@ -253,9 +304,8 @@ func (p *Program) shardBinary(src *rng.Source, count int) (sum, sumSq, bitsSum f
 	k := p.k
 	k64 := uint64(k)
 	auxCum, auxLast, auxDet := p.auxCum, p.auxLast, p.auxDet
-	speaker, fused := p.speaker, p.fused
-	inner, bitsF := p.inner, p.leafBitsF
-	numLeaves := p.numLeaves
+	speaker, fused, edges, symBits := p.speaker, p.fused, p.edges, p.symBits
+	rowTwo, edgeTerm, numEdges := p.rowTwo, p.edgeTerm, p.numEdges
 	for s := 0; s < count; s++ {
 		var z int32
 		if auxDet >= 0 {
@@ -263,40 +313,40 @@ func (p *Program) shardBinary(src *rng.Source, count int) (sum, sumSq, bitsSum f
 		} else {
 			z = sampleCum(auxCum, auxLast, rng.U01(src.Lookahead(0)))
 		}
-		tp := p.priorTwo[int(z)*k : int(z)*k+k]
+		rowOf := p.rowOf[int(z)*k : int(z)*k+k]
 		node := p.root
 		depth := uint64(0)
+		in, bits := 0.0, 0
 		for node >= 0 {
 			st := node
 			sp := speaker[st]
-			t := &tp[sp]
+			r := rowOf[sp]
+			t := &rowTwo[r]
 			x := t.det
 			if x < 0 {
-				u := rng.U01(src.Lookahead(1 + uint64(sp)))
-				x = 0
-				if u >= t.c0 {
-					x = 1
-					if u >= t.c1 {
-						x = t.last
-					}
-				}
+				x = t.sample(rng.U01(src.Lookahead(1 + uint64(sp))))
 			}
-			if f := fused[int(st)*2+int(x)]; f != nodeNone {
-				node = f
-			} else {
+			f := fused[int(st)*2+int(x)]
+			e := f.edge
+			if node = f.next; node == nodeNone {
 				md := &p.pool[p.msgDist[int(p.distBase[st])+int(x)]]
-				sym := sampleCum(md.cum, md.last, rng.U01(src.Lookahead(1+k64+depth)))
-				node = p.edges[int(p.transBase[st])+int(sym)]
+				e = p.transBase[st] + sampleCum(md.cum, md.last, rng.U01(src.Lookahead(1+k64+depth)))
+				node = edges[e]
 			}
+			if edgeTerm != nil {
+				in += edgeTerm[int(r)*numEdges+int(e)]
+			}
+			bits += int(symBits[e])
 			depth++
 		}
 		src.Skip(1 + k64 + depth)
 
-		leaf := -node - 1
-		in := inner[int(z)*numLeaves+int(leaf)]
+		if edgeTerm == nil {
+			in = p.inner[int(z)*p.numLeaves+int(-node-1)]
+		}
 		sum += in
 		sumSq += in * in
-		bitsSum += bitsF[leaf]
+		bitsSum += float64(bits)
 	}
 	return sum, sumSq, bitsSum
 }
@@ -335,38 +385,14 @@ func (p *Program) SampleWalk(x []int, src *rng.Source) (t []int, q [][]float64, 
 	return t, q, int(p.leafBits[leaf]), int(p.leafOut[leaf])
 }
 
-// EstimatorRows exposes the prior's conditional structure in the form the
-// 64-lane batch engine consumes: the auxiliary distribution, the distinct
-// per-player conditional rows, and a flat auxSize×k table mapping (z,
-// player) to a row index. ok is false on spec-only programs or when the
-// prior has more than 256 distinct rows (the lane engine's row-index
-// width). The rows come straight from the compiled pool — no interface
-// calls back into the prior.
-func (p *Program) EstimatorRows() (zd prob.Dist, rows []prob.Dist, rowTable []uint8, ok bool) {
-	if !p.estimator {
-		return prob.Dist{}, nil, nil, false
-	}
-	rowOf := make(map[int32]int, 8)
-	rowTable = make([]uint8, len(p.priorDist))
-	for i, id := range p.priorDist {
-		ri, seen := rowOf[id]
-		if !seen {
-			ri = len(rows)
-			if ri >= 256 {
-				return prob.Dist{}, nil, nil, false
-			}
-			rowOf[id] = ri
-			rows = append(rows, p.pool[id].dist)
-		}
-		rowTable[i] = uint8(ri)
-	}
-	return p.zd, rows, rowTable, true
-}
-
 // Leaves returns the program's complete transcripts with their bit costs
 // and outputs, for conformance tests that compare compiled tables against
-// dynamic enumeration. The returned slices are fresh copies.
+// dynamic enumeration. The returned slices are fresh copies. Merged
+// programs have no per-leaf transcripts; Leaves returns nil for them.
 func (p *Program) Leaves() (syms [][]int, bits []int, outs []int) {
+	if p.leafBits == nil {
+		return nil, nil, nil
+	}
 	syms = make([][]int, p.numLeaves)
 	bits = make([]int, p.numLeaves)
 	outs = make([]int, p.numLeaves)

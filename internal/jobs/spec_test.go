@@ -37,6 +37,8 @@ func TestValidate(t *testing.T) {
 		{JobSpec{Experiment: "E20", Scale: "quick", Faults: "delay=0.1:5ms"}, "wall-clock"},
 		{JobSpec{Experiment: "E20", Scale: "quick", Faults: "crash=1@2"}, "crash faults"},
 		{JobSpec{Experiment: "E20", Scale: "quick", Faults: "drop=0.9"}, "above service cap"},
+		{JobSpec{Experiment: "E20", Scale: "quick", Faults: "drop=NaN"}, "outside [0,1]"},
+		{JobSpec{Experiment: "E20", Scale: "quick", Faults: "delay=NaN:1ms"}, "outside [0,1]"},
 	}
 	for _, tc := range bad {
 		err := tc.spec.Validate()

@@ -194,9 +194,9 @@ func (d Dist) Sample(src *rng.Source) int {
 // SampleU is the deterministic half of Sample: it maps a caller-supplied
 // uniform draw u ∈ [0,1) to an outcome through exactly the code path
 // Sample uses (prefix-sum table when cached, linear scan otherwise).
-// Callers that manage their own draw stream — e.g. the lane engine, which
-// prefetches raw outputs with rng.Uint64s and converts them via rng.U01 —
-// get outcomes bit-identical to Sample on the same stream.
+// Callers that manage their own draw stream — converting raw outputs via
+// rng.U01 — get outcomes bit-identical to Sample on the same stream; the
+// compiled-IR sampler is pinned against it.
 func (d Dist) SampleU(u float64) int {
 	return d.sampleIndex(u)
 }

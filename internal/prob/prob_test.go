@@ -299,3 +299,29 @@ func TestProbsReturnsCopy(t *testing.T) {
 		t.Fatal("Probs exposed internal storage")
 	}
 }
+
+// TestSampleUMatchesSample pins SampleU, the caller-supplied-uniform half
+// of Sample, on both sampling paths: fed the uniform Float64 would draw,
+// it returns the outcome Sample returns.
+func TestSampleUMatchesSample(t *testing.T) {
+	weights := make([]float64, 200) // support ≥ cdfMinSize: cached path
+	for i := range weights {
+		weights[i] = float64(i%7) + 1
+	}
+	big, err := Normalize(weights)
+	if err != nil {
+		t.Fatal(err)
+	}
+	small, err := Normalize(weights[:5])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []Dist{big, small} {
+		a, b := rng.New(55), rng.New(55)
+		for i := 0; i < 500; i++ {
+			if got, want := d.SampleU(b.Float64()), d.Sample(a); got != want {
+				t.Fatalf("draw %d: SampleU %d != Sample %d", i, got, want)
+			}
+		}
+	}
+}

@@ -143,9 +143,10 @@ func (s *Source) Lookahead(n uint64) uint64 {
 // state exactly where n Uint64 calls would have left it (each output
 // advances the state by the fixed constant gamma, so skipping is a single
 // multiply-add). Mark/DrawsSince accounting counts the skipped outputs as
-// drawn. The lane engine uses Skip to stay draw-aligned with scalar
-// execution when the skipped values provably cannot influence the result
-// (point-mass message draws return the same symbol for every uniform).
+// drawn. The compiled-IR executor uses Skip to stay draw-aligned with
+// scalar execution when the skipped values provably cannot influence the
+// result (draws it never needed, such as point-mass message draws, which
+// return the same symbol for every uniform).
 func (s *Source) Skip(n uint64) {
 	s.state += gamma * n
 }

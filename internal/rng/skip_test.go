@@ -2,9 +2,9 @@ package rng
 
 import "testing"
 
-// TestSkipMatchesDraws pins the lane engine's draw-alignment primitive:
-// Skip(n) must leave the stream exactly where n Uint64 calls would have,
-// and DrawsSince must count the skipped outputs as drawn.
+// TestSkipMatchesDraws pins the compiled-IR executor's draw-alignment
+// primitive: Skip(n) must leave the stream exactly where n Uint64 calls
+// would have, and DrawsSince must count the skipped outputs as drawn.
 func TestSkipMatchesDraws(t *testing.T) {
 	for _, n := range []uint64{0, 1, 5, 64, 4096} {
 		a, b := New(123), New(123)

@@ -165,7 +165,7 @@ func TestFlightRecorderCausalChain(t *testing.T) {
 	for _, l := range fetchTrace(t, ts.URL, ejob.TraceID) {
 		if l.Name == causal.CoreShard {
 			shards++
-			if eng := l.Attrs["engine"]; eng != "ir" && eng != "lanes" && eng != "scalar" {
+			if eng := l.Attrs["engine"]; eng != "ir" && eng != "scalar" {
 				t.Errorf("shard span engine attr = %q", eng)
 			}
 		}

@@ -184,6 +184,7 @@ func TestJobsHTTPValidationAndLookup(t *testing.T) {
 		`{"experiment":"E1"}`,                  // missing scale
 		`not json`,
 		`{"experiment":"E1","scale":"quick","bogus":1}`, // unknown field
+		`{"experiment":"E20","scale":"quick","faults":"drop=NaN"}`,
 	} {
 		code, _, _ := postJob(t, ts.URL, "", body)
 		if code != http.StatusBadRequest {

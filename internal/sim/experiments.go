@@ -3,11 +3,9 @@ package sim
 import (
 	"fmt"
 	"math"
-	mathbits "math/bits"
 	"time"
 
 	"broadcastic/internal/andk"
-	"broadcastic/internal/batch"
 	"broadcastic/internal/bitvec"
 	"broadcastic/internal/blackboard"
 	"broadcastic/internal/compress"
@@ -61,16 +59,9 @@ type Config struct {
 	// itself is monotone per sweep. Like Recorder, the hook only observes —
 	// tables are bit-identical whether or not it is installed.
 	Progress func(done, total int)
-	// DisableBatching forces the scalar engines where the 64-lane batch
-	// engine would otherwise serve an experiment (the Monte-Carlo CIC
-	// estimator, the E6 trial loop). The zero value — batching on — is
-	// the default, mirroring disj.Options.DisableBatching; tables are
-	// bit-identical either way, so the knob exists for benchmarking and
-	// for the experiments binary's -batch flag, never for correctness.
-	DisableBatching bool
-	// DisableIR forces the interpreted engines where the compiled-IR
-	// program would otherwise serve the Monte-Carlo CIC estimator. Tables
-	// are bit-identical either way — the compile-vs-dynamic equivalence
+	// DisableIR forces the scalar engine where the compiled-IR program
+	// would otherwise serve the Monte-Carlo CIC estimator. Tables are
+	// bit-identical either way — the compile-vs-dynamic equivalence
 	// harness pins it — so the knob exists for benchmarking and for the
 	// binaries' -noir escape hatch, never for correctness.
 	DisableIR bool
@@ -329,11 +320,10 @@ func E4AndInfoCost(cfg Config) (*Table, error) {
 				return cellOut{}, err
 			}
 			est, err := core.EstimateCICOpts(spec, mu, src, samples, core.EstimateOptions{
-				Workers:      cfg.workers(),
-				Recorder:     cfg.Recorder,
-				DisableLanes: cfg.DisableBatching,
-				DisableIR:    cfg.DisableIR,
-				Causal:       cfg.Causal,
+				Workers:   cfg.workers(),
+				Recorder:  cfg.Recorder,
+				DisableIR: cfg.DisableIR,
+				Causal:    cfg.Causal,
 			})
 			if err != nil {
 				return cellOut{}, err
@@ -453,28 +443,7 @@ func E6TruncatedError(cfg Config) (*Table, error) {
 		if m < 1 {
 			m = 1
 		}
-		var wrong int
-		if cfg.DisableBatching {
-			for i := 0; i < trials; i++ {
-				x, _ := d.Sample(src)
-				out := 1
-				for j := 0; j < m; j++ {
-					if x[j] == 0 {
-						out = 0
-						break
-					}
-				}
-				if out != core.AndFunc(x) {
-					wrong++
-				}
-			}
-		} else {
-			var err error
-			wrong, err = e6WrongBatch(d, src, k, m, trials)
-			if err != nil {
-				return nil, err
-			}
-		}
+		wrong := e6Wrong(d, src, m, trials)
 		return []string{
 			fmt.Sprintf("%d", m),
 			F(frac),
@@ -488,52 +457,19 @@ func E6TruncatedError(cfg Config) (*Table, error) {
 	return t, nil
 }
 
-// e6WrongBatch is the E6 trial loop on the 64-lane executor: each lane
-// holds one trial's input (all-ones except dist.Lemma6Dist.SampleZero's
-// forced zero), one truncated run and one all-speak run decide 64 trials
-// at once, and the per-batch error count is a popcount of the decision
-// mismatch. SampleZero draws exactly what Sample draws, in the same trial
-// order, so the measured error — an integer count — is identical to the
-// scalar loop's, ragged final batch included.
-func e6WrongBatch(d *dist.Lemma6Dist, src *rng.Source, k, m, trials int) (int, error) {
-	exTrunc, err := batch.NewExec(batch.LaneSpec{Players: k, SpeakCap: m, HaltOnZero: true})
-	if err != nil {
-		return 0, err
-	}
-	exAll, err := batch.NewExec(batch.LaneSpec{Players: k, SpeakCap: k, HaltOnZero: false})
-	if err != nil {
-		return 0, err
-	}
-	inputs := make([]uint64, k)
+// e6Wrong counts the trials on which the m-speaker truncated protocol
+// errs. A Lemma 6 input is all-ones but for at most one zero; the
+// protocol reads players 0..m-1, so it answers 0 iff the zero sits below
+// m, while AND is 0 iff there is a zero at all: it errs iff the zero sits
+// at index ≥ m.
+func e6Wrong(d *dist.Lemma6Dist, src *rng.Source, m, trials int) int {
 	wrong := 0
-	for base := 0; base < trials; base += batch.Lanes {
-		lanes := trials - base
-		if lanes > batch.Lanes {
-			lanes = batch.Lanes
+	for i := 0; i < trials; i++ {
+		if d.SampleZero(src) >= m {
+			wrong++
 		}
-		active := ^uint64(0)
-		if lanes < batch.Lanes {
-			active = uint64(1)<<uint(lanes) - 1
-		}
-		for i := range inputs {
-			inputs[i] = ^uint64(0)
-		}
-		for L := 0; L < lanes; L++ {
-			if z := d.SampleZero(src); z >= 0 {
-				inputs[z] &^= 1 << uint(L)
-			}
-		}
-		outs, err := exTrunc.Run(inputs, active)
-		if err != nil {
-			return 0, err
-		}
-		truth, err := exAll.Run(inputs, active)
-		if err != nil {
-			return 0, err
-		}
-		wrong += mathbits.OnesCount64((outs ^ truth) & active)
 	}
-	return wrong, nil
+	return wrong
 }
 
 // E7InfoCommGap reports the Section 6 gap: worst-case communication of the
@@ -606,11 +542,10 @@ func E7InfoCommGap(cfg Config) (*Table, error) {
 				return cellOut{}, err
 			}
 			cicEst, err := core.EstimateCICOpts(spec, mu, src.Split(0), samples, core.EstimateOptions{
-				Workers:      cfg.workers(),
-				Recorder:     cfg.Recorder,
-				DisableLanes: cfg.DisableBatching,
-				DisableIR:    cfg.DisableIR,
-				Causal:       cfg.Causal,
+				Workers:   cfg.workers(),
+				Recorder:  cfg.Recorder,
+				DisableIR: cfg.DisableIR,
+				Causal:    cfg.Causal,
 			})
 			if err != nil {
 				return cellOut{}, err

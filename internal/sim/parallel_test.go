@@ -4,6 +4,11 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"broadcastic/internal/andk"
+	"broadcastic/internal/core"
+	"broadcastic/internal/dist"
+	"broadcastic/internal/rng"
 )
 
 // renderAt runs an experiment at the given worker count and returns the
@@ -50,11 +55,6 @@ func TestSerialEquivalence(t *testing.T) {
 	}
 }
 
-// TestBatchingTableEquivalence pins the lane engine's sim-facing contract:
-// every experiment that routes through the 64-lane batch path (E4 and E7
-// via the lane estimator, E6 via the word-parallel trial executor) must
-// render a byte-identical table with batching disabled — at both serial
-// and parallel worker counts, since the two toggles compose.
 // TestIRTableEquivalence pins the compiled-IR engine's sim-facing
 // contract: experiments that route through the IR fast path must render
 // byte-identical tables with it disabled (-noir), at both serial and
@@ -91,35 +91,37 @@ func TestIRTableEquivalence(t *testing.T) {
 	}
 }
 
-func TestBatchingTableEquivalence(t *testing.T) {
-	render := func(f func(Config) (*Table, error), disable bool, workers int) string {
-		t.Helper()
-		tbl, err := f(Config{Seed: 7, Scale: Quick, Workers: workers, DisableBatching: disable})
+// TestE6CountMatchesProtocolRuns pins E6's zero-index error count against
+// running the truncated protocol itself on every sampled input and
+// comparing its output with AND, from the same stream.
+func TestE6CountMatchesProtocolRuns(t *testing.T) {
+	const k, trials = 64, 3000
+	d, err := dist.NewLemma6Dist(k, 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []int{1, 16, 63, 64} {
+		tr, err := andk.NewTruncated(k, m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var sb strings.Builder
-		if err := tbl.Render(&sb); err != nil {
-			t.Fatal(err)
-		}
-		return sb.String()
-	}
-	experiments := []struct {
-		id string
-		f  func(Config) (*Table, error)
-	}{
-		{"E4", E4AndInfoCost},
-		{"E6", E6TruncatedError},
-		{"E7", E7InfoCommGap},
-	}
-	for _, e := range experiments {
-		for _, workers := range []int{1, 4} {
-			batched := render(e.f, false, workers)
-			scalar := render(e.f, true, workers)
-			if batched != scalar {
-				t.Fatalf("%s: workers=%d batched render differs from scalar:\n--- batched ---\n%s--- scalar ---\n%s",
-					e.id, workers, batched, scalar)
+		src := rng.New(5)
+		want := 0
+		for i := 0; i < trials; i++ {
+			x, _ := d.Sample(src)
+			_, leaf, err := core.SampleTranscript(tr, x, rng.New(0))
+			if err != nil {
+				t.Fatal(err)
 			}
+			if leaf.Output != core.AndFunc(x) {
+				want++
+			}
+		}
+		if got := e6Wrong(d, rng.New(5), m, trials); got != want {
+			t.Fatalf("m=%d: counted %d errors, protocol runs err %d times", m, got, want)
+		}
+		if m < k && want == 0 {
+			t.Fatalf("m=%d: fixture never errs", m)
 		}
 	}
 }

@@ -39,7 +39,7 @@ const (
 	CoreCICSamples     = "core.cic.samples"      // counter: Monte-Carlo samples drawn
 	CoreCICShards      = "core.cic.shards"       // counter: estimator shards evaluated
 	CoreCICShardNs     = "core.cic.shard_ns"     // histogram: wall time per shard
-	CoreCICLaneSamples = "core.cic.lane_samples" // counter: samples served by the 64-lane engine
+	CoreCICLaneSamples = "core.cic.lane_samples" // counter: retired 64-lane engine; never incremented, kept for bench/report.go
 	CoreCICIRSamples   = "core.cic.ir_samples"   // counter: samples served by the compiled-IR engine
 
 	// Compiled protocol IR (internal/ir).
