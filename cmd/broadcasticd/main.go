@@ -36,7 +36,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
@@ -159,6 +158,13 @@ func run(args []string, out io.Writer) error {
 	if !*suite {
 		selected = nil
 	}
+	// Suite runs trace into the flight recorder; -runtrace with -flight 0
+	// still needs a trace to tee its sink from, so it gets a recorder of
+	// its own.
+	traces := fr
+	if traces == nil && *runtrace != "" {
+		traces = causal.NewRecorder(0)
+	}
 	// Experiments run sequentially: the daemon's point is a legible live
 	// view, and one experiment at a time keeps /runs progress and the
 	// /metrics deltas attributable. Each sweep still parallelizes its
@@ -168,19 +174,16 @@ func run(args []string, out io.Writer) error {
 		ecfg := cfg
 		ecfg.Recorder = col
 		var sink *tracelog.Sink
-		if *runtrace != "" {
-			sink = tracelog.New(runID, col)
-			ecfg.Recorder = sink
-		}
-		if fr != nil {
-			// Suite runs trace too: one root per experiment, teed into the
-			// run's Perfetto trace when -runtrace is on (the sink attaches
-			// before the root so the trace's identity lands on the process).
-			var sinkTee causal.EventSink
-			if sink != nil {
-				sinkTee = sink
+		if traces != nil {
+			// One root per experiment, teed into the run's Perfetto trace
+			// when -runtrace is on (the sink attaches before the root so
+			// the trace's identity lands on the process).
+			var tee causal.EventSink
+			if *runtrace != "" {
+				sink = tracelog.New(runID)
+				tee = sink
 			}
-			ecfg.Causal = fr.StartTraceSink(sinkTee, causal.ExperimentRoot,
+			ecfg.Causal = traces.StartTraceSink(tee, causal.ExperimentRoot,
 				causal.String("experiment", exp.ID), causal.String("runId", runID))
 		}
 		ecfg.Progress = broker.ProgressFunc(runID, exp.ID, col)
@@ -197,8 +200,8 @@ func run(args []string, out io.Writer) error {
 			"blackboardBits", col.Counter(telemetry.BlackboardBits),
 			"wireBits", col.Counter(telemetry.NetrunWireBits))
 		if sink != nil {
-			path := filepath.Join(*runtrace, tracelog.FileName(runID))
-			if err := writeTrace(path, sink); err != nil {
+			path, err := sink.WriteFile(*runtrace)
+			if err != nil {
 				return err
 			}
 			logger.Info("trace written", "id", exp.ID, "path", path)
@@ -244,16 +247,4 @@ func selectExperiments(only string) ([]sim.Experiment, error) {
 		selected = append(selected, exp)
 	}
 	return selected, nil
-}
-
-func writeTrace(path string, sink *tracelog.Sink) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if _, err := sink.WriteTo(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

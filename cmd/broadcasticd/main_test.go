@@ -2,12 +2,17 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
+
+	"broadcastic/internal/telemetry/causal"
+	"broadcastic/internal/telemetry/tracelog"
 )
 
 func TestRunFlagErrors(t *testing.T) {
@@ -51,6 +56,33 @@ func TestRunOnce(t *testing.T) {
 	}
 	if got := out.String(); got != "" {
 		t.Errorf("-suite=false printed tables: %q", got)
+	}
+}
+
+// TestRunTraceWithoutFlightRecorder: -runtrace still writes a causal
+// trace per experiment when -flight 0 turns the flight recorder off.
+func TestRunTraceWithoutFlightRecorder(t *testing.T) {
+	dir := t.TempDir()
+	var out bytes.Buffer
+	if err := run([]string{"-serve", "127.0.0.1:0", "-once", "-only", "E10", "-flight", "0", "-runtrace", dir}, &out); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(filepath.Join(dir, tracelog.FileName("E10-seed1")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tr tracelog.Trace
+	if err := json.Unmarshal(b, &tr); err != nil {
+		t.Fatalf("trace does not parse: %v", err)
+	}
+	cells := 0
+	for _, ev := range tr.TraceEvents {
+		if ev.Phase == "X" && ev.Name == causal.SimCell {
+			cells++
+		}
+	}
+	if cells == 0 {
+		t.Error("trace holds no sim.cell spans")
 	}
 }
 

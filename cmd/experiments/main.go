@@ -13,9 +13,10 @@
 // metric snapshot) is written to out.json — the same schema the benchmark
 // suite and CI perf gate use. With -serve, the observability plane
 // (/metrics, /healthz, /runs, /debug/pprof) is up for the duration of the
-// run over a shared live collector; with -runtrace, each experiment writes
-// a Chrome trace-event file to the given directory. All of it only
-// observes: tables are bit-identical with every combination enabled.
+// run over a shared live collector; with -runtrace, each experiment runs
+// under its own causal trace and writes it as a Chrome trace-event file
+// to the given directory. All of it only observes: tables are
+// bit-identical with every combination enabled.
 package main
 
 import (
@@ -23,7 +24,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
@@ -33,6 +33,7 @@ import (
 	"broadcastic/internal/sim"
 	"broadcastic/internal/telemetry"
 	"broadcastic/internal/telemetry/benchjson"
+	"broadcastic/internal/telemetry/causal"
 	"broadcastic/internal/telemetry/tracelog"
 )
 
@@ -129,10 +130,14 @@ func run(args []string, out *os.File) error {
 			}
 		}()
 	}
+	// -runtrace mints one causal trace per experiment with a Perfetto
+	// sink attached; the recorder supplies IDs and the clock.
+	var traces *causal.Recorder
 	if *runtrace != "" {
 		if err := os.MkdirAll(*runtrace, 0o755); err != nil {
 			return err
 		}
+		traces = causal.NewRecorder(0)
 	}
 
 	type result struct {
@@ -142,7 +147,7 @@ func run(args []string, out *os.File) error {
 	}
 	// Experiments are independent: run them on the pool like sim.All does,
 	// each with its own collector so per-experiment metrics don't mix. The
-	// live collector, trace sink and progress hook tee alongside.
+	// live collector, run trace and progress hook tee alongside.
 	results, err := pool.Map(pool.Workers(cfg.Workers), len(selected), func(i int) (result, error) {
 		exp := selected[i]
 		runID := fmt.Sprintf("%s-seed%d", exp.ID, *seed)
@@ -158,9 +163,10 @@ func run(args []string, out *os.File) error {
 		}
 		ecfg.Recorder = telemetry.Multi(recs...)
 		var sink *tracelog.Sink
-		if *runtrace != "" {
-			sink = tracelog.New(runID, ecfg.Recorder)
-			ecfg.Recorder = sink
+		if traces != nil {
+			sink = tracelog.New(runID)
+			ecfg.Causal = traces.StartTraceSink(sink, causal.ExperimentRoot,
+				causal.String("experiment", exp.ID), causal.String("runId", runID))
 		}
 		if broker != nil {
 			ecfg.Progress = broker.ProgressFunc(runID, exp.ID, live)
@@ -176,8 +182,8 @@ func run(args []string, out *os.File) error {
 			r.metrics = rec.Snapshot()
 		}
 		if sink != nil {
-			path := filepath.Join(*runtrace, tracelog.FileName(runID))
-			if err := writeTrace(path, sink); err != nil {
+			path, err := sink.WriteFile(*runtrace)
+			if err != nil {
 				return result{}, err
 			}
 			logger.Info("trace written", "id", exp.ID, "path", path)
@@ -213,16 +219,4 @@ func run(args []string, out *os.File) error {
 		}
 	}
 	return nil
-}
-
-func writeTrace(path string, sink *tracelog.Sink) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if _, err := sink.WriteTo(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -21,9 +21,10 @@
 //
 // With -serve, the observability plane (/metrics, /healthz, /runs,
 // /debug/pprof) is up for the duration of the run; with -runtrace, each
-// trial writes a Chrome trace-event file netdisj-seed<N>-trial<T> to the
-// given directory. Neither perturbs the run: stdout and the conformance
-// checks are identical with or without them.
+// trial runs under its own causal trace and writes it as a Chrome
+// trace-event file netdisj-seed<N>-trial<T> to the given directory.
+// Neither perturbs the run: stdout and the conformance checks are
+// identical with or without them.
 package main
 
 import (
@@ -32,7 +33,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"time"
 
 	"broadcastic/internal/blackboard"
@@ -43,6 +43,7 @@ import (
 	"broadcastic/internal/rng"
 	"broadcastic/internal/serve"
 	"broadcastic/internal/telemetry"
+	"broadcastic/internal/telemetry/causal"
 	"broadcastic/internal/telemetry/tracelog"
 )
 
@@ -136,10 +137,14 @@ func run(args []string) error {
 			}
 		}()
 	}
+	// -runtrace mints one causal trace per trial with a Perfetto sink
+	// attached; the recorder supplies IDs and the clock.
+	var traces *causal.Recorder
 	if *runtrace != "" {
 		if err := os.MkdirAll(*runtrace, 0o755); err != nil {
 			return err
 		}
+		traces = causal.NewRecorder(0)
 	}
 
 	src := rng.New(*seed)
@@ -189,10 +194,14 @@ func run(args []string) error {
 		if col != nil {
 			rec = col
 		}
-		var sink *tracelog.Sink
-		if *runtrace != "" {
-			sink = tracelog.New(runID, rec)
-			rec = sink
+		var (
+			sink  *tracelog.Sink
+			cause causal.Context
+		)
+		if traces != nil {
+			sink = tracelog.New(runID)
+			cause = traces.StartTraceSink(sink, causal.ExperimentRoot,
+				causal.String("experiment", "netdisj"), causal.String("runId", runID))
 		}
 		res, err := netrun.Run(proto.Scheduler(), proto.Players(), nil, netrun.Config{
 			Transport:  tr,
@@ -204,12 +213,13 @@ func run(args []string) error {
 			MaxRetries: *retries,
 			Limits:     proto.Limits(),
 			Recorder:   rec,
+			Causal:     cause,
 		})
 		if sink != nil {
 			// Written even for crashed trials: a trace of the failure is
 			// exactly what the flag is for.
-			path := filepath.Join(*runtrace, tracelog.FileName(runID))
-			if werr := writeTrace(path, sink); werr != nil {
+			path, werr := sink.WriteFile(*runtrace)
+			if werr != nil {
 				return werr
 			}
 			logger.Info("trace written", "trial", t, "path", path)
@@ -269,18 +279,6 @@ func newProtocol(delivery netrun.DeliveryMode, inst *disj.Instance) (protocol, e
 		return disj.NewCoordinatorProtocol(inst, disj.CoordinatorOptions{})
 	}
 	return disj.NewOptimalProtocol(inst, disj.Options{})
-}
-
-func writeTrace(path string, sink *tracelog.Sink) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if _, err := sink.WriteTo(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func totalRetries(s netrun.Stats) int64 {

@@ -106,7 +106,7 @@ func EstimateCICOpts(spec Spec, prior Prior, src *rng.Source, samples int, opts 
 	}
 	var prog *ir.Program
 	if !opts.DisableIR {
-		prog = irEstimatorProgram(spec, prior, opts.Recorder)
+		prog = irEstimatorProgram(spec, prior, opts.Recorder, opts.Causal)
 	}
 	rec := opts.Recorder
 	shards := (samples + cicShardSize - 1) / cicShardSize
@@ -122,16 +122,19 @@ func EstimateCICOpts(spec Spec, prior Prior, src *rng.Source, samples int, opts 
 	if prog != nil {
 		engine = "ir"
 	}
-	parts, err := pool.MapRecorded(pool.Workers(opts.Workers), shards, func(i int) (cicPartial, error) {
+	parts, err := pool.Map(pool.Workers(opts.Workers), shards, func(i int) (cicPartial, error) {
 		count := cicShardSize
 		if i == shards-1 {
 			count = samples - i*cicShardSize
 		}
-		span := telemetry.StartSpan(rec, telemetry.CoreCICShardNs)
-		var cspan causal.Span
+		// Attributes only for a recording context: formatting the shard
+		// index would allocate on the untraced path.
+		var span causal.Span
 		if opts.Causal.Enabled() {
-			cspan = opts.Causal.StartSpan(causal.CoreShard,
+			span = opts.Causal.StartSpan(rec, causal.CoreShard,
 				causal.Int("shard", i), causal.String("engine", engine))
+		} else {
+			span = opts.Causal.StartSpan(rec, causal.CoreShard)
 		}
 		var p cicPartial
 		var err error
@@ -140,10 +143,9 @@ func EstimateCICOpts(spec Spec, prior Prior, src *rng.Source, samples int, opts 
 		} else {
 			p, err = cicShard(spec, prior, streams[i], count)
 		}
-		cspan.End()
-		span.End()
+		telemetry.Observe(rec, telemetry.CoreCICShardNs, float64(span.End()))
 		return p, err
-	}, rec)
+	})
 	if err != nil {
 		return nil, err
 	}

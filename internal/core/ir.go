@@ -5,6 +5,7 @@ import (
 	"broadcastic/internal/prob"
 	"broadcastic/internal/rng"
 	"broadcastic/internal/telemetry"
+	"broadcastic/internal/telemetry/causal"
 )
 
 // Compiled-IR hook: keyed (spec, prior) pairs compile once into a flat
@@ -63,7 +64,7 @@ type irMergeSpec struct {
 // (spec, prior) pair, or nil when either side is unkeyed or the pair is
 // ineligible. A core.Prior satisfies ir.Prior structurally, so only the
 // spec needs the adapter.
-func irEstimatorProgram(spec Spec, prior Prior, rec telemetry.Recorder) *ir.Program {
+func irEstimatorProgram(spec Spec, prior Prior, rec telemetry.Recorder, cause causal.Context) *ir.Program {
 	sk, ok := spec.(ir.Keyer)
 	if !ok {
 		return nil
@@ -80,7 +81,7 @@ func irEstimatorProgram(spec Spec, prior Prior, rec telemetry.Recorder) *ir.Prog
 	if sk, ok := spec.(ir.StateKeyer); ok {
 		is = irMergeSpec{irSpec{spec}, sk}
 	}
-	p := ir.EstimatorProgram(is, prior, skey, pkey, rec)
+	p := ir.EstimatorProgram(is, prior, skey, pkey, rec, cause)
 	if p == nil || !p.Estimator() {
 		return nil
 	}

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"broadcastic/internal/telemetry"
+	"broadcastic/internal/telemetry/causal"
 )
 
 // Program cache: compiled programs are pure functions of the (spec,
@@ -61,11 +62,12 @@ func (c *programCache) store(key string, p *Program) {
 	c.mu.Unlock()
 }
 
-// cached wraps a compile behind the cache with hit/miss/compile-time
-// telemetry. compile runs outside the lock; concurrent misses on the same
-// key compile redundantly and one result wins — harmless, since programs
-// are immutable and identical.
-func cached(key string, rec telemetry.Recorder, compile func() *Program) *Program {
+// cached wraps a compile behind the cache with hit/miss telemetry and an
+// ir.compile span, whose duration is the ir.compile_ns sample. compile
+// runs outside the lock; concurrent misses on the same key compile
+// redundantly and one result wins — harmless, since programs are
+// immutable and identical.
+func cached(key string, rec telemetry.Recorder, cause causal.Context, compile func() *Program) *Program {
 	if p, ok := cache.lookup(key); ok {
 		if rec != nil {
 			rec.Count(telemetry.IRProgramHits, 1)
@@ -75,9 +77,9 @@ func cached(key string, rec telemetry.Recorder, compile func() *Program) *Progra
 	if rec != nil {
 		rec.Count(telemetry.IRProgramMisses, 1)
 	}
-	span := telemetry.StartSpan(rec, telemetry.IRCompileNs)
+	span := cause.StartSpan(rec, causal.IRCompile)
 	p := compile()
-	span.End()
+	telemetry.Observe(rec, telemetry.IRCompileNs, float64(span.End()))
 	if p != nil {
 		p.keySHA = keySHA(key)
 	}
@@ -89,14 +91,15 @@ func cached(key string, rec telemetry.Recorder, compile func() *Program) *Progra
 // spec, compiling on first use. specKey must be the spec's IRKey. Returns
 // nil when the spec is ineligible; the caller falls back dynamically.
 func SpecProgram(spec Spec, specKey string, rec telemetry.Recorder) *Program {
-	return cached("s|"+specKey, rec, func() *Program { return CompileSpec(spec) })
+	return cached("s|"+specKey, rec, causal.Context{}, func() *Program { return CompileSpec(spec) })
 }
 
 // EstimatorProgram returns the cached estimator program for a keyed
-// (spec, prior) pair, compiling on first use. Returns nil when the pair
-// is ineligible; the caller falls back dynamically.
-func EstimatorProgram(spec Spec, prior Prior, specKey, priorKey string, rec telemetry.Recorder) *Program {
-	return cached("e|"+specKey+"|"+priorKey, rec, func() *Program { return CompileEstimator(spec, prior) })
+// (spec, prior) pair, compiling on first use; a compile is traced under
+// cause. Returns nil when the pair is ineligible; the caller falls back
+// dynamically.
+func EstimatorProgram(spec Spec, prior Prior, specKey, priorKey string, rec telemetry.Recorder, cause causal.Context) *Program {
+	return cached("e|"+specKey+"|"+priorKey, rec, cause, func() *Program { return CompileEstimator(spec, prior) })
 }
 
 // ResetProgramCache empties the program cache. It exists for tests that

@@ -107,8 +107,7 @@ type job struct {
 	Job
 	cancelled bool // set by Cancel; a running job finishes but stays Canceled
 	cause     causal.Context
-	queueSpan causal.Span // submit -> dispatch; never ended if canceled while queued
-	submitted time.Time   // monotonic submit instant, for queue-wait observation
+	queueSpan causal.Span // submit -> dispatch, timing the queue wait; never ended if canceled while queued
 }
 
 // tenantMetrics caches one tenant's pre-rendered labeled metric names and
@@ -314,8 +313,7 @@ func (s *Service) SubmitTraced(tenant string, spec JobSpec, cause causal.Context
 			Key:         key,
 			SubmittedMs: nowMs(),
 		},
-		cause:     cause,
-		submitted: time.Now(),
+		cause: cause,
 	}
 	if cause.Enabled() {
 		j.TraceID = cause.Trace().String()
@@ -337,7 +335,7 @@ func (s *Service) SubmitTraced(tenant string, spec JobSpec, cause causal.Context
 		// The queue-wait span opens here and closes when a worker picks the
 		// job up; a job canceled while queued never ends it, so only
 		// dispatched jobs contribute queue-wait records and observations.
-		j.queueSpan = cause.StartSpan(causal.JobQueueWait, causal.String("job", j.ID))
+		j.queueSpan = cause.StartSpan(s.opts.Recorder, causal.JobQueueWait, causal.String("job", j.ID))
 		s.depthGaugesLocked(tm, tenant)
 		s.cond.Signal()
 	}
@@ -440,34 +438,31 @@ func (s *Service) worker() {
 		}
 		j.State = Running
 		j.StartedMs = nowMs()
-		wait := time.Since(j.submitted)
 		id, tenant, spec := j.ID, j.Tenant, j.Spec
 		cause := j.cause
 		tm := s.tenant(tenant)
 		s.depthGaugesLocked(tm, tenant)
-		j.queueSpan.End()
+		wait := float64(j.queueSpan.End())
 		s.mu.Unlock()
 
 		// Queue wait is observed exactly once per dispatched job, at
 		// dispatch; canceled-while-queued jobs never reach this point.
-		telemetry.Observe(s.opts.Recorder, telemetry.JobsQueueWaitNs, float64(wait))
-		telemetry.Observe(s.opts.Recorder, tm.waitNs, float64(wait))
+		telemetry.Observe(s.opts.Recorder, telemetry.JobsQueueWaitNs, wait)
+		telemetry.Observe(s.opts.Recorder, tm.waitNs, wait)
 		cause.Event(causal.JobDispatch, causal.String("job", id))
 
 		var progress func(done, total int)
 		if s.opts.Progress != nil {
 			progress = s.opts.Progress(id, spec.Experiment)
 		}
-		span := telemetry.StartSpan(s.opts.Recorder, telemetry.JobsJobNs)
-		exec := cause.StartSpan(causal.JobExecute,
+		exec := cause.StartSpan(s.opts.Recorder, causal.JobExecute,
 			causal.String("job", id), causal.String("experiment", spec.Experiment))
 		result, err := s.opts.Run(spec, RunContext{
 			Recorder: s.opts.Recorder,
 			Progress: progress,
 			Causal:   exec.Context(),
 		})
-		exec.End()
-		span.End()
+		telemetry.Observe(s.opts.Recorder, telemetry.JobsJobNs, float64(exec.End()))
 
 		if err == nil && s.opts.Cache != nil {
 			s.opts.Cache.Put(j.Key, result)

@@ -418,10 +418,7 @@ func runTopology(sched blackboard.Scheduler, players []blackboard.Player, public
 			return finish(nil), nil
 		}
 
-		var turnStart time.Time
-		if cfg.Recorder != nil {
-			turnStart = time.Now()
-		}
+		turn := cfg.Causal.StartSpan(cfg.Recorder, causal.NetrunTurn)
 		if err := r.sendFrom(coord, speaker, frameTurn, encodeTurnPayload(st.Board().NumMessages())); err != nil {
 			return crash(speaker, err)
 		}
@@ -462,9 +459,10 @@ func runTopology(sched blackboard.Scheduler, players []blackboard.Player, public
 			}
 		}
 
+		turnNs := float64(turn.End())
 		if cfg.Recorder != nil {
 			cfg.Recorder.Count(telemetry.NetrunTurns, 1)
-			cfg.Recorder.Observe(telemetry.NetrunTurnNs, float64(time.Since(turnStart)))
+			cfg.Recorder.Observe(telemetry.NetrunTurnNs, turnNs)
 		}
 	}
 }

@@ -516,18 +516,12 @@ func (ep *endpoint) send(kind byte, payload []byte) error {
 	}
 	timeout := ep.timeout
 	maxTimeout := 8 * ep.timeout
-	var sendStart time.Time
-	if ep.rec != nil {
-		sendStart = time.Now()
-	}
-	// The hop span covers first transmission to matching ack; it is ended
-	// only on successful delivery, so a hop that exhausted its retry budget
-	// (or died with the link) is absent from the dump — the retry events
-	// and the eventual crash record tell that story instead.
-	var hop causal.Span
-	if ep.cause.Enabled() {
-		hop = ep.cause.StartSpan(causal.NetrunHop, ep.linkAttr, causal.String("kind", kindName(kind)))
-	}
+	// The hop span covers first transmission to matching ack, retransmissions
+	// included, and its duration is the ack-latency sample. It is ended only
+	// on successful delivery, so a hop that exhausted its retry budget (or
+	// died with the link) is absent from the dump and the histograms — the
+	// retry events and the eventual crash record tell that story instead.
+	hop := ep.cause.StartSpan(ep.rec, causal.NetrunHop, ep.linkAttr, causal.String("kind", kindName(kind)))
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
 			ep.stats.retries.Add(1)
@@ -550,13 +544,11 @@ func (ep *endpoint) send(kind byte, payload []byte) error {
 				case ackSeq := <-ep.ackCh:
 					if ackSeq == seq {
 						ep.sendTimer.disarm()
+						ackNs := float64(hop.End())
 						if ep.rec != nil {
-							// Ack latency spans first transmission to the
-							// matching ack, retransmissions included.
-							ep.rec.Observe(telemetry.NetrunAckNs, float64(time.Since(sendStart)))
-							ep.rec.Observe(ep.names.ackNs, float64(time.Since(sendStart)))
+							ep.rec.Observe(telemetry.NetrunAckNs, ackNs)
+							ep.rec.Observe(ep.names.ackNs, ackNs)
 						}
-						hop.End()
 						return nil
 					}
 					// Stale ack for an earlier frame (e.g. from an injected

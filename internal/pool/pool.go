@@ -14,9 +14,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
-
-	"broadcastic/internal/telemetry"
 )
 
 // Workers resolves a requested worker count: n > 0 is used as-is, anything
@@ -34,26 +31,12 @@ func Workers(n int) int {
 // errors and stops handing out new cells; already-running cells finish
 // first, so fn is never abandoned mid-flight.
 func Map[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
-	return MapRecorded(workers, n, fn, nil)
-}
-
-// MapRecorded is Map with pool-level telemetry: per-invocation wall time,
-// per-worker busy time, and the utilization ratio busy/(workers·wall) that
-// tells a perf investigation whether a sweep is starved for cells or for
-// CPUs. A nil rec is exactly Map — results are bit-identical either way,
-// since recording observes only the clock, never the cells.
-func MapRecorded[T any](workers, n int, fn func(i int) (T, error), rec telemetry.Recorder) ([]T, error) {
 	out := make([]T, n)
 	if n <= 0 {
 		return out, nil
 	}
 	if workers > n {
 		workers = n
-	}
-	var wallStart time.Time
-	if rec != nil {
-		rec.Count(telemetry.PoolRuns, 1)
-		wallStart = time.Now()
 	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
@@ -63,36 +46,19 @@ func MapRecorded[T any](workers, n int, fn func(i int) (T, error), rec telemetry
 			}
 			out[i] = v
 		}
-		if rec != nil {
-			// One worker: busy time and wall time coincide.
-			wall := float64(time.Since(wallStart))
-			rec.Observe(telemetry.PoolWallNs, wall)
-			rec.Observe(telemetry.PoolWorkerBusyNs, wall)
-			rec.Observe(telemetry.PoolUtilization, 1)
-		}
 		return out, nil
 	}
 	var (
-		next      atomic.Int64
-		failed    atomic.Bool
-		errOnce   sync.Once
-		firstErr  error
-		wg        sync.WaitGroup
-		totalBusy atomic.Int64
+		next     atomic.Int64
+		failed   atomic.Bool
+		errOnce  sync.Once
+		firstErr error
+		wg       sync.WaitGroup
 	)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var busyStart time.Time
-			if rec != nil {
-				busyStart = time.Now()
-				defer func() {
-					busy := time.Since(busyStart)
-					totalBusy.Add(int64(busy))
-					rec.Observe(telemetry.PoolWorkerBusyNs, float64(busy))
-				}()
-			}
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n || failed.Load() {
@@ -109,13 +75,6 @@ func MapRecorded[T any](workers, n int, fn func(i int) (T, error), rec telemetry
 		}()
 	}
 	wg.Wait()
-	if rec != nil {
-		wall := float64(time.Since(wallStart))
-		rec.Observe(telemetry.PoolWallNs, wall)
-		if wall > 0 {
-			rec.Observe(telemetry.PoolUtilization, float64(totalBusy.Load())/(wall*float64(workers)))
-		}
-	}
 	if failed.Load() {
 		return nil, firstErr
 	}

@@ -16,6 +16,7 @@ import (
 
 	"broadcastic/internal/sim"
 	"broadcastic/internal/telemetry"
+	"broadcastic/internal/telemetry/causal"
 	"broadcastic/internal/telemetry/promtext"
 	"broadcastic/internal/telemetry/tracelog"
 )
@@ -378,10 +379,10 @@ func TestShutdownEndsFollowStream(t *testing.T) {
 		runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
 }
 
-// TestObservedExperimentEndToEnd is the acceptance pin for the tentpole
-// invariant: an experiment run with the full observability plane attached
-// — shared Collector, Chrome-trace sink, progress hook, live HTTP server
-// — renders a table byte-identical to a bare run, and the /metrics
+// TestObservedExperimentEndToEnd is the acceptance pin for the
+// observability invariant: an experiment run with the full observability plane attached
+// — shared Collector, causal trace teeing a Chrome-trace sink, progress
+// hook, live HTTP server — renders a table byte-identical to a bare run, and the /metrics
 // exposition agrees exactly with the final Collector snapshot
 // (blackboard_bits and every netrun_topo_*_wire_bits series included).
 func TestObservedExperimentEndToEnd(t *testing.T) {
@@ -407,14 +408,17 @@ func TestObservedExperimentEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Observed: collector + trace sink + progress hook + live server.
+	// Observed: collector + causal trace with a Perfetto sink + progress
+	// hook + live server.
 	col := telemetry.NewCollector()
 	broker := NewBroker()
 	ts := httptest.NewServer(NewMux(col, broker))
 	defer ts.Close()
-	sink := tracelog.New("E20-seed7", col)
+	sink := tracelog.New("E20-seed7")
 	cfg := base
-	cfg.Recorder = sink
+	cfg.Recorder = col
+	cfg.Causal = causal.NewRecorder(0).StartTraceSink(sink, causal.ExperimentRoot,
+		causal.String("experiment", "E20"), causal.String("runId", sink.RunID()))
 	cfg.Progress = broker.ProgressFunc("E20-seed7", "E20", col)
 	obsTbl, err := e20.Run(cfg)
 	if err != nil {
@@ -481,7 +485,13 @@ func TestObservedExperimentEndToEnd(t *testing.T) {
 	if err := json.Unmarshal(traceBuf.Bytes(), &tr); err != nil {
 		t.Fatalf("trace is not valid JSON: %v", err)
 	}
-	if len(tr.TraceEvents) == 0 {
-		t.Error("trace recorded no events")
+	hops := 0
+	for _, ev := range tr.TraceEvents {
+		if ev.Phase == "X" && ev.Name == causal.NetrunHop {
+			hops++
+		}
+	}
+	if hops == 0 {
+		t.Error("trace recorded no netrun.hop spans")
 	}
 }

@@ -23,9 +23,10 @@ import (
 //   - results come back in cell order (pool.Map), so tables are assembled
 //     in the same deterministic order regardless of completion order.
 //
-// With a Recorder installed (Config.Recorder) the engine additionally
-// reports each cell's wall time and the pool's worker utilization;
-// recording reads only the clock, so it cannot perturb any cell's output.
+// With a Recorder or a trace installed (Config.Recorder, Config.Causal)
+// each cell runs under a sim.cell span, whose duration is the cell's
+// sim.cell_ns sample; the span reads only the clock, so it cannot perturb
+// any cell's output.
 
 // workers resolves the configured worker count (0 → one per CPU).
 func (c Config) workers() int { return pool.Workers(c.Workers) }
@@ -45,22 +46,16 @@ func sweep[T any](cfg Config, base *rng.Source, n int, fn func(cell int, src *rn
 		}
 		return fn(i, src)
 	}
-	if cfg.Recorder != nil {
+	if cfg.Recorder != nil || cfg.Causal.Enabled() {
 		inner := cell
 		cell = func(i int) (T, error) {
-			span := telemetry.StartSpan(cfg.Recorder, telemetry.SimCellNs)
+			span := cfg.Causal.StartSpan(cfg.Recorder, causal.SimCell, causal.Int("cell", i))
 			v, err := inner(i)
-			span.End()
-			cfg.Recorder.Count(telemetry.SimCells, 1)
-			return v, err
-		}
-	}
-	if cfg.Causal.Enabled() {
-		inner := cell
-		cell = func(i int) (T, error) {
-			span := cfg.Causal.StartSpan(causal.SimCell, causal.Int("cell", i))
-			v, err := inner(i)
-			span.End()
+			d := span.End()
+			if cfg.Recorder != nil {
+				cfg.Recorder.Observe(telemetry.SimCellNs, float64(d))
+				cfg.Recorder.Count(telemetry.SimCells, 1)
+			}
 			return v, err
 		}
 	}
@@ -75,7 +70,7 @@ func sweep[T any](cfg Config, base *rng.Source, n int, fn func(cell int, src *rn
 			return v, err
 		}
 	}
-	return pool.MapRecorded(cfg.workers(), n, cell, cfg.Recorder)
+	return pool.Map(cfg.workers(), n, cell)
 }
 
 // sweepRows is sweep specialized to the common case of exactly one table

@@ -47,9 +47,9 @@ type Config struct {
 	// default) means one worker per CPU. The rendered tables are
 	// bit-identical for every value — see engine.go for why.
 	Workers int
-	// Recorder receives harness telemetry (per-cell wall time, pool
-	// utilization, and the board/estimator accounting of instrumented
-	// sub-runs); nil disables collection. Tables are bit-identical with
+	// Recorder receives harness telemetry (per-cell wall time and the
+	// board/estimator accounting of instrumented sub-runs); nil disables
+	// collection. Tables are bit-identical with
 	// any recorder installed — the serial-equivalence tests pin this.
 	Recorder telemetry.Recorder
 	// Progress, when non-nil, is called after each sweep cell completes

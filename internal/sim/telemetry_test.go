@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"encoding/json"
+	"math"
+	"sort"
 	"strings"
 	"testing"
 
@@ -55,8 +58,9 @@ func TestTelemetryEquivalence(t *testing.T) {
 			if cells := rec.Counter(telemetry.SimCells); cells == 0 {
 				t.Fatalf("%s: recorder saw no cells (workers=%d)", e.id, workers)
 			}
-			if rec.Hist(telemetry.PoolWallNs).Count == 0 {
-				t.Fatalf("%s: recorder saw no pool runs (workers=%d)", e.id, workers)
+			// Every cell ran under one sim.cell span, timed for the recorder.
+			if got, cells := rec.Hist(telemetry.SimCellNs).Count, rec.Counter(telemetry.SimCells); got != cells {
+				t.Fatalf("%s: %d cell-time samples for %d cells (workers=%d)", e.id, got, cells, workers)
 			}
 		}
 	}
@@ -87,6 +91,9 @@ func TestTelemetrySnapshotConsistency(t *testing.T) {
 // sink all attached, every table renders byte-identical to the bare run —
 // and the equivalence is not vacuous, because the recorder demonstrably
 // held cell spans (plus netrun hops for E20 and estimator shards for E4).
+// The Perfetto trace nests: at workers 4, concurrent cells and shards sit
+// in separate lanes of their row, so no two complete events on one thread
+// partially overlap.
 func TestCausalEquivalence(t *testing.T) {
 	experiments := []struct {
 		id   string
@@ -102,7 +109,7 @@ func TestCausalEquivalence(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			fr := causal.NewRecorder(0)
 			col := telemetry.NewCollector()
-			sink := tracelog.New(e.id+"-causal", col)
+			sink := tracelog.New(e.id + "-causal")
 			cause := fr.StartTrace(causal.ExperimentRoot,
 				causal.String("experiment", e.id)).WithSink(sink)
 			cfg := Config{Seed: 7, Scale: Quick, Workers: workers, Recorder: col, Causal: cause}
@@ -136,6 +143,46 @@ func TestCausalEquivalence(t *testing.T) {
 			if !strings.Contains(buf.String(), causal.SimCell) {
 				t.Errorf("%s: Perfetto trace missing teed sim.cell records", e.id)
 			}
+			var tr tracelog.Trace
+			if err := json.Unmarshal([]byte(buf.String()), &tr); err != nil {
+				t.Fatalf("%s: trace does not parse: %v", e.id, err)
+			}
+			if a, b, ok := partialOverlap(tr); ok {
+				t.Errorf("%s: %s and %s partially overlap on pid %d tid %d (workers=%d)",
+					e.id, a.Name, b.Name, a.Pid, a.Tid, workers)
+			}
 		}
 	}
+}
+
+// partialOverlap finds two complete events on one (pid, tid) that overlap
+// without one containing the other — the shape Perfetto cannot nest.
+// Times are compared in whole nanoseconds, the records' resolution.
+func partialOverlap(tr tracelog.Trace) (a, b tracelog.Event, found bool) {
+	type slice struct {
+		ev         tracelog.Event
+		start, end int64
+	}
+	byThread := map[[2]int][]slice{}
+	for _, ev := range tr.TraceEvents {
+		if ev.Phase == "X" {
+			start := int64(math.Round(ev.Ts * 1e3))
+			key := [2]int{ev.Pid, ev.Tid}
+			byThread[key] = append(byThread[key], slice{ev, start, start + int64(math.Round(ev.Dur*1e3))})
+		}
+	}
+	for _, ss := range byThread {
+		sort.Slice(ss, func(i, j int) bool { return ss[i].start < ss[j].start })
+		var open []slice // enclosing slices, innermost last
+		for _, s := range ss {
+			for len(open) > 0 && open[len(open)-1].end <= s.start {
+				open = open[:len(open)-1]
+			}
+			if n := len(open); n > 0 && s.end > open[n-1].end {
+				return open[n-1].ev, s.ev, true
+			}
+			open = append(open, s)
+		}
+	}
+	return a, b, false
 }

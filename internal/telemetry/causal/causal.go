@@ -19,15 +19,27 @@
 // zero Context is disabled: every method is an inert no-op costing one
 // branch, exactly like the telemetry package's nil-Recorder discipline.
 //
-// Recording is strictly observational: call sites read the clock and
-// nothing else, so transcripts, tables and RNG streams are byte-identical
-// with tracing enabled — pinned by the same equivalence suites that pin
-// the metrics plane.
+// # Timing
+//
+// A Span is the repository's one stopwatch. End returns the End − Start it
+// records, and every duration histogram of the metrics plane (sim.cell_ns,
+// core.cic.shard_ns, netrun.ack_ns, ...) observes exactly that value, so a
+// span's record and its histogram sample can never disagree. A span is
+// timed when its Context records or when its caller passes the layer's
+// metrics Recorder; otherwise it reads no clock and allocates nothing.
+//
+// Recording is strictly observational: spans read the clock and nothing
+// else, so transcripts, tables and RNG streams are byte-identical with
+// tracing enabled — pinned by the same equivalence suites that pin the
+// metrics plane.
 package causal
 
 import (
 	"fmt"
 	"strconv"
+	"time"
+
+	"broadcastic/internal/telemetry"
 )
 
 // TraceID identifies one root activity (a job, an experiment run). IDs are
@@ -134,8 +146,10 @@ const (
 	ExperimentRoot = "experiment"     // root event for suite-run traces
 	SimCell        = "sim.cell"       // span: one sweep cell
 	CoreShard      = "core.cic.shard" // span: one estimator shard (engine attr)
+	IRCompile      = "ir.compile"     // span: one program compilation (program-cache miss)
 
 	// Networked runtime.
+	NetrunTurn  = "netrun.turn"  // span: one turn, announcement to delivery
 	NetrunHop   = "netrun.hop"   // span: one data frame send -> ack (link, kind attrs)
 	NetrunRetry = "netrun.retry" // event: one retransmission attempt
 	NetrunFault = "netrun.fault" // fault event: one injected link fault
@@ -174,19 +188,36 @@ func (c Context) WithSink(sink EventSink) Context {
 
 // StartSpan opens a child span of the context's current span. The span is
 // recorded at End (flight-recorder entries are completed regions); a span
-// never ended is simply absent from the dump.
-func (c Context) StartSpan(name string, attrs ...Attr) Span {
-	if c.rec == nil {
-		return Span{}
+// never ended is simply absent from the dump. m is the calling layer's
+// metrics Recorder: when it is non-nil the span is timed even though the
+// context is disabled, so End can return the duration its histogram
+// observes. With a disabled context and a nil m the span is inert. A
+// recording span keeps its own copy of attrs, so the caller's attribute
+// slice never escapes and an unrecorded span allocates nothing.
+func (c Context) StartSpan(m telemetry.Recorder, name string, attrs ...Attr) Span {
+	switch {
+	case c.rec != nil:
+		sp := Span{
+			ctx:   c,
+			id:    c.rec.nextSpan(),
+			name:  name,
+			start: c.rec.now(),
+		}
+		if len(attrs) > 0 {
+			sp.attrs = append([]Attr(nil), attrs...)
+		}
+		return sp
+	case m != nil:
+		return Span{start: sinceOrigin(), timed: true}
 	}
-	return Span{
-		ctx:   c,
-		id:    c.rec.nextSpan(),
-		name:  name,
-		start: c.rec.now(),
-		attrs: attrs,
-	}
+	return Span{}
 }
+
+// origin is the clock of spans timed only for a metrics Recorder: with no
+// flight recorder there is no epoch, and a duration needs none.
+var origin = time.Now()
+
+func sinceOrigin() int64 { return int64(time.Since(origin)) }
 
 // Event records an instant under the current span.
 func (c Context) Event(name string, attrs ...Attr) {
@@ -232,13 +263,14 @@ func (c Context) emit(name string, fault bool, attrs []Attr) {
 }
 
 // Span is an in-flight timed region. The zero Span (from a disabled
-// Context) is inert: Context returns a disabled Context and End returns
-// immediately.
+// Context and no metrics Recorder) is inert: Context returns a disabled
+// Context and End returns 0 without reading the clock.
 type Span struct {
 	ctx   Context
 	id    SpanID
 	name  string
 	start int64
+	timed bool // timed for a metrics Recorder alone, start read from origin
 	attrs []Attr
 }
 
@@ -254,13 +286,19 @@ func (s Span) Context() Context {
 	return c
 }
 
-// ID returns the span's ID (0 for the inert zero Span).
+// ID returns the span's ID (0 for an unrecorded span).
 func (s Span) ID() SpanID { return s.id }
 
-// End completes the span and records it.
-func (s Span) End() {
+// End completes the span, records it when its context is enabled, and
+// returns its duration: the End − Start of the record, or the same clock
+// difference for a span timed only for a metrics Recorder. An inert span
+// returns 0.
+func (s Span) End() time.Duration {
 	if s.ctx.rec == nil {
-		return
+		if !s.timed {
+			return 0
+		}
+		return time.Duration(sinceOrigin() - s.start)
 	}
 	r := Record{
 		Trace:  s.ctx.trace,
@@ -276,4 +314,5 @@ func (s Span) End() {
 	if s.ctx.sink != nil {
 		s.ctx.sink.CausalEvent(r)
 	}
+	return time.Duration(r.End - r.Start)
 }

@@ -7,6 +7,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
+
+	"broadcastic/internal/telemetry"
 )
 
 func TestTraceIDStringParseRoundTrip(t *testing.T) {
@@ -37,7 +40,7 @@ func TestDisabledContextIsInert(t *testing.T) {
 		t.Fatal("zero Context not disabled")
 	}
 	// None of these may panic or record anywhere.
-	sp := c.StartSpan("x", Int("i", 1))
+	sp := c.StartSpan(nil, "x", Int("i", 1))
 	sp.End()
 	sub := sp.Context()
 	if sub.Enabled() {
@@ -51,15 +54,68 @@ func TestDisabledContextIsInert(t *testing.T) {
 	}
 }
 
+// nopRecorder is a live metrics Recorder that discards everything.
+type nopRecorder struct{}
+
+func (nopRecorder) Count(string, int64)     {}
+func (nopRecorder) Observe(string, float64) {}
+
+// TestSpanEndReturnsRecordedDuration pins the one-stopwatch contract: a
+// recorded span's End returns exactly the End − Start of its record; with
+// a disabled context the span is timed only for a metrics Recorder, and
+// with neither it returns 0.
+func TestSpanEndReturnsRecordedDuration(t *testing.T) {
+	r := NewRecorder(256)
+	c := r.StartTrace("root")
+	sp := c.StartSpan(nil, "s")
+	time.Sleep(time.Millisecond)
+	d := sp.End()
+	var rec Record
+	for _, x := range r.Records(c.Trace()) {
+		if x.Name == "s" {
+			rec = x
+		}
+	}
+	if d != time.Duration(rec.End-rec.Start) || d < time.Millisecond {
+		t.Errorf("End() = %v, record spans %d ns", d, rec.End-rec.Start)
+	}
+
+	var off Context
+	timed := off.StartSpan(nopRecorder{}, "s")
+	time.Sleep(time.Millisecond)
+	if d := timed.End(); d < time.Millisecond {
+		t.Errorf("metrics-only span End() = %v, want >= 1ms", d)
+	}
+	if d := off.StartSpan(nil, "s").End(); d != 0 {
+		t.Errorf("inert span End() = %v, want 0", d)
+	}
+}
+
+// TestUnrecordedSpanAllocatesNothing: without a recording context a span
+// allocates nothing, timed for a metrics Recorder or not, attributes
+// included — the record copies its attrs, so the caller's never escape.
+func TestUnrecordedSpanAllocatesNothing(t *testing.T) {
+	var off Context
+	for name, m := range map[string]telemetry.Recorder{"inert": nil, "timed": nopRecorder{}} {
+		allocs := testing.AllocsPerRun(100, func() {
+			sp := off.StartSpan(m, NetrunHop, String("link", "0"), String("kind", "msg"))
+			sp.End()
+		})
+		if allocs != 0 {
+			t.Errorf("%s span allocates %v per start/end, want 0", name, allocs)
+		}
+	}
+}
+
 func TestStartTraceAndParentLinks(t *testing.T) {
 	r := NewRecorder(256)
 	c := r.StartTrace(JobAdmission, String("tenant", "acme"))
 	if !c.Enabled() || c.Trace() == 0 || c.Span() == 0 {
 		t.Fatalf("StartTrace context = %+v", c)
 	}
-	queue := c.StartSpan(JobQueueWait)
+	queue := c.StartSpan(nil, JobQueueWait)
 	queue.End()
-	exec := c.StartSpan(JobExecute)
+	exec := c.StartSpan(nil, JobExecute)
 	hopCtx := exec.Context()
 	if hopCtx.Trace() != c.Trace() || hopCtx.Span() != exec.ID() {
 		t.Fatalf("Span.Context() trace/span = %v/%v, want %v/%v",
@@ -147,7 +203,7 @@ func TestRingEviction(t *testing.T) {
 func TestDumpNDJSON(t *testing.T) {
 	r := NewRecorder(256)
 	c := r.StartTrace(JobAdmission, String("tenant", "t1"))
-	sp := c.StartSpan(JobExecute, String("job", "j1"))
+	sp := c.StartSpan(nil, JobExecute, String("job", "j1"))
 	sp.Context().Fault(NetrunFault, String("fault", "drop"))
 	sp.End()
 
@@ -233,7 +289,7 @@ func TestWithSinkTeesRecords(t *testing.T) {
 	sink := &captureSink{}
 	c := r.StartTrace("root").WithSink(sink)
 	c.Event("e1")
-	sp := c.StartSpan("s1")
+	sp := c.StartSpan(nil, "s1")
 	sp.End()
 	sp.Context().Fault("f1")
 	sink.mu.Lock()
@@ -268,7 +324,7 @@ func TestRecorderHammer(t *testing.T) {
 				case 0:
 					c.Event("e", Int("i", i))
 				case 1:
-					sp := c.StartSpan("s", Int("i", i))
+					sp := c.StartSpan(nil, "s", Int("i", i))
 					sp.Context().Event("child")
 					sp.End()
 				case 2:

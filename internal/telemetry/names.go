@@ -2,7 +2,11 @@ package telemetry
 
 // Canonical metric names emitted by the instrumented layers. Each layer
 // documents its own semantics next to the emission site; this block is the
-// single index consumers (exporters, tests, dashboards) key against.
+// single index consumers (exporters, tests, dashboards) key against. Every
+// *_ns histogram observes the duration of one causal span (the record name
+// in causal's name index): sim.cell, core.cic.shard, ir.compile,
+// netrun.turn, netrun.hop (ack_ns), jobs.queue_wait and jobs.execute
+// (job_ns).
 const (
 	// Sequential blackboard runtime (internal/blackboard). Per-player bits
 	// use Indexed(BlackboardPlayer, i, "bits").
@@ -27,13 +31,9 @@ const (
 	NetrunTurnNs    = "netrun.turn_ns"    // histogram: turn announcement-to-delivery latency
 	NetrunTopo      = "netrun.topo"       // per-link prefix, indexed by physical link in Topology.Links order
 
-	// Experiment harness (internal/sim) and worker pool (internal/pool).
-	SimCells         = "sim.cells"           // counter: sweep cells evaluated
-	SimCellNs        = "sim.cell_ns"         // histogram: wall time per sweep cell
-	PoolRuns         = "pool.runs"           // counter: recorded pool invocations
-	PoolWallNs       = "pool.wall_ns"        // histogram: wall time per pool invocation
-	PoolWorkerBusyNs = "pool.worker_busy_ns" // histogram: per-worker busy time
-	PoolUtilization  = "pool.utilization"    // histogram: busy/(workers*wall) per invocation
+	// Experiment harness (internal/sim).
+	SimCells  = "sim.cells"   // counter: sweep cells evaluated
+	SimCellNs = "sim.cell_ns" // histogram: wall time per sweep cell
 
 	// Estimators (internal/core).
 	CoreCICSamples     = "core.cic.samples"      // counter: Monte-Carlo samples drawn

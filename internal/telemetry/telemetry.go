@@ -1,8 +1,10 @@
 // Package telemetry is the repository's zero-dependency instrumentation
-// layer: named counters, histograms and span-style timings that the three
-// execution layers (the sequential blackboard runtime, the concurrent
-// networked runtime, and the experiment harness) report into a single
-// Recorder.
+// layer: named counters, histograms and gauges that the execution layers
+// (the sequential blackboard runtime, the concurrent networked runtime,
+// the estimators, the experiment harness and the job service) report into
+// a single Recorder. Durations are not measured here: every *_ns
+// histogram observes the value a causal span's End returns (see package
+// causal), so a metric and the span it summarizes agree exactly.
 //
 // The paper this repository reproduces is about *accounting* — where the
 // bits of a protocol go, per player and per round (Braverman & Oshman,
@@ -22,7 +24,6 @@ package telemetry
 import (
 	"strconv"
 	"strings"
-	"time"
 )
 
 // Recorder collects instrumentation events. Implementations must be safe
@@ -31,7 +32,7 @@ import (
 // pool worker.
 //
 // All call sites in this repository go through the nil-safe package
-// helpers (Count, Observe, StartSpan), so a nil Recorder disables
+// helpers (Count, Observe, Gauge), so a nil Recorder disables
 // collection at the cost of one branch per event.
 type Recorder interface {
 	// Count adds delta to the named monotonic counter.
@@ -74,8 +75,8 @@ func Observe(r Recorder, name string, value float64) {
 }
 
 // Multi fans every event out to all non-nil recorders, letting one run
-// feed several sinks at once (e.g. an aggregating Collector plus a
-// tracelog run trace). It flattens trivial cases so the hot-path helpers
+// feed several sinks at once (e.g. a per-run Collector plus the live one
+// behind /metrics). It flattens trivial cases so the hot-path helpers
 // keep their single-branch disabled cost: no live recorders yields nil,
 // exactly one yields that recorder unwrapped.
 func Multi(rs ...Recorder) Recorder {
@@ -117,32 +118,6 @@ func (m multi) Gauge(name string, value float64) {
 			g.Gauge(name, value)
 		}
 	}
-}
-
-// Span is an in-flight timed region started by StartSpan. The zero Span
-// (from a nil Recorder) is inert: End returns immediately.
-type Span struct {
-	rec   Recorder
-	name  string
-	start time.Time
-}
-
-// StartSpan begins a timed region that End reports as a histogram sample
-// of nanoseconds under the span's name. With a nil Recorder it returns the
-// inert zero Span without reading the clock.
-func StartSpan(r Recorder, name string) Span {
-	if r == nil {
-		return Span{}
-	}
-	return Span{rec: r, name: name, start: time.Now()}
-}
-
-// End closes the span, recording its duration in nanoseconds.
-func (s Span) End() {
-	if s.rec == nil {
-		return
-	}
-	s.rec.Observe(s.name, float64(time.Since(s.start)))
 }
 
 // Indexed renders a per-entity metric name, e.g. Indexed("netrun.topo",

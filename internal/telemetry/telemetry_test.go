@@ -7,18 +7,13 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestNilSafeHelpers(t *testing.T) {
 	// Must not panic and must not record anywhere.
 	Count(nil, "x", 1)
 	Observe(nil, "x", 1)
-	s := StartSpan(nil, "x")
-	s.End()
-	if !s.start.IsZero() {
-		t.Fatal("nil-recorder span read the clock")
-	}
+	Gauge(nil, "x", 1)
 }
 
 func TestCollectorCounters(t *testing.T) {
@@ -88,17 +83,6 @@ func TestCollectorConcurrent(t *testing.T) {
 	}
 	if got := c.Hist("h").Count; got != 8000 {
 		t.Fatalf("concurrent hist count = %d, want 8000", got)
-	}
-}
-
-func TestSpanRecordsDuration(t *testing.T) {
-	c := NewCollector()
-	s := StartSpan(c, "span")
-	time.Sleep(time.Millisecond)
-	s.End()
-	h := c.Hist("span")
-	if h.Count != 1 || h.Sum < float64(time.Millisecond) {
-		t.Fatalf("span hist = %+v", h)
 	}
 }
 

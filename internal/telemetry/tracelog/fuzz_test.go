@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"math"
 	"testing"
+
+	"broadcastic/internal/telemetry/causal"
 )
 
 // FuzzEncode drives the trace-event encoder with adversarial event
@@ -37,16 +39,31 @@ func FuzzEncode(f *testing.F) {
 	})
 }
 
-// FuzzSink drives a live Sink with arbitrary metric activity and requires
-// WriteTo to always produce parseable JSON.
+// FuzzSink drives a live Sink with arbitrary causal records — any name,
+// any attrs (non-integer link attrs included), spans that end before they
+// start, extreme timestamps — and requires WriteTo to always produce JSON
+// that re-parses and keeps every record.
 func FuzzSink(f *testing.F) {
-	f.Add("blackboard.bits", int64(5), "sim.cell_ns", 100.0)
-	f.Add("netrun.topo.3.faults.drop", int64(1), "netrun.topo.3.ack_ns", math.Inf(1))
-	f.Add("", int64(0), "", math.NaN())
-	f.Fuzz(func(t *testing.T, countName string, delta int64, obsName string, value float64) {
-		s := New("fuzz-run", nil)
-		s.Count(countName, delta)
-		s.Observe(obsName, value)
+	f.Add("sim.cell", "cell", "3", int64(10), int64(20), uint64(1), false)
+	f.Add("netrun.hop", "link", "x\"y", int64(5), int64(1), uint64(0), true)
+	f.Add("", "", "", int64(math.MinInt64), int64(math.MaxInt64), uint64(7), false)
+	f.Add("evil\"name\\\x00\xff", "link", "\n", int64(-1), int64(-1), uint64(1<<63), true)
+	f.Fuzz(func(t *testing.T, name, key, value string, start, end int64, parent uint64, fault bool) {
+		s := New("fuzz-run")
+		attrs := []causal.Attr{{Key: key, Value: value}}
+		for i, kind := range []causal.Kind{causal.KindSpan, causal.KindEvent, causal.KindSpan} {
+			s.CausalEvent(causal.Record{
+				Trace:  causal.TraceID(parent % 3),
+				Span:   causal.SpanID(i + 1),
+				Parent: causal.SpanID(parent),
+				Kind:   kind,
+				Name:   name,
+				Start:  start + int64(i),
+				End:    end,
+				Fault:  fault,
+				Attrs:  attrs,
+			})
+		}
 		var buf bytes.Buffer
 		if _, err := s.WriteTo(&buf); err != nil {
 			t.Fatalf("WriteTo failed: %v", err)
@@ -54,6 +71,15 @@ func FuzzSink(f *testing.F) {
 		var back Trace
 		if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 			t.Fatalf("sink trace does not re-parse: %v\n%s", err, buf.Bytes())
+		}
+		records := 0
+		for _, ev := range back.TraceEvents {
+			if ev.Phase != "M" {
+				records++
+			}
+		}
+		if records != 3 {
+			t.Fatalf("trace has %d record events for 3 records", records)
 		}
 	})
 }

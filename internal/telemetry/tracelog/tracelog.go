@@ -1,35 +1,29 @@
-// Package tracelog turns one run's telemetry stream into a Chrome
+// Package tracelog turns one run's causal records into a Chrome
 // trace-event JSON file, openable in Perfetto (ui.perfetto.dev) or
 // chrome://tracing. It is the per-run, time-resolved complement to the
 // aggregate Collector: where the Collector answers "how many bits, in
-// total", a trace answers "when, on which track, in what order".
+// total", a trace answers "when, on which row, in what order".
 //
-// A Sink implements telemetry.Recorder, so it installs anywhere a
-// Collector does — netrun.Config.Recorder, sim.Config.Recorder — and can
-// tee into a downstream recorder so aggregation and tracing share one run.
-// The existing instrumentation call sites map onto trace events without
-// modification:
+// A Sink implements causal.EventSink, so it attaches to a trace context —
+// Recorder.StartTraceSink or Context.WithSink — and receives a copy of
+// every record the run emits. Each record maps onto the trace by one rule:
 //
-//   - Observations of *_ns metrics (spans: netrun turn/ack latency, sim
-//     cell wall time, pool worker busy time, estimator shards) become
-//     complete ("X") duration events, placed on a track derived from the
-//     metric name: netrun.topo.<l>.* lands on "link <l>", other netrun.*
-//     on "coordinator", pool.* / sim.* / core.* / blackboard.* on their
-//     layer's track.
-//   - Counts of fault and crash metrics (netrun.faults,
-//     netrun.topo.<l>.faults.<kind>, netrun.crashes) become instant ("i")
-//     events — each injected fault is visible at its moment of injection.
-//   - All other counts become counter ("C") events carrying the cumulative
-//     value, so Perfetto renders bit and message totals as rising series.
+//   - Its trace becomes a process, named "trace <id>" and carrying the
+//     root record's attrs (tenant, experiment, run ID).
+//   - Its row (a thread of that process) is "link <l>" when the record
+//     has a link attr, and otherwise the first segment of its name:
+//     sim.cell lands on "sim", core.cic.shard on "core", jobs.* on "jobs".
+//   - A span becomes a complete ("X") event and any other record an
+//     instant ("i"); fault instants carry fault=true.
+//   - Spans that overlap in time on one row, such as concurrent cells at
+//     -parallel > 1 or the two directions of one link, go to separate
+//     lanes of that row, so no two X events on one thread partially
+//     overlap.
 //
-// Every event carries the sink's run ID in its args; the ID is also in the
-// file's otherData block. Callers choose stable IDs (seed- and
-// experiment-derived), so re-running a configuration produces a trace with
-// the same identity.
-//
-// Recording never perturbs the run: the sink observes names, values and
-// the clock, exactly like the Collector, and the conformance suites pin
-// that transcripts and tables are bit-identical with a Sink installed.
+// The run ID is in the file's otherData block. Callers choose stable IDs
+// (seed- and experiment-derived), so re-running a configuration produces
+// a trace with the same identity. A sink only collects records the trace
+// already emits, so it never perturbs the run.
 package tracelog
 
 import (
@@ -37,13 +31,12 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
-	"time"
 
-	"broadcastic/internal/telemetry"
 	"broadcastic/internal/telemetry/causal"
 )
 
@@ -52,7 +45,7 @@ import (
 type Event struct {
 	Name  string `json:"name"`
 	Phase string `json:"ph"`
-	// Ts and Dur are microseconds from the sink's start.
+	// Ts and Dur are microseconds from the causal recorder's epoch.
 	Ts    float64        `json:"ts"`
 	Dur   float64        `json:"dur,omitempty"`
 	Pid   int            `json:"pid"`
@@ -69,8 +62,8 @@ type Trace struct {
 }
 
 // sanitizeFloat maps values JSON cannot carry onto encodable ones: NaN
-// becomes 0, ±Inf saturates to ±MaxFloat64. Trace timestamps and counter
-// values are diagnostics; a clamped outlier beats an unencodable file.
+// becomes 0, ±Inf saturates to ±MaxFloat64. Trace timestamps are
+// diagnostics; a clamped outlier beats an unencodable file.
 func sanitizeFloat(v float64) float64 {
 	switch {
 	case math.IsNaN(v):
@@ -117,304 +110,178 @@ func Encode(w io.Writer, t *Trace) error {
 	return enc.Encode(&clean)
 }
 
-// Track ids. Fixed small ids keep related events on stable rows in the
-// viewer; per-link tracks start at linkTidBase + link index.
-const (
-	tidCoordinator = 1
-	tidPool        = 2
-	tidHarness     = 3
-	tidBlackboard  = 4
-	tidEstimator   = 5
-	tidOther       = 6
-	tidJobs        = 7
-	linkTidBase    = 16
-)
-
-// metricsPid is the process id of the aggregate metrics plane; causal
-// traces get their own pid each, allocated from causalPidBase upward, so
-// Perfetto groups one trace's spans under one process named after its
-// trace ID.
-const (
-	metricsPid    = 1
-	causalPidBase = 2
-)
-
-// trackFor derives the display track from a metric's dot-path.
-func trackFor(name string) (tid int, label string) {
-	if rest, ok := strings.CutPrefix(name, telemetry.NetrunTopo+"."); ok {
-		if dot := strings.IndexByte(rest, '.'); dot > 0 {
-			if idx, err := strconv.Atoi(rest[:dot]); err == nil && idx >= 0 {
-				return linkTidBase + idx, "link " + rest[:dot]
-			}
-		}
-	}
-	switch {
-	case strings.HasPrefix(name, "netrun."):
-		return tidCoordinator, "coordinator"
-	case strings.HasPrefix(name, "pool."):
-		return tidPool, "pool"
-	case strings.HasPrefix(name, "sim."):
-		return tidHarness, "harness"
-	case strings.HasPrefix(name, "blackboard."):
-		return tidBlackboard, "blackboard"
-	case strings.HasPrefix(name, "core."):
-		return tidEstimator, "estimator"
-	case strings.HasPrefix(name, "jobs."):
-		return tidJobs, "jobs"
-	default:
-		return tidOther, "other"
-	}
-}
-
-// isInstant reports whether a counted metric should render as a discrete
-// instant event rather than a cumulative counter series: injected faults
-// and crashes are point occurrences an investigation wants to see
-// individually on the timeline.
-func isInstant(name string) bool {
-	return name == telemetry.NetrunFaults ||
-		name == telemetry.NetrunCrashes ||
-		strings.Contains(name, ".faults.")
-}
-
-// Sink records one run's telemetry as trace events. Safe for concurrent
-// use; events buffer in memory until WriteTo (a run trace is bounded by
-// the run, and the callers that install sinks are opt-in diagnostics).
+// Sink collects one run's causal records for a trace file. Safe for
+// concurrent use; records buffer in memory until WriteTo (a run trace is
+// bounded by the run, and sinks are opt-in diagnostics).
 type Sink struct {
 	runID string
-	start time.Time
-	next  telemetry.Recorder
 
-	mu       sync.Mutex
-	events   []Event
-	counters map[string]int64
-	tracks   map[int]string
-	causal   map[causal.TraceID]*causalProcess
-	nextPid  int
-}
-
-// causalProcess is the per-trace display process: its pid, the process
-// metadata args (trace ID plus the root record's attrs — tenant,
-// experiment), and the thread labels used under it.
-type causalProcess struct {
-	pid    int
-	args   map[string]any
-	tracks map[int]string
+	mu      sync.Mutex
+	records []causal.Record
 }
 
 // New starts a sink for one run. runID should be stable across reruns of
 // the same configuration (derive it from the seed and workload, not the
-// clock). next, when non-nil, receives every event too — the usual shape
-// is New(id, collector) so a run feeds its trace and the serving
-// Collector from the same call sites.
-func New(runID string, next telemetry.Recorder) *Sink {
-	return &Sink{
-		runID:    runID,
-		start:    time.Now(),
-		next:     next,
-		counters: make(map[string]int64),
-		tracks:   make(map[int]string),
-		causal:   make(map[causal.TraceID]*causalProcess),
-		nextPid:  causalPidBase,
-	}
-}
+// clock).
+func New(runID string) *Sink { return &Sink{runID: runID} }
 
 // RunID returns the sink's stable run identifier.
 func (s *Sink) RunID() string { return s.runID }
 
-func (s *Sink) now() float64 { return float64(time.Since(s.start)) / 1e3 } // µs
-
-// Count implements telemetry.Recorder.
-func (s *Sink) Count(name string, delta int64) {
-	if s.next != nil {
-		s.next.Count(name, delta)
-	}
-	tid, label := trackFor(name)
-	ts := s.now()
-	s.mu.Lock()
-	s.tracks[tid] = label
-	s.counters[name] += delta
-	total := s.counters[name]
-	if isInstant(name) {
-		s.events = append(s.events, Event{
-			Name: name, Phase: "i", Ts: ts, Pid: 1, Tid: tid, Scope: "t",
-			Args: map[string]any{"delta": delta, "total": total, "runId": s.runID},
-		})
-	} else {
-		s.events = append(s.events, Event{
-			Name: name, Phase: "C", Ts: ts, Pid: 1, Tid: tid,
-			Args: map[string]any{"value": float64(total), "runId": s.runID},
-		})
-	}
-	s.mu.Unlock()
-}
-
-// Observe implements telemetry.Recorder. Span observations (*_ns metric
-// names, recorded at span end with the duration as the value) become
-// complete events stretching back over the measured interval; any other
-// observation becomes an instant event carrying its value.
-func (s *Sink) Observe(name string, value float64) {
-	if s.next != nil {
-		s.next.Observe(name, value)
-	}
-	tid, label := trackFor(name)
-	end := s.now()
-	s.mu.Lock()
-	s.tracks[tid] = label
-	if strings.HasSuffix(name, "_ns") && value >= 0 && !math.IsInf(value, 1) && !math.IsNaN(value) {
-		dur := value / 1e3 // ns -> µs
-		ts := end - dur
-		if ts < 0 {
-			ts = 0
-		}
-		s.events = append(s.events, Event{
-			Name: name, Phase: "X", Ts: ts, Dur: dur, Pid: 1, Tid: tid,
-			Args: map[string]any{"runId": s.runID},
-		})
-	} else {
-		s.events = append(s.events, Event{
-			Name: name, Phase: "i", Ts: end, Pid: 1, Tid: tid, Scope: "t",
-			Args: map[string]any{"value": value, "runId": s.runID},
-		})
-	}
-	s.mu.Unlock()
-}
-
-// Gauge implements telemetry.GaugeRecorder: the level renders as a
-// counter ("C") series, which is how Perfetto displays point-in-time
-// values, and forwards downstream so a tee chain never swallows gauges.
-func (s *Sink) Gauge(name string, value float64) {
-	if g, ok := s.next.(telemetry.GaugeRecorder); ok {
-		g.Gauge(name, value)
-	}
-	tid, label := trackFor(name)
-	ts := s.now()
-	s.mu.Lock()
-	s.tracks[tid] = label
-	s.events = append(s.events, Event{
-		Name: name, Phase: "C", Ts: ts, Pid: metricsPid, Tid: tid,
-		Args: map[string]any{"value": value, "runId": s.runID},
-	})
-	s.mu.Unlock()
-}
-
-// CausalEvent implements causal.EventSink: each trace renders as its own
-// process (pid >= causalPidBase) named after the trace ID, spans as
-// complete ("X") events and instants as "i" events, on threads derived
-// from the record name the same way metric tracks are. Timestamps are the
-// causal Recorder's (nanoseconds since its epoch), self-consistent within
-// each causal pid.
+// CausalEvent implements causal.EventSink.
 func (s *Sink) CausalEvent(rec causal.Record) {
-	tid, label := trackFor(rec.Name)
 	s.mu.Lock()
-	cp := s.causal[rec.Trace]
-	if cp == nil {
-		cp = &causalProcess{
-			pid:    s.nextPid,
-			args:   map[string]any{"trace": rec.Trace.String()},
-			tracks: make(map[int]string),
-		}
-		s.nextPid++
-		s.causal[rec.Trace] = cp
-	}
-	cp.tracks[tid] = label
-	if rec.Parent == 0 {
-		// Root records carry the trace's identity (tenant, experiment);
-		// surface it on the process itself.
-		for _, a := range rec.Attrs {
-			cp.args[a.Key] = a.Value
-		}
-	}
-	args := make(map[string]any, len(rec.Attrs)+4)
-	for _, a := range rec.Attrs {
-		args[a.Key] = a.Value
-	}
-	args["span"] = rec.Span.String()
-	if rec.Parent != 0 {
-		args["parent"] = rec.Parent.String()
-	}
-	if rec.Fault {
-		args["fault"] = true
-	}
-	ev := Event{Name: rec.Name, Pid: cp.pid, Tid: tid, Args: args}
-	if rec.Kind == causal.KindSpan && rec.End >= rec.Start {
-		ev.Phase = "X"
-		ev.Ts = float64(rec.Start) / 1e3
-		ev.Dur = float64(rec.End-rec.Start) / 1e3
-	} else {
-		ev.Phase = "i"
-		ev.Ts = float64(rec.Start) / 1e3
-		ev.Scope = "t"
-	}
-	s.events = append(s.events, ev)
+	s.records = append(s.records, rec)
 	s.mu.Unlock()
 }
 
-var (
-	_ telemetry.Recorder      = (*Sink)(nil)
-	_ telemetry.GaugeRecorder = (*Sink)(nil)
-	_ causal.EventSink        = (*Sink)(nil)
-)
+var _ causal.EventSink = (*Sink)(nil)
 
-// Snapshot assembles the trace recorded so far: thread-name metadata for
-// every used track (sorted, so equal runs produce equal files) followed by
-// the events in recording order.
+// rowOf is the display row of a record: "link <l>" for a record with a
+// link attr, else the first dot-separated segment of its name.
+func rowOf(rec causal.Record) string {
+	for _, a := range rec.Attrs {
+		if a.Key == "link" {
+			return "link " + a.Value
+		}
+	}
+	head, _, _ := strings.Cut(rec.Name, ".")
+	return head
+}
+
+func isSlice(rec causal.Record) bool {
+	return rec.Kind == causal.KindSpan && rec.End >= rec.Start
+}
+
+// Snapshot assembles the trace recorded so far: process and thread
+// metadata first, then the events. Traces become processes in trace-ID
+// order, and each trace's records are taken in start order, so equal
+// record sets produce equal files.
 func (s *Sink) Snapshot() *Trace {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	tids := make([]int, 0, len(s.tracks))
-	for tid := range s.tracks {
-		tids = append(tids, tid)
-	}
-	sort.Ints(tids)
-	events := make([]Event, 0, len(tids)+len(s.events))
-	for _, tid := range tids {
-		events = append(events, Event{
-			Name: "thread_name", Phase: "M", Pid: metricsPid, Tid: tid,
-			Args: map[string]any{"name": s.tracks[tid]},
-		})
-	}
-	// Causal processes, ordered by pid (allocation order), each announcing
-	// its name ("trace <id>" plus root attrs) and thread labels.
-	procs := make([]*causalProcess, 0, len(s.causal))
-	for _, cp := range s.causal {
-		procs = append(procs, cp)
-	}
-	sort.Slice(procs, func(i, j int) bool { return procs[i].pid < procs[j].pid })
-	for _, cp := range procs {
-		name := "trace"
-		if t, ok := cp.args["trace"].(string); ok {
-			name = "trace " + t
+	recs := append([]causal.Record(nil), s.records...)
+	s.mu.Unlock()
+	sort.SliceStable(recs, func(i, j int) bool {
+		a, b := recs[i], recs[j]
+		if a.Trace != b.Trace {
+			return a.Trace < b.Trace
 		}
-		args := make(map[string]any, len(cp.args)+1)
-		for k, v := range cp.args {
-			args[k] = v
+		if a.Start != b.Start {
+			return a.Start < b.Start
 		}
-		args["name"] = name
-		events = append(events, Event{
-			Name: "process_name", Phase: "M", Pid: cp.pid, Args: args,
-		})
-		ctids := make([]int, 0, len(cp.tracks))
-		for tid := range cp.tracks {
-			ctids = append(ctids, tid)
+		return a.Span < b.Span
+	})
+	var meta, events []Event
+	for lo, pid := 0, 1; lo < len(recs); pid++ {
+		hi := lo + 1
+		for hi < len(recs) && recs[hi].Trace == recs[lo].Trace {
+			hi++
 		}
-		sort.Ints(ctids)
-		for _, tid := range ctids {
-			events = append(events, Event{
-				Name: "thread_name", Phase: "M", Pid: cp.pid, Tid: tid,
-				Args: map[string]any{"name": cp.tracks[tid]},
-			})
-		}
+		m, ev := process(pid, recs[lo:hi])
+		meta = append(meta, m...)
+		events = append(events, ev...)
+		lo = hi
 	}
-	events = append(events, s.events...)
 	return &Trace{
-		TraceEvents:     events,
+		TraceEvents:     append(meta, events...),
 		DisplayTimeUnit: "ms",
 		OtherData:       map[string]string{"runId": s.runID},
 	}
 }
 
+// row is one display row of a trace: its first thread id and, per lane,
+// the end of the last span placed there.
+type row struct {
+	name  string
+	tid   int
+	lanes []int64
+}
+
+// process renders one trace's records, sorted by start, as process pid.
+// Rows are numbered in order of first appearance, each followed by its
+// extra lanes. A span takes the first lane of its row that is free at its
+// start, so spans in one lane never overlap; instants go on the first
+// lane.
+func process(pid int, recs []causal.Record) (meta, events []Event) {
+	rows := map[string]*row{}
+	var order []*row
+	rowOfRec := make([]*row, len(recs))
+	laneOfRec := make([]int, len(recs))
+	procArgs := map[string]any{}
+	for i, rec := range recs {
+		if rec.Parent == 0 {
+			// Root records carry the trace's identity (tenant,
+			// experiment); surface it on the process itself.
+			for _, a := range rec.Attrs {
+				procArgs[a.Key] = a.Value
+			}
+		}
+		name := rowOf(rec)
+		r := rows[name]
+		if r == nil {
+			r = &row{name: name}
+			rows[name] = r
+			order = append(order, r)
+		}
+		rowOfRec[i] = r
+		if !isSlice(rec) {
+			continue
+		}
+		lane := 0
+		for lane < len(r.lanes) && r.lanes[lane] > rec.Start {
+			lane++
+		}
+		if lane == len(r.lanes) {
+			r.lanes = append(r.lanes, rec.End)
+		} else {
+			r.lanes[lane] = rec.End
+		}
+		laneOfRec[i] = lane
+	}
+
+	trace := recs[0].Trace.String()
+	procArgs["trace"] = trace
+	procArgs["name"] = "trace " + trace
+	meta = append(meta, Event{Name: "process_name", Phase: "M", Pid: pid, Args: procArgs})
+	next := 1
+	for _, r := range order {
+		r.tid = next
+		for lane := 0; lane < max(1, len(r.lanes)); lane++ {
+			name := r.name
+			if lane > 0 {
+				name = fmt.Sprintf("%s (lane %d)", r.name, lane+1)
+			}
+			meta = append(meta, Event{Name: "thread_name", Phase: "M", Pid: pid, Tid: next,
+				Args: map[string]any{"name": name}})
+			next++
+		}
+	}
+
+	for i, rec := range recs {
+		args := make(map[string]any, len(rec.Attrs)+3)
+		for _, a := range rec.Attrs {
+			args[a.Key] = a.Value
+		}
+		args["span"] = rec.Span.String()
+		if rec.Parent != 0 {
+			args["parent"] = rec.Parent.String()
+		}
+		if rec.Fault {
+			args["fault"] = true
+		}
+		ev := Event{Name: rec.Name, Phase: "i", Ts: float64(rec.Start) / 1e3, Scope: "t",
+			Pid: pid, Tid: rowOfRec[i].tid + laneOfRec[i], Args: args}
+		if isSlice(rec) {
+			ev.Phase, ev.Scope = "X", ""
+			ev.Dur = (float64(rec.End) - float64(rec.Start)) / 1e3
+		}
+		events = append(events, ev)
+	}
+	return meta, events
+}
+
 // WriteTo encodes the trace to w and implements io.WriterTo. The sink
-// remains usable afterwards (later writes include earlier events).
+// remains usable afterwards (later writes include earlier records).
 func (s *Sink) WriteTo(w io.Writer) (int64, error) {
 	cw := &countingWriter{w: w}
 	err := Encode(cw, s.Snapshot())
@@ -430,6 +297,22 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	n, err := c.w.Write(p)
 	c.n += int64(n)
 	return n, err
+}
+
+// WriteFile writes the trace to dir/FileName(runID) and returns the
+// file's path. The error is the first of create, encode and close, so a
+// trace that did not reach the disk is never reported written.
+func (s *Sink) WriteFile(dir string) (string, error) {
+	path := filepath.Join(dir, FileName(s.runID))
+	f, err := os.Create(path)
+	if err != nil {
+		return "", err
+	}
+	if _, err := s.WriteTo(f); err != nil {
+		f.Close()
+		return "", err
+	}
+	return path, f.Close()
 }
 
 // FileName returns the conventional trace file name for a run ID, with

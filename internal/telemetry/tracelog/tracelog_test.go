@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -13,7 +15,6 @@ import (
 	"broadcastic/internal/faults"
 	"broadcastic/internal/netrun"
 	"broadcastic/internal/rng"
-	"broadcastic/internal/telemetry"
 	"broadcastic/internal/telemetry/causal"
 )
 
@@ -26,76 +27,33 @@ func decodeTrace(t *testing.T, b []byte) *Trace {
 	return &tr
 }
 
-func TestSinkSpanAndCounterEvents(t *testing.T) {
-	s := New("run-1", nil)
-	s.Count("blackboard.bits", 10)
-	s.Count("blackboard.bits", 5)
-	s.Observe("sim.cell_ns", 2e6) // a 2ms span
-	s.Count("netrun.topo.2.faults.drop", 1)
+func encodeSink(t *testing.T, s *Sink) *Trace {
+	t.Helper()
 	var buf bytes.Buffer
 	if _, err := s.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	tr := decodeTrace(t, buf.Bytes())
-	if tr.OtherData["runId"] != "run-1" {
-		t.Errorf("runId = %q, want run-1", tr.OtherData["runId"])
-	}
-	var sawSpan, sawCounter, sawInstant, sawLinkTrack bool
-	for _, ev := range tr.TraceEvents {
-		switch {
-		case ev.Phase == "X" && ev.Name == "sim.cell_ns":
-			sawSpan = true
-			if ev.Dur < 1900 || ev.Dur > 2100 {
-				t.Errorf("span dur = %v µs, want ≈2000", ev.Dur)
-			}
-		case ev.Phase == "C" && ev.Name == "blackboard.bits":
-			sawCounter = true
-		case ev.Phase == "i" && ev.Name == "netrun.topo.2.faults.drop":
-			sawInstant = true
-			if ev.Tid != linkTidBase+2 {
-				t.Errorf("fault instant on tid %d, want %d", ev.Tid, linkTidBase+2)
-			}
-		case ev.Phase == "M" && ev.Name == "thread_name":
-			if name, _ := ev.Args["name"].(string); name == "link 2" {
-				sawLinkTrack = true
-			}
-		}
-	}
-	if !sawSpan || !sawCounter || !sawInstant || !sawLinkTrack {
-		t.Fatalf("missing events: span=%v counter=%v instant=%v linkTrack=%v",
-			sawSpan, sawCounter, sawInstant, sawLinkTrack)
-	}
-	// The last blackboard.bits counter event must carry the cumulative 15.
-	var last float64
-	for _, ev := range tr.TraceEvents {
-		if ev.Phase == "C" && ev.Name == "blackboard.bits" {
-			last, _ = ev.Args["value"].(float64)
-		}
-	}
-	if last != 15 {
-		t.Errorf("cumulative counter = %v, want 15", last)
-	}
+	return decodeTrace(t, buf.Bytes())
 }
 
-func TestSinkTeesToNext(t *testing.T) {
-	col := telemetry.NewCollector()
-	s := New("tee", col)
-	s.Count("blackboard.bits", 7)
-	s.Observe("sim.cell_ns", 42)
-	if got := col.Counter("blackboard.bits"); got != 7 {
-		t.Errorf("teed counter = %d, want 7", got)
+// threadNames maps each (pid, tid) of a trace to its thread_name label.
+func threadNames(tr *Trace) map[[2]int]string {
+	out := map[[2]int]string{}
+	for _, ev := range tr.TraceEvents {
+		if ev.Phase == "M" && ev.Name == "thread_name" {
+			name, _ := ev.Args["name"].(string)
+			out[[2]int{ev.Pid, ev.Tid}] = name
+		}
 	}
-	if got := col.Hist("sim.cell_ns").Count; got != 1 {
-		t.Errorf("teed histogram count = %d, want 1", got)
-	}
+	return out
 }
 
-// TestNetrunE20Trace is the acceptance pin for the tentpole: an E20-style
+// TestNetrunE20Trace is the acceptance pin for run traces: an E20-style
 // netrun execution (optimal DISJ protocol under a drop/dup/corrupt fault
-// mix) traced through a Sink yields parseable Chrome trace JSON containing
-// spans for the coordinator, spans for every link, and one instant event
-// per injected fault — while the transcript stays bit-identical to the
-// sequential reference.
+// mix) traced through a Sink attached to its causal context yields
+// parseable Chrome trace JSON with netrun.turn spans, netrun.hop spans on
+// every link's row, and one netrun.fault instant per injected fault —
+// while the transcript stays bit-identical to the sequential reference.
 func TestNetrunE20Trace(t *testing.T) {
 	const n, k = 256, 6
 	inst, err := disj.GenerateFromMuN(rng.New(20), n, k)
@@ -115,18 +73,19 @@ func TestNetrunE20Trace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := telemetry.NewCollector()
-	sink := New("E20-seed20", col)
+	sink := New("E20-seed20")
+	cause := causal.NewRecorder(0).StartTraceSink(sink, causal.ExperimentRoot,
+		causal.String("runId", sink.RunID()))
 	proto, err := disj.NewOptimalProtocol(inst, disj.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	res, err := netrun.Run(proto.Scheduler(), proto.Players(), nil, netrun.Config{
-		Faults:   plan,
-		Seed:     99,
-		Timeout:  time.Second,
-		Limits:   proto.Limits(),
-		Recorder: sink,
+		Faults:  plan,
+		Seed:    99,
+		Timeout: time.Second,
+		Limits:  proto.Limits(),
+		Causal:  cause,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -135,32 +94,35 @@ func TestNetrunE20Trace(t *testing.T) {
 		t.Fatal("traced networked run diverged from sequential reference")
 	}
 
-	var buf bytes.Buffer
-	if _, err := sink.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	tr := decodeTrace(t, buf.Bytes())
-
-	coordSpans := 0
-	linkSpans := make(map[int]int)
-	faultInstants := 0
+	tr := encodeSink(t, sink)
+	rows := threadNames(tr)
+	turns, faultInstants := 0, 0
+	linkHops := map[string]int{}
 	for _, ev := range tr.TraceEvents {
 		switch {
-		case ev.Phase == "X" && ev.Name == telemetry.NetrunTurnNs:
-			coordSpans++
-		case ev.Phase == "X" && strings.HasPrefix(ev.Name, telemetry.NetrunTopo+".") && strings.HasSuffix(ev.Name, ".ack_ns"):
-			linkSpans[ev.Tid-linkTidBase]++
-		case ev.Phase == "i" && ev.Name == telemetry.NetrunFaults:
+		case ev.Phase == "X" && ev.Name == causal.NetrunTurn:
+			turns++
+		case ev.Phase == "X" && ev.Name == causal.NetrunHop:
+			row := rows[[2]int{ev.Pid, ev.Tid}]
+			link, _, _ := strings.Cut(strings.TrimPrefix(row, "link "), " (lane")
+			if want := "link " + fmt.Sprint(ev.Args["link"]); !strings.HasPrefix(row, want) {
+				t.Fatalf("hop on link %v sits on row %q", ev.Args["link"], row)
+			}
+			linkHops[link]++
+		case ev.Phase == "i" && ev.Name == causal.NetrunFault:
 			faultInstants++
+			if ev.Args["fault"] != true {
+				t.Errorf("fault instant args = %v", ev.Args)
+			}
 		}
 	}
-	if coordSpans == 0 {
-		t.Error("no coordinator turn spans in trace")
+	if turns != res.Board.NumMessages() {
+		t.Errorf("trace has %d netrun.turn spans for %d messages", turns, res.Board.NumMessages())
 	}
 	// The run uses the default star, whose link i is player i's.
 	for i := 0; i < k; i++ {
-		if linkSpans[i] == 0 {
-			t.Errorf("no spans for link %d in trace", i)
+		if linkHops[fmt.Sprint(i)] == 0 {
+			t.Errorf("no hop spans on link %d's row; have %v", i, linkHops)
 		}
 	}
 	injected := res.Stats.Faults
@@ -171,74 +133,68 @@ func TestNetrunE20Trace(t *testing.T) {
 	if faultInstants != total {
 		t.Errorf("trace has %d fault instants, stats report %d injected faults", faultInstants, total)
 	}
-	// The teed collector agrees with the wire stats — the same invariant
-	// the telemetry conformance tests pin for a bare Collector.
-	if got := col.Counter(telemetry.NetrunWireBits); got != res.Stats.WireBits {
-		t.Errorf("teed collector wire bits %d != stats %d", got, res.Stats.WireBits)
-	}
 }
 
-func TestFileName(t *testing.T) {
-	cases := []struct{ in, want string }{
-		{"E20-seed1", "E20-seed1.trace.json"},
-		{"a/b c", "a_b_c.trace.json"},
-		{"", "_.trace.json"},
+// TestSinkRowsAndLanes pins the record→row rule and the lane split: a
+// link attr picks the "link <l>" row whatever the name, other records sit
+// on their name's first segment, and spans that overlap on one row go to
+// separate lanes while disjoint ones share the first.
+func TestSinkRowsAndLanes(t *testing.T) {
+	s := New("rows")
+	span := func(id uint64, name string, start, end int64, attrs ...causal.Attr) {
+		s.CausalEvent(causal.Record{Trace: 1, Span: causal.SpanID(id), Parent: 1,
+			Kind: causal.KindSpan, Name: name, Start: start, End: end, Attrs: attrs})
 	}
-	for _, c := range cases {
-		if got := FileName(c.in); got != c.want {
-			t.Errorf("FileName(%q) = %q, want %q", c.in, got, c.want)
+	span(2, causal.SimCell, 0, 100)
+	span(3, causal.SimCell, 50, 150)  // overlaps cell 2: second lane
+	span(4, causal.SimCell, 100, 120) // starts as cell 2 ends: first lane
+	span(5, causal.NetrunHop, 10, 20, causal.String("link", "3"))
+	span(6, causal.NetrunHop, 15, 25, causal.String("link", "3")) // the other direction
+	s.CausalEvent(causal.Record{Trace: 1, Span: 7, Parent: 1, Kind: causal.KindEvent,
+		Name: causal.NetrunFault, Start: 12, Fault: true, Attrs: []causal.Attr{causal.String("link", "3")}})
+	span(8, causal.CoreShard, 5, 6)
+
+	tr := encodeSink(t, s)
+	rows := threadNames(tr)
+	rowBySpan := map[string]string{}
+	for _, ev := range tr.TraceEvents {
+		if ev.Phase != "M" {
+			rowBySpan[ev.Args["span"].(string)] = rows[[2]int{ev.Pid, ev.Tid}]
 		}
 	}
-}
-
-func TestSnapshotDeterministicForEqualRuns(t *testing.T) {
-	build := func() []byte {
-		s := New("same-run", nil)
-		s.Count("blackboard.bits", 3)
-		s.Count("netrun.topo.1.faults.drop", 1)
-		tr := s.Snapshot()
-		// Zero the wall-clock fields: determinism is about structure
-		// (event order, tracks, names, values), not timestamps.
-		for i := range tr.TraceEvents {
-			tr.TraceEvents[i].Ts = 0
-			tr.TraceEvents[i].Dur = 0
-		}
-		var buf bytes.Buffer
-		if err := Encode(&buf, tr); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
+	want := map[causal.SpanID]string{
+		2: "sim", 3: "sim (lane 2)", 4: "sim",
+		5: "link 3", 6: "link 3 (lane 2)", 7: "link 3",
+		8: "core",
 	}
-	if a, b := build(), build(); !bytes.Equal(a, b) {
-		t.Fatalf("equal runs produced different traces:\n%s\n%s", a, b)
+	for id, row := range want {
+		if got := rowBySpan[id.String()]; got != row {
+			t.Errorf("span %d on row %q, want %q", id, got, row)
+		}
+	}
+	if n := len(rows); n != 5 {
+		t.Errorf("trace has %d threads, want 5: %v", n, rows)
 	}
 }
 
-func ExampleFileName() {
-	fmt.Println(FileName("E20-seed1"))
-	// Output: E20-seed1.trace.json
-}
-
-// TestSinkCausalEvents pins the causal tee: records arriving via
-// causal.EventSink render each trace as its own Perfetto process — named
-// "trace <id>" and carrying the root record's identity attrs — with spans
-// as complete events, instants as instant events, and jobs-layer records
-// on a dedicated "jobs" thread.
+// TestSinkCausalEvents pins the process mapping: each trace renders as its
+// own Perfetto process — named "trace <id>" and carrying the root record's
+// identity attrs — with spans as complete events, instants as instant
+// events, and jobs-layer records on a "jobs" row.
 func TestSinkCausalEvents(t *testing.T) {
-	s := New("causal-run", nil)
+	s := New("causal-run")
 	fr := causal.NewRecorder(0)
 	c1 := fr.StartTraceSink(s, causal.JobAdmission,
 		causal.String("tenant", "acme"), causal.String("experiment", "E20"))
-	sp := c1.StartSpan(causal.JobExecute, causal.String("job", "j000001"))
+	sp := c1.StartSpan(nil, causal.JobExecute, causal.String("job", "j000001"))
 	sp.Context().Fault(causal.NetrunFault, causal.String("fault", "drop"))
 	sp.End()
 	c2 := fr.StartTraceSink(s, causal.JobAdmission, causal.String("tenant", "bee"))
 	c2.Event(causal.JobDispatch)
-	var buf bytes.Buffer
-	if _, err := s.WriteTo(&buf); err != nil {
-		t.Fatal(err)
+	tr := encodeSink(t, s)
+	if tr.OtherData["runId"] != "causal-run" {
+		t.Errorf("runId = %q, want causal-run", tr.OtherData["runId"])
 	}
-	tr := decodeTrace(t, buf.Bytes())
 
 	pids := map[string]int{} // trace id -> pid
 	for _, ev := range tr.TraceEvents {
@@ -259,42 +215,100 @@ func TestSinkCausalEvents(t *testing.T) {
 	if len(pids) != 2 || pids[c1.Trace().String()] == pids[c2.Trace().String()] {
 		t.Fatalf("causal processes = %v, want two distinct pids", pids)
 	}
-	if p := pids[c1.Trace().String()]; p < causalPidBase {
-		t.Errorf("causal pid %d below causalPidBase", p)
-	}
 
-	var sawExec, sawFault, sawDispatch, sawJobsThread bool
+	rows := threadNames(tr)
+	var sawExec, sawFault, sawDispatch bool
 	for _, ev := range tr.TraceEvents {
 		switch {
 		case ev.Phase == "X" && ev.Name == causal.JobExecute:
 			sawExec = true
-			if ev.Pid != pids[c1.Trace().String()] {
-				t.Errorf("execute span on pid %d, want %d", ev.Pid, pids[c1.Trace().String()])
+			if ev.Pid != pids[c1.Trace().String()] || rows[[2]int{ev.Pid, ev.Tid}] != "jobs" {
+				t.Errorf("execute span on pid %d row %q", ev.Pid, rows[[2]int{ev.Pid, ev.Tid}])
 			}
 			if ev.Args["job"] != "j000001" || ev.Args["span"] == nil {
 				t.Errorf("execute span args = %v", ev.Args)
 			}
 		case ev.Phase == "i" && ev.Name == causal.NetrunFault:
 			sawFault = true
-			if ev.Args["fault"] != true {
+			if ev.Args["fault"] != true || ev.Args["parent"] == nil {
 				t.Errorf("fault instant args = %v", ev.Args)
-			}
-			if ev.Args["parent"] == nil {
-				t.Error("fault instant lost its parent span")
 			}
 		case ev.Phase == "i" && ev.Name == causal.JobDispatch:
 			sawDispatch = true
 			if ev.Pid != pids[c2.Trace().String()] {
 				t.Errorf("dispatch on pid %d, want %d", ev.Pid, pids[c2.Trace().String()])
 			}
-		case ev.Phase == "M" && ev.Name == "thread_name" && ev.Tid == tidJobs:
-			if name, _ := ev.Args["name"].(string); name == "jobs" {
-				sawJobsThread = true
-			}
 		}
 	}
-	if !sawExec || !sawFault || !sawDispatch || !sawJobsThread {
-		t.Fatalf("missing causal events: exec=%v fault=%v dispatch=%v jobsThread=%v",
-			sawExec, sawFault, sawDispatch, sawJobsThread)
+	if !sawExec || !sawFault || !sawDispatch {
+		t.Fatalf("missing causal events: exec=%v fault=%v dispatch=%v", sawExec, sawFault, sawDispatch)
 	}
+}
+
+// TestSnapshotDeterministicForEqualRuns: the same records arriving in a
+// different order (as concurrent spans do) encode to the same bytes.
+func TestSnapshotDeterministicForEqualRuns(t *testing.T) {
+	recs := []causal.Record{
+		{Trace: 2, Span: 9, Kind: causal.KindEvent, Name: causal.ExperimentRoot, Start: 1},
+		{Trace: 1, Span: 1, Kind: causal.KindEvent, Name: causal.JobAdmission, Start: 0},
+		{Trace: 1, Span: 2, Parent: 1, Kind: causal.KindSpan, Name: causal.SimCell, Start: 5, End: 50},
+		{Trace: 1, Span: 3, Parent: 1, Kind: causal.KindSpan, Name: causal.SimCell, Start: 5, End: 40},
+		{Trace: 2, Span: 10, Parent: 9, Kind: causal.KindSpan, Name: causal.NetrunHop, Start: 3, End: 4,
+			Attrs: []causal.Attr{causal.String("link", "0")}},
+	}
+	build := func(order []int) []byte {
+		s := New("same-run")
+		for _, i := range order {
+			s.CausalEvent(recs[i])
+		}
+		var buf bytes.Buffer
+		if _, err := s.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	if a, b := build([]int{0, 1, 2, 3, 4}), build([]int{4, 3, 2, 1, 0}); !bytes.Equal(a, b) {
+		t.Fatalf("equal record sets produced different traces:\n%s\n%s", a, b)
+	}
+}
+
+func TestWriteFile(t *testing.T) {
+	dir := t.TempDir()
+	s := New("E20-seed1")
+	causal.NewRecorder(0).StartTraceSink(s, causal.ExperimentRoot).Event(causal.JobDone)
+	path, err := s.WriteFile(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if path != filepath.Join(dir, FileName("E20-seed1")) {
+		t.Errorf("WriteFile path = %q", path)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr := decodeTrace(t, b); len(tr.TraceEvents) == 0 {
+		t.Error("written trace is empty")
+	}
+	if _, err := s.WriteFile(filepath.Join(dir, "missing")); err == nil {
+		t.Error("WriteFile into a missing directory succeeded")
+	}
+}
+
+func TestFileName(t *testing.T) {
+	cases := []struct{ in, want string }{
+		{"E20-seed1", "E20-seed1.trace.json"},
+		{"a/b c", "a_b_c.trace.json"},
+		{"", "_.trace.json"},
+	}
+	for _, c := range cases {
+		if got := FileName(c.in); got != c.want {
+			t.Errorf("FileName(%q) = %q, want %q", c.in, got, c.want)
+		}
+	}
+}
+
+func ExampleFileName() {
+	fmt.Println(FileName("E20-seed1"))
+	// Output: E20-seed1.trace.json
 }
