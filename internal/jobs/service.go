@@ -3,6 +3,9 @@ package jobs
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -79,8 +82,20 @@ type Options struct {
 // DefaultQueueCap is the per-tenant queue bound when Options.QueueCap is 0.
 const DefaultQueueCap = 16
 
+// Retain is the retirement window: how many finished jobs the service
+// keeps. A job enters the window when it reaches its final state — at
+// birth for a cache hit, when its worker returns for a run (one canceled
+// while running included), at Cancel for a queued job and at Close for
+// one still queued. Once more than Retain have, the job that finished
+// earliest leaves the service, and Get, Cancel and List no longer see it;
+// Retired still tells its ID from one never issued. Queued and running
+// jobs are never retired, so what the service holds is bounded by Retain
+// plus its queues and fleet, not by its uptime.
+const Retain = 1024
+
 // Job is the immutable snapshot of one submission, as returned by Submit,
-// Get, Cancel and List and rendered on the HTTP API.
+// Get, Cancel and List and rendered on the HTTP API. The service holds it
+// until the job is retired (see Retain).
 type Job struct {
 	ID       string  `json:"id"`
 	Tenant   string  `json:"tenant"`
@@ -105,6 +120,7 @@ type Job struct {
 // job is the mutable record behind the mu lock.
 type job struct {
 	Job
+	seq       int  // the number ID renders; submission order
 	cancelled bool // set by Cancel; a running job finishes but stays Canceled
 	cause     causal.Context
 	queueSpan causal.Span // submit -> dispatch, timing the queue wait; never ended if canceled while queued
@@ -138,11 +154,16 @@ type Service struct {
 	queues  map[string][]*job // tenant -> FIFO of queued jobs
 	ring    []string          // tenants in first-submit order
 	ringPos int               // next tenant to inspect, for round-robin
-	jobs    map[string]*job
-	nextID  int
-	queued  int // jobs across all queues, for the global depth gauge
+	jobs    map[int]*job      // queued, running and retained finished jobs, by seq
+	nextID  int               // seq of the latest job issued
+	queued  int               // jobs across all queues, for the global depth gauge
 	closed  bool
 	wg      sync.WaitGroup
+
+	// finished is the retirement window: the seqs of the latest Retain
+	// jobs to finish, as a ring; finishes counts every job ever finished.
+	finished [Retain]int
+	finishes int
 
 	tenantMu sync.Mutex
 	tenants  map[string]*tenantMetrics
@@ -217,7 +238,7 @@ func New(opts Options) *Service {
 		queueCap: cap,
 		buildSHA: opts.BuildSHA,
 		queues:   make(map[string][]*job),
-		jobs:     make(map[string]*job),
+		jobs:     make(map[int]*job),
 		tenants:  make(map[string]*tenantMetrics),
 	}
 	s.cond = sync.NewCond(&s.mu)
@@ -244,6 +265,7 @@ func (s *Service) Close() {
 		for _, j := range q {
 			j.State = Canceled
 			j.FinishedMs = now
+			s.finishLocked(j)
 			telemetry.Count(s.opts.Recorder, telemetry.JobsCanceled, 1)
 			j.cause.Event(causal.JobCanceled, causal.String("job", j.ID), causal.String("reason", "service closed"))
 		}
@@ -306,8 +328,9 @@ func (s *Service) SubmitTraced(tenant string, spec JobSpec, cause causal.Context
 	}
 	s.nextID++
 	j := &job{
+		seq: s.nextID,
 		Job: Job{
-			ID:          fmt.Sprintf("j%06d", s.nextID),
+			ID:          jobID(s.nextID),
 			Tenant:      tenant,
 			Spec:        spec,
 			Key:         key,
@@ -318,12 +341,13 @@ func (s *Service) SubmitTraced(tenant string, spec JobSpec, cause causal.Context
 	if cause.Enabled() {
 		j.TraceID = cause.Trace().String()
 	}
-	s.jobs[j.ID] = j
+	s.jobs[j.seq] = j
 	if hit {
 		j.State = Done
 		j.CacheHit = true
 		j.Result = string(cached)
 		j.FinishedMs = j.SubmittedMs
+		s.finishLocked(j)
 		cause.Event(causal.JobCacheHit, causal.String("job", j.ID))
 	} else {
 		j.State = Queued
@@ -349,26 +373,76 @@ func (s *Service) SubmitTraced(tenant string, spec JobSpec, cause causal.Context
 	return view, nil
 }
 
-// Get returns the job's current snapshot.
+// jobID renders a job's seq as its ID.
+func jobID(seq int) string { return fmt.Sprintf("j%06d", seq) }
+
+// parseID inverts jobID. Only strings jobID renders parse, so "j1" and
+// "j0000001" never alias j000001.
+func parseID(id string) (int, bool) {
+	seq, err := strconv.Atoi(strings.TrimPrefix(id, "j"))
+	if err != nil || seq < 1 || jobID(seq) != id {
+		return 0, false
+	}
+	return seq, true
+}
+
+// lookupLocked returns the held job with this ID, or nil. Callers hold mu.
+func (s *Service) lookupLocked(id string) *job {
+	seq, ok := parseID(id)
+	if !ok {
+		return nil
+	}
+	return s.jobs[seq]
+}
+
+// finishLocked enters j, now in its final state, into the retirement
+// window, retiring the job that finished earliest once more than Retain
+// have. Callers hold mu.
+func (s *Service) finishLocked(j *job) {
+	slot := &s.finished[s.finishes%Retain]
+	if s.finishes >= Retain {
+		delete(s.jobs, *slot)
+	}
+	*slot = j.seq
+	s.finishes++
+}
+
+// Get returns the job's current snapshot; false when the ID is unknown or
+// retired.
 func (s *Service) Get(id string) (Job, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	if !ok {
+	j := s.lookupLocked(id)
+	if j == nil {
 		return Job{}, false
 	}
 	return j.Job, true
 }
 
-// List returns every known job, in submission order.
+// Retired reports whether the service issued this ID and has since
+// retired the job (see Retain). IDs are issued in sequence, so an issued
+// ID the service no longer holds is a retired one; it needs no tombstone.
+func (s *Service) Retired(id string) bool {
+	seq, ok := parseID(id)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, held := s.jobs[seq]
+	return ok && seq <= s.nextID && !held
+}
+
+// List returns the jobs the service holds — queued, running and the
+// retirement window — in submission order.
 func (s *Service) List() []Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]Job, 0, len(s.jobs))
-	for i := 1; i <= s.nextID; i++ {
-		if j, ok := s.jobs[fmt.Sprintf("j%06d", i)]; ok {
-			out = append(out, j.Job)
-		}
+	seqs := make([]int, 0, len(s.jobs))
+	for seq := range s.jobs {
+		seqs = append(seqs, seq)
+	}
+	slices.Sort(seqs)
+	out := make([]Job, len(seqs))
+	for i, seq := range seqs {
+		out[i] = s.jobs[seq].Job
 	}
 	return out
 }
@@ -376,11 +450,12 @@ func (s *Service) List() []Job {
 // Cancel stops a job: a queued job leaves its queue immediately; a
 // running job is marked Canceled but its computation completes in the
 // background (and still feeds the cache). Terminal jobs are unchanged.
+// False when the ID is unknown or retired.
 func (s *Service) Cancel(id string) (Job, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	if !ok {
+	j := s.lookupLocked(id)
+	if j == nil {
 		return Job{}, false
 	}
 	switch j.State {
@@ -396,6 +471,7 @@ func (s *Service) Cancel(id string) (Job, bool) {
 		j.State = Canceled
 		j.cancelled = true
 		j.FinishedMs = nowMs()
+		s.finishLocked(j)
 		telemetry.Count(s.opts.Recorder, telemetry.JobsCanceled, 1)
 		s.depthGaugesLocked(s.tenant(j.Tenant), j.Tenant)
 		// The queue-wait span is deliberately never ended: a canceled-while-
@@ -491,6 +567,7 @@ func (s *Service) worker() {
 			s.recordBitsServed(tm, len(result))
 			cause.Event(causal.JobDone, causal.Int("bytes", len(result)))
 		}
+		s.finishLocked(j)
 		s.mu.Unlock()
 	}
 }
@@ -503,10 +580,14 @@ func (s *Service) popLocked() *job {
 		i := (s.ringPos + off) % len(s.ring)
 		tenant := s.ring[i]
 		if q := s.queues[tenant]; len(q) > 0 {
+			j := q[0]
+			// Clear the slot, or the queue's backing array would keep the
+			// job alive after it is retired.
+			q[0] = nil
 			s.queues[tenant] = q[1:]
 			s.queued--
 			s.ringPos = (i + 1) % len(s.ring)
-			return q[0]
+			return j
 		}
 	}
 	return nil

@@ -3,6 +3,9 @@ package jobs
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -398,5 +401,223 @@ func TestFailedJobReportsError(t *testing.T) {
 	}
 	if got := col.Counter(telemetry.JobsFailed); got != 1 {
 		t.Errorf("failed counter = %d", got)
+	}
+}
+
+// TestRetirementWindow submits 3×Retain jobs that mix cache hits, queued
+// cancels, failures and successes, and pins the retirement policy: once
+// more than Retain jobs have finished, they leave in the order they
+// finished; queued and running jobs are never retired; List holds exactly
+// the rest, in submission order; and a retired ID is told apart from one
+// never issued.
+func TestRetirementWindow(t *testing.T) {
+	const n = 3 * Retain
+	spec := func(i int) JobSpec { return JobSpec{Experiment: "E10", Seed: uint64(i), Scale: "quick"} }
+	cache := NewCache(n, 0, "", nil)
+	for i := 3; i <= n; i += 3 { // every third spec is already cached
+		key, err := spec(i).Key("build")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cache.Put(key, []byte("cached"))
+	}
+	tokens := make(chan struct{}, n) // one per run the test lets finish
+	svc := New(Options{Workers: 1, QueueCap: n, Cache: cache, BuildSHA: "build",
+		Run: func(s JobSpec, _ RunContext) ([]byte, error) {
+			<-tokens
+			if s.Seed%7 == 0 {
+				return nil, errors.New("stub failure")
+			}
+			return []byte("computed"), nil
+		}})
+	defer func() {
+		close(tokens)
+		svc.Close()
+	}()
+
+	// held checks that List is exactly the queued and running jobs plus
+	// the latest Retain of finished, in submission order. IDs below
+	// j999999 sort as their numbers do.
+	held := func(finished, live []string) {
+		t.Helper()
+		if len(finished) > Retain {
+			finished = finished[len(finished)-Retain:]
+		}
+		want := append(slices.Clone(finished), live...)
+		slices.Sort(want)
+		var got []string
+		for _, j := range svc.List() {
+			got = append(got, j.ID)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("List holds %d jobs %v..., want %d %v...", len(got), got[:3], len(want), want[:3])
+		}
+	}
+
+	var finished, dispatched []string // IDs in finish order; IDs the worker runs, in order
+	for i := 1; i <= n; i++ {
+		j, err := svc.Submit("t", spec(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case i%3 == 0:
+			if !j.CacheHit || j.State != Done {
+				t.Fatalf("cached spec %d = %+v", i, j)
+			}
+			finished = append(finished, j.ID)
+		case i%6 == 2:
+			// The lone worker is parked on job 1, so this one is queued.
+			c, ok := svc.Cancel(j.ID)
+			if !ok || c.State != Canceled || c.StartedMs != 0 {
+				t.Fatalf("cancel of queued %s = %+v, %v", j.ID, c, ok)
+			}
+			finished = append(finished, j.ID)
+		default:
+			dispatched = append(dispatched, j.ID)
+		}
+	}
+	// 1536 jobs finished at birth or cancel, so the earliest 512 are
+	// retired, while all 1536 queued or running jobs are still held.
+	held(finished, dispatched)
+
+	for range dispatched {
+		tokens <- struct{}{}
+	}
+	waitTerminal(t, svc, dispatched[len(dispatched)-1]) // one FIFO, one worker: the last to finish
+	finished = append(finished, dispatched...)
+	held(finished, nil)
+
+	failures := 0
+	for _, j := range svc.List() {
+		switch {
+		case j.State == Failed && j.Spec.Seed%7 == 0 && j.Error == "stub failure":
+			failures++
+		case j.State == Done && j.Spec.Seed%7 != 0 && j.Result == "computed":
+		default:
+			t.Fatalf("retained job %+v", j)
+		}
+	}
+	if failures == 0 {
+		t.Error("no failed job in the window")
+	}
+
+	for _, id := range []string{finished[0], "j000001"} {
+		if _, ok := svc.Get(id); ok || !svc.Retired(id) {
+			t.Errorf("%s: held %v, retired %v; want retired", id, ok, svc.Retired(id))
+		}
+		if _, ok := svc.Cancel(id); ok {
+			t.Errorf("cancel of retired %s reported ok", id)
+		}
+	}
+	for _, id := range []string{"j999999", "j1", "j0000001", "job000001", ""} {
+		if _, ok := svc.Get(id); ok || svc.Retired(id) {
+			t.Errorf("%q: held %v, retired %v; want unknown", id, ok, svc.Retired(id))
+		}
+	}
+}
+
+// TestRetirementConcurrent drives the window from several submitters and
+// workers at once while a reader polls Get, Retired and List, for the race
+// detector; once every job is done, exactly Retain are held and every
+// other issued ID reads as retired.
+func TestRetirementConcurrent(t *testing.T) {
+	const submitters, each = 4, 3 * Retain / 4
+	col := telemetry.NewCollector()
+	svc := New(Options{Workers: 4, QueueCap: each, Recorder: col, Run: func(JobSpec, RunContext) ([]byte, error) {
+		return []byte("r"), nil
+	}})
+	defer svc.Close()
+
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				svc.List()
+				svc.Get("j000001")
+				svc.Retired("j000001")
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for sub := range submitters {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range each {
+				spec := JobSpec{Experiment: "E10", Seed: uint64(sub*each + i), Scale: "quick"}
+				if _, err := svc.Submit(fmt.Sprintf("t%d", sub), spec); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	deadline := time.Now().Add(30 * time.Second)
+	for col.Counter(telemetry.JobsCompleted) < submitters*each {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d jobs completed", col.Counter(telemetry.JobsCompleted), submitters*each)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(stop)
+	<-stopped
+
+	if got := len(svc.List()); got != Retain {
+		t.Errorf("List holds %d jobs, want %d", got, Retain)
+	}
+	retired := 0
+	for seq := 1; seq <= submitters*each; seq++ {
+		if svc.Retired(jobID(seq)) {
+			retired++
+		}
+	}
+	if want := submitters*each - Retain; retired != want {
+		t.Errorf("%d IDs read as retired, want %d", retired, want)
+	}
+}
+
+// TestRetainedHeapIsBounded pins the point of the window: once it is
+// full, more jobs do not grow the live heap. Without retirement every job
+// keeps its 1 KiB result and its record, about 1.5 KiB in all.
+func TestRetainedHeapIsBounded(t *testing.T) {
+	result := bytes.Repeat([]byte("x"), 1024)
+	svc := New(Options{Workers: 1, QueueCap: Retain, Run: func(JobSpec, RunContext) ([]byte, error) {
+		return result, nil
+	}})
+	defer svc.Close()
+	seed := uint64(0)
+	runJobs := func() { // Retain more jobs, all finished on return
+		var last Job
+		for range Retain {
+			seed++
+			var err error
+			if last, err = svc.Submit("t", JobSpec{Experiment: "E10", Seed: seed, Scale: "quick"}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		waitTerminal(t, svc, last.ID) // one FIFO, one worker: the last to finish
+	}
+	liveHeap := func() int64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+
+	empty := liveHeap()
+	runJobs()
+	runJobs()
+	before := liveHeap()
+	runJobs()
+	after := liveHeap()
+	t.Logf("live heap: empty %d, 2×Retain +%d, 3×Retain +%d", empty, before-empty, after-empty)
+	if perJob := float64(after-before) / Retain; perJob >= 256 {
+		t.Errorf("live heap grew %.0f B per job from 2×Retain to 3×Retain jobs, want < 256", perJob)
 	}
 }

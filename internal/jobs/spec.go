@@ -13,6 +13,12 @@
 // change output — the worker count, by the harness's worker-invariance
 // contract — are excluded from the canonical form, so specs differing
 // only in execution hints share one entry.
+//
+// The service holds its queued and running jobs and the latest Retain
+// finished ones; older finished jobs are retired, so its memory depends
+// on its configuration, not its uptime. A retired job's result stays
+// reachable through the cache: resubmitting its spec is a hit while the
+// cache still holds it.
 package jobs
 
 import (

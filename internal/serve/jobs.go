@@ -21,9 +21,12 @@ type submitRequest struct {
 //	POST   /jobs      — submit a spec; 202 queued, 200 on a cache hit,
 //	                    400 invalid, 429 (+ Retry-After) on queue-full,
 //	                    503 when the service is shutting down.
-//	GET    /jobs      — list every known job, submission order.
-//	GET    /jobs/{id} — one job's snapshot; 404 unknown.
-//	DELETE /jobs/{id} — cancel; the snapshot reflects the new state.
+//	GET    /jobs      — list the jobs the service holds (queued,
+//	                    running and the jobs.Retain latest finished),
+//	                    submission order.
+//	GET    /jobs/{id} — one job's snapshot; 404 never issued, 410 retired.
+//	DELETE /jobs/{id} — cancel; the snapshot reflects the new state; 404
+//	                    never issued, 410 retired.
 //
 // The tenant comes from the X-Tenant header or the body's "tenant" field,
 // defaulting to "default". Responses are the jobs.Job JSON snapshot; when
@@ -81,7 +84,7 @@ func AttachJobs(mux *http.ServeMux, svc *jobs.Service) {
 	mux.HandleFunc("GET /jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		job, ok := svc.Get(r.PathValue("id"))
 		if !ok {
-			httpError(w, http.StatusNotFound, "unknown job")
+			missingJob(w, svc, r.PathValue("id"))
 			return
 		}
 		writeJob(w, http.StatusOK, job)
@@ -89,11 +92,22 @@ func AttachJobs(mux *http.ServeMux, svc *jobs.Service) {
 	mux.HandleFunc("DELETE /jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		job, ok := svc.Cancel(r.PathValue("id"))
 		if !ok {
-			httpError(w, http.StatusNotFound, "unknown job")
+			missingJob(w, svc, r.PathValue("id"))
 			return
 		}
 		writeJob(w, http.StatusOK, job)
 	})
+}
+
+// missingJob answers an ID the service does not hold: 410 Gone when it
+// was issued and has been retired, 404 when it was never issued.
+func missingJob(w http.ResponseWriter, svc *jobs.Service, id string) {
+	if svc.Retired(id) {
+		httpError(w, http.StatusGone, "job retired: the service keeps only its latest finished jobs; "+
+			"resubmitting the spec is served from the result cache while the result is still there")
+		return
+	}
+	httpError(w, http.StatusNotFound, "unknown job")
 }
 
 func writeJob(w http.ResponseWriter, status int, job jobs.Job) {

@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -254,5 +255,64 @@ func TestJobsHTTPListAndCancel(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK || canceled.State != jobs.Canceled {
 		t.Fatalf("DELETE queued job = %d %+v", resp.StatusCode, canceled)
+	}
+}
+
+// TestJobsHTTPRetiredIsGone pins the retirement semantics on the wire:
+// GET and DELETE answer 410 Gone for an issued but retired ID, 404 for
+// one never issued, and resubmitting a retired job's spec is served from
+// the result cache, as the 410 body says.
+func TestJobsHTTPRetiredIsGone(t *testing.T) {
+	svc := jobs.New(jobs.Options{
+		Workers: 1,
+		Cache:   jobs.NewCache(16, 0, "", nil),
+		Run: func(jobs.JobSpec, jobs.RunContext) ([]byte, error) {
+			return []byte("table"), nil
+		},
+	})
+	defer svc.Close()
+	mux := http.NewServeMux()
+	AttachJobs(mux, svc)
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+
+	spec := `{"experiment":"E10","seed":1,"scale":"quick"}`
+	_, first, _ := postJob(t, ts.URL, "", spec)
+	pollDone(t, ts.URL, first.ID)
+	// Retain cache hits, each finished at birth, push it out of the window.
+	for range jobs.Retain {
+		j, err := svc.Submit("default", jobs.JobSpec{Experiment: "E10", Seed: 1, Scale: "quick"})
+		if err != nil || !j.CacheHit {
+			t.Fatalf("resubmission = %+v, %v", j, err)
+		}
+	}
+
+	for _, method := range []string{"GET", "DELETE"} {
+		for _, c := range []struct {
+			id   string
+			code int
+			body string
+		}{
+			{first.ID, http.StatusGone, "result cache"},
+			{"j999999", http.StatusNotFound, "unknown job"},
+			{"j1", http.StatusNotFound, "unknown job"},
+			{"j000002", http.StatusOK, `"state":"done"`},
+		} {
+			req, _ := http.NewRequest(method, ts.URL+"/jobs/"+c.id, nil)
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != c.code || !strings.Contains(string(body), c.body) {
+				t.Errorf("%s /jobs/%s = %d %s, want %d with %q", method, c.id, resp.StatusCode, body, c.code, c.body)
+			}
+		}
+	}
+
+	code, again, _ := postJob(t, ts.URL, "", spec)
+	if code != http.StatusOK || !again.CacheHit || again.Result != "table" {
+		t.Errorf("resubmitting the retired job's spec = %d %+v, want a cache hit", code, again)
 	}
 }

@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"broadcastic/internal/buildinfo"
+	"broadcastic/internal/jobs"
 	"broadcastic/internal/telemetry"
 	"broadcastic/internal/telemetry/promtext"
 )
@@ -43,9 +44,10 @@ type RunProgress struct {
 	RunID string `json:"runId"`
 	// Experiment is the experiment ID ("E1".."E20").
 	Experiment string `json:"experiment"`
-	// CellsDone and CellsTotal count completed sweep cells. Updates may be
-	// observed slightly out of order (the hooks fire from pool workers);
-	// CellsDone is monotone at the source.
+	// CellsDone and CellsTotal count completed sweep cells. A sweep's
+	// updates are published in order (sim.Config.Progress serializes its
+	// calls), so CellsDone only grows within a sweep and a finished
+	// sweep's last record has CellsDone == CellsTotal.
 	CellsDone  int `json:"cellsDone"`
 	CellsTotal int `json:"cellsTotal"`
 	// Bits is the cumulative recorded communication (blackboard + wire) at
@@ -62,12 +64,15 @@ type RunProgress struct {
 func (p RunProgress) key() string { return p.RunID + "\x00" + p.Experiment }
 
 // Broker fans run-progress updates out to any number of /runs streams
-// while remembering the latest state per run for snapshots. All methods
-// are safe for concurrent use.
+// while remembering, for snapshots, the latest state of at most
+// jobs.Retain runs: once it holds that many, a new run displaces the one
+// first published earliest, as the job service retires its
+// earliest-finished job, so a long-lived daemon's /runs stays bounded.
+// All methods are safe for concurrent use.
 type Broker struct {
 	mu     sync.Mutex
 	latest map[string]RunProgress
-	order  []string // keys in first-publish order, for stable snapshots
+	order  []string // keys in first-publish order, for stable snapshots; at most jobs.Retain
 	subs   map[chan RunProgress]struct{}
 	rec    telemetry.Recorder // counts dropped updates (nil ok)
 }
@@ -97,6 +102,11 @@ func (b *Broker) Publish(p RunProgress) {
 	b.mu.Lock()
 	key := p.key()
 	if _, seen := b.latest[key]; !seen {
+		if len(b.order) == jobs.Retain {
+			delete(b.latest, b.order[0])
+			b.order[0] = "" // release the key from the backing array
+			b.order = b.order[1:]
+		}
 		b.order = append(b.order, key)
 	}
 	b.latest[key] = p
@@ -113,7 +123,8 @@ func (b *Broker) Publish(p RunProgress) {
 	}
 }
 
-// Snapshot returns the latest state of every run, in first-publish order.
+// Snapshot returns the latest state of every run the broker holds, in
+// first-publish order.
 func (b *Broker) Snapshot() []RunProgress {
 	b.mu.Lock()
 	defer b.mu.Unlock()

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"broadcastic/internal/jobs"
 	"broadcastic/internal/sim"
 	"broadcastic/internal/telemetry"
 	"broadcastic/internal/telemetry/causal"
@@ -176,6 +177,88 @@ func TestBrokerDroppedUpdatesCounter(t *testing.T) {
 	defer cancel2()
 	for i := 0; i < total; i++ {
 		b2.Publish(RunProgress{RunID: "r", Experiment: "E1", CellsDone: i})
+	}
+}
+
+// TestBrokerKeepsNewestRuns pins the broker's bound: it holds the
+// jobs.Retain runs first published most recently, in first-publish order,
+// and a forgotten run that publishes again comes back as the newest.
+func TestBrokerKeepsNewestRuns(t *testing.T) {
+	const extra = 5
+	b := NewBroker()
+	run := func(i int) RunProgress {
+		return RunProgress{RunID: fmt.Sprintf("j%06d", i), Experiment: "E1", CellsTotal: 1}
+	}
+	for i := range jobs.Retain + extra {
+		b.Publish(run(i))
+	}
+	// Updating a held run keeps its place.
+	final := run(extra)
+	final.CellsDone, final.Done = 1, true
+	b.Publish(final)
+
+	snap := b.Snapshot()
+	if len(snap) != jobs.Retain {
+		t.Fatalf("snapshot holds %d runs, want %d", len(snap), jobs.Retain)
+	}
+	for i, p := range snap {
+		if p.RunID != run(i+extra).RunID {
+			t.Fatalf("snapshot[%d] = %s, want %s", i, p.RunID, run(i+extra).RunID)
+		}
+	}
+	if snap[0] != final {
+		t.Errorf("snapshot[0] = %+v, want the update %+v", snap[0], final)
+	}
+
+	b.Publish(run(0))
+	snap = b.Snapshot()
+	if len(snap) != jobs.Retain || snap[0].RunID != run(extra+1).RunID || snap[len(snap)-1].RunID != run(0).RunID {
+		t.Errorf("after republishing a forgotten run: %d runs, first %s, last %s",
+			len(snap), snap[0].RunID, snap[len(snap)-1].RunID)
+	}
+}
+
+// TestRunsEndOnFinalRecord is the /runs regression pin: with two sweep
+// workers, the progress call for the second-to-last cell is delayed so
+// that, unless the sweep serializes its calls, the last cell's record is
+// published first and the stale one replaces it.
+func TestRunsEndOnFinalRecord(t *testing.T) {
+	var e9 sim.Experiment
+	for _, e := range sim.Experiments() {
+		if e.ID == "E9" {
+			e9 = e
+		}
+	}
+	render := func(cfg sim.Config) string {
+		t.Helper()
+		tbl, err := e9.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := tbl.Render(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	base := sim.Config{Seed: 1, Scale: sim.Quick, Workers: 2}
+	ref := render(base)
+
+	b := NewBroker()
+	publish := b.ProgressFunc("E9-seed1", "E9", nil)
+	cfg := base
+	cfg.Progress = func(done, total int) {
+		if done == total-1 {
+			time.Sleep(50 * time.Millisecond)
+		}
+		publish(done, total)
+	}
+	if got := render(cfg); got != ref {
+		t.Errorf("table with the progress hook differs:\n%s---\n%s", got, ref)
+	}
+	snap := b.Snapshot()
+	if len(snap) != 1 || !snap[0].Done || snap[0].CellsDone != snap[0].CellsTotal {
+		t.Fatalf("/runs after the run = %+v, want its final record", snap)
 	}
 }
 

@@ -1,7 +1,7 @@
 package sim
 
 import (
-	"sync/atomic"
+	"sync"
 
 	"broadcastic/internal/pool"
 	"broadcastic/internal/rng"
@@ -60,12 +60,19 @@ func sweep[T any](cfg Config, base *rng.Source, n int, fn func(cell int, src *rn
 		}
 	}
 	if cfg.Progress != nil {
+		// The hook runs under the same lock that counts the cell, so its
+		// calls are serial and their done values increase: a consumer that
+		// keeps the latest call, like /runs, ends on done == n.
 		inner := cell
-		var done atomic.Int64
+		var mu sync.Mutex
+		done := 0
 		cell = func(i int) (T, error) {
 			v, err := inner(i)
 			if err == nil {
-				cfg.Progress(int(done.Add(1)), n)
+				mu.Lock()
+				done++
+				cfg.Progress(done, n)
+				mu.Unlock()
 			}
 			return v, err
 		}

@@ -54,10 +54,12 @@ type Config struct {
 	Recorder telemetry.Recorder
 	// Progress, when non-nil, is called after each sweep cell completes
 	// successfully with the number of finished cells so far and the total
-	// cell count of the sweep. Calls arrive from pool workers, so they may
-	// be concurrent and `done` values may be observed out of order; `done`
-	// itself is monotone per sweep. Like Recorder, the hook only observes —
-	// tables are bit-identical whether or not it is installed.
+	// cell count of the sweep. Calls arrive from pool workers but never
+	// concurrently: a sweep serializes them in increasing `done` order,
+	// so the last call of a sweep that succeeds has done == total, and a
+	// slow hook holds up the sweep's other workers. Like Recorder, the
+	// hook only observes — tables are bit-identical whether or not it is
+	// installed.
 	Progress func(done, total int)
 	// DisableIR forces the scalar engine where the compiled-IR program
 	// would otherwise serve the Monte-Carlo CIC estimator. Tables are
