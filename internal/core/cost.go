@@ -3,8 +3,10 @@ package core
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"broadcastic/internal/info"
+	"broadcastic/internal/ir"
 	"broadcastic/internal/prob"
 )
 
@@ -29,7 +31,27 @@ type CostReport struct {
 // information and communication costs under prior. Feasible whenever the
 // transcript tree and the input domain are small (the regime the paper's
 // Section 4 analysis operates in; larger instances use EstimateCIC).
+//
+// The report is a pure function of (spec, prior, lim), so a keyed pair
+// (both sides ir.Keyer with a non-empty IRKey) is computed once per
+// process: the first call stores the report in the compiled-program cache
+// and every later call with the same keys and limits returns a fresh copy
+// of it. Errors are not cached, and unkeyed pairs are computed every time.
 func ExactCosts(spec Spec, prior Prior, lim TreeLimits) (*CostReport, error) {
+	skey, pkey, ok := irKeys(spec, prior)
+	if !ok {
+		return exactCosts(spec, prior, lim)
+	}
+	key := "x|" + skey + "|" + pkey + "|" + strconv.Itoa(lim.MaxDepth) + "," + strconv.Itoa(lim.MaxLeaves)
+	r, err := ir.Memo(key, func() (*CostReport, error) { return exactCosts(spec, prior, lim) })
+	if err != nil {
+		return nil, err
+	}
+	out := *r
+	return &out, nil
+}
+
+func exactCosts(spec Spec, prior Prior, lim TreeLimits) (*CostReport, error) {
 	if err := validateShapes(spec, prior); err != nil {
 		return nil, err
 	}

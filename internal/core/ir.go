@@ -60,21 +60,28 @@ type irMergeSpec struct {
 	ir.StateKeyer
 }
 
+// irKeys returns the IRKeys of spec and prior, or ok = false when either
+// side is unkeyed (no IRKey, or an IRKey of "").
+func irKeys(spec Spec, prior Prior) (skey, pkey string, ok bool) {
+	sk, ok := spec.(ir.Keyer)
+	if !ok {
+		return "", "", false
+	}
+	pk, ok := prior.(ir.Keyer)
+	if !ok {
+		return "", "", false
+	}
+	skey, pkey = sk.IRKey(), pk.IRKey()
+	return skey, pkey, skey != "" && pkey != ""
+}
+
 // irEstimatorProgram returns the cached estimator program for the keyed
 // (spec, prior) pair, or nil when either side is unkeyed or the pair is
 // ineligible. A core.Prior satisfies ir.Prior structurally, so only the
 // spec needs the adapter.
 func irEstimatorProgram(spec Spec, prior Prior, rec telemetry.Recorder, cause causal.Context) *ir.Program {
-	sk, ok := spec.(ir.Keyer)
+	skey, pkey, ok := irKeys(spec, prior)
 	if !ok {
-		return nil
-	}
-	pk, ok := prior.(ir.Keyer)
-	if !ok {
-		return nil
-	}
-	skey, pkey := sk.IRKey(), pk.IRKey()
-	if skey == "" || pkey == "" {
 		return nil
 	}
 	var is ir.Spec = irSpec{spec}

@@ -371,6 +371,7 @@ func (d *Lemma6Dist) Prob(x []int) (float64, error) {
 // player draws independently from its own marginal.
 type ProductPrior struct {
 	marginals []prob.Dist
+	key       string // IRKey, built once: exact-cost memo hits read it per call
 }
 
 // NewProductPrior builds a product prior from per-player marginals; all
@@ -387,7 +388,7 @@ func NewProductPrior(marginals []prob.Dist) (*ProductPrior, error) {
 	}
 	out := make([]prob.Dist, len(marginals))
 	copy(out, marginals)
-	return &ProductPrior{marginals: out}, nil
+	return &ProductPrior{marginals: out, key: productKey(out)}, nil
 }
 
 // NumPlayers returns the number of players.
@@ -422,10 +423,12 @@ func (p *ProductPrior) PlayerDist(z, player int) (prob.Dist, error) {
 // IRKey names the prior for the compiled-IR program cache: the marginals
 // enter as their exact float64 bit patterns, so two product priors share
 // a program only when every probability is bit-identical.
-func (p *ProductPrior) IRKey() string {
+func (p *ProductPrior) IRKey() string { return p.key }
+
+func productKey(marginals []prob.Dist) string {
 	var b strings.Builder
 	b.WriteString("dist.prod/")
-	for i, m := range p.marginals {
+	for i, m := range marginals {
 		if i > 0 {
 			b.WriteByte(';')
 		}

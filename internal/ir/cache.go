@@ -22,19 +22,25 @@ import (
 // Negative results are cached too: a keyed spec that fails the
 // eligibility gates is remembered as nil, so the dynamic fallback pays
 // the compile walk at most once per key.
+//
+// The same map memoizes other pure functions of an identity through Memo:
+// core keeps its exact cost reports here, so a process enumerates each
+// (spec, prior, limits) transcript tree once. Memo entries share the cap
+// and ResetProgramCache with the programs.
 
-// cacheCap bounds the resident program count. Programs are small (tables
-// of a ≤64k-state protocol), and the workloads cycle through far fewer
-// distinct (spec, prior) pairs than this; eviction exists only as a
-// safety valve, dropping an arbitrary entry.
+// cacheCap bounds the resident entry count, programs and memoized values
+// together. Programs are small (tables of a ≤64k-state protocol), memoized
+// values smaller, and the workloads cycle through far fewer distinct
+// (spec, prior) pairs than this; eviction exists only as a safety valve,
+// dropping an arbitrary entry.
 const cacheCap = 512
 
 type programCache struct {
 	mu sync.Mutex
-	m  map[string]*Program // nil value = known-ineligible
+	m  map[string]any // *Program (nil = known-ineligible) or a Memo value
 }
 
-var cache = programCache{m: make(map[string]*Program)}
+var cache = programCache{m: make(map[string]any)}
 
 // keySHA is the content address of a cache key: SHA-256 hex, the exact
 // form the jobs result cache uses (see jobs.Spec.Key).
@@ -43,14 +49,14 @@ func keySHA(key string) string {
 	return hex.EncodeToString(sum[:])
 }
 
-func (c *programCache) lookup(key string) (*Program, bool) {
+func (c *programCache) lookup(key string) (any, bool) {
 	c.mu.Lock()
-	p, ok := c.m[key]
+	v, ok := c.m[key]
 	c.mu.Unlock()
-	return p, ok
+	return v, ok
 }
 
-func (c *programCache) store(key string, p *Program) {
+func (c *programCache) store(key string, v any) {
 	c.mu.Lock()
 	if _, ok := c.m[key]; !ok && len(c.m) >= cacheCap {
 		for k := range c.m {
@@ -58,7 +64,7 @@ func (c *programCache) store(key string, p *Program) {
 			break
 		}
 	}
-	c.m[key] = p
+	c.m[key] = v
 	c.mu.Unlock()
 }
 
@@ -68,11 +74,11 @@ func (c *programCache) store(key string, p *Program) {
 // redundantly and one result wins — harmless, since programs are
 // immutable and identical.
 func cached(key string, rec telemetry.Recorder, cause causal.Context, compile func() *Program) *Program {
-	if p, ok := cache.lookup(key); ok {
+	if v, ok := cache.lookup(key); ok {
 		if rec != nil {
 			rec.Count(telemetry.IRProgramHits, 1)
 		}
-		return p
+		return v.(*Program)
 	}
 	if rec != nil {
 		rec.Count(telemetry.IRProgramMisses, 1)
@@ -102,10 +108,31 @@ func EstimatorProgram(spec Spec, prior Prior, specKey, priorKey string, rec tele
 	return cached("e|"+specKey+"|"+priorKey, rec, cause, func() *Program { return CompileEstimator(spec, prior) })
 }
 
-// ResetProgramCache empties the program cache. It exists for tests that
-// assert on hit/miss telemetry; production code never needs it.
+// Memo returns the value cached under key, calling compute on a miss.
+// Callers prefix their keys so they cannot collide with the "s|" and "e|"
+// program keys, and the key must name every input compute reads. As in
+// cached, compute runs outside the lock and concurrent misses compute
+// redundantly; a failed compute stores nothing, so the next call retries.
+// The value is shared by every later hit: callers must not mutate it and
+// should hand out copies. Memo records no ir.program_* telemetry.
+func Memo[T any](key string, compute func() (T, error)) (T, error) {
+	if v, ok := cache.lookup(key); ok {
+		return v.(T), nil
+	}
+	v, err := compute()
+	if err == nil {
+		cache.store(key, v)
+	}
+	return v, err
+}
+
+// ResetProgramCache empties the cache, programs and Memo values alike, as
+// if the process had just started. Production code never needs it; tests
+// call it to assert on hit/miss telemetry, and the service benchmark calls
+// it before each set-up repeat so that repeat pays a fresh process's
+// compiles and exact enumerations.
 func ResetProgramCache() {
 	cache.mu.Lock()
-	cache.m = make(map[string]*Program)
+	cache.m = make(map[string]any)
 	cache.mu.Unlock()
 }

@@ -80,8 +80,10 @@ type Prior interface {
 // semantics with a stable identity string. Only keyed (spec, prior) pairs
 // participate in the program cache — an unkeyed value would force a full
 // compile walk on every call, which could cost more than the dynamic path
-// it replaces. The key must change whenever the protocol's observable
-// behavior changes.
+// it replaces. The cache also memoizes core.ExactCosts reports under the
+// same keys, so a key must name every parameter that changes the spec's
+// behavior or the prior's distribution: two values with equal keys share
+// one compiled program and one exact report for the life of the process.
 type Keyer interface {
 	IRKey() string
 }

@@ -3,6 +3,8 @@ package serve
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"net/http"
 
 	"broadcastic/internal/jobs"
@@ -16,11 +18,38 @@ type submitRequest struct {
 	jobs.JobSpec
 }
 
+// maxSpecBytes bounds a POST /jobs body. A maximal valid spec — two
+// 16-point grids and a fault plan — is under 1 KiB.
+const maxSpecBytes = 64 << 10
+
+// decodeSubmit decodes a POST /jobs body: one JSON object with no unknown
+// fields and nothing but whitespace after it. It reads the body through
+// http.MaxBytesReader, so it never reads more than limit+1 bytes, and a
+// body over the limit fails with an *http.MaxBytesError.
+func decodeSubmit(w http.ResponseWriter, body io.ReadCloser, limit int64) (submitRequest, error) {
+	dec := json.NewDecoder(http.MaxBytesReader(w, body, limit))
+	dec.DisallowUnknownFields()
+	var req submitRequest
+	if err := dec.Decode(&req); err != nil {
+		return submitRequest{}, err
+	}
+	switch _, err := dec.Token(); {
+	case err == io.EOF:
+		return req, nil
+	case errors.As(err, new(*http.MaxBytesError)):
+		return submitRequest{}, err
+	default:
+		return submitRequest{}, errors.New("trailing data after the JSON value")
+	}
+}
+
 // AttachJobs mounts the job API onto mux:
 //
 //	POST   /jobs      — submit a spec; 202 queued, 200 on a cache hit,
-//	                    400 invalid, 429 (+ Retry-After) on queue-full,
-//	                    503 when the service is shutting down.
+//	                    400 invalid (including bytes after the JSON
+//	                    value), 413 when the body is over maxSpecBytes,
+//	                    429 (+ Retry-After) on queue-full, 503 when the
+//	                    service is shutting down.
 //	GET    /jobs      — list the jobs the service holds (queued,
 //	                    running and the jobs.Retain latest finished),
 //	                    submission order.
@@ -34,10 +63,12 @@ type submitRequest struct {
 // fresh trace whose ID the snapshot carries as "traceId".
 func AttachJobs(mux *http.ServeMux, svc *jobs.Service) {
 	mux.HandleFunc("POST /jobs", func(w http.ResponseWriter, r *http.Request) {
-		var req submitRequest
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
+		req, err := decodeSubmit(w, r.Body, maxSpecBytes)
+		if errors.As(err, new(*http.MaxBytesError)) {
+			httpError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body over %d bytes", maxSpecBytes))
+			return
+		}
+		if err != nil {
 			httpError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 			return
 		}

@@ -186,6 +186,9 @@ func TestJobsHTTPValidationAndLookup(t *testing.T) {
 		`not json`,
 		`{"experiment":"E1","scale":"quick","bogus":1}`, // unknown field
 		`{"experiment":"E20","scale":"quick","faults":"drop=NaN"}`,
+		`{"experiment":"E8","seed":1,"scale":"quick"} trailing garbage`,
+		`{"experiment":"E8","seed":1,"scale":"quick"}}`,
+		`{"experiment":"E8","seed":1,"scale":"quick"}{}`,
 	} {
 		code, _, _ := postJob(t, ts.URL, "", body)
 		if code != http.StatusBadRequest {
@@ -207,6 +210,57 @@ func TestJobsHTTPValidationAndLookup(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("DELETE unknown job = %d, want 404", resp.StatusCode)
+	}
+}
+
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r io.Reader
+	n int64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
+}
+
+// TestJobsHTTPBodyLimit pins the POST /jobs body bound: a body of exactly
+// maxSpecBytes is decoded, one byte more answers 413, and a 4 MiB body is
+// refused after the handler reads at most the limit plus the one byte
+// that shows the body is over it.
+func TestJobsHTTPBodyLimit(t *testing.T) {
+	svc := jobs.New(jobs.Options{
+		Workers: 1,
+		Run: func(jobs.JobSpec, jobs.RunContext) ([]byte, error) {
+			return []byte("x"), nil
+		},
+	})
+	defer svc.Close()
+	mux := http.NewServeMux()
+	AttachJobs(mux, svc)
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+
+	spec := `{"experiment":"E8","seed":1,"scale":"quick"}`
+	padded := spec + strings.Repeat(" ", maxSpecBytes-len(spec))
+	if code, _, _ := postJob(t, ts.URL, "", padded); code != http.StatusAccepted {
+		t.Errorf("POST of exactly %d bytes = %d, want 202", len(padded), code)
+	}
+	if code, _, _ := postJob(t, ts.URL, "", padded+" "); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("POST of %d bytes = %d, want 413", len(padded)+1, code)
+	}
+
+	huge := `{"experiment":"` + strings.Repeat("a", 4<<20) + `"}`
+	body := &countingReader{r: strings.NewReader(huge)}
+	req := httptest.NewRequest("POST", "/jobs", body)
+	rec := httptest.NewRecorder()
+	mux.ServeHTTP(rec, req)
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Errorf("POST of %d bytes = %d, want 413", len(huge), rec.Code)
+	}
+	if body.n > maxSpecBytes+1 {
+		t.Errorf("handler read %d bytes of a %d-byte body, want at most %d", body.n, len(huge), maxSpecBytes+1)
 	}
 }
 
