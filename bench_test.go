@@ -33,6 +33,7 @@ import (
 	"broadcastic/internal/ir"
 	"broadcastic/internal/pool"
 	"broadcastic/internal/prob"
+	"broadcastic/internal/prob/probtest"
 	"broadcastic/internal/rng"
 	"broadcastic/internal/sim"
 	"broadcastic/internal/telemetry"
@@ -341,51 +342,6 @@ func benchEstimateCICScalar(b *testing.B, k int) {
 
 func BenchmarkEstimateCICScalar_K16(b *testing.B) { benchEstimateCICScalar(b, 16) }
 
-// BenchmarkParallelSpecScalar times the scalar estimator on the 4-fold
-// parallel AND_4 task (ParallelSpec over ProductOfPriors) with the
-// compiled engine disabled — the workload whose per-step transcript re-splitting
-// the memoized ParallelSpec walk turns from O(L²) to O(L) interface
-// calls. A regression here means the split memo stopped engaging.
-func BenchmarkParallelSpecScalar(b *testing.B) {
-	const k, copies = 4, 4
-	base, err := andk.NewSequential(k)
-	if err != nil {
-		b.Fatal(err)
-	}
-	spec, err := core.NewParallelSpec(base, copies)
-	if err != nil {
-		b.Fatal(err)
-	}
-	mu, err := dist.NewMu(k)
-	if err != nil {
-		b.Fatal(err)
-	}
-	prior, err := core.NewProductOfPriors(mu, copies)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const samples = 50
-	opts := core.EstimateOptions{DisableIR: true}
-	// Untimed warm-up op, as in benchEstimateCICCompiled.
-	if _, err := core.EstimateCICOpts(spec, prior, rng.New(1), samples, opts); err != nil {
-		b.Fatal(err)
-	}
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	mallocsBefore := ms.Mallocs
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		src := rng.New(1)
-		if _, err := core.EstimateCICOpts(spec, prior, src, samples, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-	elapsed := b.Elapsed()
-	runtime.ReadMemStats(&ms)
-	n := float64(b.N)
-	recordSample(b.Name(), int64(b.N), float64(elapsed)/n, float64(ms.Mallocs-mallocsBefore)/n, nil)
-}
-
 // benchDistSample times prob.Dist.Sample over a 256-outcome distribution
 // (comfortably above cdfMinSize, so the production size heuristic picks
 // the table), with and without the cumulative-distribution cache
@@ -397,7 +353,7 @@ func BenchmarkParallelSpecScalar(b *testing.B) {
 func benchDistSample(b *testing.B, cached bool) {
 	b.Helper()
 	const drawsPerOp = 1000
-	d, err := prob.Uniform(256)
+	d, err := probtest.Uniform(256)
 	if err != nil {
 		b.Fatal(err)
 	}

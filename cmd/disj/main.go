@@ -44,6 +44,11 @@ func run(args []string) error {
 		fmt.Println(buildinfo.Resolve())
 		return nil
 	}
+	switch *protocol {
+	case "optimal", "naive", "both":
+	default:
+		return fmt.Errorf("unknown protocol %q", *protocol)
+	}
 	stopProfiles, err := profiles.Start()
 	if err != nil {
 		return err

@@ -15,4 +15,7 @@ func TestRunSmoke(t *testing.T) {
 	if err := run([]string{"-kind", "bogus"}); err == nil {
 		t.Fatal("bogus kind accepted")
 	}
+	if err := run([]string{"-n", "64", "-k", "2", "-trials", "1", "-protocol", "bogus"}); err == nil {
+		t.Fatal("bogus protocol accepted")
+	}
 }

@@ -145,9 +145,9 @@ func run(args []string, out *os.File) error {
 		elapsed time.Duration
 		metrics map[string]float64
 	}
-	// Experiments are independent: run them on the pool like sim.All does,
-	// each with its own collector so per-experiment metrics don't mix. The
-	// live collector, run trace and progress hook tee alongside.
+	// Experiments are independent: run them on the pool, each with its own
+	// collector so per-experiment metrics don't mix. The live collector, run
+	// trace and progress hook tee alongside.
 	results, err := pool.Map(pool.Workers(cfg.Workers), len(selected), func(i int) (result, error) {
 		exp := selected[i]
 		runID := fmt.Sprintf("%s-seed%d", exp.ID, *seed)

@@ -48,6 +48,11 @@ func run(args []string) error {
 		fmt.Println(buildinfo.Resolve())
 		return nil
 	}
+	switch *method {
+	case "auto", "exact", "mc":
+	default:
+		return fmt.Errorf("unknown method %q", *method)
+	}
 	stopProfiles, err := profiles.Start()
 	if err != nil {
 		return err

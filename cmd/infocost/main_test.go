@@ -21,4 +21,7 @@ func TestRunSmoke(t *testing.T) {
 	if err := run([]string{"-protocol", "bogus"}); err == nil {
 		t.Fatal("bogus protocol accepted")
 	}
+	if err := run([]string{"-k", "4", "-samples", "100", "-method", "bogus"}); err == nil {
+		t.Fatal("bogus method accepted")
+	}
 }

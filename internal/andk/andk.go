@@ -11,10 +11,6 @@
 //     communication is k. This is the witness for the Ω(k/log k) gap.
 //   - BroadcastAll: every player writes its bit regardless. Reveals the
 //     entire input; a natural upper-baseline for information cost.
-//   - Truncated: only the first m players speak (deterministic); used to
-//     exercise the Lemma 6 argument that any deterministic protocol in
-//     which fewer than (1−ε/(1−ε'))·k players speak on input 1^k errs with
-//     probability > ε under the Lemma 6 distribution.
 //   - Lazy: before the sequential protocol starts, player 0 "throws its
 //     hands up" with probability δ and the protocol halts with a fixed
 //     output. This realizes the paper's remark that a protocol may waste ε
@@ -22,10 +18,11 @@
 //     error side of the Lemma 5 analysis.
 //
 // All types implement core.Spec, so the information-cost engine can
-// enumerate or sample them directly. Sequential, BroadcastAll and
-// Truncated also name their sufficient prefix state (StateKey), which
-// lets the compiled estimator run them in O(k) states at any k; Lazy's
-// opening coin makes it compile as a plain transcript tree.
+// enumerate or sample them directly. Sequential and BroadcastAll also
+// name their sufficient prefix state (StateKey), which lets the compiled
+// estimator run them in O(k) states at any k; Lazy's opening coin makes
+// it compile as a plain transcript tree. The m-speaker Truncated protocol
+// of the Lemma 6 tests lives in andk/andktest.
 package andk
 
 import (
@@ -212,71 +209,6 @@ func (b *BroadcastAll) IRKey() string { return "andk.all/" + strconv.Itoa(b.k) }
 func (b *BroadcastAll) StateKey(t []int) uint64 { return zeroWritten(t) }
 
 var _ core.Spec = (*BroadcastAll)(nil)
-
-// Truncated is the deterministic protocol in which only players 0..m-1
-// speak (in order, with early stop on 0) and the output is the AND of the
-// observed bits. For m < k it is incorrect, in exactly the way the Lemma 6
-// adversary exploits.
-type Truncated struct {
-	k, m int
-}
-
-// NewTruncated returns the truncated protocol; 1 <= m <= k.
-func NewTruncated(k, m int) (*Truncated, error) {
-	if k < 1 || m < 1 || m > k {
-		return nil, fmt.Errorf("andk: invalid truncation m=%d for k=%d", m, k)
-	}
-	return &Truncated{k: k, m: m}, nil
-}
-
-// NumPlayers implements core.Spec.
-func (tr *Truncated) NumPlayers() int { return tr.k }
-
-// InputSize implements core.Spec.
-func (tr *Truncated) InputSize() int { return 2 }
-
-// NextSpeaker implements core.Spec.
-func (tr *Truncated) NextSpeaker(t core.Transcript) (int, bool, error) {
-	if len(t) > 0 && t[len(t)-1] == 0 {
-		return 0, true, nil
-	}
-	if len(t) >= tr.m {
-		return 0, true, nil
-	}
-	return len(t), false, nil
-}
-
-// MessageAlphabet implements core.Spec.
-func (tr *Truncated) MessageAlphabet(t core.Transcript) (int, error) { return 2, nil }
-
-// MessageDist implements core.Spec.
-func (tr *Truncated) MessageDist(t core.Transcript, player, input int) (prob.Dist, error) {
-	return bitDist(input)
-}
-
-// MessageBits implements core.Spec.
-func (tr *Truncated) MessageBits(t core.Transcript, symbol int) (int, error) { return 1, nil }
-
-// Output implements core.Spec.
-func (tr *Truncated) Output(t core.Transcript) (int, error) {
-	if len(t) == 0 {
-		return 0, fmt.Errorf("andk: output of empty transcript")
-	}
-	if t[len(t)-1] == 0 {
-		return 0, nil
-	}
-	return 1, nil
-}
-
-// IRKey names the protocol for the compiled-IR program cache.
-func (tr *Truncated) IRKey() string {
-	return "andk.trunc/" + strconv.Itoa(tr.k) + "," + strconv.Itoa(tr.m)
-}
-
-// StateKey implements ir.StateKeyer, as for Sequential.
-func (tr *Truncated) StateKey(t []int) uint64 { return zeroWritten(t) }
-
-var _ core.Spec = (*Truncated)(nil)
 
 // Lazy wraps the sequential protocol with an initial give-up move: player 0
 // first writes a coin that comes up "give up" with probability delta, in

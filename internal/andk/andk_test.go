@@ -4,7 +4,9 @@ import (
 	"math"
 	"testing"
 
+	"broadcastic/internal/andk/andktest"
 	"broadcastic/internal/core"
+	"broadcastic/internal/core/coretest"
 	"broadcastic/internal/dist"
 	"broadcastic/internal/rng"
 )
@@ -84,7 +86,7 @@ func TestSequentialMessageDist(t *testing.T) {
 func TestSequentialCorrectOnAllInputs(t *testing.T) {
 	for _, k := range []int{1, 2, 4, 6} {
 		s, _ := NewSequential(k)
-		e, err := core.WorstCaseError(s, core.AllBinaryInputs(k), core.AndFunc, core.TreeLimits{})
+		e, err := coretest.WorstCaseError(s, coretest.AllBinaryInputs(k), coretest.AndFunc, core.TreeLimits{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +127,7 @@ func TestBroadcastAllAlwaysSpeaksK(t *testing.T) {
 			t.Fatalf("leaf bits %d, want %d", leaf.Bits, k)
 		}
 	}
-	e, err := core.WorstCaseError(b, core.AllBinaryInputs(k), core.AndFunc, core.TreeLimits{})
+	e, err := coretest.WorstCaseError(b, coretest.AllBinaryInputs(k), coretest.AndFunc, core.TreeLimits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,18 +143,18 @@ func TestBroadcastAllAlwaysSpeaksK(t *testing.T) {
 }
 
 func TestTruncatedValidation(t *testing.T) {
-	if _, err := NewTruncated(4, 0); err == nil {
+	if _, err := andktest.NewTruncated(4, 0); err == nil {
 		t.Fatal("m=0 succeeded")
 	}
-	if _, err := NewTruncated(4, 5); err == nil {
+	if _, err := andktest.NewTruncated(4, 5); err == nil {
 		t.Fatal("m>k succeeded")
 	}
 }
 
 func TestTruncatedEqualsSequentialAtFullLength(t *testing.T) {
 	const k = 5
-	tr, _ := NewTruncated(k, k)
-	e, err := core.WorstCaseError(tr, core.AllBinaryInputs(k), core.AndFunc, core.TreeLimits{})
+	tr, _ := andktest.NewTruncated(k, k)
+	e, err := coretest.WorstCaseError(tr, coretest.AllBinaryInputs(k), coretest.AndFunc, core.TreeLimits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +178,13 @@ func TestTruncatedDistributionalErrorMatchesLemma6(t *testing.T) {
 	const trials = 200000
 	wrong := 0
 	for i := 0; i < trials; i++ {
-		x, _ := d.Sample(src)
+		x := make([]int, k)
+		for j := range x {
+			x[j] = 1
+		}
+		if z := d.SampleZero(src); z >= 0 {
+			x[z] = 0
+		}
 		// The protocol is deterministic; simulate directly.
 		out := 1
 		for j := 0; j < m; j++ {
@@ -185,7 +193,7 @@ func TestTruncatedDistributionalErrorMatchesLemma6(t *testing.T) {
 				break
 			}
 		}
-		if out != core.AndFunc(x) {
+		if out != coretest.AndFunc(x) {
 			wrong++
 		}
 	}
@@ -245,7 +253,7 @@ func TestLazyGiveUpProbability(t *testing.T) {
 	gaveUp := 0
 	const trials = 100000
 	for i := 0; i < trials; i++ {
-		tr, _, err := core.SampleTranscript(l, []int{1, 1, 1}, src)
+		tr, _, err := coretest.SampleTranscript(l, []int{1, 1, 1}, src)
 		if err != nil {
 			t.Fatal(err)
 		}

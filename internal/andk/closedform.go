@@ -62,42 +62,3 @@ func SequentialICExact(k int) (float64, error) {
 	}
 	return h, nil
 }
-
-// BroadcastAllCICExact returns the exact conditional information cost of
-// the all-speak AND_k protocol under μ, in bits. Given Z = z the transcript
-// is the whole input, so I(Π; X | Z) = H(X | Z): the special player's bit
-// is fixed and each of the other k−1 is an independent Bernoulli(1/k)
-// zero, giving (k−1)·h(1/k) with h the binary entropy.
-func BroadcastAllCICExact(k int) (float64, error) {
-	if k < 2 {
-		return 0, fmt.Errorf("andk: closed form requires k >= 2, got %d", k)
-	}
-	return float64(k-1) * binaryEntropy(1/float64(k)), nil
-}
-
-// TruncatedCICExact returns the exact conditional information cost of the
-// m-speaker truncated AND_k protocol under μ, in bits. As for Sequential,
-// given Z = z the cost is (1 − ρ^{min(m,z)})·[(k−1)·log₂(k/(k−1)) + log₂ k]:
-// only the first min(m, z) players can reveal a 1 or a non-special 0.
-// Averaging over uniform z gives the stated form; m = k recovers
-// SequentialCICExact.
-func TruncatedCICExact(k, m int) (float64, error) {
-	if k < 2 {
-		return 0, fmt.Errorf("andk: closed form requires k >= 2, got %d", k)
-	}
-	if m < 1 || m > k {
-		return 0, fmt.Errorf("andk: truncation m=%d outside [1,%d]", m, k)
-	}
-	fk := float64(k)
-	rho := 1 - 1/fk
-	silent := 0.0 // Σ_{z<k} ρ^{min(m,z)}
-	for z := 0; z < k; z++ {
-		silent += math.Pow(rho, float64(min(m, z)))
-	}
-	return ((fk-1)*math.Log2(fk/(fk-1)) + math.Log2(fk)) * (1 - silent/fk), nil
-}
-
-// binaryEntropy is h(p) = −p·log₂p − (1−p)·log₂(1−p), for p in (0, 1).
-func binaryEntropy(p float64) float64 {
-	return -p*math.Log2(p) - (1-p)*math.Log2(1-p)
-}

@@ -1,9 +1,11 @@
 package andk
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
+	"broadcastic/internal/andk/andktest"
 	"broadcastic/internal/core"
 	"broadcastic/internal/dist"
 	"broadcastic/internal/rng"
@@ -21,7 +23,7 @@ func TestClosedFormValidation(t *testing.T) {
 		t.Fatal("k=1 broadcast-all CIC succeeded")
 	}
 	for _, km := range [][2]int{{1, 1}, {4, 0}, {4, 5}} {
-		if _, err := TruncatedCICExact(km[0], km[1]); err == nil {
+		if _, err := andktest.TruncatedCICExact(km[0], km[1]); err == nil {
 			t.Fatalf("truncated CIC at k=%d m=%d succeeded", km[0], km[1])
 		}
 	}
@@ -52,7 +54,7 @@ func TestBroadcastAllAndTruncatedClosedFormsMatchEnumeration(t *testing.T) {
 			t.Fatalf("k=%d: broadcast-all closed form %v vs enumerated %v", k, cic, report.CIC)
 		}
 		for m := 1; m <= k; m++ {
-			tr, err := NewTruncated(k, m)
+			tr, err := andktest.NewTruncated(k, m)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -60,7 +62,7 @@ func TestBroadcastAllAndTruncatedClosedFormsMatchEnumeration(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cic, err := TruncatedCICExact(k, m)
+			cic, err := andktest.TruncatedCICExact(k, m)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -72,7 +74,7 @@ func TestBroadcastAllAndTruncatedClosedFormsMatchEnumeration(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if full, _ := TruncatedCICExact(k, k); math.Abs(full-seq) > 1e-12 {
+		if full, _ := andktest.TruncatedCICExact(k, k); math.Abs(full-seq) > 1e-12 {
 			t.Fatalf("k=%d: truncated at m=k %v != sequential %v", k, full, seq)
 		}
 	}
@@ -93,10 +95,10 @@ func TestClosedFormsMatchCompiledEstimate(t *testing.T) {
 		m := (k + 1) / 2
 		seq, _ := NewSequential(k)
 		all, _ := NewBroadcastAll(k)
-		tr, _ := NewTruncated(k, m)
+		tr, _ := andktest.NewTruncated(k, m)
 		seqCIC, _ := SequentialCICExact(k)
 		allCIC, _ := BroadcastAllCICExact(k)
-		trCIC, _ := TruncatedCICExact(k, m)
+		trCIC, _ := andktest.TruncatedCICExact(k, m)
 		for _, tc := range []struct {
 			name  string
 			spec  core.Spec
@@ -162,7 +164,7 @@ func TestClosedFormCICMatchesMonteCarlo(t *testing.T) {
 	const k = 512
 	spec, _ := NewSequential(k)
 	mu, _ := dist.NewMu(k)
-	est, err := core.EstimateCIC(spec, mu, rng.New(41), 20000)
+	est, err := core.EstimateCICWorkers(spec, mu, rng.New(41), 20000, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,4 +206,21 @@ func TestClosedFormAsymptotics(t *testing.T) {
 		}
 		prevCIC, prevIC = cic, ic
 	}
+}
+
+// BroadcastAllCICExact returns the exact conditional information cost of
+// the all-speak AND_k protocol under μ, in bits. Given Z = z the transcript
+// is the whole input, so I(Π; X | Z) = H(X | Z): the special player's bit
+// is fixed and each of the other k−1 is an independent Bernoulli(1/k)
+// zero, giving (k−1)·h(1/k) with h the binary entropy.
+func BroadcastAllCICExact(k int) (float64, error) {
+	if k < 2 {
+		return 0, fmt.Errorf("andk: closed form requires k >= 2, got %d", k)
+	}
+	return float64(k-1) * binaryEntropy(1/float64(k)), nil
+}
+
+// binaryEntropy is h(p) = −p·log₂p − (1−p)·log₂(1−p), for p in (0, 1).
+func binaryEntropy(p float64) float64 {
+	return -p*math.Log2(p) - (1-p)*math.Log2(1-p)
 }

@@ -31,30 +31,6 @@ func New(n int) (*Vector, error) {
 	return &Vector{n: n, words: make([]uint64, (n+wordBits-1)/wordBits)}, nil
 }
 
-// MustNew is New for static, known-good lengths (tests, examples).
-func MustNew(n int) *Vector {
-	v, err := New(n)
-	if err != nil {
-		panic(err)
-	}
-	return v
-}
-
-// FromIndices returns a Vector over [0, n) with exactly the given indices
-// set. Duplicate indices are allowed; out-of-range indices are an error.
-func FromIndices(n int, indices []int) (*Vector, error) {
-	v, err := New(n)
-	if err != nil {
-		return nil, err
-	}
-	for _, i := range indices {
-		if err := v.Set(i); err != nil {
-			return nil, err
-		}
-	}
-	return v, nil
-}
-
 // Len returns the universe size n.
 func (v *Vector) Len() int { return v.n }
 
@@ -214,17 +190,6 @@ func (v *Vector) Or(u *Vector) error {
 	return nil
 }
 
-// AndNot stores v \ u into v.
-func (v *Vector) AndNot(u *Vector) error {
-	if err := v.sameUniverse(u); err != nil {
-		return err
-	}
-	for i := range v.words {
-		v.words[i] &^= u.words[i]
-	}
-	return nil
-}
-
 // Not complements v in place.
 func (v *Vector) Not() {
 	for i := range v.words {
@@ -293,61 +258,6 @@ func (v *Vector) NextSet(from int) (int, bool) {
 		}
 	}
 	return 0, false
-}
-
-// Indices returns all set indices in increasing order.
-func (v *Vector) Indices() []int {
-	out := make([]int, 0, v.Count())
-	for i, ok := v.NextSet(0); ok; i, ok = v.NextSet(i + 1) {
-		out = append(out, i)
-	}
-	return out
-}
-
-// Rank returns the number of set bits strictly below position i. Positions
-// beyond the universe count all set bits.
-func (v *Vector) Rank(i int) int {
-	if i <= 0 {
-		return 0
-	}
-	if i > v.n {
-		i = v.n
-	}
-	full := i / wordBits
-	c := 0
-	for w := 0; w < full; w++ {
-		c += bits.OnesCount64(v.words[w])
-	}
-	if rem := i % wordBits; rem != 0 {
-		c += bits.OnesCount64(v.words[full] & ((1 << uint(rem)) - 1))
-	}
-	return c
-}
-
-// SelectSet returns the position of the (r+1)-th set bit (0-indexed rank r),
-// or an error if fewer than r+1 bits are set.
-func (v *Vector) SelectSet(r int) (int, error) {
-	if r < 0 {
-		return 0, fmt.Errorf("bitvec: negative rank %d", r)
-	}
-	seen := 0
-	for wi, w := range v.words {
-		c := bits.OnesCount64(w)
-		if seen+c <= r {
-			seen += c
-			continue
-		}
-		// The answer is inside this word.
-		for w != 0 {
-			tz := bits.TrailingZeros64(w)
-			if seen == r {
-				return wi*wordBits + tz, nil
-			}
-			seen++
-			w &= w - 1
-		}
-	}
-	return 0, fmt.Errorf("bitvec: rank %d exceeds population %d", r, seen)
 }
 
 // String renders the vector as a 0/1 string, index 0 first. Large vectors

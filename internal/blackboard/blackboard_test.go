@@ -466,3 +466,6 @@ func TestStepperDiscipline(t *testing.T) {
 		t.Fatal("zero players accepted")
 	}
 }
+
+// Done reports whether the scheduler has halted the protocol.
+func (st *Stepper) Done() bool { return st.done }

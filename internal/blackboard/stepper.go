@@ -62,9 +62,6 @@ func (st *Stepper) SetRecorder(rec telemetry.Recorder) {
 // Board returns the board under execution.
 func (st *Stepper) Board() *Board { return st.board }
 
-// Done reports whether the scheduler has halted the protocol.
-func (st *Stepper) Done() bool { return st.done }
-
 // Next consults the scheduler: it returns the next speaker, or done=true
 // when the protocol halts. After a Next that names a speaker, the driver
 // must Deliver that player's message before calling Next again.

@@ -65,10 +65,15 @@ func newAmortizedRunner(spec core.Spec, prior core.Prior) (*amortizedRunner, err
 	return &amortizedRunner{spec: spec, prior: prior, ps: ps}, nil
 }
 
-// run executes n copies, drawing inputs and messages from src exactly as
-// RunAmortized always has: per copy the prior draws, then per round, per
-// speaker group in first-seen order, per member copy in index order, one
-// message draw followed by the group's simulated transmission draws.
+// run executes n independent copies of the spec on inputs drawn from the
+// prior, compressing each parallel round with SimulatedProductTransmit.
+// Copies that halt early simply drop out of later rounds (the sequential
+// AND protocol halts at the first zero), which only reduces cost. It draws
+// inputs and messages from src in a fixed order: per copy the prior draws,
+// then per round, per speaker group in first-seen order, per member copy
+// in index order, one message draw followed by the group's simulated
+// transmission draws. A runner is reused across runs, so sweeps share its
+// observers, transcripts and group scratch.
 func (r *amortizedRunner) run(copies int, src *rng.Source) (*AmortizedResult, error) {
 	if copies < 1 {
 		return nil, fmt.Errorf("compress: copy count %d < 1", copies)
@@ -203,21 +208,7 @@ func (r *amortizedRunner) run(copies int, src *rng.Source) (*AmortizedResult, er
 	return result, nil
 }
 
-// RunAmortized executes n independent copies of spec on inputs drawn from
-// prior, compressing each parallel round with SimulatedProductTransmit.
-// Copies that halt early simply drop out of later rounds (the sequential
-// AND protocol halts at the first zero), which only reduces cost. Sweeps
-// over many executions should hold an amortizedRunner via AmortizedCurve
-// instead; this one-shot form sets up fresh state per call.
-func RunAmortized(spec core.Spec, prior core.Prior, copies int, src *rng.Source) (*AmortizedResult, error) {
-	r, err := newAmortizedRunner(spec, prior)
-	if err != nil {
-		return nil, err
-	}
-	return r.run(copies, src)
-}
-
-// AmortizedCurve runs RunAmortized over a sweep of copy counts, averaging
+// AmortizedCurve runs the amortized protocol over a sweep of copy counts, averaging
 // `repeats` executions per point: the data behind experiment E11. Each
 // entry reports the mean per-copy compressed cost.
 type AmortizedPoint struct {

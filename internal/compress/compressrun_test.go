@@ -6,6 +6,7 @@ import (
 
 	"broadcastic/internal/andk"
 	"broadcastic/internal/core"
+	"broadcastic/internal/core/coretest"
 	"broadcastic/internal/disj"
 	"broadcastic/internal/dist"
 	"broadcastic/internal/rng"
@@ -143,7 +144,7 @@ func TestCompressRunPreservesTranscriptDistribution(t *testing.T) {
 		if res.Transcript[0] == 1 {
 			compGaveUp++
 		}
-		tr, _, err := core.SampleTranscript(spec, x, direct)
+		tr, _, err := coretest.SampleTranscript(spec, x, direct)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,7 +207,11 @@ func TestRunAmortizedOutputsCorrect(t *testing.T) {
 	const k = 4
 	mu, _ := dist.NewMu(k)
 	spec, _ := andk.NewSequential(k)
-	res, err := RunAmortized(spec, mu, 20, rng.New(416))
+	r, err := newAmortizedRunner(spec, mu)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := r.run(20, rng.New(416))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,10 +226,10 @@ func TestRunAmortizedOutputsCorrect(t *testing.T) {
 	if res.Copies != 20 {
 		t.Fatalf("copies = %d", res.Copies)
 	}
-	if _, err := RunAmortized(spec, mu, 0, rng.New(1)); err == nil {
+	if _, err := r.run(0, rng.New(1)); err == nil {
 		t.Fatal("zero copies succeeded")
 	}
-	if _, err := RunAmortized(spec, mu, 1, nil); err == nil {
+	if _, err := r.run(1, nil); err == nil {
 		t.Fatal("nil source succeeded")
 	}
 }
@@ -280,7 +285,7 @@ func TestCompressRunOnDisjSpec(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		want, _, err := core.SampleTranscript(spec, x, rng.New(1))
+		want, _, err := coretest.SampleTranscript(spec, x, rng.New(1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -302,7 +307,7 @@ func TestCompressRunOnDisjSpec(t *testing.T) {
 func TestRunAmortizedOnDisjSpecGroupsSpeakers(t *testing.T) {
 	// The per-coordinate DISJ spec's speaker depends on transcript content,
 	// so copies drift apart and rounds contain several speaker groups —
-	// exercising the group-by-speaker path of RunAmortized.
+	// exercising the group-by-speaker path of the amortized runner.
 	const n, k = 2, 3
 	spec, err := disj.NewSequentialSpec(n, k)
 	if err != nil {
@@ -312,7 +317,11 @@ func TestRunAmortizedOnDisjSpecGroupsSpeakers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunAmortized(spec, mun, 24, rng.New(420))
+	r, err := newAmortizedRunner(spec, mun)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := r.run(24, rng.New(420))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,7 @@ func BenchmarkEstimateCICK256(b *testing.B) {
 	src := rng.New(1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.EstimateCIC(spec, mu, src, 100); err != nil {
+		if _, err := core.EstimateCICWorkers(spec, mu, src, 100, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -52,22 +52,6 @@ func BenchmarkEstimateExternalICK64(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.EstimateExternalIC(spec, mu, src, 20); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSampleTranscript(b *testing.B) {
-	spec, _ := andk.NewSequential(64)
-	mu, _ := dist.NewMu(64)
-	src := rng.New(1)
-	_, x, err := core.SamplePrior(mu, src)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := core.SampleTranscript(spec, x, src); err != nil {
 			b.Fatal(err)
 		}
 	}

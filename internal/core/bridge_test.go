@@ -6,6 +6,7 @@ import (
 
 	"broadcastic/internal/andk"
 	"broadcastic/internal/core"
+	"broadcastic/internal/core/coretest"
 	"broadcastic/internal/prob"
 	"broadcastic/internal/rng"
 )
@@ -15,12 +16,12 @@ func TestBridgeMatchesDirectExecution(t *testing.T) {
 	// and bit count on the physical board as in the analytical engine.
 	const k = 5
 	spec, _ := andk.NewSequential(k)
-	for _, x := range core.AllBinaryInputs(k) {
-		run, err := core.RunSpecOnBlackboard(spec, x, nil)
+	for _, x := range coretest.AllBinaryInputs(k) {
+		run, err := coretest.RunSpecOnBlackboard(spec, x, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, leaf, err := core.SampleTranscript(spec, x, rng.New(1))
+		_, leaf, err := coretest.SampleTranscript(spec, x, rng.New(1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,7 +63,7 @@ func TestBridgeRandomizedProtocol(t *testing.T) {
 	const trials = 20000
 	gaveUp := 0
 	for i := 0; i < trials; i++ {
-		run, err := core.RunSpecOnBlackboard(spec, []int{1, 1, 1}, private)
+		run, err := coretest.RunSpecOnBlackboard(spec, []int{1, 1, 1}, private)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,14 +78,14 @@ func TestBridgeRandomizedProtocol(t *testing.T) {
 
 func TestBridgeRequiresRandomnessForRandomizedSpecs(t *testing.T) {
 	spec, _ := andk.NewLazy(3, 0.5, 0)
-	if _, err := core.RunSpecOnBlackboard(spec, []int{1, 1, 1}, nil); err == nil {
+	if _, err := coretest.RunSpecOnBlackboard(spec, []int{1, 1, 1}, nil); err == nil {
 		t.Fatal("randomized spec without a source succeeded")
 	}
 }
 
 func TestBridgeInputValidation(t *testing.T) {
 	spec, _ := andk.NewSequential(3)
-	if _, err := core.RunSpecOnBlackboard(spec, []int{1}, nil); err == nil {
+	if _, err := coretest.RunSpecOnBlackboard(spec, []int{1}, nil); err == nil {
 		t.Fatal("short input succeeded")
 	}
 }
@@ -93,7 +94,7 @@ func TestBridgeRejectsInconsistentCharging(t *testing.T) {
 	// A spec whose declared MessageBits disagrees with the fixed-width
 	// encoding must be refused rather than mis-accounted.
 	spec := badChargingSpec{}
-	if _, err := core.RunSpecOnBlackboard(spec, []int{0}, nil); err == nil {
+	if _, err := coretest.RunSpecOnBlackboard(spec, []int{0}, nil); err == nil {
 		t.Fatal("inconsistent charging accepted")
 	}
 }

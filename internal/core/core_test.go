@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"broadcastic/internal/andk"
+	"broadcastic/internal/andk/andktest"
 	"broadcastic/internal/core"
+	"broadcastic/internal/core/coretest"
 	"broadcastic/internal/dist"
 	"broadcastic/internal/prob"
 	"broadcastic/internal/rng"
@@ -63,7 +65,7 @@ func TestLeafQFactorsMatchDirectProbability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, x := range core.AllBinaryInputs(3) {
+	for _, x := range coretest.AllBinaryInputs(3) {
 		matches := 0
 		for _, leaf := range leaves {
 			p, err := leaf.ProbGivenInput(x)
@@ -229,7 +231,7 @@ func TestEstimateCICMatchesExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := core.EstimateCIC(spec, mu, rng.New(7), 20000)
+	est, err := core.EstimateCICWorkers(spec, mu, rng.New(7), 20000, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,14 +246,14 @@ func TestEstimateCICMatchesExact(t *testing.T) {
 func TestEstimateCICValidation(t *testing.T) {
 	spec, _ := andk.NewSequential(3)
 	mu, _ := dist.NewMu(3)
-	if _, err := core.EstimateCIC(spec, mu, nil, 10); err == nil {
+	if _, err := core.EstimateCICWorkers(spec, mu, nil, 10, 1); err == nil {
 		t.Fatal("nil source succeeded")
 	}
-	if _, err := core.EstimateCIC(spec, mu, rng.New(1), 0); err == nil {
+	if _, err := core.EstimateCICWorkers(spec, mu, rng.New(1), 0, 1); err == nil {
 		t.Fatal("zero samples succeeded")
 	}
 	mu4, _ := dist.NewMu(4)
-	if _, err := core.EstimateCIC(spec, mu4, rng.New(1), 10); err == nil {
+	if _, err := core.EstimateCICWorkers(spec, mu4, rng.New(1), 10, 1); err == nil {
 		t.Fatal("player-count mismatch succeeded")
 	}
 }
@@ -279,7 +281,7 @@ func TestOutputProbSequential(t *testing.T) {
 
 func TestWorstCaseErrorSequentialIsZero(t *testing.T) {
 	spec, _ := andk.NewSequential(4)
-	e, err := core.WorstCaseError(spec, core.AllBinaryInputs(4), core.AndFunc, core.TreeLimits{})
+	e, err := coretest.WorstCaseError(spec, coretest.AllBinaryInputs(4), coretest.AndFunc, core.TreeLimits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +298,7 @@ func TestWorstCaseErrorLazy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := core.WorstCaseError(spec, core.AllBinaryInputs(4), core.AndFunc, core.TreeLimits{})
+	e, err := coretest.WorstCaseError(spec, coretest.AllBinaryInputs(4), coretest.AndFunc, core.TreeLimits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,8 +310,8 @@ func TestWorstCaseErrorLazy(t *testing.T) {
 func TestTruncatedErrorsOnHiddenZero(t *testing.T) {
 	// Truncated to m=2 of k=4: input with the only zero at player 3 is
 	// answered 1, which is wrong.
-	spec, _ := andk.NewTruncated(4, 2)
-	e, err := core.WorstCaseError(spec, [][]int{{1, 1, 1, 0}}, core.AndFunc, core.TreeLimits{})
+	spec, _ := andktest.NewTruncated(4, 2)
+	e, err := coretest.WorstCaseError(spec, [][]int{{1, 1, 1, 0}}, coretest.AndFunc, core.TreeLimits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +335,7 @@ func TestTreeLimitsEnforced(t *testing.T) {
 func TestSampleTranscriptDeterministicProtocol(t *testing.T) {
 	spec, _ := andk.NewSequential(4)
 	x := []int{1, 1, 0, 1}
-	tr, leaf, err := core.SampleTranscript(spec, x, rng.New(3))
+	tr, leaf, err := coretest.SampleTranscript(spec, x, rng.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,10 +354,10 @@ func TestSampleTranscriptDeterministicProtocol(t *testing.T) {
 	if leaf.Bits != 3 {
 		t.Fatalf("bits %d, want 3", leaf.Bits)
 	}
-	if _, _, err := core.SampleTranscript(spec, []int{1}, rng.New(3)); err == nil {
+	if _, _, err := coretest.SampleTranscript(spec, []int{1}, rng.New(3)); err == nil {
 		t.Fatal("short input succeeded")
 	}
-	if _, _, err := core.SampleTranscript(spec, x, nil); err == nil {
+	if _, _, err := coretest.SampleTranscript(spec, x, nil); err == nil {
 		t.Fatal("nil source succeeded")
 	}
 }

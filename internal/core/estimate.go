@@ -37,23 +37,16 @@ type cicPartial struct {
 	sum, sumSq, bitsSum float64
 }
 
-// EstimateCIC estimates I(Π; X | D) by sampling executions. Each sample
-// draws (z, x) from the prior, simulates the protocol while maintaining the
-// Lemma 3 q-factors along the sampled path, and evaluates the *exact* inner
-// quantity Σ_i D(posterior_i ‖ prior_i) at the resulting transcript. Because
-// the inner term is exact, the estimator is unbiased with variance bounded
-// by the inner term's variance; no transcript histograms are needed, so it
-// scales to thousands of players.
+// EstimateCICWorkers estimates I(Π; X | D) by sampling executions. Each
+// sample draws (z, x) from the prior, simulates the protocol while
+// maintaining the Lemma 3 q-factors along the sampled path, and evaluates
+// the *exact* inner quantity Σ_i D(posterior_i ‖ prior_i) at the resulting
+// transcript. Because the inner term is exact, the estimator is unbiased
+// with variance bounded by the inner term's variance; no transcript
+// histograms are needed, so it scales to thousands of players.
 //
 // The sample budget is split into fixed-size shards, each drawing from its
-// own child stream of src (see rng.Source.SplitN). EstimateCIC runs the
-// shards serially; EstimateCICWorkers runs the same shards on a worker
-// pool and returns bit-identical results.
-func EstimateCIC(spec Spec, prior Prior, src *rng.Source, samples int) (*CICEstimate, error) {
-	return EstimateCICWorkers(spec, prior, src, samples, 1)
-}
-
-// EstimateCICWorkers is EstimateCIC with the shard set evaluated by up to
+// own child stream of src (see rng.Source.SplitN), evaluated by up to
 // workers goroutines (workers <= 0 means one per CPU). The mean, standard
 // error and mean communication are bit-identical for every worker count:
 // shard streams are derived serially up front and shard moments are merged
@@ -191,81 +184,4 @@ func cicShard(spec Spec, prior Prior, src *rng.Source, count int) (cicPartial, e
 		p.bitsSum += float64(bits)
 	}
 	return p, nil
-}
-
-// SampleTranscript runs spec once on input x and returns the transcript,
-// its q-factors and the communication cost. Used by the compression layer
-// and by tests that need a single concrete execution.
-//
-// Keyed specs within the compiler's gates run on their cached ir.Program:
-// the compiled walk consumes the identical draw stream (one uniform per
-// message) and returns the identical transcript, q-factors, bit cost and
-// output. Inputs outside the compiled domain fall back to the dynamic
-// walk so the spec surfaces its own out-of-range error.
-func SampleTranscript(spec Spec, x []int, src *rng.Source) (Transcript, *Leaf, error) {
-	if len(x) != spec.NumPlayers() {
-		return nil, nil, fmt.Errorf("core: input has %d entries, want %d", len(x), spec.NumPlayers())
-	}
-	if src == nil {
-		return nil, nil, fmt.Errorf("core: nil randomness source")
-	}
-	if prog := irSpecProgram(spec, nil); prog != nil {
-		inRange := true
-		for _, v := range x {
-			if v < 0 || v >= prog.InputSize() {
-				inRange = false
-				break
-			}
-		}
-		if inRange {
-			st, q, bits, out := prog.SampleWalk(x, src)
-			t := Transcript(st)
-			return t, &Leaf{Transcript: t.Clone(), Q: q, Bits: bits, Output: out}, nil
-		}
-	}
-	k := spec.NumPlayers()
-	inputSize := spec.InputSize()
-	q := make([][]float64, k)
-	for i := range q {
-		q[i] = make([]float64, inputSize)
-		for v := range q[i] {
-			q[i][v] = 1
-		}
-	}
-	var t Transcript
-	bits := 0
-	for step := 0; ; step++ {
-		if step > defaultMaxDepth {
-			return nil, nil, fmt.Errorf("%w (%d)", ErrTreeDepth, defaultMaxDepth)
-		}
-		speaker, done, err := spec.NextSpeaker(t)
-		if err != nil {
-			return nil, nil, err
-		}
-		if done {
-			out, err := spec.Output(t)
-			if err != nil {
-				return nil, nil, err
-			}
-			return t, &Leaf{Transcript: t.Clone(), Q: q, Bits: bits, Output: out}, nil
-		}
-		trueDist, err := spec.MessageDist(t, speaker, x[speaker])
-		if err != nil {
-			return nil, nil, err
-		}
-		sym := trueDist.Sample(src)
-		for v := range q[speaker] {
-			d, err := spec.MessageDist(t, speaker, v)
-			if err != nil {
-				return nil, nil, err
-			}
-			q[speaker][v] *= d.P(sym)
-		}
-		symBits, err := spec.MessageBits(t, sym)
-		if err != nil {
-			return nil, nil, err
-		}
-		bits += symBits
-		t = append(t, sym)
-	}
 }

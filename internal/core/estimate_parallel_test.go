@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"broadcastic/internal/andk"
+	"broadcastic/internal/andk/andktest"
 	"broadcastic/internal/core"
 	"broadcastic/internal/dist"
 	"broadcastic/internal/rng"
@@ -28,7 +29,7 @@ func TestEstimateCICWorkerCountInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := core.EstimateCIC(spec, mu, rng.New(17), samples)
+	ref, err := core.EstimateCICWorkers(spec, mu, rng.New(17), samples, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestEstimateCICCompiledMatchesScalar(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		trunc, err := andk.NewTruncated(k, (k+1)/2)
+		trunc, err := andktest.NewTruncated(k, (k+1)/2)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,24 +1,20 @@
 package core_test
 
-// The compile-vs-dynamic equivalence harness: every compiled-IR fast
-// path must be bit-identical to the dynamic interpretation it replaces —
-// same transcripts, same leaves, same RNG stream positions, same
-// estimates — across the andk/disj/parallel spec families and randomly
-// generated small specs. Engine selection hinges on ir.Keyer, so
-// wrapping a spec in a key-stripping struct forces the dynamic path on
-// the identical behavior; comparing the two runs pins the equivalence.
-// (The compress layer rides on core.SampleTranscript, so its family is
-// covered through the transcript parity here plus compress's own
-// CompressRun-vs-SampleTranscript tests.)
+// The compile-vs-dynamic equivalence harness: the compiled estimator must
+// be bit-identical to the scalar engine it replaces — same estimates, same
+// RNG stream positions — across the andk/disj/parallel spec families and
+// randomly generated small specs. Engine selection hinges on ir.Keyer, and
+// EstimateOptions.DisableIR forces the scalar engine on the identical
+// (spec, prior) pair; comparing the two runs pins the equivalence.
 
 import (
 	"fmt"
 	"math"
-	"reflect"
 	"testing"
 	"testing/quick"
 
 	"broadcastic/internal/andk"
+	"broadcastic/internal/andk/andktest"
 	"broadcastic/internal/core"
 	"broadcastic/internal/disj"
 	"broadcastic/internal/dist"
@@ -27,127 +23,6 @@ import (
 	"broadcastic/internal/rng"
 	"broadcastic/internal/telemetry"
 )
-
-// plainSpec strips the IRKey method from a keyed spec: embedding the
-// core.Spec interface promotes only its methods, so the wrapper is
-// unkeyed and the engines treat it as dynamic-only — while behaving
-// identically to the wrapped spec.
-type plainSpec struct{ core.Spec }
-
-// plainPrior is the prior-side key stripper.
-type plainPrior struct{ core.Prior }
-
-func equivSpecs(t *testing.T) []core.Spec {
-	t.Helper()
-	seq, err := andk.NewSequential(6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	all, err := andk.NewBroadcastAll(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trunc, err := andk.NewTruncated(6, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lazy, err := andk.NewLazy(5, 0.3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dj, err := disj.NewSequentialSpec(3, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := andk.NewSequential(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := core.NewParallelSpec(base, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return []core.Spec{seq, all, trunc, lazy, dj, par}
-}
-
-// TestIRSampleTranscriptMatchesDynamic pins the compiled SampleTranscript
-// fast path against the dynamic walk on every spec family: identical
-// transcript, identical leaf (q-factors, bits, output), and the source
-// left at the identical stream position.
-func TestIRSampleTranscriptMatchesDynamic(t *testing.T) {
-	for _, spec := range equivSpecs(t) {
-		k, inputSize := spec.NumPlayers(), spec.InputSize()
-		gen := rng.New(99)
-		for trial := 0; trial < 25; trial++ {
-			x := make([]int, k)
-			for i := range x {
-				x[i] = int(gen.Uint64() % uint64(inputSize))
-			}
-			fast, slow := rng.New(uint64(trial)), rng.New(uint64(trial))
-			fm, sm := fast.Mark(), slow.Mark()
-			ft, fl, err := core.SampleTranscript(spec, x, fast)
-			if err != nil {
-				t.Fatalf("%T x=%v: compiled: %v", spec, x, err)
-			}
-			st, sl, err := core.SampleTranscript(plainSpec{spec}, x, slow)
-			if err != nil {
-				t.Fatalf("%T x=%v: dynamic: %v", spec, x, err)
-			}
-			if !reflect.DeepEqual(ft, st) {
-				t.Fatalf("%T x=%v: transcript %v != dynamic %v", spec, x, ft, st)
-			}
-			if fl.Bits != sl.Bits || fl.Output != sl.Output ||
-				!reflect.DeepEqual(fl.Transcript, sl.Transcript) ||
-				!reflect.DeepEqual(fl.Q, sl.Q) {
-				t.Fatalf("%T x=%v: leaf %+v != dynamic %+v", spec, x, fl, sl)
-			}
-			if fd, sd := fast.DrawsSince(fm), slow.DrawsSince(sm); fd != sd {
-				t.Fatalf("%T x=%v: compiled consumed %d draws, dynamic %d", spec, x, fd, sd)
-			}
-		}
-	}
-}
-
-// TestIRBlackboardMatchesDynamic pins the compiled blackboard stepper
-// against the dynamic SpecProtocol bridge: identical board contents
-// (message count, bit total, transcript key), identical output, and the
-// private source at the identical position.
-func TestIRBlackboardMatchesDynamic(t *testing.T) {
-	for _, spec := range equivSpecs(t) {
-		k, inputSize := spec.NumPlayers(), spec.InputSize()
-		gen := rng.New(7)
-		for trial := 0; trial < 25; trial++ {
-			x := make([]int, k)
-			for i := range x {
-				x[i] = int(gen.Uint64() % uint64(inputSize))
-			}
-			fast, slow := rng.New(uint64(1000+trial)), rng.New(uint64(1000+trial))
-			fm, sm := fast.Mark(), slow.Mark()
-			fr, err := core.RunSpecOnBlackboard(spec, x, fast)
-			if err != nil {
-				t.Fatalf("%T x=%v: compiled: %v", spec, x, err)
-			}
-			sr, err := core.RunSpecOnBlackboard(plainSpec{spec}, x, slow)
-			if err != nil {
-				t.Fatalf("%T x=%v: dynamic: %v", spec, x, err)
-			}
-			if !reflect.DeepEqual(fr.Transcript, sr.Transcript) || fr.Output != sr.Output {
-				t.Fatalf("%T x=%v: run (%v, %d) != dynamic (%v, %d)",
-					spec, x, fr.Transcript, fr.Output, sr.Transcript, sr.Output)
-			}
-			if fr.Board.NumMessages() != sr.Board.NumMessages() ||
-				fr.Board.TotalBits() != sr.Board.TotalBits() ||
-				fr.Board.TranscriptKey() != sr.Board.TranscriptKey() {
-				t.Fatalf("%T x=%v: board (%d msgs, %d bits, %q) != dynamic (%d msgs, %d bits, %q)",
-					spec, x, fr.Board.NumMessages(), fr.Board.TotalBits(), fr.Board.TranscriptKey(),
-					sr.Board.NumMessages(), sr.Board.TotalBits(), sr.Board.TranscriptKey())
-			}
-			if fd, sd := fast.DrawsSince(fm), slow.DrawsSince(sm); fd != sd {
-				t.Fatalf("%T x=%v: compiled consumed %d private draws, dynamic %d", spec, x, fd, sd)
-			}
-		}
-	}
-}
 
 // TestIRParallelEstimateMatchesDynamic runs the n-fold parallel task —
 // ParallelSpec over ProductOfPriors, Theorem 4's direct-sum object —
@@ -289,7 +164,7 @@ func andkSpecs(t *testing.T, k int) map[string]core.Spec {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trunc, err := andk.NewTruncated(k, (k+1)/2)
+	trunc, err := andktest.NewTruncated(k, (k+1)/2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -530,11 +405,10 @@ func compileAdapted(spec core.Spec, prior core.Prior) *ir.Program {
 // TestIRQuickCompileDynamicEquivalence is the property-based half of the
 // harness: for random small (spec, prior) pairs, the compiled engine
 // must serve every sample (all shapes here are within the gates) and
-// produce the bit-identical estimate to the scalar dynamic engine, and
-// the compiled transcript sampler must match the dynamic walk draw for
-// draw. Odd seeds draw monotone specs under exact priors, which must
-// score per edge; seeds with bit 1 set add a StateKey, which sends the
-// estimator compile through the merging walk.
+// produce the bit-identical estimate to the scalar dynamic engine. Odd
+// seeds draw monotone specs under exact priors, which must score per edge;
+// seeds with bit 1 set add a StateKey, which sends the estimator compile
+// through the merging walk.
 func TestIRQuickCompileDynamicEquivalence(t *testing.T) {
 	perEdge := 0
 	property := func(seed uint64) bool {
@@ -594,28 +468,6 @@ func TestIRQuickCompileDynamicEquivalence(t *testing.T) {
 		}
 		if math.IsNaN(compiled.Mean) || compiled.MeanBits <= 0 {
 			t.Logf("seed %x: degenerate estimate %+v", seed, compiled)
-			return false
-		}
-		x := make([]int, qs.k)
-		for i := range x {
-			x[i] = int(qmix(seed+uint64(i)+7) % uint64(qs.inputSize))
-		}
-		fast, slow := rng.New(seed+8), rng.New(seed+8)
-		fm, sm := fast.Mark(), slow.Mark()
-		ft, fl, err := core.SampleTranscript(spec, x, fast)
-		if err != nil {
-			t.Logf("seed %x: compiled transcript: %v", seed, err)
-			return false
-		}
-		st, sl, err := core.SampleTranscript(plainSpec{spec}, x, slow)
-		if err != nil {
-			t.Logf("seed %x: dynamic transcript: %v", seed, err)
-			return false
-		}
-		if !reflect.DeepEqual(ft, st) || !reflect.DeepEqual(fl.Q, sl.Q) ||
-			fl.Bits != sl.Bits || fl.Output != sl.Output ||
-			fast.DrawsSince(fm) != slow.DrawsSince(sm) {
-			t.Logf("seed %x: transcript walk diverged: %v vs %v", seed, ft, st)
 			return false
 		}
 		return true

@@ -240,7 +240,7 @@ type ICEstimate struct {
 // D(η_j ‖ ν_j) between the speaker's true message distribution and the
 // external observer's Bayes prediction. By the chain rule this per-run sum
 // has expectation exactly I(Π; X), so the estimator is unbiased. Unlike
-// EstimateCIC it prices the aux-marginalized posterior, so it works for
+// EstimateCICWorkers it prices the aux-marginalized posterior, so it works for
 // external (unconditional) information cost at player counts far beyond
 // exact enumeration — at O(k · aux · rounds) arithmetic per sample.
 func EstimateExternalIC(spec Spec, prior Prior, src *rng.Source, samples int) (*ICEstimate, error) {
@@ -319,14 +319,10 @@ func EstimateExternalIC(spec Spec, prior Prior, src *rng.Source, samples int) (*
 	}, nil
 }
 
-// klDist is KL(post ‖ prior) in bits over equal finite supports. Inlined
-// here (rather than importing info) to keep core's dependencies minimal.
-func klDist(post, prior prob.Dist) (float64, error) {
-	return klDivVec(post, prior.Probs())
-}
-
-// klDivVec is klDist against a raw probability vector, so hot loops can
-// price a prediction straight from PredictMessageInto's scratch output.
+// klDivVec is KL(post ‖ prior) in bits over equal finite supports, against
+// a raw probability vector, so hot loops can price a prediction straight
+// from PredictMessageInto's scratch output. Inlined here (rather than
+// importing info) to keep core's dependencies minimal.
 func klDivVec(post prob.Dist, prior []float64) (float64, error) {
 	if post.Size() != len(prior) {
 		return 0, fmt.Errorf("core: KL support mismatch %d vs %d", post.Size(), len(prior))

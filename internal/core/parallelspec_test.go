@@ -1,9 +1,12 @@
 package core
 
+// ParallelSpec and ProductOfPriors are the n-fold task of Theorem 4: the
+// direct-sum tests check ExactCosts and both estimator engines against
+// n times the single-copy cost on them.
+
 import (
 	"fmt"
 	"strconv"
-	"sync"
 
 	"broadcastic/internal/ir"
 	"broadcastic/internal/prob"
@@ -25,22 +28,6 @@ import (
 type ParallelSpec struct {
 	base   Spec
 	copies int
-	memos  sync.Pool // *splitMemo
-}
-
-// splitMemo caches the split-walk state at the end of one transcript, so
-// sequential stepping (each call's transcript extending the last) resumes
-// in O(1) amortized base.NextSpeaker calls instead of replaying the whole
-// prefix — the difference between O(L) and O(L²) interface calls per
-// dynamic protocol walk. c and start are the copy executing at len(t) and
-// the index where its local transcript begins (c == copies when every
-// copy finished). Memos are pooled, never shared mid-call, and validated
-// by an integer prefix compare, so a mismatching transcript just falls
-// back to the from-scratch walk with identical results.
-type splitMemo struct {
-	t     []int
-	c     int
-	start int
 }
 
 // NewParallelSpec wraps a base spec into its n-fold parallel version. The
@@ -77,32 +64,19 @@ func (p *ParallelSpec) InputSize() int {
 
 // split replays the combined transcript, returning the index of the copy
 // currently executing and that copy's own transcript so far. done reports
-// that every copy has finished. A pooled memo of the previous call's walk
-// state makes sequential stepping O(1) amortized: only the transcript's
-// new suffix is walked through the base spec.
+// that every copy has finished.
 func (p *ParallelSpec) split(t Transcript) (copyIdx int, sub Transcript, done bool, err error) {
-	m, _ := p.memos.Get().(*splitMemo)
-	if m == nil {
-		m = &splitMemo{}
-	}
 	c, start, pos := 0, 0, 0
-	if n := len(m.t); n <= len(t) && prefixEq(m.t, t) {
-		c, start, pos = m.c, m.start, n
-	}
 	for c < p.copies {
 		for {
 			_, finished, err := p.base.NextSpeaker(t[start:pos])
 			if err != nil {
-				p.memos.Put(m)
 				return 0, nil, false, err
 			}
 			if finished {
 				break
 			}
 			if pos == len(t) {
-				m.t = append(m.t[:0], t...)
-				m.c, m.start = c, start
-				p.memos.Put(m)
 				return c, t[start:pos], false, nil
 			}
 			pos++
@@ -111,22 +85,9 @@ func (p *ParallelSpec) split(t Transcript) (copyIdx int, sub Transcript, done bo
 		start = pos
 	}
 	if pos != len(t) {
-		p.memos.Put(m)
 		return 0, nil, false, fmt.Errorf("core: parallel transcript continues past final copy")
 	}
-	m.t = append(m.t[:0], t...)
-	m.c, m.start = c, start
-	p.memos.Put(m)
 	return p.copies, nil, true, nil
-}
-
-func prefixEq(prefix []int, t Transcript) bool {
-	for i, v := range prefix {
-		if t[i] != v {
-			return false
-		}
-	}
-	return true
 }
 
 // digit extracts copy c's input from a tuple value.

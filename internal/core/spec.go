@@ -36,13 +36,6 @@ import (
 // position; Spec.MessageAlphabet defines the alphabet at each point.
 type Transcript []int
 
-// Clone returns an independent copy.
-func (t Transcript) Clone() Transcript {
-	out := make(Transcript, len(t))
-	copy(out, t)
-	return out
-}
-
 // String renders the transcript compactly, e.g. "1.1.0".
 func (t Transcript) String() string {
 	if len(t) == 0 {

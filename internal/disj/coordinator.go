@@ -121,20 +121,6 @@ func (cp *CoordinatorProtocol) Outcome(b *blackboard.Board) (*Outcome, error) {
 	}, nil
 }
 
-// SolveCoordinator runs the coordinator-model protocol on the sequential
-// runtime and returns its outcome.
-func SolveCoordinator(inst *Instance, opts CoordinatorOptions) (*Outcome, error) {
-	cp, err := NewCoordinatorProtocol(inst, opts)
-	if err != nil {
-		return nil, err
-	}
-	res, err := blackboard.Run(cp.Scheduler(), cp.Players(), nil, cp.Limits())
-	if err != nil {
-		return nil, fmt.Errorf("disj: coordinator protocol: %w", err)
-	}
-	return cp.Outcome(res.Board)
-}
-
 // coordRun is the hub: its state is a pure function of the message log.
 type coordRun struct {
 	inst   *Instance

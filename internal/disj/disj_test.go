@@ -1,6 +1,7 @@
 package disj
 
 import (
+	"fmt"
 	"testing"
 
 	"broadcastic/internal/bitvec"
@@ -10,7 +11,7 @@ import (
 )
 
 func TestNewInstanceValidation(t *testing.T) {
-	if _, err := NewInstance(0, []*bitvec.Vector{bitvec.MustNew(0)}); err == nil {
+	if _, err := NewInstance(0, []*bitvec.Vector{newVec(t, 0)}); err == nil {
 		t.Fatal("n=0 succeeded")
 	}
 	if _, err := NewInstance(4, nil); err == nil {
@@ -19,7 +20,7 @@ func TestNewInstanceValidation(t *testing.T) {
 	if _, err := NewInstance(4, []*bitvec.Vector{nil}); err == nil {
 		t.Fatal("nil set succeeded")
 	}
-	if _, err := NewInstance(4, []*bitvec.Vector{bitvec.MustNew(5)}); err == nil {
+	if _, err := NewInstance(4, []*bitvec.Vector{newVec(t, 5)}); err == nil {
 		t.Fatal("universe mismatch succeeded")
 	}
 }
@@ -183,7 +184,7 @@ func TestOptimalCorrectRandom(t *testing.T) {
 func TestOptimalCorrectEdgeCases(t *testing.T) {
 	// All-empty sets: trivially disjoint; the board covers everything in
 	// the first pass.
-	empty := []*bitvec.Vector{bitvec.MustNew(10), bitvec.MustNew(10)}
+	empty := []*bitvec.Vector{newVec(t, 10), newVec(t, 10)}
 	inst, _ := NewInstance(10, empty)
 	out, err := SolveOptimal(inst)
 	if err != nil {
@@ -194,7 +195,7 @@ func TestOptimalCorrectEdgeCases(t *testing.T) {
 	}
 
 	// All-full sets: everything intersects.
-	full := []*bitvec.Vector{bitvec.MustNew(10), bitvec.MustNew(10)}
+	full := []*bitvec.Vector{newVec(t, 10), newVec(t, 10)}
 	full[0].SetAll()
 	full[1].SetAll()
 	inst, _ = NewInstance(10, full)
@@ -207,7 +208,7 @@ func TestOptimalCorrectEdgeCases(t *testing.T) {
 	}
 
 	// Single player with empty set: "disjoint" (empty intersection).
-	one := []*bitvec.Vector{bitvec.MustNew(5)}
+	one := []*bitvec.Vector{newVec(t, 5)}
 	inst, _ = NewInstance(5, one)
 	out, err = SolveOptimal(inst)
 	if err != nil {
@@ -218,7 +219,7 @@ func TestOptimalCorrectEdgeCases(t *testing.T) {
 	}
 
 	// Single player with one element: intersecting.
-	oneFull := []*bitvec.Vector{bitvec.MustNew(5)}
+	oneFull := []*bitvec.Vector{newVec(t, 5)}
 	_ = oneFull[0].Set(3)
 	inst, _ = NewInstance(5, oneFull)
 	out, err = SolveOptimal(inst)
@@ -230,7 +231,7 @@ func TestOptimalCorrectEdgeCases(t *testing.T) {
 	}
 
 	// n = 1.
-	tiny := []*bitvec.Vector{bitvec.MustNew(1), bitvec.MustNew(1)}
+	tiny := []*bitvec.Vector{newVec(t, 1), newVec(t, 1)}
 	_ = tiny[0].Set(0)
 	inst, _ = NewInstance(1, tiny)
 	out, err = SolveOptimal(inst)
@@ -591,4 +592,28 @@ func TestGenerateFromMuNIntoRejectsBadShape(t *testing.T) {
 	if small.N != 16 || small.K != 3 || small.Sets[0].Len() != 16 {
 		t.Fatal("original instance mutated by mismatched reuse")
 	}
+}
+
+// SolveCoordinator runs the coordinator-model protocol on the sequential
+// runtime and returns its outcome.
+func SolveCoordinator(inst *Instance, opts CoordinatorOptions) (*Outcome, error) {
+	cp, err := NewCoordinatorProtocol(inst, opts)
+	if err != nil {
+		return nil, err
+	}
+	res, err := blackboard.Run(cp.Scheduler(), cp.Players(), nil, cp.Limits())
+	if err != nil {
+		return nil, fmt.Errorf("disj: coordinator protocol: %w", err)
+	}
+	return cp.Outcome(res.Board)
+}
+
+// newVec returns an all-zero vector over [0, n).
+func newVec(t *testing.T, n int) *bitvec.Vector {
+	t.Helper()
+	v, err := bitvec.New(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
 }

@@ -132,23 +132,3 @@ func (s *SequentialSpec) IRKey() string {
 }
 
 var _ core.Spec = (*SequentialSpec)(nil)
-
-// DisjFunc is DISJ as a target function over integer-encoded n-bit inputs:
-// 1 ⇔ no coordinate is held by all players.
-func DisjFunc(n int) func(x []int) int {
-	return func(x []int) int {
-		for j := 0; j < n; j++ {
-			all := true
-			for _, xi := range x {
-				if xi>>uint(j)&1 == 0 {
-					all = false
-					break
-				}
-			}
-			if all {
-				return 0
-			}
-		}
-		return 1
-	}
-}

@@ -6,6 +6,7 @@ import (
 
 	"broadcastic/internal/andk"
 	"broadcastic/internal/core"
+	"broadcastic/internal/core/coretest"
 	"broadcastic/internal/dist"
 )
 
@@ -43,7 +44,7 @@ func TestSequentialSpecCorrect(t *testing.T) {
 			}
 			inputs = append(inputs, x)
 		}
-		e, err := core.WorstCaseError(spec, inputs, DisjFunc(cfg.n), core.TreeLimits{})
+		e, err := coretest.WorstCaseError(spec, inputs, DisjFunc(cfg.n), core.TreeLimits{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,5 +149,25 @@ func TestDisjFunc(t *testing.T) {
 	}
 	if f([]int{0, 0}) != 1 {
 		t.Fatal("empty sets not disjoint")
+	}
+}
+
+// DisjFunc is DISJ as a target function over integer-encoded n-bit inputs:
+// 1 ⇔ no coordinate is held by all players.
+func DisjFunc(n int) func(x []int) int {
+	return func(x []int) int {
+		for j := 0; j < n; j++ {
+			all := true
+			for _, xi := range x {
+				if xi>>uint(j)&1 == 0 {
+					all = false
+					break
+				}
+			}
+			if all {
+				return 0
+			}
+		}
+		return 1
 	}
 }

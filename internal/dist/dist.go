@@ -85,23 +85,6 @@ func (m *Mu) PlayerDist(z, player int) (prob.Dist, error) {
 	return m.regular, nil // P(X=1) = 1 - 1/k
 }
 
-// Sample draws (z, x) ~ μ. The returned x has one entry in {0,1} per player.
-func (m *Mu) Sample(src *rng.Source) (z int, x []int) {
-	z = src.Intn(m.k)
-	x = make([]int, m.k)
-	for i := range x {
-		switch {
-		case i == z:
-			x[i] = 0
-		case src.Bernoulli(1 / float64(m.k)):
-			x[i] = 0
-		default:
-			x[i] = 1
-		}
-	}
-	return z, x
-}
-
 // ProbGivenZ returns Pr[X = x | Z = z] under μ.
 func (m *Mu) ProbGivenZ(x []int, z int) (float64, error) {
 	if len(x) != m.k {
@@ -143,52 +126,6 @@ func (m *Mu) Prob(x []int) (float64, error) {
 	return total, nil
 }
 
-// CountZeros returns |{i : x_i = 0}|, the slice index c of X_c.
-func CountZeros(x []int) int {
-	c := 0
-	for _, v := range x {
-		if v == 0 {
-			c++
-		}
-	}
-	return c
-}
-
-// ProbSlice returns Pr[X ∈ X_c] under μ: the probability that exactly c
-// players receive zero. The special player always has zero, so the count is
-// 1 + Binomial(k−1, 1/k).
-func (m *Mu) ProbSlice(c int) (float64, error) {
-	if c < 0 || c > m.k {
-		return 0, fmt.Errorf("dist: slice count %d outside [0,%d]", c, m.k)
-	}
-	if c == 0 {
-		return 0, nil // X always contains at least one zero under μ
-	}
-	binom, err := prob.BinomialPMF(m.k-1, 1/float64(m.k))
-	if err != nil {
-		return 0, err
-	}
-	return binom.P(c - 1), nil
-}
-
-// SampleFromSlice draws a uniform input from X_c (exactly c zeroes, the
-// conditional of μ given the slice): by symmetry this is a uniformly random
-// size-c zero set. Requires 1 <= c <= k.
-func (m *Mu) SampleFromSlice(src *rng.Source, c int) ([]int, error) {
-	if c < 1 || c > m.k {
-		return nil, fmt.Errorf("dist: slice count %d outside [1,%d]", c, m.k)
-	}
-	zeroSet := src.SampleWithoutReplacement(m.k, c)
-	x := make([]int, m.k)
-	for i := range x {
-		x[i] = 1
-	}
-	for _, i := range zeroSet {
-		x[i] = 0
-	}
-	return x, nil
-}
-
 // MuN is the n-fold product distribution μ^n used for DISJ_{n,k} (Lemma 1):
 // each coordinate j ∈ [n] is an independent draw from μ with its own
 // auxiliary variable Z_j.
@@ -211,9 +148,6 @@ func NewMuN(k, n int) (*MuN, error) {
 
 // NumPlayers returns k.
 func (m *MuN) NumPlayers() int { return m.mu.k }
-
-// NumCoordinates returns n.
-func (m *MuN) NumCoordinates() int { return m.n }
 
 // InputSize returns 2^n: each player's input is an n-bit vector, encoded as
 // an integer with coordinate j in bit j.
@@ -279,27 +213,6 @@ func (m *MuN) PlayerDist(z, player int) (prob.Dist, error) {
 	return prob.NewDist(p)
 }
 
-// Sample draws (zs, inputs) ~ μ^n: zs[j] is the special player of
-// coordinate j, and inputs[i] is player i's n-bit vector with coordinate j
-// in bit position j.
-func (m *MuN) Sample(src *rng.Source) (zs []int, inputs []uint64, err error) {
-	if m.n > 63 {
-		return nil, nil, fmt.Errorf("dist: MuN.Sample supports n <= 63, got %d", m.n)
-	}
-	zs = make([]int, m.n)
-	inputs = make([]uint64, m.mu.k)
-	for j := 0; j < m.n; j++ {
-		z, x := m.mu.Sample(src)
-		zs[j] = z
-		for i, v := range x {
-			if v == 1 {
-				inputs[i] |= 1 << uint(j)
-			}
-		}
-	}
-	return zs, inputs, nil
-}
-
 // Lemma6Dist is the input distribution from the proof of Lemma 6 (the Ω(k)
 // communication bound): with probability εPrime all players receive 1;
 // otherwise one uniformly random player receives 0 and the rest receive 1.
@@ -319,26 +232,6 @@ func NewLemma6Dist(k int, epsPrime float64) (*Lemma6Dist, error) {
 	return &Lemma6Dist{k: k, epsPrime: epsPrime}, nil
 }
 
-// NumPlayers returns k.
-func (d *Lemma6Dist) NumPlayers() int { return d.k }
-
-// EpsPrime returns the all-ones probability ε′.
-func (d *Lemma6Dist) EpsPrime() float64 { return d.epsPrime }
-
-// Sample draws an input: all-ones with probability ε′, else a single
-// uniformly random zero. The zero position is −1 for the all-ones input.
-func (d *Lemma6Dist) Sample(src *rng.Source) (x []int, zeroAt int) {
-	zeroAt = d.SampleZero(src)
-	x = make([]int, d.k)
-	for i := range x {
-		x[i] = 1
-	}
-	if zeroAt >= 0 {
-		x[zeroAt] = 0
-	}
-	return x, zeroAt
-}
-
 // SampleZero draws only the zero position of a Sample draw (−1 for the
 // all-ones input), consuming the stream exactly as Sample does without
 // allocating the input. An input is determined by its zero position, so
@@ -348,22 +241,6 @@ func (d *Lemma6Dist) SampleZero(src *rng.Source) int {
 		return -1
 	}
 	return src.Intn(d.k)
-}
-
-// Prob returns the probability of input x under the distribution.
-func (d *Lemma6Dist) Prob(x []int) (float64, error) {
-	if len(x) != d.k {
-		return 0, fmt.Errorf("dist: input has %d entries, want %d", len(x), d.k)
-	}
-	zeros := CountZeros(x)
-	switch zeros {
-	case 0:
-		return d.epsPrime, nil
-	case 1:
-		return (1 - d.epsPrime) / float64(d.k), nil
-	default:
-		return 0, nil
-	}
 }
 
 // ProductPrior is a generic product distribution with a trivial auxiliary
@@ -440,13 +317,4 @@ func productKey(marginals []prob.Dist) string {
 		}
 	}
 	return b.String()
-}
-
-// Sample draws one input per player.
-func (p *ProductPrior) Sample(src *rng.Source) []int {
-	x := make([]int, len(p.marginals))
-	for i, m := range p.marginals {
-		x[i] = m.Sample(src)
-	}
-	return x
 }

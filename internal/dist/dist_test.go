@@ -1,11 +1,13 @@
 package dist
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"broadcastic/internal/info"
 	"broadcastic/internal/prob"
+	"broadcastic/internal/prob/probtest"
 	"broadcastic/internal/rng"
 )
 
@@ -358,7 +360,7 @@ func TestProductPrior(t *testing.T) {
 	if _, err := NewProductPrior(nil); err == nil {
 		t.Fatal("empty product prior succeeded")
 	}
-	u3, _ := prob.Uniform(3)
+	u3, _ := probtest.Uniform(3)
 	if _, err := NewProductPrior([]prob.Dist{b03, u3}); err == nil {
 		t.Fatal("mismatched marginal supports succeeded")
 	}
@@ -537,4 +539,136 @@ func TestMuRowsScoreSilentPlayersZero(t *testing.T) {
 			}
 		}
 	}
+}
+
+// Sample draws (z, x) ~ μ. The returned x has one entry in {0,1} per player.
+func (m *Mu) Sample(src *rng.Source) (z int, x []int) {
+	z = src.Intn(m.k)
+	x = make([]int, m.k)
+	for i := range x {
+		switch {
+		case i == z:
+			x[i] = 0
+		case src.Bernoulli(1 / float64(m.k)):
+			x[i] = 0
+		default:
+			x[i] = 1
+		}
+	}
+	return z, x
+}
+
+// CountZeros returns |{i : x_i = 0}|, the slice index c of X_c.
+func CountZeros(x []int) int {
+	c := 0
+	for _, v := range x {
+		if v == 0 {
+			c++
+		}
+	}
+	return c
+}
+
+// ProbSlice returns Pr[X ∈ X_c] under μ: the probability that exactly c
+// players receive zero. The special player always has zero, so the count is
+// 1 + Binomial(k−1, 1/k).
+func (m *Mu) ProbSlice(c int) (float64, error) {
+	if c < 0 || c > m.k {
+		return 0, fmt.Errorf("dist: slice count %d outside [0,%d]", c, m.k)
+	}
+	if c == 0 {
+		return 0, nil // X always contains at least one zero under μ
+	}
+	binom, err := probtest.BinomialPMF(m.k-1, 1/float64(m.k))
+	if err != nil {
+		return 0, err
+	}
+	return binom.P(c - 1), nil
+}
+
+// SampleFromSlice draws a uniform input from X_c (exactly c zeroes, the
+// conditional of μ given the slice): by symmetry this is a uniformly random
+// size-c zero set. Requires 1 <= c <= k.
+func (m *Mu) SampleFromSlice(src *rng.Source, c int) ([]int, error) {
+	if c < 1 || c > m.k {
+		return nil, fmt.Errorf("dist: slice count %d outside [1,%d]", c, m.k)
+	}
+	zeroSet := src.SampleWithoutReplacement(m.k, c)
+	x := make([]int, m.k)
+	for i := range x {
+		x[i] = 1
+	}
+	for _, i := range zeroSet {
+		x[i] = 0
+	}
+	return x, nil
+}
+
+// NumCoordinates returns n.
+func (m *MuN) NumCoordinates() int { return m.n }
+
+// Sample draws (zs, inputs) ~ μ^n: zs[j] is the special player of
+// coordinate j, and inputs[i] is player i's n-bit vector with coordinate j
+// in bit position j.
+func (m *MuN) Sample(src *rng.Source) (zs []int, inputs []uint64, err error) {
+	if m.n > 63 {
+		return nil, nil, fmt.Errorf("dist: MuN.Sample supports n <= 63, got %d", m.n)
+	}
+	zs = make([]int, m.n)
+	inputs = make([]uint64, m.mu.k)
+	for j := 0; j < m.n; j++ {
+		z, x := m.mu.Sample(src)
+		zs[j] = z
+		for i, v := range x {
+			if v == 1 {
+				inputs[i] |= 1 << uint(j)
+			}
+		}
+	}
+	return zs, inputs, nil
+}
+
+// NumPlayers returns k.
+func (d *Lemma6Dist) NumPlayers() int { return d.k }
+
+// EpsPrime returns the all-ones probability ε′.
+func (d *Lemma6Dist) EpsPrime() float64 { return d.epsPrime }
+
+// Sample draws an input: all-ones with probability ε′, else a single
+// uniformly random zero. The zero position is −1 for the all-ones input.
+func (d *Lemma6Dist) Sample(src *rng.Source) (x []int, zeroAt int) {
+	zeroAt = d.SampleZero(src)
+	x = make([]int, d.k)
+	for i := range x {
+		x[i] = 1
+	}
+	if zeroAt >= 0 {
+		x[zeroAt] = 0
+	}
+	return x, zeroAt
+}
+
+// Prob returns the probability of input x under the distribution.
+func (d *Lemma6Dist) Prob(x []int) (float64, error) {
+	if len(x) != d.k {
+		return 0, fmt.Errorf("dist: input has %d entries, want %d", len(x), d.k)
+	}
+	zeros := CountZeros(x)
+	switch zeros {
+	case 0:
+		return d.epsPrime, nil
+	case 1:
+		return (1 - d.epsPrime) / float64(d.k), nil
+	default:
+		return 0, nil
+	}
+}
+
+// Sample draws one input per player.
+func (p *ProductPrior) Sample(src *rng.Source) []int {
+	x := make([]int, len(p.marginals))
+	for i, m := range p.marginals {
+		x[i] = m.Sample(src)
+	}
+	return x
 }

@@ -1,10 +1,11 @@
 // Package encoding implements the bit-exact codes the protocols are charged
-// for: a bit-level writer/reader, unary and Elias gamma/delta prefix codes
-// (used by the Lemma 7 sampler's variable-length fields), fixed-width
-// integers, the combinatorial number system for encoding a w-subset of an
-// m-set in ⌈log2 C(m,w)⌉ bits (the batch encoding of the Section 5
-// protocol), and canonical Huffman codes (the classical single-shot
-// compression reference point from the introduction).
+// for: a bit-level writer/reader, Elias gamma prefix codes (used by the
+// Lemma 7 sampler's variable-length fields), fixed-width integers, the
+// enumerative code for a w-subset of an m-set in ⌈log2 C(m,w)⌉ bits (the
+// batch encoding of the Section 5 protocol), and canonical Huffman code
+// lengths (the classical single-shot compression reference point from the
+// introduction). The decoders and codes no protocol writes live in the
+// package's tests, as the round-trip oracles of the encoders here.
 //
 // Communication complexity in the paper is counted in bits written on the
 // blackboard, so every encoder here reports exact bit lengths.
@@ -117,9 +118,6 @@ func (r *BitReader) ReadBits(width int) (uint64, error) {
 	}
 	return v, nil
 }
-
-// Pos returns the number of bits consumed so far.
-func (r *BitReader) Pos() int { return r.pos }
 
 // Remaining returns the number of unread bits.
 func (r *BitReader) Remaining() int { return r.nbit - r.pos }

@@ -132,3 +132,6 @@ func TestMixedWrites(t *testing.T) {
 		t.Fatalf("mixed write read back %06b", v)
 	}
 }
+
+// Pos returns the number of bits consumed so far.
+func (r *BitReader) Pos() int { return r.pos }

@@ -131,44 +131,6 @@ func canonicalize(lengths []int) (*HuffmanCode, error) {
 	return &HuffmanCode{lengths: lengths, codes: codes}, nil
 }
 
-// Len returns the codeword length of symbol x (0 if x has no codeword).
-func (c *HuffmanCode) Len(x int) int {
-	if x < 0 || x >= len(c.lengths) {
-		return 0
-	}
-	return c.lengths[x]
-}
-
-// Encode appends the codeword of x to w.
-func (c *HuffmanCode) Encode(w *BitWriter, x int) error {
-	if x < 0 || x >= len(c.lengths) || c.lengths[x] == 0 {
-		return fmt.Errorf("encoding: symbol %d has no codeword", x)
-	}
-	return w.WriteBits(c.codes[x], c.lengths[x])
-}
-
-// Decode reads one codeword from r and returns the symbol.
-func (c *HuffmanCode) Decode(r *BitReader) (int, error) {
-	var acc uint64
-	depth := 0
-	for {
-		b, err := r.ReadBit()
-		if err != nil {
-			return 0, err
-		}
-		acc = acc<<1 | uint64(b)
-		depth++
-		if depth > 64 {
-			return 0, fmt.Errorf("encoding: Huffman decode depth overflow")
-		}
-		for s, l := range c.lengths {
-			if l == depth && c.codes[s] == acc {
-				return s, nil
-			}
-		}
-	}
-}
-
 // ExpectedLength returns Σ p(x)·len(x): the expected single-shot cost, which
 // Huffman's theorem pins to [H(X), H(X)+1).
 func (c *HuffmanCode) ExpectedLength(d prob.Dist) (float64, error) {

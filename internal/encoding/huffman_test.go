@@ -1,16 +1,18 @@
 package encoding
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"broadcastic/internal/info"
 	"broadcastic/internal/prob"
+	"broadcastic/internal/prob/probtest"
 	"broadcastic/internal/rng"
 )
 
 func TestHuffmanUniform(t *testing.T) {
-	d, _ := prob.Uniform(4)
+	d, _ := probtest.Uniform(4)
 	c, err := NewHuffman(d)
 	if err != nil {
 		t.Fatal(err)
@@ -146,12 +148,12 @@ func TestHuffmanEncodeInvalidSymbol(t *testing.T) {
 }
 
 func TestHuffmanExpectedLengthValidation(t *testing.T) {
-	d, _ := prob.Uniform(2)
+	d, _ := probtest.Uniform(2)
 	c, err := NewHuffman(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e3, _ := prob.Uniform(3)
+	e3, _ := probtest.Uniform(3)
 	if _, err := c.ExpectedLength(e3); err == nil {
 		t.Fatal("mismatched support size succeeded")
 	}
@@ -162,7 +164,7 @@ func TestHuffmanExpectedLengthValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, _ := prob.Uniform(2)
+	full, _ := probtest.Uniform(2)
 	if _, err := cr.ExpectedLength(full); err == nil {
 		t.Fatal("missing codeword for positive-probability symbol succeeded")
 	}
@@ -177,5 +179,43 @@ func TestHuffmanDecodeTruncated(t *testing.T) {
 	r, _ := NewBitReader(nil, 0)
 	if _, err := c.Decode(r); err == nil {
 		t.Fatal("decode from empty stream succeeded")
+	}
+}
+
+// Len returns the codeword length of symbol x (0 if x has no codeword).
+func (c *HuffmanCode) Len(x int) int {
+	if x < 0 || x >= len(c.lengths) {
+		return 0
+	}
+	return c.lengths[x]
+}
+
+// Encode appends the codeword of x to w.
+func (c *HuffmanCode) Encode(w *BitWriter, x int) error {
+	if x < 0 || x >= len(c.lengths) || c.lengths[x] == 0 {
+		return fmt.Errorf("encoding: symbol %d has no codeword", x)
+	}
+	return w.WriteBits(c.codes[x], c.lengths[x])
+}
+
+// Decode reads one codeword from r and returns the symbol.
+func (c *HuffmanCode) Decode(r *BitReader) (int, error) {
+	var acc uint64
+	depth := 0
+	for {
+		b, err := r.ReadBit()
+		if err != nil {
+			return 0, err
+		}
+		acc = acc<<1 | uint64(b)
+		depth++
+		if depth > 64 {
+			return 0, fmt.Errorf("encoding: Huffman decode depth overflow")
+		}
+		for s, l := range c.lengths {
+			if l == depth && c.codes[s] == acc {
+				return s, nil
+			}
+		}
 	}
 }

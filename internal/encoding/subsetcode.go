@@ -7,10 +7,11 @@ import (
 
 // Streaming enumerative subset coding.
 //
-// SubsetRank/SubsetUnrank (combinatorial.go) are simple but recompute
-// binomials from scratch; the Section 5 protocol transmits batches with
-// w up to z/k out of universes with z up to n, where that becomes
-// prohibitive. The functions here implement the same bijection cost
+// The combinatorial-number-system ranking (the slow coder the tests check
+// this one against) recomputes binomials from scratch; the Section 5
+// protocol transmits batches with w up to z/k out of universes with z up
+// to n, where that becomes prohibitive. The functions here implement the
+// same bijection cost
 // (⌈log₂ C(m,w)⌉ bits per subset) via a lexicographic enumerative code
 // whose binomial coefficient is updated incrementally with one exact
 // multiply/divide per universe step:
@@ -37,17 +38,8 @@ func scanStart(total *big.Int, m, w int) *big.Int {
 	return cur.Quo(cur, big.NewInt(int64(m)))
 }
 
-// EnumerativeRank maps a strictly increasing w-subset of [0, m) to its rank
-// in [0, C(m, w)) under the lexicographic enumerative code.
-func EnumerativeRank(m int, subset []int) (*big.Int, error) {
-	total, err := subsetTotal(m, len(subset))
-	if err != nil {
-		return nil, err
-	}
-	return enumerativeRank(m, subset, total)
-}
-
-// enumerativeRank is EnumerativeRank given total = C(m, len(subset)).
+// enumerativeRank maps a strictly increasing w-subset of [0, m) to its
+// rank in lexicographic order, given total = C(m, len(subset)).
 func enumerativeRank(m int, subset []int, total *big.Int) (*big.Int, error) {
 	w := len(subset)
 	rank := new(big.Int)
@@ -99,16 +91,7 @@ func enumerativeRank(m int, subset []int, total *big.Int) (*big.Int, error) {
 	return rank, nil
 }
 
-// EnumerativeUnrank inverts EnumerativeRank.
-func EnumerativeUnrank(m, w int, rank *big.Int) ([]int, error) {
-	total, err := subsetTotal(m, w)
-	if err != nil {
-		return nil, err
-	}
-	return enumerativeUnrank(m, w, rank, total)
-}
-
-// enumerativeUnrank is EnumerativeUnrank given total = C(m, w).
+// enumerativeUnrank inverts enumerativeRank, given total = C(m, w).
 func enumerativeUnrank(m, w int, rank, total *big.Int) ([]int, error) {
 	if rank.Sign() < 0 || rank.Cmp(total) >= 0 {
 		return nil, fmt.Errorf("encoding: rank %v outside [0, C(%d,%d))", rank, m, w)

@@ -206,3 +206,22 @@ func BenchmarkEnumerativeRankLarge(b *testing.B) {
 		}
 	}
 }
+
+// EnumerativeRank maps a strictly increasing w-subset of [0, m) to its rank
+// in [0, C(m, w)) under the lexicographic enumerative code.
+func EnumerativeRank(m int, subset []int) (*big.Int, error) {
+	total, err := subsetTotal(m, len(subset))
+	if err != nil {
+		return nil, err
+	}
+	return enumerativeRank(m, subset, total)
+}
+
+// EnumerativeUnrank inverts EnumerativeRank.
+func EnumerativeUnrank(m, w int, rank *big.Int) ([]int, error) {
+	total, err := subsetTotal(m, w)
+	if err != nil {
+		return nil, err
+	}
+	return enumerativeUnrank(m, w, rank, total)
+}

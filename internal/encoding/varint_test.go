@@ -1,6 +1,8 @@
 package encoding
 
 import (
+	"fmt"
+	"math/bits"
 	"testing"
 	"testing/quick"
 
@@ -220,3 +222,84 @@ func TestSelfDelimitingConcatenation(t *testing.T) {
 		t.Fatalf("%d bits left over", r.Remaining())
 	}
 }
+
+// WriteUnary appends v as v ones followed by a zero: 0 → "0", 3 → "1110".
+func WriteUnary(w *BitWriter, v uint64) error {
+	const maxUnary = 1 << 20
+	if v > maxUnary {
+		return fmt.Errorf("encoding: unary value %d unreasonably large", v)
+	}
+	for i := uint64(0); i < v; i++ {
+		if err := w.WriteBit(1); err != nil {
+			return err
+		}
+	}
+	return w.WriteBit(0)
+}
+
+// ReadUnary decodes a unary value.
+func ReadUnary(r *BitReader) (uint64, error) {
+	var v uint64
+	for {
+		b, err := r.ReadBit()
+		if err != nil {
+			return 0, err
+		}
+		if b == 0 {
+			return v, nil
+		}
+		v++
+	}
+}
+
+// UnaryLen returns the encoded length of v in bits.
+func UnaryLen(v uint64) int { return int(v) + 1 }
+
+// WriteEliasDelta encodes v >= 1: gamma-code the bit-length, then the value
+// bits below the leading one. Length ≈ log2 v + 2 log2 log2 v.
+func WriteEliasDelta(w *BitWriter, v uint64) error {
+	if v == 0 {
+		return fmt.Errorf("encoding: Elias delta undefined for 0")
+	}
+	n := bits.Len64(v)
+	if err := WriteEliasGamma(w, uint64(n)); err != nil {
+		return err
+	}
+	return w.WriteBits(v&((1<<uint(n-1))-1), n-1)
+}
+
+// ReadEliasDelta decodes an Elias delta value.
+func ReadEliasDelta(r *BitReader) (uint64, error) {
+	n, err := ReadEliasGamma(r)
+	if err != nil {
+		return 0, err
+	}
+	if n == 0 || n > 64 {
+		return 0, fmt.Errorf("encoding: Elias delta length field %d", n)
+	}
+	rest, err := r.ReadBits(int(n) - 1)
+	if err != nil {
+		return 0, err
+	}
+	return 1<<(n-1) | rest, nil
+}
+
+// EliasDeltaLen returns the encoded length of v >= 1 in bits.
+func EliasDeltaLen(v uint64) int {
+	if v == 0 {
+		return 0
+	}
+	n := bits.Len64(v)
+	return EliasGammaLen(uint64(n)) + n - 1
+}
+
+// ReadSignedGamma decodes a signed value written with WriteSignedGamma.
+func ReadSignedGamma(r *BitReader) (int64, error) {
+	u, err := ReadNonNeg(r)
+	if err != nil {
+		return 0, err
+	}
+	return unzigzag(u), nil
+}
+
+func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }

@@ -1,10 +1,8 @@
 // Package info implements the information-theoretic quantities the paper's
-// lower bounds are phrased in: Shannon entropy, conditional entropy, mutual
-// information, conditional mutual information, and Kullback–Leibler
-// divergence (Definitions 1–4), plus empirical estimators used by the
-// Monte-Carlo experiments. All quantities are in bits (log base 2), matching
-// the paper's convention that one transmitted bit reveals at most one bit of
-// information.
+// lower bounds are phrased in: Shannon entropy, mutual information and
+// Kullback–Leibler divergence (Definitions 1, 3 and 4). All quantities are
+// in bits (log base 2), matching the paper's convention that one
+// transmitted bit reveals at most one bit of information.
 package info
 
 import (
@@ -27,15 +25,6 @@ func Entropy(d prob.Dist) float64 {
 		}
 	}
 	return h
-}
-
-// BinaryEntropy returns H(p) = -p log p - (1-p) log(1-p), the entropy of a
-// Bernoulli(p) variable, used directly in the paper's Eq. (3)–(4).
-func BinaryEntropy(p float64) float64 {
-	if p <= 0 || p >= 1 {
-		return 0
-	}
-	return -p*log2(p) - (1-p)*log2(1-p)
 }
 
 // KL returns D(post ‖ prior) (Definition 4), in bits. It is +Inf when post
@@ -97,29 +86,6 @@ type Joint struct {
 	p      []float64 // row-major: p[x*ny+y]
 }
 
-// NewJoint validates and wraps a joint table given in row-major order.
-func NewJoint(nx, ny int, p []float64) (*Joint, error) {
-	if nx <= 0 || ny <= 0 {
-		return nil, fmt.Errorf("info: non-positive joint dimensions %dx%d", nx, ny)
-	}
-	if len(p) != nx*ny {
-		return nil, fmt.Errorf("info: joint table has %d entries, want %d", len(p), nx*ny)
-	}
-	sum := 0.0
-	for i, v := range p {
-		if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("info: invalid joint probability p[%d]=%v", i, v)
-		}
-		sum += v
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		return nil, fmt.Errorf("info: joint probabilities sum to %v, want 1", sum)
-	}
-	q := make([]float64, len(p))
-	copy(q, p)
-	return &Joint{nx: nx, ny: ny, p: q}, nil
-}
-
 // EmptyJoint returns an all-zero accumulator table; fill it with Add and
 // finish with NormalizeInPlace.
 func EmptyJoint(nx, ny int) (*Joint, error) {
@@ -154,14 +120,6 @@ func (j *Joint) NormalizeInPlace() error {
 		j.p[i] /= sum
 	}
 	return nil
-}
-
-// P returns the joint probability of (x, y).
-func (j *Joint) P(x, y int) float64 {
-	if x < 0 || x >= j.nx || y < 0 || y >= j.ny {
-		return 0
-	}
-	return j.p[x*j.ny+y]
 }
 
 // MarginalX returns the marginal distribution of X.
@@ -211,88 +169,6 @@ func (j *Joint) MutualInformation() (float64, error) {
 		mi = 0
 	}
 	return mi, nil
-}
-
-// ConditionalEntropyXGivenY returns H(X | Y) in bits (Definition 2).
-func (j *Joint) ConditionalEntropyXGivenY() (float64, error) {
-	my, err := j.MarginalY()
-	if err != nil {
-		return 0, err
-	}
-	h := 0.0
-	for y := 0; y < j.ny; y++ {
-		py := my.P(y)
-		if py <= 0 {
-			continue
-		}
-		for x := 0; x < j.nx; x++ {
-			pxy := j.p[x*j.ny+y]
-			if pxy <= 0 {
-				continue
-			}
-			h -= pxy * log2(pxy/py)
-		}
-	}
-	return h, nil
-}
-
-// ConditionalMI computes I(X; Y | Z) in bits from a family of per-z joint
-// tables and a distribution over z: I(X;Y|Z) = E_z I(X;Y | Z=z).
-func ConditionalMI(perZ []*Joint, zDist prob.Dist) (float64, error) {
-	if len(perZ) != zDist.Size() {
-		return 0, fmt.Errorf("info: %d joint tables but z-support %d", len(perZ), zDist.Size())
-	}
-	total := 0.0
-	for z, j := range perZ {
-		pz := zDist.P(z)
-		if pz <= 0 {
-			continue
-		}
-		if j == nil {
-			return 0, fmt.Errorf("info: nil joint table for z=%d with positive mass", z)
-		}
-		mi, err := j.MutualInformation()
-		if err != nil {
-			return 0, fmt.Errorf("info: conditional MI at z=%d: %w", z, err)
-		}
-		total += pz * mi
-	}
-	return total, nil
-}
-
-// PlugInEntropy estimates H(X) from outcome counts using the empirical
-// (plug-in / maximum likelihood) estimator. It is biased downward by
-// roughly (support-1)/(2N ln 2); see MillerMadowEntropy.
-func PlugInEntropy(counts []int) (float64, error) {
-	d, err := prob.Empirical(counts)
-	if err != nil {
-		return 0, err
-	}
-	return Entropy(d), nil
-}
-
-// MillerMadowEntropy estimates H(X) from counts with the Miller–Madow
-// first-order bias correction: Ĥ_MM = Ĥ_plug-in + (m−1)/(2N ln 2), where m
-// is the number of observed (non-zero) outcomes and N the sample count.
-func MillerMadowEntropy(counts []int) (float64, error) {
-	h, err := PlugInEntropy(counts)
-	if err != nil {
-		return 0, err
-	}
-	n, m := 0, 0
-	for _, c := range counts {
-		if c < 0 {
-			return 0, fmt.Errorf("info: negative count %d", c)
-		}
-		n += c
-		if c > 0 {
-			m++
-		}
-	}
-	if n == 0 {
-		return 0, fmt.Errorf("info: no samples")
-	}
-	return h + float64(m-1)/(2*float64(n)*math.Ln2), nil
 }
 
 // PointedPosteriorDivergenceLB returns the paper's Eq. (4) lower bound

@@ -1,11 +1,13 @@
 package info
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
 
 	"broadcastic/internal/prob"
+	"broadcastic/internal/prob/probtest"
 	"broadcastic/internal/rng"
 )
 
@@ -262,7 +264,7 @@ func TestConditionalMI(t *testing.T) {
 	// each with probability 1/2: I(X;Y|Z) = 0.5.
 	copyCh, _ := NewJoint(2, 2, []float64{0.5, 0, 0, 0.5})
 	indep, _ := NewJoint(2, 2, []float64{0.25, 0.25, 0.25, 0.25})
-	zDist, _ := prob.Uniform(2)
+	zDist, _ := probtest.Uniform(2)
 	mi, err := ConditionalMI([]*Joint{copyCh, indep}, zDist)
 	if err != nil {
 		t.Fatal(err)
@@ -319,7 +321,7 @@ func TestMillerMadowReducesBias(t *testing.T) {
 	// Estimate the entropy of Uniform(8) from small samples; Miller–Madow
 	// should land closer to 3 bits on average than plug-in.
 	src := rng.New(53)
-	d, _ := prob.Uniform(8)
+	d, _ := probtest.Uniform(8)
 	const trials, samples = 300, 60
 	var plugSum, mmSum float64
 	for tr := 0; tr < trials; tr++ {
@@ -371,7 +373,7 @@ func TestPinskerInequality(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		tv, err := prob.TV(p, q)
+		tv, err := probtest.TV(p, q)
 		if err != nil {
 			return false
 		}
@@ -468,4 +470,126 @@ func TestJointP(t *testing.T) {
 	if j.P(-1, 0) != 0 || j.P(0, 2) != 0 {
 		t.Fatal("out-of-range P nonzero")
 	}
+}
+
+// BinaryEntropy returns H(p) = -p log p - (1-p) log(1-p), the entropy of a
+// Bernoulli(p) variable, used directly in the paper's Eq. (3)–(4).
+func BinaryEntropy(p float64) float64 {
+	if p <= 0 || p >= 1 {
+		return 0
+	}
+	return -p*log2(p) - (1-p)*log2(1-p)
+}
+
+// NewJoint validates and wraps a joint table given in row-major order.
+func NewJoint(nx, ny int, p []float64) (*Joint, error) {
+	if nx <= 0 || ny <= 0 {
+		return nil, fmt.Errorf("info: non-positive joint dimensions %dx%d", nx, ny)
+	}
+	if len(p) != nx*ny {
+		return nil, fmt.Errorf("info: joint table has %d entries, want %d", len(p), nx*ny)
+	}
+	sum := 0.0
+	for i, v := range p {
+		if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("info: invalid joint probability p[%d]=%v", i, v)
+		}
+		sum += v
+	}
+	if math.Abs(sum-1) > 1e-9 {
+		return nil, fmt.Errorf("info: joint probabilities sum to %v, want 1", sum)
+	}
+	q := make([]float64, len(p))
+	copy(q, p)
+	return &Joint{nx: nx, ny: ny, p: q}, nil
+}
+
+// P returns the joint probability of (x, y).
+func (j *Joint) P(x, y int) float64 {
+	if x < 0 || x >= j.nx || y < 0 || y >= j.ny {
+		return 0
+	}
+	return j.p[x*j.ny+y]
+}
+
+// ConditionalEntropyXGivenY returns H(X | Y) in bits (Definition 2).
+func (j *Joint) ConditionalEntropyXGivenY() (float64, error) {
+	my, err := j.MarginalY()
+	if err != nil {
+		return 0, err
+	}
+	h := 0.0
+	for y := 0; y < j.ny; y++ {
+		py := my.P(y)
+		if py <= 0 {
+			continue
+		}
+		for x := 0; x < j.nx; x++ {
+			pxy := j.p[x*j.ny+y]
+			if pxy <= 0 {
+				continue
+			}
+			h -= pxy * log2(pxy/py)
+		}
+	}
+	return h, nil
+}
+
+// ConditionalMI computes I(X; Y | Z) in bits from a family of per-z joint
+// tables and a distribution over z: I(X;Y|Z) = E_z I(X;Y | Z=z).
+func ConditionalMI(perZ []*Joint, zDist prob.Dist) (float64, error) {
+	if len(perZ) != zDist.Size() {
+		return 0, fmt.Errorf("info: %d joint tables but z-support %d", len(perZ), zDist.Size())
+	}
+	total := 0.0
+	for z, j := range perZ {
+		pz := zDist.P(z)
+		if pz <= 0 {
+			continue
+		}
+		if j == nil {
+			return 0, fmt.Errorf("info: nil joint table for z=%d with positive mass", z)
+		}
+		mi, err := j.MutualInformation()
+		if err != nil {
+			return 0, fmt.Errorf("info: conditional MI at z=%d: %w", z, err)
+		}
+		total += pz * mi
+	}
+	return total, nil
+}
+
+// PlugInEntropy estimates H(X) from outcome counts using the empirical
+// (plug-in / maximum likelihood) estimator. It is biased downward by
+// roughly (support-1)/(2N ln 2); see MillerMadowEntropy.
+func PlugInEntropy(counts []int) (float64, error) {
+	d, err := probtest.Empirical(counts)
+	if err != nil {
+		return 0, err
+	}
+	return Entropy(d), nil
+}
+
+// MillerMadowEntropy estimates H(X) from counts with the Miller–Madow
+// first-order bias correction: Ĥ_MM = Ĥ_plug-in + (m−1)/(2N ln 2), where m
+// is the number of observed (non-zero) outcomes and N the sample count.
+func MillerMadowEntropy(counts []int) (float64, error) {
+	h, err := PlugInEntropy(counts)
+	if err != nil {
+		return 0, err
+	}
+	n, m := 0, 0
+	for _, c := range counts {
+		if c < 0 {
+			return 0, fmt.Errorf("info: negative count %d", c)
+		}
+		n += c
+		if c > 0 {
+			m++
+		}
+	}
+	if n == 0 {
+		return 0, fmt.Errorf("info: no samples")
+	}
+	return h + float64(m-1)/(2*float64(n)*math.Ln2), nil
 }

@@ -25,7 +25,6 @@ import (
 	"fmt"
 
 	"broadcastic/internal/bitvec"
-	"broadcastic/internal/blackboard"
 	"broadcastic/internal/encoding"
 	"broadcastic/internal/rng"
 )
@@ -266,127 +265,4 @@ func SolveNaive(inst *Instance) (*Outcome, error) {
 		}
 	}
 	return &Outcome{Common: false, Bits: bits}, nil
-}
-
-// RunOnBlackboard executes the hashing protocol on the blackboard runtime
-// (messages physically written, bit counts independently accounted) and
-// checks that the physical cost matches SolveHashed's accounting. It
-// returns the blackboard outcome.
-func RunOnBlackboard(inst *Instance, publicSeed uint64) (*Outcome, error) {
-	if inst == nil {
-		return nil, fmt.Errorf("intersect: nil instance")
-	}
-	k := len(inst.Sets)
-	m := 2 * inst.S
-	hash := func(e int) int {
-		h := rng.New(publicSeed ^ (uint64(e)+1)*0x9e3779b97f4a7c15)
-		return h.Intn(m)
-	}
-	width := encoding.FixedWidth(uint64(inst.N))
-
-	// Shared decoded state (a pure function of the board).
-	prev := make([]bool, m)
-	for i := range prev {
-		prev[i] = true
-	}
-	var (
-		candidates []int
-		membership []bool
-		phase      = 0 // 0: bitmaps, 1: listing, 2: confirmations
-		confirmed  = 0
-	)
-
-	players := make([]blackboard.Player, k)
-	for i := 0; i < k; i++ {
-		i := i
-		players[i] = blackboard.FuncPlayer(func(b *blackboard.Board) (blackboard.Message, error) {
-			var w encoding.BitWriter
-			switch phase {
-			case 0: // bitmap round
-				cur := make([]bool, m)
-				for _, e := range inst.Sets[i] {
-					if prev[hash(e)] {
-						cur[hash(e)] = true
-					}
-				}
-				for _, bitSet := range cur {
-					bit := 0
-					if bitSet {
-						bit = 1
-					}
-					if err := w.WriteBit(bit); err != nil {
-						return blackboard.Message{}, err
-					}
-				}
-				prev = cur
-			case 1: // player 0 lists survivors
-				for _, e := range inst.Sets[0] {
-					if prev[hash(e)] {
-						candidates = append(candidates, e)
-					}
-				}
-				if err := encoding.WriteNonNeg(&w, uint64(len(candidates))); err != nil {
-					return blackboard.Message{}, err
-				}
-				for _, e := range candidates {
-					if err := w.WriteBits(uint64(e), width); err != nil {
-						return blackboard.Message{}, err
-					}
-				}
-				membership = make([]bool, len(candidates))
-				for ci := range membership {
-					membership[ci] = true
-				}
-			case 2: // confirmations
-				has := make(map[int]bool, len(inst.Sets[i]))
-				for _, e := range inst.Sets[i] {
-					has[e] = true
-				}
-				for ci, e := range candidates {
-					bit := 0
-					if has[e] {
-						bit = 1
-					} else {
-						membership[ci] = false
-					}
-					if err := w.WriteBit(bit); err != nil {
-						return blackboard.Message{}, err
-					}
-				}
-				confirmed++
-			}
-			return blackboard.NewMessage(i, &w), nil
-		})
-	}
-
-	sched := blackboard.FuncScheduler(func(b *blackboard.Board) (int, bool, error) {
-		nm := b.NumMessages()
-		switch {
-		case nm < k:
-			phase = 0
-			return nm, false, nil
-		case nm == k:
-			phase = 1
-			return 0, false, nil
-		case nm < 2*k:
-			phase = 2
-			return nm - k, false, nil
-		default:
-			return 0, true, nil
-		}
-	})
-
-	res, err := blackboard.Run(sched, players, nil, blackboard.Limits{MaxMessages: 2 * k})
-	if err != nil {
-		return nil, fmt.Errorf("intersect: blackboard run: %w", err)
-	}
-	out := &Outcome{Bits: res.Board.TotalBits()}
-	for ci, ok := range membership {
-		if ok {
-			out.Common = true
-			out.Witness = candidates[ci]
-			break
-		}
-	}
-	return out, nil
 }

@@ -1,8 +1,6 @@
 package ir
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"sync"
 
 	"broadcastic/internal/telemetry"
@@ -12,12 +10,9 @@ import (
 // Program cache: compiled programs are pure functions of the (spec,
 // prior) identity keys, so they are compiled once per key and shared by
 // every estimator call, job submission and sweep cell that names the same
-// protocol — repeated submissions skip compilation entirely. Entries are
-// content-addressed the same way the jobs result cache addresses results:
-// the canonical identity string is hashed with SHA-256, and the hex
-// digest is exposed on the Program (KeySHA) so the two cache layers speak
-// the same key discipline. The in-memory map is keyed by the preimage to
-// keep the hot lookup a plain string compare.
+// protocol — repeated submissions skip compilation entirely. The map is
+// keyed by the identity string itself, "e|" + specKey + "|" + priorKey,
+// so a lookup is a plain string compare.
 //
 // Negative results are cached too: a keyed spec that fails the
 // eligibility gates is remembered as nil, so the dynamic fallback pays
@@ -41,13 +36,6 @@ type programCache struct {
 }
 
 var cache = programCache{m: make(map[string]any)}
-
-// keySHA is the content address of a cache key: SHA-256 hex, the exact
-// form the jobs result cache uses (see jobs.Spec.Key).
-func keySHA(key string) string {
-	sum := sha256.Sum256([]byte(key))
-	return hex.EncodeToString(sum[:])
-}
 
 func (c *programCache) lookup(key string) (any, bool) {
 	c.mu.Lock()
@@ -86,18 +74,8 @@ func cached(key string, rec telemetry.Recorder, cause causal.Context, compile fu
 	span := cause.StartSpan(rec, causal.IRCompile)
 	p := compile()
 	telemetry.Observe(rec, telemetry.IRCompileNs, float64(span.End()))
-	if p != nil {
-		p.keySHA = keySHA(key)
-	}
 	cache.store(key, p)
 	return p
-}
-
-// SpecProgram returns the cached control-surface program for a keyed
-// spec, compiling on first use. specKey must be the spec's IRKey. Returns
-// nil when the spec is ineligible; the caller falls back dynamically.
-func SpecProgram(spec Spec, specKey string, rec telemetry.Recorder) *Program {
-	return cached("s|"+specKey, rec, causal.Context{}, func() *Program { return CompileSpec(spec) })
 }
 
 // EstimatorProgram returns the cached estimator program for a keyed
@@ -109,8 +87,8 @@ func EstimatorProgram(spec Spec, prior Prior, specKey, priorKey string, rec tele
 }
 
 // Memo returns the value cached under key, calling compute on a miss.
-// Callers prefix their keys so they cannot collide with the "s|" and "e|"
-// program keys, and the key must name every input compute reads. As in
+// Callers prefix their keys so they cannot collide with the "e|" program
+// keys, and the key must name every input compute reads. As in
 // cached, compute runs outside the lock and concurrent misses compute
 // redundantly; a failed compute stores nothing, so the next call retries.
 // The value is shared by every later hit: callers must not mutate it and

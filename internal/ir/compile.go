@@ -5,35 +5,22 @@ import (
 	"encoding/binary"
 	"math"
 
-	"broadcastic/internal/encoding"
 	"broadcastic/internal/info"
 	"broadcastic/internal/prob"
 )
 
-// CompileSpec flattens spec into a control-surface Program (states,
-// transitions, leaf table), or returns nil when spec is outside the
-// eligibility gates or errors while being walked. nil always means "use
-// the dynamic path" — the dynamic engine surfaces the identical error or
-// handles the identical big instance, so callers never lose behavior.
-func CompileSpec(spec Spec) *Program {
-	c := newCompiler(spec)
-	if c == nil {
-		return nil
-	}
-	root, ok := c.walk(nil, 0)
-	if !ok {
-		return nil
-	}
-	return c.finish(root)
-}
-
-// CompileEstimator is CompileSpec plus the prior-dependent tables: the
-// auxiliary sampler, the per-(z, player) conditional row index, and the
-// scoring table — per-edge divergence terms when the program qualifies
-// (see the package comment), otherwise the per-leaf table inner[z][leaf] =
-// Σ_i D(posterior_i ‖ prior_i). Both are built through the same
-// info.QDivergenceSum the dynamic estimator calls, on the same q-factor
-// and prior rows.
+// CompileEstimator flattens spec under prior into a Program: the states
+// and transitions of the transcript tree, the auxiliary sampler, the
+// per-(z, player) conditional row index, and the scoring table — per-edge
+// divergence terms when the program qualifies (see the package comment),
+// otherwise the per-leaf table inner[z][leaf] = Σ_i D(posterior_i ‖
+// prior_i). Both are built through the same info.QDivergenceSum the
+// dynamic estimator calls, on the same q-factor and prior rows.
+//
+// It returns nil when the pair is outside the eligibility gates or errors
+// while being walked. nil always means "use the dynamic path" — the
+// dynamic engine surfaces the identical error or handles the identical
+// big instance, so callers never lose behavior.
 //
 // A spec implementing StateKeyer first compiles with equivalent prefixes
 // merged. Merging is sound only under per-edge scoring (a merged leaf has
@@ -59,7 +46,7 @@ func CompileEstimator(spec Spec, prior Prior) *Program {
 }
 
 func (c *compiler) compileEstimator(prior Prior) *Program {
-	root, ok := c.walk(nil, 0)
+	root, ok := c.walk(nil)
 	if !ok {
 		return nil
 	}
@@ -75,32 +62,30 @@ func (c *compiler) compileEstimator(prior Prior) *Program {
 // multiply order, same reachability pruning — so the compiled leaf set
 // and its float annotations match dynamic enumeration bit for bit.
 //
+// The leaf q-factors live only here: buildInner reads them while the
+// program compiles, and the Program keeps none of them.
+//
 // With a keyer the walk merges prefixes of equal (depth, StateKey) into
-// one node, visiting each merged subtree once. Path-dependent leaf data
-// (bits, symbols, q-factors) is then not recorded, and the walk aborts at
-// the first edge that does not lead to a higher-numbered speaker: only
-// such monotone programs score per edge, and only per-edge scoring can
-// use merged states.
+// one node, visiting each merged subtree once. Path-dependent leaf
+// q-factors are then not recorded, and the walk aborts at the first edge
+// that does not lead to a higher-numbered speaker: only such monotone
+// programs score per edge, and only per-edge scoring can use merged
+// states.
 type compiler struct {
 	spec      Spec
 	k         int
 	inputSize int
 
-	speaker    []int32
-	alphabet   []int32
-	width      []int32
-	distBase   []int32
-	transBase  []int32
-	msgDist    []int32
-	edges      []int32
-	symBits    []int32
-	fused      []fusedCell
-	leafBits   []int32
-	leafOut    []int32
-	leafDepth  []int32
-	leafSymOff []int32
-	leafSyms   []int32
-	leafQ      []float64
+	speaker   []int32
+	alphabet  []int32
+	distBase  []int32
+	transBase []int32
+	msgDist   []int32
+	edges     []int32
+	symBits   []int32
+	fused     []fusedCell
+	numLeaves int
+	leafQ     []float64 // numLeaves × k × inputSize, plain trees only
 
 	pool    []poolDist
 	poolIdx map[string]int32
@@ -115,10 +100,8 @@ type compiler struct {
 	keyer  StateKeyer         // nil: compile the plain tree
 	merged map[mergeKey]int32 // encoded node per merged prefix class
 
-	fixedWidth    bool
-	deterministic bool
-	speakOnce     bool
-	monotone      bool // every edge leads to a leaf or a higher-numbered speaker
+	speakOnce bool
+	monotone  bool // every edge leads to a leaf or a higher-numbered speaker
 }
 
 // mergeKey names a class of merged prefixes: equal length, equal key.
@@ -133,17 +116,14 @@ func newCompiler(spec Spec) *compiler {
 		return nil
 	}
 	c := &compiler{
-		spec:          spec,
-		k:             k,
-		inputSize:     inputSize,
-		poolIdx:       make(map[string]int32, 16),
-		q:             make([][]float64, k),
-		seen:          make([]bool, k),
-		leafSymOff:    []int32{0},
-		fixedWidth:    true,
-		deterministic: true,
-		speakOnce:     true,
-		monotone:      true,
+		spec:      spec,
+		k:         k,
+		inputSize: inputSize,
+		poolIdx:   make(map[string]int32, 16),
+		q:         make([][]float64, k),
+		seen:      make([]bool, k),
+		speakOnce: true,
+		monotone:  true,
 	}
 	for i := range c.q {
 		c.q[i] = make([]float64, inputSize)
@@ -196,10 +176,10 @@ func (c *compiler) intern(d prob.Dist) int32 {
 	return id
 }
 
-// walk compiles the subtree rooted at transcript t, with bits the charge
-// accumulated so far, and returns its encoded node. ok=false aborts the
-// whole compilation (gate exceeded or spec error).
-func (c *compiler) walk(t []int, bits int) (node int32, ok bool) {
+// walk compiles the subtree rooted at transcript t and returns its encoded
+// node. ok=false aborts the whole compilation (gate exceeded or spec
+// error).
+func (c *compiler) walk(t []int) (node int32, ok bool) {
 	if len(t) > maxDepth {
 		return 0, false
 	}
@@ -208,7 +188,7 @@ func (c *compiler) walk(t []int, bits int) (node int32, ok bool) {
 		return 0, false
 	}
 	if done {
-		return c.emitLeaf(t, bits)
+		return c.emitLeaf(t)
 	}
 	if speaker < 0 || speaker >= c.k {
 		return 0, false
@@ -233,17 +213,12 @@ func (c *compiler) walk(t []int, bits int) (node int32, ok bool) {
 		}
 		id := c.intern(d)
 		distRow[v] = id
-		if c.pool[id].det < 0 {
-			c.deterministic = false
-		}
 		dists[v] = c.pool[id].dist.Probs()
 	}
 
 	state := int32(len(c.speaker))
-	width := int32(encoding.FixedWidth(uint64(alphabet)))
 	c.speaker = append(c.speaker, int32(speaker))
 	c.alphabet = append(c.alphabet, int32(alphabet))
-	c.width = append(c.width, width)
 	c.distBase = append(c.distBase, int32(len(c.msgDist)))
 	c.msgDist = append(c.msgDist, distRow...)
 	transBase := int32(len(c.edges))
@@ -284,10 +259,7 @@ func (c *compiler) walk(t []int, bits int) (node int32, ok bool) {
 		if err != nil || sb < 0 {
 			return 0, false
 		}
-		if int32(sb) != width {
-			c.fixedWidth = false
-		}
-		child, ok := c.child(append(t, sym), bits+sb)
+		child, ok := c.child(append(t, sym))
 		if !ok {
 			return 0, false
 		}
@@ -316,38 +288,34 @@ func (c *compiler) walk(t []int, bits int) (node int32, ok bool) {
 
 // child compiles the node for prefix t: the plain subtree walk, or, when
 // merging, the node already compiled for t's (depth, key) class.
-func (c *compiler) child(t []int, bits int) (int32, bool) {
+func (c *compiler) child(t []int) (int32, bool) {
 	if c.keyer == nil {
-		return c.walk(t, bits)
+		return c.walk(t)
 	}
 	mk := mergeKey{depth: len(t), key: c.keyer.StateKey(t)}
 	if node, ok := c.merged[mk]; ok {
 		return node, true
 	}
-	node, ok := c.walk(t, bits)
+	node, ok := c.walk(t)
 	if ok {
 		c.merged[mk] = node
 	}
 	return node, ok
 }
 
-func (c *compiler) emitLeaf(t []int, bits int) (int32, bool) {
-	leaf := len(c.leafOut)
+// emitLeaf numbers the leaf at complete transcript t. The output is
+// evaluated only so that a spec whose Output errors compiles to nil, as
+// the dynamic engines surface that error; no leaf output is kept.
+func (c *compiler) emitLeaf(t []int) (int32, bool) {
+	leaf := c.numLeaves
 	if c.keyer == nil && (leaf+1)*c.k*c.inputSize > maxLeafQCells {
 		return 0, false
 	}
-	out, err := c.spec.Output(t)
-	if err != nil {
+	if _, err := c.spec.Output(t); err != nil {
 		return 0, false
 	}
-	c.leafOut = append(c.leafOut, int32(out))
-	c.leafDepth = append(c.leafDepth, int32(len(t)))
+	c.numLeaves++
 	if c.keyer == nil {
-		c.leafBits = append(c.leafBits, int32(bits))
-		for _, s := range t {
-			c.leafSyms = append(c.leafSyms, int32(s))
-		}
-		c.leafSymOff = append(c.leafSymOff, int32(len(c.leafSyms)))
 		for i := 0; i < c.k; i++ {
 			c.leafQ = append(c.leafQ, c.q[i]...)
 		}
@@ -356,34 +324,25 @@ func (c *compiler) emitLeaf(t []int, bits int) (int32, bool) {
 }
 
 func (c *compiler) finish(root int32) *Program {
-	if len(c.leafOut) == 0 {
+	if c.numLeaves == 0 {
 		return nil
 	}
 	return &Program{
-		k:             c.k,
-		inputSize:     c.inputSize,
-		numStates:     len(c.speaker),
-		numLeaves:     len(c.leafOut),
-		root:          root,
-		speaker:       c.speaker,
-		alphabet:      c.alphabet,
-		width:         c.width,
-		distBase:      c.distBase,
-		transBase:     c.transBase,
-		msgDist:       c.msgDist,
-		edges:         c.edges,
-		symBits:       c.symBits,
-		fused:         c.fused,
-		pool:          c.pool,
-		leafBits:      c.leafBits,
-		leafOut:       c.leafOut,
-		leafDepth:     c.leafDepth,
-		leafSymOff:    c.leafSymOff,
-		leafSyms:      c.leafSyms,
-		leafQ:         c.leafQ,
-		fixedWidth:    c.fixedWidth,
-		deterministic: c.deterministic,
-		speakOnce:     c.speakOnce,
+		k:         c.k,
+		inputSize: c.inputSize,
+		numStates: len(c.speaker),
+		numLeaves: c.numLeaves,
+		root:      root,
+		speaker:   c.speaker,
+		alphabet:  c.alphabet,
+		distBase:  c.distBase,
+		transBase: c.transBase,
+		msgDist:   c.msgDist,
+		edges:     c.edges,
+		symBits:   c.symBits,
+		fused:     c.fused,
+		pool:      c.pool,
+		speakOnce: c.speakOnce,
 	}
 }
 
@@ -466,21 +425,14 @@ func (c *compiler) extendEstimator(p *Program, prior Prior) bool {
 
 	perEdge := c.monotone && silentRowsScoreZero(priors, p.inputSize) &&
 		len(p.rows)*len(p.edges) <= maxEdgeTerms
-	var ok bool
 	switch {
 	case perEdge:
-		ok = p.buildEdgeTerms(priors)
+		return p.buildEdgeTerms(priors)
 	case c.keyer != nil:
 		return false
 	default:
-		ok = p.buildInner(priors, auxSize)
+		return p.buildInner(priors, auxSize, c.leafQ)
 	}
-	if !ok {
-		return false
-	}
-	p.estimator = true
-	p.auxSize = auxSize
-	return true
 }
 
 // silentRowsScoreZero reports whether every prior row contributes exactly
@@ -533,8 +485,8 @@ func (p *Program) buildEdgeTerms(priors [][]float64) bool {
 
 // buildInner fills the per-leaf scoring table: for each (z, leaf), the
 // exact divergence sum the dynamic sample computes after landing on that
-// leaf under that z.
-func (p *Program) buildInner(priors [][]float64, auxSize int) bool {
+// leaf under that z. leafQ is the compiler's leaf q-factor arena.
+func (p *Program) buildInner(priors [][]float64, auxSize int, leafQ []float64) bool {
 	if auxSize*p.k > maxAuxCells || auxSize*p.numLeaves > maxAuxCells {
 		return false
 	}
@@ -548,7 +500,7 @@ func (p *Program) buildInner(priors [][]float64, auxSize int) bool {
 		}
 		for l := 0; l < p.numLeaves; l++ {
 			for i := 0; i < p.k; i++ {
-				q[i] = p.leafQ[l*rowSize+i*p.inputSize : l*rowSize+(i+1)*p.inputSize]
+				q[i] = leafQ[l*rowSize+i*p.inputSize : l*rowSize+(i+1)*p.inputSize]
 			}
 			in, err := info.QDivergenceSum(q, pz)
 			if err != nil {

@@ -1,16 +1,14 @@
 // Package ir compiles a declarative broadcast protocol (the Spec shape
 // defined by internal/core) together with an input prior into a flat,
-// immutable Program: a table-driven form of the protocol's entire control
-// surface — next-speaker, alphabet and bit-width per transcript state,
-// per-(state, player-input) message distributions with pre-built CDF
-// samplers, and the output, communication cost and Lemma 3 q-factors of
-// every complete transcript. Compile once, execute anywhere: the same
-// Program drives the Monte-Carlo estimator's shard loop, single
-// transcript sampling, and the blackboard runtime, with zero interface
-// calls and zero steady-state allocations.
+// immutable Program: a table-driven form of the protocol's control
+// surface — next-speaker and alphabet per transcript state, per-(state,
+// player-input) message distributions with pre-built CDF samplers, and
+// the bit charge of every edge — plus the prior's sampler and a Lemma 3
+// scoring table. The Program drives the Monte-Carlo estimator's shard
+// loop with zero interface calls and zero steady-state allocations.
 //
-// Bit-identity contract. Every Program execution path is pinned
-// bit-identical to the dynamic interpretation it replaces:
+// Bit-identity contract. The shard loop is pinned bit-identical to the
+// dynamic estimator it replaces:
 //
 //   - Float semantics: the per-leaf q-factors are accumulated at compile
 //     time by the exact multiply order the dynamic walk uses

@@ -8,6 +8,7 @@ import (
 	"broadcastic/internal/prob"
 	"broadcastic/internal/rng"
 	"broadcastic/internal/telemetry"
+	"broadcastic/internal/telemetry/causal"
 )
 
 // testSpec is a synthetic protocol: rounds messages, speaker t%k, binary
@@ -114,10 +115,6 @@ func TestSampleCumMatchesSampleU(t *testing.T) {
 				if got != want {
 					t.Fatalf("size %d trial %d u=%v: sampleCum=%d SampleU=%d", n, trial, u, got, want)
 				}
-				// The cached path must agree too, regardless of size.
-				if cw := d.Cached().SampleU(u); cw != want {
-					t.Fatalf("size %d trial %d u=%v: cached=%d linear=%d", n, trial, u, cw, want)
-				}
 			}
 			for i := 0; i <= 1000; i++ {
 				check(float64(i) / 1001)
@@ -142,53 +139,96 @@ func TestSampleCumMatchesSampleU(t *testing.T) {
 	}
 }
 
+// leafPaths walks the compiled edges from the root and returns each
+// reachable leaf's transcript and its summed per-edge bit charge.
+func leafPaths(p *Program) (syms map[int][]int, bits map[int]int) {
+	syms, bits = map[int][]int{}, map[int]int{}
+	var walk func(node int32, t []int, b int)
+	walk = func(node int32, t []int, b int) {
+		if node < 0 {
+			leaf := int(-node - 1)
+			syms[leaf] = append([]int(nil), t...)
+			bits[leaf] = b
+			return
+		}
+		base := int(p.transBase[node])
+		for sym := 0; sym < int(p.alphabet[node]); sym++ {
+			if next := p.edges[base+sym]; next != nodeNone {
+				walk(next, append(t, sym), b+int(p.symBits[base+sym]))
+			}
+		}
+	}
+	walk(p.root, nil, 0)
+	return syms, bits
+}
+
+// leafOf follows transcript t along the compiled edges and returns the
+// leaf it ends on, or -1 when t leaves the compiled tree.
+func leafOf(p *Program, t []int) int {
+	node := p.root
+	for _, sym := range t {
+		if node < 0 {
+			return -1
+		}
+		if node = p.edges[int(p.transBase[node])+sym]; node == nodeNone {
+			return -1
+		}
+	}
+	if node >= 0 {
+		return -1
+	}
+	return int(-node - 1)
+}
+
 func TestCompileSmallDeterministicSpec(t *testing.T) {
 	spec := testSpec{k: 2, inputSize: 2, rounds: 2, bias: 0}
-	p := CompileSpec(spec)
+	p := CompileEstimator(spec, testPrior{k: 2, inputSize: 2, auxSize: 2})
 	if p == nil {
-		t.Fatal("CompileSpec returned nil for an eligible spec")
+		t.Fatal("CompileEstimator returned nil for an eligible spec")
 	}
-	if p.NumPlayers() != 2 || p.InputSize() != 2 {
-		t.Fatalf("shape: k=%d inputSize=%d", p.NumPlayers(), p.InputSize())
+	if p.k != 2 || p.inputSize != 2 {
+		t.Fatalf("shape: k=%d inputSize=%d", p.k, p.inputSize)
 	}
 	if p.NumStates() != 3 {
 		t.Fatalf("NumStates=%d, want 3 (root + two depth-1 states)", p.NumStates())
 	}
-	if p.NumLeaves() != 4 {
-		t.Fatalf("NumLeaves=%d, want 4", p.NumLeaves())
+	if p.numLeaves != 4 {
+		t.Fatalf("numLeaves=%d, want 4", p.numLeaves)
 	}
-	if !p.Deterministic() || !p.FixedWidth() {
-		t.Fatalf("flags: det=%v fixedWidth=%v, want both true", p.Deterministic(), p.FixedWidth())
-	}
-	syms, bits, outs := p.Leaves()
+	syms, bits := leafPaths(p)
 	seen := map[string]bool{}
 	for l, ts := range syms {
 		if len(ts) != 2 || bits[l] != 2 {
 			t.Fatalf("leaf %d: transcript %v bits %d", l, ts, bits[l])
 		}
-		if want := ts[0] ^ ts[1]; outs[l] != want {
-			t.Fatalf("leaf %d: output %d, want parity %d", l, outs[l], want)
-		}
 		seen[fmt.Sprint(ts)] = true
 	}
-	if len(seen) != 4 {
+	if len(seen) != 4 || len(syms) != 4 {
 		t.Fatalf("leaves not distinct: %v", seen)
 	}
 }
 
 func TestCompileRandomizedFlags(t *testing.T) {
-	p := CompileSpec(testSpec{k: 3, inputSize: 2, rounds: 4, bias: 0.3})
+	p := CompileEstimator(testSpec{k: 3, inputSize: 2, rounds: 4, bias: 0.3}, testPrior{k: 3, inputSize: 2, auxSize: 2})
 	if p == nil {
-		t.Fatal("CompileSpec returned nil")
+		t.Fatal("CompileEstimator returned nil")
 	}
-	if p.Deterministic() {
-		t.Fatal("randomized spec compiled as deterministic")
+	for v := 0; v < p.inputSize; v++ {
+		if f := p.fused[int(p.root)*p.inputSize+v]; f.next != nodeNone {
+			t.Fatalf("randomized root message for input %d fused as deterministic", v)
+		}
 	}
-	if !p.FixedWidth() {
-		t.Fatal("binary alphabet with 1-bit charges must be fixed-width")
+	if _, bits := leafPaths(p); len(bits) != 16 {
+		t.Fatalf("%d reachable leaves, want 16", len(bits))
+	} else {
+		for l, b := range bits {
+			if b != 4 {
+				t.Fatalf("leaf %d charged %d bits, want 4 one-bit messages", l, b)
+			}
+		}
 	}
-	if p.NumLeaves() != 16 {
-		t.Fatalf("NumLeaves=%d, want 16", p.NumLeaves())
+	if p.numLeaves != 16 {
+		t.Fatalf("numLeaves=%d, want 16", p.numLeaves)
 	}
 }
 
@@ -206,16 +246,18 @@ func (errDist) MessageDist(t []int, player, input int) (prob.Dist, error) {
 
 func TestCompileGates(t *testing.T) {
 	base := testSpec{k: 2, inputSize: 2, rounds: 2, bias: 0}
-	if p := CompileSpec(neverDone{base}); p != nil {
+	prior := testPrior{k: 2, inputSize: 2, auxSize: 2}
+	if p := CompileEstimator(neverDone{base}, prior); p != nil {
 		t.Fatal("unbounded-depth spec must compile to nil")
 	}
-	if p := CompileSpec(errDist{base}); p != nil {
+	if p := CompileEstimator(errDist{base}, prior); p != nil {
 		t.Fatal("erroring spec must compile to nil")
 	}
-	if p := CompileSpec(testSpec{k: 0, inputSize: 2, rounds: 1}); p != nil {
+	if p := CompileEstimator(testSpec{k: 0, inputSize: 2, rounds: 1}, testPrior{k: 0, inputSize: 2, auxSize: 2}); p != nil {
 		t.Fatal("zero players must compile to nil")
 	}
-	if p := CompileSpec(testSpec{k: 2, inputSize: maxInputSize + 1, rounds: 1}); p != nil {
+	if p := CompileEstimator(testSpec{k: 2, inputSize: maxInputSize + 1, rounds: 1},
+		testPrior{k: 2, inputSize: maxInputSize + 1, auxSize: 2}); p != nil {
 		t.Fatal("oversized input domain must compile to nil")
 	}
 	// Shape mismatch between spec and prior.
@@ -230,7 +272,7 @@ func TestCompileGates(t *testing.T) {
 // referenceSample replays one estimator sample through the public prob
 // API with the dynamic path's draw discipline: one uniform for z, one per
 // player input in player order, one per message (even point masses).
-func referenceSample(t *testing.T, spec Spec, prior Prior, p *Program, src *rng.Source) (z, leaf int, msgs uint64) {
+func referenceSample(t *testing.T, spec Spec, prior Prior, p *Program, src *rng.Source) (z, leaf, bits int) {
 	t.Helper()
 	w := make([]float64, prior.AuxSize())
 	for i := range w {
@@ -262,32 +304,19 @@ func referenceSample(t *testing.T, spec Spec, prior Prior, p *Program, src *rng.
 		if err != nil {
 			t.Fatalf("MessageDist: %v", err)
 		}
-		tr = append(tr, d.Sample(src))
-		msgs++
+		sym := d.Sample(src)
+		sb, err := spec.MessageBits(tr, sym)
+		if err != nil {
+			t.Fatalf("MessageBits: %v", err)
+		}
+		bits += sb
+		tr = append(tr, sym)
 	}
-	// Locate the leaf by matching the transcript.
-	syms, _, _ := p.Leaves()
-	leaf = -1
-	for l, ts := range syms {
-		if len(ts) != len(tr) {
-			continue
-		}
-		match := true
-		for i := range ts {
-			if ts[i] != tr[i] {
-				match = false
-				break
-			}
-		}
-		if match {
-			leaf = l
-			break
-		}
-	}
-	if leaf < 0 {
+	// Locate the leaf by walking the compiled edges with the transcript.
+	if leaf = leafOf(p, tr); leaf < 0 {
 		t.Fatalf("transcript %v not among compiled leaves", tr)
 	}
-	return z, leaf, msgs
+	return z, leaf, bits
 }
 
 func TestShardMatchesReference(t *testing.T) {
@@ -307,11 +336,11 @@ func TestShardMatchesReference(t *testing.T) {
 			t.Fatalf("bias=%v: a player speaks twice, yet the program scores per edge", bias)
 		}
 		for s := 0; s < n; s++ {
-			z, leaf, _ := referenceSample(t, spec, prior, p, ref)
+			z, leaf, leafBits := referenceSample(t, spec, prior, p, ref)
 			in := p.inner[z*p.numLeaves+leaf]
 			wantSum += in
 			wantSumSq += in * in
-			wantBits += float64(p.leafBits[leaf])
+			wantBits += float64(leafBits)
 		}
 		sum, sumSq, bits := p.Shard(cmp, n)
 		if sum != wantSum || sumSq != wantSumSq || bits != wantBits {
@@ -347,76 +376,6 @@ func TestShardZeroAllocs(t *testing.T) {
 	}
 }
 
-func TestSampleWalkMatchesReference(t *testing.T) {
-	spec := testSpec{k: 3, inputSize: 4, rounds: 5, bias: 0.3}
-	p := CompileSpec(spec)
-	if p == nil {
-		t.Fatal("CompileSpec returned nil")
-	}
-	ref := rng.New(11)
-	cmp := rng.New(11)
-	mark := ref.Mark()
-	src := rng.New(99)
-	for trial := 0; trial < 50; trial++ {
-		x := []int{src.Intn(4), src.Intn(4), src.Intn(4)}
-		// Reference walk: one draw per message through the spec's dists.
-		var wantT []int
-		wantBits := 0
-		for {
-			speaker, done, err := spec.NextSpeaker(wantT)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if done {
-				break
-			}
-			d, err := spec.MessageDist(wantT, speaker, x[speaker])
-			if err != nil {
-				t.Fatal(err)
-			}
-			sym := d.Sample(ref)
-			sb, _ := spec.MessageBits(wantT, sym)
-			wantBits += sb
-			wantT = append(wantT, sym)
-		}
-		wantOut, _ := spec.Output(wantT)
-
-		gotT, q, bits, out := p.SampleWalk(x, cmp)
-		if len(gotT) != len(wantT) {
-			t.Fatalf("trial %d: transcript %v, want %v", trial, gotT, wantT)
-		}
-		for i := range gotT {
-			if gotT[i] != wantT[i] {
-				t.Fatalf("trial %d: transcript %v, want %v", trial, gotT, wantT)
-			}
-		}
-		if bits != wantBits || out != wantOut {
-			t.Fatalf("trial %d: bits=%d out=%d, want %d/%d", trial, bits, out, wantBits, wantOut)
-		}
-		// q-factors: q[i][v] = Π_t P(sym_t | v) over i's speaking turns.
-		for i := 0; i < 3; i++ {
-			for v := 0; v < 4; v++ {
-				want := 1.0
-				var pre []int
-				for _, sym := range wantT {
-					speaker, _, _ := spec.NextSpeaker(pre)
-					if speaker == i {
-						d, _ := spec.MessageDist(pre, i, v)
-						want *= d.P(sym)
-					}
-					pre = append(pre, sym)
-				}
-				if q[i][v] != want {
-					t.Fatalf("trial %d: q[%d][%d]=%v, want %v", trial, i, v, q[i][v], want)
-				}
-			}
-		}
-		if rd, cd := ref.DrawsSince(mark), cmp.DrawsSince(mark); rd != cd {
-			t.Fatalf("trial %d: draw streams diverged: %d vs %d", trial, rd, cd)
-		}
-	}
-}
-
 // TestEstimatorRows pins the compact conditional index: every
 // (z, player) cell names a distinct row whose probabilities are exactly
 // the prior's PlayerDist(z, player).
@@ -441,9 +400,6 @@ func TestEstimatorRows(t *testing.T) {
 			}
 		}
 	}
-	if CompileSpec(spec).Estimator() {
-		t.Fatal("a spec-only program claims estimator tables")
-	}
 }
 
 // keyedSpec attaches an IRKey to a testSpec for cache tests.
@@ -459,78 +415,32 @@ func TestProgramCacheTelemetry(t *testing.T) {
 	defer ResetProgramCache()
 	col := telemetry.NewCollector()
 	spec := keyedSpec{testSpec{k: 2, inputSize: 2, rounds: 2, bias: 0.3}, "test/cached"}
+	prior := testPrior{k: 2, inputSize: 2, auxSize: 2}
 
-	p1 := SpecProgram(spec, spec.IRKey(), col)
+	p1 := EstimatorProgram(spec, prior, spec.IRKey(), "test/prior", col, causal.Context{})
 	if p1 == nil {
-		t.Fatal("first SpecProgram compile failed")
+		t.Fatal("first EstimatorProgram compile failed")
 	}
-	p2 := SpecProgram(spec, spec.IRKey(), col)
+	p2 := EstimatorProgram(spec, prior, spec.IRKey(), "test/prior", col, causal.Context{})
 	if p2 != p1 {
 		t.Fatal("second lookup did not return the cached program")
 	}
 	if h, m := col.Counter(telemetry.IRProgramHits), col.Counter(telemetry.IRProgramMisses); h != 1 || m != 1 {
 		t.Fatalf("hits=%d misses=%d, want 1/1", h, m)
 	}
-	if p1.KeySHA() == "" || len(p1.KeySHA()) != 64 {
-		t.Fatalf("KeySHA %q, want 64 hex chars", p1.KeySHA())
-	}
 
 	// Ineligible specs are negatively cached: nil both times, second a hit.
 	bad := keyedSpec{testSpec{}, "test/bad"}
 	bad.inputSize = maxInputSize + 1
 	bad.k = 2
-	if p := SpecProgram(bad, bad.IRKey(), col); p != nil {
+	badPrior := testPrior{k: 2, inputSize: maxInputSize + 1, auxSize: 2}
+	if p := EstimatorProgram(bad, badPrior, bad.IRKey(), "test/prior", col, causal.Context{}); p != nil {
 		t.Fatal("ineligible spec compiled")
 	}
-	if p := SpecProgram(bad, bad.IRKey(), col); p != nil {
+	if p := EstimatorProgram(bad, badPrior, bad.IRKey(), "test/prior", col, causal.Context{}); p != nil {
 		t.Fatal("ineligible spec compiled on second lookup")
 	}
 	if h := col.Counter(telemetry.IRProgramHits); h != 2 {
 		t.Fatalf("hits=%d after negative-cache lookup, want 2", h)
-	}
-}
-
-func TestBoardExecDeterministic(t *testing.T) {
-	spec := testSpec{k: 2, inputSize: 2, rounds: 2, bias: 0}
-	p := CompileSpec(spec)
-	if p == nil {
-		t.Fatal("CompileSpec returned nil")
-	}
-	for x0 := 0; x0 < 2; x0++ {
-		for x1 := 0; x1 < 2; x1++ {
-			e, err := NewBoardExec(p, []int{x0, x1}, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Drive the scheduler/players loop by hand.
-			for {
-				sp, done, err := e.Scheduler().Next(nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if done {
-					break
-				}
-				if _, err := e.Players()[sp].Speak(nil); err != nil {
-					t.Fatal(err)
-				}
-			}
-			out, err := e.Output()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := x0 ^ x1; out != want {
-				t.Fatalf("x=(%d,%d): output %d, want %d", x0, x1, out, want)
-			}
-			tr := e.Transcript()
-			if len(tr) != 2 || tr[0] != x0 || tr[1] != x1 {
-				t.Fatalf("x=(%d,%d): transcript %v", x0, x1, tr)
-			}
-		}
-	}
-	// Randomized program without a private source must be refused.
-	rp := CompileSpec(testSpec{k: 2, inputSize: 2, rounds: 2, bias: 0.3})
-	if _, err := NewBoardExec(rp, []int{0, 1}, nil); err == nil {
-		t.Fatal("randomized program accepted without private randomness")
 	}
 }

@@ -166,7 +166,7 @@ func TestPerEdgeEligibility(t *testing.T) {
 		if p == nil {
 			t.Fatalf("%s: compiled to nil", tc.name)
 		}
-		if p.PerEdge() != tc.perEdge || (p.inner != nil) == tc.perEdge || p.leafQ == nil {
+		if p.PerEdge() != tc.perEdge || (p.inner != nil) == tc.perEdge {
 			t.Fatalf("%s: per-edge %v, inner table %v; want per-edge %v on the tree",
 				tc.name, p.PerEdge(), p.inner != nil, tc.perEdge)
 		}
@@ -192,11 +192,11 @@ func TestMergedChainShapes(t *testing.T) {
 			if p == nil {
 				t.Fatalf("k=%d %s: compiled to nil", k, tc.name)
 			}
-			if p.NumStates() != tc.states || p.NumLeaves() != tc.leaves {
+			if p.NumStates() != tc.states || p.numLeaves != tc.leaves {
 				t.Fatalf("k=%d %s: %d states, %d leaves; want %d, %d",
-					k, tc.name, p.NumStates(), p.NumLeaves(), tc.states, tc.leaves)
+					k, tc.name, p.NumStates(), p.numLeaves, tc.states, tc.leaves)
 			}
-			if !p.PerEdge() || p.inner != nil || p.leafQ != nil || p.leafBits != nil {
+			if !p.PerEdge() || p.inner != nil {
 				t.Fatalf("k=%d %s: merged program keeps per-leaf tables", k, tc.name)
 			}
 			if len(p.edgeTerm) != len(p.rows)*p.numEdges || len(p.rows) > 2 {
@@ -208,10 +208,12 @@ func TestMergedChainShapes(t *testing.T) {
 }
 
 // perLeafTwin compiles spec again and replaces its per-edge scoring with
-// the per-leaf inner table, built by the unchanged per-leaf code path.
+// the per-leaf inner table, built by the unchanged per-leaf code path from
+// the compiler's leaf q-factors.
 func perLeafTwin(t *testing.T, spec Spec, prior Prior) *Program {
 	t.Helper()
-	p := CompileEstimator(spec, prior)
+	c := newCompiler(spec)
+	p := c.compileEstimator(prior)
 	if p == nil || !p.PerEdge() {
 		t.Fatal("fixture must score per edge")
 	}
@@ -220,7 +222,7 @@ func perLeafTwin(t *testing.T, spec Spec, prior Prior) *Program {
 		priors[r] = p.pool[id].dist.Probs()
 	}
 	p.edgeTerm, p.numEdges = nil, 0
-	if !p.buildInner(priors, p.auxSize) {
+	if !p.buildInner(priors, len(p.rowOf)/p.k, c.leafQ) {
 		t.Fatal("per-leaf table refused")
 	}
 	return p

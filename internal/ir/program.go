@@ -47,10 +47,11 @@ func sampleCum(cum []float64, last int32, u float64) int32 {
 	return last
 }
 
-// Program is a compiled protocol: the full control surface of a Spec —
-// and, for estimator programs, of a (Spec, Prior) pair — flattened into
-// immutable lookup tables. A Program is read-only after compilation and
-// safe for concurrent use; per-execution state lives in pooled scratch.
+// Program is a compiled estimator: the control surface of a (Spec, Prior)
+// pair flattened into immutable lookup tables, with the prior's sampler
+// and the scoring table beside them. A Program is read-only after
+// compilation and safe for concurrent use; per-execution state lives in
+// pooled scratch.
 type Program struct {
 	k         int
 	inputSize int
@@ -61,7 +62,6 @@ type Program struct {
 	// Per-interior-state tables.
 	speaker   []int32 // who speaks
 	alphabet  []int32 // message alphabet size
-	width     []int32 // fixed bit width of the alphabet (encoding.FixedWidth)
 	distBase  []int32 // msgDist[distBase[s]+input] = pool id of the speaker's dist
 	transBase []int32 // edges/symBits[transBase[s]+sym]
 	msgDist   []int32
@@ -73,27 +73,14 @@ type Program struct {
 
 	pool []poolDist
 
-	// Per-leaf tables. Merged programs (compiled with a StateKeyer) keep
-	// only leafOut and leafDepth: the rest depend on the path taken.
-	leafBits   []int32
-	leafOut    []int32
-	leafDepth  []int32 // messages on the complete transcript
-	leafSymOff []int32 // numLeaves+1 offsets into leafSyms
-	leafSyms   []int32
-	leafQ      []float64 // numLeaves × k × inputSize q-factor arena
+	speakOnce bool // on no root-to-leaf path does a player speak twice
 
-	fixedWidth    bool // every reachable symbol's MessageBits equals the fixed width
-	deterministic bool // every reachable (state, input) message is a point mass
-	speakOnce     bool // on no root-to-leaf path does a player speak twice
-
-	// Estimator extension (zero-valued on spec-only programs).
-	estimator bool
-	auxSize   int
-	auxCum    []float64
-	auxLast   int32
-	auxDet    int32
-	rows      []int32  // pool id of each distinct prior conditional row
-	rowOf     []uint16 // auxSize × k: row index of player i's conditional given z
+	// Prior tables.
+	auxCum  []float64
+	auxLast int32
+	auxDet  int32
+	rows    []int32  // pool id of each distinct prior conditional row
+	rowOf   []uint16 // auxSize × k: row index of player i's conditional given z
 	// rowTwo is the binary-input fast-loop form of rows (inputSize == 2
 	// only, nil otherwise): the exact linear-scan thresholds of each row,
 	// so the hot shard loop draws an input with two compares instead of a
@@ -107,45 +94,15 @@ type Program struct {
 	numEdges int
 	inner    []float64
 
-	keySHA string
-
 	scratch sync.Pool
 }
-
-// NumPlayers returns k.
-func (p *Program) NumPlayers() int { return p.k }
-
-// InputSize returns the per-player input domain size.
-func (p *Program) InputSize() int { return p.inputSize }
 
 // NumStates returns the number of interior transcript states.
 func (p *Program) NumStates() int { return p.numStates }
 
-// NumLeaves returns the number of reachable complete transcripts.
-func (p *Program) NumLeaves() int { return p.numLeaves }
-
-// Estimator reports whether the program carries the prior-dependent
-// tables (aux sampler, per-player conditionals, scoring table).
-func (p *Program) Estimator() bool { return p.estimator }
-
-// PerEdge reports whether the estimator program scores per edge (see the
-// package comment) rather than from a per-leaf table.
+// PerEdge reports whether the program scores per edge (see the package
+// comment) rather than from a per-leaf table.
 func (p *Program) PerEdge() bool { return p.edgeTerm != nil }
-
-// FixedWidth reports whether every reachable message's declared bit
-// charge equals the fixed-width encoding of its alphabet — the condition
-// the blackboard executor needs.
-func (p *Program) FixedWidth() bool { return p.fixedWidth }
-
-// Deterministic reports whether every reachable (state, input) message
-// distribution is a point mass, i.e. the protocol consumes no message
-// randomness on any input.
-func (p *Program) Deterministic() bool { return p.deterministic }
-
-// KeySHA returns the program's content address: the SHA-256 of its cache
-// key, in the same hex form the jobs result cache uses for its own keys.
-// Empty for programs compiled outside the cache.
-func (p *Program) KeySHA() string { return p.keySHA }
 
 // fusedCell is one (state, input) cell of the fused table: when the
 // speaker's message for that input is a point mass, next is the node its
@@ -209,7 +166,7 @@ func (p *Program) putScratch(sc *shardScratch) { p.scratch.Put(sc) }
 
 // Shard draws count estimator samples from src and returns the raw
 // moments (Σ inner, Σ inner², Σ bits) — the exact accumulation the
-// dynamic cicShard performs, bit for bit. Requires an estimator program.
+// dynamic cicShard performs, bit for bit.
 //
 // Draw discipline: a dynamic sample consumes uniforms at positions
 // 0 (aux), 1..k (inputs, in player order), 1+k+t (message t). The
@@ -349,62 +306,4 @@ func (p *Program) shardBinary(src *rng.Source, count int) (sum, sumSq, bitsSum f
 		bitsSum += float64(bits)
 	}
 	return sum, sumSq, bitsSum
-}
-
-// SampleWalk runs the protocol once on the fixed input x, sampling
-// message randomness from src, and returns the transcript, fresh copies
-// of the leaf's q-factor rows, and the leaf's bit cost and output. The
-// caller must have checked len(x) == NumPlayers and every x[i] within
-// [0, InputSize); the draw stream is consumed exactly as the dynamic
-// core.SampleTranscript consumes it (one uniform per message).
-func (p *Program) SampleWalk(x []int, src *rng.Source) (t []int, q [][]float64, bits, output int) {
-	node := p.root
-	depth := uint64(0)
-	for node >= 0 {
-		st := node
-		md := &p.pool[p.msgDist[int(p.distBase[st])+x[p.speaker[st]]]]
-		var sym int32
-		if md.det >= 0 {
-			sym = md.det
-		} else {
-			sym = sampleCum(md.cum, md.last, rng.U01(src.Lookahead(depth)))
-		}
-		t = append(t, int(sym))
-		node = p.edges[int(p.transBase[st])+int(sym)]
-		depth++
-	}
-	src.Skip(depth)
-
-	leaf := int(-node - 1)
-	q = make([][]float64, p.k)
-	qRow := make([]float64, p.k*p.inputSize)
-	copy(qRow, p.leafQ[leaf*p.k*p.inputSize:(leaf+1)*p.k*p.inputSize])
-	for i := 0; i < p.k; i++ {
-		q[i] = qRow[i*p.inputSize : (i+1)*p.inputSize : (i+1)*p.inputSize]
-	}
-	return t, q, int(p.leafBits[leaf]), int(p.leafOut[leaf])
-}
-
-// Leaves returns the program's complete transcripts with their bit costs
-// and outputs, for conformance tests that compare compiled tables against
-// dynamic enumeration. The returned slices are fresh copies. Merged
-// programs have no per-leaf transcripts; Leaves returns nil for them.
-func (p *Program) Leaves() (syms [][]int, bits []int, outs []int) {
-	if p.leafBits == nil {
-		return nil, nil, nil
-	}
-	syms = make([][]int, p.numLeaves)
-	bits = make([]int, p.numLeaves)
-	outs = make([]int, p.numLeaves)
-	for l := 0; l < p.numLeaves; l++ {
-		start, end := p.leafSymOff[l], p.leafSymOff[l+1]
-		ts := make([]int, end-start)
-		for i := start; i < end; i++ {
-			ts[i-start] = int(p.leafSyms[i])
-		}
-		syms[l] = ts
-		bits[l] = int(p.leafBits[l])
-		outs[l] = int(p.leafOut[l])
-	}
-	return syms, bits, outs
 }

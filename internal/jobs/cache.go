@@ -194,20 +194,6 @@ func (c *Cache) spillWrite(key string, val []byte) {
 	}
 }
 
-// Len reports the number of resident (in-memory) entries.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
-// Bytes reports the resident result bytes.
-func (c *Cache) Bytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.bytes
-}
-
 func (c *Cache) spillPath(key string) string {
 	return filepath.Join(c.dir, key+".result")
 }

@@ -188,3 +188,17 @@ func TestCacheConcurrentHammer(t *testing.T) {
 		<-done
 	}
 }
+
+// Len reports the number of resident (in-memory) entries.
+func (c *Cache) Len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.ll.Len()
+}
+
+// Bytes reports the resident result bytes.
+func (c *Cache) Bytes() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.bytes
+}

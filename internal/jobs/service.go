@@ -93,9 +93,9 @@ const DefaultQueueCap = 16
 // plus its queues and fleet, not by its uptime.
 const Retain = 1024
 
-// Job is the immutable snapshot of one submission, as returned by Submit,
-// Get, Cancel and List and rendered on the HTTP API. The service holds it
-// until the job is retired (see Retain).
+// Job is the immutable snapshot of one submission, as returned by
+// SubmitTraced, Get, Cancel and List and rendered on the HTTP API. The
+// service holds it until the job is retired (see Retain).
 type Job struct {
 	ID       string  `json:"id"`
 	Tenant   string  `json:"tenant"`
@@ -250,7 +250,7 @@ func New(opts Options) *Service {
 }
 
 // Close stops the fleet: workers finish their in-flight jobs and exit;
-// still-queued jobs are marked Canceled. Submit afterwards returns
+// still-queued jobs are marked Canceled. SubmitTraced afterwards returns
 // ErrClosed. Close blocks until every worker has returned.
 func (s *Service) Close() {
 	s.mu.Lock()
@@ -278,18 +278,15 @@ func (s *Service) Close() {
 	s.wg.Wait()
 }
 
-// Submit validates the spec, consults the cache, and either answers
+// SubmitTraced validates the spec, consults the cache, and either answers
 // immediately (cache hit: the job is born Done with CacheHit set and no
 // worker is dispatched) or enqueues on the tenant's FIFO. A full tenant
 // queue rejects with ErrQueueFull without touching other tenants.
-func (s *Service) Submit(tenant string, spec JobSpec) (Job, error) {
-	return s.SubmitTraced(tenant, spec, causal.Context{})
-}
-
-// SubmitTraced is Submit under a causal context (minted from the
-// service's Flight recorder at admission; the zero Context is untraced).
-// Rejections record a jobs.rejected fault on the trace; accepted jobs
-// carry the trace through queue wait, dispatch, execution and outcome.
+//
+// cause is minted from the service's Flight recorder at admission; the
+// zero Context is untraced. Rejections record a jobs.rejected fault on the
+// trace; accepted jobs carry the trace through queue wait, dispatch,
+// execution and outcome.
 func (s *Service) SubmitTraced(tenant string, spec JobSpec, cause causal.Context) (Job, error) {
 	if tenant == "" {
 		cause.Fault(causal.JobRejected, causal.String("reason", "empty tenant"))

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"broadcastic/internal/telemetry"
+	"broadcastic/internal/telemetry/causal"
 )
 
 func waitTerminal(t *testing.T, s *Service, id string) Job {
@@ -49,7 +50,7 @@ func TestDeterministicCacheHit(t *testing.T) {
 	defer svc.Close()
 
 	spec := JobSpec{Experiment: "E10", Seed: 5, Scale: "quick"}
-	first, err := svc.Submit("acme", spec)
+	first, err := svc.SubmitTraced("acme", spec, causal.Context{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func TestDeterministicCacheHit(t *testing.T) {
 		t.Errorf("service result diverges from direct run:\n%s---\n%s", first.Result, direct)
 	}
 
-	second, err := svc.Submit("acme", spec)
+	second, err := svc.SubmitTraced("acme", spec, causal.Context{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestDeterministicCacheHit(t *testing.T) {
 	// to the same bytes, because the spec pins the computation.
 	svcB := New(Options{Workers: 1, Cache: cache, BuildSHA: "build-b", Recorder: col, Run: counting})
 	defer svcB.Close()
-	third, err := svcB.Submit("acme", spec)
+	third, err := svcB.SubmitTraced("acme", spec, causal.Context{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestRestartedServiceServesFromSpill(t *testing.T) {
 
 	first := New(Options{Workers: 1, Cache: NewCache(8, 0, dir, nil),
 		BuildSHA: "build-a", Run: counting})
-	before, err := first.Submit("acme", spec)
+	before, err := first.SubmitTraced("acme", spec, causal.Context{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +140,7 @@ func TestRestartedServiceServesFromSpill(t *testing.T) {
 	second := New(Options{Workers: 1, Cache: NewCache(8, 0, dir, col),
 		BuildSHA: "build-a", Recorder: col, Run: counting})
 	defer second.Close()
-	after, err := second.Submit("acme", spec)
+	after, err := second.SubmitTraced("acme", spec, causal.Context{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,13 +212,13 @@ func TestBackpressurePerTenant(t *testing.T) {
 	}()
 
 	// Seed 1 occupies the lone worker; the queue is empty again.
-	if _, err := svc.Submit("noisy", JobSpec{Experiment: "E10", Seed: 1, Scale: "quick"}); err != nil {
+	if _, err := svc.SubmitTraced("noisy", JobSpec{Experiment: "E10", Seed: 1, Scale: "quick"}, causal.Context{}); err != nil {
 		t.Fatal(err)
 	}
 	br.waitStart(t)
 	// Fill the tenant's queue to its cap.
 	for seed := uint64(2); seed < 2+capQ; seed++ {
-		if _, err := svc.Submit("noisy", JobSpec{Experiment: "E10", Seed: seed, Scale: "quick"}); err != nil {
+		if _, err := svc.SubmitTraced("noisy", JobSpec{Experiment: "E10", Seed: seed, Scale: "quick"}, causal.Context{}); err != nil {
 			t.Fatalf("submission below cap rejected: %v", err)
 		}
 	}
@@ -225,7 +226,7 @@ func TestBackpressurePerTenant(t *testing.T) {
 		t.Fatalf("queue depth = %d, want %d", got, capQ)
 	}
 	// Submission Q+1: rejected, retryable, typed.
-	_, err := svc.Submit("noisy", JobSpec{Experiment: "E10", Seed: 99, Scale: "quick"})
+	_, err := svc.SubmitTraced("noisy", JobSpec{Experiment: "E10", Seed: 99, Scale: "quick"}, causal.Context{})
 	if !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("over-cap submission error = %v, want ErrQueueFull", err)
 	}
@@ -233,7 +234,7 @@ func TestBackpressurePerTenant(t *testing.T) {
 		t.Errorf("rejected counter = %d", got)
 	}
 	// Another tenant is unaffected by the noisy tenant's full queue.
-	if _, err := svc.Submit("quiet", JobSpec{Experiment: "E10", Seed: 50, Scale: "quick"}); err != nil {
+	if _, err := svc.SubmitTraced("quiet", JobSpec{Experiment: "E10", Seed: 50, Scale: "quick"}, causal.Context{}); err != nil {
 		t.Fatalf("other tenant rejected: %v", err)
 	}
 }
@@ -248,20 +249,20 @@ func TestRoundRobinFairness(t *testing.T) {
 		svc.Close()
 	}()
 
-	first, err := svc.Submit("a", JobSpec{Experiment: "E10", Seed: 1, Scale: "quick"})
+	first, err := svc.SubmitTraced("a", JobSpec{Experiment: "E10", Seed: 1, Scale: "quick"}, causal.Context{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	br.waitStart(t) // a/1 on the worker; now build the queues behind it
 	ids := []string{first.ID}
 	for seed := uint64(2); seed <= 4; seed++ {
-		j, err := svc.Submit("a", JobSpec{Experiment: "E10", Seed: seed, Scale: "quick"})
+		j, err := svc.SubmitTraced("a", JobSpec{Experiment: "E10", Seed: seed, Scale: "quick"}, causal.Context{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		ids = append(ids, j.ID)
 	}
-	j, err := svc.Submit("b", JobSpec{Experiment: "E10", Seed: 100, Scale: "quick"})
+	j, err := svc.SubmitTraced("b", JobSpec{Experiment: "E10", Seed: 100, Scale: "quick"}, causal.Context{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,12 +298,12 @@ func TestCancel(t *testing.T) {
 		svc.Close()
 	}()
 
-	running, err := svc.Submit("t", JobSpec{Experiment: "E10", Seed: 1, Scale: "quick"})
+	running, err := svc.SubmitTraced("t", JobSpec{Experiment: "E10", Seed: 1, Scale: "quick"}, causal.Context{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	br.waitStart(t)
-	queued, err := svc.Submit("t", JobSpec{Experiment: "E10", Seed: 2, Scale: "quick"})
+	queued, err := svc.SubmitTraced("t", JobSpec{Experiment: "E10", Seed: 2, Scale: "quick"}, causal.Context{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,11 +345,11 @@ func TestCloseCancelsQueuedAndRejects(t *testing.T) {
 	br := newBlockingRunner()
 	svc := New(Options{Workers: 1, QueueCap: 8, Run: br.run})
 	defer br.releaseAll()
-	if _, err := svc.Submit("t", JobSpec{Experiment: "E10", Seed: 1, Scale: "quick"}); err != nil {
+	if _, err := svc.SubmitTraced("t", JobSpec{Experiment: "E10", Seed: 1, Scale: "quick"}, causal.Context{}); err != nil {
 		t.Fatal(err)
 	}
 	br.waitStart(t)
-	queued, err := svc.Submit("t", JobSpec{Experiment: "E10", Seed: 2, Scale: "quick"})
+	queued, err := svc.SubmitTraced("t", JobSpec{Experiment: "E10", Seed: 2, Scale: "quick"}, causal.Context{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +368,7 @@ func TestCloseCancelsQueuedAndRejects(t *testing.T) {
 	if j, _ := svc.Get(queued.ID); j.State != Canceled {
 		t.Errorf("queued job after Close = %+v", j)
 	}
-	if _, err := svc.Submit("t", JobSpec{Experiment: "E10", Seed: 3, Scale: "quick"}); !errors.Is(err, ErrClosed) {
+	if _, err := svc.SubmitTraced("t", JobSpec{Experiment: "E10", Seed: 3, Scale: "quick"}, causal.Context{}); !errors.Is(err, ErrClosed) {
 		t.Errorf("submit after close = %v", err)
 	}
 }
@@ -377,10 +378,10 @@ func TestSubmitValidatesAndRequiresTenant(t *testing.T) {
 		return nil, nil
 	}})
 	defer svc.Close()
-	if _, err := svc.Submit("", JobSpec{Experiment: "E10", Scale: "quick"}); err == nil {
+	if _, err := svc.SubmitTraced("", JobSpec{Experiment: "E10", Scale: "quick"}, causal.Context{}); err == nil {
 		t.Error("empty tenant accepted")
 	}
-	if _, err := svc.Submit("t", JobSpec{Experiment: "E99", Scale: "quick"}); err == nil {
+	if _, err := svc.SubmitTraced("t", JobSpec{Experiment: "E99", Scale: "quick"}, causal.Context{}); err == nil {
 		t.Error("invalid spec accepted")
 	}
 }
@@ -391,7 +392,7 @@ func TestFailedJobReportsError(t *testing.T) {
 		return nil, errors.New("boom")
 	}})
 	defer svc.Close()
-	j, err := svc.Submit("t", JobSpec{Experiment: "E10", Seed: 1, Scale: "quick"})
+	j, err := svc.SubmitTraced("t", JobSpec{Experiment: "E10", Seed: 1, Scale: "quick"}, causal.Context{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,7 +457,7 @@ func TestRetirementWindow(t *testing.T) {
 
 	var finished, dispatched []string // IDs in finish order; IDs the worker runs, in order
 	for i := 1; i <= n; i++ {
-		j, err := svc.Submit("t", spec(i))
+		j, err := svc.SubmitTraced("t", spec(i), causal.Context{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -550,7 +551,7 @@ func TestRetirementConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := range each {
 				spec := JobSpec{Experiment: "E10", Seed: uint64(sub*each + i), Scale: "quick"}
-				if _, err := svc.Submit(fmt.Sprintf("t%d", sub), spec); err != nil {
+				if _, err := svc.SubmitTraced(fmt.Sprintf("t%d", sub), spec, causal.Context{}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -597,7 +598,7 @@ func TestRetainedHeapIsBounded(t *testing.T) {
 		for range Retain {
 			seed++
 			var err error
-			if last, err = svc.Submit("t", JobSpec{Experiment: "E10", Seed: seed, Scale: "quick"}); err != nil {
+			if last, err = svc.SubmitTraced("t", JobSpec{Experiment: "E10", Seed: seed, Scale: "quick"}, causal.Context{}); err != nil {
 				t.Fatal(err)
 			}
 		}

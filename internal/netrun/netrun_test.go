@@ -8,11 +8,12 @@ import (
 
 	"broadcastic/internal/andk"
 	"broadcastic/internal/blackboard"
-	"broadcastic/internal/compress"
+	"broadcastic/internal/core/coretest"
 	"broadcastic/internal/disj"
 	"broadcastic/internal/faults"
 	"broadcastic/internal/netrun"
 	"broadcastic/internal/prob"
+	"broadcastic/internal/prob/probtest"
 	"broadcastic/internal/rng"
 	"broadcastic/internal/telemetry"
 )
@@ -157,14 +158,14 @@ func TestConformanceAndK(t *testing.T) {
 		{"with-zero", []int{1, 1, 0, 1, 1}, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			refProto, err := spec.BoardProtocol(tc.x)
+			refProto, err := coretest.NewSpecProtocol(spec, tc.x, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			refBoard := seqFingerprint(t, refProto, nil)
 			for _, tr := range transports(t) {
 				t.Run(tr.Name(), func(t *testing.T) {
-					proto, err := spec.BoardProtocol(tc.x)
+					proto, err := coretest.NewSpecProtocol(spec, tc.x, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -192,12 +193,12 @@ func TestConformanceSampler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nu, err := prob.Uniform(8)
+	nu, err := probtest.Uniform(8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const publicSeed = 7
-	refProto := compress.NewSamplerProtocol(eta, nu)
+	refProto := newSamplerProtocol(eta, nu)
 	refBoard := seqFingerprint(t, refProto, rng.New(publicSeed))
 	refRes := refProto.Result()
 	if refRes == nil {
@@ -208,7 +209,7 @@ func TestConformanceSampler(t *testing.T) {
 	}
 	for _, tr := range transports(t) {
 		t.Run(tr.Name(), func(t *testing.T) {
-			proto := compress.NewSamplerProtocol(eta, nu)
+			proto := newSamplerProtocol(eta, nu)
 			cfg := quickCfg
 			cfg.Transport = tr
 			res := netFingerprint(t, proto, rng.New(publicSeed), cfg)

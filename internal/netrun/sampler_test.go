@@ -1,14 +1,15 @@
-package compress
+package netrun_test
 
 import (
 	"fmt"
 
 	"broadcastic/internal/blackboard"
+	"broadcastic/internal/compress"
 	"broadcastic/internal/encoding"
 	"broadcastic/internal/prob"
 )
 
-// SamplerProtocol wraps one Lemma 7 transmission as a two-player
+// samplerProtocol wraps one Lemma 7 transmission as a two-player
 // blackboard protocol, so any runtime driving the blackboard state machine
 // — sequential blackboard.Run or the concurrent internal/netrun — can
 // execute the sampler with full bit accounting.
@@ -21,19 +22,19 @@ import (
 //
 // A protocol instance is single-use and not itself concurrency-safe;
 // concurrent runtimes serialize scheduler and player calls.
-type SamplerProtocol struct {
+type samplerProtocol struct {
 	eta, nu prob.Dist
-	res     *TransmitResult
+	res     *compress.TransmitResult
 }
 
-// NewSamplerProtocol binds the sender's distribution η and the receivers'
+// newSamplerProtocol binds the sender's distribution η and the receivers'
 // prior ν (validated by Transmit at execution time).
-func NewSamplerProtocol(eta, nu prob.Dist) *SamplerProtocol {
-	return &SamplerProtocol{eta: eta, nu: nu}
+func newSamplerProtocol(eta, nu prob.Dist) *samplerProtocol {
+	return &samplerProtocol{eta: eta, nu: nu}
 }
 
 // Scheduler returns the two-turn schedule: sender, then receiver, done.
-func (sp *SamplerProtocol) Scheduler() blackboard.Scheduler {
+func (sp *samplerProtocol) Scheduler() blackboard.Scheduler {
 	return blackboard.FuncScheduler(func(b *blackboard.Board) (int, bool, error) {
 		switch b.NumMessages() {
 		case 0:
@@ -47,9 +48,9 @@ func (sp *SamplerProtocol) Scheduler() blackboard.Scheduler {
 }
 
 // Players returns the sender and the echoing receiver.
-func (sp *SamplerProtocol) Players() []blackboard.Player {
+func (sp *samplerProtocol) Players() []blackboard.Player {
 	sender := blackboard.FuncPlayer(func(b *blackboard.Board) (blackboard.Message, error) {
-		res, err := Transmit(sp.eta, sp.nu, b.Public())
+		res, err := compress.Transmit(sp.eta, sp.nu, b.Public())
 		if err != nil {
 			return blackboard.Message{}, err
 		}
@@ -71,9 +72,9 @@ func (sp *SamplerProtocol) Players() []blackboard.Player {
 }
 
 // Limits bounds the execution at its exact two messages.
-func (sp *SamplerProtocol) Limits() blackboard.Limits {
+func (sp *samplerProtocol) Limits() blackboard.Limits {
 	return blackboard.Limits{MaxMessages: 2}
 }
 
 // Result returns the transmission outcome, or nil before execution.
-func (sp *SamplerProtocol) Result() *TransmitResult { return sp.res }
+func (sp *samplerProtocol) Result() *compress.TransmitResult { return sp.res }

@@ -210,16 +210,3 @@ func InformationLowerBound(n, unionSize, k int) (int, error) {
 	}
 	return setBits + k, nil
 }
-
-// SolveNaive is the baseline: every player writes its raw n-bit
-// characteristic vector — n·k bits regardless of the union's size.
-func SolveNaive(inst *Instance) (*Result, error) {
-	if inst == nil {
-		return nil, fmt.Errorf("pointwise: nil instance")
-	}
-	union, err := inst.TrueUnion()
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Union: union, Bits: inst.N * inst.K}, nil
-}

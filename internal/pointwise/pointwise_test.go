@@ -1,6 +1,7 @@
 package pointwise
 
 import (
+	"fmt"
 	"testing"
 
 	"broadcastic/internal/bitvec"
@@ -8,7 +9,7 @@ import (
 )
 
 func TestNewInstanceValidation(t *testing.T) {
-	if _, err := NewInstance(0, []*bitvec.Vector{bitvec.MustNew(0)}); err == nil {
+	if _, err := NewInstance(0, []*bitvec.Vector{newVec(t, 0)}); err == nil {
 		t.Fatal("n=0 succeeded")
 	}
 	if _, err := NewInstance(4, nil); err == nil {
@@ -17,7 +18,7 @@ func TestNewInstanceValidation(t *testing.T) {
 	if _, err := NewInstance(4, []*bitvec.Vector{nil}); err == nil {
 		t.Fatal("nil set succeeded")
 	}
-	if _, err := NewInstance(4, []*bitvec.Vector{bitvec.MustNew(5)}); err == nil {
+	if _, err := NewInstance(4, []*bitvec.Vector{newVec(t, 5)}); err == nil {
 		t.Fatal("universe mismatch succeeded")
 	}
 }
@@ -70,7 +71,7 @@ func TestSolveUnionCorrectRandom(t *testing.T) {
 
 func TestSolveUnionEdgeCases(t *testing.T) {
 	// Empty sets: union empty, everyone still sends a count.
-	empty := []*bitvec.Vector{bitvec.MustNew(8), bitvec.MustNew(8)}
+	empty := []*bitvec.Vector{newVec(t, 8), newVec(t, 8)}
 	inst, _ := NewInstance(8, empty)
 	res, err := SolveUnion(inst)
 	if err != nil {
@@ -84,7 +85,7 @@ func TestSolveUnionEdgeCases(t *testing.T) {
 	}
 
 	// Full sets: player 1 claims everything, player 2's message is tiny.
-	full := []*bitvec.Vector{bitvec.MustNew(8), bitvec.MustNew(8)}
+	full := []*bitvec.Vector{newVec(t, 8), newVec(t, 8)}
 	full[0].SetAll()
 	full[1].SetAll()
 	inst, _ = NewInstance(8, full)
@@ -187,4 +188,27 @@ func TestInformationLowerBoundValidation(t *testing.T) {
 	if lb != 3 {
 		t.Fatalf("full-union bound %d, want k=3", lb)
 	}
+}
+
+// SolveNaive is the baseline: every player writes its raw n-bit
+// characteristic vector — n·k bits regardless of the union's size.
+func SolveNaive(inst *Instance) (*Result, error) {
+	if inst == nil {
+		return nil, fmt.Errorf("pointwise: nil instance")
+	}
+	union, err := inst.TrueUnion()
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Union: union, Bits: inst.N * inst.K}, nil
+}
+
+// newVec returns an all-zero vector over [0, n).
+func newVec(t *testing.T, n int) *bitvec.Vector {
+	t.Helper()
+	v, err := bitvec.New(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
 }

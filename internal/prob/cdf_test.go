@@ -140,11 +140,7 @@ func TestCachedCDFMatchesLinearScanRandomized(t *testing.T) {
 // the CDF cache is active, so enabling it cannot perturb any pinned
 // experiment output.
 func TestSampleStreamIdenticalCachedVsUncached(t *testing.T) {
-	base, err := Uniform(37)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := base.Cached() // 37 < cdfMinSize: force the table path
+	d := distFromOwned(uniformVec(37)).Cached() // 37 < cdfMinSize: force the table path
 	if d.cdf == nil {
 		t.Fatal("Cached copy missing the CDF cache")
 	}
@@ -162,17 +158,11 @@ func TestSampleStreamIdenticalCachedVsUncached(t *testing.T) {
 }
 
 func TestCDFCacheThreshold(t *testing.T) {
-	small, err := Uniform(cdfMinSize - 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	small := distFromOwned(uniformVec(cdfMinSize - 1))
 	if small.cdf != nil {
 		t.Fatalf("size %d carries a cache; threshold is %d", small.Size(), cdfMinSize)
 	}
-	big, err := Uniform(cdfMinSize)
-	if err != nil {
-		t.Fatal(err)
-	}
+	big := distFromOwned(uniformVec(cdfMinSize))
 	if big.cdf == nil {
 		t.Fatalf("size %d missing cache", big.Size())
 	}

@@ -136,18 +136,6 @@ func Point(size, x int) (Dist, error) {
 	return distFromOwned(p), nil
 }
 
-// Uniform returns the uniform distribution over size outcomes.
-func Uniform(size int) (Dist, error) {
-	if size <= 0 {
-		return Dist{}, fmt.Errorf("prob: non-positive support size %d", size)
-	}
-	p := make([]float64, size)
-	for i := range p {
-		p[i] = 1 / float64(size)
-	}
-	return distFromOwned(p), nil
-}
-
 // Bernoulli returns the distribution on {0, 1} with P(1) = p.
 func Bernoulli(p float64) (Dist, error) {
 	if p < 0 || p > 1 || math.IsNaN(p) {
@@ -208,17 +196,6 @@ func (d Dist) Uncached() Dist {
 	return Dist{p: d.p}
 }
 
-// Cached returns a copy of d that samples through the prefix-sum table
-// regardless of support size. Like Uncached, it exists so benchmarks and
-// equivalence tests can exercise the cached path on supports below
-// cdfMinSize; production callers rely on the size heuristic.
-func (d Dist) Cached() Dist {
-	if d.cdf != nil {
-		return d
-	}
-	return Dist{p: d.p, cdf: &cdfCache{p: d.p}}
-}
-
 // sampleIndex maps a uniform draw u ∈ [0,1) to an outcome.
 func (d Dist) sampleIndex(u float64) int {
 	if c := d.cdf; c != nil {
@@ -276,118 +253,4 @@ func (d Dist) Support() []int {
 		}
 	}
 	return out
-}
-
-// Mean returns Σ x·p(x), treating outcomes as integers.
-func (d Dist) Mean() float64 {
-	m := 0.0
-	for i, v := range d.p {
-		m += float64(i) * v
-	}
-	return m
-}
-
-// TV returns the total-variation distance between d and e. The supports
-// must have equal size.
-func TV(d, e Dist) (float64, error) {
-	if d.Size() != e.Size() {
-		return 0, fmt.Errorf("prob: TV support mismatch %d vs %d", d.Size(), e.Size())
-	}
-	sum := 0.0
-	for i := range d.p {
-		sum += math.Abs(d.p[i] - e.p[i])
-	}
-	return sum / 2, nil
-}
-
-// Mix returns the mixture w·d + (1-w)·e.
-func Mix(d, e Dist, w float64) (Dist, error) {
-	if d.Size() != e.Size() {
-		return Dist{}, fmt.Errorf("prob: Mix support mismatch %d vs %d", d.Size(), e.Size())
-	}
-	if w < 0 || w > 1 {
-		return Dist{}, fmt.Errorf("prob: mixture weight %v outside [0,1]", w)
-	}
-	p := make([]float64, d.Size())
-	for i := range p {
-		p[i] = w*d.p[i] + (1-w)*e.p[i]
-	}
-	return distFromOwned(p), nil
-}
-
-// Conditional returns d conditioned on the outcome lying in keep (a
-// predicate over outcomes). Errors if the kept event has zero mass.
-func (d Dist) Conditional(keep func(int) bool) (Dist, error) {
-	w := make([]float64, d.Size())
-	for i, v := range d.p {
-		if keep(i) {
-			w[i] = v
-		}
-	}
-	cond, err := Normalize(w)
-	if err != nil {
-		return Dist{}, fmt.Errorf("prob: conditioning on zero-mass event: %w", err)
-	}
-	return cond, nil
-}
-
-// Product returns the product distribution of d and e over the flattened
-// support of size d.Size()*e.Size(), indexed as x*e.Size()+y.
-func Product(d, e Dist) Dist {
-	p := make([]float64, d.Size()*e.Size())
-	for x, px := range d.p {
-		for y, py := range e.p {
-			p[x*e.Size()+y] = px * py
-		}
-	}
-	return distFromOwned(p)
-}
-
-// Empirical builds the empirical (maximum-likelihood) distribution of the
-// given outcome counts.
-func Empirical(counts []int) (Dist, error) {
-	w := make([]float64, len(counts))
-	for i, c := range counts {
-		if c < 0 {
-			return Dist{}, fmt.Errorf("prob: negative count counts[%d]=%d", i, c)
-		}
-		w[i] = float64(c)
-	}
-	return Normalize(w)
-}
-
-// BinomialPMF returns the distribution of a Binomial(n, p) random variable
-// over {0, ..., n}. Computed in log space to stay stable for large n.
-func BinomialPMF(n int, p float64) (Dist, error) {
-	if n < 0 {
-		return Dist{}, fmt.Errorf("prob: negative binomial n=%d", n)
-	}
-	if p < 0 || p > 1 || math.IsNaN(p) {
-		return Dist{}, fmt.Errorf("prob: binomial parameter %v outside [0,1]", p)
-	}
-	probs := make([]float64, n+1)
-	if p == 0 {
-		probs[0] = 1
-		return distFromOwned(probs), nil
-	}
-	if p == 1 {
-		probs[n] = 1
-		return distFromOwned(probs), nil
-	}
-	lp, lq := math.Log(p), math.Log1p(-p)
-	for k := 0; k <= n; k++ {
-		probs[k] = math.Exp(logChoose(n, k) + float64(k)*lp + float64(n-k)*lq)
-	}
-	return Normalize(probs)
-}
-
-// logChoose returns log C(n, k) via lgamma.
-func logChoose(n, k int) float64 {
-	if k < 0 || k > n {
-		return math.Inf(-1)
-	}
-	ln1, _ := math.Lgamma(float64(n + 1))
-	lk, _ := math.Lgamma(float64(k + 1))
-	lnk, _ := math.Lgamma(float64(n - k + 1))
-	return ln1 - lk - lnk
 }

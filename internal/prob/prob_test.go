@@ -1,6 +1,7 @@
 package prob
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -51,35 +52,6 @@ func TestNormalize(t *testing.T) {
 	}
 }
 
-func TestPointAndUniform(t *testing.T) {
-	d, err := Point(4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.P(2) != 1 || d.P(0) != 0 {
-		t.Fatalf("Point = %v", d.Probs())
-	}
-	if _, err := Point(4, 4); err == nil {
-		t.Fatal("Point outside support succeeded")
-	}
-	if _, err := Point(0, 0); err == nil {
-		t.Fatal("Point with empty support succeeded")
-	}
-
-	u, err := Uniform(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		if math.Abs(u.P(i)-0.2) > 1e-15 {
-			t.Fatalf("Uniform(5).P(%d) = %v", i, u.P(i))
-		}
-	}
-	if _, err := Uniform(0); err == nil {
-		t.Fatal("Uniform(0) succeeded")
-	}
-}
-
 func TestBernoulli(t *testing.T) {
 	d, err := Bernoulli(0.3)
 	if err != nil {
@@ -97,7 +69,7 @@ func TestBernoulli(t *testing.T) {
 }
 
 func TestPOutsideSupport(t *testing.T) {
-	d, _ := Uniform(3)
+	d := distFromOwned(uniformVec(3))
 	if d.P(-1) != 0 || d.P(3) != 0 {
 		t.Fatal("P outside support is nonzero")
 	}
@@ -137,26 +109,6 @@ func TestSupportAndMean(t *testing.T) {
 	}
 	if got := d.Mean(); math.Abs(got-1) > 1e-15 {
 		t.Fatalf("Mean = %v", got)
-	}
-}
-
-func TestTV(t *testing.T) {
-	a, _ := NewDist([]float64{1, 0})
-	b, _ := NewDist([]float64{0, 1})
-	tv, err := TV(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(tv-1) > 1e-15 {
-		t.Fatalf("TV of disjoint points = %v", tv)
-	}
-	tv, _ = TV(a, a)
-	if tv != 0 {
-		t.Fatalf("TV(a,a) = %v", tv)
-	}
-	c, _ := Uniform(3)
-	if _, err := TV(a, c); err == nil {
-		t.Fatal("TV across support sizes succeeded")
 	}
 }
 
@@ -204,60 +156,6 @@ func TestProduct(t *testing.T) {
 	}
 }
 
-func TestEmpirical(t *testing.T) {
-	d, err := Empirical([]int{1, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(d.P(1)-0.75) > 1e-15 {
-		t.Fatalf("Empirical = %v", d.Probs())
-	}
-	if _, err := Empirical([]int{-1, 2}); err == nil {
-		t.Fatal("Empirical with negative count succeeded")
-	}
-}
-
-func TestBinomialPMF(t *testing.T) {
-	d, err := BinomialPMF(4, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{1.0 / 16, 4.0 / 16, 6.0 / 16, 4.0 / 16, 1.0 / 16}
-	for k, w := range want {
-		if math.Abs(d.P(k)-w) > 1e-12 {
-			t.Fatalf("Binomial(4,0.5).P(%d) = %v, want %v", k, d.P(k), w)
-		}
-	}
-	if got := d.Mean(); math.Abs(got-2) > 1e-12 {
-		t.Fatalf("Binomial mean = %v", got)
-	}
-
-	d0, _ := BinomialPMF(10, 0)
-	if d0.P(0) != 1 {
-		t.Fatalf("Binomial(10,0) = %v", d0.Probs())
-	}
-	d1, _ := BinomialPMF(10, 1)
-	if d1.P(10) != 1 {
-		t.Fatalf("Binomial(10,1) = %v", d1.Probs())
-	}
-	if _, err := BinomialPMF(-1, 0.5); err == nil {
-		t.Fatal("negative n succeeded")
-	}
-	if _, err := BinomialPMF(3, 1.5); err == nil {
-		t.Fatal("p>1 succeeded")
-	}
-}
-
-func TestBinomialLargeNStable(t *testing.T) {
-	d, err := BinomialPMF(500, 0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(d.Mean()-5) > 1e-6 {
-		t.Fatalf("Binomial(500,0.01) mean = %v", d.Mean())
-	}
-}
-
 func TestNormalizeIsDistribution(t *testing.T) {
 	src := rng.New(30)
 	check := func(seed uint16) bool {
@@ -292,7 +190,7 @@ func TestNormalizeIsDistribution(t *testing.T) {
 }
 
 func TestProbsReturnsCopy(t *testing.T) {
-	d, _ := Uniform(2)
+	d := distFromOwned(uniformVec(2))
 	p := d.Probs()
 	p[0] = 99
 	if d.P(0) == 99 {
@@ -324,4 +222,67 @@ func TestSampleUMatchesSample(t *testing.T) {
 			}
 		}
 	}
+}
+
+// Cached returns a copy of d that samples through the prefix-sum table
+// regardless of support size. Like Uncached, it exists so benchmarks and
+// equivalence tests can exercise the cached path on supports below
+// cdfMinSize; production callers rely on the size heuristic.
+func (d Dist) Cached() Dist {
+	if d.cdf != nil {
+		return d
+	}
+	return Dist{p: d.p, cdf: &cdfCache{p: d.p}}
+}
+
+// Mean returns Σ x·p(x), treating outcomes as integers.
+func (d Dist) Mean() float64 {
+	m := 0.0
+	for i, v := range d.p {
+		m += float64(i) * v
+	}
+	return m
+}
+
+// Mix returns the mixture w·d + (1-w)·e.
+func Mix(d, e Dist, w float64) (Dist, error) {
+	if d.Size() != e.Size() {
+		return Dist{}, fmt.Errorf("prob: Mix support mismatch %d vs %d", d.Size(), e.Size())
+	}
+	if w < 0 || w > 1 {
+		return Dist{}, fmt.Errorf("prob: mixture weight %v outside [0,1]", w)
+	}
+	p := make([]float64, d.Size())
+	for i := range p {
+		p[i] = w*d.p[i] + (1-w)*e.p[i]
+	}
+	return distFromOwned(p), nil
+}
+
+// Conditional returns d conditioned on the outcome lying in keep (a
+// predicate over outcomes). Errors if the kept event has zero mass.
+func (d Dist) Conditional(keep func(int) bool) (Dist, error) {
+	w := make([]float64, d.Size())
+	for i, v := range d.p {
+		if keep(i) {
+			w[i] = v
+		}
+	}
+	cond, err := Normalize(w)
+	if err != nil {
+		return Dist{}, fmt.Errorf("prob: conditioning on zero-mass event: %w", err)
+	}
+	return cond, nil
+}
+
+// Product returns the product distribution of d and e over the flattened
+// support of size d.Size()*e.Size(), indexed as x*e.Size()+y.
+func Product(d, e Dist) Dist {
+	p := make([]float64, d.Size()*e.Size())
+	for x, px := range d.p {
+		for y, py := range e.p {
+			p[x*e.Size()+y] = px * py
+		}
+	}
+	return distFromOwned(p)
 }

@@ -224,27 +224,6 @@ func (s *Source) NormFloat64() float64 {
 	}
 }
 
-// Perm returns a uniformly random permutation of [0, n).
-func (s *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
-// Shuffle permutes xs uniformly at random in place.
-func (s *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
 // SampleWithoutReplacement returns a uniformly random size-m subset of
 // [0, n), in increasing order. It runs in O(m) expected time using Floyd's
 // algorithm. Returns nil if m <= 0; if m >= n it returns all of [0, n).

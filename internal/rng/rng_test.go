@@ -384,3 +384,24 @@ func BenchmarkUint64sBatch(b *testing.B) {
 		s.Uint64s(buf)
 	}
 }
+
+// Perm returns a uniformly random permutation of [0, n).
+func (s *Source) Perm(n int) []int {
+	p := make([]int, n)
+	for i := range p {
+		p[i] = i
+	}
+	for i := n - 1; i > 0; i-- {
+		j := s.Intn(i + 1)
+		p[i], p[j] = p[j], p[i]
+	}
+	return p
+}
+
+// Shuffle permutes xs uniformly at random in place.
+func (s *Source) Shuffle(n int, swap func(i, j int)) {
+	for i := n - 1; i > 0; i-- {
+		j := s.Intn(i + 1)
+		swap(i, j)
+	}
+}

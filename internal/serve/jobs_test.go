@@ -12,6 +12,7 @@ import (
 
 	"broadcastic/internal/jobs"
 	"broadcastic/internal/telemetry"
+	"broadcastic/internal/telemetry/causal"
 )
 
 func postJob(t *testing.T, url, tenant, body string) (int, jobs.Job, http.Header) {
@@ -335,7 +336,7 @@ func TestJobsHTTPRetiredIsGone(t *testing.T) {
 	pollDone(t, ts.URL, first.ID)
 	// Retain cache hits, each finished at birth, push it out of the window.
 	for range jobs.Retain {
-		j, err := svc.Submit("default", jobs.JobSpec{Experiment: "E10", Seed: 1, Scale: "quick"})
+		j, err := svc.SubmitTraced("default", jobs.JobSpec{Experiment: "E10", Seed: 1, Scale: "quick"}, causal.Context{})
 		if err != nil || !j.CacheHit {
 			t.Fatalf("resubmission = %+v, %v", j, err)
 		}

@@ -23,7 +23,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -398,15 +397,4 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		return err
 	}
 	return <-s.done
-}
-
-// SortRunIDs orders progress records by run then experiment — handy for
-// tests and table-of-runs rendering; Snapshot order is publish order.
-func SortRunIDs(ps []RunProgress) {
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].RunID != ps[j].RunID {
-			return ps[i].RunID < ps[j].RunID
-		}
-		return ps[i].Experiment < ps[j].Experiment
-	})
 }

@@ -17,7 +17,6 @@ import (
 	"broadcastic/internal/intersect"
 	"broadcastic/internal/netrun"
 	"broadcastic/internal/pointwise"
-	"broadcastic/internal/pool"
 	"broadcastic/internal/prob"
 	"broadcastic/internal/radio"
 	"broadcastic/internal/rng"
@@ -1662,16 +1661,4 @@ func Experiments() []Experiment {
 		{"E19", E19WirelessContention}, {"E20", E20NetworkedOverhead},
 		{"E21", E21TopologySeparation},
 	}
-}
-
-// All runs every experiment and returns the tables in E1..E21 order. The
-// experiments themselves run concurrently on the configured worker pool
-// (each one also parallelizes its own sweep); every experiment seeds its
-// randomness independently from cfg.Seed, so the tables are identical to a
-// serial run.
-func All(cfg Config) ([]*Table, error) {
-	exps := Experiments()
-	return pool.Map(cfg.workers(), len(exps), func(i int) (*Table, error) {
-		return exps[i].Run(cfg)
-	})
 }

@@ -5,8 +5,8 @@ import (
 	"strings"
 	"testing"
 
-	"broadcastic/internal/andk"
-	"broadcastic/internal/core"
+	"broadcastic/internal/andk/andktest"
+	"broadcastic/internal/core/coretest"
 	"broadcastic/internal/dist"
 	"broadcastic/internal/rng"
 )
@@ -101,19 +101,25 @@ func TestE6CountMatchesProtocolRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, m := range []int{1, 16, 63, 64} {
-		tr, err := andk.NewTruncated(k, m)
+		tr, err := andktest.NewTruncated(k, m)
 		if err != nil {
 			t.Fatal(err)
 		}
 		src := rng.New(5)
 		want := 0
 		for i := 0; i < trials; i++ {
-			x, _ := d.Sample(src)
-			_, leaf, err := core.SampleTranscript(tr, x, rng.New(0))
+			x := make([]int, k)
+			for j := range x {
+				x[j] = 1
+			}
+			if z := d.SampleZero(src); z >= 0 {
+				x[z] = 0
+			}
+			_, leaf, err := coretest.SampleTranscript(tr, x, rng.New(0))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if leaf.Output != core.AndFunc(x) {
+			if leaf.Output != coretest.AndFunc(x) {
 				want++
 			}
 		}

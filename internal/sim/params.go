@@ -22,11 +22,6 @@ type Params struct {
 	Faults string `json:"faults,omitempty"`
 }
 
-// Zero reports whether p requests no override at all.
-func (p Params) Zero() bool {
-	return len(p.Ns) == 0 && len(p.Ks) == 0 && p.Faults == ""
-}
-
 // ParamCaps says which Params fields one experiment honors.
 type ParamCaps struct {
 	Ns, Ks, Faults bool

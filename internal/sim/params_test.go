@@ -97,3 +97,8 @@ func TestParamsZeroAndCaps(t *testing.T) {
 		t.Errorf("Caps(E14) = %+v", c)
 	}
 }
+
+// Zero reports whether p requests no override at all.
+func (p Params) Zero() bool {
+	return len(p.Ns) == 0 && len(p.Ks) == 0 && p.Faults == ""
+}

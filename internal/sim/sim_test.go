@@ -5,6 +5,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"broadcastic/internal/pool"
 )
 
 func TestTableRender(t *testing.T) {
@@ -493,4 +495,16 @@ func TestE19Shape(t *testing.T) {
 	if ratio := cell(t, tbl, last, 6); ratio >= 1 {
 		t.Fatalf("skew contention/polled ratio %v not below 1", ratio)
 	}
+}
+
+// All runs every experiment and returns the tables in E1..E21 order. The
+// experiments themselves run concurrently on the configured worker pool
+// (each one also parallelizes its own sweep); every experiment seeds its
+// randomness independently from cfg.Seed, so the tables are identical to a
+// serial run.
+func All(cfg Config) ([]*Table, error) {
+	exps := Experiments()
+	return pool.Map(cfg.workers(), len(exps), func(i int) (*Table, error) {
+		return exps[i].Run(cfg)
+	})
 }

@@ -110,8 +110,8 @@ func TestCausalEquivalence(t *testing.T) {
 			fr := causal.NewRecorder(0)
 			col := telemetry.NewCollector()
 			sink := tracelog.New(e.id + "-causal")
-			cause := fr.StartTrace(causal.ExperimentRoot,
-				causal.String("experiment", e.id)).WithSink(sink)
+			cause := fr.StartTraceSink(sink, causal.ExperimentRoot,
+				causal.String("experiment", e.id))
 			cfg := Config{Seed: 7, Scale: Quick, Workers: workers, Recorder: col, Causal: cause}
 			tbl, err := e.f(cfg)
 			if err != nil {

@@ -99,11 +99,6 @@ func String(key, value string) Attr { return Attr{Key: key, Value: value} }
 // Int builds an integer attribute.
 func Int(key string, value int) Attr { return Attr{Key: key, Value: strconv.Itoa(value)} }
 
-// Int64 builds a 64-bit integer attribute.
-func Int64(key string, value int64) Attr {
-	return Attr{Key: key, Value: strconv.FormatInt(value, 10)}
-}
-
 // Record is one flight-recorder entry: a completed span or an instant
 // event, with its position in the causal tree. Start and End are
 // nanoseconds since the Recorder's epoch (its construction time).
@@ -122,8 +117,8 @@ type Record struct {
 // EventSink receives a copy of every record a Context emits, in emission
 // order, for per-trace tees (the tracelog Sink implements it so Perfetto
 // traces group by trace ID). Implementations must be safe for concurrent
-// use. Sinks ride on the Context (WithSink), never on the Recorder, so
-// concurrent traces can tee to different files.
+// use. Sinks ride on the Context (Recorder.StartTraceSink), never on the
+// Recorder, so concurrent traces can tee to different files.
 type EventSink interface {
 	CausalEvent(Record)
 }
@@ -174,17 +169,6 @@ func (c Context) Enabled() bool { return c.rec != nil }
 
 // Trace returns the context's trace ID (0 when disabled).
 func (c Context) Trace() TraceID { return c.trace }
-
-// Span returns the current parent span ID (0 when disabled).
-func (c Context) Span() SpanID { return c.span }
-
-// WithSink returns a copy of the context that additionally tees every
-// record to sink. A nil sink removes the tee; a disabled context stays
-// disabled.
-func (c Context) WithSink(sink EventSink) Context {
-	c.sink = sink
-	return c
-}
 
 // StartSpan opens a child span of the context's current span. The span is
 // recorded at End (flight-recorder entries are completed regions); a span
@@ -285,9 +269,6 @@ func (s Span) Context() Context {
 	c.span = s.id
 	return c
 }
-
-// ID returns the span's ID (0 for an unrecorded span).
-func (s Span) ID() SpanID { return s.id }
 
 // End completes the span, records it when its context is enabled, and
 // returns its duration: the End − Start of the record, or the same clock

@@ -358,3 +358,17 @@ func TestRecorderHammer(t *testing.T) {
 		t.Errorf("appended = %d, want >= %d", appended, writers*perWriter)
 	}
 }
+
+// Span returns the current parent span ID (0 when disabled).
+func (c Context) Span() SpanID { return c.span }
+
+// WithSink returns a copy of the context that additionally tees every
+// record to sink. A nil sink removes the tee; a disabled context stays
+// disabled.
+func (c Context) WithSink(sink EventSink) Context {
+	c.sink = sink
+	return c
+}
+
+// ID returns the span's ID (0 for an unrecorded span).
+func (s Span) ID() SpanID { return s.id }

@@ -99,8 +99,7 @@ func (r *Recorder) StartTrace(name string, attrs ...Attr) Context {
 
 // StartTraceSink is StartTrace with a per-trace tee attached before the
 // root record is emitted, so the sink sees the root's identity attrs too
-// (the tracelog Sink promotes them onto its Perfetto process). Attaching
-// via Context.WithSink after StartTrace would miss the root.
+// (the tracelog Sink promotes them onto its Perfetto process).
 func (r *Recorder) StartTraceSink(sink EventSink, name string, attrs ...Attr) Context {
 	trace := TraceID(r.traces.Add(1))
 	root := r.nextSpan()

@@ -110,15 +110,6 @@ func (c *Collector) Counter(name string) int64 {
 	return c.counts[name]
 }
 
-// GaugeValue returns the named gauge's current level and whether it was
-// ever set.
-func (c *Collector) GaugeValue(name string) (float64, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	v, ok := c.gauges[name]
-	return v, ok
-}
-
 // HistSummary is a histogram snapshot.
 type HistSummary struct {
 	Count    int64
@@ -207,11 +198,6 @@ type HistogramPoint struct {
 	Sum      float64
 	Min, Max float64
 	Buckets  [HistBucketCount]int64
-}
-
-// Summary converts the point to its HistSummary view.
-func (h HistogramPoint) Summary() HistSummary {
-	return HistSummary{Count: h.Count, Sum: h.Sum, Min: h.Min, Max: h.Max}
 }
 
 // Export is a full-fidelity, detached snapshot of a Collector. Both slices

@@ -4,9 +4,9 @@
 // aggregate Collector: where the Collector answers "how many bits, in
 // total", a trace answers "when, on which row, in what order".
 //
-// A Sink implements causal.EventSink, so it attaches to a trace context —
-// Recorder.StartTraceSink or Context.WithSink — and receives a copy of
-// every record the run emits. Each record maps onto the trace by one rule:
+// A Sink implements causal.EventSink, so it attaches to a trace context
+// through Recorder.StartTraceSink and receives a copy of every record the
+// run emits. Each record maps onto the trace by one rule:
 //
 //   - Its trace becomes a process, named "trace <id>" and carrying the
 //     root record's attrs (tenant, experiment, run ID).

@@ -7,15 +7,13 @@
 //
 //   - communication matrices M_f(x, y) = f(x, y);
 //   - deterministic protocol trees, evaluated with exact bit counts;
-//   - the fundamental rectangle lemma ("the inputs reaching any node of a
-//     deterministic protocol form a combinatorial rectangle"), verified by
-//     computing each leaf's rectangle and checking the partition and its
-//     monochromaticity;
 //   - fooling sets, with an exhaustive verifier, and the explicit size-2^n
 //     fooling set {(S, S̄)} for DISJ_n that yields CC(DISJ_n) ≥ n.
 //
 // Everything here is exact and exhaustive; universes are capped at
-// n ≤ 12 (matrices of size 2^n × 2^n).
+// n ≤ 12 (matrices of size 2^n × 2^n). The tests check the protocol trees
+// against the rectangle lemma ("the inputs reaching any node of a
+// deterministic protocol form a combinatorial rectangle").
 package twoparty
 
 import (
@@ -48,36 +46,6 @@ func Disjointness(n int) (*Func, error) {
 			}
 			return 0
 		},
-	}, nil
-}
-
-// Equality returns EQ_n: f(x, y) = 1 iff x = y. Its canonical fooling set
-// is the diagonal, of size 2^n.
-func Equality(n int) (*Func, error) {
-	if n < 1 || n > maxN {
-		return nil, fmt.Errorf("twoparty: n=%d outside [1,%d]", n, maxN)
-	}
-	return &Func{
-		N:    n,
-		Name: fmt.Sprintf("EQ_%d", n),
-		Eval: func(x, y int) int {
-			if x == y {
-				return 1
-			}
-			return 0
-		},
-	}, nil
-}
-
-// InnerProduct returns IP_n: f(x, y) = ⟨x, y⟩ mod 2.
-func InnerProduct(n int) (*Func, error) {
-	if n < 1 || n > maxN {
-		return nil, fmt.Errorf("twoparty: n=%d outside [1,%d]", n, maxN)
-	}
-	return &Func{
-		N:    n,
-		Name: fmt.Sprintf("IP_%d", n),
-		Eval: func(x, y int) int { return bits.OnesCount(uint(x&y)) % 2 },
 	}, nil
 }
 
@@ -133,18 +101,6 @@ func DisjointnessFoolingSet(n int) (*FoolingSet, error) {
 	fs := &FoolingSet{Value: 1}
 	for s := 0; s <= full; s++ {
 		fs.Pairs = append(fs.Pairs, [2]int{s, full &^ s})
-	}
-	return fs, nil
-}
-
-// EqualityFoolingSet returns the diagonal fooling set for EQ_n.
-func EqualityFoolingSet(n int) (*FoolingSet, error) {
-	if n < 1 || n > maxN {
-		return nil, fmt.Errorf("twoparty: n=%d outside [1,%d]", n, maxN)
-	}
-	fs := &FoolingSet{Value: 1}
-	for s := 0; s < 1<<uint(n); s++ {
-		fs.Pairs = append(fs.Pairs, [2]int{s, s})
 	}
 	return fs, nil
 }
@@ -216,109 +172,6 @@ func (t *Tree) Correct(f *Func) (bool, int, error) {
 		}
 	}
 	return true, worst, nil
-}
-
-// Rectangle is a combinatorial rectangle A × B of input pairs.
-type Rectangle struct {
-	A, B []int
-	Leaf int // the protocol output on this rectangle
-}
-
-// LeafRectangles computes, for each leaf, the rectangle of inputs reaching
-// it — the executable form of the fundamental lemma. It also verifies that
-// the rectangles partition the full input square.
-func (t *Tree) LeafRectangles() ([]Rectangle, error) {
-	size := 1 << uint(t.N)
-	var rects []Rectangle
-	var walk func(node *Node, aSet, bSet []int) error
-	walk = func(node *Node, aSet, bSet []int) error {
-		if node == nil {
-			return fmt.Errorf("twoparty: nil node")
-		}
-		if node.Leaf >= 0 {
-			rects = append(rects, Rectangle{A: aSet, B: bSet, Leaf: node.Leaf})
-			return nil
-		}
-		if node.Send == nil {
-			return fmt.Errorf("twoparty: internal node without a message function")
-		}
-		var part [2][]int
-		src := aSet
-		if node.Speaker == 1 {
-			src = bSet
-		}
-		for _, v := range src {
-			b := node.Send(v)
-			if b != 0 && b != 1 {
-				return fmt.Errorf("twoparty: non-binary message %d", b)
-			}
-			part[b] = append(part[b], v)
-		}
-		for b := 0; b < 2; b++ {
-			if len(part[b]) == 0 {
-				continue
-			}
-			if node.Speaker == 0 {
-				if err := walk(node.Child[b], part[b], bSet); err != nil {
-					return err
-				}
-			} else {
-				if err := walk(node.Child[b], aSet, part[b]); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	all := make([]int, size)
-	for i := range all {
-		all[i] = i
-	}
-	if err := walk(t.Root, all, all); err != nil {
-		return nil, err
-	}
-	// Partition check: every pair covered exactly once.
-	seen := make([]int, size*size)
-	for _, r := range rects {
-		for _, x := range r.A {
-			for _, y := range r.B {
-				seen[x*size+y]++
-			}
-		}
-	}
-	for idx, c := range seen {
-		if c != 1 {
-			return nil, fmt.Errorf("twoparty: input pair (%d,%d) covered %d times", idx/size, idx%size, c)
-		}
-	}
-	return rects, nil
-}
-
-// VerifyRectangleLemma checks that every leaf rectangle of a protocol that
-// correctly computes f is monochromatic — the combinatorial heart of all
-// deterministic lower bounds.
-func (t *Tree) VerifyRectangleLemma(f *Func) error {
-	ok, _, err := t.Correct(f)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return fmt.Errorf("twoparty: protocol does not compute %s", f.Name)
-	}
-	rects, err := t.LeafRectangles()
-	if err != nil {
-		return err
-	}
-	for ri, r := range rects {
-		for _, x := range r.A {
-			for _, y := range r.B {
-				if f.Eval(x, y) != r.Leaf {
-					return fmt.Errorf("twoparty: rectangle %d not monochromatic at (%d,%d)", ri, x, y)
-				}
-			}
-		}
-	}
-	return nil
 }
 
 // TrivialProtocol is the n+1-bit protocol: Alice sends her input bit by
