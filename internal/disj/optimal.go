@@ -343,18 +343,32 @@ var _ blackboard.Scheduler = (*optimalRun)(nil)
 type optimalPlayer struct {
 	run *optimalRun
 	id  int
+	// newZeros is Speak's scratch for the positions (indices into zCycle)
+	// of this player's new zeroes. Runtimes serialize Speak calls, and each
+	// player owns its scratch.
+	newZeros []int
 }
 
 // Speak implements blackboard.Player.
 func (pl *optimalPlayer) Speak(b *blackboard.Board) (blackboard.Message, error) {
 	p := pl.run
-	// Positions (indices into zCycle) of this player's new zeroes.
-	var newZeros []int
+	if pl.newZeros == nil {
+		// The first cycle's w is the largest batch outside the endgame.
+		pl.newZeros = make([]int, 0, p.w)
+	}
+	// Outside the endgame a batch is the first w new zeroes, so the scan
+	// stops at the w-th; with fewer it runs to the end and the player
+	// passes.
+	newZeros := pl.newZeros[:0]
 	for pos, coord := range p.zCycle {
 		if !p.inst.Sets[pl.id].Get(coord) && !p.covered[coord] {
 			newZeros = append(newZeros, pos)
+			if !p.endgame && len(newZeros) == p.w {
+				break
+			}
 		}
 	}
+	pl.newZeros = newZeros
 	var w encoding.BitWriter
 	z := len(p.zCycle)
 	if p.endgame {

@@ -2,10 +2,13 @@
 // for: a bit-level writer/reader, Elias gamma prefix codes (used by the
 // Lemma 7 sampler's variable-length fields), fixed-width integers, the
 // enumerative code for a w-subset of an m-set in ⌈log2 C(m,w)⌉ bits (the
-// batch encoding of the Section 5 protocol), and canonical Huffman code
-// lengths (the classical single-shot compression reference point from the
+// batch encoding of the Section 5 protocol, whose arithmetic runs on
+// machine words with math/bits), and canonical Huffman code lengths (the
+// classical single-shot compression reference point from the
 // introduction). The decoders and codes no protocol writes live in the
-// package's tests, as the round-trip oracles of the encoders here.
+// package's tests, as the round-trip oracles of the encoders here; so do
+// the math/big subset coders the word kernel is checked against bit for
+// bit.
 //
 // Communication complexity in the paper is counted in bits written on the
 // blackboard, so every encoder here reports exact bit lengths.
@@ -45,10 +48,16 @@ func (w *BitWriter) WriteBits(v uint64, width int) error {
 	if width < 64 && v>>uint(width) != 0 {
 		return fmt.Errorf("encoding: value %d does not fit in %d bits", v, width)
 	}
-	for i := width - 1; i >= 0; i-- {
-		if err := w.WriteBit(int((v >> uint(i)) & 1)); err != nil {
-			return err
+	// Fill the last byte's free bits, then whole bytes, top bits first.
+	for width > 0 {
+		if w.nbit%8 == 0 {
+			w.buf = append(w.buf, 0)
 		}
+		free := 8 - w.nbit%8
+		n := min(free, width)
+		width -= n
+		w.buf[len(w.buf)-1] |= byte((v>>uint(width))&(1<<uint(n)-1)) << uint(free-n)
+		w.nbit += n
 	}
 	return nil
 }
@@ -108,13 +117,18 @@ func (r *BitReader) ReadBits(width int) (uint64, error) {
 	if width < 0 || width > 64 {
 		return 0, fmt.Errorf("encoding: bit width %d outside [0,64]", width)
 	}
+	if width > r.nbit-r.pos {
+		r.pos = r.nbit
+		return 0, fmt.Errorf("encoding: read past end of bit stream (pos %d of %d)", r.pos, r.nbit)
+	}
+	// Take the rest of the current byte, then whole bytes, top bits first.
 	var v uint64
-	for i := 0; i < width; i++ {
-		b, err := r.ReadBit()
-		if err != nil {
-			return 0, err
-		}
-		v = v<<1 | uint64(b)
+	for width > 0 {
+		avail := 8 - r.pos%8
+		n := min(avail, width)
+		width -= n
+		v = v<<uint(n) | uint64(r.buf[r.pos/8]>>uint(avail-n))&(1<<uint(n)-1)
+		r.pos += n
 	}
 	return v, nil
 }

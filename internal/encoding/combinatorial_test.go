@@ -9,6 +9,62 @@ import (
 	"broadcastic/internal/rng"
 )
 
+// Combinatorial number system: a bijection between w-subsets of [0, m) and
+// integers in [0, C(m, w)), rank = Σ_j C(subset[j], j+1). It is the
+// oracle the production enumerative coder (subsetcode.go) is pinned
+// against: it shares neither the streaming recurrence nor the word
+// kernel, and its big binomials come from math/big.
+
+// Binomial returns C(n, k) as a big integer (0 when k < 0 or k > n).
+func Binomial(n, k int) *big.Int {
+	if k < 0 || k > n || n < 0 {
+		return big.NewInt(0)
+	}
+	return new(big.Int).Binomial(int64(n), int64(k))
+}
+
+// ceilLog2 returns ⌈log₂ c⌉ for c ≥ 1: the bit length, less one when c is
+// a power of two.
+func ceilLog2(c *big.Int) int {
+	n := c.BitLen()
+	if c.TrailingZeroBits() == uint(n-1) {
+		return n - 1
+	}
+	return n
+}
+
+// writeBigInt writes v as exactly width bits, MSB first.
+func writeBigInt(w *BitWriter, v *big.Int, width int) error {
+	if v.Sign() < 0 {
+		return fmt.Errorf("encoding: negative big integer")
+	}
+	if v.BitLen() > width {
+		return fmt.Errorf("encoding: value needs %d bits, budget %d", v.BitLen(), width)
+	}
+	for i := width - 1; i >= 0; i-- {
+		if err := w.WriteBit(int(v.Bit(i))); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// readBigInt reads exactly width bits into a big integer, MSB first.
+func readBigInt(r *BitReader, width int) (*big.Int, error) {
+	v := new(big.Int)
+	for i := 0; i < width; i++ {
+		b, err := r.ReadBit()
+		if err != nil {
+			return nil, err
+		}
+		v.Lsh(v, 1)
+		if b == 1 {
+			v.SetBit(v, 0, 1)
+		}
+	}
+	return v, nil
+}
+
 func TestBinomialKnown(t *testing.T) {
 	cases := []struct {
 		n, k int
@@ -40,6 +96,22 @@ func TestBinomialBitLen(t *testing.T) {
 	}
 	if _, err := BinomialBitLen(3, 5); err == nil {
 		t.Fatal("BinomialBitLen of zero binomial succeeded")
+	}
+	// Against math/big at every k: the widths run from 0 to 995 bits, so
+	// they cross every word boundary up to 16 words.
+	for n := 0; n <= 1000; n++ {
+		if n > 200 && n != 1000 {
+			continue
+		}
+		for k := 0; k <= n; k++ {
+			got, err := BinomialBitLen(n, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := ceilLog2(Binomial(n, k)); got != want {
+				t.Fatalf("BinomialBitLen(%d,%d) = %d, math/big gives %d", n, k, got, want)
+			}
+		}
 	}
 }
 

@@ -1,6 +1,8 @@
 package encoding
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
 )
 
@@ -218,10 +220,19 @@ func FuzzSubsetRoundTrip(f *testing.F) {
 // FuzzDecodeAdversarial feeds arbitrary bytes to every decoder. Decoders
 // must either fail cleanly or return a value whose re-encoding reproduces
 // exactly the bits they consumed (the codes are prefix-free bijections).
+// The subset entry reads m and w as 9-bit fields, then a ReadSubsetFast
+// rank of up to 8 words; a subset it accepts must also be strictly
+// increasing in [0, m) and equal what the math/big coder decodes from the
+// same bits.
 func FuzzDecodeAdversarial(f *testing.F) {
 	f.Add([]byte{0xff, 0x00, 0xa5})
 	f.Add([]byte{0x00})
 	f.Add([]byte{0b01011010, 0b11110000, 0x13, 0x37})
+	// subset: m = 64, w = 16, then a 49-bit rank.
+	f.Add([]byte{0x20, 0x04, 0x3f, 0xff, 0x12, 0x34, 0x56, 0x78, 0x9a})
+	// subset: m = 511, w = 255, then a 507-bit rank (8 words) of all ones,
+	// which is at least C(511,255).
+	f.Add(append([]byte{0xff, 0xbf, 0xff}, bytes.Repeat([]byte{0xff}, 64)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<16 {
 			return // keeps any decodable unary run below WriteUnary's sanity cap
@@ -245,6 +256,34 @@ func FuzzDecodeAdversarial(f *testing.F) {
 			{"unary", func(r *BitReader) (func(*BitWriter) error, error) {
 				v, err := ReadUnary(r)
 				return func(w *BitWriter) error { return WriteUnary(w, v) }, err
+			}},
+			{"subset", func(r *BitReader) (func(*BitWriter) error, error) {
+				m, err := r.ReadBits(9)
+				if err != nil {
+					return nil, err
+				}
+				w, err := r.ReadBits(9)
+				if err != nil {
+					return nil, err
+				}
+				if w > m {
+					return nil, fmt.Errorf("subset of size %d over universe %d", w, m)
+				}
+				start := r.Pos()
+				s, err := ReadSubsetFast(r, int(m), int(w))
+				if err != nil {
+					return nil, err
+				}
+				checkDecodedSubset(t, data, start, int(m), s)
+				return func(bw *BitWriter) error {
+					if err := bw.WriteBits(m, 9); err != nil {
+						return err
+					}
+					if err := bw.WriteBits(w, 9); err != nil {
+						return err
+					}
+					return WriteSubsetFast(bw, int(m), s)
+				}, nil
 			}},
 		}
 		for _, c := range checks {
@@ -273,4 +312,35 @@ func FuzzDecodeAdversarial(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkDecodedSubset requires a subset ReadSubsetFast accepted from the
+// rank at bit start of data to be strictly increasing in [0, m) and to be
+// the subset the math/big coder decodes from the same bits.
+func checkDecodedSubset(t *testing.T, data []byte, start, m int, subset []int) {
+	t.Helper()
+	for i, v := range subset {
+		if v < 0 || v >= m || (i > 0 && v <= subset[i-1]) {
+			t.Fatalf("subset: decoded %v, not strictly increasing in [0,%d)", subset, m)
+		}
+	}
+	r, err := NewBitReader(data, len(data)*8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.ReadBits(start); err != nil {
+		t.Fatal(err)
+	}
+	total := Binomial(m, len(subset))
+	rank, err := readBigInt(r, ceilLog2(total))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := enumerativeUnrank(m, len(subset), rank, total)
+	if err != nil {
+		t.Fatalf("subset: ReadSubsetFast accepted rank %v, math/big rejects it: %v", rank, err)
+	}
+	if !equalInts(subset, want) {
+		t.Fatalf("subset: ReadSubsetFast decoded %v, math/big %v", subset, want)
+	}
 }

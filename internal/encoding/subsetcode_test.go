@@ -1,6 +1,8 @@
 package encoding
 
 import (
+	"bytes"
+	"fmt"
 	"math/big"
 	"testing"
 	"testing/quick"
@@ -32,6 +34,9 @@ func TestEnumerativeRankBijectionExhaustive(t *testing.T) {
 				}
 				if !equalInts(back, subset) {
 					t.Fatalf("unrank(rank(%v)) = %v", subset, back)
+				}
+				if cns := lexRankViaCNS(t, m, subset); cns.Cmp(rank) != 0 {
+					t.Fatalf("m=%d %v: lexicographic rank %d, combinatorial number system gives %v", m, subset, rv, cns)
 				}
 			})
 			if int64(len(seen)) != total {
@@ -79,30 +84,100 @@ func TestEnumerativeValidation(t *testing.T) {
 
 func TestEnumerativeLargeRoundTrip(t *testing.T) {
 	// The regime the optimal protocol uses: w ≈ m/k batches out of a large
-	// universe.
+	// universe, with C(m,w) one word ((64,16), as E20 writes), two, three,
+	// four ((256,64), as E21 writes) and 26 words wide ((2048,512)); then
+	// the edges w = 0, w = m, and C(m,w) a power of two. The written bits
+	// must be the combinatorial number system's rank reflected into
+	// lexicographic order, an oracle that shares neither the coder's
+	// streaming recurrence nor its word kernel.
 	src := rng.New(88)
 	for _, cfg := range []struct{ m, w int }{
 		{1000, 100}, {5000, 50}, {4096, 512}, {300, 300}, {300, 0},
+		{64, 16}, {128, 32}, {192, 48}, {256, 64}, {2048, 512},
+		{0, 0}, {1, 1}, {2, 1}, {64, 1}, {4096, 1}, {4096, 4095},
 	} {
+		for trial := 0; trial < 3; trial++ {
+			subset := src.SampleWithoutReplacement(cfg.m, cfg.w)
+			var bw BitWriter
+			if err := WriteSubsetFast(&bw, cfg.m, subset); err != nil {
+				t.Fatalf("m=%d w=%d: %v", cfg.m, cfg.w, err)
+			}
+			wantBits, err := BinomialBitLen(cfg.m, cfg.w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bw.Len() != wantBits {
+				t.Fatalf("m=%d w=%d: wrote %d bits, want %d", cfg.m, cfg.w, bw.Len(), wantBits)
+			}
+			var oracle BitWriter
+			if err := writeBigInt(&oracle, lexRankViaCNS(t, cfg.m, subset), wantBits); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(bw.Bytes(), oracle.Bytes()) {
+				t.Fatalf("m=%d w=%d %v: wrote %x, oracle rank is %x", cfg.m, cfg.w, subset, bw.Bytes(), oracle.Bytes())
+			}
+			r, _ := NewBitReader(bw.Bytes(), bw.Len())
+			got, err := ReadSubsetFast(r, cfg.m, cfg.w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !equalInts(got, subset) {
+				t.Fatalf("m=%d w=%d: roundtrip mismatch", cfg.m, cfg.w)
+			}
+		}
+	}
+}
+
+// lexRankViaCNS returns the lexicographic rank of a strictly increasing
+// w-subset of [0, m) by way of the combinatorial number system: the
+// reflection s ↦ m−1−s reverses the order, so the rank is
+// C(m,w) − 1 − SubsetRank(m, sorted {m−1−s : s ∈ subset}).
+func lexRankViaCNS(t *testing.T, m int, subset []int) *big.Int {
+	t.Helper()
+	w := len(subset)
+	reflected := make([]int, w)
+	for i, s := range subset {
+		reflected[w-1-i] = m - 1 - s
+	}
+	colex, err := SubsetRank(m, reflected)
+	if err != nil {
+		t.Fatalf("SubsetRank(%d, %v): %v", m, reflected, err)
+	}
+	rank := Binomial(m, w)
+	rank.Sub(rank, big.NewInt(1))
+	return rank.Sub(rank, colex)
+}
+
+// At the sizes E20 and E21 write, the coder's accumulators stay in their
+// stack arrays: a write allocates nothing and a read only the subset it
+// returns.
+func TestSubsetFastAllocs(t *testing.T) {
+	src := rng.New(92)
+	for _, cfg := range []struct{ m, w int }{{64, 16}, {256, 64}} {
 		subset := src.SampleWithoutReplacement(cfg.m, cfg.w)
 		var bw BitWriter
-		if err := WriteSubsetFast(&bw, cfg.m, subset); err != nil {
-			t.Fatalf("m=%d w=%d: %v", cfg.m, cfg.w, err)
+		write := func() {
+			bw.Reset()
+			if err := WriteSubsetFast(&bw, cfg.m, subset); err != nil {
+				t.Fatal(err)
+			}
 		}
-		wantBits, err := BinomialBitLen(cfg.m, cfg.w)
+		write()
+		if allocs := testing.AllocsPerRun(100, write); allocs != 0 {
+			t.Errorf("m=%d w=%d: WriteSubsetFast allocates %v times, want 0", cfg.m, cfg.w, allocs)
+		}
+		r, err := NewBitReader(bw.Bytes(), bw.Len())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if bw.Len() != wantBits {
-			t.Fatalf("m=%d w=%d: wrote %d bits, want %d", cfg.m, cfg.w, bw.Len(), wantBits)
+		read := func() {
+			r.pos = 0
+			if _, err := ReadSubsetFast(r, cfg.m, cfg.w); err != nil {
+				t.Fatal(err)
+			}
 		}
-		r, _ := NewBitReader(bw.Bytes(), bw.Len())
-		got, err := ReadSubsetFast(r, cfg.m, cfg.w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !equalInts(got, subset) {
-			t.Fatalf("m=%d w=%d: roundtrip mismatch", cfg.m, cfg.w)
+		if allocs := testing.AllocsPerRun(100, read); allocs != 1 {
+			t.Errorf("m=%d w=%d: ReadSubsetFast allocates %v times, want 1 (the subset)", cfg.m, cfg.w, allocs)
 		}
 	}
 }
@@ -180,6 +255,11 @@ func TestEnumerativeRoundTripMatchesCombinatorial(t *testing.T) {
 			t.Logf("m=%d w=%d: wrote %d and %d bits, want %d", m, w, fast.Len(), slow.Len(), wantBits)
 			return false
 		}
+		var oracle BitWriter
+		if writeBigInt(&oracle, fastRank, wantBits) != nil || !bytes.Equal(fast.Bytes(), oracle.Bytes()) {
+			t.Logf("m=%d w=%d: wrote %x, math/big rank %v", m, w, fast.Bytes(), fastRank)
+			return false
+		}
 		r, _ := NewBitReader(fast.Bytes(), fast.Len())
 		got, err := ReadSubsetFast(r, m, w)
 		if err != nil || !equalInts(got, subset) {
@@ -195,17 +275,35 @@ func TestEnumerativeRoundTripMatchesCombinatorial(t *testing.T) {
 	}
 }
 
-func BenchmarkEnumerativeRankLarge(b *testing.B) {
+func BenchmarkSubsetFastRoundTrip(b *testing.B) {
 	src := rng.New(90)
-	const m, w = 16384, 2048
-	subset := src.SampleWithoutReplacement(m, w)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := EnumerativeRank(m, subset); err != nil {
-			b.Fatal(err)
-		}
+	for _, cfg := range []struct{ m, w int }{{16384, 2048}, {256, 64}} {
+		subset := src.SampleWithoutReplacement(cfg.m, cfg.w)
+		b.Run(fmt.Sprintf("m%d_w%d", cfg.m, cfg.w), func(b *testing.B) {
+			b.ReportAllocs()
+			var bw BitWriter
+			var buf []byte
+			for i := 0; i < b.N; i++ {
+				bw.Reset()
+				if err := WriteSubsetFast(&bw, cfg.m, subset); err != nil {
+					b.Fatal(err)
+				}
+				buf = bw.AppendTo(buf[:0])
+				r, err := NewBitReader(buf, bw.Len())
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := ReadSubsetFast(r, cfg.m, cfg.w); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
+
+// The math/big enumerative coder below is the test oracle of the word
+// kernel in subsetcode.go: the same lexicographic rank and the same
+// streaming recurrence, in big-integer arithmetic.
 
 // EnumerativeRank maps a strictly increasing w-subset of [0, m) to its rank
 // in [0, C(m, w)) under the lexicographic enumerative code.
@@ -224,4 +322,114 @@ func EnumerativeUnrank(m, w int, rank *big.Int) ([]int, error) {
 		return nil, err
 	}
 	return enumerativeUnrank(m, w, rank, total)
+}
+
+// subsetTotal returns C(m, w), the number of w-subsets of [0, m).
+func subsetTotal(m, w int) (*big.Int, error) {
+	if w < 0 || w > m {
+		return nil, fmt.Errorf("encoding: subset of size %d over universe %d", w, m)
+	}
+	return new(big.Int).Binomial(int64(m), int64(w)), nil
+}
+
+// scanStart returns C(m−1, w−1) = total · w / m for total = C(m, w), w ≥ 1.
+func scanStart(total *big.Int, m, w int) *big.Int {
+	cur := new(big.Int).Mul(total, big.NewInt(int64(w)))
+	return cur.Quo(cur, big.NewInt(int64(m)))
+}
+
+// enumerativeRank maps a strictly increasing w-subset of [0, m) to its
+// rank in lexicographic order, given total = C(m, len(subset)).
+func enumerativeRank(m int, subset []int, total *big.Int) (*big.Int, error) {
+	w := len(subset)
+	rank := new(big.Int)
+	if w == 0 {
+		return rank, nil
+	}
+	prev := -1
+	for _, p := range subset {
+		if p <= prev || p < 0 || p >= m {
+			return nil, fmt.Errorf("encoding: subset not strictly increasing in [0,%d): %v", m, subset)
+		}
+		prev = p
+	}
+	// cur = C(m-v-1, r-1) as v scans the universe.
+	r := w
+	cur := scanStart(total, m, w)
+	tmp := new(big.Int)
+	idx := 0
+	for v := 0; v < m && r > 0; v++ {
+		a := int64(m - v - 1) // cur = C(a, r-1) before the update below
+		if idx < w && subset[idx] == v {
+			// v selected: next cur = C(a-1, r-2) = cur·(r-1)/a.
+			idx++
+			r--
+			if r == 0 {
+				break
+			}
+			if a > 0 {
+				tmp.SetInt64(int64(r))
+				cur.Mul(cur, tmp)
+				tmp.SetInt64(a)
+				cur.Div(cur, tmp)
+			}
+			continue
+		}
+		// v skipped: all subsets containing v at this point precede ours.
+		rank.Add(rank, cur)
+		// next cur = C(a-1, r-1) = cur·(a-(r-1))/a.
+		if a > 0 {
+			tmp.SetInt64(a - int64(r-1))
+			cur.Mul(cur, tmp)
+			tmp.SetInt64(a)
+			cur.Div(cur, tmp)
+		}
+	}
+	if idx != w {
+		return nil, fmt.Errorf("encoding: enumerative rank consumed %d of %d elements", idx, w)
+	}
+	return rank, nil
+}
+
+// enumerativeUnrank inverts enumerativeRank, given total = C(m, w).
+func enumerativeUnrank(m, w int, rank, total *big.Int) ([]int, error) {
+	if rank.Sign() < 0 || rank.Cmp(total) >= 0 {
+		return nil, fmt.Errorf("encoding: rank %v outside [0, C(%d,%d))", rank, m, w)
+	}
+	out := make([]int, 0, w)
+	if w == 0 {
+		return out, nil
+	}
+	r := w
+	rem := new(big.Int).Set(rank)
+	cur := scanStart(total, m, w)
+	tmp := new(big.Int)
+	for v := 0; v < m && r > 0; v++ {
+		a := int64(m - v - 1)
+		if rem.Cmp(cur) < 0 {
+			out = append(out, v)
+			r--
+			if r == 0 {
+				break
+			}
+			if a > 0 {
+				tmp.SetInt64(int64(r))
+				cur.Mul(cur, tmp)
+				tmp.SetInt64(a)
+				cur.Div(cur, tmp)
+			}
+			continue
+		}
+		rem.Sub(rem, cur)
+		if a > 0 {
+			tmp.SetInt64(a - int64(r-1))
+			cur.Mul(cur, tmp)
+			tmp.SetInt64(a)
+			cur.Div(cur, tmp)
+		}
+	}
+	if len(out) != w {
+		return nil, fmt.Errorf("encoding: enumerative unrank produced %d of %d elements", len(out), w)
+	}
+	return out, nil
 }
