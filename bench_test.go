@@ -211,15 +211,16 @@ func benchEstimateCICCompiled(b *testing.B, k int) {
 		b.Fatal(err)
 	}
 	const samples = 200
-	col := telemetry.NewCollector()
-	opts := core.EstimateOptions{Recorder: col}
+	opts := core.EstimateOptions{Recorder: telemetry.NewCollector()}
 	// Untimed warm-up op: builds the CDF caches and compiles and caches
 	// the program, so a single timed iteration measures cached-program
-	// execution, keeping ns/op meaningful at -benchtime 1x.
+	// execution, keeping ns/op meaningful at -benchtime 1x. The timed ops
+	// record into a fresh collector, so the warm-up's compile stays out.
 	if _, err := core.EstimateCICOpts(spec, mu, rng.New(1), samples, opts); err != nil {
 		b.Fatal(err)
 	}
-	col.Reset()
+	col := telemetry.NewCollector()
+	opts.Recorder = col
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	mallocsBefore := ms.Mallocs

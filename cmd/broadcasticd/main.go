@@ -26,7 +26,9 @@
 // file <dir>/<ID>-seed<N>.trace.json, openable at ui.perfetto.dev.
 //
 // Without -once the process keeps serving after the suite completes (so
-// dashboards can scrape final totals) until SIGINT/SIGTERM.
+// dashboards can scrape final totals) until SIGINT/SIGTERM. With -once
+// -jobs=false it is an observed suite run: cmd/experiments' tables, with
+// the plane up for the duration of the run.
 package main
 
 import (
@@ -36,7 +38,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -89,15 +90,10 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	cfg := sim.Config{Seed: *seed, Workers: *parallel, DisableIR: *noir}
-	switch *scale {
-	case "quick":
-		cfg.Scale = sim.Quick
-	case "full":
-		cfg.Scale = sim.Full
-	default:
-		return fmt.Errorf("unknown scale %q", *scale)
+	if cfg.Scale, err = sim.ParseScale(*scale); err != nil {
+		return err
 	}
-	selected, err := selectExperiments(*only)
+	selected, err := sim.Select(*only)
 	if err != nil {
 		return err
 	}
@@ -226,25 +222,4 @@ func run(args []string, out io.Writer) error {
 		logger.Info("job service drained")
 	}
 	return shutdownErr
-}
-
-func selectExperiments(only string) ([]sim.Experiment, error) {
-	all := sim.Experiments()
-	if only == "" {
-		return all, nil
-	}
-	byID := make(map[string]sim.Experiment, len(all))
-	for _, exp := range all {
-		byID[exp.ID] = exp
-	}
-	var selected []sim.Experiment
-	for _, id := range strings.Split(only, ",") {
-		id = strings.TrimSpace(strings.ToUpper(id))
-		exp, ok := byID[id]
-		if !ok {
-			return nil, fmt.Errorf("unknown experiment %q", id)
-		}
-		selected = append(selected, exp)
-	}
-	return selected, nil
 }

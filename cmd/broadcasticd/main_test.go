@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"broadcastic/internal/sim"
 	"broadcastic/internal/telemetry/causal"
 	"broadcastic/internal/telemetry/tracelog"
 )
@@ -56,6 +57,38 @@ func TestRunOnce(t *testing.T) {
 	}
 	if got := out.String(); got != "" {
 		t.Errorf("-suite=false printed tables: %q", got)
+	}
+}
+
+// TestRunOnceMatchesBareSuite pins the daemon as the suite's observed
+// runner: with the whole plane up (collector, broker, flight recorder)
+// and the job API off, its stdout must be byte-identical to the same
+// experiments rendered bare through sim, as cmd/experiments prints them.
+func TestRunOnceMatchesBareSuite(t *testing.T) {
+	var got bytes.Buffer
+	args := []string{"-serve", "127.0.0.1:0", "-once", "-jobs=false", "-scale", "quick", "-only", "E5,E12,E20", "-seed", "3"}
+	if err := run(args, &got); err != nil {
+		t.Fatal(err)
+	}
+	selected, err := sim.Select("E5,E12,E20")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	for _, exp := range selected {
+		tbl, err := exp.Run(sim.Config{Seed: 3, Scale: sim.Quick})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tbl.Render(&want); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if want.Len() == 0 {
+		t.Fatal("bare suite rendered nothing")
+	}
+	if got.String() != want.String() {
+		t.Fatalf("daemon stdout differs from the bare suite:\n--- bare ---\n%s--- daemon ---\n%s", want.String(), got.String())
 	}
 }
 

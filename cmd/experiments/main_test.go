@@ -19,6 +19,10 @@ func TestRunSmoke(t *testing.T) {
 	if err := run([]string{"-scale", "bogus"}, os.Stdout); err == nil {
 		t.Fatal("bogus scale accepted")
 	}
+	// The live plane over a suite run is cmd/broadcasticd's.
+	if err := run([]string{"-scale", "quick", "-only", "E5", "-serve", "127.0.0.1:0"}, os.Stdout); err == nil {
+		t.Fatal("-serve accepted")
+	}
 }
 
 // TestRunParallelFlagDeterminism runs the same experiment selection at

@@ -122,8 +122,8 @@ func run(args []string) error {
 	)
 	if *serveAddr != "" {
 		col = telemetry.NewCollector()
-		broker := serve.NewBroker()
-		srv, err := serve.Start(*serveAddr, serve.NewMux(col, broker))
+		broker := serve.NewBrokerRecorded(col)
+		srv, err := serve.Start(*serveAddr, serve.NewMuxHealth(col, broker, nil))
 		if err != nil {
 			return err
 		}
@@ -190,10 +190,6 @@ func run(args []string) error {
 			return err
 		}
 		runID := fmt.Sprintf("netdisj-seed%d-trial%d", *seed, t)
-		var rec telemetry.Recorder
-		if col != nil {
-			rec = col
-		}
 		var (
 			sink  *tracelog.Sink
 			cause causal.Context
@@ -212,7 +208,7 @@ func run(args []string) error {
 			Timeout:    *timeout,
 			MaxRetries: *retries,
 			Limits:     proto.Limits(),
-			Recorder:   rec,
+			Recorder:   col,
 			Causal:     cause,
 		})
 		if sink != nil {

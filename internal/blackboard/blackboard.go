@@ -19,7 +19,6 @@ import (
 
 	"broadcastic/internal/encoding"
 	"broadcastic/internal/rng"
-	"broadcastic/internal/telemetry"
 )
 
 // Message is one blackboard write: a bit string attributed to a player.
@@ -190,20 +189,14 @@ type Result struct {
 // speaker and appends that player's message until the scheduler reports
 // completion. The returned Result owns the final board. Limits are checked
 // before each append (see Limits); an execution that would exceed one fails
-// without the oversized message on the board.
+// without the oversized message on the board. Run records no telemetry;
+// the board accounting comes from a Stepper with a Collector installed,
+// as the networked runtime drives it.
 func Run(sched Scheduler, players []Player, public *rng.Source, lim Limits) (*Result, error) {
-	return RunRecorded(sched, players, public, lim, nil)
-}
-
-// RunRecorded is Run with a telemetry Recorder attached to the execution
-// (see Stepper.SetRecorder for what is emitted). A nil rec is exactly Run;
-// any rec leaves the transcript bit-identical.
-func RunRecorded(sched Scheduler, players []Player, public *rng.Source, lim Limits, rec telemetry.Recorder) (*Result, error) {
 	st, err := NewStepper(sched, len(players), public, lim)
 	if err != nil {
 		return nil, err
 	}
-	st.SetRecorder(rec)
 	for {
 		speaker, done, err := st.Next()
 		if err != nil {

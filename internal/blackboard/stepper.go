@@ -30,7 +30,7 @@ type Stepper struct {
 
 	// rec receives the board-level accounting (nil: disabled, one branch
 	// per event); pubMark anchors the public-randomness draw count.
-	rec     telemetry.Recorder
+	rec     *telemetry.Collector
 	pubMark rng.Mark
 }
 
@@ -46,13 +46,13 @@ func NewStepper(sched Scheduler, numPlayers int, public *rng.Source, lim Limits)
 	return &Stepper{board: board, sched: sched, lim: lim, expect: -1}, nil
 }
 
-// SetRecorder installs a telemetry Recorder for this execution (nil to
+// SetRecorder installs a telemetry Collector for this execution (nil to
 // disable, the default). The stepper emits the paper's communication
 // accounting — messages, total and per-player bits as they land on the
 // board, and rounds/bits/public-RNG-draw summaries when the scheduler
 // halts. Recording never alters execution: transcripts are bit-identical
-// with any recorder installed.
-func (st *Stepper) SetRecorder(rec telemetry.Recorder) {
+// with a live Collector installed.
+func (st *Stepper) SetRecorder(rec *telemetry.Collector) {
 	st.rec = rec
 	if pub := st.board.Public(); rec != nil && pub != nil {
 		st.pubMark = pub.Mark()

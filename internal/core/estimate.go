@@ -52,23 +52,18 @@ type cicPartial struct {
 // shard streams are derived serially up front and shard moments are merged
 // in shard order.
 func EstimateCICWorkers(spec Spec, prior Prior, src *rng.Source, samples, workers int) (*CICEstimate, error) {
-	return EstimateCICRecorded(spec, prior, src, samples, workers, nil)
-}
-
-// EstimateCICRecorded is EstimateCICWorkers with estimator telemetry: the
-// sample and shard counts, and each shard's wall time. A nil rec is
-// exactly EstimateCICWorkers; any rec leaves the estimate bit-identical,
-// since recording draws nothing from the sample streams.
-func EstimateCICRecorded(spec Spec, prior Prior, src *rng.Source, samples, workers int, rec telemetry.Recorder) (*CICEstimate, error) {
-	return EstimateCICOpts(spec, prior, src, samples, EstimateOptions{Workers: workers, Recorder: rec})
+	return EstimateCICOpts(spec, prior, src, samples, EstimateOptions{Workers: workers})
 }
 
 // EstimateOptions bundles the estimator's optional knobs.
 type EstimateOptions struct {
 	// Workers caps the worker pool; <= 0 means one worker per CPU.
 	Workers int
-	// Recorder receives estimator telemetry; nil disables recording.
-	Recorder telemetry.Recorder
+	// Recorder receives estimator telemetry: the sample and shard counts
+	// and each shard's wall time. nil disables recording; a live one
+	// leaves the estimate bit-identical, since recording draws nothing
+	// from the sample streams.
+	Recorder *telemetry.Collector
 	// DisableIR forces the scalar engine even for keyed (spec, prior)
 	// pairs the compiled-IR engine could serve. Bit-identical either way —
 	// pinned by the ir_equiv tests — so it exists only for comparisons,
@@ -104,12 +99,10 @@ func EstimateCICOpts(spec Spec, prior Prior, src *rng.Source, samples int, opts 
 	rec := opts.Recorder
 	shards := (samples + cicShardSize - 1) / cicShardSize
 	streams := src.SplitN(shards)
-	if rec != nil {
-		rec.Count(telemetry.CoreCICSamples, int64(samples))
-		rec.Count(telemetry.CoreCICShards, int64(shards))
-		if prog != nil {
-			rec.Count(telemetry.CoreCICIRSamples, int64(samples))
-		}
+	rec.Count(telemetry.CoreCICSamples, int64(samples))
+	rec.Count(telemetry.CoreCICShards, int64(shards))
+	if prog != nil {
+		rec.Count(telemetry.CoreCICIRSamples, int64(samples))
 	}
 	engine := "scalar"
 	if prog != nil {
@@ -136,7 +129,7 @@ func EstimateCICOpts(spec Spec, prior Prior, src *rng.Source, samples int, opts 
 		} else {
 			p, err = cicShard(spec, prior, streams[i], count)
 		}
-		telemetry.Observe(rec, telemetry.CoreCICShardNs, float64(span.End()))
+		rec.Observe(telemetry.CoreCICShardNs, float64(span.End()))
 		return p, err
 	})
 	if err != nil {

@@ -64,7 +64,7 @@ func irKeys(spec Spec, prior Prior) (skey, pkey string, ok bool) {
 // (spec, prior) pair, or nil when either side is unkeyed or the pair is
 // ineligible. A core.Prior satisfies ir.Prior structurally, so only the
 // spec needs the adapter.
-func irEstimatorProgram(spec Spec, prior Prior, rec telemetry.Recorder, cause causal.Context) *ir.Program {
+func irEstimatorProgram(spec Spec, prior Prior, rec *telemetry.Collector, cause causal.Context) *ir.Program {
 	skey, pkey, ok := irKeys(spec, prior)
 	if !ok {
 		return nil

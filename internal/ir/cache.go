@@ -61,19 +61,15 @@ func (c *programCache) store(key string, v any) {
 // runs outside the lock; concurrent misses on the same key compile
 // redundantly and one result wins — harmless, since programs are
 // immutable and identical.
-func cached(key string, rec telemetry.Recorder, cause causal.Context, compile func() *Program) *Program {
+func cached(key string, rec *telemetry.Collector, cause causal.Context, compile func() *Program) *Program {
 	if v, ok := cache.lookup(key); ok {
-		if rec != nil {
-			rec.Count(telemetry.IRProgramHits, 1)
-		}
+		rec.Count(telemetry.IRProgramHits, 1)
 		return v.(*Program)
 	}
-	if rec != nil {
-		rec.Count(telemetry.IRProgramMisses, 1)
-	}
+	rec.Count(telemetry.IRProgramMisses, 1)
 	span := cause.StartSpan(rec, causal.IRCompile)
 	p := compile()
-	telemetry.Observe(rec, telemetry.IRCompileNs, float64(span.End()))
+	rec.Observe(telemetry.IRCompileNs, float64(span.End()))
 	cache.store(key, p)
 	return p
 }
@@ -82,7 +78,7 @@ func cached(key string, rec telemetry.Recorder, cause causal.Context, compile fu
 // (spec, prior) pair, compiling on first use; a compile is traced under
 // cause. Returns nil when the pair is ineligible; the caller falls back
 // dynamically.
-func EstimatorProgram(spec Spec, prior Prior, specKey, priorKey string, rec telemetry.Recorder, cause causal.Context) *Program {
+func EstimatorProgram(spec Spec, prior Prior, specKey, priorKey string, rec *telemetry.Collector, cause causal.Context) *Program {
 	return cached("e|"+specKey+"|"+priorKey, rec, cause, func() *Program { return CompileEstimator(spec, prior) })
 }
 

@@ -32,7 +32,7 @@ type Cache struct {
 	ll       *list.List // front = most recently used
 	byKey    map[string]*list.Element
 	dir      string // spill directory ("" = memory only)
-	rec      telemetry.Recorder
+	rec      *telemetry.Collector
 }
 
 type cacheEntry struct {
@@ -45,9 +45,9 @@ type cacheEntry struct {
 // non-empty, must be an existing directory; every stored result persists
 // there, spilled results are read back on a memory miss, and previously
 // spilled results are warmed into the LRU at construction. rec (nil ok)
-// receives the hit/miss/eviction/bytes counters declared in
-// telemetry/names.go.
-func NewCache(entries int, maxBytes int64, dir string, rec telemetry.Recorder) *Cache {
+// receives the hit/miss/eviction counters and the resident-bytes gauge
+// declared in telemetry/names.go.
+func NewCache(entries int, maxBytes int64, dir string, rec *telemetry.Collector) *Cache {
 	if entries < 1 {
 		entries = 1
 	}
@@ -69,7 +69,8 @@ func NewCache(entries int, maxBytes int64, dir string, rec telemetry.Recorder) *
 // most recently written results first (write-through refreshes a file on
 // every store, so mtime approximates recency), stopping at the entry and
 // byte caps. Unreadable files are skipped — they will surface as misses
-// and be recomputed.
+// and be recomputed. It runs inside NewCache, before the cache is shared,
+// so it needs no lock.
 func (c *Cache) warmFromSpill() {
 	des, err := os.ReadDir(c.dir)
 	if err != nil {
@@ -108,8 +109,8 @@ func (c *Cache) warmFromSpill() {
 		}
 		c.byKey[f.key] = c.ll.PushBack(&cacheEntry{key: f.key, val: val})
 		c.bytes += int64(len(val))
-		telemetry.Count(c.rec, telemetry.JobsCacheBytes, int64(len(val)))
 	}
+	c.rec.Gauge(telemetry.JobsCacheBytes, float64(c.bytes))
 }
 
 // Get returns a copy of the cached result for key. Memory is consulted
@@ -120,19 +121,19 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 		c.ll.MoveToFront(el)
 		val := append([]byte(nil), el.Value.(*cacheEntry).val...)
 		c.mu.Unlock()
-		telemetry.Count(c.rec, telemetry.JobsCacheHits, 1)
+		c.rec.Count(telemetry.JobsCacheHits, 1)
 		return val, true
 	}
 	dir := c.dir
 	c.mu.Unlock()
 	if dir != "" {
 		if val, err := os.ReadFile(c.spillPath(key)); err == nil {
-			telemetry.Count(c.rec, telemetry.JobsCacheDiskHits, 1)
+			c.rec.Count(telemetry.JobsCacheDiskHits, 1)
 			c.Put(key, val)
 			return val, true
 		}
 	}
-	telemetry.Count(c.rec, telemetry.JobsCacheMisses, 1)
+	c.rec.Count(telemetry.JobsCacheMisses, 1)
 	return nil, false
 }
 
@@ -147,13 +148,11 @@ func (c *Cache) Put(key string, val []byte) {
 	if el, ok := c.byKey[key]; ok {
 		ent := el.Value.(*cacheEntry)
 		c.bytes += int64(len(val)) - int64(len(ent.val))
-		telemetry.Count(c.rec, telemetry.JobsCacheBytes, int64(len(val))-int64(len(ent.val)))
 		ent.val = val
 		c.ll.MoveToFront(el)
 	} else {
 		c.byKey[key] = c.ll.PushFront(&cacheEntry{key: key, val: val})
 		c.bytes += int64(len(val))
-		telemetry.Count(c.rec, telemetry.JobsCacheBytes, int64(len(val)))
 	}
 	for c.ll.Len() > c.entries || (c.maxBytes > 0 && c.bytes > c.maxBytes && c.ll.Len() > 1) {
 		el := c.ll.Back()
@@ -161,9 +160,11 @@ func (c *Cache) Put(key string, val []byte) {
 		c.ll.Remove(el)
 		delete(c.byKey, ent.key)
 		c.bytes -= int64(len(ent.val))
-		telemetry.Count(c.rec, telemetry.JobsCacheBytes, -int64(len(ent.val)))
-		telemetry.Count(c.rec, telemetry.JobsCacheEvictions, 1)
+		c.rec.Count(telemetry.JobsCacheEvictions, 1)
 	}
+	// Set under the lock, so concurrent Puts leave the gauge at the level
+	// of the last one to change it.
+	c.rec.Gauge(telemetry.JobsCacheBytes, float64(c.bytes))
 	c.mu.Unlock()
 	// Write-through outside the lock: val is this call's private copy
 	// (entries swap value slices, never mutate them), so no lock is

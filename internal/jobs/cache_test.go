@@ -1,13 +1,16 @@
 package jobs
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"broadcastic/internal/telemetry"
+	"broadcastic/internal/telemetry/promtext"
 )
 
 func TestCacheLRU(t *testing.T) {
@@ -39,8 +42,39 @@ func TestCacheLRU(t *testing.T) {
 	if got := col.Counter(telemetry.JobsCacheMisses); got != 1 {
 		t.Errorf("misses counter = %d", got)
 	}
-	if got := col.Counter(telemetry.JobsCacheBytes); got != c.Bytes() {
-		t.Errorf("bytes counter %d disagrees with Bytes() %d", got, c.Bytes())
+	if got := col.Snapshot()[telemetry.JobsCacheBytes]; got != float64(c.Bytes()) {
+		t.Errorf("bytes gauge %v disagrees with Bytes() %d", got, c.Bytes())
+	}
+}
+
+// TestCacheBytesIsAGauge pins jobs.cache.bytes as the resident-bytes
+// level: an eviction lowers it, so it must be exposed as a gauge (a
+// Prometheus counter that falls reads as a counter reset), on a fresh
+// cache as well as on one warmed from its spill.
+func TestCacheBytesIsAGauge(t *testing.T) {
+	dir := t.TempDir()
+	col := telemetry.NewCollector()
+	c := NewCache(2, 0, dir, col)
+	c.Put("aaaa", bytes.Repeat([]byte("a"), 90))
+	c.Put("bbbb", bytes.Repeat([]byte("b"), 110))
+	c.Put("cccc", bytes.Repeat([]byte("c"), 20)) // evicts aaaa: 200 -> 130
+	if got := c.Bytes(); got != 130 {
+		t.Fatalf("Bytes = %d, want 130", got)
+	}
+	exposition := func(col *telemetry.Collector) string {
+		var buf bytes.Buffer
+		if _, err := promtext.WriteCollector(&buf, col); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	if got, want := exposition(col), "# TYPE jobs_cache_bytes gauge\njobs_cache_bytes 130\n"; !strings.Contains(got, want) {
+		t.Errorf("exposition lacks %q:\n%s", want, got)
+	}
+	warm := telemetry.NewCollector()
+	NewCache(8, 0, dir, warm) // warms all three spill files
+	if got, want := exposition(warm), "# TYPE jobs_cache_bytes gauge\njobs_cache_bytes 220\n"; !strings.Contains(got, want) {
+		t.Errorf("warmed cache's exposition lacks %q:\n%s", want, got)
 	}
 }
 

@@ -17,14 +17,8 @@ func RunExperiment(spec JobSpec, rc RunContext) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	var exp sim.Experiment
-	for _, e := range sim.Experiments() {
-		if e.ID == spec.Experiment {
-			exp = e
-			break
-		}
-	}
-	if exp.Run == nil {
+	exp, ok := sim.Lookup(spec.Experiment)
+	if !ok {
 		return nil, fmt.Errorf("jobs: unknown experiment %q", spec.Experiment)
 	}
 	cfg := sim.Config{

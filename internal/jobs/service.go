@@ -40,10 +40,10 @@ var ErrQueueFull = errors.New("jobs: tenant queue full, retry later")
 var ErrClosed = errors.New("jobs: service closed")
 
 // RunContext bundles everything a Runner receives beyond the spec: the
-// metrics recorder, the progress hook, and the causal context whose parent
-// is the job's execute span. All fields may be zero.
+// metrics collector, the progress hook, and the causal context whose
+// parent is the job's execute span. All fields may be zero.
 type RunContext struct {
-	Recorder telemetry.Recorder
+	Recorder *telemetry.Collector
 	Progress func(done, total int)
 	Causal   causal.Context
 }
@@ -66,7 +66,7 @@ type Options struct {
 	// BuildSHA keys the cache to a binary identity ("" = BuildSHA()).
 	BuildSHA string
 	// Recorder receives job counters and per-job spans (nil ok).
-	Recorder telemetry.Recorder
+	Recorder *telemetry.Collector
 	// Progress, when non-nil, builds the per-job progress hook handed to
 	// the runner — the daemon wires serve.Broker.ProgressFunc here so
 	// jobs stream on /runs without this package importing the HTTP layer.
@@ -198,27 +198,27 @@ func (s *Service) tenant(t string) *tenantMetrics {
 func (s *Service) recordLookup(tm *tenantMetrics, hit bool) {
 	if hit {
 		tm.hits.Add(1)
-		telemetry.Count(s.opts.Recorder, tm.cacheHits, 1)
+		s.opts.Recorder.Count(tm.cacheHits, 1)
 	} else {
 		tm.misses.Add(1)
 	}
 	h, m := tm.hits.Load(), tm.misses.Load()
-	telemetry.Gauge(s.opts.Recorder, tm.hitRatio, float64(h)/float64(h+m))
+	s.opts.Recorder.Gauge(tm.hitRatio, float64(h)/float64(h+m))
 }
 
 // depthGaugesLocked refreshes the tenant's and the global queue-depth
 // gauges. Callers hold mu.
 func (s *Service) depthGaugesLocked(tm *tenantMetrics, tenant string) {
-	telemetry.Gauge(s.opts.Recorder, tm.queueDepth, float64(len(s.queues[tenant])))
-	telemetry.Gauge(s.opts.Recorder, telemetry.JobsQueueDepth, float64(s.queued))
+	s.opts.Recorder.Gauge(tm.queueDepth, float64(len(s.queues[tenant])))
+	s.opts.Recorder.Gauge(telemetry.JobsQueueDepth, float64(s.queued))
 }
 
 // recordBitsServed counts a result's bits toward the fleet and tenant
 // totals.
 func (s *Service) recordBitsServed(tm *tenantMetrics, resultBytes int) {
 	bits := int64(resultBytes) * 8
-	telemetry.Count(s.opts.Recorder, telemetry.JobsBitsServed, bits)
-	telemetry.Count(s.opts.Recorder, tm.bitsServed, bits)
+	s.opts.Recorder.Count(telemetry.JobsBitsServed, bits)
+	s.opts.Recorder.Count(tm.bitsServed, bits)
 }
 
 // New starts a service and its worker fleet. Callers must Close it.
@@ -266,7 +266,7 @@ func (s *Service) Close() {
 			j.State = Canceled
 			j.FinishedMs = now
 			s.finishLocked(j)
-			telemetry.Count(s.opts.Recorder, telemetry.JobsCanceled, 1)
+			s.opts.Recorder.Count(telemetry.JobsCanceled, 1)
 			j.cause.Event(causal.JobCanceled, causal.String("job", j.ID), causal.String("reason", "service closed"))
 		}
 		s.queued -= len(q)
@@ -318,8 +318,8 @@ func (s *Service) SubmitTraced(tenant string, spec JobSpec, cause causal.Context
 	}
 	if !hit && len(s.queues[tenant]) >= s.queueCap {
 		s.mu.Unlock()
-		telemetry.Count(s.opts.Recorder, telemetry.JobsRejected, 1)
-		telemetry.Count(s.opts.Recorder, tm.rejected, 1)
+		s.opts.Recorder.Count(telemetry.JobsRejected, 1)
+		s.opts.Recorder.Count(tm.rejected, 1)
 		cause.Fault(causal.JobRejected, causal.String("reason", "queue full"))
 		return Job{}, fmt.Errorf("%w (tenant %q, cap %d)", ErrQueueFull, tenant, s.queueCap)
 	}
@@ -362,8 +362,8 @@ func (s *Service) SubmitTraced(tenant string, spec JobSpec, cause causal.Context
 	}
 	view := j.Job
 	s.mu.Unlock()
-	telemetry.Count(s.opts.Recorder, telemetry.JobsSubmitted, 1)
-	telemetry.Count(s.opts.Recorder, tm.submitted, 1)
+	s.opts.Recorder.Count(telemetry.JobsSubmitted, 1)
+	s.opts.Recorder.Count(tm.submitted, 1)
 	if hit {
 		s.recordBitsServed(tm, len(cached))
 	}
@@ -469,7 +469,7 @@ func (s *Service) Cancel(id string) (Job, bool) {
 		j.cancelled = true
 		j.FinishedMs = nowMs()
 		s.finishLocked(j)
-		telemetry.Count(s.opts.Recorder, telemetry.JobsCanceled, 1)
+		s.opts.Recorder.Count(telemetry.JobsCanceled, 1)
 		s.depthGaugesLocked(s.tenant(j.Tenant), j.Tenant)
 		// The queue-wait span is deliberately never ended: a canceled-while-
 		// queued job was never dispatched, so it contributes no wait record.
@@ -477,7 +477,7 @@ func (s *Service) Cancel(id string) (Job, bool) {
 	case Running:
 		j.State = Canceled
 		j.cancelled = true
-		telemetry.Count(s.opts.Recorder, telemetry.JobsCanceled, 1)
+		s.opts.Recorder.Count(telemetry.JobsCanceled, 1)
 		// The worker emits the causal jobs.canceled event when the in-flight
 		// run finishes, keeping the trace's event order causal.
 	}
@@ -520,8 +520,8 @@ func (s *Service) worker() {
 
 		// Queue wait is observed exactly once per dispatched job, at
 		// dispatch; canceled-while-queued jobs never reach this point.
-		telemetry.Observe(s.opts.Recorder, telemetry.JobsQueueWaitNs, wait)
-		telemetry.Observe(s.opts.Recorder, tm.waitNs, wait)
+		s.opts.Recorder.Observe(telemetry.JobsQueueWaitNs, wait)
+		s.opts.Recorder.Observe(tm.waitNs, wait)
 		cause.Event(causal.JobDispatch, causal.String("job", id))
 
 		var progress func(done, total int)
@@ -535,7 +535,7 @@ func (s *Service) worker() {
 			Progress: progress,
 			Causal:   exec.Context(),
 		})
-		telemetry.Observe(s.opts.Recorder, telemetry.JobsJobNs, float64(exec.End()))
+		s.opts.Recorder.Observe(telemetry.JobsJobNs, float64(exec.End()))
 
 		if err == nil && s.opts.Cache != nil {
 			s.opts.Cache.Put(j.Key, result)
@@ -552,7 +552,7 @@ func (s *Service) worker() {
 			j.State = Failed
 			j.Error = err.Error()
 			j.FinishedMs = now
-			telemetry.Count(s.opts.Recorder, telemetry.JobsFailed, 1)
+			s.opts.Recorder.Count(telemetry.JobsFailed, 1)
 			// Fail marks the fault instant and triggers the flight
 			// recorder's at-most-once auto-dump for this trace.
 			cause.Fail(causal.JobFail, causal.String("job", id), causal.String("error", err.Error()))
@@ -560,7 +560,7 @@ func (s *Service) worker() {
 			j.State = Done
 			j.Result = string(result)
 			j.FinishedMs = now
-			telemetry.Count(s.opts.Recorder, telemetry.JobsCompleted, 1)
+			s.opts.Recorder.Count(telemetry.JobsCompleted, 1)
 			s.recordBitsServed(tm, len(result))
 			cause.Event(causal.JobDone, causal.Int("bytes", len(result)))
 		}

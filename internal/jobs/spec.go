@@ -74,31 +74,20 @@ type JobSpec struct {
 
 // scale maps the spec's scale string to the sim constant.
 func (s JobSpec) scale() (sim.Scale, error) {
-	switch s.Scale {
-	case "quick":
-		return sim.Quick, nil
-	case "full":
-		return sim.Full, nil
-	default:
-		return 0, fmt.Errorf("jobs: unknown scale %q (want quick or full)", s.Scale)
+	scale, err := sim.ParseScale(s.Scale)
+	if err != nil {
+		return 0, fmt.Errorf("jobs: %w", err)
 	}
+	return scale, nil
 }
 
-// experimentIDs is the registry's ID set, built once.
-var experimentIDs = func() map[string]bool {
-	ids := make(map[string]bool)
-	for _, exp := range sim.Experiments() {
-		ids[exp.ID] = true
-	}
-	return ids
-}()
-
-// Validate checks the spec strictly: unknown experiments, scales, grid
-// overrides the experiment ignores, out-of-range values and
-// determinism-breaking fault kinds are all rejected up front, so nothing
-// invalid ever reaches a queue or a cache key.
+// Validate checks the spec strictly: unknown experiments (IDs match
+// exactly, so a cache key has one spelling), scales, grid overrides the
+// experiment ignores, out-of-range values and determinism-breaking fault
+// kinds are all rejected up front, so nothing invalid ever reaches a
+// queue or a cache key.
 func (s JobSpec) Validate() error {
-	if !experimentIDs[s.Experiment] {
+	if _, ok := sim.Lookup(s.Experiment); !ok {
 		return fmt.Errorf("jobs: unknown experiment %q", s.Experiment)
 	}
 	if _, err := s.scale(); err != nil {

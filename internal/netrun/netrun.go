@@ -89,15 +89,13 @@ type Config struct {
 	MaxRetries int
 	// Limits bound the protocol exactly as in blackboard.Run.
 	Limits blackboard.Limits
-	// Recorder receives the run's telemetry (nil: disabled). It replaces
-	// the callback Hooks of earlier revisions, which fired only on the
-	// happy path; the Recorder is driven from the exact sites that update
-	// the wire-level counters — every retransmission trigger (known drop,
-	// NACK, timeout), every discarded frame, every injected fault — so its
-	// counters always match the returned Stats. Implementations must be
-	// safe for concurrent use; recording never changes transcripts, bit
-	// counts or outcomes.
-	Recorder telemetry.Recorder
+	// Recorder receives the run's telemetry (nil: disabled). It is driven
+	// from the exact sites that update the wire-level counters — every
+	// retransmission trigger (known drop, NACK, timeout), every discarded
+	// frame, every injected fault — so its counters always match the
+	// returned Stats. Recording never changes transcripts, bit counts or
+	// outcomes.
+	Recorder *telemetry.Collector
 	// Causal, when enabled, attaches the run's wire-level story to a
 	// trace: one netrun.hop span per delivered application frame, a
 	// netrun.retry event per retransmission, a netrun.fault instant per

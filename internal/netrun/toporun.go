@@ -391,7 +391,7 @@ func runTopology(sched blackboard.Scheduler, players []blackboard.Player, public
 		return &Result{Board: st.Board(), Stats: stats, Crashed: crashed}
 	}
 	crash := func(player int, cause error) (*Result, error) {
-		telemetry.Count(cfg.Recorder, telemetry.NetrunCrashes, 1)
+		cfg.Recorder.Count(telemetry.NetrunCrashes, 1)
 		if cfg.Causal.Enabled() {
 			// A crash is the unrecoverable failure of the run: mark the
 			// instant and trigger the trace's flight-recorder auto-dump.

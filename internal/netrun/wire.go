@@ -279,13 +279,13 @@ type endpoint struct {
 	timeout    time.Duration
 	maxRetries int
 
-	// rec mirrors every stats update into the run's Recorder (nil:
-	// disabled). The recorder is driven from the same statements that
+	// rec mirrors every stats update into the run's Collector (nil:
+	// disabled). The collector is driven from the same statements that
 	// update the atomics — including the NACK, known-drop and timeout
 	// retransmission paths — so recorded counters and Stats never diverge.
 	// names holds the per-link metric names, precomputed so the recording
 	// path allocates nothing per event.
-	rec   telemetry.Recorder
+	rec   *telemetry.Collector
 	names linkMetricNames
 
 	// cause attaches hop spans, retry events and fault instants to the
@@ -333,7 +333,7 @@ type linkMetricNames struct {
 // newEndpoint builds the ARQ layer over one raw link, the link with index
 // link in the run's topology, whose far end is node peer. Its read loop
 // delivers data frames to inbox; its metrics are netrun.topo.<link>.*.
-func newEndpoint(raw Link, inj *faults.Injector, timeout time.Duration, maxRetries int, rec telemetry.Recorder, cause causal.Context, link int, inbox *mailbox[inbound], peer int) *endpoint {
+func newEndpoint(raw Link, inj *faults.Injector, timeout time.Duration, maxRetries int, rec *telemetry.Collector, cause causal.Context, link int, inbox *mailbox[inbound], peer int) *endpoint {
 	ep := &endpoint{
 		raw:        raw,
 		inj:        inj,
@@ -366,7 +366,7 @@ func newEndpoint(raw Link, inj *faults.Injector, timeout time.Duration, maxRetri
 }
 
 // recordWireBits, recordRetry, recordDup and recordFault mirror one stats
-// update into the Recorder; each costs one branch when disabled.
+// update into the Collector; each costs one branch when disabled.
 func (ep *endpoint) recordWireBits(bits int64) {
 	if ep.rec != nil {
 		ep.rec.Count(telemetry.NetrunWireBits, bits)

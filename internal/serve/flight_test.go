@@ -72,7 +72,7 @@ func TestFlightRecorderCausalChain(t *testing.T) {
 	fr := causal.NewRecorder(0)
 	svc := jobs.New(jobs.Options{Workers: 1, Recorder: col, Flight: fr})
 	defer svc.Close()
-	mux := NewMux(col, NewBroker())
+	mux := NewMuxHealth(col, NewBrokerRecorded(nil), nil)
 	AttachJobs(mux, svc)
 	AttachFlightRecorder(mux, fr)
 	ts := httptest.NewServer(mux)
@@ -209,7 +209,7 @@ func TestMetricsPerTenantSeries(t *testing.T) {
 		close(release)
 		svc.Close()
 	}()
-	mux := NewMux(col, NewBroker())
+	mux := NewMuxHealth(col, NewBrokerRecorded(nil), nil)
 	AttachJobs(mux, svc)
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
@@ -288,10 +288,10 @@ func TestHealthzReadiness(t *testing.T) {
 	health.SetReady(false)
 	check(http.StatusServiceUnavailable, false) // draining
 
-	// NewMux (no Health) stays always-ready for embedded/test uses.
-	plain := httptest.NewServer(NewMux(nil, nil))
+	// A nil Health stays always-ready for embedded/test uses.
+	plain := httptest.NewServer(NewMuxHealth(nil, nil, nil))
 	defer plain.Close()
 	if code, _, _ := get(t, plain.URL+"/healthz"); code != http.StatusOK {
-		t.Errorf("NewMux /healthz = %d, want 200", code)
+		t.Errorf("nil-Health /healthz = %d, want 200", code)
 	}
 }

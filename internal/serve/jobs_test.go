@@ -71,7 +71,7 @@ func TestJobsHTTPDeterministicCacheHit(t *testing.T) {
 		Recorder: col,
 	})
 	defer svc.Close()
-	mux := NewMux(col, NewBroker())
+	mux := NewMuxHealth(col, NewBrokerRecorded(nil), nil)
 	AttachJobs(mux, svc)
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
@@ -143,8 +143,9 @@ func TestJobsHTTPBackpressure(t *testing.T) {
 			t.Fatalf("fill POST %d = %d", seed, code)
 		}
 		if seed == 1 {
-			// Let the worker claim job 1 so job 2 is the sole queued entry.
-			waitDepth(t, svc, "loud", 0, 1)
+			// Let the worker claim job 1 (the queue empties) so job 2 is
+			// the sole queued entry.
+			waitDepth(t, svc, "loud", 0, 0)
 		}
 	}
 	code, rejected, hdr := postJob(t, ts.URL, "loud", `{"experiment":"E10","seed":9,"scale":"quick"}`)

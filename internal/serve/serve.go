@@ -73,17 +73,13 @@ type Broker struct {
 	latest map[string]RunProgress
 	order  []string // keys in first-publish order, for stable snapshots; at most jobs.Retain
 	subs   map[chan RunProgress]struct{}
-	rec    telemetry.Recorder // counts dropped updates (nil ok)
-}
-
-// NewBroker returns an empty broker.
-func NewBroker() *Broker {
-	return NewBrokerRecorded(nil)
+	rec    *telemetry.Collector // counts dropped updates (nil ok)
 }
 
 // NewBrokerRecorded returns an empty broker that counts updates dropped
-// under subscriber backpressure on rec as serve.runs.dropped_updates.
-func NewBrokerRecorded(rec telemetry.Recorder) *Broker {
+// under subscriber backpressure on rec as serve.runs.dropped_updates
+// (nil rec: uncounted).
+func NewBrokerRecorded(rec *telemetry.Collector) *Broker {
 	return &Broker{
 		latest: make(map[string]RunProgress),
 		subs:   make(map[chan RunProgress]struct{}),
@@ -118,7 +114,7 @@ func (b *Broker) Publish(p RunProgress) {
 	}
 	b.mu.Unlock()
 	if dropped > 0 {
-		telemetry.Count(b.rec, telemetry.ServeRunsDroppedUpdates, dropped)
+		b.rec.Count(telemetry.ServeRunsDroppedUpdates, dropped)
 	}
 }
 
@@ -153,33 +149,21 @@ func (b *Broker) Subscribe() (<-chan RunProgress, func()) {
 	return ch, cancel
 }
 
-// bitsCounter is the subset of Collector the progress hook reads.
-type bitsCounter interface {
-	Counter(name string) int64
-}
-
 // ProgressFunc adapts the broker to sim.Config.Progress for one
 // experiment run: each hook call publishes cells done/total, the
 // collector's cumulative bits, elapsed wall time and a linear ETA. col
 // may be nil (bits stay 0). The final cell publishes Done=true.
 func (b *Broker) ProgressFunc(runID, experiment string, col *telemetry.Collector) func(done, total int) {
 	start := time.Now()
-	// A nil *Collector must behave like "no collector", not a panic.
-	var bits bitsCounter
-	if col != nil {
-		bits = col
-	}
 	return func(done, total int) {
 		p := RunProgress{
 			RunID:      runID,
 			Experiment: experiment,
 			CellsDone:  done,
 			CellsTotal: total,
+			Bits:       col.Counter(telemetry.BlackboardBits) + col.Counter(telemetry.NetrunWireBits),
 			ElapsedMs:  time.Since(start).Milliseconds(),
 			Done:       done >= total,
-		}
-		if bits != nil {
-			p.Bits = bits.Counter(telemetry.BlackboardBits) + bits.Counter(telemetry.NetrunWireBits)
 		}
 		if done > 0 && done < total {
 			p.EtaMs = p.ElapsedMs * int64(total-done) / int64(done)
@@ -207,21 +191,16 @@ func (h *Health) SetReady(ready bool) {
 // Ready reports readiness; a nil *Health is always ready.
 func (h *Health) Ready() bool { return h == nil || h.ready.Load() }
 
-// NewMux builds the observability mux over a collector and a broker.
-// Either may be nil: nil collector serves an empty exposition, nil broker
-// serves an empty snapshot and no streams. Readiness is not tracked —
-// /healthz always reports ready; daemons that manage a job fleet use
-// NewMuxHealth.
-func NewMux(col *telemetry.Collector, broker *Broker) *http.ServeMux {
-	return NewMuxHealth(col, broker, nil)
-}
-
-// NewMuxHealth is NewMux with liveness/readiness split on /healthz: the
-// endpoint returns 200 {"status":"ok",...,"ready":true} while health
-// reports ready, and 503 {"status":"unavailable","ready":false,...} during
-// startup and shutdown drain — so orchestrators stop routing before the
-// fleet stops accepting. ?live=1 is the pure liveness probe: 200 whenever
-// the process can serve HTTP, whatever the readiness state.
+// NewMuxHealth builds the observability mux over a collector, a broker
+// and a readiness state. Any may be nil: a nil collector serves an empty
+// exposition, a nil broker an empty snapshot and no streams, and a nil
+// health reports ready on /healthz always. Otherwise /healthz splits
+// liveness from readiness: it returns 200 {"status":"ok",...,"ready":true}
+// while health reports ready, and 503 {"status":"unavailable",
+// "ready":false,...} during startup and shutdown drain — so orchestrators
+// stop routing before the fleet stops accepting. ?live=1 is the pure
+// liveness probe: 200 whenever the process can serve HTTP, whatever the
+// readiness state.
 func NewMuxHealth(col *telemetry.Collector, broker *Broker, health *Health) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {

@@ -41,7 +41,7 @@ func TestMetricsEndpointMatchesCollector(t *testing.T) {
 	col.Count("blackboard.bits", 1234)
 	col.Count("netrun.topo.0.wire_bits", 500)
 	col.Observe("sim.cell_ns", 2048)
-	ts := httptest.NewServer(NewMux(col, NewBroker()))
+	ts := httptest.NewServer(NewMuxHealth(col, NewBrokerRecorded(nil), nil))
 	defer ts.Close()
 
 	code, body, hdr := get(t, ts.URL+"/metrics")
@@ -67,7 +67,7 @@ func TestMetricsEndpointMatchesCollector(t *testing.T) {
 }
 
 func TestHealthz(t *testing.T) {
-	ts := httptest.NewServer(NewMux(nil, nil))
+	ts := httptest.NewServer(NewMuxHealth(nil, nil, nil))
 	defer ts.Close()
 	code, body, hdr := get(t, ts.URL+"/healthz")
 	if code != http.StatusOK {
@@ -89,7 +89,7 @@ func TestHealthz(t *testing.T) {
 }
 
 func TestPprofIndex(t *testing.T) {
-	ts := httptest.NewServer(NewMux(nil, nil))
+	ts := httptest.NewServer(NewMuxHealth(nil, nil, nil))
 	defer ts.Close()
 	code, body, _ := get(t, ts.URL+"/debug/pprof/")
 	if code != http.StatusOK {
@@ -101,7 +101,7 @@ func TestPprofIndex(t *testing.T) {
 }
 
 func TestBrokerSnapshotAndSubscribe(t *testing.T) {
-	b := NewBroker()
+	b := NewBrokerRecorded(nil)
 	b.Publish(RunProgress{RunID: "r1", Experiment: "E1", CellsDone: 1, CellsTotal: 2})
 	ch, cancel := b.Subscribe()
 	defer cancel()
@@ -132,7 +132,7 @@ func TestBrokerSnapshotAndSubscribe(t *testing.T) {
 }
 
 func TestBrokerSlowSubscriberDoesNotBlock(t *testing.T) {
-	b := NewBroker()
+	b := NewBrokerRecorded(nil)
 	_, cancel := b.Subscribe() // never drained
 	defer cancel()
 	done := make(chan struct{})
@@ -172,7 +172,7 @@ func TestBrokerDroppedUpdatesCounter(t *testing.T) {
 		t.Errorf("drained subscriber still dropped: %d -> %d", before, got)
 	}
 	// The unrecorded constructor must stay nil-safe.
-	b2 := NewBroker()
+	b2 := NewBrokerRecorded(nil)
 	_, cancel2 := b2.Subscribe()
 	defer cancel2()
 	for i := 0; i < total; i++ {
@@ -185,7 +185,7 @@ func TestBrokerDroppedUpdatesCounter(t *testing.T) {
 // and a forgotten run that publishes again comes back as the newest.
 func TestBrokerKeepsNewestRuns(t *testing.T) {
 	const extra = 5
-	b := NewBroker()
+	b := NewBrokerRecorded(nil)
 	run := func(i int) RunProgress {
 		return RunProgress{RunID: fmt.Sprintf("j%06d", i), Experiment: "E1", CellsTotal: 1}
 	}
@@ -244,7 +244,7 @@ func TestRunsEndOnFinalRecord(t *testing.T) {
 	base := sim.Config{Seed: 1, Scale: sim.Quick, Workers: 2}
 	ref := render(base)
 
-	b := NewBroker()
+	b := NewBrokerRecorded(nil)
 	publish := b.ProgressFunc("E9-seed1", "E9", nil)
 	cfg := base
 	cfg.Progress = func(done, total int) {
@@ -263,7 +263,7 @@ func TestRunsEndOnFinalRecord(t *testing.T) {
 }
 
 func TestProgressFunc(t *testing.T) {
-	b := NewBroker()
+	b := NewBrokerRecorded(nil)
 	col := telemetry.NewCollector()
 	col.Count(telemetry.BlackboardBits, 100)
 	col.Count(telemetry.NetrunWireBits, 40)
@@ -288,7 +288,7 @@ func TestProgressFunc(t *testing.T) {
 		t.Errorf("done run has eta %d", p.EtaMs)
 	}
 	// Nil collector must not panic and reports zero bits.
-	b2 := NewBroker()
+	b2 := NewBrokerRecorded(nil)
 	b2.ProgressFunc("x", "E1", nil)(1, 2)
 	if got := b2.Snapshot()[0].Bits; got != 0 {
 		t.Errorf("nil-collector bits = %d", got)
@@ -296,9 +296,9 @@ func TestProgressFunc(t *testing.T) {
 }
 
 func TestRunsSnapshotNDJSON(t *testing.T) {
-	b := NewBroker()
+	b := NewBrokerRecorded(nil)
 	b.Publish(RunProgress{RunID: "r1", Experiment: "E1", CellsDone: 2, CellsTotal: 2, Done: true})
-	ts := httptest.NewServer(NewMux(nil, b))
+	ts := httptest.NewServer(NewMuxHealth(nil, b, nil))
 	defer ts.Close()
 	code, body, hdr := get(t, ts.URL+"/runs")
 	if code != http.StatusOK {
@@ -317,9 +317,9 @@ func TestRunsSnapshotNDJSON(t *testing.T) {
 }
 
 func TestRunsFollowStreamsUpdates(t *testing.T) {
-	b := NewBroker()
+	b := NewBrokerRecorded(nil)
 	b.Publish(RunProgress{RunID: "r1", Experiment: "E1", CellsDone: 1, CellsTotal: 3})
-	ts := httptest.NewServer(NewMux(nil, b))
+	ts := httptest.NewServer(NewMuxHealth(nil, b, nil))
 	defer ts.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -357,9 +357,9 @@ func TestRunsFollowStreamsUpdates(t *testing.T) {
 }
 
 func TestRunsSSE(t *testing.T) {
-	b := NewBroker()
+	b := NewBrokerRecorded(nil)
 	b.Publish(RunProgress{RunID: "r1", Experiment: "E1", CellsDone: 1, CellsTotal: 1, Done: true})
-	ts := httptest.NewServer(NewMux(nil, b))
+	ts := httptest.NewServer(NewMuxHealth(nil, b, nil))
 	defer ts.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -395,7 +395,7 @@ func TestRunsSSE(t *testing.T) {
 }
 
 func TestServerStartShutdown(t *testing.T) {
-	srv, err := Start("127.0.0.1:0", NewMux(nil, nil))
+	srv, err := Start("127.0.0.1:0", NewMuxHealth(nil, nil, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,9 +415,9 @@ func TestServerStartShutdown(t *testing.T) {
 // return promptly (the handler's request context derives from the
 // server's base context), leaving no serveRuns goroutine behind.
 func TestShutdownEndsFollowStream(t *testing.T) {
-	broker := NewBroker()
+	broker := NewBrokerRecorded(nil)
 	broker.Publish(RunProgress{RunID: "r1", Experiment: "E1", CellsDone: 1, CellsTotal: 3})
-	srv, err := Start("127.0.0.1:0", NewMux(nil, broker))
+	srv, err := Start("127.0.0.1:0", NewMuxHealth(nil, broker, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -494,8 +494,8 @@ func TestObservedExperimentEndToEnd(t *testing.T) {
 	// Observed: collector + causal trace with a Perfetto sink + progress
 	// hook + live server.
 	col := telemetry.NewCollector()
-	broker := NewBroker()
-	ts := httptest.NewServer(NewMux(col, broker))
+	broker := NewBrokerRecorded(nil)
+	ts := httptest.NewServer(NewMuxHealth(col, broker, nil))
 	defer ts.Close()
 	sink := tracelog.New("E20-seed7")
 	cfg := base

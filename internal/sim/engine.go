@@ -23,7 +23,7 @@ import (
 //   - results come back in cell order (pool.Map), so tables are assembled
 //     in the same deterministic order regardless of completion order.
 //
-// With a Recorder or a trace installed (Config.Recorder, Config.Causal)
+// With a Collector or a trace installed (Config.Recorder, Config.Causal)
 // each cell runs under a sim.cell span, whose duration is the cell's
 // sim.cell_ns sample; the span reads only the clock, so it cannot perturb
 // any cell's output.
@@ -51,11 +51,8 @@ func sweep[T any](cfg Config, base *rng.Source, n int, fn func(cell int, src *rn
 		cell = func(i int) (T, error) {
 			span := cfg.Causal.StartSpan(cfg.Recorder, causal.SimCell, causal.Int("cell", i))
 			v, err := inner(i)
-			d := span.End()
-			if cfg.Recorder != nil {
-				cfg.Recorder.Observe(telemetry.SimCellNs, float64(d))
-				cfg.Recorder.Count(telemetry.SimCells, 1)
-			}
+			cfg.Recorder.Observe(telemetry.SimCellNs, float64(span.End()))
+			cfg.Recorder.Count(telemetry.SimCells, 1)
 			return v, err
 		}
 	}

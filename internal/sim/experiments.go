@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"strings"
 	"time"
 
 	"broadcastic/internal/andk"
@@ -35,6 +36,17 @@ const (
 	Full
 )
 
+// ParseScale maps a scale name, "quick" or "full", to its Scale.
+func ParseScale(name string) (Scale, error) {
+	switch name {
+	case "quick":
+		return Quick, nil
+	case "full":
+		return Full, nil
+	}
+	return 0, fmt.Errorf("unknown scale %q (want quick or full)", name)
+}
+
 // Config parameterizes every experiment.
 type Config struct {
 	// Seed is the root of every random stream an experiment draws from;
@@ -48,9 +60,9 @@ type Config struct {
 	Workers int
 	// Recorder receives harness telemetry (per-cell wall time and the
 	// board/estimator accounting of instrumented sub-runs); nil disables
-	// collection. Tables are bit-identical with
-	// any recorder installed — the serial-equivalence tests pin this.
-	Recorder telemetry.Recorder
+	// collection. Tables are bit-identical with a live Collector
+	// installed — the telemetry-equivalence tests pin this.
+	Recorder *telemetry.Collector
 	// Progress, when non-nil, is called after each sweep cell completes
 	// successfully with the number of finished cells so far and the total
 	// cell count of the sweep. Calls arrive from pool workers but never
@@ -1643,22 +1655,56 @@ type Experiment struct {
 	Run func(Config) (*Table, error)
 }
 
+// registry is every experiment in E1..E21 order: the single source of
+// truth behind Experiments, Lookup and Select, which the binaries, the
+// job service and the root benchmark/telemetry harness share.
+var registry = []Experiment{
+	{"E1", E1DisjScalingN}, {"E2", E2DisjScalingK},
+	{"E3", E3NaiveVsOptimal}, {"E4", E4AndInfoCost},
+	{"E5", E5DirectSum}, {"E6", E6TruncatedError},
+	{"E7", E7InfoCommGap}, {"E8", E8GoodTranscripts},
+	{"E9", E9PosteriorPointing}, {"E10", E10RejectionSampler},
+	{"E11", E11AmortizedCompression}, {"E12", E12DivergenceBound},
+	{"E13", E13SparseIntersection}, {"E14", E14Ablations},
+	{"E15", E15TwoPartyBaseline}, {"E16", E16CostBreakdown},
+	{"E17", E17PointwiseOr}, {"E18", E18InternalVsExternal},
+	{"E19", E19WirelessContention}, {"E20", E20NetworkedOverhead},
+	{"E21", E21TopologySeparation},
+}
+
 // Experiments returns the full registry in E1..E21 order. The slice is
-// freshly allocated; callers may filter or reorder it. The registry is the
-// single source of truth shared by All, cmd/experiments and the root
-// benchmark/telemetry harness.
+// freshly allocated; callers may filter or reorder it.
 func Experiments() []Experiment {
-	return []Experiment{
-		{"E1", E1DisjScalingN}, {"E2", E2DisjScalingK},
-		{"E3", E3NaiveVsOptimal}, {"E4", E4AndInfoCost},
-		{"E5", E5DirectSum}, {"E6", E6TruncatedError},
-		{"E7", E7InfoCommGap}, {"E8", E8GoodTranscripts},
-		{"E9", E9PosteriorPointing}, {"E10", E10RejectionSampler},
-		{"E11", E11AmortizedCompression}, {"E12", E12DivergenceBound},
-		{"E13", E13SparseIntersection}, {"E14", E14Ablations},
-		{"E15", E15TwoPartyBaseline}, {"E16", E16CostBreakdown},
-		{"E17", E17PointwiseOr}, {"E18", E18InternalVsExternal},
-		{"E19", E19WirelessContention}, {"E20", E20NetworkedOverhead},
-		{"E21", E21TopologySeparation},
+	return append([]Experiment(nil), registry...)
+}
+
+// Lookup returns the experiment registered under exactly id ("E4", not
+// "e4"): the job service keys its cache on the ID as given, so it must
+// not accept a second spelling.
+func Lookup(id string) (Experiment, bool) {
+	for _, exp := range registry {
+		if exp.ID == id {
+			return exp, true
+		}
 	}
+	return Experiment{}, false
+}
+
+// Select resolves a -only flag value: a comma-separated list of IDs in
+// any case, with spaces allowed ("E4, e7"), in the order given. The empty
+// list selects the whole registry.
+func Select(only string) ([]Experiment, error) {
+	if only == "" {
+		return Experiments(), nil
+	}
+	var selected []Experiment
+	for _, id := range strings.Split(only, ",") {
+		id = strings.TrimSpace(strings.ToUpper(id))
+		exp, ok := Lookup(id)
+		if !ok {
+			return nil, fmt.Errorf("unknown experiment %q", id)
+		}
+		selected = append(selected, exp)
+	}
+	return selected, nil
 }

@@ -508,3 +508,36 @@ func All(cfg Config) ([]*Table, error) {
 		return exps[i].Run(cfg)
 	})
 }
+
+// TestRegistryLookups pins the registry's three readers: ParseScale takes
+// the two scale names, Lookup matches IDs exactly (the job service's cache
+// keys depend on one spelling), and Select — the -only parser both
+// binaries share — folds case and spaces but keeps the order given.
+func TestRegistryLookups(t *testing.T) {
+	for name, want := range map[string]Scale{"quick": Quick, "full": Full} {
+		if got, err := ParseScale(name); err != nil || got != want {
+			t.Errorf("ParseScale(%q) = %v, %v", name, got, err)
+		}
+	}
+	if _, err := ParseScale("medium"); err == nil || !strings.Contains(err.Error(), "unknown scale") {
+		t.Errorf("ParseScale(medium) error = %v", err)
+	}
+	if exp, ok := Lookup("E4"); !ok || exp.ID != "E4" {
+		t.Errorf("Lookup(E4) = %v, %v", exp.ID, ok)
+	}
+	for _, id := range []string{"e4", " E4", "E99", ""} {
+		if _, ok := Lookup(id); ok {
+			t.Errorf("Lookup(%q) matched", id)
+		}
+	}
+	sel, err := Select("e7, E4")
+	if err != nil || len(sel) != 2 || sel[0].ID != "E7" || sel[1].ID != "E4" {
+		t.Errorf("Select(e7, E4) = %v, %v", sel, err)
+	}
+	if all, err := Select(""); err != nil || len(all) != len(Experiments()) {
+		t.Errorf("Select(\"\") = %d experiments, %v", len(all), err)
+	}
+	if _, err := Select("E1,E99"); err == nil || !strings.Contains(err.Error(), "unknown experiment") {
+		t.Errorf("Select(E1,E99) error = %v", err)
+	}
+}

@@ -14,7 +14,7 @@ import (
 
 // renderWith runs an experiment with the given recorder and returns the
 // rendered table bytes.
-func renderWith(t *testing.T, f func(Config) (*Table, error), workers int, rec telemetry.Recorder) string {
+func renderWith(t *testing.T, f func(Config) (*Table, error), workers int, rec *telemetry.Collector) string {
 	t.Helper()
 	cfg := Config{Seed: 7, Scale: Quick, Workers: workers, Recorder: rec}
 	tbl, err := f(cfg)

@@ -17,7 +17,7 @@
 // netrun.Config.Causal, jobs.RunContext.Causal) — never by a package
 // global — so concurrent runs cannot contaminate each other's traces. The
 // zero Context is disabled: every method is an inert no-op costing one
-// branch, exactly like the telemetry package's nil-Recorder discipline.
+// branch, exactly like a nil *telemetry.Collector.
 //
 // # Timing
 //
@@ -26,7 +26,7 @@
 // core.cic.shard_ns, netrun.ack_ns, ...) observes exactly that value, so a
 // span's record and its histogram sample can never disagree. A span is
 // timed when its Context records or when its caller passes the layer's
-// metrics Recorder; otherwise it reads no clock and allocates nothing.
+// metrics Collector; otherwise it reads no clock and allocates nothing.
 //
 // Recording is strictly observational: spans read the clock and nothing
 // else, so transcripts, tables and RNG streams are byte-identical with
@@ -173,12 +173,12 @@ func (c Context) Trace() TraceID { return c.trace }
 // StartSpan opens a child span of the context's current span. The span is
 // recorded at End (flight-recorder entries are completed regions); a span
 // never ended is simply absent from the dump. m is the calling layer's
-// metrics Recorder: when it is non-nil the span is timed even though the
+// metrics Collector: when it is non-nil the span is timed even though the
 // context is disabled, so End can return the duration its histogram
 // observes. With a disabled context and a nil m the span is inert. A
 // recording span keeps its own copy of attrs, so the caller's attribute
 // slice never escapes and an unrecorded span allocates nothing.
-func (c Context) StartSpan(m telemetry.Recorder, name string, attrs ...Attr) Span {
+func (c Context) StartSpan(m *telemetry.Collector, name string, attrs ...Attr) Span {
 	switch {
 	case c.rec != nil:
 		sp := Span{
@@ -197,7 +197,7 @@ func (c Context) StartSpan(m telemetry.Recorder, name string, attrs ...Attr) Spa
 	return Span{}
 }
 
-// origin is the clock of spans timed only for a metrics Recorder: with no
+// origin is the clock of spans timed only for a metrics Collector: with no
 // flight recorder there is no epoch, and a duration needs none.
 var origin = time.Now()
 
@@ -247,14 +247,14 @@ func (c Context) emit(name string, fault bool, attrs []Attr) {
 }
 
 // Span is an in-flight timed region. The zero Span (from a disabled
-// Context and no metrics Recorder) is inert: Context returns a disabled
+// Context and no metrics Collector) is inert: Context returns a disabled
 // Context and End returns 0 without reading the clock.
 type Span struct {
 	ctx   Context
 	id    SpanID
 	name  string
 	start int64
-	timed bool // timed for a metrics Recorder alone, start read from origin
+	timed bool // timed for a metrics Collector alone, start read from origin
 	attrs []Attr
 }
 
@@ -272,7 +272,7 @@ func (s Span) Context() Context {
 
 // End completes the span, records it when its context is enabled, and
 // returns its duration: the End − Start of the record, or the same clock
-// difference for a span timed only for a metrics Recorder. An inert span
+// difference for a span timed only for a metrics Collector. An inert span
 // returns 0.
 func (s Span) End() time.Duration {
 	if s.ctx.rec == nil {

@@ -54,15 +54,9 @@ func TestDisabledContextIsInert(t *testing.T) {
 	}
 }
 
-// nopRecorder is a live metrics Recorder that discards everything.
-type nopRecorder struct{}
-
-func (nopRecorder) Count(string, int64)     {}
-func (nopRecorder) Observe(string, float64) {}
-
 // TestSpanEndReturnsRecordedDuration pins the one-stopwatch contract: a
 // recorded span's End returns exactly the End − Start of its record; with
-// a disabled context the span is timed only for a metrics Recorder, and
+// a disabled context the span is timed only for a metrics Collector, and
 // with neither it returns 0.
 func TestSpanEndReturnsRecordedDuration(t *testing.T) {
 	r := NewRecorder(256)
@@ -81,7 +75,7 @@ func TestSpanEndReturnsRecordedDuration(t *testing.T) {
 	}
 
 	var off Context
-	timed := off.StartSpan(nopRecorder{}, "s")
+	timed := off.StartSpan(telemetry.NewCollector(), "s")
 	time.Sleep(time.Millisecond)
 	if d := timed.End(); d < time.Millisecond {
 		t.Errorf("metrics-only span End() = %v, want >= 1ms", d)
@@ -92,11 +86,11 @@ func TestSpanEndReturnsRecordedDuration(t *testing.T) {
 }
 
 // TestUnrecordedSpanAllocatesNothing: without a recording context a span
-// allocates nothing, timed for a metrics Recorder or not, attributes
+// allocates nothing, timed for a metrics Collector or not, attributes
 // included — the record copies its attrs, so the caller's never escape.
 func TestUnrecordedSpanAllocatesNothing(t *testing.T) {
 	var off Context
-	for name, m := range map[string]telemetry.Recorder{"inert": nil, "timed": nopRecorder{}} {
+	for name, m := range map[string]*telemetry.Collector{"inert": nil, "timed": telemetry.NewCollector()} {
 		allocs := testing.AllocsPerRun(100, func() {
 			sp := off.StartSpan(m, NetrunHop, String("link", "0"), String("kind", "msg"))
 			sp.End()

@@ -1,18 +1,22 @@
 package telemetry
 
 import (
-	"fmt"
-	"io"
 	"math"
 	"sort"
 	"sync"
 )
 
-// Collector is the standard Recorder: thread-safe, in-memory, and cheap
-// enough to leave on for whole experiment suites. Counters are exact
-// int64 sums; histograms keep streaming moments (count/sum/min/max) plus
-// power-of-two magnitude buckets, so a snapshot reconstructs means and
-// coarse distributions without storing samples.
+// Collector is the metrics plane: in-memory, cheap enough to leave on for
+// whole experiment suites, and safe for concurrent use, since the
+// networked runtime records from the coordinator and every link endpoint
+// and the experiment engine from every pool worker. Counters are exact
+// int64 sums; gauges hold the last level set; histograms keep streaming
+// moments (count/sum/min/max) plus power-of-two magnitude buckets, so a
+// snapshot reconstructs means and coarse distributions without storing
+// samples.
+//
+// A nil *Collector is the disabled plane: Count, Observe and Gauge do
+// nothing and Counter reads 0, each at one branch.
 type Collector struct {
 	mu     sync.Mutex
 	counts map[string]int64
@@ -71,15 +75,21 @@ func NewCollector() *Collector {
 	}
 }
 
-// Count implements Recorder.
+// Count adds delta to the named counter.
 func (c *Collector) Count(name string, delta int64) {
+	if c == nil {
+		return
+	}
 	c.mu.Lock()
 	c.counts[name] += delta
 	c.mu.Unlock()
 }
 
-// Observe implements Recorder.
+// Observe adds one sample to the named histogram.
 func (c *Collector) Observe(name string, value float64) {
+	if c == nil {
+		return
+	}
 	c.mu.Lock()
 	h := c.hists[name]
 	if h == nil {
@@ -90,21 +100,24 @@ func (c *Collector) Observe(name string, value float64) {
 	c.mu.Unlock()
 }
 
-// Gauge implements GaugeRecorder: the named gauge is set to value,
-// overwriting any previous level.
+// Gauge sets the named gauge — a point-in-time level such as a queue
+// depth or the resident cache bytes — to value, overwriting any previous
+// level.
 func (c *Collector) Gauge(name string, value float64) {
+	if c == nil {
+		return
+	}
 	c.mu.Lock()
 	c.gauges[name] = value
 	c.mu.Unlock()
 }
 
-var (
-	_ Recorder      = (*Collector)(nil)
-	_ GaugeRecorder = (*Collector)(nil)
-)
-
-// Counter returns the current value of a counter (0 if never written).
+// Counter returns the current value of a counter (0 if never written, or
+// on a nil Collector).
 func (c *Collector) Counter(name string) int64 {
+	if c == nil {
+		return 0
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.counts[name]
@@ -115,14 +128,6 @@ type HistSummary struct {
 	Count    int64
 	Sum      float64
 	Min, Max float64
-}
-
-// Mean returns Sum/Count, or 0 for an empty histogram.
-func (h HistSummary) Mean() float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	return h.Sum / float64(h.Count)
 }
 
 // Hist returns a snapshot of the named histogram (zero value if never
@@ -234,71 +239,4 @@ func (c *Collector) Export() Export {
 	sort.Slice(ex.Gauges, func(i, j int) bool { return ex.Gauges[i].Name < ex.Gauges[j].Name })
 	sort.Slice(ex.Histograms, func(i, j int) bool { return ex.Histograms[i].Name < ex.Histograms[j].Name })
 	return ex
-}
-
-// Reset clears all counters, gauges and histograms.
-func (c *Collector) Reset() {
-	c.mu.Lock()
-	c.counts = make(map[string]int64)
-	c.gauges = make(map[string]float64)
-	c.hists = make(map[string]*histogram)
-	c.mu.Unlock()
-}
-
-// WriteTo renders a sorted human-readable dump — counters, then gauges,
-// then histograms with count/mean/min/max — and implements io.WriterTo.
-func (c *Collector) WriteTo(w io.Writer) (int64, error) {
-	c.mu.Lock()
-	counts := make(map[string]int64, len(c.counts))
-	for k, v := range c.counts {
-		counts[k] = v
-	}
-	gauges := make(map[string]float64, len(c.gauges))
-	for k, v := range c.gauges {
-		gauges[k] = v
-	}
-	hists := make(map[string]HistSummary, len(c.hists))
-	for k, h := range c.hists {
-		hists[k] = HistSummary{Count: h.count, Sum: h.sum, Min: h.min, Max: h.max}
-	}
-	c.mu.Unlock()
-
-	var total int64
-	emit := func(format string, args ...any) error {
-		n, err := fmt.Fprintf(w, format, args...)
-		total += int64(n)
-		return err
-	}
-	names := make([]string, 0, len(counts))
-	for k := range counts {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	for _, k := range names {
-		if err := emit("%-40s %d\n", k, counts[k]); err != nil {
-			return total, err
-		}
-	}
-	names = names[:0]
-	for k := range gauges {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	for _, k := range names {
-		if err := emit("%-40s gauge=%g\n", k, gauges[k]); err != nil {
-			return total, err
-		}
-	}
-	names = names[:0]
-	for k := range hists {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	for _, k := range names {
-		h := hists[k]
-		if err := emit("%-40s n=%d mean=%.1f min=%.1f max=%.1f\n", k, h.Count, h.Mean(), h.Min, h.Max); err != nil {
-			return total, err
-		}
-	}
-	return total, nil
 }

@@ -8,8 +8,9 @@ package telemetry
 // netrun.turn, netrun.hop (ack_ns), jobs.queue_wait and jobs.execute
 // (job_ns).
 const (
-	// Sequential blackboard runtime (internal/blackboard). Per-player bits
-	// use Indexed(BlackboardPlayer, i, "bits").
+	// Board accounting (internal/blackboard's Stepper, which the networked
+	// runtime drives; the sequential blackboard.Run records nothing).
+	// Per-player bits use Indexed(BlackboardPlayer, i, "bits").
 	BlackboardMessages    = "blackboard.messages"     // counter: messages appended
 	BlackboardBits        = "blackboard.bits"         // counter: protocol bits written
 	BlackboardRounds      = "blackboard.rounds"       // histogram: messages per completed run
@@ -50,10 +51,9 @@ const (
 	// Live observability plane (internal/serve).
 	ServeRunsDroppedUpdates = "serve.runs.dropped_updates" // counter: /runs updates dropped on full subscriber channels
 
-	// Job service (internal/jobs). Queue depth is observable as
-	// submitted - rejected - completed - failed - canceled-while-queued;
-	// the cache bytes counter moves both ways (insert +, evict −), so
-	// exporters should read it as a gauge.
+	// Job service (internal/jobs). jobs.cache.bytes is a gauge: the cache
+	// sets it to its resident bytes, under its lock, wherever they change
+	// (warm-up, store, eviction).
 	JobsSubmitted      = "jobs.submitted"       // counter: specs accepted (cache hits included)
 	JobsRejected       = "jobs.rejected"        // counter: submissions refused by queue-cap backpressure
 	JobsCompleted      = "jobs.completed"       // counter: jobs finished successfully by a worker

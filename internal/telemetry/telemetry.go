@@ -1,8 +1,8 @@
 // Package telemetry is the repository's zero-dependency instrumentation
 // layer: named counters, histograms and gauges that the execution layers
-// (the sequential blackboard runtime, the concurrent networked runtime,
-// the estimators, the experiment harness and the job service) report into
-// a single Recorder. Durations are not measured here: every *_ns
+// (the networked runtime's board stepper and wire endpoints, the
+// estimators, the experiment harness and the job service) report into a
+// single *Collector. Durations are not measured here: every *_ns
 // histogram observes the value a causal span's End returns (see package
 // causal), so a metric and the span it summarizes agree exactly.
 //
@@ -10,10 +10,13 @@
 // bits of a protocol go, per player and per round (Braverman & Oshman,
 // PODC'15) — and the related message-passing literature accounts per link.
 // This package makes that accounting observable at runtime without
-// perturbing it: recording is strictly opt-in, every instrumented call
-// site goes through the nil-safe package helpers below, and a nil Recorder
-// costs exactly one predictable branch. The conformance suites pin that an
-// enabled Recorder changes no transcript, table or experiment output bit.
+// perturbing it: recording is strictly opt-in, and a nil *Collector is
+// the disabled plane — Count, Observe, Gauge and Counter return at one
+// predictable branch on a nil receiver, so a call site needs no guard.
+// The hot paths that keep one do so to skip formatting a per-entity name,
+// or to pay one branch for several events. The conformance suites pin
+// that a live Collector changes no transcript, table or experiment
+// output bit.
 //
 // Metric names are dot-separated paths (e.g. "blackboard.bits",
 // "netrun.topo.3.wire_bits"); per-entity metrics embed the entity index so
@@ -26,103 +29,9 @@ import (
 	"strings"
 )
 
-// Recorder collects instrumentation events. Implementations must be safe
-// for concurrent use: the networked runtime records from the coordinator
-// and every player goroutine, and the experiment engine records from every
-// pool worker.
-//
-// All call sites in this repository go through the nil-safe package
-// helpers (Count, Observe, Gauge), so a nil Recorder disables
-// collection at the cost of one branch per event.
-type Recorder interface {
-	// Count adds delta to the named monotonic counter.
-	Count(name string, delta int64)
-	// Observe adds one sample to the named histogram.
-	Observe(name string, value float64)
-}
-
-// GaugeRecorder is the optional gauge extension of Recorder: a gauge is a
-// point-in-time level (queue depth, cache hit ratio, resident bytes) that
-// Set overwrites rather than accumulates. Recorders that do not implement
-// it simply never see gauge values — the package helper type-asserts, so
-// existing Recorder implementations stay valid.
-type GaugeRecorder interface {
-	Recorder
-	// Gauge sets the named gauge to value.
-	Gauge(name string, value float64)
-}
-
-// Count adds delta to the named counter, or does nothing when r is nil.
-func Count(r Recorder, name string, delta int64) {
-	if r != nil {
-		r.Count(name, delta)
-	}
-}
-
-// Gauge sets the named gauge when r implements GaugeRecorder, and does
-// nothing otherwise (including for nil r).
-func Gauge(r Recorder, name string, value float64) {
-	if g, ok := r.(GaugeRecorder); ok {
-		g.Gauge(name, value)
-	}
-}
-
-// Observe adds one histogram sample, or does nothing when r is nil.
-func Observe(r Recorder, name string, value float64) {
-	if r != nil {
-		r.Observe(name, value)
-	}
-}
-
-// Multi fans every event out to all non-nil recorders, letting one run
-// feed several sinks at once (e.g. a per-run Collector plus the live one
-// behind /metrics). It flattens trivial cases so the hot-path helpers
-// keep their single-branch disabled cost: no live recorders yields nil,
-// exactly one yields that recorder unwrapped.
-func Multi(rs ...Recorder) Recorder {
-	live := make(multi, 0, len(rs))
-	for _, r := range rs {
-		if r != nil {
-			live = append(live, r)
-		}
-	}
-	switch len(live) {
-	case 0:
-		return nil
-	case 1:
-		return live[0]
-	default:
-		return live
-	}
-}
-
-type multi []Recorder
-
-func (m multi) Count(name string, delta int64) {
-	for _, r := range m {
-		r.Count(name, delta)
-	}
-}
-
-func (m multi) Observe(name string, value float64) {
-	for _, r := range m {
-		r.Observe(name, value)
-	}
-}
-
-// Gauge forwards to every member that implements GaugeRecorder, so a
-// Multi chain never swallows gauge values on the way to a Collector.
-func (m multi) Gauge(name string, value float64) {
-	for _, r := range m {
-		if g, ok := r.(GaugeRecorder); ok {
-			g.Gauge(name, value)
-		}
-	}
-}
-
 // Indexed renders a per-entity metric name, e.g. Indexed("netrun.topo",
 // 3, "wire_bits") -> "netrun.topo.3.wire_bits". Only recording paths call
-// it, so the formatting cost is paid exclusively when a Recorder is
+// it, so the formatting cost is paid exclusively when a Collector is
 // installed.
 func Indexed(prefix string, index int, field string) string {
 	return prefix + "." + strconv.Itoa(index) + "." + field

@@ -9,18 +9,23 @@ import (
 	"testing"
 )
 
+// TestNilSafeHelpers pins the disabled plane: on a nil *Collector the
+// recording methods must not panic and Counter reads 0.
 func TestNilSafeHelpers(t *testing.T) {
-	// Must not panic and must not record anywhere.
-	Count(nil, "x", 1)
-	Observe(nil, "x", 1)
-	Gauge(nil, "x", 1)
+	var c *Collector
+	c.Count("x", 1)
+	c.Observe("x", 1)
+	c.Gauge("x", 1)
+	if got := c.Counter("x"); got != 0 {
+		t.Fatalf("nil collector counter = %d, want 0", got)
+	}
 }
 
 func TestCollectorCounters(t *testing.T) {
 	c := NewCollector()
-	Count(c, "a", 2)
-	Count(c, "a", 3)
-	Count(c, "b", -1)
+	c.Count("a", 2)
+	c.Count("a", 3)
+	c.Count("b", -1)
 	if got := c.Counter("a"); got != 5 {
 		t.Fatalf("counter a = %d, want 5", got)
 	}
@@ -35,32 +40,29 @@ func TestCollectorCounters(t *testing.T) {
 func TestCollectorHistogram(t *testing.T) {
 	c := NewCollector()
 	for _, v := range []float64{1, 2, 3, 10} {
-		Observe(c, "h", v)
+		c.Observe("h", v)
 	}
 	h := c.Hist("h")
 	if h.Count != 4 || h.Sum != 16 || h.Min != 1 || h.Max != 10 {
 		t.Fatalf("hist = %+v", h)
 	}
-	if h.Mean() != 4 {
-		t.Fatalf("mean = %v, want 4", h.Mean())
-	}
-	if (HistSummary{}).Mean() != 0 {
-		t.Fatal("empty histogram mean should be 0")
-	}
 }
 
-func TestCollectorSnapshotAndReset(t *testing.T) {
+func TestCollectorSnapshot(t *testing.T) {
 	c := NewCollector()
-	Count(c, "a", 7)
-	Observe(c, "h", 2)
-	Observe(c, "h", 4)
+	c.Count("a", 7)
+	c.Gauge("g", 1.5)
+	c.Observe("h", 2)
+	c.Observe("h", 4)
 	snap := c.Snapshot()
-	if snap["a"] != 7 || snap["h"] != 3 || snap["h.count"] != 2 {
+	if snap["a"] != 7 || snap["g"] != 1.5 || snap["h"] != 3 || snap["h.count"] != 2 || len(snap) != 4 {
 		t.Fatalf("snapshot = %v", snap)
 	}
-	c.Reset()
-	if got := c.Snapshot(); len(got) != 0 {
-		t.Fatalf("snapshot after reset = %v", got)
+	// The snapshot is detached: later recording does not reach it.
+	c.Count("a", 1)
+	c.Gauge("g", 2)
+	if snap["a"] != 7 || snap["g"] != 1.5 {
+		t.Fatalf("snapshot moved with the collector: %v", snap)
 	}
 }
 
@@ -89,20 +91,6 @@ func TestCollectorConcurrent(t *testing.T) {
 func TestIndexed(t *testing.T) {
 	if got := Indexed("netrun.topo", 3, "wire_bits"); got != "netrun.topo.3.wire_bits" {
 		t.Fatalf("Indexed = %q", got)
-	}
-}
-
-func TestCollectorWriteTo(t *testing.T) {
-	c := NewCollector()
-	Count(c, "a.counter", 5)
-	Observe(c, "b.hist", 2)
-	var sb strings.Builder
-	if _, err := c.WriteTo(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	if !strings.Contains(out, "a.counter") || !strings.Contains(out, "b.hist") {
-		t.Fatalf("dump missing entries:\n%s", out)
 	}
 }
 
@@ -158,56 +146,44 @@ func TestProfilesFlags(t *testing.T) {
 	}
 }
 
-// TestCollectorExportAndWriteToSorted pins the exposition ordering
-// contract: Export and WriteTo emit metrics in sorted name order, so every
-// downstream rendering (promtext, dumps, benchjson) is deterministic
-// regardless of map iteration order.
-func TestCollectorExportAndWriteToSorted(t *testing.T) {
+// TestCollectorExportSorted pins the exposition ordering contract:
+// Export emits metrics in sorted name order, so every downstream
+// rendering (promtext, benchjson) is deterministic regardless of map
+// iteration order.
+func TestCollectorExportSorted(t *testing.T) {
 	c := NewCollector()
 	for _, name := range []string{"z.last", "a.first", "m.middle", "b.second"} {
 		c.Count(name, 1)
+		c.Gauge(name+".gauge", 1)
 		c.Observe(name+".hist", 2)
 	}
 	ex := c.Export()
-	for i := 1; i < len(ex.Counters); i++ {
+	if len(ex.Counters) != 4 || len(ex.Gauges) != 4 || len(ex.Histograms) != 4 {
+		t.Fatalf("Export = %+v", ex)
+	}
+	for i := 1; i < 4; i++ {
 		if ex.Counters[i-1].Name >= ex.Counters[i].Name {
 			t.Fatalf("Export counters unsorted at %d: %q >= %q", i, ex.Counters[i-1].Name, ex.Counters[i].Name)
 		}
-	}
-	for i := 1; i < len(ex.Histograms); i++ {
+		if ex.Gauges[i-1].Name >= ex.Gauges[i].Name {
+			t.Fatalf("Export gauges unsorted at %d", i)
+		}
 		if ex.Histograms[i-1].Name >= ex.Histograms[i].Name {
 			t.Fatalf("Export histograms unsorted at %d", i)
 		}
 	}
-	var a, b strings.Builder
-	if _, err := c.WriteTo(&a); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.WriteTo(&b); err != nil {
-		t.Fatal(err)
-	}
-	if a.String() != b.String() {
-		t.Fatal("WriteTo is not deterministic across calls")
-	}
-	if !strings.Contains(a.String(), "a.first") {
-		t.Fatalf("dump missing entries:\n%s", a.String())
-	}
-	idx := func(name string) int { return strings.Index(a.String(), name) }
-	if !(idx("a.first") < idx("b.second") && idx("b.second") < idx("m.middle") && idx("m.middle") < idx("z.last")) {
-		t.Fatalf("WriteTo counters not in sorted order:\n%s", a.String())
-	}
 }
 
 // TestCollectorConcurrentHammer drives writers against every reader —
-// Snapshot, Export, WriteTo, Counter, Hist — and Reset, concurrently. It
-// asserts no torn reads panic and (under -race, as CI runs it) that the
-// Collector is data-race free across its whole surface.
+// Snapshot, Export, Counter, Hist — concurrently. It asserts no torn
+// reads panic, that (under -race, as CI runs it) the Collector is
+// data-race free across its whole surface, and that no event is lost.
 func TestCollectorConcurrentHammer(t *testing.T) {
 	c := NewCollector()
 	const writers, iters = 8, 500
 	stop := make(chan struct{})
 	var readers sync.WaitGroup
-	for r := 0; r < 4; r++ {
+	for r := 0; r < 3; r++ {
 		readers.Add(1)
 		go func(r int) {
 			defer readers.Done()
@@ -229,12 +205,6 @@ func TestCollectorConcurrentHammer(t *testing.T) {
 						}
 					}
 				case 2:
-					var sb strings.Builder
-					if _, err := c.WriteTo(&sb); err != nil {
-						t.Errorf("WriteTo under concurrency: %v", err)
-						return
-					}
-				case 3:
 					_ = c.Counter("hammer.count.3")
 					_ = c.Hist("hammer.hist.3")
 				}
@@ -251,38 +221,19 @@ func TestCollectorConcurrentHammer(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				c.Count(name, 1)
 				c.Observe(hist, float64(i))
-				if i%100 == 99 && g == 0 {
-					c.Reset()
-				}
+				c.Gauge("hammer.gauge", float64(i))
 			}
 		}(g)
 	}
 	writersWG.Wait()
 	close(stop)
 	readers.Wait()
-	// After the dust settles the collector still works.
-	c.Reset()
-	c.Count("after", 1)
-	if c.Counter("after") != 1 {
-		t.Fatal("collector unusable after hammer")
-	}
-}
-
-func TestMulti(t *testing.T) {
-	if Multi() != nil || Multi(nil, nil) != nil {
-		t.Fatal("Multi of nothing should be nil")
-	}
-	a := NewCollector()
-	if got := Multi(nil, a, nil); got != Recorder(a) {
-		t.Fatal("Multi of one recorder should unwrap it")
-	}
-	b := NewCollector()
-	m := Multi(a, b)
-	m.Count("x", 3)
-	m.Observe("h", 2)
-	for _, c := range []*Collector{a, b} {
-		if c.Counter("x") != 3 || c.Hist("h").Count != 1 {
-			t.Fatalf("fan-out missed a recorder: %v", c.Snapshot())
+	for g := 0; g < writers; g++ {
+		if got := c.Counter("hammer.count." + string(rune('0'+g))); got != iters {
+			t.Fatalf("writer %d counter = %d, want %d", g, got, iters)
+		}
+		if got := c.Hist("hammer.hist." + string(rune('0'+g))).Count; got != iters {
+			t.Fatalf("writer %d histogram count = %d, want %d", g, got, iters)
 		}
 	}
 }
