@@ -11,9 +11,11 @@
 // "test" (disj/disjtest) are test support and are not listed. Generic
 // instantiations match by name: ir.Memo[go.shape.*uint8] is ir.Memo.
 //
-// It exits 1 when a function is neither reached nor allowlisted, and when an
+// It exits 1 when a function is neither reached nor allowlisted, when an
 // allowlist entry is reached or names no function, so the list cannot go
-// stale. It exits 2 when a build or parse fails.
+// stale, and when a main package has no _test.go file, since a main keeps
+// code reachable only if a test runs it. It exits 2 when a build or parse
+// fails.
 package main
 
 import (
@@ -49,11 +51,14 @@ func run(stdout, stderr io.Writer) int {
 	modPath, root, _ := strings.Cut(strings.TrimSpace(out), " ")
 
 	reached := make(map[string]bool)
+	var untested []string
 	for _, dir := range []string{root, filepath.Join(root, "bench")} {
-		if err := linkMains(dir, reached); err != nil {
+		u, err := linkMains(dir, reached)
+		if err != nil {
 			fmt.Fprintf(stderr, "reachcheck: %v\n", err)
 			return 2
 		}
+		untested = append(untested, u...)
 	}
 	funcs, err := declaredFuncs(root, modPath)
 	if err != nil {
@@ -73,9 +78,18 @@ func run(stdout, stderr io.Writer) int {
 	for _, s := range stale {
 		fmt.Fprintf(stdout, "stale allowlist entry: %s\n", s)
 	}
+	for _, m := range untested {
+		fmt.Fprintf(stdout, "untested main: %s\n", m)
+	}
 	if len(unreached) > 0 || len(stale) > 0 {
 		fmt.Fprintf(stdout, "reachcheck: %d unreached, %d stale; call the code from a main, move it into test support, or allowlist it in %s with a reason\n",
 			len(unreached), len(stale), allowlistFile)
+	}
+	if len(untested) > 0 {
+		fmt.Fprintf(stdout, "reachcheck: %d main packages have no _test.go file; test each main, or move what it shows into an Example of the package it uses\n",
+			len(untested))
+	}
+	if len(unreached)+len(stale)+len(untested) > 0 {
 		return 1
 	}
 	fmt.Fprintf(stdout, "reachcheck: all %d functions under internal/ are reached by a main or allowlisted (%d entries)\n",
@@ -95,29 +109,57 @@ func goCmd(dir string, args ...string) (string, error) {
 	return out.String(), nil
 }
 
-// linkMains builds every main package of the module in dir with -dumpdep and
-// adds each symbol the linker keeps to reached.
-func linkMains(dir string, reached map[string]bool) error {
-	out, err := goCmd(dir, "list", "-f", `{{if eq .Name "main"}}{{.ImportPath}}{{end}}`, "./...")
+// mainsFormat makes go list print each main package as its import path and
+// its counts of in-package and external test files.
+const mainsFormat = `{{if eq .Name "main"}}{{.ImportPath}} {{len .TestGoFiles}} {{len .XTestGoFiles}}{{end}}`
+
+// linkMains builds every main package of the module in dir with -dumpdep,
+// adds each symbol the linker keeps to reached, and returns the mains that
+// have no test file.
+func linkMains(dir string, reached map[string]bool) ([]string, error) {
+	out, err := goCmd(dir, "list", "-f", mainsFormat, "./...")
 	if err != nil {
-		return err
+		return nil, err
 	}
-	mains := strings.Fields(out)
+	mains, untested, err := parseMains(out)
+	if err != nil {
+		return nil, err
+	}
 	if len(mains) == 0 {
-		return fmt.Errorf("no main packages in %s", dir)
+		return nil, fmt.Errorf("no main packages in %s", dir)
 	}
 	bin, err := os.MkdirTemp("", "reachcheck")
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer os.RemoveAll(bin)
 	args := append([]string{"build", "-gcflags=all=-l", "-ldflags=-dumpdep", "-o", bin + string(filepath.Separator)}, mains...)
 	out, err = goCmd(dir, args...)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	parseDumpdep(strings.NewReader(out), reached)
-	return nil
+	return untested, nil
+}
+
+// parseMains reads go list output in mainsFormat, one main package a line
+// (other packages print blank lines), and returns every main and the mains
+// with neither kind of test file.
+func parseMains(out string) (mains, untested []string, err error) {
+	for _, line := range strings.Split(out, "\n") {
+		f := strings.Fields(line)
+		if len(f) == 0 {
+			continue
+		}
+		if len(f) != 3 {
+			return nil, nil, fmt.Errorf("go list: unexpected line %q", line)
+		}
+		mains = append(mains, f[0])
+		if f[1] == "0" && f[2] == "0" {
+			untested = append(untested, f[0])
+		}
+	}
+	return mains, untested, nil
 }
 
 // parseDumpdep reads linker -dumpdep lines ("from -> to") and adds each

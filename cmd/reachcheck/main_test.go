@@ -152,6 +152,36 @@ func TestCheck(t *testing.T) {
 	}
 }
 
+// mainsList is go list output in mainsFormat: blank lines for libraries, and
+// mains with in-package tests, external tests, both, or none.
+const mainsList = `
+broadcastic/cmd/tool 1 0
+
+broadcastic/cmd/xtool 0 2
+broadcastic/cmd/both 1 1
+broadcastic/examples/demo 0 0
+`
+
+func TestParseMains(t *testing.T) {
+	mains, untested, err := parseMains(mainsList)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantMains := []string{"broadcastic/cmd/tool", "broadcastic/cmd/xtool", "broadcastic/cmd/both", "broadcastic/examples/demo"}
+	if !reflect.DeepEqual(mains, wantMains) {
+		t.Fatalf("mains %v, want %v", mains, wantMains)
+	}
+	if !reflect.DeepEqual(untested, []string{"broadcastic/examples/demo"}) {
+		t.Fatalf("untested %v, want only examples/demo", untested)
+	}
+	if _, untested, err := parseMains("broadcastic/cmd/tool 1 0\n\n"); err != nil || len(untested) != 0 {
+		t.Fatalf("tested main: untested %v (err %v), want none", untested, err)
+	}
+	if _, _, err := parseMains("broadcastic/cmd/tool\n"); err == nil {
+		t.Fatal("line without test-file counts accepted")
+	}
+}
+
 func TestReadAllowlist(t *testing.T) {
 	dir := t.TempDir()
 	write := func(body string) string {

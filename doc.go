@@ -12,7 +12,9 @@
 // injection) whose board transcripts are bit-identical to the sequential
 // execution.
 //
-// The library lives under internal/; see README.md for the package map,
-// examples/ for runnable entry points, and bench_test.go for the
-// experiment suite (one benchmark per reproduced claim, E1–E13).
+// The library lives under internal/; README.md has the package map.
+// cmd/experiments runs the experiment suite (E1–E21), the Example
+// functions of internal/disj, radio, compress and core are worked examples
+// with pinned output, and bench_test.go runs the suite as benchmarks (one
+// per reproduced claim, E1–E21).
 package broadcastic

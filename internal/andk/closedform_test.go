@@ -164,7 +164,7 @@ func TestClosedFormCICMatchesMonteCarlo(t *testing.T) {
 	const k = 512
 	spec, _ := NewSequential(k)
 	mu, _ := dist.NewMu(k)
-	est, err := core.EstimateCICWorkers(spec, mu, rng.New(41), 20000, 1)
+	est, err := core.EstimateCICOpts(spec, mu, rng.New(41), 20000, core.EstimateOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

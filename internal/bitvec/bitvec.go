@@ -69,16 +69,9 @@ func (v *Vector) Count() int {
 	return c
 }
 
-// Clone returns an independent copy of v.
-func (v *Vector) Clone() *Vector {
-	w := &Vector{n: v.n, words: make([]uint64, len(v.words))}
-	copy(w.words, v.words)
-	return w
-}
-
 // CopyFrom makes v an exact copy of u, reusing v's word storage when it is
-// large enough: the allocation-free counterpart of Clone for callers that
-// own a scratch vector. The universe sizes need not match beforehand.
+// large enough, so a caller that owns a scratch vector copies without
+// allocating. The universe sizes need not match beforehand.
 func (v *Vector) CopyFrom(u *Vector) {
 	v.n = u.n
 	if cap(v.words) < len(u.words) {
@@ -188,14 +181,6 @@ func (v *Vector) Or(u *Vector) error {
 		v.words[i] |= u.words[i]
 	}
 	return nil
-}
-
-// Not complements v in place.
-func (v *Vector) Not() {
-	for i := range v.words {
-		v.words[i] = ^v.words[i]
-	}
-	v.maskTail()
 }
 
 // Equal reports whether u and v are identical vectors over the same

@@ -453,3 +453,18 @@ func (v *Vector) SelectSet(r int) (int, error) {
 	}
 	return 0, fmt.Errorf("bitvec: rank %d exceeds population %d", r, seen)
 }
+
+// Clone returns an independent copy of v.
+func (v *Vector) Clone() *Vector {
+	w := &Vector{n: v.n, words: make([]uint64, len(v.words))}
+	copy(w.words, v.words)
+	return w
+}
+
+// Not complements v in place.
+func (v *Vector) Not() {
+	for i := range v.words {
+		v.words[i] = ^v.words[i]
+	}
+	v.maskTail()
+}

@@ -1,6 +1,7 @@
 package compress
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -9,8 +10,84 @@ import (
 	"broadcastic/internal/core/coretest"
 	"broadcastic/internal/disj"
 	"broadcastic/internal/dist"
+	"broadcastic/internal/prob"
 	"broadcastic/internal/rng"
 )
+
+// RunResult reports a compressed protocol execution.
+type RunResult struct {
+	Transcript     core.Transcript
+	Output         int
+	CompressedBits int // bits used by the Lemma 7 transmissions
+	OriginalBits   int // bits the uncompressed protocol would have written
+	Rounds         int
+}
+
+// CompressRun executes spec on input x, transmitting every round through
+// the Lemma 7 sampler instead of writing the message directly. The
+// resulting transcript has exactly the distribution of the original
+// protocol (the sampler is errorless), while the expected compressed cost
+// tracks Σ_rounds D(η ‖ ν) = the protocol's external information cost, plus
+// the per-round O(log) overhead.
+func CompressRun(spec core.Spec, prior core.Prior, x []int, public *rng.Source) (*RunResult, error) {
+	if len(x) != spec.NumPlayers() {
+		return nil, fmt.Errorf("compress: input has %d entries, want %d", len(x), spec.NumPlayers())
+	}
+	obs, err := core.NewObserver(prior)
+	if err != nil {
+		return nil, err
+	}
+	var (
+		t      core.Transcript
+		result RunResult
+		tr     Transmitter // block scratch shared by every round of this run
+	)
+	for step := 0; ; step++ {
+		if step > 1<<16 {
+			return nil, fmt.Errorf("compress: protocol exceeded %d rounds", 1<<16)
+		}
+		speaker, done, err := spec.NextSpeaker(t)
+		if err != nil {
+			return nil, err
+		}
+		if done {
+			out, err := spec.Output(t)
+			if err != nil {
+				return nil, err
+			}
+			result.Transcript = t
+			result.Output = out
+			return &result, nil
+		}
+		eta, err := spec.MessageDist(t, speaker, x[speaker])
+		if err != nil {
+			return nil, err
+		}
+		w, err := obs.PredictMessageInto(spec, t, speaker, nil)
+		if err != nil {
+			return nil, err
+		}
+		nu, err := prob.NewDist(w)
+		if err != nil {
+			return nil, err
+		}
+		tx, err := tr.Transmit(eta, nu, public)
+		if err != nil {
+			return nil, fmt.Errorf("compress: round %d: %w", step, err)
+		}
+		symBits, err := spec.MessageBits(t, tx.Value)
+		if err != nil {
+			return nil, err
+		}
+		result.CompressedBits += tx.Bits
+		result.OriginalBits += symBits
+		result.Rounds++
+		if err := obs.Update(spec, t, speaker, tx.Value); err != nil {
+			return nil, err
+		}
+		t = append(t, tx.Value)
+	}
+}
 
 func TestObserverPriorBeforeMessages(t *testing.T) {
 	// With an empty board the posterior equals the marginal prior.
@@ -73,7 +150,11 @@ func TestObserverPredictMessageIsMarginal(t *testing.T) {
 	mu, _ := dist.NewMu(4)
 	spec, _ := andk.NewSequential(4)
 	obs, _ := core.NewObserver(mu)
-	nu, err := obs.PredictMessage(spec, nil, 0)
+	w, err := obs.PredictMessageInto(spec, nil, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nu, err := prob.NewDist(w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,13 +253,17 @@ func TestCompressRunCostTracksInformation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sampler, err := core.NewPriorSampler(mu)
+	if err != nil {
+		t.Fatal(err)
+	}
 	src := rng.New(414)
 	public := rng.New(415)
 	const trials = 3000
 	var bits, rounds float64
+	x := make([]int, k)
 	for i := 0; i < trials; i++ {
-		_, x, err := core.SamplePrior(mu, src)
-		if err != nil {
+		if _, err := sampler.Sample(src, x); err != nil {
 			t.Fatal(err)
 		}
 		res, err := CompressRun(spec, mu, x, public)
@@ -274,11 +359,15 @@ func TestCompressRunOnDisjSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sampler, err := core.NewPriorSampler(mun)
+	if err != nil {
+		t.Fatal(err)
+	}
 	src := rng.New(418)
 	public := rng.New(419)
+	x := make([]int, k)
 	for trial := 0; trial < 300; trial++ {
-		_, x, err := core.SamplePrior(mun, src)
-		if err != nil {
+		if _, err := sampler.Sample(src, x); err != nil {
 			t.Fatal(err)
 		}
 		res, err := CompressRun(spec, mun, x, public)

@@ -1,9 +1,4 @@
-// Compression: walk through Section 6 end to end. First transmit single
-// messages with the Lemma 7 rejection sampler and watch the cost track the
-// prior/posterior divergence; then compress a full protocol execution
-// round by round; finally reproduce the Theorem 3 effect — the per-copy
-// cost of many parallel copies converging to the external information cost.
-package main
+package compress_test
 
 import (
 	"fmt"
@@ -13,41 +8,41 @@ import (
 	"broadcastic/internal/compress"
 	"broadcastic/internal/core"
 	"broadcastic/internal/dist"
-	"broadcastic/internal/encoding"
 	"broadcastic/internal/info"
 	"broadcastic/internal/prob"
 	"broadcastic/internal/rng"
 )
 
-func main() {
-	if err := run(); err != nil {
-		log.Fatal(err)
-	}
-}
-
-func run() error {
+// Walk through Section 6 end to end. First transmit single messages with
+// the Lemma 7 rejection sampler and watch the cost track the
+// prior/posterior divergence; then compress a full protocol execution
+// round by round; finally reproduce the Theorem 3 effect — the per-copy
+// cost of many parallel copies converging to the external information
+// cost.
+func Example_compression() {
 	// Part 1: one-shot sampling (Lemma 7).
 	fmt.Println("— Lemma 7: one-shot message transmission —")
 	public := rng.New(1)
 	eta, err := prob.NewDist([]float64{0.9, 0.05, 0.05})
 	if err != nil {
-		return err
+		log.Fatal(err)
 	}
+	tr := compress.NewTransmitter()
 	for _, priorMass := range []float64{0.6, 0.1, 0.01} {
 		nu, err := prob.NewDist([]float64{priorMass, (1 - priorMass) / 2, (1 - priorMass) / 2})
 		if err != nil {
-			return err
+			log.Fatal(err)
 		}
 		d, err := info.KL(eta, nu)
 		if err != nil {
-			return err
+			log.Fatal(err)
 		}
 		const trials = 3000
 		bits := 0
 		for i := 0; i < trials; i++ {
-			res, err := compress.Transmit(eta, nu, public)
+			res, err := tr.Transmit(eta, nu, public)
 			if err != nil {
-				return err
+				log.Fatal(err)
 			}
 			bits += res.Bits
 		}
@@ -60,27 +55,31 @@ func run() error {
 	const k = 6
 	spec, err := andk.NewSequential(k)
 	if err != nil {
-		return err
+		log.Fatal(err)
 	}
 	mu, err := dist.NewMu(k)
 	if err != nil {
-		return err
+		log.Fatal(err)
 	}
 	exact, err := core.ExactCosts(spec, mu, core.TreeLimits{})
 	if err != nil {
-		return err
+		log.Fatal(err)
+	}
+	sampler, err := core.NewPriorSampler(mu)
+	if err != nil {
+		log.Fatal(err)
 	}
 	src := rng.New(2)
 	const runs = 2000
 	var compressed, original float64
+	x := make([]int, k)
 	for i := 0; i < runs; i++ {
-		_, x, err := core.SamplePrior(mu, src)
-		if err != nil {
-			return err
+		if _, err := sampler.Sample(src, x); err != nil {
+			log.Fatal(err)
 		}
 		res, err := compress.CompressRun(spec, mu, x, public)
 		if err != nil {
-			return err
+			log.Fatal(err)
 		}
 		compressed += float64(res.CompressedBits)
 		original += float64(res.OriginalBits)
@@ -91,29 +90,11 @@ func run() error {
 	fmt.Printf("  compressed mean communication     = %6.3f bits (IC + per-round overhead)\n",
 		compressed/runs)
 
-	// Classical one-way reference (Huffman): shipping the entire input to
-	// the observer costs H(X) + O(1) bits — far more than the protocol
-	// reveals, which is the whole point of interactive information cost.
-	inputDist, err := muInputDist(mu, k)
-	if err != nil {
-		return err
-	}
-	code, err := encoding.NewHuffman(inputDist)
-	if err != nil {
-		return err
-	}
-	huff, err := code.ExpectedLength(inputDist)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("  one-way baseline (Huffman of X)   = %6.3f bits (H(X) = %.3f)\n",
-		huff, info.Entropy(inputDist))
-
 	// Part 3: amortization (Theorem 3).
 	fmt.Println("\n— Theorem 3: amortized compression over parallel copies —")
 	curve, err := compress.AmortizedCurve(spec, mu, []int{1, 8, 64, 256}, 30, rng.New(3))
 	if err != nil {
-		return err
+		log.Fatal(err)
 	}
 	for _, pt := range curve {
 		fmt.Printf("  n = %4d copies  →  per-copy %6.3f bits  (IC = %.3f)\n",
@@ -121,23 +102,24 @@ func run() error {
 	}
 	fmt.Println("\n  The per-copy cost approaches IC from above: information equals")
 	fmt.Println("  amortized communication, now measured rather than proved.")
-	return nil
-}
-
-// muInputDist materializes the marginal distribution of the full input
-// vector X ∈ {0,1}^k under μ, indexed by bitmask.
-func muInputDist(mu *dist.Mu, k int) (prob.Dist, error) {
-	w := make([]float64, 1<<uint(k))
-	x := make([]int, k)
-	for mask := range w {
-		for i := range x {
-			x[i] = mask >> uint(i) & 1
-		}
-		p, err := mu.Prob(x)
-		if err != nil {
-			return prob.Dist{}, err
-		}
-		w[mask] = p
-	}
-	return prob.Normalize(w)
+	// Output:
+	// — Lemma 7: one-shot message transmission —
+	//   D(eta||nu) =  0.326 bits  →  mean cost  5.781 bits
+	//   D(eta||nu) =  2.536 bits  →  mean cost 10.306 bits
+	//   D(eta||nu) =  5.512 bits  →  mean cost 10.292 bits
+	//
+	// — Compressing a protocol execution round by round —
+	//   AND_6 sequential protocol under mu:
+	//   external information cost IC      =  2.412 bits
+	//   uncompressed mean communication   =  2.615 bits
+	//   compressed mean communication     = 15.802 bits (IC + per-round overhead)
+	//
+	// — Theorem 3: amortized compression over parallel copies —
+	//   n =    1 copies  →  per-copy 18.833 bits  (IC = 2.412)
+	//   n =    8 copies  →  per-copy  7.867 bits  (IC = 2.412)
+	//   n =   64 copies  →  per-copy  3.570 bits  (IC = 2.412)
+	//   n =  256 copies  →  per-copy  2.767 bits  (IC = 2.412)
+	//
+	//   The per-copy cost approaches IC from above: information equals
+	//   amortized communication, now measured rather than proved.
 }

@@ -19,11 +19,11 @@
 // errorless (the paper's ε covers model variants where P' must be
 // approximated; see DESIGN.md).
 //
-// On top of the sampler, the package compresses whole protocol executions
-// round by round (the observer's prior is the exact Bayes prediction
-// computed from the Lemma 3 q-factors), and simulates the n-fold parallel
+// On top of the sampler, the package simulates the n-fold parallel
 // execution of Theorem 3, whose per-copy cost approaches the external
-// information cost as n grows.
+// information cost as n grows. Example_compression also compresses single
+// executions round by round, with the observer's exact Bayes prediction
+// (from the Lemma 3 q-factors) as the receivers' prior.
 package compress
 
 import (
@@ -49,7 +49,8 @@ type TransmitResult struct {
 	CandidateCount int
 	// Payload is the encoded message itself — exactly Bits bits, packed
 	// MSB-first with zero padding. Set only by the explicit sampler
-	// (Transmit); the simulated product transmission has no concrete bits.
+	// (Transmitter.Transmit); the simulated product transmission has no
+	// concrete bits.
 	Payload []byte
 }
 
@@ -62,8 +63,8 @@ const maxSearchFactor = 4096
 // and the result struct are allocated once and recycled, so a warm
 // Transmitter performs no heap allocations per call. The returned result
 // (including its Payload) aliases that scratch and is valid only until the
-// transmitter's next call; callers that retain results use the package
-// function Transmit, which never reuses.
+// transmitter's next call; a caller that retains a result across calls
+// gives each call its own NewTransmitter().
 type Transmitter struct {
 	xs      []int     // block point values
 	ps      []float64 // block point heights
@@ -196,13 +197,6 @@ func (tr *Transmitter) Transmit(eta, nu prob.Dist, public *rng.Source) (*Transmi
 		Payload:        tr.payload,
 	}
 	return &tr.res, nil
-}
-
-// Transmit is the one-shot form of Transmitter.Transmit: it uses a fresh
-// transmitter, so the result does not alias reused scratch and may be
-// retained. Hot loops should hold a Transmitter instead.
-func Transmit(eta, nu prob.Dist, public *rng.Source) (*TransmitResult, error) {
-	return NewTransmitter().Transmit(eta, nu, public)
 }
 
 // CostModel returns the Lemma 7 cost bound D + O(log D + 1) evaluated with

@@ -27,7 +27,7 @@ func TestTransmitProducesEta(t *testing.T) {
 	const trials = 30000
 	counts := make([]int, 3)
 	for i := 0; i < trials; i++ {
-		res, err := Transmit(eta, nu, public)
+		res, err := NewTransmitter().Transmit(eta, nu, public)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,7 +57,7 @@ func TestTransmitCostTracksDivergence(t *testing.T) {
 		}
 		total := 0
 		for i := 0; i < trials; i++ {
-			res, err := Transmit(eta, nu, public)
+			res, err := NewTransmitter().Transmit(eta, nu, public)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -81,7 +81,7 @@ func TestTransmitCheapWhenPriorMatches(t *testing.T) {
 	const trials = 2000
 	total := 0
 	for i := 0; i < trials; i++ {
-		res, err := Transmit(d, d, public)
+		res, err := NewTransmitter().Transmit(d, d, public)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,13 +99,13 @@ func TestTransmitValidation(t *testing.T) {
 	eta := mustDist(t, []float64{1, 0})
 	nu2 := mustDist(t, []float64{0, 1})
 	nu3 := mustDist(t, []float64{0.5, 0.25, 0.25})
-	if _, err := Transmit(eta, nu2, rng.New(1)); err == nil {
+	if _, err := NewTransmitter().Transmit(eta, nu2, rng.New(1)); err == nil {
 		t.Fatal("non-dominating prior succeeded")
 	}
-	if _, err := Transmit(eta, nu3, rng.New(1)); err == nil {
+	if _, err := NewTransmitter().Transmit(eta, nu3, rng.New(1)); err == nil {
 		t.Fatal("support mismatch succeeded")
 	}
-	if _, err := Transmit(eta, eta, nil); err == nil {
+	if _, err := NewTransmitter().Transmit(eta, eta, nil); err == nil {
 		t.Fatal("nil public randomness succeeded")
 	}
 }
@@ -113,11 +113,11 @@ func TestTransmitValidation(t *testing.T) {
 func TestTransmitDeterministicGivenSeed(t *testing.T) {
 	eta := mustDist(t, []float64{0.7, 0.3})
 	nu := mustDist(t, []float64{0.4, 0.6})
-	a, err := Transmit(eta, nu, rng.New(99))
+	a, err := NewTransmitter().Transmit(eta, nu, rng.New(99))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Transmit(eta, nu, rng.New(99))
+	b, err := NewTransmitter().Transmit(eta, nu, rng.New(99))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestSimulatedMatchesExactSamplerCost(t *testing.T) {
 	sim := rng.New(409)
 	var exactBits, simBits float64
 	for i := 0; i < trials; i++ {
-		res, err := Transmit(eta, nu, public)
+		res, err := NewTransmitter().Transmit(eta, nu, public)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -39,7 +39,7 @@ func BenchmarkEstimateCICK256(b *testing.B) {
 	src := rng.New(1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.EstimateCICWorkers(spec, mu, src, 100, 1); err != nil {
+		if _, err := core.EstimateCICOpts(spec, mu, src, 100, core.EstimateOptions{Workers: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}

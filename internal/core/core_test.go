@@ -231,7 +231,7 @@ func TestEstimateCICMatchesExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := core.EstimateCICWorkers(spec, mu, rng.New(7), 20000, 1)
+	est, err := core.EstimateCICOpts(spec, mu, rng.New(7), 20000, core.EstimateOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,14 +246,14 @@ func TestEstimateCICMatchesExact(t *testing.T) {
 func TestEstimateCICValidation(t *testing.T) {
 	spec, _ := andk.NewSequential(3)
 	mu, _ := dist.NewMu(3)
-	if _, err := core.EstimateCICWorkers(spec, mu, nil, 10, 1); err == nil {
+	if _, err := core.EstimateCICOpts(spec, mu, nil, 10, core.EstimateOptions{Workers: 1}); err == nil {
 		t.Fatal("nil source succeeded")
 	}
-	if _, err := core.EstimateCICWorkers(spec, mu, rng.New(1), 0, 1); err == nil {
+	if _, err := core.EstimateCICOpts(spec, mu, rng.New(1), 0, core.EstimateOptions{Workers: 1}); err == nil {
 		t.Fatal("zero samples succeeded")
 	}
 	mu4, _ := dist.NewMu(4)
-	if _, err := core.EstimateCICWorkers(spec, mu4, rng.New(1), 10, 1); err == nil {
+	if _, err := core.EstimateCICOpts(spec, mu4, rng.New(1), 10, core.EstimateOptions{Workers: 1}); err == nil {
 		t.Fatal("player-count mismatch succeeded")
 	}
 }

@@ -166,11 +166,15 @@ func (sp *SpecProtocol) speak(i int) (blackboard.Message, error) {
 		sym = dist.Sample(sp.private)
 	} else {
 		// Deterministic specs have a point-mass message.
-		support := dist.Support()
-		if len(support) != 1 {
+		support := 0
+		for v := 0; v < dist.Size(); v++ {
+			if dist.P(v) > 0 {
+				sym, support = v, support+1
+			}
+		}
+		if support != 1 {
 			return blackboard.Message{}, fmt.Errorf("core: randomized spec needs a private randomness source")
 		}
-		sym = support[0]
 	}
 	width := encoding.FixedWidth(uint64(alphabet))
 	declared, err := sp.spec.MessageBits(sp.t, sym)

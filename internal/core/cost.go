@@ -30,7 +30,7 @@ type CostReport struct {
 // ExactCosts enumerates the transcript tree of spec and computes the exact
 // information and communication costs under prior. Feasible whenever the
 // transcript tree and the input domain are small (the regime the paper's
-// Section 4 analysis operates in; larger instances use EstimateCICWorkers).
+// Section 4 analysis operates in; larger instances use EstimateCICOpts).
 //
 // The report is a pure function of (spec, prior, lim), so a keyed pair
 // (both sides ir.Keyer with a non-empty IRKey) is computed once per

@@ -37,24 +37,6 @@ type cicPartial struct {
 	sum, sumSq, bitsSum float64
 }
 
-// EstimateCICWorkers estimates I(Π; X | D) by sampling executions. Each
-// sample draws (z, x) from the prior, simulates the protocol while
-// maintaining the Lemma 3 q-factors along the sampled path, and evaluates
-// the *exact* inner quantity Σ_i D(posterior_i ‖ prior_i) at the resulting
-// transcript. Because the inner term is exact, the estimator is unbiased
-// with variance bounded by the inner term's variance; no transcript
-// histograms are needed, so it scales to thousands of players.
-//
-// The sample budget is split into fixed-size shards, each drawing from its
-// own child stream of src (see rng.Source.SplitN), evaluated by up to
-// workers goroutines (workers <= 0 means one per CPU). The mean, standard
-// error and mean communication are bit-identical for every worker count:
-// shard streams are derived serially up front and shard moments are merged
-// in shard order.
-func EstimateCICWorkers(spec Spec, prior Prior, src *rng.Source, samples, workers int) (*CICEstimate, error) {
-	return EstimateCICOpts(spec, prior, src, samples, EstimateOptions{Workers: workers})
-}
-
 // EstimateOptions bundles the estimator's optional knobs.
 type EstimateOptions struct {
 	// Workers caps the worker pool; <= 0 means one worker per CPU.
@@ -75,13 +57,25 @@ type EstimateOptions struct {
 	Causal causal.Context
 }
 
-// EstimateCICOpts is the full-control estimator entry point every other
-// Estimate* variant delegates to. Engine precedence per estimation:
-// when the keyed (spec, prior) pair compiles to an ir.Program (cached
-// across calls — see internal/ir), shards run the compiled table loop;
-// otherwise they run on the scalar engine. Both share the shard layout
-// and merge, so results are bit-identical across worker counts and
-// across engines.
+// EstimateCICOpts estimates I(Π; X | D) by sampling executions. Each
+// sample draws (z, x) from the prior, simulates the protocol while
+// maintaining the Lemma 3 q-factors along the sampled path, and evaluates
+// the *exact* inner quantity Σ_i D(posterior_i ‖ prior_i) at the resulting
+// transcript. Because the inner term is exact, the estimator is unbiased
+// with variance bounded by the inner term's variance; no transcript
+// histograms are needed, so it scales to thousands of players.
+//
+// The sample budget is split into fixed-size shards, each drawing from its
+// own child stream of src (see rng.Source.SplitN), evaluated by up to
+// opts.Workers goroutines. The mean, standard error and mean communication
+// are bit-identical for every worker count: shard streams are derived
+// serially up front and shard moments are merged in shard order.
+//
+// Engine precedence per estimation: when the keyed (spec, prior) pair
+// compiles to an ir.Program (cached across calls — see internal/ir),
+// shards run the compiled table loop; otherwise they run on the scalar
+// engine. Both share the shard layout and merge, so results are
+// bit-identical across worker counts and across engines.
 func EstimateCICOpts(spec Spec, prior Prior, src *rng.Source, samples int, opts EstimateOptions) (*CICEstimate, error) {
 	if err := validateShapes(spec, prior); err != nil {
 		return nil, err

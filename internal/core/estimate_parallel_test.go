@@ -29,7 +29,7 @@ func TestEstimateCICWorkerCountInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := core.EstimateCICWorkers(spec, mu, rng.New(17), samples, 1)
+	ref, err := core.EstimateCICOpts(spec, mu, rng.New(17), samples, core.EstimateOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestEstimateCICWorkerCountInvariance(t *testing.T) {
 		t.Fatalf("degenerate reference estimate %+v", ref)
 	}
 	for _, workers := range []int{1, 2, 4, runtime.GOMAXPROCS(0), 0} {
-		got, err := core.EstimateCICWorkers(spec, mu, rng.New(17), samples, workers)
+		got, err := core.EstimateCICOpts(spec, mu, rng.New(17), samples, core.EstimateOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,7 +62,7 @@ func TestEstimateCICShardRaggedBudgets(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, samples := range []int{1, 3, 511, 512, 513, 1025} {
-		est, err := core.EstimateCICWorkers(spec, mu, rng.New(3), samples, 4)
+		est, err := core.EstimateCICOpts(spec, mu, rng.New(3), samples, core.EstimateOptions{Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,13 +168,13 @@ func TestEstimateCICLazyFallsBackToScalar(t *testing.T) {
 	}
 }
 
-func TestEstimateCICWorkersValidation(t *testing.T) {
+func TestEstimateCICValidationWithWorkers(t *testing.T) {
 	spec, _ := andk.NewSequential(3)
 	mu, _ := dist.NewMu(3)
-	if _, err := core.EstimateCICWorkers(spec, mu, nil, 10, 4); err == nil {
+	if _, err := core.EstimateCICOpts(spec, mu, nil, 10, core.EstimateOptions{Workers: 4}); err == nil {
 		t.Fatal("nil source succeeded")
 	}
-	if _, err := core.EstimateCICWorkers(spec, mu, rng.New(1), 0, 4); err == nil {
+	if _, err := core.EstimateCICOpts(spec, mu, rng.New(1), 0, core.EstimateOptions{Workers: 4}); err == nil {
 		t.Fatal("zero samples succeeded")
 	}
 }

@@ -102,24 +102,14 @@ func (o *Observer) PlayerPosterior(i int) (prob.Dist, error) {
 	return d, nil
 }
 
-// PredictMessage returns ν, the observer's prediction of the next message:
-// it samples X_speaker from its posterior and pushes it through the
+// PredictMessageInto returns ν, the observer's prediction of the next
+// message: it samples X_speaker from its posterior and pushes it through the
 // protocol's message function (footnote 3 of the paper), i.e.
-// ν(m) = Σ_v Pr[X_speaker = v | board] · Pr[m | v, board].
-func (o *Observer) PredictMessage(spec Spec, t Transcript, speaker int) (prob.Dist, error) {
-	w, err := o.PredictMessageInto(spec, t, speaker, nil)
-	if err != nil {
-		return prob.Dist{}, err
-	}
-	return prob.NewDist(w)
-}
-
-// PredictMessageInto is PredictMessage without the Dist: it writes the
-// normalized prediction into w (grown from w[:0] as needed) and returns it.
-// The arithmetic — accumulate unnormalized weights in index order, divide by
-// their sum — is exactly PredictMessage's, so the values are bit-identical;
-// the compression hot loop uses this form to predict every message without
-// allocating. The result aliases w and o's scratch lifetime: it is valid
+// ν(m) = Σ_v Pr[X_speaker = v | board] · Pr[m | v, board]. It accumulates
+// the unnormalized weights in index order, divides by their sum, and writes
+// the result into w (grown from w[:0] as needed), so the compression hot
+// loop predicts every message without allocating; prob.NewDist(w) makes a
+// Dist of it. The result aliases w and o's scratch lifetime: it is valid
 // until the observer's next prediction.
 func (o *Observer) PredictMessageInto(spec Spec, t Transcript, speaker int, w []float64) ([]float64, error) {
 	if o.post == nil {
@@ -147,8 +137,8 @@ func (o *Observer) PredictMessageInto(spec Spec, t Transcript, speaker int, w []
 		w = append(w, 0)
 	}
 	// spec.InputSize() matches len(o.post) whenever spec and prior agree on
-	// shapes; out-of-range inputs carry zero posterior mass (as post.P(v)
-	// reported in the Dist-returning form), so they are simply skipped.
+	// shapes; out-of-range inputs carry zero posterior mass, so they are
+	// simply skipped.
 	for v := 0; v < spec.InputSize() && v < len(o.post); v++ {
 		pv := o.post[v]
 		if pv == 0 {
@@ -240,7 +230,7 @@ type ICEstimate struct {
 // D(η_j ‖ ν_j) between the speaker's true message distribution and the
 // external observer's Bayes prediction. By the chain rule this per-run sum
 // has expectation exactly I(Π; X), so the estimator is unbiased. Unlike
-// EstimateCICWorkers it prices the aux-marginalized posterior, so it works for
+// EstimateCICOpts it prices the aux-marginalized posterior, so it works for
 // external (unconditional) information cost at player counts far beyond
 // exact enumeration — at O(k · aux · rounds) arithmetic per sample.
 func EstimateExternalIC(spec Spec, prior Prior, src *rng.Source, samples int) (*ICEstimate, error) {

@@ -310,7 +310,7 @@ func TestEstimateCICSequentialLargeK(t *testing.T) {
 	const k = 256
 	spec, _ := andk.NewSequential(k)
 	mu, _ := dist.NewMu(k)
-	est, err := core.EstimateCICWorkers(spec, mu, rng.New(11), 3000, 1)
+	est, err := core.EstimateCICOpts(spec, mu, rng.New(11), 3000, core.EstimateOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -208,7 +208,7 @@ func TestRandomSpecInvariants(t *testing.T) {
 		}
 
 		// (4) Monte-Carlo agreement.
-		est, err := core.EstimateCICWorkers(spec, prior, src.Split(999), 8000, 1)
+		est, err := core.EstimateCICOpts(spec, prior, src.Split(999), 8000, core.EstimateOptions{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -69,7 +69,7 @@ func putExecScratch(sc *execScratch) { execScratchPool.Put(sc) }
 // runSample draws one estimator sample: (z, x) from the prior, a simulated
 // execution maintaining the q-factors, and the exact inner quantity
 // Σ_i D(posterior_i ‖ prior_i) at the sampled transcript. It is the
-// zero-allocation inner loop of EstimateCICWorkers.
+// zero-allocation inner loop of EstimateCICOpts.
 func (sc *execScratch) runSample(spec Spec, prior Prior, zd prob.Dist, src *rng.Source) (inner float64, bits int, err error) {
 	z := zd.Sample(src)
 	for i := 0; i < sc.k; i++ {

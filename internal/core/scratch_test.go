@@ -2,7 +2,7 @@ package core
 
 // White-box tests for the estimator's reusable execution scratch. The
 // acceptance bar for the memory-reuse layer is that the per-sample inner
-// loop of EstimateCICWorkers performs zero heap allocations once a shard's
+// loop of EstimateCICOpts performs zero heap allocations once a shard's
 // scratch is warm; this is pinned with testing.AllocsPerRun against
 // in-package fixtures whose MessageDist/PlayerDist lookups are themselves
 // allocation-free (cached Dists), so any allocation measured belongs to

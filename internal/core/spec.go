@@ -152,9 +152,8 @@ func NewPriorSampler(prior Prior) (*PriorSampler, error) {
 	return &PriorSampler{prior: prior, zd: zd}, nil
 }
 
-// Sample draws the auxiliary value and one input per player into x, which
-// must have length NumPlayers. The draw sequence is identical to
-// SamplePrior's.
+// Sample draws the auxiliary value, which it returns, and then one input
+// per player, in player order, into x, which must have length NumPlayers.
 func (ps *PriorSampler) Sample(src *rng.Source, x []int) (int, error) {
 	if src == nil {
 		return 0, fmt.Errorf("core: nil randomness source")
@@ -171,19 +170,4 @@ func (ps *PriorSampler) Sample(src *rng.Source, x []int) (int, error) {
 		x[i] = d.Sample(src)
 	}
 	return z, nil
-}
-
-// SamplePrior draws (z, x) from a Prior: the auxiliary value and one input
-// per player.
-func SamplePrior(prior Prior, src *rng.Source) (z int, x []int, err error) {
-	ps, err := NewPriorSampler(prior)
-	if err != nil {
-		return 0, nil, err
-	}
-	x = make([]int, prior.NumPlayers())
-	z, err = ps.Sample(src, x)
-	if err != nil {
-		return 0, nil, err
-	}
-	return z, x, nil
 }

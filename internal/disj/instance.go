@@ -56,11 +56,6 @@ func (inst *Instance) Disjoint() (bool, error) {
 	return !nonEmpty, nil
 }
 
-// CommonElement returns a witness element of the intersection, if any.
-func (inst *Instance) CommonElement() (int, bool, error) {
-	return bitvec.IntersectsAll(inst.Sets)
-}
-
 // GenerateDisjoint samples an instance guaranteed to be disjoint: each
 // element joins each set independently with probability density, and then
 // one uniformly random player is removed from each element's membership

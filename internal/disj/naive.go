@@ -78,9 +78,3 @@ func SolveNaive(inst *Instance) (*Outcome, error) {
 		Messages: res.Board.NumMessages(),
 	}, nil
 }
-
-// NaiveCostModel returns the asymptotic cost model n·⌈log₂ n⌉ + k the naive
-// protocol is compared against in experiment E3.
-func NaiveCostModel(n, k int) float64 {
-	return float64(n*encoding.FixedWidth(uint64(n)) + k)
-}

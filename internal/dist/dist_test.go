@@ -672,3 +672,44 @@ func (p *ProductPrior) Sample(src *rng.Source) []int {
 	}
 	return x
 }
+
+// ProbGivenZ returns Pr[X = x | Z = z] under μ.
+func (m *Mu) ProbGivenZ(x []int, z int) (float64, error) {
+	if len(x) != m.k {
+		return 0, fmt.Errorf("dist: input has %d entries, want %d", len(x), m.k)
+	}
+	if z < 0 || z >= m.k {
+		return 0, fmt.Errorf("dist: z=%d outside [0,%d)", z, m.k)
+	}
+	p := 1.0
+	for i, v := range x {
+		if v != 0 && v != 1 {
+			return 0, fmt.Errorf("dist: non-binary input x[%d]=%d", i, v)
+		}
+		if i == z {
+			if v != 0 {
+				return 0, nil
+			}
+			continue
+		}
+		if v == 0 {
+			p *= 1 / float64(m.k)
+		} else {
+			p *= 1 - 1/float64(m.k)
+		}
+	}
+	return p, nil
+}
+
+// Prob returns the marginal Pr[X = x] = (1/k) Σ_z Pr[X = x | Z = z].
+func (m *Mu) Prob(x []int) (float64, error) {
+	total := 0.0
+	for z := 0; z < m.k; z++ {
+		p, err := m.ProbGivenZ(x, z)
+		if err != nil {
+			return 0, err
+		}
+		total += p / float64(m.k)
+	}
+	return total, nil
+}

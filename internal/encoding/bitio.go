@@ -3,12 +3,10 @@
 // Lemma 7 sampler's variable-length fields), fixed-width integers, the
 // enumerative code for a w-subset of an m-set in ⌈log2 C(m,w)⌉ bits (the
 // batch encoding of the Section 5 protocol, whose arithmetic runs on
-// machine words with math/bits), and canonical Huffman code lengths (the
-// classical single-shot compression reference point from the
-// introduction). The decoders and codes no protocol writes live in the
-// package's tests, as the round-trip oracles of the encoders here; so do
-// the math/big subset coders the word kernel is checked against bit for
-// bit.
+// machine words with math/bits). The decoders and codes no protocol writes
+// live in the package's tests, as the round-trip oracles of the encoders
+// here; so do the math/big subset coders the word kernel is checked
+// against bit for bit.
 //
 // Communication complexity in the paper is counted in bits written on the
 // blackboard, so every encoder here reports exact bit lengths.

@@ -1,8 +1,9 @@
 // Package info implements the information-theoretic quantities the paper's
-// lower bounds are phrased in: Shannon entropy, mutual information and
-// Kullback–Leibler divergence (Definitions 1, 3 and 4). All quantities are
-// in bits (log base 2), matching the paper's convention that one
-// transmitted bit reveals at most one bit of information.
+// lower bounds are phrased in: mutual information and Kullback–Leibler
+// divergence (Definitions 3 and 4); Shannon entropy (Definition 1) is an
+// oracle in the package's tests. All quantities are in bits (log base 2),
+// matching the paper's convention that one transmitted bit reveals at most
+// one bit of information.
 package info
 
 import (
@@ -15,17 +16,6 @@ import (
 // log2 computes log base 2, with log2(0) treated by callers via the
 // 0·log 0 = 0 convention.
 func log2(x float64) float64 { return math.Log2(x) }
-
-// Entropy returns H(X) for X ~ d (Definition 1), in bits.
-func Entropy(d prob.Dist) float64 {
-	h := 0.0
-	for _, p := range d.Probs() {
-		if p > 0 {
-			h -= p * log2(p)
-		}
-	}
-	return h
-}
 
 // KL returns D(post ‖ prior) (Definition 4), in bits. It is +Inf when post
 // puts mass where prior does not (absolute-continuity violation), and an

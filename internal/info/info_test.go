@@ -593,3 +593,14 @@ func MillerMadowEntropy(counts []int) (float64, error) {
 	}
 	return h + float64(m-1)/(2*float64(n)*math.Ln2), nil
 }
+
+// Entropy returns H(X) for X ~ d (Definition 1), in bits.
+func Entropy(d prob.Dist) float64 {
+	h := 0.0
+	for _, p := range d.Probs() {
+		if p > 0 {
+			h -= p * log2(p)
+		}
+	}
+	return h
+}

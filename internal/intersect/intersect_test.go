@@ -62,7 +62,7 @@ func TestHashedCorrectRandom(t *testing.T) {
 			s = n
 		}
 		k := src.Intn(6) + 1
-		common := src.Bool()
+		common := src.Uint64()&1 == 1
 		inst, err := Generate(src, n, s, k, common)
 		if err != nil {
 			t.Fatal(err)
@@ -102,7 +102,7 @@ func TestNaiveCorrectRandom(t *testing.T) {
 		n := src.Intn(500) + 10
 		s := src.Intn(8) + 1
 		k := src.Intn(5) + 1
-		inst, err := Generate(src, n, s, k, src.Bool())
+		inst, err := Generate(src, n, s, k, src.Uint64()&1 == 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,7 +176,7 @@ func TestBlackboardMatchesDirect(t *testing.T) {
 			s = n
 		}
 		k := src.Intn(5) + 1
-		inst, err := Generate(src, n, s, k, src.Bool())
+		inst, err := Generate(src, n, s, k, src.Uint64()&1 == 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -88,7 +88,7 @@ func TestSampleCumMatchesSampleU(t *testing.T) {
 				}
 			case 1: // sparse: many exact zeros
 				for i := range w {
-					if src.Bool() {
+					if src.Uint64()&1 == 1 {
 						w[i] = src.Float64() + 1e-3
 					}
 				}

@@ -278,7 +278,8 @@ func (s *Service) Close() {
 	s.wg.Wait()
 }
 
-// SubmitTraced validates the spec, consults the cache, and either answers
+// SubmitTraced validates and keys the spec in one pass (Key runs Validate
+// once, and rejects with its error), consults the cache, and either answers
 // immediately (cache hit: the job is born Done with CacheHit set and no
 // worker is dispatched) or enqueues on the tenant's FIFO. A full tenant
 // queue rejects with ErrQueueFull without touching other tenants.
@@ -291,10 +292,6 @@ func (s *Service) SubmitTraced(tenant string, spec JobSpec, cause causal.Context
 	if tenant == "" {
 		cause.Fault(causal.JobRejected, causal.String("reason", "empty tenant"))
 		return Job{}, fmt.Errorf("jobs: empty tenant")
-	}
-	if err := spec.Validate(); err != nil {
-		cause.Fault(causal.JobRejected, causal.String("reason", err.Error()))
-		return Job{}, err
 	}
 	key, err := spec.Key(s.buildSHA)
 	if err != nil {

@@ -50,7 +50,7 @@ func (sp *samplerProtocol) Scheduler() blackboard.Scheduler {
 // Players returns the sender and the echoing receiver.
 func (sp *samplerProtocol) Players() []blackboard.Player {
 	sender := blackboard.FuncPlayer(func(b *blackboard.Board) (blackboard.Message, error) {
-		res, err := compress.Transmit(sp.eta, sp.nu, b.Public())
+		res, err := compress.NewTransmitter().Transmit(sp.eta, sp.nu, b.Public())
 		if err != nil {
 			return blackboard.Message{}, err
 		}

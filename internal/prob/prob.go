@@ -243,14 +243,3 @@ func (d Dist) sampleIndexLinear(u float64) int {
 	}
 	return len(d.p) - 1
 }
-
-// Support returns the outcomes with strictly positive probability.
-func (d Dist) Support() []int {
-	out := make([]int, 0, len(d.p))
-	for i, v := range d.p {
-		if v > 0 {
-			out = append(out, i)
-		}
-	}
-	return out
-}

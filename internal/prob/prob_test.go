@@ -286,3 +286,14 @@ func Product(d, e Dist) Dist {
 	}
 	return distFromOwned(p)
 }
+
+// Support returns the outcomes with strictly positive probability.
+func (d Dist) Support() []int {
+	out := make([]int, 0, len(d.p))
+	for i, v := range d.p {
+		if v > 0 {
+			out = append(out, i)
+		}
+	}
+	return out
+}

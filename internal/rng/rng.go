@@ -195,11 +195,6 @@ func mul64(a, b uint64) (hi, lo uint64) {
 	return hi, lo
 }
 
-// Bool returns true with probability 1/2.
-func (s *Source) Bool() bool {
-	return s.Uint64()&1 == 1
-}
-
 // Bernoulli returns true with probability p (clamped to [0,1]).
 func (s *Source) Bernoulli(p float64) bool {
 	if p <= 0 {
