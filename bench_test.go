@@ -10,46 +10,29 @@ package broadcastic_test
 // BROADCASTIC_WORKERS=N to bound sweep parallelism (default: one worker
 // per CPU; tables are bit-identical for every value).
 //
-// Machine-readable output: with BROADCASTIC_BENCH_JSON=<path> set, the
-// shared harness aggregates every benchmark invocation (across -count
-// repeats) and TestMain writes one benchjson File to <path> — the format
-// the CI perf gate (cmd/benchgate) compares against BENCH_baseline.json.
-// Each entry carries mean and min ns/op, allocs/op, recorded bits/op
-// (board + wire bits where the instrumented layers ran) and the full
-// per-op telemetry snapshot.
+// These are plain go test benchmarks: ns/op and allocs/op are the
+// testing package's own. The end-to-end measurement, a job submitted over
+// HTTP with its time attributed layer by layer, is the service benchmark
+// in bench/ (bench/README.md).
 
 import (
-	"fmt"
 	"os"
-	"runtime"
 	"strconv"
-	"sync"
 	"testing"
-	"time"
 
 	"broadcastic/internal/andk"
 	"broadcastic/internal/core"
 	"broadcastic/internal/dist"
 	"broadcastic/internal/ir"
-	"broadcastic/internal/pool"
 	"broadcastic/internal/prob"
-	"broadcastic/internal/prob/probtest"
 	"broadcastic/internal/rng"
 	"broadcastic/internal/sim"
 	"broadcastic/internal/telemetry"
-	"broadcastic/internal/telemetry/benchjson"
 )
-
-func benchScale() string {
-	if os.Getenv("BROADCASTIC_SCALE") == "quick" {
-		return "quick"
-	}
-	return "full"
-}
 
 func benchConfig() sim.Config {
 	cfg := sim.Config{Seed: 1, Scale: sim.Full}
-	if benchScale() == "quick" {
+	if os.Getenv("BROADCASTIC_SCALE") == "quick" {
 		cfg.Scale = sim.Quick
 	}
 	if w, err := strconv.Atoi(os.Getenv("BROADCASTIC_WORKERS")); err == nil {
@@ -58,82 +41,11 @@ func benchConfig() sim.Config {
 	return cfg
 }
 
-// benchSamples accumulates one sample per benchmark invocation (so -count N
-// contributes N samples per op) for the TestMain JSON export.
-var benchSamples struct {
-	sync.Mutex
-	byName map[string]*benchjson.Entry
-}
-
-// recordSample folds one benchmark invocation into the aggregate entry:
-// iterations sum, ns/op as the mean of sample means plus the min sample,
-// allocs/op and metrics as running means across samples.
-func recordSample(name string, iters int64, nsPerOp, allocsPerOp float64, snapshot map[string]float64) {
-	benchSamples.Lock()
-	defer benchSamples.Unlock()
-	if benchSamples.byName == nil {
-		benchSamples.byName = make(map[string]*benchjson.Entry)
-	}
-	e := benchSamples.byName[name]
-	if e == nil {
-		e = &benchjson.Entry{Name: name, MinNsPerOp: nsPerOp}
-		benchSamples.byName[name] = e
-	}
-	n := float64(e.Samples)
-	e.Samples++
-	e.Iterations += iters
-	e.NsPerOp = (e.NsPerOp*n + nsPerOp) / (n + 1)
-	if nsPerOp < e.MinNsPerOp {
-		e.MinNsPerOp = nsPerOp
-	}
-	e.AllocsPerOp = (e.AllocsPerOp*n + allocsPerOp) / (n + 1)
-	bits := snapshot[telemetry.BlackboardBits] + snapshot[telemetry.NetrunWireBits]
-	e.BitsPerOp = (e.BitsPerOp*n + bits) / (n + 1)
-	if len(snapshot) > 0 && e.Metrics == nil {
-		e.Metrics = make(map[string]float64, len(snapshot))
-	}
-	for k, v := range snapshot {
-		e.Metrics[k] = (e.Metrics[k]*n + v) / (n + 1)
-	}
-}
-
-// writeBenchJSON exports the aggregated samples to path.
-func writeBenchJSON(path string) error {
-	benchSamples.Lock()
-	defer benchSamples.Unlock()
-	if len(benchSamples.byName) == 0 {
-		return nil
-	}
-	f := benchjson.New(benchScale(), pool.Workers(benchConfig().Workers))
-	f.GeneratedAt = time.Now().UTC().Format(time.RFC3339)
-	for _, e := range benchSamples.byName {
-		f.AddEntry(*e)
-	}
-	return benchjson.WriteFile(path, f)
-}
-
-func TestMain(m *testing.M) {
-	code := m.Run()
-	if path := os.Getenv("BROADCASTIC_BENCH_JSON"); path != "" && code == 0 {
-		if err := writeBenchJSON(path); err != nil {
-			fmt.Fprintf(os.Stderr, "bench json export: %v\n", err)
-			code = 1
-		}
-	}
-	os.Exit(code)
-}
-
 func runExperiment(b *testing.B, f func(sim.Config) (*sim.Table, error)) {
 	b.Helper()
-	rec := telemetry.NewCollector()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	mallocsBefore := ms.Mallocs
-	b.ResetTimer()
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		cfg := benchConfig()
-		cfg.Recorder = rec
-		tbl, err := f(cfg)
+		tbl, err := f(benchConfig())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -145,14 +57,6 @@ func runExperiment(b *testing.B, f func(sim.Config) (*sim.Table, error)) {
 			b.StartTimer()
 		}
 	}
-	elapsed := b.Elapsed()
-	runtime.ReadMemStats(&ms)
-	n := float64(b.N)
-	snap := rec.Snapshot()
-	for k, v := range snap {
-		snap[k] = v / n
-	}
-	recordSample(b.Name(), int64(b.N), float64(elapsed)/n, float64(ms.Mallocs-mallocsBefore)/n, snap)
 }
 
 func BenchmarkE1_DisjScalingN(b *testing.B)          { runExperiment(b, sim.E1DisjScalingN) }
@@ -188,17 +92,15 @@ func BenchmarkE21_TopologySeparation(b *testing.B) { runExperiment(b, sim.E21Top
 // --- Hot-path micro-benchmarks -------------------------------------------
 //
 // The engine-level counterparts of the experiment benchmarks above: they
-// time the Monte-Carlo estimator and the categorical sampler directly, so
-// the BENCH_*.json trajectory shows where an experiment-level change came
-// from. They flow through recordSample like everything else and are gated
-// by cmd/benchgate alongside the experiment entries.
+// time the Monte-Carlo estimator and the IR compiler directly, so an
+// experiment-level change can be traced to the engine it came from.
 
 // benchEstimateCICCompiled times EstimateCIC on the sequential AND_k
 // protocol under the paper's hard distribution μ — the exact workload
 // inside E4/E5 — at a fixed modest sample count so ns/op measures engine
 // cost, not grid size. It runs the default engine resolution but fails
 // the benchmark unless the compiled-IR program served every sample, so
-// the gated number can never silently degrade into measuring the scalar
+// the number can never silently degrade into measuring the scalar
 // fallback.
 func benchEstimateCICCompiled(b *testing.B, k int) {
 	b.Helper()
@@ -221,9 +123,7 @@ func benchEstimateCICCompiled(b *testing.B, k int) {
 	}
 	col := telemetry.NewCollector()
 	opts.Recorder = col
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	mallocsBefore := ms.Mallocs
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		src := rng.New(1)
@@ -231,8 +131,6 @@ func benchEstimateCICCompiled(b *testing.B, k int) {
 			b.Fatal(err)
 		}
 	}
-	elapsed := b.Elapsed()
-	runtime.ReadMemStats(&ms)
 	b.StopTimer()
 	snap := col.Snapshot()
 	if got := snap[telemetry.CoreCICIRSamples]; got != float64(samples)*float64(b.N) {
@@ -241,11 +139,6 @@ func benchEstimateCICCompiled(b *testing.B, k int) {
 	if got := snap[telemetry.IRProgramMisses]; got != 0 {
 		b.Fatalf("timed ops recompiled the program %v times, want cache hits only", got)
 	}
-	n := float64(b.N)
-	for name, v := range snap {
-		snap[name] = v / n
-	}
-	recordSample(b.Name(), int64(b.N), float64(elapsed)/n, float64(ms.Mallocs-mallocsBefore)/n, snap)
 }
 
 func BenchmarkEstimateCICCompiled_K4(b *testing.B)  { benchEstimateCICCompiled(b, 4) }
@@ -271,19 +164,13 @@ func BenchmarkIRCompile(b *testing.B) {
 	if ir.CompileEstimator(a, mu) == nil {
 		b.Fatal("K16 sequential AND compiles to nil")
 	}
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	mallocsBefore := ms.Mallocs
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if ir.CompileEstimator(a, mu) == nil {
 			b.Fatal("compile failed")
 		}
 	}
-	elapsed := b.Elapsed()
-	runtime.ReadMemStats(&ms)
-	n := float64(b.N)
-	recordSample(b.Name(), int64(b.N), float64(elapsed)/n, float64(ms.Mallocs-mallocsBefore)/n, nil)
 }
 
 type irCompileSpec struct{ s core.Spec }
@@ -306,9 +193,8 @@ func (a irCompileSpec) Output(t []int) (int, error) { return a.s.Output(core.Tra
 func (a irCompileSpec) StateKey(t []int) uint64     { return a.s.(ir.StateKeyer).StateKey(t) }
 
 // benchEstimateCICScalar is the same workload with the compiled engine
-// disabled, keeping the scalar estimator's cost on file so the
-// BENCH_*.json trajectory shows the compiled win (and any scalar
-// regression) separately from the default path.
+// disabled, keeping the scalar estimator's cost in view beside the
+// compiled path's.
 func benchEstimateCICScalar(b *testing.B, k int) {
 	b.Helper()
 	spec, err := andk.NewSequential(k)
@@ -325,9 +211,7 @@ func benchEstimateCICScalar(b *testing.B, k int) {
 	if _, err := core.EstimateCICOpts(spec, mu, rng.New(1), samples, opts); err != nil {
 		b.Fatal(err)
 	}
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	mallocsBefore := ms.Mallocs
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		src := rng.New(1)
@@ -335,51 +219,6 @@ func benchEstimateCICScalar(b *testing.B, k int) {
 			b.Fatal(err)
 		}
 	}
-	elapsed := b.Elapsed()
-	runtime.ReadMemStats(&ms)
-	n := float64(b.N)
-	recordSample(b.Name(), int64(b.N), float64(elapsed)/n, float64(ms.Mallocs-mallocsBefore)/n, nil)
 }
 
 func BenchmarkEstimateCICScalar_K16(b *testing.B) { benchEstimateCICScalar(b, 16) }
-
-// benchDistSample times prob.Dist.Sample over a 256-outcome distribution
-// (comfortably above cdfMinSize, so the production size heuristic picks
-// the table), with and without the cumulative-distribution cache
-// (Uncached strips it), pinning the linear-scan → binary-search win and
-// watching for cache construction creep. One op is a fixed batch of
-// draws (with the cache built before timing), so ns/op is meaningful
-// even at -benchtime 1x — the regime the baseline-refresh procedure
-// runs in.
-func benchDistSample(b *testing.B, cached bool) {
-	b.Helper()
-	const drawsPerOp = 1000
-	d, err := probtest.Uniform(256)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if !cached {
-		d = d.Uncached()
-	}
-	src := rng.New(1)
-	sink := d.Sample(src) // warm-up draw builds the CDF cache when present
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	mallocsBefore := ms.Mallocs
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := 0; j < drawsPerOp; j++ {
-			sink += d.Sample(src)
-		}
-	}
-	elapsed := b.Elapsed()
-	runtime.ReadMemStats(&ms)
-	if sink < 0 {
-		b.Fatal("impossible")
-	}
-	n := float64(b.N)
-	recordSample(b.Name(), int64(b.N), float64(elapsed)/n, float64(ms.Mallocs-mallocsBefore)/n, nil)
-}
-
-func BenchmarkDistSample_CachedCDF(b *testing.B)  { benchDistSample(b, true) }
-func BenchmarkDistSample_LinearScan(b *testing.B) { benchDistSample(b, false) }

@@ -4,19 +4,17 @@
 // Usage:
 //
 //	experiments [-seed N] [-scale quick|full] [-only E4,E7] [-parallel N]
-//	            [-noir] [-telemetry out.json] [-runtrace dir]
+//	            [-noir] [-runtrace dir]
 //	            [-log level] [-logformat text|json] [-version]
 //	            [-cpuprofile f] [-memprofile f] [-tracefile f]
 //
-// With -telemetry, each experiment runs with a telemetry collector attached
-// and one benchjson entry per experiment (wall time, recorded bits, full
-// metric snapshot) is written to out.json — the same schema the benchmark
-// suite and CI perf gate use. With -runtrace, each experiment runs under
-// its own causal trace and writes it as a Chrome trace-event file to the
-// given directory. Both only observe: tables are bit-identical with either
-// or both enabled. For a live observability plane (/metrics, /healthz,
-// /runs, /debug/pprof) over the same suite, run cmd/broadcasticd with
-// -once -jobs=false: its stdout is byte-identical to this command's.
+// Each experiment's wall time is on its "experiment done" log line. With
+// -runtrace, each experiment runs under its own causal trace and writes it
+// as a Chrome trace-event file to the given directory; it only observes:
+// tables are bit-identical with it enabled. For a run's metrics and a live
+// observability plane (/metrics, /healthz, /runs, /debug/pprof) over the
+// same suite, run cmd/broadcasticd with -once -jobs=false: its stdout is
+// byte-identical to this command's.
 package main
 
 import (
@@ -29,7 +27,6 @@ import (
 	"broadcastic/internal/pool"
 	"broadcastic/internal/sim"
 	"broadcastic/internal/telemetry"
-	"broadcastic/internal/telemetry/benchjson"
 	"broadcastic/internal/telemetry/causal"
 	"broadcastic/internal/telemetry/tracelog"
 )
@@ -48,7 +45,6 @@ func run(args []string, out *os.File) error {
 	only := fs.String("only", "", "comma-separated experiment IDs to run (e.g. E4,E7)")
 	parallel := fs.Int("parallel", 0, "worker goroutines per sweep (0 = one per CPU); output is identical for every value")
 	noir := fs.Bool("noir", false, "disable the compiled-IR fast path and run the scalar estimator (output is identical either way)")
-	telemetryPath := fs.String("telemetry", "", "write per-experiment benchjson telemetry to this file")
 	runtrace := fs.String("runtrace", "", "directory for per-experiment Chrome trace-event files")
 	var logCfg telemetry.LogConfig
 	logCfg.AddFlags(fs)
@@ -93,21 +89,12 @@ func run(args []string, out *os.File) error {
 		traces = causal.NewRecorder(0)
 	}
 
-	type result struct {
-		table   *sim.Table
-		elapsed time.Duration
-		metrics map[string]float64
-	}
 	// Experiments are independent: run them on the pool, each with its own
-	// collector so per-experiment metrics don't mix, and with its own run
-	// trace.
-	results, err := pool.Map(pool.Workers(cfg.Workers), len(selected), func(i int) (result, error) {
+	// run trace.
+	tables, err := pool.Map(pool.Workers(cfg.Workers), len(selected), func(i int) (*sim.Table, error) {
 		exp := selected[i]
 		runID := fmt.Sprintf("%s-seed%d", exp.ID, *seed)
 		ecfg := cfg
-		if *telemetryPath != "" {
-			ecfg.Recorder = telemetry.NewCollector()
-		}
 		var sink *tracelog.Sink
 		if traces != nil {
 			sink = tracelog.New(runID)
@@ -118,46 +105,24 @@ func run(args []string, out *os.File) error {
 		start := time.Now()
 		tbl, err := exp.Run(ecfg)
 		if err != nil {
-			return result{}, fmt.Errorf("%s: %w", exp.ID, err)
+			return nil, fmt.Errorf("%s: %w", exp.ID, err)
 		}
-		r := result{table: tbl, elapsed: time.Since(start)}
-		if ecfg.Recorder != nil {
-			r.metrics = ecfg.Recorder.Snapshot()
-		}
+		elapsed := time.Since(start)
 		if sink != nil {
 			path, err := sink.WriteFile(*runtrace)
 			if err != nil {
-				return result{}, err
+				return nil, err
 			}
 			logger.Info("trace written", "id", exp.ID, "path", path)
 		}
-		logger.Info("experiment done", "id", exp.ID, "elapsed", r.elapsed)
-		return r, nil
+		logger.Info("experiment done", "id", exp.ID, "elapsed", elapsed)
+		return tbl, nil
 	})
 	if err != nil {
 		return err
 	}
-	for _, r := range results {
-		if err := r.table.Render(out); err != nil {
-			return err
-		}
-	}
-
-	if *telemetryPath != "" {
-		f := benchjson.New(*scale, pool.Workers(cfg.Workers))
-		f.GeneratedAt = time.Now().UTC().Format(time.RFC3339)
-		for i, r := range results {
-			f.AddEntry(benchjson.Entry{
-				Name:       selected[i].ID,
-				Iterations: 1,
-				NsPerOp:    float64(r.elapsed),
-				MinNsPerOp: float64(r.elapsed),
-				BitsPerOp:  r.metrics[telemetry.BlackboardBits] + r.metrics[telemetry.NetrunWireBits],
-				Samples:    1,
-				Metrics:    r.metrics,
-			})
-		}
-		if err := benchjson.WriteFile(*telemetryPath, f); err != nil {
+	for _, tbl := range tables {
+		if err := tbl.Render(out); err != nil {
 			return err
 		}
 	}

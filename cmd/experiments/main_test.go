@@ -19,9 +19,13 @@ func TestRunSmoke(t *testing.T) {
 	if err := run([]string{"-scale", "bogus"}, os.Stdout); err == nil {
 		t.Fatal("bogus scale accepted")
 	}
-	// The live plane over a suite run is cmd/broadcasticd's.
-	if err := run([]string{"-scale", "quick", "-only", "E5", "-serve", "127.0.0.1:0"}, os.Stdout); err == nil {
-		t.Fatal("-serve accepted")
+	// The live plane over a suite run, and its metrics, are
+	// cmd/broadcasticd's; the root benchmarks and bench/ measure speed.
+	for _, flag := range [][]string{{"-serve", "127.0.0.1:0"}, {"-telemetry", filepath.Join(t.TempDir(), "x.json")}} {
+		err := run(append([]string{"-scale", "quick", "-only", "E5"}, flag...), os.Stdout)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Fatalf("%s: err = %v, want an unknown flag", flag[0], err)
+		}
 	}
 }
 

@@ -272,7 +272,7 @@ type protocol interface {
 // ships bitmaps to the hub and never reads it.
 func newProtocol(delivery netrun.DeliveryMode, inst *disj.Instance) (protocol, error) {
 	if delivery == netrun.DeliverCoordinator {
-		return disj.NewCoordinatorProtocol(inst, disj.CoordinatorOptions{})
+		return disj.NewCoordinatorProtocol(inst)
 	}
 	return disj.NewOptimalProtocol(inst, disj.Options{})
 }

@@ -1,8 +1,8 @@
 // Package buildinfo resolves the identity of the running binary — module
 // path, version, Go toolchain, VCS revision — from the data the Go linker
-// embeds (runtime/debug.ReadBuildInfo). Every CLI exposes it behind a
-// -version flag, and benchjson embeds it in emitted files so a benchmark
-// point can always be traced back to the exact build that produced it.
+// embeds (runtime/debug.ReadBuildInfo). cmd/broadcasticd, cmd/experiments
+// and cmd/netdisj print it behind a -version flag, and the job service
+// keys its result cache by it (jobs.BuildSHA).
 package buildinfo
 
 import (

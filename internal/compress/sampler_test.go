@@ -291,3 +291,39 @@ func TestSimulatedMatchesExactSamplerCost(t *testing.T) {
 			exactMean, simMean)
 	}
 }
+
+// A warm Transmitter allocates nothing per call: its doc promises it, and
+// E10's allocation count rests on it. Power-of-two universes batch their
+// public draws; 100 exercises the per-draw path.
+func TestTransmitterZeroAllocs(t *testing.T) {
+	src := rng.New(410)
+	for _, u := range []int{4, 64, 100, 1024} {
+		etaW := make([]float64, u)
+		nuW := make([]float64, u)
+		for i := range etaW {
+			etaW[i] = src.Float64() + 0.02
+			nuW[i] = src.Float64() + 0.02
+		}
+		eta, err := prob.Normalize(etaW)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nu, err := prob.Normalize(nuW)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := NewTransmitter()
+		public := rng.New(411)
+		transmit := func() {
+			if _, err := tr.Transmit(eta, nu, public); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 50; i++ {
+			transmit()
+		}
+		if allocs := testing.AllocsPerRun(500, transmit); allocs != 0 {
+			t.Errorf("|U|=%d: a warm Transmit allocates %v times per call, want 0", u, allocs)
+		}
+	}
+}

@@ -7,9 +7,9 @@ import (
 	"broadcastic/internal/rng"
 )
 
-// With ε = 0 the coordinator protocol is exact and costs exactly n·k
-// bits in k messages — the Θ(nk) behavior E21 charts against the
-// broadcast protocol's Θ(n log k + k).
+// The coordinator protocol is exact and costs exactly n·k bits in k
+// messages — the Θ(nk) behavior E21 charts against the broadcast
+// protocol's Θ(n log k + k).
 func TestCoordinatorExact(t *testing.T) {
 	cases := []struct {
 		name string
@@ -37,7 +37,7 @@ func TestCoordinatorExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			out, err := disj.SolveCoordinator(inst, disj.CoordinatorOptions{})
+			out, err := disj.SolveCoordinator(inst)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -54,61 +54,9 @@ func TestCoordinatorExact(t *testing.T) {
 	}
 }
 
-// The ε-sketch has one-sided error: disjoint instances are always
-// answered correctly (an empty intersection stays empty on any subset),
-// and any "not disjoint" answer is certified by a real common element.
-func TestCoordinatorSketchOneSided(t *testing.T) {
-	const n, k, eps = 128, 5, 0.25
-	wantBits := 96 * k // ⌈(1−0.25)·128⌉ = 96 bits per player
-	for seed := uint64(0); seed < 20; seed++ {
-		inst, err := disj.GenerateDisjoint(rng.New(1000+seed), n, k, 0.3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := disj.SolveCoordinator(inst, disj.CoordinatorOptions{Epsilon: eps, SketchSeed: seed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !out.Disjoint {
-			t.Fatalf("seed %d: sketch reported an intersection on a disjoint instance", seed)
-		}
-		if out.Bits != wantBits {
-			t.Fatalf("seed %d: sketch cost %d bits, want %d", seed, out.Bits, wantBits)
-		}
-	}
-	for seed := uint64(0); seed < 20; seed++ {
-		inst, err := disj.GenerateIntersecting(rng.New(2000+seed), n, k, 1, 0.3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := disj.SolveCoordinator(inst, disj.CoordinatorOptions{Epsilon: eps, SketchSeed: seed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// A "not disjoint" answer must be correct; "disjoint" is the
-		// allowed ≤ ε error when every witness was sampled out.
-		truth, err := inst.Disjoint()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !out.Disjoint && truth {
-			t.Fatalf("seed %d: sketch certified a common element on a disjoint instance", seed)
-		}
-	}
-}
-
-// Epsilon outside [0,1) is rejected up front.
-func TestCoordinatorOptionsValidation(t *testing.T) {
-	inst, err := disj.GenerateDisjoint(rng.New(3), 32, 3, 0.3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, eps := range []float64{-0.1, 1, 1.5} {
-		if _, err := disj.NewCoordinatorProtocol(inst, disj.CoordinatorOptions{Epsilon: eps}); err == nil {
-			t.Fatalf("epsilon %v accepted", eps)
-		}
-	}
-	if _, err := disj.NewCoordinatorProtocol(nil, disj.CoordinatorOptions{}); err == nil {
+// A nil instance is rejected up front.
+func TestCoordinatorRejectsNilInstance(t *testing.T) {
+	if _, err := disj.NewCoordinatorProtocol(nil); err == nil {
 		t.Fatal("nil instance accepted")
 	}
 }

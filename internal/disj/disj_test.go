@@ -593,8 +593,8 @@ func TestGenerateFromMuNIntoRejectsBadShape(t *testing.T) {
 
 // SolveCoordinator runs the coordinator-model protocol on the sequential
 // runtime and returns its outcome.
-func SolveCoordinator(inst *Instance, opts CoordinatorOptions) (*Outcome, error) {
-	cp, err := NewCoordinatorProtocol(inst, opts)
+func SolveCoordinator(inst *Instance) (*Outcome, error) {
+	cp, err := NewCoordinatorProtocol(inst)
 	if err != nil {
 		return nil, err
 	}

@@ -8,7 +8,9 @@
 // seed-deterministic: the same (experiment, grid, seed, scale) always
 // renders a bit-identical table, so a result is fully determined by the
 // canonical spec plus the binary that computed it. Cache keys are
-// SHA-256 over (build revision, canonical spec JSON); a new binary
+// SHA-256 over (build identity, canonical spec JSON), where the identity
+// is the VCS revision of a clean stamped build and the executable's own
+// SHA-256 for an unstamped or dirty one (BuildSHA); a new binary
 // invalidates every entry by construction. Fields that provably cannot
 // change output — the worker count, by the harness's worker-invariance
 // contract — are excluded from the canonical form, so specs differing
@@ -26,6 +28,10 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
+	"os"
+	"sync"
+	"time"
 
 	"broadcastic/internal/buildinfo"
 	"broadcastic/internal/faults"
@@ -192,15 +198,52 @@ func (s JobSpec) Key(buildSHA string) (string, error) {
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
-// BuildSHA resolves the running binary's identity for cache keying. It
-// folds in the VCS revision, the dirty flag and the toolchain; unstamped
-// binaries (tests, go run) fall back to the toolchain alone, which is the
-// honest statement that their results should not outlive the process.
-func BuildSHA() string {
-	info := buildinfo.Resolve()
-	sha := info.Revision
-	if info.Modified {
-		sha += "+dirty"
+// BuildSHA resolves the running binary's identity for cache keying. A
+// clean build stamped with a VCS revision is keyed by that revision and
+// its toolchain. A build with no revision (a test, go run, -buildvcs=false)
+// or a dirty one is also keyed by the SHA-256 of its own executable, so a
+// restart on edited code never reads the spill files of the build before
+// it.
+func BuildSHA() string { return buildKey(buildinfo.Resolve(), executableID) }
+
+// buildKey renders BuildSHA. exe identifies the executable; it is called
+// only for an unstamped or dirty build.
+func buildKey(info buildinfo.Info, exe func() string) string {
+	if info.Revision != "" && !info.Modified {
+		return info.Revision + "@" + info.GoVersion
 	}
-	return sha + "@" + info.GoVersion
+	id := "exe:" + exe()
+	if info.Modified {
+		id = info.Revision + "+dirty+" + id
+	}
+	return id + "@" + info.GoVersion
+}
+
+// executableID is the hex SHA-256 of the running executable, read once per
+// process. When the executable cannot be read it is an ID of this process
+// alone, never the toolchain alone: the process's results then outlive it
+// in no other process's cache.
+var executableID = sync.OnceValue(func() string {
+	if digest, err := executableSHA256(); err == nil {
+		return digest
+	}
+	return fmt.Sprintf("pid%d-%d", os.Getpid(), time.Now().UnixNano())
+})
+
+// executableSHA256 returns the hex SHA-256 of the running executable.
+func executableSHA256() (string, error) {
+	path, err := os.Executable()
+	if err != nil {
+		return "", err
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return "", err
+	}
+	defer f.Close()
+	h := sha256.New()
+	if _, err := io.Copy(h, f); err != nil {
+		return "", err
+	}
+	return hex.EncodeToString(h.Sum(nil)), nil
 }

@@ -1,8 +1,15 @@
 package jobs
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"os"
+	"runtime"
 	"strings"
 	"testing"
+
+	"broadcastic/internal/buildinfo"
 )
 
 func TestValidate(t *testing.T) {
@@ -124,5 +131,53 @@ func TestKeySeparatesSpecsAndBuilds(t *testing.T) {
 func TestBuildSHANonEmpty(t *testing.T) {
 	if BuildSHA() == "" {
 		t.Error("BuildSHA is empty even of toolchain identity")
+	}
+}
+
+// A test binary carries no VCS stamp, so its key must name its
+// executable: two edits of the code share a toolchain, not an executable.
+func TestBuildSHAKeysUnstampedExecutable(t *testing.T) {
+	got := BuildSHA()
+	if got == "@"+runtime.Version() {
+		t.Fatalf("BuildSHA = %q: the toolchain alone", got)
+	}
+	path, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	exe, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(exe)
+	if digest := hex.EncodeToString(sum[:]); !strings.Contains(got, digest) {
+		t.Fatalf("BuildSHA = %q, want it to contain the executable's SHA-256 %s", got, digest)
+	}
+}
+
+// Unstamped and dirty builds never share a key across executables, and a
+// clean stamped build keeps its revision@toolchain key.
+func TestBuildKeySeparatesExecutables(t *testing.T) {
+	const rev, gov = "0d01442", "go1.22.0"
+	exe := func(id string) func() string { return func() string { return id } }
+	clean := buildinfo.Info{Revision: rev, GoVersion: gov}
+	for _, id := range []string{"aa", "bb"} {
+		if got, want := buildKey(clean, exe(id)), rev+"@"+gov; got != want {
+			t.Errorf("clean stamped key with executable %s is %q, want %q", id, got, want)
+		}
+	}
+	seen := map[string]string{rev + "@" + gov: "clean"}
+	for _, info := range []buildinfo.Info{
+		{GoVersion: gov},
+		{Revision: rev, Modified: true, GoVersion: gov},
+	} {
+		for _, id := range []string{"aa", "bb"} {
+			key := buildKey(info, exe(id))
+			what := fmt.Sprintf("%+v with executable %s", info, id)
+			if prev, ok := seen[key]; ok {
+				t.Errorf("%s shares key %q with %s", what, key, prev)
+			}
+			seen[key] = what
+		}
 	}
 }

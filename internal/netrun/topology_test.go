@@ -169,7 +169,7 @@ func TestTopologyCoordinatorDelivery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refProto, err := disj.NewCoordinatorProtocol(inst, disj.CoordinatorOptions{})
+	refProto, err := disj.NewCoordinatorProtocol(inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestTopologyCoordinatorDelivery(t *testing.T) {
 	}
 	for _, topo := range topologies() {
 		t.Run(topo.Name(), func(t *testing.T) {
-			proto, err := disj.NewCoordinatorProtocol(inst, disj.CoordinatorOptions{})
+			proto, err := disj.NewCoordinatorProtocol(inst)
 			if err != nil {
 				t.Fatal(err)
 			}

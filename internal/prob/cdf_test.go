@@ -199,3 +199,35 @@ func TestProbsInto(t *testing.T) {
 		t.Fatalf("ProbsInto(nil) len = %d, want %d", len(short), d.Size())
 	}
 }
+
+// benchSample times Sample over a 256-outcome distribution (above
+// cdfMinSize, so the size heuristic picks the table), with and without the
+// cumulative-distribution cache, pinning the linear-scan → binary-search
+// win and watching for cache construction creep. One op is a fixed batch
+// of draws with the cache built before timing, so ns/op is meaningful
+// even at -benchtime 1x.
+func benchSample(b *testing.B, cached bool) {
+	const drawsPerOp = 1000
+	d, err := NewDist(uniformVec(256))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if !cached {
+		d = d.Uncached()
+	}
+	src := rng.New(1)
+	sink := d.Sample(src) // warm-up draw builds the CDF cache when present
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < drawsPerOp; j++ {
+			sink += d.Sample(src)
+		}
+	}
+	if sink < 0 {
+		b.Fatal("impossible")
+	}
+}
+
+func BenchmarkSample_CachedCDF(b *testing.B)  { benchSample(b, true) }
+func BenchmarkSample_LinearScan(b *testing.B) { benchSample(b, false) }

@@ -189,13 +189,6 @@ func (d Dist) SampleU(u float64) int {
 	return d.sampleIndex(u)
 }
 
-// Uncached returns a copy of d that samples through the linear scan even
-// on large supports. It exists for benchmarks and equivalence tests that
-// compare the two sampling paths; production callers never need it.
-func (d Dist) Uncached() Dist {
-	return Dist{p: d.p}
-}
-
 // sampleIndex maps a uniform draw u ∈ [0,1) to an outcome.
 func (d Dist) sampleIndex(u float64) int {
 	if c := d.cdf; c != nil {

@@ -235,6 +235,13 @@ func (d Dist) Cached() Dist {
 	return Dist{p: d.p, cdf: &cdfCache{p: d.p}}
 }
 
+// Uncached returns a copy of d that samples through the linear scan even
+// on large supports, for benchmarks and equivalence tests that compare
+// the two sampling paths.
+func (d Dist) Uncached() Dist {
+	return Dist{p: d.p}
+}
+
 // Mean returns Σ x·p(x), treating outcomes as integers.
 func (d Dist) Mean() float64 {
 	m := 0.0

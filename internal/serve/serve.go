@@ -41,7 +41,7 @@ type RunProgress struct {
 	// RunID identifies the enclosing invocation (stable across reruns of
 	// the same configuration, e.g. "E7-seed1").
 	RunID string `json:"runId"`
-	// Experiment is the experiment ID ("E1".."E20").
+	// Experiment is the experiment ID ("E1".."E21").
 	Experiment string `json:"experiment"`
 	// CellsDone and CellsTotal count completed sweep cells. A sweep's
 	// updates are published in order (sim.Config.Progress serializes its

@@ -1593,7 +1593,7 @@ func E21TopologySeparation(cfg Config) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			cProto, err := disj.NewCoordinatorProtocol(inst, disj.CoordinatorOptions{})
+			cProto, err := disj.NewCoordinatorProtocol(inst)
 			if err != nil {
 				return nil, err
 			}

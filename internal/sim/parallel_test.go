@@ -133,7 +133,7 @@ func TestE6CountMatchesProtocolRuns(t *testing.T) {
 }
 
 // TestAllWorkerCountInvariance renders the full suite at 1 and 4 workers;
-// every one of the twenty tables must match byte for byte.
+// every one of the twenty-one tables must match byte for byte.
 func TestAllWorkerCountInvariance(t *testing.T) {
 	render := func(workers int) []string {
 		tables, err := All(Config{Seed: 7, Scale: Quick, Workers: workers})

@@ -1,4 +1,4 @@
-// Package sim is the experiment harness: it renders the twenty
+// Package sim is the experiment harness: it renders the twenty-one
 // per-theorem experiments of EXPERIMENTS.md (E1–E21) as tables, with
 // fixed-seed replication and simple summary statistics. Experiments run
 // their sweep cells on a worker pool (see Config.Workers and engine.go)

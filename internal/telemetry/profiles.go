@@ -9,8 +9,8 @@ import (
 	"runtime/trace"
 )
 
-// Profiles is the opt-in pprof/trace capture shared by every CLI. Register
-// its flags with AddFlags, call Start after flag parsing, and defer the
+// Profiles is the opt-in pprof/trace capture of cmd/experiments and
+// cmd/netdisj. Register its flags with AddFlags, call Start after flag parsing, and defer the
 // returned stop function; with no flags set both calls are no-ops.
 type Profiles struct {
 	CPUProfile string

@@ -147,9 +147,8 @@ func TestProfilesFlags(t *testing.T) {
 }
 
 // TestCollectorExportSorted pins the exposition ordering contract:
-// Export emits metrics in sorted name order, so every downstream
-// rendering (promtext, benchjson) is deterministic regardless of map
-// iteration order.
+// Export emits metrics in sorted name order, so the promtext rendering
+// is deterministic regardless of map iteration order.
 func TestCollectorExportSorted(t *testing.T) {
 	c := NewCollector()
 	for _, name := range []string{"z.last", "a.first", "m.middle", "b.second"} {

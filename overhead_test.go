@@ -56,10 +56,9 @@ func medianDuration(ds []time.Duration) time.Duration {
 	return (ds[n/2-1] + ds[n/2]) / 2
 }
 
-// TestNoopRecorderOverhead asserts the <2% budget on the E1 sweep (the
-// benchmark the CI perf gate watches most closely) with a live collector
-// installed: every instrumentation site takes its branch and records, so
-// this bounds the disabled path from above. Wall-clock thresholds are
+// TestNoopRecorderOverhead asserts the <2% budget on the E1 sweep with a
+// live collector installed: every instrumentation site takes its branch
+// and records, so this bounds the disabled path from above. Wall-clock thresholds are
 // inherently noisy, so the test compares medians of repeated interleaved
 // runs and retries with growing round counts, only failing if every
 // attempt exceeds the budget.
