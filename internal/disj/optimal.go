@@ -191,6 +191,9 @@ func newOptimalRun(inst *Instance, opts Options) *optimalRun {
 		k:       inst.K,
 		n:       inst.N,
 		covered: make([]bool, inst.N),
+		// The first cycle's live set is every coordinate, and later ones
+		// only shrink.
+		zCycle: make([]int, 0, inst.N),
 	}
 }
 

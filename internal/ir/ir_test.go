@@ -370,7 +370,9 @@ func TestShardZeroAllocs(t *testing.T) {
 		allocs := testing.AllocsPerRun(100, func() {
 			p.Shard(src, 64)
 		})
-		if allocs != 0 {
+		// A race build drops pooled scratch at random, so only a plain
+		// build can hold the count at zero.
+		if allocs != 0 && !raceEnabled {
 			t.Fatalf("%s: Shard allocates %v per run, want 0", name, allocs)
 		}
 	}

@@ -7,12 +7,12 @@ import (
 )
 
 // mailbox is an unbounded FIFO with a single consumer: a slice queue under
-// a mutex plus a one-slot ready channel. put never blocks, so the
-// goroutines that fill mailboxes (an endpoint's read loop, a node's link
-// loops) can never stall behind a slow consumer. It needs no capacity:
-// the stop-and-wait ARQ lets a sender run at most one frame ahead of the
-// acknowledgements, so a queue only grows with frames a consumer has not
-// asked for yet.
+// a mutex plus a one-slot ready channel. put never blocks, so whatever
+// fills a mailbox (an endpoint's receive path filling its node's inbox, a
+// stream link's Send filling its writer's queue) can never stall behind a
+// slow consumer. It needs no capacity: the stop-and-wait ARQ lets a sender
+// run at most one frame ahead of the acknowledgements, so a queue only
+// grows with frames a consumer has not asked for yet.
 type mailbox[T any] struct {
 	mu    sync.Mutex
 	items []T
@@ -58,16 +58,19 @@ func (mb *mailbox[T]) take() (v T, ok bool) {
 // errNoItem reports that a mailbox wait ran out its deadline.
 var errNoItem = errors.New("netrun: mailbox wait timed out")
 
-// next returns the oldest item, waiting up to d for one on timer t. It
-// returns errNoItem when d passes, and ErrLinkClosed once done is closed
-// and nothing is left queued: an item that raced with the close is still
-// delivered.
+// next returns the oldest item, waiting up to d for one on timer t, or
+// with no deadline when t is nil. It returns errNoItem when d passes, and
+// ErrLinkClosed once done is closed and nothing is left queued: an item
+// that raced with the close is still delivered.
 func (mb *mailbox[T]) next(t *waitTimer, d time.Duration, done <-chan struct{}) (T, error) {
 	if v, ok := mb.take(); ok {
 		return v, nil
 	}
-	expired := t.arm(d)
-	defer t.disarm()
+	var expired <-chan time.Time
+	if t != nil {
+		expired = t.arm(d)
+		defer t.disarm()
+	}
 	for {
 		select {
 		case <-mb.ready:
@@ -90,7 +93,7 @@ func (mb *mailbox[T]) next(t *waitTimer, d time.Duration, done <-chan struct{}) 
 // waitTimer is a one-shot timer reused across the waits of one goroutine,
 // so a wait allocates no timer. Every arm must be followed by disarm on
 // every return path: an armed timer stays in the runtime's timer heap
-// until it fires, so one left behind by an hour-long idle backstop would
+// until it fires, so one left behind by a long receive deadline would
 // outlive its run.
 type waitTimer struct {
 	t *time.Timer

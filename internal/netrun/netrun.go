@@ -31,6 +31,16 @@
 // mix. Only crashes are unrecoverable: a crashed player yields a typed
 // CrashError alongside the partial Result.
 //
+// Links push frames to their receiving endpoint, which acks them and
+// queues them for its node. On the default in-process transport (chan)
+// delivery is synchronous: the sender's Send runs the receiver's receive
+// path, ack included, on the sender's goroutine, so a run starts no
+// goroutine besides its player loops and a frame wakes only the node it is
+// for. The pipe and tcp transports keep one reader and one writer
+// goroutine per link end. On every transport a Send never waits on the
+// peer and a receive never blocks, so both ends of a link can send at
+// once without deadlock.
+//
 // # Determinism
 //
 // With link faults disabled the run is transcript-conformant: messages,
@@ -62,7 +72,7 @@ import (
 )
 
 // Config tunes a networked run. The zero value is usable: star topology
-// over the in-process channel transport, no faults, 250ms ARQ timeout, 12
+// over the in-process transport, no faults, 250ms ARQ timeout, 12
 // retries.
 type Config struct {
 	// Transport supplies the physical links (default: chan).

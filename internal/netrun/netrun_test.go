@@ -628,9 +628,54 @@ func TestRunReleasesGoroutines(t *testing.T) {
 	}
 }
 
+// A chan-transport run delivers every frame on the sending node's
+// goroutine, so while it runs the only goroutines it has started are its k
+// player loops (the coordinator runs on the caller's), on every topology
+// and through every repair path.
+func TestChanRunStartsOnlyPlayerLoops(t *testing.T) {
+	const k = 4
+	inst, err := disj.GenerateDisjoint(rng.New(606), 48, k, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := faults.Parse("drop=0.05,dup=0.05,corrupt=0.05")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, topo := range topologies() {
+		t.Run(topo.Name(), func(t *testing.T) {
+			proto, err := disj.NewOptimalProtocol(inst, disj.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Speak runs under the run's mutex, which orders the writes to
+			// peak, and Run returns only after every player loop has.
+			peak := 0
+			players := proto.Players()
+			for i, p := range players {
+				players[i] = blackboard.FuncPlayer(func(b *blackboard.Board) (blackboard.Message, error) {
+					peak = max(peak, runtime.NumGoroutine())
+					return p.Speak(b)
+				})
+			}
+			before := runtime.NumGoroutine()
+			_, err = netrun.Run(proto.Scheduler(), players, nil, netrun.Config{
+				Topology: topo, Faults: plan, Seed: 1, Timeout: time.Second, Limits: proto.Limits(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if extra := peak - before; extra > k {
+				t.Fatalf("%d goroutines ran beside the caller's during the run, want only the %d player loops", extra, k)
+			}
+		})
+	}
+}
+
 // Allocation budget of one fault-free n=64, k=4 run on the default star:
-// half of what the delivery layer allocated with fixed-capacity channel
-// queues (153 KB). Oversized per-run buffers coming back would blow it.
+// the 20.7 KB it allocates with synchronous in-process delivery, plus a
+// fifth. The channel plumbing before it allocated 34.4 KB, so per-run link
+// channels, read loops or ack queues coming back would blow it.
 func TestRunAllocationBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark-based budget")
@@ -639,7 +684,7 @@ func TestRunAllocationBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const budget = 153_000 / 2
+	const budget = 25_000
 	res := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

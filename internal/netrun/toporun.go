@@ -19,20 +19,30 @@ import (
 // # Frame flow
 //
 // Every node (players 0..k-1 and the coordinator at id k) owns one ARQ
-// endpoint per incident physical link. The read loops of a node's
-// endpoints put every frame they receive into the node's inbox, tagged
-// with the neighbor it came from, and the node's own loop (coordinator or
-// player) is the inbox's one consumer and the one sender on all of its
-// endpoints. A frame for a neighbor goes out bare: the receiver takes its
-// source from the link it came in on. Only a frame that must be relayed —
+// endpoint per incident physical link. Each link pushes the frames it
+// carries to its endpoint's receive, which acks them and puts them in the
+// node's inbox, tagged with the neighbor they came from; the node's own
+// loop (coordinator or player) is the inbox's one consumer and the one
+// sender on all of its endpoints. On the default in-process transport
+// receive runs on the sending node's goroutine, inside its Send, and the
+// ack is back before Send returns: a hop wakes only the node it is for,
+// and a netrun.hop span times the delivery work itself (framing, injected
+// faults, retransmissions, the peer's receive), not a goroutine handoff.
+// On pipe and TCP a reader goroutine per link end calls receive and a
+// writer goroutine puts queued frames on the wire.
+//
+// A frame for a neighbor goes out bare: the receiver takes its source from
+// the link it came in on. Only a frame that must be relayed —
 // NextHop(at, dst) != dst, which on the built-in topologies happens on the
 // ring alone — travels inside a frameRouted envelope ([src][dst][inner
 // kind][inner payload]), and a node that finds an envelope addressed
 // elsewhere in its inbox forwards it to Topology.NextHop from its own loop.
 // This is store-and-forward with per-hop reliability: the stop-and-wait
 // ARQ, retry budgets and fault plans of wire.go apply to each physical
-// link on its own. Forwarding from the node loop cannot deadlock, because
-// read loops ack every frame without waiting on the node.
+// link on its own. Forwarding from the node loop cannot deadlock, even
+// with both ends of a link sending at once: a send waits only for its own
+// ack, receive acks every frame at once without waiting on the node or
+// taking a lock, and no Send waits on the peer.
 //
 // # Ordering and determinism
 //
@@ -45,7 +55,8 @@ import (
 // the first hop's ack, so when the schedule ends the last turn's syncs
 // may still be relaying (ring); a successful run settles every relayed
 // frame at its destination, stops every node loop, and only then closes
-// the links and drains every read loop, before it reads the stats.
+// the links and waits until each has delivered what it still held, before
+// it reads the stats.
 //
 // Star and ring syncs all leave the coordinator along one FIFO route per
 // player, so they arrive in board order. On gossip topologies (mesh)
@@ -98,15 +109,23 @@ func ParseDelivery(name string) (DeliveryMode, error) {
 	return 0, fmt.Errorf("netrun: unknown delivery mode %q (want broadcast or coordinator)", name)
 }
 
-// topoNode is one participant: its id, its endpoints keyed by neighbor,
-// and the inbox their read loops deliver to. The node's loop (coordinator
-// or player) is the inbox's one consumer and the one sender on every
-// endpoint, and owns timer.
+// topoNode is one participant: its id, its endpoints indexed by neighbor
+// id (nil for a node it has no link to), and the inbox they deliver to.
+// The node's loop (coordinator or player) is the inbox's one consumer and
+// the one sender on every endpoint, and owns timer.
 type topoNode struct {
 	id    int
-	links map[int]*endpoint
+	links []*endpoint
 	inbox mailbox[inbound]
 	timer waitTimer
+}
+
+// link returns the endpoint toward neighbor id, or nil.
+func (n *topoNode) link(id int) *endpoint {
+	if id < 0 || id >= len(n.links) {
+		return nil
+	}
+	return n.links[id]
 }
 
 // topoRun holds the wiring of one run.
@@ -128,8 +147,8 @@ type topoRun struct {
 // neighbor, inside a routing envelope when a relay must carry it on.
 func (r *topoRun) sendFrom(n *topoNode, dst int, kind byte, payload []byte) error {
 	next := r.topo.NextHop(r.k, n.id, dst)
-	ep, ok := n.links[next]
-	if !ok {
+	ep := n.link(next)
+	if ep == nil {
 		return fmt.Errorf("netrun: topology %s routes %d->%d via non-neighbor %d", r.topo.Name(), n.id, dst, next)
 	}
 	if next == dst {
@@ -140,12 +159,16 @@ func (r *topoRun) sendFrom(n *topoNode, dst int, kind byte, payload []byte) erro
 }
 
 // recvAt returns the next frame addressed to node n, tagged with the node
-// that sent it. On the way it forwards frames in transit, and drops
-// envelopes that do not decode, counting each as a bad frame of the link
-// it came in on.
+// that sent it, waiting at most deadline, or until teardown when deadline
+// is 0. On the way it forwards frames in transit, and drops envelopes that
+// do not decode, counting each as a bad frame of the link it came in on.
 func (r *topoRun) recvAt(n *topoNode, deadline time.Duration) (inbound, error) {
+	timer := &n.timer
+	if deadline == 0 {
+		timer = nil
+	}
 	for {
-		in, err := n.inbox.next(&n.timer, deadline, r.done)
+		in, err := n.inbox.next(timer, deadline, r.done)
 		if err == errNoItem {
 			return inbound{}, fmt.Errorf("netrun: node %d: no frame within %v", n.id, deadline)
 		}
@@ -169,7 +192,7 @@ func (r *topoRun) recvAt(n *topoNode, deadline time.Duration) (inbound, error) {
 			return inbound{kind: kind, from: src, payload: payload}, nil
 		}
 		next := r.topo.NextHop(r.k, n.id, dst)
-		if ep, ok := n.links[next]; !ok || ep.send(frameRouted, in.payload) != nil {
+		if ep := n.link(next); ep == nil || ep.send(frameRouted, in.payload) != nil {
 			// Given up. A late ack may mean the next hop has it after all
 			// and lands it again; settle then merely ends early.
 			r.land()
@@ -308,7 +331,7 @@ func runTopology(sched blackboard.Scheduler, players []blackboard.Player, public
 	r := &topoRun{topo: topo, k: k, done: make(chan struct{}), settled: make(chan struct{}, 1)}
 	r.nodes = make([]*topoNode, k+1)
 	for id := range r.nodes {
-		r.nodes[id] = &topoNode{id: id, links: make(map[int]*endpoint), inbox: newMailbox[inbound]()}
+		r.nodes[id] = &topoNode{id: id, links: make([]*endpoint, k+1), inbox: newMailbox[inbound]()}
 	}
 	for l, lid := range links {
 		a, b := r.nodes[lid.A], r.nodes[lid.B]
@@ -318,10 +341,10 @@ func runTopology(sched blackboard.Scheduler, players []blackboard.Player, public
 		b.links[a.id] = epB[l]
 	}
 	// teardown stops the node loops first, then severs every link and
-	// waits for its read loops to drain it. A loop stops only between
-	// sends, so no frame or injected duplicate is still on its way when the
-	// links close, and the stats read next are the same on every same-seed
-	// run.
+	// waits until each has delivered what it still held. A loop stops only
+	// between sends, so no frame or injected duplicate is still on its way
+	// when the links close, and the stats read next are the same on every
+	// same-seed run.
 	var wg sync.WaitGroup
 	teardown := func() {
 		close(r.done)
@@ -484,10 +507,11 @@ func (r *topoRun) playerLoop(i int, player blackboard.Player, replica *replicaBo
 		default:
 		}
 		for _, ep := range n.links {
-			ep.close()
+			if ep != nil {
+				ep.close()
+			}
 		}
 	}()
-	const idleDeadline = time.Hour // teardown closes the run; this is a backstop
 	coordID := CoordinatorNode(r.k)
 	gossip := r.topo.Gossip()
 	turns := 0
@@ -509,7 +533,9 @@ func (r *topoRun) playerLoop(i int, player blackboard.Player, replica *replicaBo
 		return replica.apply(idx, msg)
 	}
 	for {
-		rf, err := r.recvAt(n, idleDeadline)
+		// An idle player waits for its next frame with no deadline:
+		// teardown ends the wait on every path out of the run.
+		rf, err := r.recvAt(n, 0)
 		if err != nil {
 			return
 		}

@@ -18,17 +18,16 @@ type forgingLink struct {
 	sent   atomic.Bool
 }
 
-func (l *forgingLink) Recv() ([]byte, error) {
-	f, err := l.Link.Recv()
-	if err == nil {
-		if l.seen++; l.seen == l.after {
-			if err := l.Link.Send(l.forged); err != nil {
-				return nil, err
-			}
+func (l *forgingLink) Attach(receive func(frame []byte, err error)) {
+	l.Link.Attach(func(f []byte, err error) {
+		receive(f, err)
+		if err != nil {
+			return
+		}
+		if l.seen++; l.seen == l.after && l.Link.Send(l.forged) == nil {
 			l.sent.Store(true)
 		}
-	}
-	return f, err
+	})
 }
 
 // forgingTransport opens chan links and puts link 0's higher-node end

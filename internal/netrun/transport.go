@@ -7,18 +7,27 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 )
 
 // Link is one endpoint of a bidirectional frame pipe between two nodes of
-// a topology. Send delivers one opaque frame to the peer;
-// Recv blocks for the next one. Links carry raw frames only — ordering,
-// acknowledgement, deduplication and fault tolerance live in the endpoint
-// layer above (wire.go). Send and Recv may be called from different
-// goroutines, but each of Send and Recv individually needs external
-// serialization (the endpoint provides it).
+// a topology. Links carry raw frames only — ordering, acknowledgement,
+// deduplication and fault tolerance live in the endpoint layer above
+// (wire.go) — and deliver them by push: Attach names the function that
+// takes every frame the peer sends, in order, and then, once the link has
+// been closed from either side or has failed, one last call with a nil
+// frame and the error. Attach is called once on each end, before either
+// end sends.
+//
+// Two rules keep a run of many links deadlock-free. Send never waits on
+// the peer: the in-process link calls the peer's receive function on the
+// sender's goroutine, and a stream link queues the frame for its writer
+// goroutine. A receive function never blocks, because it may run inside
+// the peer's Send, and it may itself Send back (an ack). Both ends of a
+// link may send at once, so no caller holds a lock across a Send.
 type Link interface {
+	Attach(receive func(frame []byte, err error))
 	Send(frame []byte) error
-	Recv() ([]byte, error)
 	Close() error
 }
 
@@ -42,22 +51,17 @@ var ErrLinkClosed = errors.New("netrun: link closed")
 const maxFrameBytes = 1 << 22
 
 // ---------------------------------------------------------------------------
-// In-process channel transport (the default).
+// In-process transport (the default).
 
-// ChanTransport connects coordinator and players with buffered in-process
-// channels. It is the default transport: no serialization overhead beyond
-// the frame bytes themselves, no syscalls, and deterministic capacity.
-type ChanTransport struct {
-	// Buffer is the per-direction channel capacity (0 = the default, 16).
-	// The stop-and-wait delivery layer keeps at most a handful of frames in
-	// flight per direction (the current frame, its duplicate, a duplicate
-	// left over from the previous frame, and acks), and read loops never
-	// wait on their consumers, so a link only fills while its reader is
-	// descheduled.
-	Buffer int
-}
+// ChanTransport connects the nodes in process: a link's Send hands the
+// frame to the peer endpoint's receive function directly, on the sender's
+// goroutine. It is the default transport: no copies, no syscalls and no
+// goroutines of its own, and since the receiver acks inside that call, a
+// frame's ack is back before Send returns and the only goroutine a frame
+// wakes is the node it is for.
+type ChanTransport struct{}
 
-// NewChanTransport returns the in-process channel transport.
+// NewChanTransport returns the in-process transport.
 func NewChanTransport() *ChanTransport { return &ChanTransport{} }
 
 // Name implements Transport.
@@ -68,66 +72,48 @@ func (t *ChanTransport) Open(k int) ([]Link, []Link, error) {
 	if k <= 0 {
 		return nil, nil, fmt.Errorf("netrun: transport opened for %d players", k)
 	}
-	buffer := t.Buffer
-	if buffer <= 0 {
-		buffer = 16
-	}
 	coord := make([]Link, k)
 	players := make([]Link, k)
 	for i := 0; i < k; i++ {
-		toPlayer := make(chan []byte, buffer)
-		toCoord := make(chan []byte, buffer)
-		done := make(chan struct{})
-		var once sync.Once
-		closeFn := func() { once.Do(func() { close(done) }) }
-		coord[i] = &chanLink{out: toPlayer, in: toCoord, done: done, close: closeFn}
-		players[i] = &chanLink{out: toCoord, in: toPlayer, done: done, close: closeFn}
+		p := &chanPair{}
+		p.ends[0].pair, p.ends[0].peer = p, &p.ends[1]
+		p.ends[1].pair, p.ends[1].peer = p, &p.ends[0]
+		coord[i], players[i] = &p.ends[0], &p.ends[1]
 	}
 	return coord, players, nil
 }
 
-// chanLink is one side of a channel pair. The two sides share the done
-// channel, so closing either side severs the link for both — mirroring a
-// broken connection.
-type chanLink struct {
-	out   chan<- []byte
-	in    <-chan []byte
-	done  chan struct{}
-	close func()
+// chanPair is one in-process link: its two ends and the flag they share,
+// so closing either end severs the link for both — mirroring a broken
+// connection.
+type chanPair struct {
+	closed atomic.Bool
+	ends   [2]chanLink
 }
+
+// chanLink is one end of a chanPair.
+type chanLink struct {
+	pair    *chanPair
+	peer    *chanLink
+	receive func(frame []byte, err error)
+}
+
+func (l *chanLink) Attach(receive func(frame []byte, err error)) { l.receive = receive }
 
 func (l *chanLink) Send(frame []byte) error {
-	select {
-	case <-l.done:
-		return ErrLinkClosed
-	default:
-	}
-	select {
-	case l.out <- frame:
-		return nil
-	case <-l.done:
+	if l.pair.closed.Load() {
 		return ErrLinkClosed
 	}
+	l.peer.receive(frame, nil)
+	return nil
 }
 
-func (l *chanLink) Recv() ([]byte, error) {
-	select {
-	case f := <-l.in:
-		return f, nil
-	case <-l.done:
-		// Drain anything that raced with the close so shutdown is not
-		// order-sensitive.
-		select {
-		case f := <-l.in:
-			return f, nil
-		default:
-		}
-		return nil, ErrLinkClosed
-	}
-}
-
+// Close severs the link and tells both ends, on the closing goroutine.
 func (l *chanLink) Close() error {
-	l.close()
+	if l.pair.closed.CompareAndSwap(false, true) {
+		l.receive(nil, ErrLinkClosed)
+		l.peer.receive(nil, ErrLinkClosed)
+	}
 	return nil
 }
 
@@ -137,26 +123,78 @@ func (l *chanLink) Close() error {
 
 // connLink adapts a net.Conn into a Link with a length-prefixed codec:
 // every frame is a 4-byte big-endian length followed by that many bytes.
-// The single Write per frame keeps frames contiguous; the endpoint layer
-// serializes concurrent senders.
+// Each side runs two goroutines. The reader, started by Attach, passes
+// every frame it reads to the receive function. The writer, started with
+// the link, puts queued frames on the conn in order, so Send never blocks:
+// on a synchronous net.Pipe, two ends whose readers both waited to write
+// an ack to the other would deadlock.
 type connLink struct {
 	conn net.Conn
+	out  mailbox[[]byte] // length-prefixed frames for the writer
+	// closing is closed by Close; the writer then writes what is queued
+	// and exits, closing written.
+	closing   chan struct{}
+	closeOnce sync.Once
+	written   chan struct{}
 }
 
+func newConnLink(conn net.Conn) *connLink {
+	l := &connLink{conn: conn, out: newMailbox[[]byte](), closing: make(chan struct{}), written: make(chan struct{})}
+	go l.writeLoop()
+	return l
+}
+
+func (l *connLink) Attach(receive func(frame []byte, err error)) { go l.readLoop(receive) }
+
+// Send queues one frame for the writer; once the writer has stopped it
+// fails.
 func (l *connLink) Send(frame []byte) error {
 	if len(frame) > maxFrameBytes {
 		return fmt.Errorf("netrun: frame of %d bytes exceeds wire limit", len(frame))
 	}
+	select {
+	case <-l.written:
+		return ErrLinkClosed
+	default:
+	}
 	buf := make([]byte, 4+len(frame))
 	binary.BigEndian.PutUint32(buf[:4], uint32(len(frame)))
 	copy(buf[4:], frame)
-	if _, err := l.conn.Write(buf); err != nil {
-		return fmt.Errorf("netrun: wire send: %w", err)
-	}
+	l.out.put(buf)
 	return nil
 }
 
-func (l *connLink) Recv() ([]byte, error) {
+// writeLoop is the conn's only writer. One Write per frame keeps frames
+// contiguous. A failed write closes the conn, so the reader reports the
+// failure.
+func (l *connLink) writeLoop() {
+	defer close(l.written)
+	for {
+		buf, err := l.out.next(nil, 0, l.closing)
+		if err != nil {
+			return
+		}
+		if _, err := l.conn.Write(buf); err != nil {
+			l.conn.Close()
+			return
+		}
+	}
+}
+
+// readLoop is the conn's only reader. It hands every frame to receive and
+// ends with the error that stopped it.
+func (l *connLink) readLoop(receive func(frame []byte, err error)) {
+	for {
+		frame, err := l.recv()
+		if err != nil {
+			receive(nil, err)
+			return
+		}
+		receive(frame, nil)
+	}
+}
+
+func (l *connLink) recv() ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(l.conn, hdr[:]); err != nil {
 		return nil, fmt.Errorf("netrun: wire recv: %w", err)
@@ -172,7 +210,15 @@ func (l *connLink) Recv() ([]byte, error) {
 	return frame, nil
 }
 
-func (l *connLink) Close() error { return l.conn.Close() }
+// Close lets the writer put what is already queued on the wire, then
+// closes the conn, which stops the reader on both sides. Flushing first
+// keeps a frame's injected duplicate, queued behind the frame, from being
+// lost to a teardown that started once the frame was acked.
+func (l *connLink) Close() error {
+	l.closeOnce.Do(func() { close(l.closing) })
+	<-l.written
+	return l.conn.Close()
+}
 
 // PipeTransport connects each player over a synchronous in-memory duplex
 // stream (net.Pipe) with the length-prefixed codec — the full wire path
@@ -194,8 +240,8 @@ func (t *PipeTransport) Open(k int) ([]Link, []Link, error) {
 	players := make([]Link, k)
 	for i := 0; i < k; i++ {
 		c, p := net.Pipe()
-		coord[i] = &connLink{conn: c}
-		players[i] = &connLink{conn: p}
+		coord[i] = newConnLink(c)
+		players[i] = newConnLink(p)
 	}
 	return coord, players, nil
 }
@@ -248,7 +294,7 @@ func (t *TCPTransport) Open(k int) ([]Link, []Link, error) {
 				dialErr <- fmt.Errorf("netrun: tcp handshake %d: %w", i, err)
 				return
 			}
-			players[i] = &connLink{conn: c}
+			players[i] = newConnLink(c)
 		}
 		dialErr <- nil
 	}()
@@ -284,7 +330,7 @@ func (t *TCPTransport) Open(k int) ([]Link, []Link, error) {
 			cleanup()
 			return nil, nil, fmt.Errorf("netrun: tcp handshake announced invalid player %d", idx[0])
 		}
-		coord[idx[0]] = &connLink{conn: c}
+		coord[idx[0]] = newConnLink(c)
 	}
 	if err := <-dialErr; err != nil {
 		cleanup()

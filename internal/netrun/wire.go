@@ -50,9 +50,9 @@ const (
 	frameRouted                 // relayed frame: envelope carrying [src][dst][inner kind][inner payload]
 )
 
-// linkClosed is the inbound kind a read loop delivers once its link has
-// failed, so the node waiting on its inbox learns of it at once. No frame
-// on the wire has kind 0.
+// linkClosed is the inbound kind an endpoint puts in its node's inbox
+// once its link has failed, so the node waiting on the inbox learns of it
+// at once. No frame on the wire has kind 0.
 const linkClosed byte = 0
 
 // packFrame lays out [kind 1B][seq 4B BE][crc32 4B BE][payload]. The
@@ -231,7 +231,8 @@ type inbound struct {
 }
 
 // endpointStats are the per-link telemetry counters. Updated atomically:
-// the read loop and the sending goroutine touch them concurrently.
+// the sending goroutine and the goroutines that deliver to the endpoint
+// touch them concurrently.
 type endpointStats struct {
 	wireBits   atomic.Int64 // bits put on (or dropped onto) the wire, both directions
 	retries    atomic.Int64 // retransmission attempts beyond the first send
@@ -268,11 +269,14 @@ type endpointStats struct {
 // are discarded silently (no re-ack): with reliable acks, a duplicate can
 // only be an injected Duplicate decision, never evidence of a lost ack.
 //
-// Exactly one goroutine calls send; the internal read loop is the only
-// reader of the raw link. The read loop hands data frames to its node's
-// inbox, an unbounded mailbox it shares with the node's other endpoints,
-// so it never waits on the consumer: frames nobody has asked for yet are
-// still acked at once.
+// Exactly one goroutine calls send. The link pushes every inbound frame to
+// receive, the endpoint's one receive path on every transport: the peer's
+// sending goroutine calls it on the in-process link, a reader goroutine on
+// a stream link. receive hands data frames to the node's inbox, an
+// unbounded mailbox it shares with the node's other endpoints, so it never
+// waits on the consumer: frames nobody has asked for yet are still acked
+// at once. Acks and nacks reach send through acked, nacked and the wake
+// token, which receive sets without blocking and without a lock.
 type endpoint struct {
 	raw        Link
 	inj        *faults.Injector // nil when link faults are disabled
@@ -283,56 +287,113 @@ type endpoint struct {
 	// disabled). The collector is driven from the same statements that
 	// update the atomics — including the NACK, known-drop and timeout
 	// retransmission paths — so recorded counters and Stats never diverge.
-	// names holds the per-link metric names, precomputed so the recording
-	// path allocates nothing per event.
-	rec   *telemetry.Collector
-	names linkMetricNames
-
 	// cause attaches hop spans, retry events and fault instants to the
-	// run's trace (zero Context: disabled). linkAttr is the precomputed
-	// link attribute shared by every record this endpoint emits.
-	cause    causal.Context
-	linkAttr causal.Attr
+	// run's trace (zero Context: disabled). Both record under the labels of
+	// the endpoint's link.
+	rec    *telemetry.Collector
+	cause  causal.Context
+	labels *linkLabels
 
-	writeMu sync.Mutex // serializes raw.Send between data path and control path
-	sendSeq uint32     // owned by the sending goroutine
-	recvSeq uint32     // owned by the read loop
-
-	// nackPending suppresses repeat nacks until a good data frame arrives;
-	// owned by the read loop.
-	nackPending bool
-	// peerNackPending is the sender's copy of the peer's nackPending,
-	// advanced by the frames it puts on the wire; owned by the sending
-	// goroutine.
+	// Owned by the sending goroutine: the sequence number of the last
+	// frame sent, its copy of the peer's nackPending (advanced by the
+	// frames it puts on the wire) and the timer every send wait reuses.
+	sendSeq         uint32
 	peerNackPending bool
+	sendTimer       waitTimer
+
+	// Owned by receive's data path, which runs on one goroutine at a time
+	// (the peer's sender, or the stream reader): the last accepted
+	// sequence number, and the flag that suppresses repeat nacks until a
+	// good data frame arrives.
+	recvSeq     uint32
+	nackPending bool
+
+	// Set by receive's control path: the sequence number of the last ack
+	// (acks arrive in order) and whether a nack came since send last
+	// looked. wake gets a token whenever either changes or the endpoint
+	// closes, so a waiting send looks again.
+	acked  atomic.Uint32
+	nacked atomic.Bool
+	wake   chan struct{}
 
 	// inbox receives data frames, each tagged with peer, the node id at
 	// the far end of the link.
-	inbox  *mailbox[inbound]
-	peer   int
-	ackCh  chan uint32
-	nackCh chan struct{}
+	inbox *mailbox[inbound]
+	peer  int
 
-	// sendTimer is reused by every send wait; the sending goroutine owns it.
-	sendTimer waitTimer
-
-	closed    chan struct{}
-	closeOnce sync.Once
-	readDone  chan struct{} // closed when the read loop has exited
+	closed atomic.Bool    // set by the first close; a waiting send gives up
+	down   sync.WaitGroup // done once receive has taken the link's failure
 
 	stats endpointStats
 }
 
-// linkMetricNames are the per-link metric names, precomputed at endpoint
-// construction; fault is indexed by faults.Kind.
-type linkMetricNames struct {
+// linkLabels are the metric names and causal attributes of the link with
+// a given index in a run's topology, under which both of its endpoints
+// record. They depend on the index alone, so each is built once per
+// process and shared by every run, and recording formats and allocates
+// nothing.
+type linkLabels struct {
 	wireBits, retries, badFrames, dupFrames, ackNs string
-	fault                                          [faults.NumKinds]string
+	faultName                                      [faults.NumKinds]string
+
+	attr causal.Attr // link=<index>
+	// hop holds a hop span's attributes per frame kind (the link and the
+	// kind's name), and fault a fault instant's per faults.Kind (the link
+	// and the fault's name). Records keep them uncopied.
+	hop   [frameRouted + 1][]causal.Attr
+	fault [faults.NumKinds][]causal.Attr
+}
+
+// labelCache holds the labels of every link index below cachedLinks used
+// so far.
+var labelCache struct {
+	mu     sync.Mutex
+	byLink []*linkLabels
+}
+
+// cachedLinks bounds labelCache, so one huge run (a mesh of 45 or more
+// players) does not pin its labels for the life of the process; its
+// further links get fresh labels per endpoint.
+const cachedLinks = 1024
+
+// labelsOf returns the labels of link index link.
+func labelsOf(link int) *linkLabels {
+	if link >= cachedLinks {
+		return newLinkLabels(link)
+	}
+	labelCache.mu.Lock()
+	defer labelCache.mu.Unlock()
+	for l := len(labelCache.byLink); l <= link; l++ {
+		labelCache.byLink = append(labelCache.byLink, newLinkLabels(l))
+	}
+	return labelCache.byLink[link]
+}
+
+func newLinkLabels(link int) *linkLabels {
+	name := func(field string) string { return telemetry.Indexed(telemetry.NetrunTopo, link, field) }
+	lb := &linkLabels{
+		wireBits:  name("wire_bits"),
+		retries:   name("retries"),
+		badFrames: name("bad_frames"),
+		dupFrames: name("dup_frames"),
+		ackNs:     name("ack_ns"),
+		attr:      causal.Int("link", link),
+	}
+	for k := range lb.fault {
+		fault := faults.Kind(k).String()
+		lb.faultName[k] = name("faults." + fault)
+		lb.fault[k] = []causal.Attr{lb.attr, causal.String("fault", fault)}
+	}
+	for kind := range lb.hop {
+		lb.hop[kind] = []causal.Attr{lb.attr, causal.String("kind", kindName(byte(kind)))}
+	}
+	return lb
 }
 
 // newEndpoint builds the ARQ layer over one raw link, the link with index
-// link in the run's topology, whose far end is node peer. Its read loop
-// delivers data frames to inbox; its metrics are netrun.topo.<link>.*.
+// link in the run's topology, whose far end is node peer, and attaches it:
+// from here on the link delivers to receive, which puts data frames in
+// inbox. Its metrics are netrun.topo.<link>.*.
 func newEndpoint(raw Link, inj *faults.Injector, timeout time.Duration, maxRetries int, rec *telemetry.Collector, cause causal.Context, link int, inbox *mailbox[inbound], peer int) *endpoint {
 	ep := &endpoint{
 		raw:        raw,
@@ -341,27 +402,13 @@ func newEndpoint(raw Link, inj *faults.Injector, timeout time.Duration, maxRetri
 		maxRetries: maxRetries,
 		rec:        rec,
 		cause:      cause,
-		linkAttr:   causal.Int("link", link),
+		labels:     labelsOf(link),
+		wake:       make(chan struct{}, 1),
 		inbox:      inbox,
 		peer:       peer,
-		ackCh:      make(chan uint32, 64),
-		nackCh:     make(chan struct{}, 64),
-		closed:     make(chan struct{}),
-		readDone:   make(chan struct{}),
 	}
-	if rec != nil {
-		ep.names = linkMetricNames{
-			wireBits:  telemetry.Indexed(telemetry.NetrunTopo, link, "wire_bits"),
-			retries:   telemetry.Indexed(telemetry.NetrunTopo, link, "retries"),
-			badFrames: telemetry.Indexed(telemetry.NetrunTopo, link, "bad_frames"),
-			dupFrames: telemetry.Indexed(telemetry.NetrunTopo, link, "dup_frames"),
-			ackNs:     telemetry.Indexed(telemetry.NetrunTopo, link, "ack_ns"),
-		}
-		for k := 0; k < faults.NumKinds; k++ {
-			ep.names.fault[k] = telemetry.Indexed(telemetry.NetrunTopo, link, "faults."+faults.Kind(k).String())
-		}
-	}
-	go ep.readLoop()
+	ep.down.Add(1)
+	raw.Attach(ep.receive)
 	return ep
 }
 
@@ -370,14 +417,14 @@ func newEndpoint(raw Link, inj *faults.Injector, timeout time.Duration, maxRetri
 func (ep *endpoint) recordWireBits(bits int64) {
 	if ep.rec != nil {
 		ep.rec.Count(telemetry.NetrunWireBits, bits)
-		ep.rec.Count(ep.names.wireBits, bits)
+		ep.rec.Count(ep.labels.wireBits, bits)
 	}
 }
 
 func (ep *endpoint) recordRetry() {
 	if ep.rec != nil {
 		ep.rec.Count(telemetry.NetrunRetries, 1)
-		ep.rec.Count(ep.names.retries, 1)
+		ep.rec.Count(ep.labels.retries, 1)
 	}
 }
 
@@ -387,38 +434,41 @@ func (ep *endpoint) countBad() {
 	ep.stats.badFrames.Add(1)
 	if ep.rec != nil {
 		ep.rec.Count(telemetry.NetrunBadFrames, 1)
-		ep.rec.Count(ep.names.badFrames, 1)
+		ep.rec.Count(ep.labels.badFrames, 1)
 	}
 }
 
 func (ep *endpoint) recordDup() {
 	if ep.rec != nil {
 		ep.rec.Count(telemetry.NetrunDupFrames, 1)
-		ep.rec.Count(ep.names.dupFrames, 1)
+		ep.rec.Count(ep.labels.dupFrames, 1)
 	}
 }
 
 func (ep *endpoint) recordFault(kind faults.Kind) {
 	if ep.rec != nil {
 		ep.rec.Count(telemetry.NetrunFaults, 1)
-		ep.rec.Count(ep.names.fault[kind], 1)
+		ep.rec.Count(ep.labels.faultName[kind], 1)
 	}
 	if ep.cause.Enabled() {
-		ep.cause.Fault(causal.NetrunFault, ep.linkAttr, causal.String("fault", kind.String()))
+		ep.cause.Fault(causal.NetrunFault, ep.labels.fault[kind]...)
 	}
 }
 
-// close severs the endpoint; a pending send unblocks with an error.
+// close severs the endpoint; a pending send unblocks with an error. It is
+// safe to call again, also from inside the link's Close, which reports the
+// failure to receive on the closing goroutine.
 func (ep *endpoint) close() {
-	ep.closeOnce.Do(func() {
-		close(ep.closed)
-		ep.raw.Close()
-	})
+	if ep.closed.Swap(true) {
+		return
+	}
+	ep.signal()
+	ep.raw.Close()
 }
 
-// closeAndWait severs every endpoint, then waits until each read loop has
-// drained what its link still held and exited, so the stats are final and
-// no goroutine outlives the run.
+// closeAndWait severs every endpoint, then waits until each link has
+// reported its failure to its endpoints — after the last frame it still
+// held — so the stats are final and no link goroutine outlives the run.
 func closeAndWait(eps ...[]*endpoint) {
 	for _, group := range eps {
 		for _, ep := range group {
@@ -427,62 +477,63 @@ func closeAndWait(eps ...[]*endpoint) {
 	}
 	for _, group := range eps {
 		for _, ep := range group {
-			<-ep.readDone
+			ep.down.Wait()
 		}
 	}
 }
 
-// readLoop is the sole reader of the raw link. It acks new data frames and
-// hands them to the inbox, nacks corrupted ones, discards duplicates, and
-// routes acks and nacks to the sender. When the link fails it tells the
-// inbox, so a node waiting on a dead peer does not sit out its deadline.
-func (ep *endpoint) readLoop() {
-	defer close(ep.readDone)
-	for {
-		frame, err := ep.raw.Recv()
-		if err != nil {
-			ep.close()
-			ep.inbox.put(inbound{kind: linkClosed, from: ep.peer})
-			return
+// receive takes one frame from the link, or its failure. It acks new data
+// frames and hands them to the inbox, nacks corrupted ones, discards
+// duplicates, and passes acks and nacks to the sender. When the link fails
+// it tells the inbox, so a node waiting on a dead peer does not sit out
+// its deadline. It never blocks: it may run inside the peer's Send, and
+// both ends of a link may be sending at once.
+func (ep *endpoint) receive(frame []byte, err error) {
+	if err != nil {
+		ep.close()
+		ep.inbox.put(inbound{kind: linkClosed, from: ep.peer})
+		ep.down.Done()
+		return
+	}
+	kind, seq, payload, ok := parseFrame(frame)
+	if !ok {
+		ep.countBad()
+		if !ep.nackPending {
+			ep.nackPending = true
+			ep.sendControl(frameNack, ep.recvSeq)
 		}
-		kind, seq, payload, ok := parseFrame(frame)
-		if !ok {
-			ep.countBad()
-			if !ep.nackPending {
-				ep.nackPending = true
-				ep.sendControl(frameNack, ep.recvSeq)
-			}
-			continue
-		}
-		switch kind {
-		case frameAck:
-			select {
-			case ep.ackCh <- seq:
-			default:
-				// The sender is not waiting (stale ack from a duplicated
-				// frame); drop it.
-			}
-			continue
-		case frameNack:
-			select {
-			case ep.nackCh <- struct{}{}:
-			default:
-			}
-			continue
-		}
-		ep.nackPending = false
-		if seq <= ep.recvSeq {
-			ep.stats.dupDropped.Add(1)
-			ep.recordDup()
-			continue
-		}
-		// Stop-and-wait: in-order delivery means the only acceptable new
-		// frame is recvSeq+1.
-		ep.recvSeq = seq
-		ep.sendControl(frameAck, seq)
-		// The payload aliases the frame: every frame is freshly allocated
-		// per send and never written once it is on the wire.
-		ep.inbox.put(inbound{kind: kind, from: ep.peer, payload: payload})
+		return
+	}
+	switch kind {
+	case frameAck:
+		ep.acked.Store(seq)
+		ep.signal()
+		return
+	case frameNack:
+		ep.nacked.Store(true)
+		ep.signal()
+		return
+	}
+	ep.nackPending = false
+	if seq <= ep.recvSeq {
+		ep.stats.dupDropped.Add(1)
+		ep.recordDup()
+		return
+	}
+	// Stop-and-wait: in-order delivery means the only acceptable new
+	// frame is recvSeq+1.
+	ep.recvSeq = seq
+	ep.sendControl(frameAck, seq)
+	// The payload aliases the frame: every frame is freshly allocated per
+	// send and never written once it is on the wire.
+	ep.inbox.put(inbound{kind: kind, from: ep.peer, payload: payload})
+}
+
+// signal leaves the sender a wake token, unless one is already waiting.
+func (ep *endpoint) signal() {
+	select {
+	case ep.wake <- struct{}{}:
+	default:
 	}
 }
 
@@ -490,8 +541,6 @@ func (ep *endpoint) readLoop() {
 // the type comment) and never retransmitted.
 func (ep *endpoint) sendControl(kind byte, seq uint32) {
 	frame := packFrame(kind, seq, nil)
-	ep.writeMu.Lock()
-	defer ep.writeMu.Unlock()
 	ep.stats.wireBits.Add(int64(8 * len(frame)))
 	ep.recordWireBits(int64(8 * len(frame)))
 	ep.raw.Send(frame) // best effort: a lost control frame surfaces as a send timeout upstream
@@ -504,16 +553,8 @@ func (ep *endpoint) send(kind byte, payload []byte) error {
 	ep.sendSeq++
 	seq := ep.sendSeq
 	frame := packFrame(kind, seq, payload)
-	// Drain nacks left over from an earlier frame's repair (the link is
-	// FIFO, so anything queued now predates this frame).
-	for {
-		select {
-		case <-ep.nackCh:
-			continue
-		default:
-		}
-		break
-	}
+	// A nack left over from an earlier frame's repair predates this frame.
+	ep.nacked.Store(false)
 	timeout := ep.timeout
 	maxTimeout := 8 * ep.timeout
 	// The hop span covers first transmission to matching ack, retransmissions
@@ -521,7 +562,7 @@ func (ep *endpoint) send(kind byte, payload []byte) error {
 	// on successful delivery, so a hop that exhausted its retry budget (or
 	// died with the link) is absent from the dump and the histograms — the
 	// retry events and the eventual crash record tell that story instead.
-	hop := ep.cause.StartSpan(ep.rec, causal.NetrunHop, ep.linkAttr, causal.String("kind", kindName(kind)))
+	hop := ep.cause.StartSpanShared(ep.rec, causal.NetrunHop, ep.labels.hop[kind])
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
 			ep.stats.retries.Add(1)
@@ -529,7 +570,7 @@ func (ep *endpoint) send(kind byte, payload []byte) error {
 			if ep.cause.Enabled() {
 				// Parent the retry to its hop so the causal tree shows which
 				// delivery the retransmission repaired.
-				hop.Context().Event(causal.NetrunRetry, ep.linkAttr, causal.Int("attempt", attempt))
+				hop.Context().Event(causal.NetrunRetry, ep.labels.attr, causal.Int("attempt", attempt))
 			}
 		}
 		delivered, err := ep.sendRaw(frame)
@@ -537,33 +578,18 @@ func (ep *endpoint) send(kind byte, payload []byte) error {
 			return fmt.Errorf("%w: %v", ErrDelivery, err)
 		}
 		if delivered {
-			expired := ep.sendTimer.arm(timeout)
-		await:
-			for {
-				select {
-				case ackSeq := <-ep.ackCh:
-					if ackSeq == seq {
-						ep.sendTimer.disarm()
-						ackNs := float64(hop.End())
-						if ep.rec != nil {
-							ep.rec.Observe(telemetry.NetrunAckNs, ackNs)
-							ep.rec.Observe(ep.names.ackNs, ackNs)
-						}
-						return nil
-					}
-					// Stale ack for an earlier frame (e.g. from an injected
-					// duplicate); keep waiting within this attempt.
-				case <-ep.nackCh:
-					// The receiver saw a corrupted frame; retransmit now.
-					break await
-				case <-expired:
-					break await
-				case <-ep.closed:
-					ep.sendTimer.disarm()
-					return fmt.Errorf("%w: %v", ErrDelivery, ErrLinkClosed)
-				}
+			acked, err := ep.await(seq, timeout)
+			if err != nil {
+				return err
 			}
-			ep.sendTimer.disarm()
+			if acked {
+				ackNs := float64(hop.End())
+				if ep.rec != nil {
+					ep.rec.Observe(telemetry.NetrunAckNs, ackNs)
+					ep.rec.Observe(ep.labels.ackNs, ackNs)
+				}
+				return nil
+			}
 		}
 		if attempt >= ep.maxRetries {
 			return fmt.Errorf("%w: no ack for frame kind %d after %d attempts", ErrDelivery, kind, attempt+1)
@@ -577,6 +603,43 @@ func (ep *endpoint) send(kind byte, payload []byte) error {
 	}
 }
 
+// await waits up to d for the ack of frame seq, and reports false when a
+// nack or the timeout calls for a retransmission instead. On the
+// in-process link the answer came back inside the Send that carried the
+// frame, so await finds it before it arms the timer.
+func (ep *endpoint) await(seq uint32, d time.Duration) (bool, error) {
+	if ep.acked.Load() == seq {
+		return true, nil
+	}
+	if ep.nacked.Swap(false) {
+		return false, nil
+	}
+	expired := ep.sendTimer.arm(d)
+	defer ep.sendTimer.disarm()
+	for {
+		select {
+		case <-ep.wake:
+		case <-expired:
+			if ep.acked.Load() == seq {
+				return true, nil
+			}
+			// A nack that came with the timeout is for the attempt that
+			// timed out, and the retransmission answers both.
+			ep.nacked.Store(false)
+			return false, nil
+		}
+		if ep.acked.Load() == seq {
+			return true, nil
+		}
+		if ep.closed.Load() {
+			return false, fmt.Errorf("%w: %v", ErrDelivery, ErrLinkClosed)
+		}
+		if ep.nacked.Swap(false) {
+			return false, nil
+		}
+	}
+}
+
 // sendRaw puts one data frame on the wire, applying the injector's
 // decision. A dropped frame still counts its wire bits (the sender
 // transmitted; the medium ate it), keeping the delivered-bits overhead
@@ -586,8 +649,6 @@ func (ep *endpoint) send(kind byte, payload []byte) error {
 func (ep *endpoint) sendRaw(frame []byte) (delivered bool, err error) {
 	bits := int64(8 * len(frame))
 	if ep.inj == nil {
-		ep.writeMu.Lock()
-		defer ep.writeMu.Unlock()
 		ep.stats.wireBits.Add(bits)
 		ep.recordWireBits(bits)
 		return true, ep.raw.Send(frame)
@@ -604,8 +665,6 @@ func (ep *endpoint) sendRaw(frame []byte) (delivered bool, err error) {
 		copy(out, frame)
 		out[d.CorruptBit/8] ^= 1 << uint(7-d.CorruptBit%8)
 	}
-	ep.writeMu.Lock()
-	defer ep.writeMu.Unlock()
 	if d.Drop {
 		ep.recordFault(faults.Drop)
 		ep.stats.wireBits.Add(bits)
@@ -613,7 +672,7 @@ func (ep *endpoint) sendRaw(frame []byte) (delivered bool, err error) {
 		return false, nil
 	}
 	// Advance the mirror of the peer's NACK suppression exactly as the
-	// peer's read loop will when this frame (and its duplicate) arrives: a
+	// peer's receive will when this frame (and its duplicate) arrives: a
 	// corrupted frame sets it, NACKing only if it was clear; a good frame
 	// clears it. A corruption the peer will not NACK is repaired now.
 	corrupted := d.CorruptBit >= 0

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"broadcastic/internal/blackboard"
 	"broadcastic/internal/faults"
 	"broadcastic/internal/rng"
+	"broadcastic/internal/telemetry"
 	"broadcastic/internal/telemetry/causal"
 )
 
@@ -147,7 +149,7 @@ func newTestEndpoint(raw Link, inj *faults.Injector, timeout time.Duration, maxR
 // recv waits up to d for the next frame in ep's inbox.
 func recv(ep *endpoint, d time.Duration) (inbound, error) {
 	var timer waitTimer
-	return ep.inbox.next(&timer, d, ep.closed)
+	return ep.inbox.next(&timer, d, nil)
 }
 
 func newEndpointPair(t *testing.T, wrapA func(Link) Link, timeout time.Duration, maxRetries int) (*endpoint, *endpoint) {
@@ -209,7 +211,7 @@ func TestEndpointGivesUp(t *testing.T) {
 	}
 }
 
-// The read loop hands data frames to an unbounded mailbox, so frames
+// receive hands data frames to an unbounded mailbox, so frames
 // nobody consumes yet are still acked at once: the sender never retries
 // and never waits out a timeout, however far the consumer falls behind.
 func TestEndpointUnconsumedFrames(t *testing.T) {
@@ -262,6 +264,92 @@ func TestEndpointRepairsSilentCorruptionAtOnce(t *testing.T) {
 	}
 	if got := a.stats.retries.Load(); got != maxRetries {
 		t.Fatalf("retries = %d, want %d", got, maxRetries)
+	}
+}
+
+// Both ends of a link can carry data at once (ring relays, a player's
+// frameErr racing a sync). No lock is held across a Send, and neither a
+// receive nor a Send waits on the peer, so two endpoints that send to
+// each other at once both finish, on every transport, and each side's
+// frames surface once and in order.
+func TestLinkBidirectional(t *testing.T) {
+	const frames = 2000
+	for _, tr := range []Transport{NewChanTransport(), NewPipeTransport(), NewTCPTransport()} {
+		t.Run(tr.Name(), func(t *testing.T) {
+			coord, players, err := tr.Open(1)
+			if err != nil {
+				if tr.Name() == "tcp" {
+					t.Skipf("tcp unavailable: %v", err)
+				}
+				t.Fatal(err)
+			}
+			ends := []*endpoint{
+				newTestEndpoint(coord[0], nil, 5*time.Second, 3),
+				newTestEndpoint(players[0], nil, 5*time.Second, 3),
+			}
+			t.Cleanup(func() { closeAndWait(ends) })
+			sent := make(chan error, len(ends))
+			for _, ep := range ends {
+				go func() {
+					for i := 0; i < frames; i++ {
+						if err := ep.send(frameSync, []byte{byte(i), byte(i >> 8)}); err != nil {
+							sent <- fmt.Errorf("frame %d: %w", i, err)
+							return
+						}
+					}
+					sent <- nil
+				}()
+			}
+			deadline := time.After(30 * time.Second)
+			for range ends {
+				select {
+				case err := <-sent:
+					if err != nil {
+						t.Fatal(err)
+					}
+				case <-deadline:
+					t.Fatalf("both ends sending %d frames at once did not finish: deadlock", frames)
+				}
+			}
+			for e, ep := range ends {
+				for i := 0; i < frames; i++ {
+					in, err := recv(ep, time.Second)
+					if err != nil || in.payload[0] != byte(i) || in.payload[1] != byte(i>>8) {
+						t.Fatalf("end %d: frame %d surfaced as %+v, %v", e, i, in, err)
+					}
+				}
+				if in, err := recv(ep, 10*time.Millisecond); err == nil {
+					t.Fatalf("end %d: extra frame %+v", e, in)
+				}
+			}
+		})
+	}
+}
+
+// Every link index gets its netrun.topo.<l>.* names and causal attributes,
+// built once per process below cachedLinks and afresh past it, so the
+// cache stays bounded whatever the largest run.
+func TestLinkLabels(t *testing.T) {
+	for _, link := range []int{0, 7, cachedLinks - 1, cachedLinks, cachedLinks + 9} {
+		lb := labelsOf(link)
+		if want := telemetry.Indexed(telemetry.NetrunTopo, link, "wire_bits"); lb.wireBits != want {
+			t.Errorf("link %d records wire bits under %q, want %q", link, lb.wireBits, want)
+		}
+		if want := telemetry.Indexed(telemetry.NetrunTopo, link, "faults.drop"); lb.faultName[faults.Drop] != want {
+			t.Errorf("link %d records drops under %q, want %q", link, lb.faultName[faults.Drop], want)
+		}
+		if hop := lb.hop[frameMsg]; len(hop) != 2 || hop[0] != causal.Int("link", link) || hop[1] != causal.String("kind", "msg") {
+			t.Errorf("link %d hop attributes %v", link, hop)
+		}
+	}
+	if labelsOf(3) != labelsOf(3) {
+		t.Error("the labels of a cached link index were built twice")
+	}
+	labelCache.mu.Lock()
+	cached := len(labelCache.byLink)
+	labelCache.mu.Unlock()
+	if cached > cachedLinks {
+		t.Errorf("label cache holds %d links, bound %d", cached, cachedLinks)
 	}
 }
 
@@ -324,6 +412,10 @@ func TestMailboxConcurrentProducers(t *testing.T) {
 }
 
 func TestTransportsRoundTrip(t *testing.T) {
+	type delivery struct {
+		frame []byte
+		err   error
+	}
 	for _, tr := range []Transport{NewChanTransport(), NewPipeTransport(), NewTCPTransport()} {
 		t.Run(tr.Name(), func(t *testing.T) {
 			coord, players, err := tr.Open(3)
@@ -333,42 +425,62 @@ func TestTransportsRoundTrip(t *testing.T) {
 				}
 				t.Fatal(err)
 			}
+			// Every end delivers into a channel of its own, roomy enough
+			// that delivery never blocks.
+			attach := func(l Link) chan delivery {
+				ch := make(chan delivery, 4)
+				l.Attach(func(frame []byte, err error) { ch <- delivery{frame, err} })
+				return ch
+			}
+			atCoord := make([]chan delivery, len(coord))
+			atPlayer := make([]chan delivery, len(players))
 			for i := range coord {
+				atCoord[i], atPlayer[i] = attach(coord[i]), attach(players[i])
 				defer coord[i].Close()
 				defer players[i].Close()
+			}
+			next := func(ch chan delivery) delivery {
+				t.Helper()
+				select {
+				case d := <-ch:
+					return d
+				case <-time.After(2 * time.Second):
+					t.Fatal("nothing delivered")
+				}
+				return delivery{}
 			}
 			// Links must be independent and bidirectional.
 			for i := range coord {
 				want := []byte{byte(i), 0xaa}
-				done := make(chan error, 1)
-				go func() { done <- coord[i].Send(want) }()
-				got, err := players[i].Recv()
-				if err != nil || !bytes.Equal(got, want) {
-					t.Fatalf("link %d: recv %x, %v", i, got, err)
-				}
-				if err := <-done; err != nil {
+				if err := coord[i].Send(want); err != nil {
 					t.Fatalf("link %d: send: %v", i, err)
 				}
-				go func() { done <- players[i].Send(want) }()
-				if got, err := coord[i].Recv(); err != nil || !bytes.Equal(got, want) {
-					t.Fatalf("link %d reverse: recv %x, %v", i, got, err)
+				if d := next(atPlayer[i]); d.err != nil || !bytes.Equal(d.frame, want) {
+					t.Fatalf("link %d: delivered %x, %v", i, d.frame, d.err)
 				}
-				<-done
+				if err := players[i].Send(want); err != nil {
+					t.Fatalf("link %d reverse: send: %v", i, err)
+				}
+				if d := next(atCoord[i]); d.err != nil || !bytes.Equal(d.frame, want) {
+					t.Fatalf("link %d reverse: delivered %x, %v", i, d.frame, d.err)
+				}
 			}
-			// Closing one side unblocks the peer's Recv.
-			errCh := make(chan error, 1)
-			go func() {
-				_, err := players[0].Recv()
-				errCh <- err
-			}()
-			coord[0].Close()
-			select {
-			case err := <-errCh:
-				if err == nil {
-					t.Fatal("Recv after peer close returned a frame")
+			for i := range coord {
+				if len(atCoord[i])+len(atPlayer[i]) != 0 {
+					t.Fatalf("link %d delivered a frame nobody sent", i)
 				}
-			case <-time.After(2 * time.Second):
-				t.Fatal("Recv did not unblock on peer close")
+			}
+			// Closing one side reports the failure to both ends, and the
+			// link refuses further sends.
+			coord[0].Close()
+			if d := next(atPlayer[0]); d.err == nil {
+				t.Fatal("peer of a closed link got a frame, not the failure")
+			}
+			if d := next(atCoord[0]); d.err == nil {
+				t.Fatal("closed end got a frame, not the failure")
+			}
+			if err := coord[0].Send([]byte{1}); err == nil {
+				t.Fatal("send on a closed link succeeded")
 			}
 		})
 	}

@@ -197,6 +197,18 @@ func (c Context) StartSpan(m *telemetry.Collector, name string, attrs ...Attr) S
 	return Span{}
 }
 
+// StartSpanShared is StartSpan for an attribute slice that is built once
+// and never modified afterwards: a recording span keeps attrs itself
+// rather than a copy, so a hot path that opens many spans with the same
+// attributes allocates nothing per span.
+func (c Context) StartSpanShared(m *telemetry.Collector, name string, attrs []Attr) Span {
+	sp := c.StartSpan(m, name)
+	if c.rec != nil {
+		sp.attrs = attrs
+	}
+	return sp
+}
+
 // origin is the clock of spans timed only for a metrics Collector: with no
 // flight recorder there is no epoch, and a duration needs none.
 var origin = time.Now()

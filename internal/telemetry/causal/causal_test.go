@@ -101,6 +101,27 @@ func TestUnrecordedSpanAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestSharedSpanAttrsAllocateNothing: a recording span opened with
+// StartSpanShared keeps the caller's prebuilt attribute slice itself, so
+// it allocates nothing per start and end, and its record carries exactly
+// those attributes.
+func TestSharedSpanAttrsAllocateNothing(t *testing.T) {
+	r := NewRecorder(256)
+	c := r.StartTrace("root")
+	attrs := []Attr{String("link", "0"), String("kind", "msg")}
+	allocs := testing.AllocsPerRun(100, func() {
+		c.StartSpanShared(nil, NetrunHop, attrs).End()
+	})
+	if allocs != 0 {
+		t.Errorf("shared-attrs span allocates %v per start/end, want 0", allocs)
+	}
+	recs := r.Records(c.Trace())
+	last := recs[len(recs)-1]
+	if last.Name != NetrunHop || len(last.Attrs) != len(attrs) || &last.Attrs[0] != &attrs[0] {
+		t.Errorf("last record %+v, want a %s span holding the shared attrs", last, NetrunHop)
+	}
+}
+
 func TestStartTraceAndParentLinks(t *testing.T) {
 	r := NewRecorder(256)
 	c := r.StartTrace(JobAdmission, String("tenant", "acme"))
