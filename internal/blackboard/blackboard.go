@@ -13,6 +13,7 @@
 package blackboard
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strings"
@@ -74,6 +75,23 @@ func NewBoard(numPlayers int, public *rng.Source) (*Board, error) {
 		perPlayer:  make([]int, numPlayers),
 		public:     public,
 	}, nil
+}
+
+// reservedMessages caps Reserve: a run under a loose limit reserves this
+// many messages and grows from there.
+const reservedMessages = 16
+
+// Reserve makes room on the board for the first messages of a run under
+// lim: every message it may hold when lim.MaxMessages is at most
+// reservedMessages, else reservedMessages of them, and none when the run
+// is unlimited. A board otherwise grows from empty by doubling, which for
+// the short runs of the networked runtime allocates about twice the bytes
+// it keeps.
+func (b *Board) Reserve(lim Limits) {
+	n := min(lim.MaxMessages, reservedMessages)
+	if n > cap(b.msgs)-len(b.msgs) {
+		b.msgs = append(make([]Message, 0, len(b.msgs)+n), b.msgs...)
+	}
 }
 
 // NumPlayers returns k.
@@ -147,6 +165,22 @@ func (b *Board) TranscriptKey() string {
 		s.WriteByte('|')
 	}
 	return s.String()
+}
+
+// SameTranscript reports whether o holds the same messages as b, in the
+// same order: the TranscriptKey equality, compared in place. Append keeps
+// pad bits zero, so equal payload bytes mean equal bits.
+func (b *Board) SameTranscript(o *Board) bool {
+	if len(b.msgs) != len(o.msgs) {
+		return false
+	}
+	for i, m := range b.msgs {
+		n := o.msgs[i]
+		if m.Player != n.Player || m.Len != n.Len || !bytes.Equal(m.Bits[:(m.Len+7)/8], n.Bits[:(n.Len+7)/8]) {
+			return false
+		}
+	}
+	return true
 }
 
 // Player is a protocol participant: given the board, it produces its next

@@ -6,6 +6,7 @@ import (
 
 	"broadcastic/internal/encoding"
 	"broadcastic/internal/rng"
+	"broadcastic/internal/telemetry"
 )
 
 // bitMessage builds a one-bit message for tests.
@@ -90,6 +91,50 @@ func TestTranscriptKey(t *testing.T) {
 	_ = b2.Append(bitMessage(t, 1, 0))
 	if b1.TranscriptKey() == b2.TranscriptKey() {
 		t.Fatal("different boards share a key")
+	}
+}
+
+// SameTranscript agrees with TranscriptKey equality: same players, same
+// lengths and same bits, whatever the capacity of the payload slices.
+func TestSameTranscriptMatchesKeys(t *testing.T) {
+	msg := func(player int, bits ...int) Message {
+		var w encoding.BitWriter
+		for _, b := range bits {
+			if err := w.WriteBit(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return NewMessage(player, &w)
+	}
+	boards := [][]Message{
+		{},
+		{msg(0, 1)},
+		{msg(1, 1)},
+		{msg(0, 1, 0)},
+		{msg(0, 0)},
+		{msg(0, 1), msg(1, 0, 1, 1, 0, 1, 0, 1, 1)},
+		{msg(0, 1), msg(1, 0, 1, 1, 0, 1, 0, 1, 0)},
+		{msg(0), msg(1)},
+	}
+	build := func(msgs []Message) *Board {
+		b, err := NewBoard(2, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range msgs {
+			if err := b.Append(m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return b
+	}
+	for i, mi := range boards {
+		for j, mj := range boards {
+			a, b := build(mi), build(mj)
+			if got, want := a.SameTranscript(b), a.TranscriptKey() == b.TranscriptKey(); got != want {
+				t.Errorf("boards %d and %d: SameTranscript %v, keys equal %v", i, j, got, want)
+			}
+		}
 	}
 }
 
@@ -464,6 +509,117 @@ func TestStepperDiscipline(t *testing.T) {
 	}
 	if _, err := NewStepper(sched, 0, nil, Limits{}); err == nil {
 		t.Fatal("zero players accepted")
+	}
+}
+
+// A stepper with a Collector counts messages, bits and every speaking
+// player's bits exactly; a player that never spoke has no counter.
+func TestStepperRecordsBoardAccounting(t *testing.T) {
+	const k = 3
+	col := telemetry.NewCollector()
+	st, err := NewStepper(FuncScheduler(func(b *Board) (int, bool, error) {
+		return b.NumMessages() % 2, b.NumMessages() == 5, nil
+	}), k, nil, Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.SetRecorder(col)
+	for {
+		speaker, done, err := st.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if done {
+			break
+		}
+		var w encoding.BitWriter
+		for i := 0; i <= st.Board().NumMessages(); i++ {
+			if err := w.WriteBit(i % 2); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := st.Deliver(NewMessage(speaker, &w)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b := st.Board()
+	if got := col.Counter(telemetry.BlackboardMessages); got != 5 {
+		t.Errorf("messages = %d, want 5", got)
+	}
+	if got := col.Counter(telemetry.BlackboardBits); got != int64(b.TotalBits()) || got != 15 {
+		t.Errorf("bits = %d, board has %d, want 15", got, b.TotalBits())
+	}
+	for i := 0; i < 2; i++ {
+		name := telemetry.Indexed(telemetry.BlackboardPlayer, i, "bits")
+		if got := col.Counter(name); got != int64(b.PlayerBits(i)) {
+			t.Errorf("%s = %d, board has %d", name, got, b.PlayerBits(i))
+		}
+	}
+	if _, ok := col.Snapshot()[telemetry.Indexed(telemetry.BlackboardPlayer, 2, "bits")]; ok {
+		t.Error("a silent player has a bits counter")
+	}
+	if got := col.Hist(telemetry.BlackboardRounds); got.Count != 1 || got.Sum != 5 {
+		t.Errorf("rounds histogram = %+v, want one run of 5", got)
+	}
+}
+
+// With a live Collector, Deliver allocates nothing once every player has
+// spoken: the per-player counters are resolved at each player's first
+// message, not formatted per message.
+func TestStepperDeliverAllocatesNothing(t *testing.T) {
+	const k = 3
+	st, err := NewStepper(&RoundRobin{K: k}, k, nil, Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.SetRecorder(telemetry.NewCollector())
+	// Room for every append, so the board's own growth is not measured.
+	st.board.msgs = make([]Message, 0, 4096)
+	msgs := make([]Message, k)
+	for i := range msgs {
+		msgs[i] = bitMessage(t, i, i%2)
+	}
+	step := func() {
+		speaker, _, err := st.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Deliver(msgs[speaker]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < k; i++ {
+		step()
+	}
+	if n := testing.AllocsPerRun(1000, step); n != 0 {
+		t.Fatalf("Next+Deliver allocates %v times per message", n)
+	}
+}
+
+// Reserve makes room for every message of a tightly limited run, for
+// reservedMessages of a loosely limited one, and for none of an unlimited
+// one.
+func TestBoardReserve(t *testing.T) {
+	for _, tc := range []struct{ limit, want int }{
+		{0, 0}, {-1, 0}, {1, 1}, {5, 5}, {reservedMessages, reservedMessages}, {1000, reservedMessages},
+	} {
+		b, err := NewBoard(2, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Reserve(Limits{MaxMessages: tc.limit})
+		if got := cap(b.Messages()); got != tc.want {
+			t.Errorf("limit %d reserves %d messages, want %d", tc.limit, got, tc.want)
+		}
+	}
+	b, _ := NewBoard(2, nil)
+	m := bitMessage(t, 0, 1)
+	if err := b.Append(m); err != nil {
+		t.Fatal(err)
+	}
+	b.Reserve(Limits{MaxMessages: 4})
+	if cap(b.Messages()) < 5 || b.NumMessages() != 1 || b.Messages()[0].Key() != m.Key() {
+		t.Fatalf("reserve on a written board: cap %d, %d messages", cap(b.Messages()), b.NumMessages())
 	}
 }
 

@@ -30,8 +30,13 @@ type Stepper struct {
 
 	// rec receives the board-level accounting (nil: disabled, one branch
 	// per event); pubMark anchors the public-randomness draw count.
-	rec     *telemetry.Collector
-	pubMark rng.Mark
+	// messages, bits and playerBits are its handles, resolved by
+	// SetRecorder, and a player's at its first message, so Deliver
+	// formats no name and looks none up.
+	rec            *telemetry.Collector
+	pubMark        rng.Mark
+	messages, bits *telemetry.CounterHandle
+	playerBits     []*telemetry.CounterHandle
 }
 
 // NewStepper builds a stepper over a fresh board for numPlayers players.
@@ -43,6 +48,7 @@ func NewStepper(sched Scheduler, numPlayers int, public *rng.Source, lim Limits)
 	if err != nil {
 		return nil, err
 	}
+	board.Reserve(lim)
 	return &Stepper{board: board, sched: sched, lim: lim, expect: -1}, nil
 }
 
@@ -54,7 +60,14 @@ func NewStepper(sched Scheduler, numPlayers int, public *rng.Source, lim Limits)
 // with a live Collector installed.
 func (st *Stepper) SetRecorder(rec *telemetry.Collector) {
 	st.rec = rec
-	if pub := st.board.Public(); rec != nil && pub != nil {
+	st.messages, st.bits, st.playerBits = nil, nil, nil
+	if rec == nil {
+		return
+	}
+	st.messages = rec.CounterHandle(telemetry.BlackboardMessages)
+	st.bits = rec.CounterHandle(telemetry.BlackboardBits)
+	st.playerBits = make([]*telemetry.CounterHandle, st.board.NumPlayers())
+	if pub := st.board.Public(); pub != nil {
 		st.pubMark = pub.Mark()
 	}
 }
@@ -111,9 +124,14 @@ func (st *Stepper) Deliver(m Message) error {
 	}
 	st.expect = -1
 	if st.rec != nil {
-		st.rec.Count(telemetry.BlackboardMessages, 1)
-		st.rec.Count(telemetry.BlackboardBits, int64(m.Len))
-		st.rec.Count(telemetry.Indexed(telemetry.BlackboardPlayer, m.Player, "bits"), int64(m.Len))
+		st.messages.Add(1)
+		st.bits.Add(int64(m.Len))
+		h := st.playerBits[m.Player]
+		if h == nil {
+			h = st.rec.CounterHandle(telemetry.Indexed(telemetry.BlackboardPlayer, m.Player, "bits"))
+			st.playerBits[m.Player] = h
+		}
+		h.Add(int64(m.Len))
 	}
 	return nil
 }

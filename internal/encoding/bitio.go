@@ -92,12 +92,20 @@ type BitReader struct {
 	pos  int
 }
 
-// NewBitReader reads up to nbit bits from buf.
+// NewBitReader reads up to nbit bits from buf. It is small enough to
+// inline, so a caller whose reader does not escape keeps it on its stack.
 func NewBitReader(buf []byte, nbit int) (*BitReader, error) {
 	if nbit < 0 || nbit > len(buf)*8 {
-		return nil, fmt.Errorf("encoding: bit count %d exceeds buffer of %d bits", nbit, len(buf)*8)
+		return nil, bitCountError{nbit, len(buf) * 8}
 	}
 	return &BitReader{buf: buf, nbit: nbit}, nil
+}
+
+// bitCountError reports a reader asked for more bits than its buffer has.
+type bitCountError struct{ nbit, bufBits int }
+
+func (e bitCountError) Error() string {
+	return fmt.Sprintf("encoding: bit count %d exceeds buffer of %d bits", e.nbit, e.bufBits)
 }
 
 // ReadBit returns the next bit.

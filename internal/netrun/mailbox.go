@@ -18,7 +18,9 @@ type mailbox[T any] struct {
 	items []T
 	head  int
 	// ready holds a token whenever a put may have found the consumer
-	// waiting; a stale token only costs the consumer one empty take.
+	// waiting; a stale token only costs the consumer one empty take. A
+	// node's endpoints leave their ack tokens here too (see endpoint), so
+	// the node's loop waits on one channel whatever it waits for.
 	ready chan struct{}
 }
 

@@ -112,12 +112,21 @@ func ParseDelivery(name string) (DeliveryMode, error) {
 // topoNode is one participant: its id, its endpoints indexed by neighbor
 // id (nil for a node it has no link to), and the inbox they deliver to.
 // The node's loop (coordinator or player) is the inbox's one consumer and
-// the one sender on every endpoint, and owns timer.
+// the one sender on every endpoint, and owns timer, which its inbox waits
+// and its endpoints' ack waits take turns with. inboxBuf backs the
+// inbox's queue until it first holds more frames than that, so a node
+// whose queue stays short allocates none. A player node also holds the
+// player and its board replica.
 type topoNode struct {
-	id    int
-	links []*endpoint
-	inbox mailbox[inbound]
-	timer waitTimer
+	id       int
+	links    []*endpoint
+	inbox    mailbox[inbound]
+	inboxBuf [4]inbound
+	timer    waitTimer
+
+	player    blackboard.Player
+	replica   replicaBoard
+	crashTurn int
 }
 
 // link returns the endpoint toward neighbor id, or nil.
@@ -132,9 +141,21 @@ func (n *topoNode) link(id int) *endpoint {
 type topoRun struct {
 	topo         Topology
 	k            int
-	nodes        []*topoNode
+	mode         DeliveryMode
+	nodes        []topoNode
+	wires        []wireLink
+	arq          arqConfig
 	done         chan struct{}
 	recvDeadline time.Duration
+
+	// loops counts the running player loops. runMu serializes all
+	// protocol-state access: Stepper calls on the coordinator and Speak on
+	// player goroutines. The turn discipline means there is never
+	// contention; the mutex exists for the happens-before edges (shared
+	// scheduler/player state, shared public rng) that raw socket I/O does
+	// not provide.
+	loops sync.WaitGroup
+	runMu sync.Mutex
 
 	// inFlight counts relayed frames handed to a first hop that have
 	// neither reached their destination nor been given up by a relay;
@@ -314,42 +335,43 @@ func runTopology(sched blackboard.Scheduler, players []blackboard.Player, public
 	// the star that gives coordinator->player i stream 2i and player
 	// i->coordinator stream 2i+1. Injectors exist only when link faults are
 	// on, so a fault-free run consumes no randomness.
-	injAB := make([]*faults.Injector, len(links))
-	injBA := make([]*faults.Injector, len(links))
+	var streams []*rng.Source
 	if cfg.Faults.Enabled() {
-		streams := rng.New(cfg.Seed).SplitN(2 * len(links))
-		for l := range links {
-			injBA[l] = cfg.Faults.NewInjector(streams[2*l])
-			injAB[l] = cfg.Faults.NewInjector(streams[2*l+1])
-		}
+		streams = rng.New(cfg.Seed).SplitN(2 * len(links))
 	}
 
+	r := &topoRun{
+		topo: topo, k: k, mode: cfg.Delivery,
+		nodes:   make([]topoNode, k+1),
+		wires:   make([]wireLink, len(links)),
+		arq:     arqConfig{timeout: timeout, maxRetries: maxRetries, rec: cfg.Recorder, cause: cfg.Causal},
+		done:    make(chan struct{}),
+		settled: make(chan struct{}, 1),
+	}
+	neighbors := make([]*endpoint, (k+1)*(k+1))
+	for id := range r.nodes {
+		n := &r.nodes[id]
+		n.id = id
+		n.links = neighbors[id*(k+1) : (id+1)*(k+1) : (id+1)*(k+1)]
+		n.inbox = newMailbox[inbound]()
+		n.inbox.items = n.inboxBuf[:0]
+	}
 	// Both directions of link l record under netrun.topo.<l>.*, mirroring
 	// the per-link Stats breakdown which also sums the two directions.
-	epA := make([]*endpoint, len(links))
-	epB := make([]*endpoint, len(links))
-	r := &topoRun{topo: topo, k: k, done: make(chan struct{}), settled: make(chan struct{}, 1)}
-	r.nodes = make([]*topoNode, k+1)
-	for id := range r.nodes {
-		r.nodes[id] = &topoNode{id: id, links: make([]*endpoint, k+1), inbox: newMailbox[inbound]()}
-	}
 	for l, lid := range links {
-		a, b := r.nodes[lid.A], r.nodes[lid.B]
-		epA[l] = newEndpoint(sideA[l], injAB[l], timeout, maxRetries, cfg.Recorder, cfg.Causal, l, &a.inbox, b.id)
-		epB[l] = newEndpoint(sideB[l], injBA[l], timeout, maxRetries, cfg.Recorder, cfg.Causal, l, &b.inbox, a.id)
-		a.links[b.id] = epA[l]
-		b.links[a.id] = epB[l]
-	}
-	// teardown stops the node loops first, then severs every link and
-	// waits until each has delivered what it still held. A loop stops only
-	// between sends, so no frame or injected duplicate is still on its way
-	// when the links close, and the stats read next are the same on every
-	// same-seed run.
-	var wg sync.WaitGroup
-	teardown := func() {
-		close(r.done)
-		wg.Wait()
-		closeAndWait(epA, epB)
+		a, b := &r.nodes[lid.A], &r.nodes[lid.B]
+		wl := &r.wires[l]
+		wl.labels = labelsOf(l)
+		wl.metrics = wl.labels.metricsIn(cfg.Recorder)
+		var injBA, injAB *faults.Injector
+		if streams != nil {
+			injBA, injAB = cfg.Faults.NewInjector(streams[2*l]), cfg.Faults.NewInjector(streams[2*l+1])
+		}
+		epB, epA := &wl.ends[0], &wl.ends[1]
+		epA.attach(wl, sideA[l], injAB, &r.arq, a, b.id)
+		epB.attach(wl, sideB[l], injBA, &r.arq, b, a.id)
+		a.links[b.id] = epA
+		b.links[a.id] = epB
 	}
 
 	// A route of h hops can wait through h links' worth of retransmission
@@ -360,52 +382,48 @@ func runTopology(sched blackboard.Scheduler, players []blackboard.Player, public
 	}
 	r.recvDeadline = time.Duration(hops) * (time.Duration(maxRetries+1)*(8*timeout+cfg.Faults.MaxDelay) + timeout)
 
-	// runMu serializes all protocol-state access: Stepper calls on the
-	// coordinator and Speak on player goroutines. The turn discipline means
-	// there is never contention; the mutex exists for the happens-before
-	// edges (shared scheduler/player state, shared public rng) that raw
-	// socket I/O does not provide.
-	var runMu sync.Mutex
-
 	// Replicas share the canonical public source: public randomness is a
 	// shared resource in the broadcast model, and the ping-pong discipline
-	// (under runMu) makes every draw happen in sequential order.
-	replicas := make([]*replicaBoard, k)
+	// (under runMu) makes every draw happen in sequential order. In
+	// broadcast mode each replica ends as long as the canonical board.
 	for i := 0; i < k; i++ {
+		n := &r.nodes[i]
 		board, err := blackboard.NewBoard(k, public)
 		if err != nil {
-			teardown()
+			r.teardown()
 			return nil, err
 		}
-		replicas[i] = &replicaBoard{board: board}
+		if cfg.Delivery == DeliverBroadcast {
+			board.Reserve(cfg.Limits)
+		}
+		n.player, n.replica.board, n.crashTurn = players[i], board, cfg.Faults.CrashTurn(i)
 	}
 
+	r.loops.Add(k)
 	for i := 0; i < k; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			r.playerLoop(i, players[i], replicas[i], &runMu, cfg.Faults.CrashTurn(i), cfg.Delivery)
-		}(i)
+		go r.playerLoop(&r.nodes[i])
 	}
 
-	coord := r.nodes[CoordinatorNode(k)]
-	stats := Stats{
-		PerLink:   make([]LinkStats, len(links)),
-		Transport: transport.Name(),
-		Topology:  topo.Name(),
-	}
+	coord := &r.nodes[CoordinatorNode(k)]
+	turns, turnNs := cfg.Recorder.CounterHandle(telemetry.NetrunTurns), cfg.Recorder.HistHandle(telemetry.NetrunTurnNs)
 	finish := func(crashed []int) *Result {
-		teardown()
+		r.teardown()
+		stats := Stats{
+			PerLink:   make([]LinkStats, len(links)),
+			Transport: transport.Name(),
+			Topology:  topo.Name(),
+		}
 		for l := range links {
-			ls := &stats.PerLink[l]
+			ls, wl := &stats.PerLink[l], &r.wires[l]
 			ls.Link = links[l]
-			ls.WireBits = epA[l].stats.wireBits.Load() + epB[l].stats.wireBits.Load()
-			ls.Retries = epA[l].stats.retries.Load() + epB[l].stats.retries.Load()
-			ls.BadFrames = epA[l].stats.badFrames.Load() + epB[l].stats.badFrames.Load()
-			ls.DupFrames = epA[l].stats.dupDropped.Load() + epB[l].stats.dupDropped.Load()
-			if injAB[l] != nil {
-				ls.Faults.Add(injAB[l].Counts())
-				ls.Faults.Add(injBA[l].Counts())
+			ls.WireBits = wl.stats.wireBits.Load()
+			ls.Retries = wl.stats.retries.Load()
+			ls.BadFrames = wl.stats.badFrames.Load()
+			ls.DupFrames = wl.stats.dupDropped.Load()
+			for e := range wl.ends {
+				if inj := wl.ends[e].inj; inj != nil {
+					ls.Faults.Add(inj.Counts())
+				}
 			}
 			stats.WireBits += ls.WireBits
 			stats.Faults.Add(ls.Faults)
@@ -425,14 +443,14 @@ func runTopology(sched blackboard.Scheduler, players []blackboard.Player, public
 		return res, &CrashError{Player: player, Cause: cause}
 	}
 	abort := func(err error) (*Result, error) {
-		teardown()
+		r.teardown()
 		return nil, err
 	}
 
 	for {
-		runMu.Lock()
+		r.runMu.Lock()
 		speaker, done, err := st.Next()
-		runMu.Unlock()
+		r.runMu.Unlock()
 		if err != nil {
 			return abort(err)
 		}
@@ -462,9 +480,9 @@ func runTopology(sched blackboard.Scheduler, players []blackboard.Player, public
 			return abort(err)
 		}
 
-		runMu.Lock()
+		r.runMu.Lock()
 		err = st.Deliver(msg)
-		runMu.Unlock()
+		r.runMu.Unlock()
 		if err != nil {
 			return abort(err)
 		}
@@ -482,12 +500,20 @@ func runTopology(sched blackboard.Scheduler, players []blackboard.Player, public
 			}
 		}
 
-		turnNs := float64(turn.End())
-		if cfg.Recorder != nil {
-			cfg.Recorder.Count(telemetry.NetrunTurns, 1)
-			cfg.Recorder.Observe(telemetry.NetrunTurnNs, turnNs)
-		}
+		turns.Add(1)
+		turnNs.Observe(float64(turn.End()))
 	}
+}
+
+// teardown stops the node loops first, then severs every link and waits
+// until each has delivered what it still held. A loop stops only between
+// sends, so no frame or injected duplicate is still on its way when the
+// links close, and the stats read next are the same on every same-seed
+// run.
+func (r *topoRun) teardown() {
+	close(r.done)
+	r.loops.Wait()
+	closeAndWait(r.wires)
 }
 
 // playerLoop runs one player node: apply syncs, speak on turns (draining
@@ -498,8 +524,9 @@ func runTopology(sched blackboard.Scheduler, players []blackboard.Player, public
 // player stopped by teardown leaves them open: a neighbor may still be
 // sending it a frame's injected duplicate, and teardown closes the links
 // once every loop has stopped.
-func (r *topoRun) playerLoop(i int, player blackboard.Player, replica *replicaBoard, runMu *sync.Mutex, crashTurn int, mode DeliveryMode) {
-	n := r.nodes[i]
+func (r *topoRun) playerLoop(n *topoNode) {
+	defer r.loops.Done()
+	i, player, replica, crashTurn, mode := n.id, n.player, &n.replica, n.crashTurn, r.mode
 	defer func() {
 		select {
 		case <-r.done:
@@ -580,9 +607,9 @@ func (r *topoRun) playerLoop(i int, player blackboard.Player, replica *replicaBo
 					return
 				}
 			}
-			runMu.Lock()
+			r.runMu.Lock()
 			msg, err := player.Speak(replica.board)
-			runMu.Unlock()
+			r.runMu.Unlock()
 			if err != nil {
 				fail(err)
 				return

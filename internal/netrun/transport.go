@@ -25,6 +25,12 @@ import (
 // goroutine. A receive function never blocks, because it may run inside
 // the peer's Send, and it may itself Send back (an ack). Both ends of a
 // link may send at once, so no caller holds a lock across a Send.
+//
+// Send is done with frame when it returns: the in-process link has handed
+// it to the peer's receive function, a stream link has copied it. What the
+// receive function keeps of a frame is its own business; the endpoint
+// keeps a data frame's payload and nothing of an ack or nack, so it packs
+// every control frame it sends into one reused buffer.
 type Link interface {
 	Attach(receive func(frame []byte, err error))
 	Send(frame []byte) error
@@ -74,8 +80,9 @@ func (t *ChanTransport) Open(k int) ([]Link, []Link, error) {
 	}
 	coord := make([]Link, k)
 	players := make([]Link, k)
-	for i := 0; i < k; i++ {
-		p := &chanPair{}
+	pairs := make([]chanPair, k)
+	for i := range pairs {
+		p := &pairs[i]
 		p.ends[0].pair, p.ends[0].peer = p, &p.ends[1]
 		p.ends[1].pair, p.ends[1].peer = p, &p.ends[0]
 		coord[i], players[i] = &p.ends[0], &p.ends[1]

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -61,11 +62,17 @@ const linkClosed byte = 0
 // which the retransmission layer then repairs like a drop.
 func packFrame(kind byte, seq uint32, payload []byte) []byte {
 	f := make([]byte, 9+len(payload))
+	packFrameInto(f, kind, seq, payload)
+	return f
+}
+
+// packFrameInto is packFrame into f, which holds exactly 9+len(payload)
+// bytes.
+func packFrameInto(f []byte, kind byte, seq uint32, payload []byte) {
 	f[0] = kind
 	binary.BigEndian.PutUint32(f[1:5], seq)
 	copy(f[9:], payload)
 	binary.BigEndian.PutUint32(f[5:9], crcOf(f))
-	return f
 }
 
 // zeroCRCField stands in for the crc field while the checksum is computed.
@@ -114,9 +121,25 @@ func readUvarint(p []byte) (int, []byte, bool) {
 // lossless in both content and length, so replica boards append the same
 // bits the coordinator's canonical board sees.
 func encodeMessagePayload(m blackboard.Message) []byte {
-	buf := binary.AppendUvarint(nil, uint64(m.Player))
+	return appendMessagePayload(make([]byte, 0, messagePayloadLen(m)), m)
+}
+
+// appendMessagePayload appends the encoding of m to buf.
+func appendMessagePayload(buf []byte, m blackboard.Message) []byte {
+	buf = binary.AppendUvarint(buf, uint64(m.Player))
 	buf = binary.AppendUvarint(buf, uint64(m.Len))
 	return append(buf, m.Bits[:(m.Len+7)/8]...)
+}
+
+// messagePayloadLen is the length of m's encoding, so an encoder
+// allocates its buffer once.
+func messagePayloadLen(m blackboard.Message) int {
+	return uvarintLen(uint64(m.Player)) + uvarintLen(uint64(m.Len)) + (m.Len+7)/8
+}
+
+// uvarintLen is the length of x's uvarint encoding.
+func uvarintLen(x uint64) int {
+	return (bits.Len64(x|1) + 6) / 7
 }
 
 // decodeMessagePayload inverts encodeMessagePayload. It accepts only
@@ -187,8 +210,8 @@ func decodeRoutedPayload(p []byte, maxNode int) (src, dst int, kind byte, payloa
 // replica. Star and ring syncs all come from the coordinator along one
 // FIFO route, so they arrive in board order and carry no index.
 func encodeIndexedSync(index int, m blackboard.Message) []byte {
-	buf := binary.AppendUvarint(nil, uint64(index))
-	return append(buf, encodeMessagePayload(m)...)
+	buf := make([]byte, 0, uvarintLen(uint64(index))+messagePayloadLen(m))
+	return appendMessagePayload(binary.AppendUvarint(buf, uint64(index)), m)
 }
 
 // decodeIndexedSync inverts encodeIndexedSync.
@@ -230,14 +253,34 @@ type inbound struct {
 	payload []byte
 }
 
-// endpointStats are the per-link telemetry counters. Updated atomically:
-// the sending goroutine and the goroutines that deliver to the endpoint
-// touch them concurrently.
-type endpointStats struct {
+// linkStats are the wire counters of one physical link, both directions
+// summed. Updated atomically: the link's two endpoints, their senders and
+// the goroutines that deliver to them all touch them concurrently.
+type linkStats struct {
 	wireBits   atomic.Int64 // bits put on (or dropped onto) the wire, both directions
 	retries    atomic.Int64 // retransmission attempts beyond the first send
 	badFrames  atomic.Int64 // frames discarded for checksum/layout failure
 	dupDropped atomic.Int64 // duplicate data frames discarded by seq check
+}
+
+// wireLink is one physical link of a run: its two endpoints and what they
+// share — the link's labels, its Collector handles (nil: no Collector)
+// and its wire counters. A run allocates all of its links at once.
+type wireLink struct {
+	labels  *linkLabels
+	metrics *linkMetrics
+	stats   linkStats
+	ends    [2]endpoint // the higher node id's end, then the lower's
+}
+
+// arqConfig is what every endpoint of a run shares: the retransmission
+// budget, and the Collector and trace it records into (nil and the zero
+// Context: disabled).
+type arqConfig struct {
+	timeout    time.Duration
+	maxRetries int
+	rec        *telemetry.Collector
+	cause      causal.Context
 }
 
 // endpoint layers reliable, ordered, at-most-once delivery of application
@@ -269,62 +312,55 @@ type endpointStats struct {
 // are discarded silently (no re-ack): with reliable acks, a duplicate can
 // only be an injected Duplicate decision, never evidence of a lost ack.
 //
-// Exactly one goroutine calls send. The link pushes every inbound frame to
-// receive, the endpoint's one receive path on every transport: the peer's
-// sending goroutine calls it on the in-process link, a reader goroutine on
-// a stream link. receive hands data frames to the node's inbox, an
-// unbounded mailbox it shares with the node's other endpoints, so it never
-// waits on the consumer: frames nobody has asked for yet are still acked
-// at once. Acks and nacks reach send through acked, nacked and the wake
-// token, which receive sets without blocking and without a lock.
+// Exactly one goroutine calls send: the node's loop, which is also the
+// one sender on the node's other endpoints. The link pushes every inbound
+// frame to receive, the endpoint's one receive path on every transport:
+// the peer's sending goroutine calls it on the in-process link, a reader
+// goroutine on a stream link. receive hands data frames to the node's
+// inbox, an unbounded mailbox it shares with the node's other endpoints,
+// so it never waits on the consumer: frames nobody has asked for yet are
+// still acked at once. Acks and nacks reach send through acked, nacked
+// and the wake token, which receive sets without blocking and without a
+// lock.
 type endpoint struct {
-	raw        Link
-	inj        *faults.Injector // nil when link faults are disabled
-	timeout    time.Duration
-	maxRetries int
-
-	// rec mirrors every stats update into the run's Collector (nil:
-	// disabled). The collector is driven from the same statements that
-	// update the atomics — including the NACK, known-drop and timeout
-	// retransmission paths — so recorded counters and Stats never diverge.
-	// cause attaches hop spans, retry events and fault instants to the
-	// run's trace (zero Context: disabled). Both record under the labels of
-	// the endpoint's link.
-	rec    *telemetry.Collector
-	cause  causal.Context
-	labels *linkLabels
+	raw  Link
+	inj  *faults.Injector // nil when link faults are disabled
+	cfg  *arqConfig
+	link *wireLink
+	// node is the node the endpoint belongs to, and peer the node id at
+	// the far end of the link. The node's loop is the endpoint's one
+	// sender, and its ack waits reuse the node's timer. receive puts data
+	// frames, tagged with peer, in the node's inbox, and the inbox's
+	// ready token doubles as the wake token of a waiting send: whoever
+	// takes a token looks again at what it waits for, so a token meant
+	// for the other waiter costs one look.
+	node *topoNode
+	peer int
 
 	// Owned by the sending goroutine: the sequence number of the last
-	// frame sent, its copy of the peer's nackPending (advanced by the
-	// frames it puts on the wire) and the timer every send wait reuses.
+	// frame sent and its copy of the peer's nackPending (advanced by the
+	// frames it puts on the wire).
 	sendSeq         uint32
 	peerNackPending bool
-	sendTimer       waitTimer
 
 	// Owned by receive's data path, which runs on one goroutine at a time
 	// (the peer's sender, or the stream reader): the last accepted
-	// sequence number, and the flag that suppresses repeat nacks until a
-	// good data frame arrives.
+	// sequence number, the flag that suppresses repeat nacks until a good
+	// data frame arrives, and the bytes of the ack or nack it sends, which
+	// no receiver keeps.
 	recvSeq     uint32
 	nackPending bool
+	control     [9]byte
 
 	// Set by receive's control path: the sequence number of the last ack
 	// (acks arrive in order) and whether a nack came since send last
-	// looked. wake gets a token whenever either changes or the endpoint
-	// closes, so a waiting send looks again.
+	// looked. The wake token is left whenever either changes or the
+	// endpoint closes, so a waiting send looks again.
 	acked  atomic.Uint32
 	nacked atomic.Bool
-	wake   chan struct{}
-
-	// inbox receives data frames, each tagged with peer, the node id at
-	// the far end of the link.
-	inbox *mailbox[inbound]
-	peer  int
 
 	closed atomic.Bool    // set by the first close; a waiting send gives up
 	down   sync.WaitGroup // done once receive has taken the link's failure
-
-	stats endpointStats
 }
 
 // linkLabels are the metric names and causal attributes of the link with
@@ -342,6 +378,53 @@ type linkLabels struct {
 	// and the fault's name). Records keep them uncopied.
 	hop   [frameRouted + 1][]causal.Attr
 	fault [faults.NumKinds][]causal.Attr
+
+	// metrics holds the link's handles in the Collector the latest run
+	// recorded into. A process records into one Collector, so a run
+	// resolves no name at all.
+	metrics atomic.Pointer[linkMetrics]
+}
+
+// linkMetrics are the Collector handles of one link: each run-wide
+// netrun.* total beside the link's own netrun.topo.<l>.* share.
+type linkMetrics struct {
+	rec                      *telemetry.Collector
+	wireBits, linkWireBits   *telemetry.CounterHandle
+	retries, linkRetries     *telemetry.CounterHandle
+	badFrames, linkBadFrames *telemetry.CounterHandle
+	dupFrames, linkDupFrames *telemetry.CounterHandle
+	ackNs, linkAckNs         *telemetry.HistHandle
+	faults                   *telemetry.CounterHandle
+	linkFaults               [faults.NumKinds]*telemetry.CounterHandle
+}
+
+// metricsIn returns the link's handles in rec, or nil when rec is.
+func (lb *linkLabels) metricsIn(rec *telemetry.Collector) *linkMetrics {
+	if rec == nil {
+		return nil
+	}
+	if m := lb.metrics.Load(); m != nil && m.rec == rec {
+		return m
+	}
+	m := &linkMetrics{
+		rec:           rec,
+		wireBits:      rec.CounterHandle(telemetry.NetrunWireBits),
+		linkWireBits:  rec.CounterHandle(lb.wireBits),
+		retries:       rec.CounterHandle(telemetry.NetrunRetries),
+		linkRetries:   rec.CounterHandle(lb.retries),
+		badFrames:     rec.CounterHandle(telemetry.NetrunBadFrames),
+		linkBadFrames: rec.CounterHandle(lb.badFrames),
+		dupFrames:     rec.CounterHandle(telemetry.NetrunDupFrames),
+		linkDupFrames: rec.CounterHandle(lb.dupFrames),
+		ackNs:         rec.HistHandle(telemetry.NetrunAckNs),
+		linkAckNs:     rec.HistHandle(lb.ackNs),
+		faults:        rec.CounterHandle(telemetry.NetrunFaults),
+	}
+	for k := range m.linkFaults {
+		m.linkFaults[k] = rec.CounterHandle(lb.faultName[k])
+	}
+	lb.metrics.Store(m)
+	return m
 }
 
 // labelCache holds the labels of every link index below cachedLinks used
@@ -353,7 +436,7 @@ var labelCache struct {
 
 // cachedLinks bounds labelCache, so one huge run (a mesh of 45 or more
 // players) does not pin its labels for the life of the process; its
-// further links get fresh labels per endpoint.
+// further links get fresh labels per run.
 const cachedLinks = 1024
 
 // labelsOf returns the labels of link index link.
@@ -390,68 +473,61 @@ func newLinkLabels(link int) *linkLabels {
 	return lb
 }
 
-// newEndpoint builds the ARQ layer over one raw link, the link with index
-// link in the run's topology, whose far end is node peer, and attaches it:
-// from here on the link delivers to receive, which puts data frames in
-// inbox. Its metrics are netrun.topo.<link>.*.
-func newEndpoint(raw Link, inj *faults.Injector, timeout time.Duration, maxRetries int, rec *telemetry.Collector, cause causal.Context, link int, inbox *mailbox[inbound], peer int) *endpoint {
-	ep := &endpoint{
-		raw:        raw,
-		inj:        inj,
-		timeout:    timeout,
-		maxRetries: maxRetries,
-		rec:        rec,
-		cause:      cause,
-		labels:     labelsOf(link),
-		wake:       make(chan struct{}, 1),
-		inbox:      inbox,
-		peer:       peer,
-	}
+// attach sets ep up as node's end of wl over raw, whose far end is node
+// peer, and attaches it: from here on the link delivers to receive, which
+// puts data frames in the node's inbox.
+func (ep *endpoint) attach(wl *wireLink, raw Link, inj *faults.Injector, cfg *arqConfig, node *topoNode, peer int) {
+	ep.raw, ep.inj, ep.cfg, ep.link, ep.node, ep.peer = raw, inj, cfg, wl, node, peer
 	ep.down.Add(1)
 	raw.Attach(ep.receive)
-	return ep
 }
 
-// recordWireBits, recordRetry, recordDup and recordFault mirror one stats
-// update into the Collector; each costs one branch when disabled.
-func (ep *endpoint) recordWireBits(bits int64) {
-	if ep.rec != nil {
-		ep.rec.Count(telemetry.NetrunWireBits, bits)
-		ep.rec.Count(ep.labels.wireBits, bits)
+// addWireBits, addRetry, countBad, addDup and addFault update the link's
+// stats and, through the same statements, its Collector handles, so the
+// recorded counters and Stats never diverge. Each costs one branch with
+// no Collector.
+func (ep *endpoint) addWireBits(bits int64) {
+	ep.link.stats.wireBits.Add(bits)
+	if m := ep.link.metrics; m != nil {
+		m.wireBits.Add(bits)
+		m.linkWireBits.Add(bits)
 	}
 }
 
-func (ep *endpoint) recordRetry() {
-	if ep.rec != nil {
-		ep.rec.Count(telemetry.NetrunRetries, 1)
-		ep.rec.Count(ep.labels.retries, 1)
+func (ep *endpoint) addRetry() {
+	ep.link.stats.retries.Add(1)
+	if m := ep.link.metrics; m != nil {
+		m.retries.Add(1)
+		m.linkRetries.Add(1)
 	}
 }
 
 // countBad records one discarded frame: one that failed its checksum, or
 // a checksummed envelope that does not decode.
 func (ep *endpoint) countBad() {
-	ep.stats.badFrames.Add(1)
-	if ep.rec != nil {
-		ep.rec.Count(telemetry.NetrunBadFrames, 1)
-		ep.rec.Count(ep.labels.badFrames, 1)
+	ep.link.stats.badFrames.Add(1)
+	if m := ep.link.metrics; m != nil {
+		m.badFrames.Add(1)
+		m.linkBadFrames.Add(1)
 	}
 }
 
-func (ep *endpoint) recordDup() {
-	if ep.rec != nil {
-		ep.rec.Count(telemetry.NetrunDupFrames, 1)
-		ep.rec.Count(ep.labels.dupFrames, 1)
+func (ep *endpoint) addDup() {
+	ep.link.stats.dupDropped.Add(1)
+	if m := ep.link.metrics; m != nil {
+		m.dupFrames.Add(1)
+		m.linkDupFrames.Add(1)
 	}
 }
 
-func (ep *endpoint) recordFault(kind faults.Kind) {
-	if ep.rec != nil {
-		ep.rec.Count(telemetry.NetrunFaults, 1)
-		ep.rec.Count(ep.labels.faultName[kind], 1)
+// addFault records one injected fault; the injector keeps the Stats count.
+func (ep *endpoint) addFault(kind faults.Kind) {
+	if m := ep.link.metrics; m != nil {
+		m.faults.Add(1)
+		m.linkFaults[kind].Add(1)
 	}
-	if ep.cause.Enabled() {
-		ep.cause.Fault(causal.NetrunFault, ep.labels.fault[kind]...)
+	if ep.cfg.cause.Enabled() {
+		ep.cfg.cause.Fault(causal.NetrunFault, ep.link.labels.fault[kind]...)
 	}
 }
 
@@ -466,18 +542,19 @@ func (ep *endpoint) close() {
 	ep.raw.Close()
 }
 
-// closeAndWait severs every endpoint, then waits until each link has
-// reported its failure to its endpoints — after the last frame it still
-// held — so the stats are final and no link goroutine outlives the run.
-func closeAndWait(eps ...[]*endpoint) {
-	for _, group := range eps {
-		for _, ep := range group {
-			ep.close()
+// closeAndWait severs both endpoints of every link, then waits until each
+// link has reported its failure to its endpoints — after the last frame it
+// still held — so the stats are final and no link goroutine outlives the
+// run.
+func closeAndWait(links []wireLink) {
+	for l := range links {
+		for e := range links[l].ends {
+			links[l].ends[e].close()
 		}
 	}
-	for _, group := range eps {
-		for _, ep := range group {
-			ep.down.Wait()
+	for l := range links {
+		for e := range links[l].ends {
+			links[l].ends[e].down.Wait()
 		}
 	}
 }
@@ -491,7 +568,7 @@ func closeAndWait(eps ...[]*endpoint) {
 func (ep *endpoint) receive(frame []byte, err error) {
 	if err != nil {
 		ep.close()
-		ep.inbox.put(inbound{kind: linkClosed, from: ep.peer})
+		ep.node.inbox.put(inbound{kind: linkClosed, from: ep.peer})
 		ep.down.Done()
 		return
 	}
@@ -516,8 +593,7 @@ func (ep *endpoint) receive(frame []byte, err error) {
 	}
 	ep.nackPending = false
 	if seq <= ep.recvSeq {
-		ep.stats.dupDropped.Add(1)
-		ep.recordDup()
+		ep.addDup()
 		return
 	}
 	// Stop-and-wait: in-order delivery means the only acceptable new
@@ -526,23 +602,25 @@ func (ep *endpoint) receive(frame []byte, err error) {
 	ep.sendControl(frameAck, seq)
 	// The payload aliases the frame: every frame is freshly allocated per
 	// send and never written once it is on the wire.
-	ep.inbox.put(inbound{kind: kind, from: ep.peer, payload: payload})
+	ep.node.inbox.put(inbound{kind: kind, from: ep.peer, payload: payload})
 }
 
 // signal leaves the sender a wake token, unless one is already waiting.
 func (ep *endpoint) signal() {
 	select {
-	case ep.wake <- struct{}{}:
+	case ep.node.inbox.ready <- struct{}{}:
 	default:
 	}
 }
 
 // sendControl emits an ack or nack. Control frames are never faulted (see
-// the type comment) and never retransmitted.
+// the type comment) and never retransmitted. They are packed into the
+// endpoint's one control buffer: a Link is done with a frame when Send
+// returns, and the receiving end keeps nothing of a control frame.
 func (ep *endpoint) sendControl(kind byte, seq uint32) {
-	frame := packFrame(kind, seq, nil)
-	ep.stats.wireBits.Add(int64(8 * len(frame)))
-	ep.recordWireBits(int64(8 * len(frame)))
+	frame := ep.control[:]
+	packFrameInto(frame, kind, seq, nil)
+	ep.addWireBits(int64(8 * len(frame)))
 	ep.raw.Send(frame) // best effort: a lost control frame surfaces as a send timeout upstream
 }
 
@@ -555,22 +633,21 @@ func (ep *endpoint) send(kind byte, payload []byte) error {
 	frame := packFrame(kind, seq, payload)
 	// A nack left over from an earlier frame's repair predates this frame.
 	ep.nacked.Store(false)
-	timeout := ep.timeout
-	maxTimeout := 8 * ep.timeout
+	timeout := ep.cfg.timeout
+	maxTimeout := 8 * timeout
 	// The hop span covers first transmission to matching ack, retransmissions
 	// included, and its duration is the ack-latency sample. It is ended only
 	// on successful delivery, so a hop that exhausted its retry budget (or
 	// died with the link) is absent from the dump and the histograms — the
 	// retry events and the eventual crash record tell that story instead.
-	hop := ep.cause.StartSpanShared(ep.rec, causal.NetrunHop, ep.labels.hop[kind])
+	hop := ep.cfg.cause.StartSpanShared(ep.cfg.rec, causal.NetrunHop, ep.link.labels.hop[kind])
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
-			ep.stats.retries.Add(1)
-			ep.recordRetry()
-			if ep.cause.Enabled() {
+			ep.addRetry()
+			if ep.cfg.cause.Enabled() {
 				// Parent the retry to its hop so the causal tree shows which
 				// delivery the retransmission repaired.
-				hop.Context().Event(causal.NetrunRetry, ep.labels.attr, causal.Int("attempt", attempt))
+				hop.Context().Event(causal.NetrunRetry, ep.link.labels.attr, causal.Int("attempt", attempt))
 			}
 		}
 		delivered, err := ep.sendRaw(frame)
@@ -584,14 +661,14 @@ func (ep *endpoint) send(kind byte, payload []byte) error {
 			}
 			if acked {
 				ackNs := float64(hop.End())
-				if ep.rec != nil {
-					ep.rec.Observe(telemetry.NetrunAckNs, ackNs)
-					ep.rec.Observe(ep.labels.ackNs, ackNs)
+				if m := ep.link.metrics; m != nil {
+					m.ackNs.Observe(ackNs)
+					m.linkAckNs.Observe(ackNs)
 				}
 				return nil
 			}
 		}
-		if attempt >= ep.maxRetries {
+		if attempt >= ep.cfg.maxRetries {
 			return fmt.Errorf("%w: no ack for frame kind %d after %d attempts", ErrDelivery, kind, attempt+1)
 		}
 		if timeout < maxTimeout {
@@ -614,11 +691,11 @@ func (ep *endpoint) await(seq uint32, d time.Duration) (bool, error) {
 	if ep.nacked.Swap(false) {
 		return false, nil
 	}
-	expired := ep.sendTimer.arm(d)
-	defer ep.sendTimer.disarm()
+	expired := ep.node.timer.arm(d)
+	defer ep.node.timer.disarm()
 	for {
 		select {
-		case <-ep.wake:
+		case <-ep.node.inbox.ready:
 		case <-expired:
 			if ep.acked.Load() == seq {
 				return true, nil
@@ -649,26 +726,24 @@ func (ep *endpoint) await(seq uint32, d time.Duration) (bool, error) {
 func (ep *endpoint) sendRaw(frame []byte) (delivered bool, err error) {
 	bits := int64(8 * len(frame))
 	if ep.inj == nil {
-		ep.stats.wireBits.Add(bits)
-		ep.recordWireBits(bits)
+		ep.addWireBits(bits)
 		return true, ep.raw.Send(frame)
 	}
 	d := ep.inj.Decide(len(frame) * 8)
 	if d.Delay > 0 {
-		ep.recordFault(faults.Delay)
+		ep.addFault(faults.Delay)
 		time.Sleep(d.Delay)
 	}
 	out := frame
 	if d.CorruptBit >= 0 {
-		ep.recordFault(faults.Corrupt)
+		ep.addFault(faults.Corrupt)
 		out = make([]byte, len(frame))
 		copy(out, frame)
 		out[d.CorruptBit/8] ^= 1 << uint(7-d.CorruptBit%8)
 	}
 	if d.Drop {
-		ep.recordFault(faults.Drop)
-		ep.stats.wireBits.Add(bits)
-		ep.recordWireBits(bits)
+		ep.addFault(faults.Drop)
+		ep.addWireBits(bits)
 		return false, nil
 	}
 	// Advance the mirror of the peer's NACK suppression exactly as the
@@ -678,15 +753,13 @@ func (ep *endpoint) sendRaw(frame []byte) (delivered bool, err error) {
 	corrupted := d.CorruptBit >= 0
 	silent := corrupted && ep.peerNackPending
 	ep.peerNackPending = corrupted
-	ep.stats.wireBits.Add(bits)
-	ep.recordWireBits(bits)
+	ep.addWireBits(bits)
 	if err := ep.raw.Send(out); err != nil {
 		return false, err
 	}
 	if d.Duplicate {
-		ep.recordFault(faults.Duplicate)
-		ep.stats.wireBits.Add(bits)
-		ep.recordWireBits(bits)
+		ep.addFault(faults.Duplicate)
+		ep.addWireBits(bits)
 		if err := ep.raw.Send(out); err != nil {
 			return false, err
 		}

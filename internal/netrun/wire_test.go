@@ -139,17 +139,31 @@ func (l *lossyLink) Send(frame []byte) error {
 	return l.Link.Send(frame)
 }
 
-// newTestEndpoint builds an endpoint with an inbox of its own, like a node
-// with a single link.
-func newTestEndpoint(raw Link, inj *faults.Injector, timeout time.Duration, maxRetries int) *endpoint {
-	inbox := newMailbox[inbound]()
-	return newEndpoint(raw, inj, timeout, maxRetries, nil, causal.Context{}, 0, &inbox, 0)
+// newTestLink wires the two ends of one link as a run does, each on a
+// node with no other link: the first end over coord, faulted by injCoord,
+// the second over player. The link closes when the test ends.
+func newTestLink(t *testing.T, coord, player Link, injCoord *faults.Injector, timeout time.Duration, maxRetries int) (*endpoint, *endpoint) {
+	t.Helper()
+	nodes := make([]topoNode, 2)
+	for i := range nodes {
+		nodes[i].id = i
+		nodes[i].inbox = newMailbox[inbound]()
+	}
+	wires := make([]wireLink, 1)
+	wl := &wires[0]
+	wl.labels = labelsOf(0)
+	cfg := &arqConfig{timeout: timeout, maxRetries: maxRetries}
+	a, b := &wl.ends[0], &wl.ends[1]
+	a.attach(wl, coord, injCoord, cfg, &nodes[0], 1)
+	b.attach(wl, player, nil, cfg, &nodes[1], 0)
+	t.Cleanup(func() { closeAndWait(wires) })
+	return a, b
 }
 
 // recv waits up to d for the next frame in ep's inbox.
 func recv(ep *endpoint, d time.Duration) (inbound, error) {
 	var timer waitTimer
-	return ep.inbox.next(&timer, d, nil)
+	return ep.node.inbox.next(&timer, d, nil)
 }
 
 func newEndpointPair(t *testing.T, wrapA func(Link) Link, timeout time.Duration, maxRetries int) (*endpoint, *endpoint) {
@@ -162,10 +176,7 @@ func newEndpointPair(t *testing.T, wrapA func(Link) Link, timeout time.Duration,
 	if wrapA != nil {
 		rawA = wrapA(rawA)
 	}
-	a := newTestEndpoint(rawA, nil, timeout, maxRetries)
-	b := newTestEndpoint(players[0], nil, timeout, maxRetries)
-	t.Cleanup(func() { closeAndWait([]*endpoint{a, b}) })
-	return a, b
+	return newTestLink(t, rawA, players[0], nil, timeout, maxRetries)
 }
 
 func TestEndpointDelivers(t *testing.T) {
@@ -177,7 +188,7 @@ func TestEndpointDelivers(t *testing.T) {
 	if err != nil || in.kind != frameSync || string(in.payload) != "hello" {
 		t.Fatalf("recv = %+v, %v", in, err)
 	}
-	if got := a.stats.retries.Load(); got != 0 {
+	if got := a.link.stats.retries.Load(); got != 0 {
 		t.Fatalf("clean delivery cost %d retries", got)
 	}
 }
@@ -191,7 +202,7 @@ func TestEndpointRetransmits(t *testing.T) {
 	if err != nil || in.kind != frameTurn {
 		t.Fatalf("recv = %+v, %v", in, err)
 	}
-	if got := a.stats.retries.Load(); got != 2 {
+	if got := a.link.stats.retries.Load(); got != 2 {
 		t.Fatalf("retries = %d, want 2", got)
 	}
 	// Exactly one copy must surface despite the retransmissions.
@@ -206,7 +217,7 @@ func TestEndpointGivesUp(t *testing.T) {
 	if !errors.Is(err, ErrDelivery) {
 		t.Fatalf("err = %v, want ErrDelivery", err)
 	}
-	if got := a.stats.retries.Load(); got != 2 {
+	if got := a.link.stats.retries.Load(); got != 2 {
 		t.Fatalf("retries = %d, want 2", got)
 	}
 }
@@ -223,7 +234,7 @@ func TestEndpointUnconsumedFrames(t *testing.T) {
 			t.Fatalf("frame %d: %v", i, err)
 		}
 	}
-	if got := a.stats.retries.Load(); got != 0 {
+	if got := a.link.stats.retries.Load(); got != 0 {
 		t.Fatalf("%d unconsumed frames cost %d retries", frames, got)
 	}
 	if elapsed := time.Since(start); elapsed >= time.Second {
@@ -252,9 +263,7 @@ func TestEndpointRepairsSilentCorruptionAtOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	const timeout, maxRetries = 2 * time.Second, 6
-	a := newTestEndpoint(coord[0], plan.NewInjector(rng.New(1)), timeout, maxRetries)
-	b := newTestEndpoint(players[0], nil, timeout, maxRetries)
-	t.Cleanup(func() { closeAndWait([]*endpoint{a, b}) })
+	a, _ := newTestLink(t, coord[0], players[0], plan.NewInjector(rng.New(1)), timeout, maxRetries)
 	start := time.Now()
 	if err := a.send(frameSync, []byte("x")); !errors.Is(err, ErrDelivery) {
 		t.Fatalf("err = %v, want ErrDelivery", err)
@@ -262,7 +271,7 @@ func TestEndpointRepairsSilentCorruptionAtOnce(t *testing.T) {
 	if elapsed := time.Since(start); elapsed >= timeout/2 {
 		t.Fatalf("retry budget took %v, want far under the %v timeout", elapsed, timeout)
 	}
-	if got := a.stats.retries.Load(); got != maxRetries {
+	if got := a.link.stats.retries.Load(); got != maxRetries {
 		t.Fatalf("retries = %d, want %d", got, maxRetries)
 	}
 }
@@ -283,11 +292,8 @@ func TestLinkBidirectional(t *testing.T) {
 				}
 				t.Fatal(err)
 			}
-			ends := []*endpoint{
-				newTestEndpoint(coord[0], nil, 5*time.Second, 3),
-				newTestEndpoint(players[0], nil, 5*time.Second, 3),
-			}
-			t.Cleanup(func() { closeAndWait(ends) })
+			a, b := newTestLink(t, coord[0], players[0], nil, 5*time.Second, 3)
+			ends := []*endpoint{a, b}
 			sent := make(chan error, len(ends))
 			for _, ep := range ends {
 				go func() {

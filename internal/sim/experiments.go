@@ -1469,7 +1469,6 @@ func E20NetworkedOverhead(cfg Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	refKey := refRes.Board.TranscriptKey()
 	refOut, err := refProto.Outcome(refRes.Board)
 	if err != nil {
 		return nil, err
@@ -1509,7 +1508,7 @@ func E20NetworkedOverhead(cfg Config) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			if res.Board.TranscriptKey() != refKey {
+			if !res.Board.SameTranscript(refRes.Board) {
 				return nil, fmt.Errorf("sim: E20 transcript diverged under %q", mixes[cell])
 			}
 			out, err := proto.Outcome(res.Board)

@@ -14,9 +14,10 @@
 // the disabled plane — Count, Observe, Gauge and Counter return at one
 // predictable branch on a nil receiver, so a call site needs no guard.
 // The hot paths that keep one do so to skip formatting a per-entity name,
-// or to pay one branch for several events. The conformance suites pin
-// that a live Collector changes no transcript, table or experiment
-// output bit.
+// or to pay one branch for several events. A live Collector takes no lock
+// shared across metrics, and hot paths record through handles resolved
+// once per run (see Collector). The conformance suites pin that a live
+// Collector changes no transcript, table or experiment output bit.
 //
 // Metric names are dot-separated paths (e.g. "blackboard.bits",
 // "netrun.topo.3.wire_bits"); per-entity metrics embed the entity index so

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -18,6 +19,102 @@ func TestNilSafeHelpers(t *testing.T) {
 	c.Gauge("x", 1)
 	if got := c.Counter("x"); got != 0 {
 		t.Fatalf("nil collector counter = %d, want 0", got)
+	}
+	if got := c.Hist("x"); got != (HistSummary{}) {
+		t.Fatalf("nil collector histogram = %+v, want zero", got)
+	}
+	ch, hh := c.CounterHandle("x"), c.HistHandle("x")
+	if ch != nil || hh != nil {
+		t.Fatalf("nil collector resolved handles %p, %p", ch, hh)
+	}
+	ch.Add(1)
+	hh.Observe(1)
+}
+
+// A handle records into the same cell as the name it was resolved from,
+// and resolving one makes nothing visible: the metric appears at its
+// first write, as if recorded by name.
+func TestHandlesShareCellsAndStayHiddenUntilWritten(t *testing.T) {
+	c := NewCollector()
+	ch, hh := c.CounterHandle("a"), c.HistHandle("h")
+	if ch != c.CounterHandle("a") || hh != c.HistHandle("h") {
+		t.Fatal("one name resolved to two cells")
+	}
+	if snap := c.Snapshot(); len(snap) != 0 {
+		t.Fatalf("unwritten handles are visible: %v", snap)
+	}
+	if ex := c.Export(); len(ex.Counters)+len(ex.Gauges)+len(ex.Histograms) != 0 {
+		t.Fatalf("unwritten handles are exported: %+v", ex)
+	}
+	ch.Add(0)
+	c.Count("a", 2)
+	ch.Add(3)
+	hh.Observe(2)
+	c.Observe("h", 4)
+	if got := c.Counter("a"); got != 5 {
+		t.Fatalf("counter a = %d, want 5", got)
+	}
+	if h := c.Hist("h"); h.Count != 2 || h.Sum != 6 || h.Min != 2 || h.Max != 4 {
+		t.Fatalf("hist = %+v", h)
+	}
+	snap := c.Snapshot()
+	if snap["a"] != 5 || snap["h"] != 3 || snap["h.count"] != 2 || len(snap) != 3 {
+		t.Fatalf("snapshot = %v", snap)
+	}
+	// A counter written only with zero is still written.
+	c.CounterHandle("zero").Add(0)
+	if ex := c.Export(); len(ex.Counters) != 2 || ex.Counters[1] != (CounterPoint{Name: "zero"}) {
+		t.Fatalf("counters = %+v", ex.Counters)
+	}
+}
+
+// TestHistogramBuckets pins both sides of every power of two: 2^i opens
+// bucket i and the float64 just below it closes bucket i-1. A rounded
+// log2 put the values just below a power of two one bucket high.
+func TestHistogramBuckets(t *testing.T) {
+	for i := 0; i <= 70; i++ {
+		p := math.Ldexp(1, i)
+		want := min(i, histBuckets-1)
+		if got := bucketOf(p); got != want {
+			t.Errorf("2^%d lands in bucket %d, want %d", i, got, want)
+		}
+		below := math.Nextafter(p, 0)
+		want = min(max(i-1, 0), histBuckets-1)
+		if got := bucketOf(below); got != want {
+			t.Errorf("2^%d - ulp = %v lands in bucket %d, want %d", i, below, got, want)
+		}
+	}
+	for _, tc := range []struct {
+		v    float64
+		want int
+	}{
+		{7.999999999999999, 2},
+		{1<<49 - 1, 48},
+		{1<<53 - 1, 52},
+		{0.5, 0}, {0, 0}, {-3, 0}, {math.NaN(), 0}, {math.Inf(-1), 0},
+		{math.Inf(1), histBuckets - 1}, {math.MaxFloat64, histBuckets - 1},
+	} {
+		if got := bucketOf(tc.v); got != tc.want {
+			t.Errorf("%v lands in bucket %d, want %d", tc.v, got, tc.want)
+		}
+	}
+	c := NewCollector()
+	c.Observe("h", 7.999999999999999)
+	c.Observe("h", 8)
+	if b := c.Export().Histograms[0].Buckets; b[2] != 1 || b[3] != 1 {
+		t.Fatalf("buckets 2, 3 = %d, %d, want 1, 1", b[2], b[3])
+	}
+}
+
+// Recording through a handle allocates nothing.
+func TestHandlesAllocateNothing(t *testing.T) {
+	c := NewCollector()
+	ch, hh := c.CounterHandle("a"), c.HistHandle("h")
+	if n := testing.AllocsPerRun(1000, func() { ch.Add(1) }); n != 0 {
+		t.Errorf("counter Add allocates %v times", n)
+	}
+	if n := testing.AllocsPerRun(1000, func() { hh.Observe(1234) }); n != 0 {
+		t.Errorf("histogram Observe allocates %v times", n)
 	}
 }
 
@@ -173,10 +270,12 @@ func TestCollectorExportSorted(t *testing.T) {
 	}
 }
 
-// TestCollectorConcurrentHammer drives writers against every reader —
-// Snapshot, Export, Counter, Hist — concurrently. It asserts no torn
-// reads panic, that (under -race, as CI runs it) the Collector is
-// data-race free across its whole surface, and that no event is lost.
+// TestCollectorConcurrentHammer drives writers, by name and through
+// handles, against every reader — Snapshot, Export, Counter, Hist —
+// concurrently. It asserts no torn reads panic, that (under -race, as CI
+// runs it) the Collector is data-race free across its whole surface, and
+// that no event is lost, also where name and handle writers share a
+// metric.
 func TestCollectorConcurrentHammer(t *testing.T) {
 	c := NewCollector()
 	const writers, iters = 8, 500
@@ -206,6 +305,8 @@ func TestCollectorConcurrentHammer(t *testing.T) {
 				case 2:
 					_ = c.Counter("hammer.count.3")
 					_ = c.Hist("hammer.hist.3")
+					_ = c.Counter("hammer.shared")
+					_ = c.Hist("hammer.shared_hist")
 				}
 			}
 		}(r)
@@ -217,10 +318,21 @@ func TestCollectorConcurrentHammer(t *testing.T) {
 			defer writersWG.Done()
 			name := "hammer.count." + string(rune('0'+g))
 			hist := "hammer.hist." + string(rune('0'+g))
+			// Every writer also resolves its own handles, and records into
+			// one shared counter and histogram both by name and through a
+			// handle, so name and handle writers race on the same cells.
+			ch, hh := c.CounterHandle(name+".h"), c.HistHandle(hist+".h")
+			sharedC, sharedH := c.CounterHandle("hammer.shared"), c.HistHandle("hammer.shared_hist")
 			for i := 0; i < iters; i++ {
 				c.Count(name, 1)
 				c.Observe(hist, float64(i))
 				c.Gauge("hammer.gauge", float64(i))
+				ch.Add(1)
+				hh.Observe(float64(i))
+				sharedC.Add(1)
+				c.Count("hammer.shared", 1)
+				sharedH.Observe(1)
+				c.Observe("hammer.shared_hist", 1)
 			}
 		}(g)
 	}
@@ -228,12 +340,29 @@ func TestCollectorConcurrentHammer(t *testing.T) {
 	close(stop)
 	readers.Wait()
 	for g := 0; g < writers; g++ {
-		if got := c.Counter("hammer.count." + string(rune('0'+g))); got != iters {
-			t.Fatalf("writer %d counter = %d, want %d", g, got, iters)
+		name := "hammer.count." + string(rune('0'+g))
+		hist := "hammer.hist." + string(rune('0'+g))
+		for _, n := range []string{name, name + ".h"} {
+			if got := c.Counter(n); got != iters {
+				t.Fatalf("writer %d counter %s = %d, want %d", g, n, got, iters)
+			}
 		}
-		if got := c.Hist("hammer.hist." + string(rune('0'+g))).Count; got != iters {
-			t.Fatalf("writer %d histogram count = %d, want %d", g, got, iters)
+		for _, n := range []string{hist, hist + ".h"} {
+			if h := c.Hist(n); h.Count != iters || h.Sum != iters*(iters-1)/2 {
+				t.Fatalf("writer %d histogram %s = %+v, want %d samples summing to %d", g, n, h, iters, iters*(iters-1)/2)
+			}
 		}
+	}
+	const shared = 2 * writers * iters
+	if got := c.Counter("hammer.shared"); got != shared {
+		t.Fatalf("shared counter = %d, want %d", got, shared)
+	}
+	if h := c.Hist("hammer.shared_hist"); h.Count != shared || h.Sum != shared {
+		t.Fatalf("shared histogram = %+v, want %d samples", h, shared)
+	}
+	snap := c.Snapshot()
+	if snap["hammer.shared"] != shared || snap["hammer.shared_hist.count"] != shared {
+		t.Fatalf("snapshot lost events: %v, %v", snap["hammer.shared"], snap["hammer.shared_hist.count"])
 	}
 }
 
