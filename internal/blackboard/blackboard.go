@@ -223,9 +223,9 @@ type Result struct {
 // speaker and appends that player's message until the scheduler reports
 // completion. The returned Result owns the final board. Limits are checked
 // before each append (see Limits); an execution that would exceed one fails
-// without the oversized message on the board. Run records no telemetry;
-// the board accounting comes from a Stepper with a Collector installed,
-// as the networked runtime drives it.
+// without the oversized message on the board. Run records no telemetry:
+// a driver publishes a run's board accounting with Stepper.Record when the
+// run ends, as the networked runtime does.
 func Run(sched Scheduler, players []Player, public *rng.Source, lim Limits) (*Result, error) {
 	st, err := NewStepper(sched, len(players), public, lim)
 	if err != nil {

@@ -512,67 +512,104 @@ func TestStepperDiscipline(t *testing.T) {
 	}
 }
 
-// A stepper with a Collector counts messages, bits and every speaking
-// player's bits exactly; a player that never spoke has no counter.
+// A stepper recorded into a Collector counts messages, bits and every
+// speaking player's bits exactly; a player that never spoke has no
+// counter. Recorded before its scheduler halts, as a crashed or failed
+// run is, it shows the same counters and no run-level samples.
 func TestStepperRecordsBoardAccounting(t *testing.T) {
 	const k = 3
-	col := telemetry.NewCollector()
-	st, err := NewStepper(FuncScheduler(func(b *Board) (int, bool, error) {
-		return b.NumMessages() % 2, b.NumMessages() == 5, nil
-	}), k, nil, Limits{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.SetRecorder(col)
-	for {
-		speaker, done, err := st.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if done {
-			break
-		}
-		var w encoding.BitWriter
-		for i := 0; i <= st.Board().NumMessages(); i++ {
-			if err := w.WriteBit(i % 2); err != nil {
+	// step runs the stepper until the scheduler halts or messages are on
+	// the board; message i carries i+1 bits.
+	step := func(t *testing.T, st *Stepper, messages int) {
+		t.Helper()
+		for st.Board().NumMessages() < messages {
+			speaker, done, err := st.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if done {
+				return
+			}
+			var w encoding.BitWriter
+			for i := 0; i <= st.Board().NumMessages(); i++ {
+				if err := w.WriteBit(i % 2); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := st.Deliver(NewMessage(speaker, &w)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := st.Deliver(NewMessage(speaker, &w)); err != nil {
+	}
+	newStepper := func(t *testing.T) *Stepper {
+		t.Helper()
+		st, err := NewStepper(FuncScheduler(func(b *Board) (int, bool, error) {
+			return b.NumMessages() % 2, b.NumMessages() == 5, nil
+		}), k, nil, Limits{})
+		if err != nil {
 			t.Fatal(err)
 		}
+		return st
 	}
-	b := st.Board()
-	if got := col.Counter(telemetry.BlackboardMessages); got != 5 {
-		t.Errorf("messages = %d, want 5", got)
-	}
-	if got := col.Counter(telemetry.BlackboardBits); got != int64(b.TotalBits()) || got != 15 {
-		t.Errorf("bits = %d, board has %d, want 15", got, b.TotalBits())
-	}
-	for i := 0; i < 2; i++ {
-		name := telemetry.Indexed(telemetry.BlackboardPlayer, i, "bits")
-		if got := col.Counter(name); got != int64(b.PlayerBits(i)) {
-			t.Errorf("%s = %d, board has %d", name, got, b.PlayerBits(i))
+	checkCounters := func(t *testing.T, col *telemetry.Collector, b *Board, messages, bits int64) {
+		t.Helper()
+		if got := col.Counter(telemetry.BlackboardMessages); got != messages {
+			t.Errorf("messages = %d, want %d", got, messages)
+		}
+		if got := col.Counter(telemetry.BlackboardBits); got != int64(b.TotalBits()) || got != bits {
+			t.Errorf("bits = %d, board has %d, want %d", got, b.TotalBits(), bits)
+		}
+		for i := 0; i < 2; i++ {
+			name := telemetry.Indexed(telemetry.BlackboardPlayer, i, "bits")
+			if got := col.Counter(name); got != int64(b.PlayerBits(i)) {
+				t.Errorf("%s = %d, board has %d", name, got, b.PlayerBits(i))
+			}
+		}
+		if _, ok := col.Snapshot()[telemetry.Indexed(telemetry.BlackboardPlayer, 2, "bits")]; ok {
+			t.Error("a silent player has a bits counter")
 		}
 	}
-	if _, ok := col.Snapshot()[telemetry.Indexed(telemetry.BlackboardPlayer, 2, "bits")]; ok {
-		t.Error("a silent player has a bits counter")
-	}
-	if got := col.Hist(telemetry.BlackboardRounds); got.Count != 1 || got.Sum != 5 {
-		t.Errorf("rounds histogram = %+v, want one run of 5", got)
-	}
+
+	t.Run("halted", func(t *testing.T) {
+		col := telemetry.NewCollector()
+		st := newStepper(t)
+		step(t, st, 6)
+		if !st.Done() {
+			t.Fatal("scheduler did not halt")
+		}
+		st.Record(col)
+		checkCounters(t, col, st.Board(), 5, 15)
+		if got := col.Hist(telemetry.BlackboardRounds); got.Count != 1 || got.Sum != 5 {
+			t.Errorf("rounds histogram = %+v, want one run of 5", got)
+		}
+	})
+	t.Run("cut short", func(t *testing.T) {
+		col := telemetry.NewCollector()
+		st := newStepper(t)
+		step(t, st, 3)
+		if st.Done() {
+			t.Fatal("scheduler halted early")
+		}
+		st.Record(col)
+		checkCounters(t, col, st.Board(), 3, 6)
+		for _, name := range []string{telemetry.BlackboardRounds, telemetry.BlackboardRunBits, telemetry.BlackboardPublicDraws} {
+			if got := col.Hist(name); got.Count != 0 {
+				t.Errorf("%s = %+v before the scheduler halted, want no sample", name, got)
+			}
+		}
+	})
 }
 
-// With a live Collector, Deliver allocates nothing once every player has
-// spoken: the per-player counters are resolved at each player's first
-// message, not formatted per message.
+// Next and Deliver allocate nothing on a board with room for the message:
+// the stepper records no telemetry per message, whatever Collector its
+// run is recorded into.
 func TestStepperDeliverAllocatesNothing(t *testing.T) {
 	const k = 3
 	st, err := NewStepper(&RoundRobin{K: k}, k, nil, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.SetRecorder(telemetry.NewCollector())
+	st.Record(telemetry.NewCollector())
 	// Room for every append, so the board's own growth is not measured.
 	st.board.msgs = make([]Message, 0, 4096)
 	msgs := make([]Message, k)

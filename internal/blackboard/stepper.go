@@ -10,14 +10,16 @@ import (
 // Stepper exposes the execution loop of Run one step at a time, so that
 // alternative runtimes (internal/netrun's concurrent networked runtime, or
 // any future driver) can run the same state machine while doing their own
-// work — transporting messages over a wire, injecting faults, collecting
-// telemetry — between the two halves of a step.
+// work — transporting messages over a wire, injecting faults — between the
+// two halves of a step.
 //
 // A step is: Next() to learn the next speaker (or that the protocol is
 // done), obtain that player's message by whatever means the driver uses,
 // then Deliver(msg) to validate and append it. Next and Deliver must
-// alternate; the Stepper enforces the discipline. A Stepper is not safe for
-// concurrent use — drivers serialize access themselves.
+// alternate; the Stepper enforces the discipline. Neither records
+// telemetry: the board is the run's ledger, and Record publishes it once
+// the run ends. A Stepper is not safe for concurrent use — drivers
+// serialize access themselves.
 type Stepper struct {
 	board *Board
 	sched Scheduler
@@ -28,15 +30,8 @@ type Stepper struct {
 	expect int
 	done   bool
 
-	// rec receives the board-level accounting (nil: disabled, one branch
-	// per event); pubMark anchors the public-randomness draw count.
-	// messages, bits and playerBits are its handles, resolved by
-	// SetRecorder, and a player's at its first message, so Deliver
-	// formats no name and looks none up.
-	rec            *telemetry.Collector
-	pubMark        rng.Mark
-	messages, bits *telemetry.CounterHandle
-	playerBits     []*telemetry.CounterHandle
+	// pubMark anchors the public-randomness draw count Record reports.
+	pubMark rng.Mark
 }
 
 // NewStepper builds a stepper over a fresh board for numPlayers players.
@@ -49,26 +44,44 @@ func NewStepper(sched Scheduler, numPlayers int, public *rng.Source, lim Limits)
 		return nil, err
 	}
 	board.Reserve(lim)
-	return &Stepper{board: board, sched: sched, lim: lim, expect: -1}, nil
+	st := &Stepper{board: board, sched: sched, lim: lim, expect: -1}
+	if public != nil {
+		st.pubMark = public.Mark()
+	}
+	return st, nil
 }
 
-// SetRecorder installs a telemetry Collector for this execution (nil to
-// disable, the default). The stepper emits the paper's communication
-// accounting — messages, total and per-player bits as they land on the
-// board, and rounds/bits/public-RNG-draw summaries when the scheduler
-// halts. Recording never alters execution: transcripts are bit-identical
-// with a live Collector installed.
-func (st *Stepper) SetRecorder(rec *telemetry.Collector) {
-	st.rec = rec
-	st.messages, st.bits, st.playerBits = nil, nil, nil
+// Record publishes the paper's communication accounting of this execution
+// into rec (nil: nothing), read off the board: the messages on it, their
+// total bits and the bits of every player that spoke. Once the scheduler
+// has halted it also adds one sample each of the run's rounds, bits and
+// public-randomness draws; a run cut short by a crash or a failure has no
+// such samples. Call it once, when the run ends, on success and failure
+// alike: a second call counts the board again. Recording never alters
+// execution.
+func (st *Stepper) Record(rec *telemetry.Collector) {
 	if rec == nil {
 		return
 	}
-	st.messages = rec.CounterHandle(telemetry.BlackboardMessages)
-	st.bits = rec.CounterHandle(telemetry.BlackboardBits)
-	st.playerBits = make([]*telemetry.CounterHandle, st.board.NumPlayers())
-	if pub := st.board.Public(); pub != nil {
-		st.pubMark = pub.Mark()
+	b := st.board
+	if b.NumMessages() > 0 {
+		rec.Count(telemetry.BlackboardMessages, int64(b.NumMessages()))
+		rec.Count(telemetry.BlackboardBits, int64(b.TotalBits()))
+		spoke := make([]bool, b.NumPlayers())
+		for _, m := range b.Messages() {
+			if !spoke[m.Player] {
+				spoke[m.Player] = true
+				rec.Count(telemetry.Indexed(telemetry.BlackboardPlayer, m.Player, "bits"), int64(b.PlayerBits(m.Player)))
+			}
+		}
+	}
+	if !st.done {
+		return
+	}
+	rec.Observe(telemetry.BlackboardRounds, float64(b.NumMessages()))
+	rec.Observe(telemetry.BlackboardRunBits, float64(b.TotalBits()))
+	if pub := b.Public(); pub != nil {
+		rec.Observe(telemetry.BlackboardPublicDraws, float64(pub.DrawsSince(st.pubMark)))
 	}
 }
 
@@ -91,9 +104,6 @@ func (st *Stepper) Next() (speaker int, done bool, err error) {
 	}
 	if done {
 		st.done = true
-		if st.rec != nil {
-			st.recordFinish()
-		}
 		return 0, true, nil
 	}
 	if speaker < 0 || speaker >= st.board.NumPlayers() {
@@ -123,25 +133,5 @@ func (st *Stepper) Deliver(m Message) error {
 		return err
 	}
 	st.expect = -1
-	if st.rec != nil {
-		st.messages.Add(1)
-		st.bits.Add(int64(m.Len))
-		h := st.playerBits[m.Player]
-		if h == nil {
-			h = st.rec.CounterHandle(telemetry.Indexed(telemetry.BlackboardPlayer, m.Player, "bits"))
-			st.playerBits[m.Player] = h
-		}
-		h.Add(int64(m.Len))
-	}
 	return nil
-}
-
-// recordFinish emits the run-level summaries once, when the scheduler
-// halts the protocol.
-func (st *Stepper) recordFinish() {
-	st.rec.Observe(telemetry.BlackboardRounds, float64(st.board.NumMessages()))
-	st.rec.Observe(telemetry.BlackboardRunBits, float64(st.board.TotalBits()))
-	if pub := st.board.Public(); pub != nil {
-		st.rec.Observe(telemetry.BlackboardPublicDraws, float64(pub.DrawsSince(st.pubMark)))
-	}
 }

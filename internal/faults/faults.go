@@ -240,7 +240,9 @@ type Decision struct {
 	Delay      time.Duration
 }
 
-// Counts tallies injected faults.
+// Counts tallies injected faults: the injector's decisions, one per fault
+// it drew for a frame. A duplicate or a corruption drawn for a frame that
+// is then dropped counts, though nothing of it reaches the wire.
 type Counts struct {
 	Drops       int
 	Duplicates  int

@@ -99,12 +99,16 @@ type Config struct {
 	MaxRetries int
 	// Limits bound the protocol exactly as in blackboard.Run.
 	Limits blackboard.Limits
-	// Recorder receives the run's telemetry (nil: disabled). It is driven
-	// from the exact sites that update the wire-level counters — every
-	// retransmission trigger (known drop, NACK, timeout), every discarded
-	// frame, every injected fault — so its counters always match the
-	// returned Stats. Recording never changes transcripts, bit counts or
-	// outcomes.
+	// Recorder receives the run's telemetry (nil: disabled). The run keeps
+	// one ledger, its Stats and board, and publishes it here once, when
+	// the run ends — on success, crash and abort alike: every netrun.*
+	// counter and its netrun.topo.<l>.* shares, netrun.turns, and the
+	// board's blackboard.* accounting (Stepper.Record), so the recorded
+	// counters equal the returned Stats exactly and appear when the run
+	// ends, not frame by frame. The only samples recorded while the run
+	// goes are netrun.ack_ns (run-wide and per link) per delivered frame
+	// and netrun.turn_ns per turn. Recording never changes transcripts,
+	// bit counts or outcomes.
 	Recorder *telemetry.Collector
 	// Causal, when enabled, attaches the run's wire-level story to a
 	// trace: one netrun.hop span per delivered application frame, a
@@ -115,8 +119,10 @@ type Config struct {
 	Causal causal.Context
 }
 
-// Stats aggregates a run's telemetry. Per-turn latency is not kept here:
-// it is observed in the netrun.turn_ns histogram of Config.Recorder.
+// Stats aggregates a run's wire accounting: the one ledger a run keeps,
+// which it publishes to Config.Recorder when it ends. Per-turn and ack
+// latency are not kept here: they are observed in the netrun.turn_ns and
+// netrun.ack_ns histograms of Config.Recorder.
 type Stats struct {
 	// PerLink breaks the wire traffic down by physical link, in
 	// Topology.Links order (on the star, link i is player i's). The
@@ -128,7 +134,8 @@ type Stats struct {
 	// BoardBits is the protocol-level bit count — identical to the
 	// sequential runtime's accounting.
 	BoardBits int
-	// Faults totals the injected link faults.
+	// Faults totals the injected link faults, as the injectors decided
+	// them (see faults.Counts).
 	Faults faults.Counts
 	// Transport names the transport used.
 	Transport string
@@ -150,7 +157,9 @@ type LinkStats struct {
 	BadFrames int64
 	// DupFrames counts duplicate frames discarded by sequence check.
 	DupFrames int64
-	// Faults tallies injected faults on both directions.
+	// Faults tallies the injectors' fault decisions on both directions: a
+	// duplicate or corruption drawn for a dropped frame counts, though
+	// nothing of it reaches the wire.
 	Faults faults.Counts
 }
 

@@ -345,18 +345,28 @@ func recordedFaults(rec *telemetry.Collector, k int) faults.Counts {
 	return c
 }
 
-// assertRecorderMatchesStats pins the satellite fix of this PR: the
-// Recorder is driven from the same statements that update the wire-level
-// atomics, so its counters must equal the returned Stats exactly — on the
-// happy path and on every repair path (known-drop retransmit, NACK
-// retransmit, duplicate discard).
+// assertRecorderMatchesStats pins the one-ledger design: a run keeps its
+// counts in its links, fault injectors and board, and publishes them to
+// the Recorder when it ends, so the recorded counters must equal the
+// returned Stats exactly — on the happy path, on every repair path
+// (known-drop retransmit, NACK retransmit, duplicate discard) and on a
+// crashed run's partial Result.
 func assertRecorderMatchesStats(t *testing.T, rec *telemetry.Collector, res *netrun.Result, k int) {
 	t.Helper()
 	var retries, badFrames, dupFrames int64
-	for _, ls := range res.Stats.PerLink {
+	for l, ls := range res.Stats.PerLink {
 		retries += ls.Retries
 		badFrames += ls.BadFrames
 		dupFrames += ls.DupFrames
+		for field, want := range map[string]int64{
+			"wire_bits": ls.WireBits, "retries": ls.Retries, "bad_frames": ls.BadFrames, "dup_frames": ls.DupFrames,
+			"faults.drop": int64(ls.Faults.Drops), "faults.dup": int64(ls.Faults.Duplicates),
+			"faults.corrupt": int64(ls.Faults.Corruptions), "faults.delay": int64(ls.Faults.Delays),
+		} {
+			if got := rec.Counter(telemetry.Indexed(telemetry.NetrunTopo, l, field)); got != want {
+				t.Errorf("link %d recorded %s %d, stats %d", l, field, got, want)
+			}
+		}
 	}
 	if got := rec.Counter(telemetry.NetrunRetries); got != retries {
 		t.Errorf("recorded retries %d, stats %d", got, retries)
@@ -428,12 +438,11 @@ func TestRecorderObservesRun(t *testing.T) {
 	assertRecorderMatchesStats(t, rec, res, 3)
 }
 
-// A run resolves its per-link handles up front, but a metric still
-// appears only once something is recorded in it: a fault-free run into a
-// fresh Collector shows wire bits and ack latency per link, and no retry,
-// bad-frame, duplicate or fault series. Two runs into one Collector share
-// its cells, and a run into a second Collector records nothing into the
-// first.
+// A run publishes only the counters it has something in: a fault-free run
+// into a fresh Collector shows wire bits and ack latency per link, and no
+// retry, bad-frame, duplicate or fault series. Two runs into one Collector
+// add up in its cells, and a run into a second Collector records nothing
+// into the first.
 func TestRecorderShowsOnlyRecordedMetrics(t *testing.T) {
 	inst, err := disj.GenerateDisjoint(rng.New(7), 32, 3, 0.3)
 	if err != nil {
@@ -517,6 +526,168 @@ func TestRecorderMatchesStatsOnRepairPaths(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameBoard(t, seqFingerprint(t, ref, nil), res.Board)
+}
+
+// TestRecorderMatchesStatsOnDroppedDuplicates pins a frame that draws
+// both a drop and a duplicate: the duplicate counts in Stats.Faults, as
+// the injector decided it, though nothing of it reaches the wire, so it
+// must count in the recorded fault counters too. With no corruption in
+// the plan, every duplicate of a frame that was not dropped is discarded
+// once at the receiver, so Duplicates exceeds the summed DupFrames by
+// exactly the duplicates drawn for dropped frames; the test needs some.
+func TestRecorderMatchesStatsOnDroppedDuplicates(t *testing.T) {
+	inst, err := disj.GenerateDisjoint(rng.New(507), 64, 4, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proto, err := disj.NewOptimalProtocol(inst, disj.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := faults.Parse("drop=0.3,dup=0.3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := telemetry.NewCollector()
+	res, err := netrun.Run(proto.Scheduler(), proto.Players(), nil, netrun.Config{
+		Faults: plan, Seed: 3, Timeout: 40 * time.Millisecond, MaxRetries: 12,
+		Recorder: rec, Limits: proto.Limits(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dupFrames int64
+	for _, ls := range res.Stats.PerLink {
+		dupFrames += ls.DupFrames
+	}
+	if int64(res.Stats.Faults.Duplicates) <= dupFrames {
+		t.Fatalf("%d duplicates drawn, %d discarded: no dropped frame drew a duplicate; test is vacuous",
+			res.Stats.Faults.Duplicates, dupFrames)
+	}
+	assertRecorderMatchesStats(t, rec, res, 4)
+}
+
+// TestRecorderMatchesStatsOnCrash pins the runs that end early: a crashed
+// run publishes its partial Stats and board exactly once, with no
+// run-level board samples, since its scheduler never halted; and a run
+// that aborts on a player's failure publishes what it did, although Run
+// returns no Result.
+func TestRecorderMatchesStatsOnCrash(t *testing.T) {
+	const k = 4
+	inst, err := disj.GenerateDisjoint(rng.New(508), 64, k, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := faults.Parse("drop=0.1,dup=0.1,crash=1@1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	crashRun := func(t *testing.T, rec *telemetry.Collector, seed uint64) *netrun.Result {
+		t.Helper()
+		proto, err := disj.NewOptimalProtocol(inst, disj.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := netrun.Run(proto.Scheduler(), proto.Players(), nil, netrun.Config{
+			Faults: plan, Seed: seed, Timeout: 40 * time.Millisecond, MaxRetries: 12,
+			Recorder: rec, Limits: proto.Limits(),
+		})
+		if !errors.Is(err, netrun.ErrPlayerCrashed) || res == nil {
+			t.Fatalf("err = %v, result %v: want a crash with a partial result", err, res)
+		}
+		if res.Board.NumMessages() == 0 || res.Stats.Faults.Total() == 0 {
+			t.Fatalf("partial run has %d messages and %v faults; test is vacuous", res.Board.NumMessages(), res.Stats.Faults)
+		}
+		return res
+	}
+	noRunSamples := func(t *testing.T, rec *telemetry.Collector) {
+		t.Helper()
+		for _, name := range []string{telemetry.BlackboardRounds, telemetry.BlackboardRunBits} {
+			if got := rec.Hist(name); got.Count != 0 {
+				t.Errorf("%s = %+v, but no scheduler halted", name, got)
+			}
+		}
+	}
+
+	t.Run("crash", func(t *testing.T) {
+		rec := telemetry.NewCollector()
+		res := crashRun(t, rec, 1)
+		assertRecorderMatchesStats(t, rec, res, k)
+		noRunSamples(t, rec)
+		if got := rec.Counter(telemetry.NetrunCrashes); got != 1 {
+			t.Errorf("recorded %d crashes, want 1", got)
+		}
+	})
+
+	t.Run("two crashes", func(t *testing.T) {
+		rec := telemetry.NewCollector()
+		a, b := crashRun(t, rec, 1), crashRun(t, rec, 2)
+		// The sum of the two partial results: their boards back to back,
+		// their Stats added link by link.
+		board, err := blackboard.NewBoard(k, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, res := range []*netrun.Result{a, b} {
+			for _, m := range res.Board.Messages() {
+				if err := board.Append(m); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		sum := &netrun.Result{Board: board, Stats: a.Stats}
+		sum.Stats.PerLink = append([]netrun.LinkStats(nil), a.Stats.PerLink...)
+		for l, ls := range b.Stats.PerLink {
+			p := &sum.Stats.PerLink[l]
+			p.WireBits += ls.WireBits
+			p.Retries += ls.Retries
+			p.BadFrames += ls.BadFrames
+			p.DupFrames += ls.DupFrames
+			p.Faults.Add(ls.Faults)
+		}
+		sum.Stats.WireBits += b.Stats.WireBits
+		sum.Stats.BoardBits += b.Stats.BoardBits
+		sum.Stats.Faults.Add(b.Stats.Faults)
+		assertRecorderMatchesStats(t, rec, sum, k)
+		noRunSamples(t, rec)
+		if got := rec.Counter(telemetry.NetrunCrashes); got != 2 {
+			t.Errorf("recorded %d crashes, want 2", got)
+		}
+	})
+
+	t.Run("abort", func(t *testing.T) {
+		// Every player writes one bit per turn until five messages are on
+		// the board; the next speaker fails.
+		const messages = 5
+		sched := &blackboard.RoundRobin{K: k}
+		players := make([]blackboard.Player, k)
+		for i := range players {
+			players[i] = blackboard.FuncPlayer(func(b *blackboard.Board) (blackboard.Message, error) {
+				if b.NumMessages() >= messages {
+					return blackboard.Message{}, errors.New("player gives up")
+				}
+				return blackboard.Message{Player: i, Bits: []byte{0x80}, Len: 1}, nil
+			})
+		}
+		rec := telemetry.NewCollector()
+		res, err := netrun.Run(sched, players, nil, netrun.Config{Timeout: 100 * time.Millisecond, Recorder: rec})
+		if err == nil || res != nil {
+			t.Fatalf("Run = %v, %v; want no Result and the player's error", res, err)
+		}
+		if got := rec.Counter(telemetry.BlackboardMessages); got != messages {
+			t.Errorf("recorded %d messages, want %d", got, messages)
+		}
+		if got := rec.Counter(telemetry.BlackboardBits); got != messages {
+			t.Errorf("recorded %d board bits, want %d", got, messages)
+		}
+		if got := rec.Counter(telemetry.NetrunWireBits); got == 0 {
+			t.Error("aborted run recorded no wire bits")
+		}
+		if got := rec.Counter(telemetry.NetrunTurns); got != messages {
+			t.Errorf("recorded %d turns, want %d", got, messages)
+		}
+		noRunSamples(t, rec)
+	})
 }
 
 // A crashed player must surface as a typed error with the partial

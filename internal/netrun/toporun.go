@@ -205,7 +205,7 @@ func (r *topoRun) recvAt(n *topoNode, deadline time.Duration) (inbound, error) {
 		}
 		src, dst, kind, payload, err := decodeRoutedPayload(in.payload, r.k)
 		if err != nil {
-			n.links[in.from].countBad()
+			n.links[in.from].link.stats.badFrames.Add(1)
 			continue
 		}
 		if dst == n.id {
@@ -320,7 +320,6 @@ func runTopology(sched blackboard.Scheduler, players []blackboard.Player, public
 	if err != nil {
 		return nil, err
 	}
-	st.SetRecorder(cfg.Recorder)
 
 	// One transport pair per physical link: the coordinator-side Link
 	// terminates at the higher node id B (the coordinator, on the star),
@@ -357,12 +356,15 @@ func runTopology(sched blackboard.Scheduler, players []blackboard.Player, public
 		n.inbox.items = n.inboxBuf[:0]
 	}
 	// Both directions of link l record under netrun.topo.<l>.*, mirroring
-	// the per-link Stats breakdown which also sums the two directions.
+	// the per-link Stats breakdown which also sums the two directions. A
+	// hop's ack latency is the one metric recorded per frame: into the
+	// run-wide histogram and its link's, through handles resolved here.
+	r.arq.ackNs = cfg.Recorder.HistHandle(telemetry.NetrunAckNs)
 	for l, lid := range links {
 		a, b := &r.nodes[lid.A], &r.nodes[lid.B]
 		wl := &r.wires[l]
 		wl.labels = labelsOf(l)
-		wl.metrics = wl.labels.metricsIn(cfg.Recorder)
+		wl.ackNs = cfg.Recorder.HistHandle(wl.labels.ackNs)
 		var injBA, injAB *faults.Injector
 		if streams != nil {
 			injBA, injAB = cfg.Faults.NewInjector(streams[2*l]), cfg.Faults.NewInjector(streams[2*l+1])
@@ -405,7 +407,11 @@ func runTopology(sched blackboard.Scheduler, players []blackboard.Player, public
 	}
 
 	coord := &r.nodes[CoordinatorNode(k)]
-	turns, turnNs := cfg.Recorder.CounterHandle(telemetry.NetrunTurns), cfg.Recorder.HistHandle(telemetry.NetrunTurnNs)
+	turnNs := cfg.Recorder.HistHandle(telemetry.NetrunTurnNs)
+	turns := 0
+	// finish is the one end-of-run step, taken on success, crash and abort
+	// alike: it tears the run down, reads its final Stats and publishes
+	// them with the board's accounting.
 	finish := func(crashed []int) *Result {
 		r.teardown()
 		stats := Stats{
@@ -419,7 +425,7 @@ func runTopology(sched blackboard.Scheduler, players []blackboard.Player, public
 			ls.WireBits = wl.stats.wireBits.Load()
 			ls.Retries = wl.stats.retries.Load()
 			ls.BadFrames = wl.stats.badFrames.Load()
-			ls.DupFrames = wl.stats.dupDropped.Load()
+			ls.DupFrames = wl.stats.dupFrames.Load()
 			for e := range wl.ends {
 				if inj := wl.ends[e].inj; inj != nil {
 					ls.Faults.Add(inj.Counts())
@@ -429,10 +435,12 @@ func runTopology(sched blackboard.Scheduler, players []blackboard.Player, public
 			stats.Faults.Add(ls.Faults)
 		}
 		stats.BoardBits = st.Board().TotalBits()
-		return &Result{Board: st.Board(), Stats: stats, Crashed: crashed}
+		res := &Result{Board: st.Board(), Stats: stats, Crashed: crashed}
+		r.publish(cfg.Recorder, res, turns)
+		st.Record(cfg.Recorder)
+		return res
 	}
 	crash := func(player int, cause error) (*Result, error) {
-		cfg.Recorder.Count(telemetry.NetrunCrashes, 1)
 		if cfg.Causal.Enabled() {
 			// A crash is the unrecoverable failure of the run: mark the
 			// instant and trigger the trace's flight-recorder auto-dump.
@@ -443,7 +451,7 @@ func runTopology(sched blackboard.Scheduler, players []blackboard.Player, public
 		return res, &CrashError{Player: player, Cause: cause}
 	}
 	abort := func(err error) (*Result, error) {
-		r.teardown()
+		finish(nil)
 		return nil, err
 	}
 
@@ -500,9 +508,49 @@ func runTopology(sched blackboard.Scheduler, players []blackboard.Player, public
 			}
 		}
 
-		turns.Add(1)
+		turns++
 		turnNs.Observe(float64(turn.End()))
 	}
+}
+
+// publish writes a finished run's ledger into rec (nil: nothing): each
+// link's Stats as its netrun.topo.<l>.* counters beside their netrun.*
+// totals, the turns completed and the players crashed. A counter that
+// would read zero stays unwritten, so a fault-free run shows no retry,
+// bad-frame, duplicate or fault series.
+func (r *topoRun) publish(rec *telemetry.Collector, res *Result, turns int) {
+	if rec == nil {
+		return
+	}
+	count := func(name string, n int64) {
+		if n != 0 {
+			rec.Count(name, n)
+		}
+	}
+	var retries, badFrames, dupFrames int64
+	for l, ls := range res.Stats.PerLink {
+		lb := r.wires[l].labels
+		count(lb.wireBits, ls.WireBits)
+		count(lb.retries, ls.Retries)
+		count(lb.badFrames, ls.BadFrames)
+		count(lb.dupFrames, ls.DupFrames)
+		for kind, n := range [...]int{
+			faults.Drop: ls.Faults.Drops, faults.Duplicate: ls.Faults.Duplicates,
+			faults.Corrupt: ls.Faults.Corruptions, faults.Delay: ls.Faults.Delays,
+		} {
+			count(lb.faultName[kind], int64(n))
+		}
+		retries += ls.Retries
+		badFrames += ls.BadFrames
+		dupFrames += ls.DupFrames
+	}
+	count(telemetry.NetrunWireBits, res.Stats.WireBits)
+	count(telemetry.NetrunRetries, retries)
+	count(telemetry.NetrunBadFrames, badFrames)
+	count(telemetry.NetrunDupFrames, dupFrames)
+	count(telemetry.NetrunFaults, int64(res.Stats.Faults.Total()))
+	count(telemetry.NetrunTurns, int64(turns))
+	count(telemetry.NetrunCrashes, int64(len(res.Crashed)))
 }
 
 // teardown stops the node loops first, then severs every link and waits

@@ -254,32 +254,38 @@ type inbound struct {
 }
 
 // linkStats are the wire counters of one physical link, both directions
-// summed. Updated atomically: the link's two endpoints, their senders and
-// the goroutines that deliver to them all touch them concurrently.
+// summed: with the link's fault injectors, the run's only ledger of its
+// wire traffic, which Stats reads and the run publishes to its Collector
+// when it ends. Updated atomically: the link's two endpoints, their
+// senders and the goroutines that deliver to them all touch them
+// concurrently.
 type linkStats struct {
-	wireBits   atomic.Int64 // bits put on (or dropped onto) the wire, both directions
-	retries    atomic.Int64 // retransmission attempts beyond the first send
-	badFrames  atomic.Int64 // frames discarded for checksum/layout failure
-	dupDropped atomic.Int64 // duplicate data frames discarded by seq check
+	wireBits  atomic.Int64 // bits put on (or dropped onto) the wire, both directions
+	retries   atomic.Int64 // retransmission attempts beyond the first send
+	badFrames atomic.Int64 // frames discarded for checksum/layout failure
+	dupFrames atomic.Int64 // duplicate data frames discarded by seq check
 }
 
 // wireLink is one physical link of a run: its two endpoints and what they
-// share — the link's labels, its Collector handles (nil: no Collector)
-// and its wire counters. A run allocates all of its links at once.
+// share — the link's labels, the handle of its ack-latency histogram (nil:
+// no Collector) and its wire counters. A run allocates all of its links at
+// once.
 type wireLink struct {
-	labels  *linkLabels
-	metrics *linkMetrics
-	stats   linkStats
-	ends    [2]endpoint // the higher node id's end, then the lower's
+	labels *linkLabels
+	ackNs  *telemetry.HistHandle
+	stats  linkStats
+	ends   [2]endpoint // the higher node id's end, then the lower's
 }
 
 // arqConfig is what every endpoint of a run shares: the retransmission
-// budget, and the Collector and trace it records into (nil and the zero
-// Context: disabled).
+// budget, the Collector that times its hops with the handle of the
+// run-wide ack-latency histogram, and the trace it records into (nil and
+// the zero Context: disabled).
 type arqConfig struct {
 	timeout    time.Duration
 	maxRetries int
 	rec        *telemetry.Collector
+	ackNs      *telemetry.HistHandle
 	cause      causal.Context
 }
 
@@ -364,10 +370,11 @@ type endpoint struct {
 }
 
 // linkLabels are the metric names and causal attributes of the link with
-// a given index in a run's topology, under which both of its endpoints
-// record. They depend on the index alone, so each is built once per
-// process and shared by every run, and recording formats and allocates
-// nothing.
+// a given index in a run's topology: the names a run publishes the link's
+// counters under, its ack-latency histogram's, and the attributes of its
+// endpoints' trace records. They depend on the index alone, so each is
+// built once per process and shared by every run, and recording formats
+// and allocates nothing.
 type linkLabels struct {
 	wireBits, retries, badFrames, dupFrames, ackNs string
 	faultName                                      [faults.NumKinds]string
@@ -378,53 +385,6 @@ type linkLabels struct {
 	// and the fault's name). Records keep them uncopied.
 	hop   [frameRouted + 1][]causal.Attr
 	fault [faults.NumKinds][]causal.Attr
-
-	// metrics holds the link's handles in the Collector the latest run
-	// recorded into. A process records into one Collector, so a run
-	// resolves no name at all.
-	metrics atomic.Pointer[linkMetrics]
-}
-
-// linkMetrics are the Collector handles of one link: each run-wide
-// netrun.* total beside the link's own netrun.topo.<l>.* share.
-type linkMetrics struct {
-	rec                      *telemetry.Collector
-	wireBits, linkWireBits   *telemetry.CounterHandle
-	retries, linkRetries     *telemetry.CounterHandle
-	badFrames, linkBadFrames *telemetry.CounterHandle
-	dupFrames, linkDupFrames *telemetry.CounterHandle
-	ackNs, linkAckNs         *telemetry.HistHandle
-	faults                   *telemetry.CounterHandle
-	linkFaults               [faults.NumKinds]*telemetry.CounterHandle
-}
-
-// metricsIn returns the link's handles in rec, or nil when rec is.
-func (lb *linkLabels) metricsIn(rec *telemetry.Collector) *linkMetrics {
-	if rec == nil {
-		return nil
-	}
-	if m := lb.metrics.Load(); m != nil && m.rec == rec {
-		return m
-	}
-	m := &linkMetrics{
-		rec:           rec,
-		wireBits:      rec.CounterHandle(telemetry.NetrunWireBits),
-		linkWireBits:  rec.CounterHandle(lb.wireBits),
-		retries:       rec.CounterHandle(telemetry.NetrunRetries),
-		linkRetries:   rec.CounterHandle(lb.retries),
-		badFrames:     rec.CounterHandle(telemetry.NetrunBadFrames),
-		linkBadFrames: rec.CounterHandle(lb.badFrames),
-		dupFrames:     rec.CounterHandle(telemetry.NetrunDupFrames),
-		linkDupFrames: rec.CounterHandle(lb.dupFrames),
-		ackNs:         rec.HistHandle(telemetry.NetrunAckNs),
-		linkAckNs:     rec.HistHandle(lb.ackNs),
-		faults:        rec.CounterHandle(telemetry.NetrunFaults),
-	}
-	for k := range m.linkFaults {
-		m.linkFaults[k] = rec.CounterHandle(lb.faultName[k])
-	}
-	lb.metrics.Store(m)
-	return m
 }
 
 // labelCache holds the labels of every link index below cachedLinks used
@@ -482,50 +442,9 @@ func (ep *endpoint) attach(wl *wireLink, raw Link, inj *faults.Injector, cfg *ar
 	raw.Attach(ep.receive)
 }
 
-// addWireBits, addRetry, countBad, addDup and addFault update the link's
-// stats and, through the same statements, its Collector handles, so the
-// recorded counters and Stats never diverge. Each costs one branch with
-// no Collector.
-func (ep *endpoint) addWireBits(bits int64) {
-	ep.link.stats.wireBits.Add(bits)
-	if m := ep.link.metrics; m != nil {
-		m.wireBits.Add(bits)
-		m.linkWireBits.Add(bits)
-	}
-}
-
-func (ep *endpoint) addRetry() {
-	ep.link.stats.retries.Add(1)
-	if m := ep.link.metrics; m != nil {
-		m.retries.Add(1)
-		m.linkRetries.Add(1)
-	}
-}
-
-// countBad records one discarded frame: one that failed its checksum, or
-// a checksummed envelope that does not decode.
-func (ep *endpoint) countBad() {
-	ep.link.stats.badFrames.Add(1)
-	if m := ep.link.metrics; m != nil {
-		m.badFrames.Add(1)
-		m.linkBadFrames.Add(1)
-	}
-}
-
-func (ep *endpoint) addDup() {
-	ep.link.stats.dupDropped.Add(1)
-	if m := ep.link.metrics; m != nil {
-		m.dupFrames.Add(1)
-		m.linkDupFrames.Add(1)
-	}
-}
-
-// addFault records one injected fault; the injector keeps the Stats count.
-func (ep *endpoint) addFault(kind faults.Kind) {
-	if m := ep.link.metrics; m != nil {
-		m.faults.Add(1)
-		m.linkFaults[kind].Add(1)
-	}
+// traceFault marks one injected fault in the run's trace; the injector
+// keeps its count.
+func (ep *endpoint) traceFault(kind faults.Kind) {
 	if ep.cfg.cause.Enabled() {
 		ep.cfg.cause.Fault(causal.NetrunFault, ep.link.labels.fault[kind]...)
 	}
@@ -574,7 +493,7 @@ func (ep *endpoint) receive(frame []byte, err error) {
 	}
 	kind, seq, payload, ok := parseFrame(frame)
 	if !ok {
-		ep.countBad()
+		ep.link.stats.badFrames.Add(1)
 		if !ep.nackPending {
 			ep.nackPending = true
 			ep.sendControl(frameNack, ep.recvSeq)
@@ -593,7 +512,7 @@ func (ep *endpoint) receive(frame []byte, err error) {
 	}
 	ep.nackPending = false
 	if seq <= ep.recvSeq {
-		ep.addDup()
+		ep.link.stats.dupFrames.Add(1)
 		return
 	}
 	// Stop-and-wait: in-order delivery means the only acceptable new
@@ -620,7 +539,7 @@ func (ep *endpoint) signal() {
 func (ep *endpoint) sendControl(kind byte, seq uint32) {
 	frame := ep.control[:]
 	packFrameInto(frame, kind, seq, nil)
-	ep.addWireBits(int64(8 * len(frame)))
+	ep.link.stats.wireBits.Add(int64(8 * len(frame)))
 	ep.raw.Send(frame) // best effort: a lost control frame surfaces as a send timeout upstream
 }
 
@@ -643,7 +562,7 @@ func (ep *endpoint) send(kind byte, payload []byte) error {
 	hop := ep.cfg.cause.StartSpanShared(ep.cfg.rec, causal.NetrunHop, ep.link.labels.hop[kind])
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
-			ep.addRetry()
+			ep.link.stats.retries.Add(1)
 			if ep.cfg.cause.Enabled() {
 				// Parent the retry to its hop so the causal tree shows which
 				// delivery the retransmission repaired.
@@ -661,10 +580,8 @@ func (ep *endpoint) send(kind byte, payload []byte) error {
 			}
 			if acked {
 				ackNs := float64(hop.End())
-				if m := ep.link.metrics; m != nil {
-					m.ackNs.Observe(ackNs)
-					m.linkAckNs.Observe(ackNs)
-				}
+				ep.cfg.ackNs.Observe(ackNs)
+				ep.link.ackNs.Observe(ackNs)
 				return nil
 			}
 		}
@@ -724,26 +641,26 @@ func (ep *endpoint) await(seq uint32, d time.Duration) (bool, error) {
 // waiting, because this side knows no ack or NACK will come: the frame was
 // dropped, or it was corrupted while the peer's NACK suppression was on.
 func (ep *endpoint) sendRaw(frame []byte) (delivered bool, err error) {
-	bits := int64(8 * len(frame))
+	bits, wireBits := int64(8*len(frame)), &ep.link.stats.wireBits
 	if ep.inj == nil {
-		ep.addWireBits(bits)
+		wireBits.Add(bits)
 		return true, ep.raw.Send(frame)
 	}
 	d := ep.inj.Decide(len(frame) * 8)
 	if d.Delay > 0 {
-		ep.addFault(faults.Delay)
+		ep.traceFault(faults.Delay)
 		time.Sleep(d.Delay)
 	}
 	out := frame
 	if d.CorruptBit >= 0 {
-		ep.addFault(faults.Corrupt)
+		ep.traceFault(faults.Corrupt)
 		out = make([]byte, len(frame))
 		copy(out, frame)
 		out[d.CorruptBit/8] ^= 1 << uint(7-d.CorruptBit%8)
 	}
 	if d.Drop {
-		ep.addFault(faults.Drop)
-		ep.addWireBits(bits)
+		ep.traceFault(faults.Drop)
+		wireBits.Add(bits)
 		return false, nil
 	}
 	// Advance the mirror of the peer's NACK suppression exactly as the
@@ -753,13 +670,13 @@ func (ep *endpoint) sendRaw(frame []byte) (delivered bool, err error) {
 	corrupted := d.CorruptBit >= 0
 	silent := corrupted && ep.peerNackPending
 	ep.peerNackPending = corrupted
-	ep.addWireBits(bits)
+	wireBits.Add(bits)
 	if err := ep.raw.Send(out); err != nil {
 		return false, err
 	}
 	if d.Duplicate {
-		ep.addFault(faults.Duplicate)
-		ep.addWireBits(bits)
+		ep.traceFault(faults.Duplicate)
+		wireBits.Add(bits)
 		if err := ep.raw.Send(out); err != nil {
 			return false, err
 		}

@@ -181,43 +181,6 @@ func TestBernoulliRate(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	s := New(12)
-	check := func(n uint8) bool {
-		m := int(n%50) + 1
-		p := s.Perm(m)
-		if len(p) != m {
-			return false
-		}
-		seen := make([]bool, m)
-		for _, v := range p {
-			if v < 0 || v >= m || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(check, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPermUniformFirstElement(t *testing.T) {
-	s := New(13)
-	const n, trials = 5, 50000
-	counts := make([]int, n)
-	for i := 0; i < trials; i++ {
-		counts[s.Perm(n)[0]]++
-	}
-	want := float64(trials) / n
-	for i, c := range counts {
-		if math.Abs(float64(c)-want) > 5*math.Sqrt(want) {
-			t.Fatalf("Perm first-element bucket %d count %d, want ~%v", i, c, want)
-		}
-	}
-}
-
 func TestSampleWithoutReplacement(t *testing.T) {
 	s := New(14)
 	check := func(nRaw, mRaw uint8) bool {
@@ -284,19 +247,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 	if math.Abs(variance-1) > 0.05 {
 		t.Fatalf("normal variance = %v", variance)
-	}
-}
-
-func TestShuffle(t *testing.T) {
-	s := New(17)
-	xs := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	s.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	seen := make([]bool, len(xs))
-	for _, v := range xs {
-		if seen[v] {
-			t.Fatalf("shuffle duplicated element %d", v)
-		}
-		seen[v] = true
 	}
 }
 
@@ -382,26 +332,5 @@ func BenchmarkUint64sBatch(b *testing.B) {
 	b.SetBytes(int64(len(buf) * 8))
 	for i := 0; i < b.N; i++ {
 		s.Uint64s(buf)
-	}
-}
-
-// Perm returns a uniformly random permutation of [0, n).
-func (s *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
-// Shuffle permutes xs uniformly at random in place.
-func (s *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		swap(i, j)
 	}
 }

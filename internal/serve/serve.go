@@ -49,8 +49,10 @@ type RunProgress struct {
 	// sweep's last record has CellsDone == CellsTotal.
 	CellsDone  int `json:"cellsDone"`
 	CellsTotal int `json:"cellsTotal"`
-	// Bits is the cumulative recorded communication (blackboard + wire) at
-	// publish time, from the attached Collector.
+	// Bits is the communication recorded so far (blackboard + wire bits)
+	// in the attached Collector at publish time. It is a process-wide
+	// total, not this run's alone, and a networked run's bits land in it
+	// when that run ends.
 	Bits int64 `json:"bits"`
 	// ElapsedMs is wall time since the run started; EtaMs linearly
 	// extrapolates the remaining cells (0 until the first cell lands).

@@ -1552,7 +1552,8 @@ func E20NetworkedOverhead(cfg Config) (*Table, error) {
 // on the networked runtime over an explicit star topology with
 // message-passing delivery (no SYNC traffic, replicas empty), so the run
 // also exercises per-link wire accounting — the experiment checks that the
-// netrun.topo link counters sum to the run totals before reporting.
+// per-link wire bits of Stats.PerLink sum to the run's total before
+// reporting.
 func E21TopologySeparation(cfg Config) (*Table, error) {
 	if err := cfg.scaleOK(); err != nil {
 		return nil, err

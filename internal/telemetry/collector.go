@@ -29,12 +29,15 @@ import (
 //
 // # Handles
 //
-// A path that records the same metric on every event resolves its name
-// once, with CounterHandle or HistHandle, and then records through the
-// handle with no map lookup: one atomic add per counter event, one cell
-// lock per histogram sample, no allocation. Resolving a handle does not
-// make its metric visible; it appears in Counter, Hist, Snapshot and
-// Export at its first write, exactly as if that write had gone by name.
+// A path that adds a sample to the same histogram on every event resolves
+// its name once, with HistHandle, and then observes through the handle
+// with no map lookup: one cell lock per sample, no allocation. Resolving
+// a handle does not make its histogram visible; it appears in Hist,
+// Snapshot and Export at its first sample, exactly as if that sample had
+// gone by name. Counters have no handles: the layers that count per
+// event (netrun's links and fault injectors, the blackboard) keep their
+// own tallies, and a run publishes them with one Count per counter when
+// it ends.
 //
 // # Reads
 //
@@ -46,30 +49,11 @@ import (
 //
 // A nil *Collector is the disabled plane: Count, Observe and Gauge do
 // nothing, Counter reads 0, and the handles it resolves are nil, whose
-// Add and Observe do nothing, each at one branch.
+// Observe does nothing, each at one branch.
 type Collector struct {
-	counters sync.Map // name -> *CounterHandle
+	counters sync.Map // name -> *atomic.Int64
 	gauges   sync.Map // name -> *gaugeCell
 	hists    sync.Map // name -> *HistHandle
-}
-
-// CounterHandle is one counter's cell. A nil handle records nothing.
-type CounterHandle struct {
-	v atomic.Int64
-	// written turns true at the first Add: until then the counter is
-	// absent from reads, as a name never recorded is.
-	written atomic.Bool
-}
-
-// Add adds delta to the counter.
-func (h *CounterHandle) Add(delta int64) {
-	if h == nil {
-		return
-	}
-	h.v.Add(delta)
-	if !h.written.Load() {
-		h.written.Store(true)
-	}
 }
 
 // HistHandle is one histogram's cell. A nil handle records nothing.
@@ -150,15 +134,6 @@ func cellOf[T any](m *sync.Map, name string) *T {
 	return v.(*T)
 }
 
-// CounterHandle returns the named counter's handle (nil on a nil
-// Collector).
-func (c *Collector) CounterHandle(name string) *CounterHandle {
-	if c == nil {
-		return nil
-	}
-	return cellOf[CounterHandle](&c.counters, name)
-}
-
 // HistHandle returns the named histogram's handle (nil on a nil
 // Collector).
 func (c *Collector) HistHandle(name string) *HistHandle {
@@ -168,12 +143,22 @@ func (c *Collector) HistHandle(name string) *HistHandle {
 	return cellOf[HistHandle](&c.hists, name)
 }
 
-// Count adds delta to the named counter.
+// Count adds delta to the named counter. A counter's first Count stores
+// its cell with delta already in it, so no read sees the counter before
+// that first write.
 func (c *Collector) Count(name string, delta int64) {
 	if c == nil {
 		return
 	}
-	c.CounterHandle(name).Add(delta)
+	if v, ok := c.counters.Load(name); ok {
+		v.(*atomic.Int64).Add(delta)
+		return
+	}
+	cell := new(atomic.Int64)
+	cell.Store(delta)
+	if v, loaded := c.counters.LoadOrStore(name, cell); loaded {
+		v.(*atomic.Int64).Add(delta)
+	}
 }
 
 // Observe adds one sample to the named histogram.
@@ -201,7 +186,7 @@ func (c *Collector) Counter(name string) int64 {
 		return 0
 	}
 	if v, ok := c.counters.Load(name); ok {
-		return v.(*CounterHandle).v.Load()
+		return v.(*atomic.Int64).Load()
 	}
 	return 0
 }
@@ -232,9 +217,7 @@ func (c *Collector) Hist(name string) HistSummary {
 // metric read atomically, in no order within a kind.
 func (c *Collector) rangeCells(counter func(string, int64), gauge func(string, float64), hist func(string, *histogram)) {
 	c.counters.Range(func(k, v any) bool {
-		if h := v.(*CounterHandle); h.written.Load() {
-			counter(k.(string), h.v.Load())
-		}
+		counter(k.(string), v.(*atomic.Int64).Load())
 		return true
 	})
 	c.gauges.Range(func(k, v any) bool {

@@ -5,13 +5,14 @@ import (
 	"testing"
 )
 
-// The recording paths under parallel load: every netrun hop and board
-// message records from the goroutine that caused it, and the job fleet
+// The recording paths under parallel load: every netrun hop records its
+// ack latency from the goroutine that sent the frame, every finished run
+// publishes its counters from the goroutine that ran it, and the job fleet
 // runs several such goroutines at once. Each benchmark records from
 // GOMAXPROCS goroutines into one long-lived Collector.
 
 // BenchmarkCountSharedName has every goroutine add to one counter by
-// name, as the fleet-wide netrun.* totals are.
+// name, as finished runs add to the fleet-wide netrun.* totals.
 func BenchmarkCountSharedName(b *testing.B) {
 	c := NewCollector()
 	b.ReportAllocs()
@@ -23,7 +24,7 @@ func BenchmarkCountSharedName(b *testing.B) {
 }
 
 // BenchmarkCountDistinctNames has each goroutine add to a counter of its
-// own by name, as runs on different links do.
+// own by name, as runs publish their links' netrun.topo.<l>.* shares.
 func BenchmarkCountDistinctNames(b *testing.B) {
 	c := NewCollector()
 	var next atomic.Int64
@@ -32,19 +33,6 @@ func BenchmarkCountDistinctNames(b *testing.B) {
 		name := Indexed(NetrunTopo, int(next.Add(1)), "wire_bits")
 		for pb.Next() {
 			c.Count(name, 8)
-		}
-	})
-}
-
-// BenchmarkCounterHandleAdd has every goroutine add to one counter
-// through a handle resolved once, as netrun's endpoints do.
-func BenchmarkCounterHandleAdd(b *testing.B) {
-	c := NewCollector()
-	h := c.CounterHandle(NetrunWireBits)
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			h.Add(8)
 		}
 	})
 }

@@ -8,9 +8,12 @@ package telemetry
 // netrun.turn, netrun.hop (ack_ns), jobs.queue_wait and jobs.execute
 // (job_ns).
 const (
-	// Board accounting (internal/blackboard's Stepper, which the networked
-	// runtime drives; the sequential blackboard.Run records nothing).
-	// Per-player bits use Indexed(BlackboardPlayer, i, "bits").
+	// Board accounting, read off a run's board by internal/blackboard's
+	// Stepper.Record when the run ends: the networked runtime calls it on
+	// every run, and the sequential blackboard.Run records nothing. The
+	// counters include runs cut short by a crash or a failure; the
+	// histograms only runs whose scheduler halted. Per-player bits use
+	// Indexed(BlackboardPlayer, i, "bits"), for the players that spoke.
 	BlackboardMessages    = "blackboard.messages"     // counter: messages appended
 	BlackboardBits        = "blackboard.bits"         // counter: protocol bits written
 	BlackboardRounds      = "blackboard.rounds"       // histogram: messages per completed run
@@ -20,13 +23,15 @@ const (
 
 	// Concurrent networked runtime (internal/netrun). Per-link metrics use
 	// Indexed(NetrunTopo, link, field) with fields "wire_bits", "retries",
-	// "bad_frames", "dup_frames", "ack_ns" and "faults.<kind>".
+	// "bad_frames", "dup_frames", "ack_ns" and "faults.<kind>". A run
+	// publishes its counters from its Stats when it ends; ack_ns and
+	// turn_ns take one sample per delivered frame and per turn.
 	NetrunTurns     = "netrun.turns"      // counter: turns completed
 	NetrunWireBits  = "netrun.wire_bits"  // counter: bits on all links, both directions
 	NetrunRetries   = "netrun.retries"    // counter: retransmission attempts beyond the first send
 	NetrunBadFrames = "netrun.bad_frames" // counter: frames discarded for checksum/layout failure
 	NetrunDupFrames = "netrun.dup_frames" // counter: duplicate frames discarded by seq check
-	NetrunFaults    = "netrun.faults"     // counter: injected link faults (all kinds)
+	NetrunFaults    = "netrun.faults"     // counter: injected link faults (all kinds, as the injectors decided them)
 	NetrunCrashes   = "netrun.crashes"    // counter: players crashed
 	NetrunAckNs     = "netrun.ack_ns"     // histogram: data-frame send-to-ack latency
 	NetrunTurnNs    = "netrun.turn_ns"    // histogram: turn announcement-to-delivery latency

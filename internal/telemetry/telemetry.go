@@ -1,8 +1,8 @@
 // Package telemetry is the repository's zero-dependency instrumentation
 // layer: named counters, histograms and gauges that the execution layers
-// (the networked runtime's board stepper and wire endpoints, the
-// estimators, the experiment harness and the job service) report into a
-// single *Collector. Durations are not measured here: every *_ns
+// (the networked runtime, the estimators, the experiment harness and the
+// job service) report into a single *Collector. Durations are not
+// measured here: every *_ns
 // histogram observes the value a causal span's End returns (see package
 // causal), so a metric and the span it summarizes agree exactly.
 //
@@ -15,8 +15,11 @@
 // predictable branch on a nil receiver, so a call site needs no guard.
 // The hot paths that keep one do so to skip formatting a per-entity name,
 // or to pay one branch for several events. A live Collector takes no lock
-// shared across metrics, and hot paths record through handles resolved
-// once per run (see Collector). The conformance suites pin that a live
+// shared across metrics. A layer that counts per event keeps its own
+// ledger and publishes it once: a networked run its Stats and board when
+// it ends, so its counters appear then, not frame by frame. Only
+// histogram samples are recorded per event, through handles resolved once
+// per run (see Collector). The conformance suites pin that a live
 // Collector changes no transcript, table or experiment output bit.
 //
 // Metric names are dot-separated paths (e.g. "blackboard.bits",

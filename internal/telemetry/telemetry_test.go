@@ -23,11 +23,10 @@ func TestNilSafeHelpers(t *testing.T) {
 	if got := c.Hist("x"); got != (HistSummary{}) {
 		t.Fatalf("nil collector histogram = %+v, want zero", got)
 	}
-	ch, hh := c.CounterHandle("x"), c.HistHandle("x")
-	if ch != nil || hh != nil {
-		t.Fatalf("nil collector resolved handles %p, %p", ch, hh)
+	hh := c.HistHandle("x")
+	if hh != nil {
+		t.Fatalf("nil collector resolved handle %p", hh)
 	}
-	ch.Add(1)
 	hh.Observe(1)
 }
 
@@ -36,8 +35,8 @@ func TestNilSafeHelpers(t *testing.T) {
 // first write, as if recorded by name.
 func TestHandlesShareCellsAndStayHiddenUntilWritten(t *testing.T) {
 	c := NewCollector()
-	ch, hh := c.CounterHandle("a"), c.HistHandle("h")
-	if ch != c.CounterHandle("a") || hh != c.HistHandle("h") {
+	hh := c.HistHandle("h")
+	if hh != c.HistHandle("h") {
 		t.Fatal("one name resolved to two cells")
 	}
 	if snap := c.Snapshot(); len(snap) != 0 {
@@ -46,25 +45,14 @@ func TestHandlesShareCellsAndStayHiddenUntilWritten(t *testing.T) {
 	if ex := c.Export(); len(ex.Counters)+len(ex.Gauges)+len(ex.Histograms) != 0 {
 		t.Fatalf("unwritten handles are exported: %+v", ex)
 	}
-	ch.Add(0)
-	c.Count("a", 2)
-	ch.Add(3)
 	hh.Observe(2)
 	c.Observe("h", 4)
-	if got := c.Counter("a"); got != 5 {
-		t.Fatalf("counter a = %d, want 5", got)
-	}
 	if h := c.Hist("h"); h.Count != 2 || h.Sum != 6 || h.Min != 2 || h.Max != 4 {
 		t.Fatalf("hist = %+v", h)
 	}
 	snap := c.Snapshot()
-	if snap["a"] != 5 || snap["h"] != 3 || snap["h.count"] != 2 || len(snap) != 3 {
+	if snap["h"] != 3 || snap["h.count"] != 2 || len(snap) != 2 {
 		t.Fatalf("snapshot = %v", snap)
-	}
-	// A counter written only with zero is still written.
-	c.CounterHandle("zero").Add(0)
-	if ex := c.Export(); len(ex.Counters) != 2 || ex.Counters[1] != (CounterPoint{Name: "zero"}) {
-		t.Fatalf("counters = %+v", ex.Counters)
 	}
 }
 
@@ -109,10 +97,7 @@ func TestHistogramBuckets(t *testing.T) {
 // Recording through a handle allocates nothing.
 func TestHandlesAllocateNothing(t *testing.T) {
 	c := NewCollector()
-	ch, hh := c.CounterHandle("a"), c.HistHandle("h")
-	if n := testing.AllocsPerRun(1000, func() { ch.Add(1) }); n != 0 {
-		t.Errorf("counter Add allocates %v times", n)
-	}
+	hh := c.HistHandle("h")
 	if n := testing.AllocsPerRun(1000, func() { hh.Observe(1234) }); n != 0 {
 		t.Errorf("histogram Observe allocates %v times", n)
 	}
@@ -131,6 +116,11 @@ func TestCollectorCounters(t *testing.T) {
 	}
 	if got := c.Counter("missing"); got != 0 {
 		t.Fatalf("missing counter = %d, want 0", got)
+	}
+	// A counter written only with zero is still written.
+	c.Count("zero", 0)
+	if ex := c.Export(); len(ex.Counters) != 3 || ex.Counters[2] != (CounterPoint{Name: "zero"}) {
+		t.Fatalf("counters = %+v", ex.Counters)
 	}
 }
 
@@ -318,18 +308,17 @@ func TestCollectorConcurrentHammer(t *testing.T) {
 			defer writersWG.Done()
 			name := "hammer.count." + string(rune('0'+g))
 			hist := "hammer.hist." + string(rune('0'+g))
-			// Every writer also resolves its own handles, and records into
-			// one shared counter and histogram both by name and through a
-			// handle, so name and handle writers race on the same cells.
-			ch, hh := c.CounterHandle(name+".h"), c.HistHandle(hist+".h")
-			sharedC, sharedH := c.CounterHandle("hammer.shared"), c.HistHandle("hammer.shared_hist")
+			// Every writer also resolves its own histogram handle, adds to
+			// one shared counter, and records into one shared histogram
+			// both by name and through a handle, so name and handle
+			// writers race on the same cell.
+			hh := c.HistHandle(hist + ".h")
+			sharedH := c.HistHandle("hammer.shared_hist")
 			for i := 0; i < iters; i++ {
 				c.Count(name, 1)
 				c.Observe(hist, float64(i))
 				c.Gauge("hammer.gauge", float64(i))
-				ch.Add(1)
 				hh.Observe(float64(i))
-				sharedC.Add(1)
 				c.Count("hammer.shared", 1)
 				sharedH.Observe(1)
 				c.Observe("hammer.shared_hist", 1)
@@ -342,10 +331,8 @@ func TestCollectorConcurrentHammer(t *testing.T) {
 	for g := 0; g < writers; g++ {
 		name := "hammer.count." + string(rune('0'+g))
 		hist := "hammer.hist." + string(rune('0'+g))
-		for _, n := range []string{name, name + ".h"} {
-			if got := c.Counter(n); got != iters {
-				t.Fatalf("writer %d counter %s = %d, want %d", g, n, got, iters)
-			}
+		if got := c.Counter(name); got != iters {
+			t.Fatalf("writer %d counter %s = %d, want %d", g, name, got, iters)
 		}
 		for _, n := range []string{hist, hist + ".h"} {
 			if h := c.Hist(n); h.Count != iters || h.Sum != iters*(iters-1)/2 {
@@ -353,15 +340,15 @@ func TestCollectorConcurrentHammer(t *testing.T) {
 			}
 		}
 	}
-	const shared = 2 * writers * iters
+	const shared = writers * iters
 	if got := c.Counter("hammer.shared"); got != shared {
 		t.Fatalf("shared counter = %d, want %d", got, shared)
 	}
-	if h := c.Hist("hammer.shared_hist"); h.Count != shared || h.Sum != shared {
-		t.Fatalf("shared histogram = %+v, want %d samples", h, shared)
+	if h := c.Hist("hammer.shared_hist"); h.Count != 2*shared || h.Sum != 2*shared {
+		t.Fatalf("shared histogram = %+v, want %d samples", h, 2*shared)
 	}
 	snap := c.Snapshot()
-	if snap["hammer.shared"] != shared || snap["hammer.shared_hist.count"] != shared {
+	if snap["hammer.shared"] != shared || snap["hammer.shared_hist.count"] != 2*shared {
 		t.Fatalf("snapshot lost events: %v, %v", snap["hammer.shared"], snap["hammer.shared_hist.count"])
 	}
 }
