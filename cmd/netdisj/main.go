@@ -11,7 +11,7 @@
 //	        [-model broadcast|coordinator]
 //	        [-faults "drop=0.05,corrupt=0.02"]
 //	        [-seed 1] [-timeout 250ms] [-retries 12] [-trials 2]
-//	        [-serve addr] [-runtrace dir] [-log level] [-version]
+//	        [-runtrace dir] [-log level] [-version]
 //
 // -topology picks the link graph the run routes its frames over
 // (internal/netrun Topology, default star), and the report breaks wire
@@ -19,16 +19,14 @@
 // message-passing protocol of the coordinator model (players ship bitmaps
 // to a hub, Θ(n·k) bits).
 //
-// With -serve, the observability plane (/metrics, /healthz, /runs,
-// /debug/pprof) is up for the duration of the run; with -runtrace, each
-// trial runs under its own causal trace and writes it as a Chrome
-// trace-event file netdisj-seed<N>-trial<T> to the given directory.
-// Neither perturbs the run: stdout and the conformance checks are
-// identical with or without them.
+// With -runtrace, each trial runs under its own causal trace and writes it
+// as a Chrome trace-event file netdisj-seed<N>-trial<T> to the given
+// directory. Tracing does not perturb the run: stdout and the conformance
+// checks are identical with or without it. The observability plane
+// (/metrics, /runs) is broadcasticd's.
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -41,7 +39,6 @@ import (
 	"broadcastic/internal/faults"
 	"broadcastic/internal/netrun"
 	"broadcastic/internal/rng"
-	"broadcastic/internal/serve"
 	"broadcastic/internal/telemetry"
 	"broadcastic/internal/telemetry/causal"
 	"broadcastic/internal/telemetry/tracelog"
@@ -67,7 +64,6 @@ func run(args []string) error {
 	timeout := fs.Duration("timeout", 250*time.Millisecond, "base per-attempt ARQ timeout")
 	retries := fs.Int("retries", 12, "retransmission budget per frame")
 	trials := fs.Int("trials", 2, "number of instances")
-	serveAddr := fs.String("serve", "", "serve /metrics, /healthz, /runs and /debug/pprof on this address for the duration of the run")
 	runtrace := fs.String("runtrace", "", "directory for per-trial Chrome trace-event files")
 	var logCfg telemetry.LogConfig
 	logCfg.AddFlags(fs)
@@ -114,29 +110,6 @@ func run(args []string) error {
 		return err
 	}
 
-	// The live plane (optional): one collector for /metrics, a broker for
-	// per-trial /runs progress. Both strictly observe.
-	var (
-		col      *telemetry.Collector
-		progress func(done, total int)
-	)
-	if *serveAddr != "" {
-		col = telemetry.NewCollector()
-		broker := serve.NewBrokerRecorded(col)
-		srv, err := serve.Start(*serveAddr, serve.NewMuxHealth(col, broker, nil))
-		if err != nil {
-			return err
-		}
-		logger.Info("observability plane up", "addr", srv.Addr())
-		progress = broker.ProgressFunc(fmt.Sprintf("netdisj-seed%d", *seed), "netdisj", col)
-		defer func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			if err := srv.Shutdown(ctx); err != nil {
-				fmt.Fprintln(os.Stderr, "netdisj: serve:", err)
-			}
-		}()
-	}
 	// -runtrace mints one causal trace per trial with a Perfetto sink
 	// attached; the recorder supplies IDs and the clock.
 	var traces *causal.Recorder
@@ -208,7 +181,6 @@ func run(args []string) error {
 			Timeout:    *timeout,
 			MaxRetries: *retries,
 			Limits:     proto.Limits(),
-			Recorder:   col,
 			Causal:     cause,
 		})
 		if sink != nil {
@@ -219,9 +191,6 @@ func run(args []string) error {
 				return werr
 			}
 			logger.Info("trace written", "trial", t, "path", path)
-		}
-		if progress != nil {
-			progress(t+1, *trials)
 		}
 		if err != nil {
 			if errors.Is(err, netrun.ErrPlayerCrashed) && res != nil {

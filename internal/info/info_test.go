@@ -259,88 +259,6 @@ func TestJointAddErrors(t *testing.T) {
 	}
 }
 
-func TestConditionalMI(t *testing.T) {
-	// Z chooses between a copy channel (MI=1) and independence (MI=0),
-	// each with probability 1/2: I(X;Y|Z) = 0.5.
-	copyCh, _ := NewJoint(2, 2, []float64{0.5, 0, 0, 0.5})
-	indep, _ := NewJoint(2, 2, []float64{0.25, 0.25, 0.25, 0.25})
-	zDist, _ := probtest.Uniform(2)
-	mi, err := ConditionalMI([]*Joint{copyCh, indep}, zDist)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(mi-0.5) > 1e-12 {
-		t.Fatalf("ConditionalMI = %v, want 0.5", mi)
-	}
-
-	if _, err := ConditionalMI([]*Joint{copyCh}, zDist); err == nil {
-		t.Fatal("mismatched table count succeeded")
-	}
-	if _, err := ConditionalMI([]*Joint{copyCh, nil}, zDist); err == nil {
-		t.Fatal("nil table with positive mass succeeded")
-	}
-}
-
-func TestConditionalMIZeroMassSkipsNil(t *testing.T) {
-	copyCh, _ := NewJoint(2, 2, []float64{0.5, 0, 0, 0.5})
-	zDist, _ := prob.Point(2, 0)
-	mi, err := ConditionalMI([]*Joint{copyCh, nil}, zDist)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(mi-1) > 1e-12 {
-		t.Fatalf("ConditionalMI = %v, want 1", mi)
-	}
-}
-
-func TestPlugInAndMillerMadow(t *testing.T) {
-	counts := []int{50, 50}
-	h, err := PlugInEntropy(counts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(h-1) > 1e-12 {
-		t.Fatalf("plug-in entropy = %v", h)
-	}
-	mm, err := MillerMadowEntropy(counts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mm <= h {
-		t.Fatalf("Miller–Madow %v should exceed plug-in %v", mm, h)
-	}
-	if _, err := MillerMadowEntropy([]int{0, 0}); err == nil {
-		t.Fatal("Miller–Madow with no samples succeeded")
-	}
-	if _, err := MillerMadowEntropy([]int{-1, 1}); err == nil {
-		t.Fatal("Miller–Madow with negative count succeeded")
-	}
-}
-
-func TestMillerMadowReducesBias(t *testing.T) {
-	// Estimate the entropy of Uniform(8) from small samples; Miller–Madow
-	// should land closer to 3 bits on average than plug-in.
-	src := rng.New(53)
-	d, _ := probtest.Uniform(8)
-	const trials, samples = 300, 60
-	var plugSum, mmSum float64
-	for tr := 0; tr < trials; tr++ {
-		counts := make([]int, 8)
-		for s := 0; s < samples; s++ {
-			counts[d.Sample(src)]++
-		}
-		h, _ := PlugInEntropy(counts)
-		mm, _ := MillerMadowEntropy(counts)
-		plugSum += h
-		mmSum += mm
-	}
-	plugErr := math.Abs(plugSum/trials - 3)
-	mmErr := math.Abs(mmSum/trials - 3)
-	if mmErr >= plugErr {
-		t.Fatalf("Miller–Madow bias %v not smaller than plug-in bias %v", mmErr, plugErr)
-	}
-}
-
 func TestPointedPosteriorDivergenceLB(t *testing.T) {
 	// Eq. (3)-(4): D(Bern posterior ‖ Bern prior 1/k) >= p log k - 1 when
 	// posterior zero-probability is p. Verify exactly.
@@ -533,65 +451,6 @@ func (j *Joint) ConditionalEntropyXGivenY() (float64, error) {
 		}
 	}
 	return h, nil
-}
-
-// ConditionalMI computes I(X; Y | Z) in bits from a family of per-z joint
-// tables and a distribution over z: I(X;Y|Z) = E_z I(X;Y | Z=z).
-func ConditionalMI(perZ []*Joint, zDist prob.Dist) (float64, error) {
-	if len(perZ) != zDist.Size() {
-		return 0, fmt.Errorf("info: %d joint tables but z-support %d", len(perZ), zDist.Size())
-	}
-	total := 0.0
-	for z, j := range perZ {
-		pz := zDist.P(z)
-		if pz <= 0 {
-			continue
-		}
-		if j == nil {
-			return 0, fmt.Errorf("info: nil joint table for z=%d with positive mass", z)
-		}
-		mi, err := j.MutualInformation()
-		if err != nil {
-			return 0, fmt.Errorf("info: conditional MI at z=%d: %w", z, err)
-		}
-		total += pz * mi
-	}
-	return total, nil
-}
-
-// PlugInEntropy estimates H(X) from outcome counts using the empirical
-// (plug-in / maximum likelihood) estimator. It is biased downward by
-// roughly (support-1)/(2N ln 2); see MillerMadowEntropy.
-func PlugInEntropy(counts []int) (float64, error) {
-	d, err := probtest.Empirical(counts)
-	if err != nil {
-		return 0, err
-	}
-	return Entropy(d), nil
-}
-
-// MillerMadowEntropy estimates H(X) from counts with the Miller–Madow
-// first-order bias correction: Ĥ_MM = Ĥ_plug-in + (m−1)/(2N ln 2), where m
-// is the number of observed (non-zero) outcomes and N the sample count.
-func MillerMadowEntropy(counts []int) (float64, error) {
-	h, err := PlugInEntropy(counts)
-	if err != nil {
-		return 0, err
-	}
-	n, m := 0, 0
-	for _, c := range counts {
-		if c < 0 {
-			return 0, fmt.Errorf("info: negative count %d", c)
-		}
-		n += c
-		if c > 0 {
-			m++
-		}
-	}
-	if n == 0 {
-		return 0, fmt.Errorf("info: no samples")
-	}
-	return h + float64(m-1)/(2*float64(n)*math.Ln2), nil
 }
 
 // Entropy returns H(X) for X ~ d (Definition 1), in bits.

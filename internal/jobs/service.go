@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"broadcastic/internal/pool"
@@ -126,10 +125,14 @@ type job struct {
 	queueSpan causal.Span // submit -> dispatch, timing the queue wait; never ended if canceled while queued
 }
 
-// tenantMetrics caches one tenant's pre-rendered labeled metric names and
-// its cache hit/miss tally (for the hit-ratio gauge). Counts are atomics
-// so the hot submit path never takes a second lock.
-type tenantMetrics struct {
+// tenant is one tenant's record: its FIFO of queued jobs, its
+// pre-rendered labeled metric names, and its cache hit/miss tally (for the
+// hit-ratio gauge). The service's mu guards all of it.
+type tenant struct {
+	queue        []*job
+	inRing       bool // entered the dispatch ring, at its first queued job
+	hits, misses int
+
 	submitted  string
 	rejected   string
 	cacheHits  string
@@ -137,8 +140,6 @@ type tenantMetrics struct {
 	waitNs     string
 	bitsServed string
 	hitRatio   string
-	hits       atomic.Int64
-	misses     atomic.Int64
 }
 
 // Service schedules jobs over per-tenant FIFO queues onto a bounded
@@ -151,12 +152,12 @@ type Service struct {
 
 	mu      sync.Mutex
 	cond    *sync.Cond
-	queues  map[string][]*job // tenant -> FIFO of queued jobs
-	ring    []string          // tenants in first-submit order
-	ringPos int               // next tenant to inspect, for round-robin
-	jobs    map[int]*job      // queued, running and retained finished jobs, by seq
-	nextID  int               // seq of the latest job issued
-	queued  int               // jobs across all queues, for the global depth gauge
+	tenants map[string]*tenant
+	ring    []*tenant    // tenants in the order of their first queued job
+	ringPos int          // next tenant to inspect, for round-robin
+	jobs    map[int]*job // queued, running and retained finished jobs, by seq
+	nextID  int          // seq of the latest job issued
+	queued  int          // jobs across all queues, for the global depth gauge
 	closed  bool
 	wg      sync.WaitGroup
 
@@ -164,61 +165,56 @@ type Service struct {
 	// jobs to finish, as a ring; finishes counts every job ever finished.
 	finished [Retain]int
 	finishes int
-
-	tenantMu sync.Mutex
-	tenants  map[string]*tenantMetrics
 }
 
 // Flight returns the causal flight recorder the service records into
 // (nil when tracing is disabled).
 func (s *Service) Flight() *causal.Recorder { return s.opts.Flight }
 
-// tenant returns (lazily building) the tenant's cached metric names.
-func (s *Service) tenant(t string) *tenantMetrics {
-	s.tenantMu.Lock()
-	defer s.tenantMu.Unlock()
-	tm := s.tenants[t]
-	if tm == nil {
-		tm = &tenantMetrics{
-			submitted:  telemetry.Labeled(telemetry.JobsTenantSubmitted, "tenant", t),
-			rejected:   telemetry.Labeled(telemetry.JobsTenantRejected, "tenant", t),
-			cacheHits:  telemetry.Labeled(telemetry.JobsTenantCacheHits, "tenant", t),
-			queueDepth: telemetry.Labeled(telemetry.JobsQueueDepth, "tenant", t),
-			waitNs:     telemetry.Labeled(telemetry.JobsQueueWaitNs, "tenant", t),
-			bitsServed: telemetry.Labeled(telemetry.JobsBitsServed, "tenant", t),
-			hitRatio:   telemetry.Labeled(telemetry.JobsCacheHitRatio, "tenant", t),
+// tenantLocked returns the tenant's record, building it at the tenant's
+// first submission. Callers hold mu.
+func (s *Service) tenantLocked(name string) *tenant {
+	tn := s.tenants[name]
+	if tn == nil {
+		tn = &tenant{
+			submitted:  telemetry.Labeled(telemetry.JobsTenantSubmitted, "tenant", name),
+			rejected:   telemetry.Labeled(telemetry.JobsTenantRejected, "tenant", name),
+			cacheHits:  telemetry.Labeled(telemetry.JobsTenantCacheHits, "tenant", name),
+			queueDepth: telemetry.Labeled(telemetry.JobsQueueDepth, "tenant", name),
+			waitNs:     telemetry.Labeled(telemetry.JobsQueueWaitNs, "tenant", name),
+			bitsServed: telemetry.Labeled(telemetry.JobsBitsServed, "tenant", name),
+			hitRatio:   telemetry.Labeled(telemetry.JobsCacheHitRatio, "tenant", name),
 		}
-		s.tenants[t] = tm
+		s.tenants[name] = tn
 	}
-	return tm
+	return tn
 }
 
-// recordLookup tallies one cache consult for the tenant and refreshes its
-// hit-ratio gauge.
-func (s *Service) recordLookup(tm *tenantMetrics, hit bool) {
+// recordLookupLocked tallies one cache consult for the tenant and
+// refreshes its hit-ratio gauge. Callers hold mu.
+func (s *Service) recordLookupLocked(tn *tenant, hit bool) {
 	if hit {
-		tm.hits.Add(1)
-		s.opts.Recorder.Count(tm.cacheHits, 1)
+		tn.hits++
+		s.opts.Recorder.Count(tn.cacheHits, 1)
 	} else {
-		tm.misses.Add(1)
+		tn.misses++
 	}
-	h, m := tm.hits.Load(), tm.misses.Load()
-	s.opts.Recorder.Gauge(tm.hitRatio, float64(h)/float64(h+m))
+	s.opts.Recorder.Gauge(tn.hitRatio, float64(tn.hits)/float64(tn.hits+tn.misses))
 }
 
 // depthGaugesLocked refreshes the tenant's and the global queue-depth
 // gauges. Callers hold mu.
-func (s *Service) depthGaugesLocked(tm *tenantMetrics, tenant string) {
-	s.opts.Recorder.Gauge(tm.queueDepth, float64(len(s.queues[tenant])))
+func (s *Service) depthGaugesLocked(tn *tenant) {
+	s.opts.Recorder.Gauge(tn.queueDepth, float64(len(tn.queue)))
 	s.opts.Recorder.Gauge(telemetry.JobsQueueDepth, float64(s.queued))
 }
 
 // recordBitsServed counts a result's bits toward the fleet and tenant
 // totals.
-func (s *Service) recordBitsServed(tm *tenantMetrics, resultBytes int) {
+func (s *Service) recordBitsServed(tn *tenant, resultBytes int) {
 	bits := int64(resultBytes) * 8
 	s.opts.Recorder.Count(telemetry.JobsBitsServed, bits)
-	s.opts.Recorder.Count(tm.bitsServed, bits)
+	s.opts.Recorder.Count(tn.bitsServed, bits)
 }
 
 // New starts a service and its worker fleet. Callers must Close it.
@@ -237,9 +233,8 @@ func New(opts Options) *Service {
 		opts:     opts,
 		queueCap: cap,
 		buildSHA: opts.BuildSHA,
-		queues:   make(map[string][]*job),
+		tenants:  make(map[string]*tenant),
 		jobs:     make(map[int]*job),
-		tenants:  make(map[string]*tenantMetrics),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	for w := 0; w < pool.Workers(opts.Workers); w++ {
@@ -261,17 +256,17 @@ func (s *Service) Close() {
 	}
 	s.closed = true
 	now := nowMs()
-	for tenant, q := range s.queues {
-		for _, j := range q {
+	for _, tn := range s.ring {
+		for _, j := range tn.queue {
 			j.State = Canceled
 			j.FinishedMs = now
 			s.finishLocked(j)
 			s.opts.Recorder.Count(telemetry.JobsCanceled, 1)
 			j.cause.Event(causal.JobCanceled, causal.String("job", j.ID), causal.String("reason", "service closed"))
 		}
-		s.queued -= len(q)
-		s.queues[tenant] = nil
-		s.depthGaugesLocked(s.tenant(tenant), tenant)
+		s.queued -= len(tn.queue)
+		tn.queue = nil
+		s.depthGaugesLocked(tn)
 	}
 	s.cond.Broadcast()
 	s.mu.Unlock()
@@ -279,10 +274,12 @@ func (s *Service) Close() {
 }
 
 // SubmitTraced validates and keys the spec in one pass (Key runs Validate
-// once, and rejects with its error), consults the cache, and either answers
-// immediately (cache hit: the job is born Done with CacheHit set and no
-// worker is dispatched) or enqueues on the tenant's FIFO. A full tenant
-// queue rejects with ErrQueueFull without touching other tenants.
+// once, and rejects with its error), consults the cache outside the lock,
+// records the lookup under it, and only then checks for a closed service.
+// It either answers immediately (cache hit: the job is born Done with
+// CacheHit set and no worker is dispatched) or enqueues on the tenant's
+// FIFO. A full tenant queue rejects with ErrQueueFull without touching
+// other tenants.
 //
 // cause is minted from the service's Flight recorder at admission; the
 // zero Context is untraced. Rejections record a jobs.rejected fault on the
@@ -299,24 +296,26 @@ func (s *Service) SubmitTraced(tenant string, spec JobSpec, cause causal.Context
 		return Job{}, err
 	}
 
-	tm := s.tenant(tenant)
 	var cached []byte
 	hit := false
 	if s.opts.Cache != nil {
 		cached, hit = s.opts.Cache.Get(key)
-		s.recordLookup(tm, hit)
 	}
 
 	s.mu.Lock()
+	tn := s.tenantLocked(tenant)
+	if s.opts.Cache != nil {
+		s.recordLookupLocked(tn, hit)
+	}
 	if s.closed {
 		s.mu.Unlock()
 		cause.Fault(causal.JobRejected, causal.String("reason", "service closed"))
 		return Job{}, ErrClosed
 	}
-	if !hit && len(s.queues[tenant]) >= s.queueCap {
+	if !hit && len(tn.queue) >= s.queueCap {
 		s.mu.Unlock()
 		s.opts.Recorder.Count(telemetry.JobsRejected, 1)
-		s.opts.Recorder.Count(tm.rejected, 1)
+		s.opts.Recorder.Count(tn.rejected, 1)
 		cause.Fault(causal.JobRejected, causal.String("reason", "queue full"))
 		return Job{}, fmt.Errorf("%w (tenant %q, cap %d)", ErrQueueFull, tenant, s.queueCap)
 	}
@@ -345,24 +344,25 @@ func (s *Service) SubmitTraced(tenant string, spec JobSpec, cause causal.Context
 		cause.Event(causal.JobCacheHit, causal.String("job", j.ID))
 	} else {
 		j.State = Queued
-		if _, seen := s.queues[tenant]; !seen {
-			s.ring = append(s.ring, tenant)
+		if !tn.inRing {
+			tn.inRing = true
+			s.ring = append(s.ring, tn)
 		}
-		s.queues[tenant] = append(s.queues[tenant], j)
+		tn.queue = append(tn.queue, j)
 		s.queued++
 		// The queue-wait span opens here and closes when a worker picks the
 		// job up; a job canceled while queued never ends it, so only
 		// dispatched jobs contribute queue-wait records and observations.
 		j.queueSpan = cause.StartSpan(s.opts.Recorder, causal.JobQueueWait, causal.String("job", j.ID))
-		s.depthGaugesLocked(tm, tenant)
+		s.depthGaugesLocked(tn)
 		s.cond.Signal()
 	}
 	view := j.Job
 	s.mu.Unlock()
 	s.opts.Recorder.Count(telemetry.JobsSubmitted, 1)
-	s.opts.Recorder.Count(tm.submitted, 1)
+	s.opts.Recorder.Count(tn.submitted, 1)
 	if hit {
-		s.recordBitsServed(tm, len(cached))
+		s.recordBitsServed(tn, len(cached))
 	}
 	return view, nil
 }
@@ -454,10 +454,10 @@ func (s *Service) Cancel(id string) (Job, bool) {
 	}
 	switch j.State {
 	case Queued:
-		q := s.queues[j.Tenant]
-		for i, qj := range q {
+		tn := s.tenants[j.Tenant]
+		for i, qj := range tn.queue {
 			if qj == j {
-				s.queues[j.Tenant] = append(q[:i:i], q[i+1:]...)
+				tn.queue = append(tn.queue[:i:i], tn.queue[i+1:]...)
 				s.queued--
 				break
 			}
@@ -467,7 +467,7 @@ func (s *Service) Cancel(id string) (Job, bool) {
 		j.FinishedMs = nowMs()
 		s.finishLocked(j)
 		s.opts.Recorder.Count(telemetry.JobsCanceled, 1)
-		s.depthGaugesLocked(s.tenant(j.Tenant), j.Tenant)
+		s.depthGaugesLocked(tn)
 		// The queue-wait span is deliberately never ended: a canceled-while-
 		// queued job was never dispatched, so it contributes no wait record.
 		j.cause.Event(causal.JobCanceled, causal.String("job", j.ID), causal.String("reason", "client cancel"))
@@ -486,7 +486,10 @@ func (s *Service) Cancel(id string) (Job, bool) {
 func (s *Service) QueueDepth(tenant string) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.queues[tenant])
+	if tn := s.tenants[tenant]; tn != nil {
+		return len(tn.queue)
+	}
+	return 0
 }
 
 // worker is one fleet goroutine: block for work, dispatch round-robin,
@@ -495,30 +498,32 @@ func (s *Service) worker() {
 	defer s.wg.Done()
 	for {
 		s.mu.Lock()
-		var j *job
+		var (
+			j  *job
+			tn *tenant
+		)
 		for {
 			if s.closed {
 				s.mu.Unlock()
 				return
 			}
-			if j = s.popLocked(); j != nil {
+			if j, tn = s.popLocked(); j != nil {
 				break
 			}
 			s.cond.Wait()
 		}
 		j.State = Running
 		j.StartedMs = nowMs()
-		id, tenant, spec := j.ID, j.Tenant, j.Spec
+		id, spec := j.ID, j.Spec
 		cause := j.cause
-		tm := s.tenant(tenant)
-		s.depthGaugesLocked(tm, tenant)
+		s.depthGaugesLocked(tn)
 		wait := float64(j.queueSpan.End())
 		s.mu.Unlock()
 
 		// Queue wait is observed exactly once per dispatched job, at
 		// dispatch; canceled-while-queued jobs never reach this point.
 		s.opts.Recorder.Observe(telemetry.JobsQueueWaitNs, wait)
-		s.opts.Recorder.Observe(tm.waitNs, wait)
+		s.opts.Recorder.Observe(tn.waitNs, wait)
 		cause.Event(causal.JobDispatch, causal.String("job", id))
 
 		var progress func(done, total int)
@@ -558,7 +563,7 @@ func (s *Service) worker() {
 			j.Result = string(result)
 			j.FinishedMs = now
 			s.opts.Recorder.Count(telemetry.JobsCompleted, 1)
-			s.recordBitsServed(tm, len(result))
+			s.recordBitsServed(tn, len(result))
 			cause.Event(causal.JobDone, causal.Int("bytes", len(result)))
 		}
 		s.finishLocked(j)
@@ -566,25 +571,26 @@ func (s *Service) worker() {
 	}
 }
 
-// popLocked dequeues the next job fairly: scan tenants round-robin from
-// ringPos, take the head of the first non-empty queue, and remember where
-// to resume so one chatty tenant cannot starve the rest. Callers hold mu.
-func (s *Service) popLocked() *job {
+// popLocked dequeues the next job fairly, with its tenant: scan tenants
+// round-robin from ringPos, take the head of the first non-empty queue,
+// and remember where to resume so one chatty tenant cannot starve the
+// rest. Callers hold mu.
+func (s *Service) popLocked() (*job, *tenant) {
 	for off := 0; off < len(s.ring); off++ {
 		i := (s.ringPos + off) % len(s.ring)
-		tenant := s.ring[i]
-		if q := s.queues[tenant]; len(q) > 0 {
+		tn := s.ring[i]
+		if q := tn.queue; len(q) > 0 {
 			j := q[0]
 			// Clear the slot, or the queue's backing array would keep the
 			// job alive after it is retired.
 			q[0] = nil
-			s.queues[tenant] = q[1:]
+			tn.queue = q[1:]
 			s.queued--
 			s.ringPos = (i + 1) % len(s.ring)
-			return j
+			return j, tn
 		}
 	}
-	return nil
+	return nil, nil
 }
 
 func nowMs() int64 { return time.Now().UnixMilli() }

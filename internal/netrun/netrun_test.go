@@ -17,6 +17,7 @@ import (
 	"broadcastic/internal/prob/probtest"
 	"broadcastic/internal/rng"
 	"broadcastic/internal/telemetry"
+	"broadcastic/internal/telemetry/causal"
 )
 
 // boardProtocol is the shape every protocol adapter in this repository
@@ -531,10 +532,11 @@ func TestRecorderMatchesStatsOnRepairPaths(t *testing.T) {
 // TestRecorderMatchesStatsOnDroppedDuplicates pins a frame that draws
 // both a drop and a duplicate: the duplicate counts in Stats.Faults, as
 // the injector decided it, though nothing of it reaches the wire, so it
-// must count in the recorded fault counters too. With no corruption in
-// the plan, every duplicate of a frame that was not dropped is discarded
-// once at the receiver, so Duplicates exceeds the summed DupFrames by
-// exactly the duplicates drawn for dropped frames; the test needs some.
+// must count in the recorded fault counters too, and the run's trace must
+// mark it with a netrun.fault instant. With no corruption in the plan,
+// every duplicate of a frame that was not dropped is discarded once at
+// the receiver, so Duplicates exceeds the summed DupFrames by exactly the
+// duplicates drawn for dropped frames; the test needs some.
 func TestRecorderMatchesStatsOnDroppedDuplicates(t *testing.T) {
 	inst, err := disj.GenerateDisjoint(rng.New(507), 64, 4, 0.3)
 	if err != nil {
@@ -549,9 +551,11 @@ func TestRecorderMatchesStatsOnDroppedDuplicates(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := telemetry.NewCollector()
+	flight := causal.NewRecorder(1 << 16)
+	cause := flight.StartTrace(causal.ExperimentRoot)
 	res, err := netrun.Run(proto.Scheduler(), proto.Players(), nil, netrun.Config{
 		Faults: plan, Seed: 3, Timeout: 40 * time.Millisecond, MaxRetries: 12,
-		Recorder: rec, Limits: proto.Limits(),
+		Recorder: rec, Limits: proto.Limits(), Causal: cause,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -565,6 +569,34 @@ func TestRecorderMatchesStatsOnDroppedDuplicates(t *testing.T) {
 			res.Stats.Faults.Duplicates, dupFrames)
 	}
 	assertRecorderMatchesStats(t, rec, res, 4)
+
+	if held, appended, _ := flight.Stats(); int64(held) != appended {
+		t.Fatalf("flight recorder evicted %d records", appended-int64(held))
+	}
+	var traced faults.Counts
+	for _, r := range flight.Records(cause.Trace()) {
+		if r.Name != causal.NetrunFault {
+			continue
+		}
+		for _, a := range r.Attrs {
+			if a.Key != "fault" {
+				continue
+			}
+			switch a.Value {
+			case faults.Drop.String():
+				traced.Drops++
+			case faults.Duplicate.String():
+				traced.Duplicates++
+			case faults.Corrupt.String():
+				traced.Corruptions++
+			case faults.Delay.String():
+				traced.Delays++
+			}
+		}
+	}
+	if traced != res.Stats.Faults {
+		t.Errorf("trace marks faults %+v, stats %+v", traced, res.Stats.Faults)
+	}
 }
 
 // TestRecorderMatchesStatsOnCrash pins the runs that end early: a crashed

@@ -2,7 +2,6 @@ package netrun_test
 
 import (
 	"errors"
-	"os"
 	"testing"
 	"time"
 
@@ -17,41 +16,6 @@ import (
 // topologies enumerates the built-in topologies.
 func topologies() []netrun.Topology {
 	return []netrun.Topology{netrun.Star{}, netrun.Ring{}, netrun.Mesh{}}
-}
-
-// matrixTransports returns the transports to exercise, honoring the
-// BROADCASTIC_TOPO_TRANSPORT cell selector the CI topology-conformance
-// matrix sets (empty: all available).
-func matrixTransports(t *testing.T) []netrun.Transport {
-	all := transports(t)
-	sel := os.Getenv("BROADCASTIC_TOPO_TRANSPORT")
-	if sel == "" {
-		return all
-	}
-	for _, tr := range all {
-		if tr.Name() == sel {
-			return []netrun.Transport{tr}
-		}
-	}
-	if sel == "tcp" {
-		t.Skip("tcp transport unavailable in this environment")
-	}
-	t.Fatalf("BROADCASTIC_TOPO_TRANSPORT=%q names no known transport", sel)
-	return nil
-}
-
-// matrixTopologies returns the topologies to exercise, honoring the
-// BROADCASTIC_TOPO_TOPOLOGY cell selector (empty: all).
-func matrixTopologies(t *testing.T) []netrun.Topology {
-	sel := os.Getenv("BROADCASTIC_TOPO_TOPOLOGY")
-	if sel == "" {
-		return topologies()
-	}
-	topo, err := netrun.ParseTopology(sel)
-	if err != nil || topo == nil {
-		t.Fatalf("BROADCASTIC_TOPO_TOPOLOGY=%q names no known topology", sel)
-	}
-	return []netrun.Topology{topo}
 }
 
 // requireLinkAccounting pins the per-link contract: one LinkStats per
@@ -92,10 +56,11 @@ func requireLinkAccounting(t *testing.T, res *netrun.Result, topo netrun.Topolog
 	}
 }
 
-// TestTopologyConformance is the CI conformance matrix: on every
-// transport × topology cell the board transcript, bit accounting and
-// protocol answer must be identical to the sequential blackboard run —
-// the topology changes where bits travel, never what the protocol says.
+// TestTopologyConformance is the conformance matrix: on every transport ×
+// topology cell the board transcript, bit accounting and protocol answer
+// must be identical to the sequential blackboard run — the topology
+// changes where bits travel, never what the protocol says — and the wire
+// must carry more than the board, since frames add headers and acks.
 func TestTopologyConformance(t *testing.T) {
 	cases := []struct {
 		name string
@@ -128,9 +93,9 @@ func TestTopologyConformance(t *testing.T) {
 				t.Fatal(err)
 			}
 			refBoard := seqFingerprint(t, refProto, nil)
-			for _, topo := range matrixTopologies(t) {
+			for _, topo := range topologies() {
 				t.Run(topo.Name(), func(t *testing.T) {
-					for _, tr := range matrixTransports(t) {
+					for _, tr := range transports(t) {
 						t.Run(tr.Name(), func(t *testing.T) {
 							proto, err := disj.NewOptimalProtocol(inst, disj.Options{})
 							if err != nil {
@@ -147,6 +112,12 @@ func TestTopologyConformance(t *testing.T) {
 							}
 							if out.Disjoint != truth {
 								t.Fatalf("answer %v, truth %v", out.Disjoint, truth)
+							}
+							if res.Stats.BoardBits != refBoard.TotalBits() {
+								t.Fatalf("BoardBits %d, want %d", res.Stats.BoardBits, refBoard.TotalBits())
+							}
+							if res.Stats.WireBits <= int64(res.Stats.BoardBits) {
+								t.Fatalf("WireBits %d not above BoardBits %d", res.Stats.WireBits, res.Stats.BoardBits)
 							}
 							requireLinkAccounting(t, res, topo, inst.K, true)
 						})

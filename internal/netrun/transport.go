@@ -255,12 +255,9 @@ func (t *PipeTransport) Open(k int) ([]Link, []Link, error) {
 
 // TCPTransport connects each player over a loopback TCP connection with
 // the length-prefixed codec: real sockets, real kernel buffering, real
-// per-connection goroutine wakeups.
-type TCPTransport struct {
-	// Addr is the listen address; empty means 127.0.0.1:0 (an ephemeral
-	// loopback port).
-	Addr string
-}
+// per-connection goroutine wakeups. It listens on an ephemeral loopback
+// port.
+type TCPTransport struct{}
 
 // NewTCPTransport returns the TCP loopback transport.
 func NewTCPTransport() *TCPTransport { return &TCPTransport{} }
@@ -277,11 +274,7 @@ func (t *TCPTransport) Open(k int) ([]Link, []Link, error) {
 	if k > 255 {
 		return nil, nil, fmt.Errorf("netrun: tcp transport supports at most 255 players, got %d", k)
 	}
-	addr := t.Addr
-	if addr == "" {
-		addr = "127.0.0.1:0"
-	}
-	ln, err := net.Listen("tcp", addr)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, nil, fmt.Errorf("netrun: tcp listen: %w", err)
 	}

@@ -442,11 +442,23 @@ func (ep *endpoint) attach(wl *wireLink, raw Link, inj *faults.Injector, cfg *ar
 	raw.Attach(ep.receive)
 }
 
-// traceFault marks one injected fault in the run's trace; the injector
-// keeps its count.
-func (ep *endpoint) traceFault(kind faults.Kind) {
-	if ep.cfg.cause.Enabled() {
-		ep.cfg.cause.Fault(causal.NetrunFault, ep.link.labels.fault[kind]...)
+// traceFaults marks every fault the injector decided for one frame in the
+// run's trace, one instant per kind, so the trace shows the faults the
+// injector counts, a duplicate drawn for a dropped frame included.
+func (ep *endpoint) traceFaults(d faults.Decision) {
+	if !ep.cfg.cause.Enabled() {
+		return
+	}
+	drawn := [...]bool{
+		faults.Drop:      d.Drop,
+		faults.Duplicate: d.Duplicate,
+		faults.Corrupt:   d.CorruptBit >= 0,
+		faults.Delay:     d.Delay > 0,
+	}
+	for kind, ok := range drawn {
+		if ok {
+			ep.cfg.cause.Fault(causal.NetrunFault, ep.link.labels.fault[kind]...)
+		}
 	}
 }
 
@@ -647,19 +659,17 @@ func (ep *endpoint) sendRaw(frame []byte) (delivered bool, err error) {
 		return true, ep.raw.Send(frame)
 	}
 	d := ep.inj.Decide(len(frame) * 8)
+	ep.traceFaults(d)
 	if d.Delay > 0 {
-		ep.traceFault(faults.Delay)
 		time.Sleep(d.Delay)
 	}
 	out := frame
 	if d.CorruptBit >= 0 {
-		ep.traceFault(faults.Corrupt)
 		out = make([]byte, len(frame))
 		copy(out, frame)
 		out[d.CorruptBit/8] ^= 1 << uint(7-d.CorruptBit%8)
 	}
 	if d.Drop {
-		ep.traceFault(faults.Drop)
 		wireBits.Add(bits)
 		return false, nil
 	}
@@ -675,7 +685,6 @@ func (ep *endpoint) sendRaw(frame []byte) (delivered bool, err error) {
 		return false, err
 	}
 	if d.Duplicate {
-		ep.traceFault(faults.Duplicate)
 		wireBits.Add(bits)
 		if err := ep.raw.Send(out); err != nil {
 			return false, err

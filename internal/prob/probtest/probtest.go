@@ -35,19 +35,6 @@ func TV(d, e prob.Dist) (float64, error) {
 	return sum / 2, nil
 }
 
-// Empirical builds the empirical (maximum-likelihood) distribution of the
-// given outcome counts.
-func Empirical(counts []int) (prob.Dist, error) {
-	w := make([]float64, len(counts))
-	for i, c := range counts {
-		if c < 0 {
-			return prob.Dist{}, fmt.Errorf("prob: negative count counts[%d]=%d", i, c)
-		}
-		w[i] = float64(c)
-	}
-	return prob.Normalize(w)
-}
-
 // BinomialPMF returns the distribution of a Binomial(n, p) random variable
 // over {0, ..., n}. Computed in log space to stay stable for large n.
 func BinomialPMF(n int, p float64) (prob.Dist, error) {

@@ -60,19 +60,6 @@ func TestTV(t *testing.T) {
 	}
 }
 
-func TestEmpirical(t *testing.T) {
-	d, err := probtest.Empirical([]int{1, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(d.P(1)-0.75) > 1e-15 {
-		t.Fatalf("Empirical = %v", d.Probs())
-	}
-	if _, err := probtest.Empirical([]int{-1, 2}); err == nil {
-		t.Fatal("Empirical with negative count succeeded")
-	}
-}
-
 func TestBinomialPMF(t *testing.T) {
 	d, err := probtest.BinomialPMF(4, 0.5)
 	if err != nil {

@@ -1,11 +1,9 @@
 package telemetry
 
 import (
-	"math"
 	"math/bits"
 	"sort"
 	"sync"
-	"sync/atomic"
 )
 
 // Collector is the metrics plane: in-memory, cheap enough to leave on for
@@ -19,44 +17,44 @@ import (
 //
 // # Concurrency
 //
-// Every metric is a cell of its own: a counter is an atomic int64, a gauge
-// the atomic bits of a float64, and a histogram a small struct behind its
-// own lock. Names map to cells through read-mostly maps (sync.Map), so
-// recording takes no lock shared across metrics: two goroutines contend
-// only when they write the same metric, and then only on its cell. A
-// metric's cell is made at its first use and lives as long as the
-// Collector.
+// One mutex guards the counters, the gauges and the histogram index. By
+// name, traffic is light: a networked run publishes its ledger once when
+// it ends, so a job records tens of metrics by name, not one per frame.
+// Each histogram also has a lock of its own, which its samples take.
 //
 // # Handles
 //
 // A path that adds a sample to the same histogram on every event resolves
-// its name once, with HistHandle, and then observes through the handle
-// with no map lookup: one cell lock per sample, no allocation. Resolving
-// a handle does not make its histogram visible; it appears in Hist,
-// Snapshot and Export at its first sample, exactly as if that sample had
-// gone by name. Counters have no handles: the layers that count per
-// event (netrun's links and fault injectors, the blackboard) keep their
-// own tallies, and a run publishes them with one Count per counter when
-// it ends.
+// its name once, with HistHandle, and then observes through the handle:
+// one histogram lock per sample, never the Collector's mutex, and no
+// allocation. Resolving a handle does not make its histogram visible; it
+// appears in Hist, Snapshot and Export at its first sample, exactly as if
+// that sample had gone by name. Counters have no handles: the layers that
+// count per event (netrun's links and fault injectors, the blackboard)
+// keep their own tallies, and a run publishes them with one Count per
+// counter when it ends.
 //
 // # Reads
 //
-// Counter, Hist, Snapshot and Export read each metric atomically (a
-// histogram's moments and buckets together) but not all metrics at one
-// instant: a read that races with recording may see one metric before an
-// event and another after it. Once recording stops, every read sees every
-// event.
+// Snapshot and Export read every metric under the mutex, so what was
+// recorded by name they see at one instant. Only samples that go through
+// a handle can land while they read: a read that races with them may see
+// one handle's histogram before a sample and another's after one. Once
+// recording stops, every read sees every event.
 //
-// A nil *Collector is the disabled plane: Count, Observe and Gauge do
-// nothing, Counter reads 0, and the handles it resolves are nil, whose
-// Observe does nothing, each at one branch.
+// A live Collector comes from NewCollector, which makes its maps. A nil
+// *Collector is the disabled plane: Count, Observe and Gauge do nothing,
+// Counter reads 0, and the handles it resolves are nil, whose Observe
+// does nothing, each at one branch.
 type Collector struct {
-	counters sync.Map // name -> *atomic.Int64
-	gauges   sync.Map // name -> *gaugeCell
-	hists    sync.Map // name -> *HistHandle
+	mu       sync.Mutex
+	counters map[string]int64
+	gauges   map[string]float64
+	hists    map[string]*HistHandle
 }
 
-// HistHandle is one histogram's cell. A nil handle records nothing.
+// HistHandle is one histogram behind its own lock. A nil handle records
+// nothing.
 type HistHandle struct {
 	mu sync.Mutex
 	h  histogram
@@ -78,9 +76,6 @@ func (h *HistHandle) load() histogram {
 	defer h.mu.Unlock()
 	return h.h
 }
-
-// gaugeCell holds a gauge's float64 bits.
-type gaugeCell struct{ bits atomic.Uint64 }
 
 // histBuckets spans 2^0 .. 2^62 magnitudes; bucket i counts samples with
 // magnitude in [2^i, 2^(i+1)). Bucket 0 also absorbs everything below 1
@@ -122,16 +117,11 @@ func bucketOf(v float64) int {
 
 // NewCollector returns an empty Collector.
 func NewCollector() *Collector {
-	return &Collector{}
-}
-
-// cellOf returns the cell of name in m, making it on first use.
-func cellOf[T any](m *sync.Map, name string) *T {
-	if v, ok := m.Load(name); ok {
-		return v.(*T)
+	return &Collector{
+		counters: make(map[string]int64),
+		gauges:   make(map[string]float64),
+		hists:    make(map[string]*HistHandle),
 	}
-	v, _ := m.LoadOrStore(name, new(T))
-	return v.(*T)
 }
 
 // HistHandle returns the named histogram's handle (nil on a nil
@@ -140,33 +130,42 @@ func (c *Collector) HistHandle(name string) *HistHandle {
 	if c == nil {
 		return nil
 	}
-	return cellOf[HistHandle](&c.hists, name)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.histLocked(name)
 }
 
-// Count adds delta to the named counter. A counter's first Count stores
-// its cell with delta already in it, so no read sees the counter before
-// that first write.
+// histLocked returns the named histogram, making it on first use. Callers
+// hold mu.
+func (c *Collector) histLocked(name string) *HistHandle {
+	h := c.hists[name]
+	if h == nil {
+		h = new(HistHandle)
+		c.hists[name] = h
+	}
+	return h
+}
+
+// Count adds delta to the named counter.
 func (c *Collector) Count(name string, delta int64) {
 	if c == nil {
 		return
 	}
-	if v, ok := c.counters.Load(name); ok {
-		v.(*atomic.Int64).Add(delta)
-		return
-	}
-	cell := new(atomic.Int64)
-	cell.Store(delta)
-	if v, loaded := c.counters.LoadOrStore(name, cell); loaded {
-		v.(*atomic.Int64).Add(delta)
-	}
+	c.mu.Lock()
+	c.counters[name] += delta
+	c.mu.Unlock()
 }
 
-// Observe adds one sample to the named histogram.
+// Observe adds one sample to the named histogram. The sample lands under
+// the mutex, so Snapshot and Export see it at one instant with the
+// counters and gauges.
 func (c *Collector) Observe(name string, value float64) {
 	if c == nil {
 		return
 	}
-	c.HistHandle(name).Observe(value)
+	c.mu.Lock()
+	c.histLocked(name).Observe(value)
+	c.mu.Unlock()
 }
 
 // Gauge sets the named gauge — a point-in-time level such as a queue
@@ -176,7 +175,9 @@ func (c *Collector) Gauge(name string, value float64) {
 	if c == nil {
 		return
 	}
-	cellOf[gaugeCell](&c.gauges, name).bits.Store(math.Float64bits(value))
+	c.mu.Lock()
+	c.gauges[name] = value
+	c.mu.Unlock()
 }
 
 // Counter returns the current value of a counter (0 if never written, or
@@ -185,10 +186,9 @@ func (c *Collector) Counter(name string) int64 {
 	if c == nil {
 		return 0
 	}
-	if v, ok := c.counters.Load(name); ok {
-		return v.(*atomic.Int64).Load()
-	}
-	return 0
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.counters[name]
 }
 
 // HistSummary is a histogram snapshot.
@@ -204,43 +204,46 @@ func (c *Collector) Hist(name string) HistSummary {
 	if c == nil {
 		return HistSummary{}
 	}
-	v, ok := c.hists.Load(name)
-	if !ok {
+	c.mu.Lock()
+	hh := c.hists[name]
+	c.mu.Unlock()
+	if hh == nil {
 		return HistSummary{}
 	}
-	h := v.(*HistHandle).load()
+	h := hh.load()
 	return HistSummary{Count: h.count, Sum: h.sum, Min: h.min, Max: h.max}
 }
 
-// rangeCells calls counter with every counter written so far, then gauge
-// with every gauge set, then hist with every histogram observed, each
-// metric read atomically, in no order within a kind.
-func (c *Collector) rangeCells(counter func(string, int64), gauge func(string, float64), hist func(string, *histogram)) {
-	c.counters.Range(func(k, v any) bool {
-		counter(k.(string), v.(*atomic.Int64).Load())
-		return true
-	})
-	c.gauges.Range(func(k, v any) bool {
-		gauge(k.(string), math.Float64frombits(v.(*gaugeCell).bits.Load()))
-		return true
-	})
-	c.hists.Range(func(k, v any) bool {
-		if h := v.(*HistHandle).load(); h.count > 0 {
-			hist(k.(string), &h)
+// rangeMetrics calls counter with every counter written so far, then
+// gauge with every gauge set, then hist with every histogram observed, in
+// no order within a kind. It holds the mutex throughout, taking each
+// histogram's lock after it, so the counters and gauges it passes on are
+// those of one instant.
+func (c *Collector) rangeMetrics(counter func(string, int64), gauge func(string, float64), hist func(string, *histogram)) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for name, v := range c.counters {
+		counter(name, v)
+	}
+	for name, v := range c.gauges {
+		gauge(name, v)
+	}
+	for name, hh := range c.hists {
+		if h := hh.load(); h.count > 0 {
+			hist(name, &h)
 		}
-		return true
-	})
+	}
 }
 
 // Snapshot flattens the collector into a name -> value map: counters and
 // gauges as exact values, histograms as their means under "<name>" with
 // "<name>.count" alongside. Where a gauge or histogram shares a counter's
 // name, the later kind in that order wins. The map is detached from the
-// collector; each metric in it was read atomically, but not all at one
-// instant (see the Collector doc).
+// collector; its counters and gauges were read at one instant (see the
+// Collector doc).
 func (c *Collector) Snapshot() map[string]float64 {
 	out := make(map[string]float64)
-	c.rangeCells(
+	c.rangeMetrics(
 		func(name string, v int64) { out[name] = float64(v) },
 		func(name string, v float64) { out[name] = v },
 		func(name string, h *histogram) {
@@ -300,12 +303,11 @@ type Export struct {
 }
 
 // Export snapshots every counter, gauge and histogram in sorted name
-// order. The result is detached: later recording does not mutate it. Each
-// metric in it was read atomically, but not all at one instant (see the
-// Collector doc).
+// order. The result is detached: later recording does not mutate it. Its
+// counters and gauges were read at one instant (see the Collector doc).
 func (c *Collector) Export() Export {
 	ex := Export{Counters: []CounterPoint{}, Gauges: []GaugePoint{}, Histograms: []HistogramPoint{}}
-	c.rangeCells(
+	c.rangeMetrics(
 		func(name string, v int64) { ex.Counters = append(ex.Counters, CounterPoint{Name: name, Value: v}) },
 		func(name string, v float64) { ex.Gauges = append(ex.Gauges, GaugePoint{Name: name, Value: v}) },
 		func(name string, h *histogram) {

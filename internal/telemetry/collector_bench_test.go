@@ -38,7 +38,8 @@ func BenchmarkCountDistinctNames(b *testing.B) {
 }
 
 // BenchmarkObserve has every goroutine add samples to one histogram by
-// name, as the ack-latency histogram gets one per hop.
+// name, under the Collector's mutex, as pool workers add their cells'
+// sim.cell_ns samples.
 func BenchmarkObserve(b *testing.B) {
 	c := NewCollector()
 	b.ReportAllocs()
@@ -46,6 +47,22 @@ func BenchmarkObserve(b *testing.B) {
 		v := 1000.0
 		for pb.Next() {
 			c.Observe(NetrunAckNs, v)
+			v += 1
+		}
+	})
+}
+
+// BenchmarkHistHandleObserve has every goroutine add samples to one
+// histogram through a shared handle, as every hop adds its sample to the
+// run-wide netrun.ack_ns: that histogram's lock, never the Collector's
+// mutex.
+func BenchmarkHistHandleObserve(b *testing.B) {
+	h := NewCollector().HistHandle(NetrunAckNs)
+	b.ReportAllocs()
+	b.RunParallel(func(pb *testing.PB) {
+		v := 1000.0
+		for pb.Next() {
+			h.Observe(v)
 			v += 1
 		}
 	})

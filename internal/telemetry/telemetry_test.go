@@ -353,6 +353,52 @@ func TestCollectorConcurrentHammer(t *testing.T) {
 	}
 }
 
+// TestCollectorReadsOneInstant pins the one-instant read: a writer adds
+// to a, then to b, so at every instant a-b is 0 or 1, and every Export and
+// Snapshot taken meanwhile must read a pair from one instant.
+func TestCollectorReadsOneInstant(t *testing.T) {
+	c := NewCollector()
+	const iters = 20000
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < iters; i++ {
+			c.Count("a", 1)
+			c.Count("b", 1)
+		}
+	}()
+	check := func(read string, a, b float64) bool {
+		if d := a - b; d < 0 || d > 1 {
+			t.Errorf("%s read a=%v, b=%v: not one instant", read, a, b)
+			return false
+		}
+		return true
+	}
+	for reads := 0; ; reads++ {
+		select {
+		case <-done:
+			if reads == 0 {
+				t.Log("writer finished before the first read")
+			}
+			return
+		default:
+		}
+		var a, b float64
+		for _, p := range c.Export().Counters {
+			switch p.Name {
+			case "a":
+				a = float64(p.Value)
+			case "b":
+				b = float64(p.Value)
+			}
+		}
+		snap := c.Snapshot()
+		if !check("Export", a, b) || !check("Snapshot", snap["a"], snap["b"]) {
+			return
+		}
+	}
+}
+
 func TestLogConfig(t *testing.T) {
 	var sb strings.Builder
 	off := LogConfig{Level: "off"}
