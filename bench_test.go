@@ -1,23 +1,16 @@
 package broadcastic_test
 
-// One benchmark per reproduced claim (see DESIGN.md §3 and EXPERIMENTS.md).
-// Each benchmark regenerates its experiment's table and prints it once, so
+// Engine micro-benchmarks: they time the Monte-Carlo estimator and the IR
+// compiler directly, so a change in an experiment's cost can be traced to
+// the engine it came from. The experiments' tables are cmd/experiments'
+// output (EXPERIMENTS_RAW.txt at full scale); the end-to-end measurement,
+// a job submitted over HTTP with its time attributed layer by layer, is
+// the service benchmark in bench/ (bench/README.md).
 //
-//	go test -bench=. -benchmem
-//
-// reproduces every figure/table of the reproduction. Set
-// BROADCASTIC_SCALE=quick to run the reduced parameter grids and
-// BROADCASTIC_WORKERS=N to bound sweep parallelism (default: one worker
-// per CPU; tables are bit-identical for every value).
-//
-// These are plain go test benchmarks: ns/op and allocs/op are the
-// testing package's own. The end-to-end measurement, a job submitted over
-// HTTP with its time attributed layer by layer, is the service benchmark
-// in bench/ (bench/README.md).
+// These are plain go test benchmarks: ns/op and allocs/op are the testing
+// package's own.
 
 import (
-	"os"
-	"strconv"
 	"testing"
 
 	"broadcastic/internal/andk"
@@ -26,74 +19,8 @@ import (
 	"broadcastic/internal/ir"
 	"broadcastic/internal/prob"
 	"broadcastic/internal/rng"
-	"broadcastic/internal/sim"
 	"broadcastic/internal/telemetry"
 )
-
-func benchConfig() sim.Config {
-	cfg := sim.Config{Seed: 1, Scale: sim.Full}
-	if os.Getenv("BROADCASTIC_SCALE") == "quick" {
-		cfg.Scale = sim.Quick
-	}
-	if w, err := strconv.Atoi(os.Getenv("BROADCASTIC_WORKERS")); err == nil {
-		cfg.Workers = w
-	}
-	return cfg
-}
-
-func runExperiment(b *testing.B, f func(sim.Config) (*sim.Table, error)) {
-	b.Helper()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tbl, err := f(benchConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.StopTimer()
-			if err := tbl.Render(os.Stdout); err != nil {
-				b.Fatal(err)
-			}
-			b.StartTimer()
-		}
-	}
-}
-
-func BenchmarkE1_DisjScalingN(b *testing.B)          { runExperiment(b, sim.E1DisjScalingN) }
-func BenchmarkE2_DisjScalingK(b *testing.B)          { runExperiment(b, sim.E2DisjScalingK) }
-func BenchmarkE3_NaiveVsOptimal(b *testing.B)        { runExperiment(b, sim.E3NaiveVsOptimal) }
-func BenchmarkE4_AndInfoCost(b *testing.B)           { runExperiment(b, sim.E4AndInfoCost) }
-func BenchmarkE5_DirectSum(b *testing.B)             { runExperiment(b, sim.E5DirectSum) }
-func BenchmarkE6_TruncatedError(b *testing.B)        { runExperiment(b, sim.E6TruncatedError) }
-func BenchmarkE7_InfoCommGap(b *testing.B)           { runExperiment(b, sim.E7InfoCommGap) }
-func BenchmarkE8_GoodTranscripts(b *testing.B)       { runExperiment(b, sim.E8GoodTranscripts) }
-func BenchmarkE9_PosteriorPointing(b *testing.B)     { runExperiment(b, sim.E9PosteriorPointing) }
-func BenchmarkE10_RejectionSampler(b *testing.B)     { runExperiment(b, sim.E10RejectionSampler) }
-func BenchmarkE11_AmortizedCompression(b *testing.B) { runExperiment(b, sim.E11AmortizedCompression) }
-func BenchmarkE12_DivergenceBound(b *testing.B)      { runExperiment(b, sim.E12DivergenceBound) }
-func BenchmarkE13_SparseIntersection(b *testing.B)   { runExperiment(b, sim.E13SparseIntersection) }
-
-func BenchmarkE14_Ablations(b *testing.B) { runExperiment(b, sim.E14Ablations) }
-
-func BenchmarkE15_TwoPartyBaseline(b *testing.B) { runExperiment(b, sim.E15TwoPartyBaseline) }
-
-func BenchmarkE16_CostBreakdown(b *testing.B) { runExperiment(b, sim.E16CostBreakdown) }
-
-func BenchmarkE17_PointwiseOr(b *testing.B) { runExperiment(b, sim.E17PointwiseOr) }
-
-func BenchmarkE18_InternalVsExternal(b *testing.B) { runExperiment(b, sim.E18InternalVsExternal) }
-
-func BenchmarkE19_WirelessContention(b *testing.B) { runExperiment(b, sim.E19WirelessContention) }
-
-func BenchmarkE20_NetworkedOverhead(b *testing.B) { runExperiment(b, sim.E20NetworkedOverhead) }
-
-func BenchmarkE21_TopologySeparation(b *testing.B) { runExperiment(b, sim.E21TopologySeparation) }
-
-// --- Hot-path micro-benchmarks -------------------------------------------
-//
-// The engine-level counterparts of the experiment benchmarks above: they
-// time the Monte-Carlo estimator and the IR compiler directly, so an
-// experiment-level change can be traced to the engine it came from.
 
 // benchEstimateCICCompiled times EstimateCIC on the sequential AND_k
 // protocol under the paper's hard distribution μ — the exact workload

@@ -56,7 +56,7 @@ type Breakdown struct {
 
 // SolveOptimalDetailed runs the protocol and also reports the Breakdown.
 func SolveOptimalDetailed(inst *Instance, opts Options) (*Outcome, *Breakdown, error) {
-	out, p, err := solveOptimal(inst, opts)
+	out, p, _, err := solveOptimal(inst, opts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -65,20 +65,23 @@ func SolveOptimalDetailed(inst *Instance, opts Options) (*Outcome, *Breakdown, e
 
 // SolveOptimalOpts runs the Section 5 protocol with the given ablations.
 func SolveOptimalOpts(inst *Instance, opts Options) (*Outcome, error) {
-	out, _, err := solveOptimal(inst, opts)
+	out, _, _, err := solveOptimal(inst, opts)
 	return out, err
 }
 
 // SolveOptimalMessages runs the protocol and returns the individual
 // message sizes in board order (used by the radio layer to map the
-// execution onto channel slots).
+// execution onto channel slots), read off the run's board.
 func SolveOptimalMessages(inst *Instance, opts Options) (*Outcome, []int, error) {
-	out, run, err := solveOptimal(inst, opts)
+	out, _, board, err := solveOptimal(inst, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	sizes := make([]int, 0, len(run.messageSizes))
-	sizes = append(sizes, run.messageSizes...)
+	msgs := board.Messages()
+	sizes := make([]int, len(msgs))
+	for i, m := range msgs {
+		sizes[i] = m.Len
+	}
 	return out, sizes, nil
 }
 
@@ -140,20 +143,20 @@ func (op *OptimalProtocol) Outcome(b *blackboard.Board) (*Outcome, error) {
 	}, nil
 }
 
-func solveOptimal(inst *Instance, opts Options) (*Outcome, *optimalRun, error) {
+func solveOptimal(inst *Instance, opts Options) (*Outcome, *optimalRun, *blackboard.Board, error) {
 	op, err := NewOptimalProtocol(inst, opts)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	res, err := blackboard.Run(op.Scheduler(), op.Players(), nil, op.Limits())
 	if err != nil {
-		return nil, nil, fmt.Errorf("disj: optimal protocol: %w", err)
+		return nil, nil, nil, fmt.Errorf("disj: optimal protocol: %w", err)
 	}
 	out, err := op.Outcome(res.Board)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	return out, op.run, nil
+	return out, op.run, res.Board, nil
 }
 
 func logCeil(n int) int { return encoding.FixedWidth(uint64(n)) + 1 }
@@ -178,10 +181,9 @@ type optimalRun struct {
 	contributions int // batches written this cycle
 	processed     int // board messages decoded so far
 
-	answered     bool
-	disjoint     bool
-	breakdown    Breakdown
-	messageSizes []int
+	answered  bool
+	disjoint  bool
+	breakdown Breakdown
 }
 
 func newOptimalRun(inst *Instance, opts Options) *optimalRun {
@@ -265,7 +267,6 @@ func (p *optimalRun) catchUp(b *blackboard.Board) error {
 
 // decode interprets one message under the current cycle state.
 func (p *optimalRun) decode(m blackboard.Message) error {
-	p.messageSizes = append(p.messageSizes, m.Len)
 	r, err := m.Reader()
 	if err != nil {
 		return err

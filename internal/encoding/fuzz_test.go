@@ -22,32 +22,6 @@ func encodeOne(t *testing.T, write func(*BitWriter) error) ([]byte, int) {
 	return w.Bytes(), w.Len()
 }
 
-func FuzzUnaryRoundTrip(f *testing.F) {
-	for _, v := range []uint64{0, 1, 7, 63, 1 << 10} {
-		f.Add(v)
-	}
-	f.Fuzz(func(t *testing.T, v uint64) {
-		var w BitWriter
-		if err := WriteUnary(&w, v); err != nil {
-			return // values beyond the sanity cap are rejected by design
-		}
-		if w.Len() != UnaryLen(v) {
-			t.Fatalf("UnaryLen(%d)=%d, wrote %d bits", v, UnaryLen(v), w.Len())
-		}
-		r, err := NewBitReader(w.Bytes(), w.Len())
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := ReadUnary(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != v {
-			t.Fatalf("round trip %d -> %d", v, got)
-		}
-	})
-}
-
 func FuzzEliasGammaRoundTrip(f *testing.F) {
 	for _, v := range []uint64{1, 2, 3, 127, 128, 1 << 32, ^uint64(0)} {
 		f.Add(v)
@@ -69,32 +43,6 @@ func FuzzEliasGammaRoundTrip(f *testing.F) {
 			t.Fatal(err)
 		}
 		got, err := ReadEliasGamma(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != v {
-			t.Fatalf("round trip %d -> %d", v, got)
-		}
-	})
-}
-
-func FuzzEliasDeltaRoundTrip(f *testing.F) {
-	for _, v := range []uint64{1, 2, 16, 17, 1 << 20, ^uint64(0)} {
-		f.Add(v)
-	}
-	f.Fuzz(func(t *testing.T, v uint64) {
-		if v == 0 {
-			return
-		}
-		buf, n := encodeOne(t, func(w *BitWriter) error { return WriteEliasDelta(w, v) })
-		if n != EliasDeltaLen(v) {
-			t.Fatalf("EliasDeltaLen(%d)=%d, wrote %d bits", v, EliasDeltaLen(v), n)
-		}
-		r, err := NewBitReader(buf, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := ReadEliasDelta(r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,9 +182,6 @@ func FuzzDecodeAdversarial(f *testing.F) {
 	// which is at least C(511,255).
 	f.Add(append([]byte{0xff, 0xbf, 0xff}, bytes.Repeat([]byte{0xff}, 64)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) > 1<<16 {
-			return // keeps any decodable unary run below WriteUnary's sanity cap
-		}
 		checks := []struct {
 			name   string
 			decode func(*BitReader) (func(*BitWriter) error, error)
@@ -245,17 +190,9 @@ func FuzzDecodeAdversarial(f *testing.F) {
 				v, err := ReadEliasGamma(r)
 				return func(w *BitWriter) error { return WriteEliasGamma(w, v) }, err
 			}},
-			{"delta", func(r *BitReader) (func(*BitWriter) error, error) {
-				v, err := ReadEliasDelta(r)
-				return func(w *BitWriter) error { return WriteEliasDelta(w, v) }, err
-			}},
 			{"signed", func(r *BitReader) (func(*BitWriter) error, error) {
 				v, err := ReadSignedGamma(r)
 				return func(w *BitWriter) error { return WriteSignedGamma(w, v) }, err
-			}},
-			{"unary", func(r *BitReader) (func(*BitWriter) error, error) {
-				v, err := ReadUnary(r)
-				return func(w *BitWriter) error { return WriteUnary(w, v) }, err
 			}},
 			{"subset", func(r *BitReader) (func(*BitWriter) error, error) {
 				m, err := r.ReadBits(9)

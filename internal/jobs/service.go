@@ -130,7 +130,6 @@ type job struct {
 // hit-ratio gauge). The service's mu guards all of it.
 type tenant struct {
 	queue        []*job
-	inRing       bool // entered the dispatch ring, at its first queued job
 	hits, misses int
 
 	submitted  string
@@ -153,8 +152,11 @@ type Service struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	tenants map[string]*tenant
-	ring    []*tenant    // tenants in the order of their first queued job
-	ringPos int          // next tenant to inspect, for round-robin
+	// ring holds the tenants with queued jobs, each once: a tenant joins
+	// at the back when its queue stops being empty and leaves when it
+	// empties. ringPos is the tenant to dispatch from next.
+	ring    []*tenant
+	ringPos int
 	jobs    map[int]*job // queued, running and retained finished jobs, by seq
 	nextID  int          // seq of the latest job issued
 	queued  int          // jobs across all queues, for the global depth gauge
@@ -268,6 +270,7 @@ func (s *Service) Close() {
 		tn.queue = nil
 		s.depthGaugesLocked(tn)
 	}
+	s.ring, s.ringPos = nil, 0
 	s.cond.Broadcast()
 	s.mu.Unlock()
 	s.wg.Wait()
@@ -344,8 +347,7 @@ func (s *Service) SubmitTraced(tenant string, spec JobSpec, cause causal.Context
 		cause.Event(causal.JobCacheHit, causal.String("job", j.ID))
 	} else {
 		j.State = Queued
-		if !tn.inRing {
-			tn.inRing = true
+		if len(tn.queue) == 0 {
 			s.ring = append(s.ring, tn)
 		}
 		tn.queue = append(tn.queue, j)
@@ -462,6 +464,9 @@ func (s *Service) Cancel(id string) (Job, bool) {
 				break
 			}
 		}
+		if len(tn.queue) == 0 {
+			s.leaveRingLocked(slices.Index(s.ring, tn))
+		}
 		j.State = Canceled
 		j.cancelled = true
 		j.FinishedMs = nowMs()
@@ -571,26 +576,38 @@ func (s *Service) worker() {
 	}
 }
 
-// popLocked dequeues the next job fairly, with its tenant: scan tenants
-// round-robin from ringPos, take the head of the first non-empty queue,
-// and remember where to resume so one chatty tenant cannot starve the
-// rest. Callers hold mu.
+// popLocked dequeues the next job fairly, with its tenant: it takes the
+// head of the queue of the tenant at ringPos and moves on to the next
+// tenant, so one chatty tenant cannot starve the rest. Callers hold mu.
 func (s *Service) popLocked() (*job, *tenant) {
-	for off := 0; off < len(s.ring); off++ {
-		i := (s.ringPos + off) % len(s.ring)
-		tn := s.ring[i]
-		if q := tn.queue; len(q) > 0 {
-			j := q[0]
-			// Clear the slot, or the queue's backing array would keep the
-			// job alive after it is retired.
-			q[0] = nil
-			tn.queue = q[1:]
-			s.queued--
-			s.ringPos = (i + 1) % len(s.ring)
-			return j, tn
-		}
+	if len(s.ring) == 0 {
+		return nil, nil
 	}
-	return nil, nil
+	tn := s.ring[s.ringPos]
+	j := tn.queue[0]
+	// Clear the slot, or the queue's backing array would keep the job
+	// alive after it is retired.
+	tn.queue[0] = nil
+	tn.queue = tn.queue[1:]
+	s.queued--
+	if len(tn.queue) == 0 {
+		s.leaveRingLocked(s.ringPos)
+	} else {
+		s.ringPos = (s.ringPos + 1) % len(s.ring)
+	}
+	return j, tn
+}
+
+// leaveRingLocked takes the tenant at index i out of the ring, keeping
+// ringPos on the tenant that was to go next. Callers hold mu.
+func (s *Service) leaveRingLocked(i int) {
+	s.ring = slices.Delete(s.ring, i, i+1)
+	if i < s.ringPos {
+		s.ringPos--
+	}
+	if s.ringPos >= len(s.ring) {
+		s.ringPos = 0
+	}
 }
 
 func nowMs() int64 { return time.Now().UnixMilli() }

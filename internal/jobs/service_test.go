@@ -289,6 +289,61 @@ func TestRoundRobinFairness(t *testing.T) {
 	}
 }
 
+// TestRingHoldsOnlyQueuedTenants pins the dispatch ring's size: a tenant
+// leaves it when its last queued job is dispatched, so after 1000 tenants
+// have each had one job run the ring is empty, and a client that varies
+// its tenant does not make later dispatches slower.
+func TestRingHoldsOnlyQueuedTenants(t *testing.T) {
+	svc := New(Options{Workers: 1, Run: func(JobSpec, RunContext) ([]byte, error) {
+		return []byte("result"), nil
+	}})
+	defer svc.Close()
+	ids := make([]string, 0, 1000)
+	for i := range 1000 {
+		j, err := svc.SubmitTraced(fmt.Sprintf("t%d", i), JobSpec{Experiment: "E10", Seed: uint64(i + 1), Scale: "quick"}, causal.Context{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, j.ID)
+	}
+	for _, id := range ids {
+		waitTerminal(t, svc, id)
+	}
+	ringLen := func(s *Service) int {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return len(s.ring)
+	}
+	if n := ringLen(svc); n != 0 {
+		t.Fatalf("ring holds %d tenants with no queued job", n)
+	}
+
+	// A tenant whose last queued job is canceled leaves the ring too.
+	br := newBlockingRunner()
+	blocked := New(Options{Workers: 1, Run: br.run})
+	defer func() {
+		br.releaseAll()
+		blocked.Close()
+	}()
+	if _, err := blocked.SubmitTraced("a", JobSpec{Experiment: "E10", Seed: 1, Scale: "quick"}, causal.Context{}); err != nil {
+		t.Fatal(err)
+	}
+	br.waitStart(t)
+	queued, err := blocked.SubmitTraced("b", JobSpec{Experiment: "E10", Seed: 2, Scale: "quick"}, causal.Context{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := ringLen(blocked); n != 1 {
+		t.Fatalf("ring holds %d tenants, want b alone", n)
+	}
+	if _, ok := blocked.Cancel(queued.ID); !ok {
+		t.Fatal("cancel failed")
+	}
+	if n := ringLen(blocked); n != 0 {
+		t.Fatalf("ring holds %d tenants after the last queued job was canceled", n)
+	}
+}
+
 func TestCancel(t *testing.T) {
 	col := telemetry.NewCollector()
 	br := newBlockingRunner()

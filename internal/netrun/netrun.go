@@ -100,15 +100,15 @@ type Config struct {
 	// Limits bound the protocol exactly as in blackboard.Run.
 	Limits blackboard.Limits
 	// Recorder receives the run's telemetry (nil: disabled). The run keeps
-	// one ledger, its Stats and board, and publishes it here once, when
-	// the run ends — on success, crash and abort alike: every netrun.*
-	// counter and its netrun.topo.<l>.* shares, netrun.turns, and the
-	// board's blackboard.* accounting (Stepper.Record), so the recorded
-	// counters equal the returned Stats exactly and appear when the run
-	// ends, not frame by frame. The only samples recorded while the run
-	// goes are netrun.ack_ns (run-wide and per link) per delivered frame
-	// and netrun.turn_ns per turn. Recording never changes transcripts,
-	// bit counts or outcomes.
+	// one ledger, its Stats, board and latency samples, and publishes it
+	// here once, when the run ends — on success, crash and abort alike:
+	// every netrun.* counter and its netrun.topo.<l>.* shares,
+	// netrun.turns, one netrun.ack_ns sample per delivered frame (run-wide
+	// and per link), one netrun.turn_ns sample per turn, and the board's
+	// blackboard.* accounting (Stepper.Record). So the recorded counters
+	// equal the returned Stats exactly, and nothing reaches the Recorder
+	// while the run goes: its metrics appear when it ends, not frame by
+	// frame. Recording never changes transcripts, bit counts or outcomes.
 	Recorder *telemetry.Collector
 	// Causal, when enabled, attaches the run's wire-level story to a
 	// trace: one netrun.hop span per delivered application frame, a
@@ -119,10 +119,10 @@ type Config struct {
 	Causal causal.Context
 }
 
-// Stats aggregates a run's wire accounting: the one ledger a run keeps,
-// which it publishes to Config.Recorder when it ends. Per-turn and ack
-// latency are not kept here: they are observed in the netrun.turn_ns and
-// netrun.ack_ns histograms of Config.Recorder.
+// Stats aggregates a run's wire accounting, which the run publishes to
+// Config.Recorder when it ends. Per-turn and ack latency are not kept
+// here: a run with a Recorder keeps them beside its Stats and publishes
+// them as the netrun.turn_ns and netrun.ack_ns histograms.
 type Stats struct {
 	// PerLink breaks the wire traffic down by physical link, in
 	// Topology.Links order (on the star, link i is player i's). The

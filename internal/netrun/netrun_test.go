@@ -486,6 +486,92 @@ func TestRecorderShowsOnlyRecordedMetrics(t *testing.T) {
 	}
 }
 
+// A run publishes its latency samples with the rest of its ledger, when it
+// ends: while a chan run goes, no Speak finds an ack_ns or turn_ns sample
+// in the Collector, though from the second on hops and turns have
+// completed; once Run returns, ack_ns holds one sample per netrun.hop
+// span of the run's trace, run-wide and per link, and turn_ns one per
+// turn.
+func TestRecorderPublishesLatenciesWhenRunEnds(t *testing.T) {
+	inst, err := disj.GenerateDisjoint(rng.New(509), 48, 3, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proto, err := disj.NewOptimalProtocol(inst, disj.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := telemetry.NewCollector()
+	flight := causal.NewRecorder(1 << 16)
+	// Speak runs under the run's mutex, which orders the writes to speaks.
+	speaks := 0
+	players := proto.Players()
+	for i, p := range players {
+		players[i] = blackboard.FuncPlayer(func(b *blackboard.Board) (blackboard.Message, error) {
+			speaks++
+			for _, name := range []string{telemetry.NetrunAckNs, telemetry.NetrunTurnNs} {
+				if got := rec.Hist(name).Count; got != 0 {
+					t.Errorf("Speak %d reads %d %s samples while the run goes", speaks, got, name)
+				}
+			}
+			return p.Speak(b)
+		})
+	}
+	res, err := netrun.Run(proto.Scheduler(), players, nil, netrun.Config{
+		Recorder: rec, Limits: proto.Limits(), Causal: flight.StartTrace(causal.ExperimentRoot),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if speaks < 3 {
+		t.Fatalf("%d turns; test is vacuous", speaks)
+	}
+	assertAckSamplesMatchHops(t, rec, flight)
+	turns := 0
+	for _, r := range flight.Records(0) {
+		if r.Kind == causal.KindSpan && r.Name == causal.NetrunTurn {
+			turns++
+		}
+	}
+	if got := rec.Hist(telemetry.NetrunTurnNs).Count; got != int64(turns) || turns != res.Board.NumMessages() {
+		t.Errorf("turn_ns has %d samples for %d turn spans and %d messages", got, turns, res.Board.NumMessages())
+	}
+}
+
+// assertAckSamplesMatchHops requires rec to hold one netrun.ack_ns sample
+// per netrun.hop span that flight recorded, in every trace, and each
+// link's ack_ns one per hop span on that link.
+func assertAckSamplesMatchHops(t *testing.T, rec *telemetry.Collector, flight *causal.Recorder) {
+	t.Helper()
+	if held, appended, _ := flight.Stats(); int64(held) != appended {
+		t.Fatalf("flight recorder evicted %d records", appended-int64(held))
+	}
+	perLink := map[string]int64{}
+	hops := int64(0)
+	for _, r := range flight.Records(0) {
+		if r.Kind != causal.KindSpan || r.Name != causal.NetrunHop {
+			continue
+		}
+		hops++
+		for _, a := range r.Attrs {
+			if a.Key == "link" {
+				perLink[telemetry.NetrunTopo+"."+a.Value+".ack_ns"]++
+			}
+		}
+	}
+	if hops == 0 {
+		t.Fatal("no hop spans; the check is vacuous")
+	}
+	if got := rec.Hist(telemetry.NetrunAckNs).Count; got != hops {
+		t.Errorf("ack_ns has %d samples for %d hop spans", got, hops)
+	}
+	for name, want := range perLink {
+		if got := rec.Hist(name).Count; got != want {
+			t.Errorf("%s has %d samples for %d hop spans", name, got, want)
+		}
+	}
+}
+
 // TestRecorderMatchesStatsOnRepairPaths is the regression test for the
 // PR 2 hook inconsistency: corruption exercises the NACK path and drops
 // the known-loss immediate-retransmit path, both of which the old Hooks
@@ -600,10 +686,10 @@ func TestRecorderMatchesStatsOnDroppedDuplicates(t *testing.T) {
 }
 
 // TestRecorderMatchesStatsOnCrash pins the runs that end early: a crashed
-// run publishes its partial Stats and board exactly once, with no
-// run-level board samples, since its scheduler never halted; and a run
-// that aborts on a player's failure publishes what it did, although Run
-// returns no Result.
+// run publishes its partial Stats and board exactly once, with one ack_ns
+// sample per hop its trace shows and no run-level board samples, since its
+// scheduler never halted; and a run that aborts on a player's failure
+// publishes what it did, although Run returns no Result.
 func TestRecorderMatchesStatsOnCrash(t *testing.T) {
 	const k = 4
 	inst, err := disj.GenerateDisjoint(rng.New(508), 64, k, 0.3)
@@ -614,7 +700,7 @@ func TestRecorderMatchesStatsOnCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	crashRun := func(t *testing.T, rec *telemetry.Collector, seed uint64) *netrun.Result {
+	crashRun := func(t *testing.T, rec *telemetry.Collector, flight *causal.Recorder, seed uint64) *netrun.Result {
 		t.Helper()
 		proto, err := disj.NewOptimalProtocol(inst, disj.Options{})
 		if err != nil {
@@ -622,7 +708,7 @@ func TestRecorderMatchesStatsOnCrash(t *testing.T) {
 		}
 		res, err := netrun.Run(proto.Scheduler(), proto.Players(), nil, netrun.Config{
 			Faults: plan, Seed: seed, Timeout: 40 * time.Millisecond, MaxRetries: 12,
-			Recorder: rec, Limits: proto.Limits(),
+			Recorder: rec, Limits: proto.Limits(), Causal: flight.StartTrace(causal.ExperimentRoot),
 		})
 		if !errors.Is(err, netrun.ErrPlayerCrashed) || res == nil {
 			t.Fatalf("err = %v, result %v: want a crash with a partial result", err, res)
@@ -642,9 +728,10 @@ func TestRecorderMatchesStatsOnCrash(t *testing.T) {
 	}
 
 	t.Run("crash", func(t *testing.T) {
-		rec := telemetry.NewCollector()
-		res := crashRun(t, rec, 1)
+		rec, flight := telemetry.NewCollector(), causal.NewRecorder(1<<16)
+		res := crashRun(t, rec, flight, 1)
 		assertRecorderMatchesStats(t, rec, res, k)
+		assertAckSamplesMatchHops(t, rec, flight)
 		noRunSamples(t, rec)
 		if got := rec.Counter(telemetry.NetrunCrashes); got != 1 {
 			t.Errorf("recorded %d crashes, want 1", got)
@@ -652,8 +739,8 @@ func TestRecorderMatchesStatsOnCrash(t *testing.T) {
 	})
 
 	t.Run("two crashes", func(t *testing.T) {
-		rec := telemetry.NewCollector()
-		a, b := crashRun(t, rec, 1), crashRun(t, rec, 2)
+		rec, flight := telemetry.NewCollector(), causal.NewRecorder(1<<16)
+		a, b := crashRun(t, rec, flight, 1), crashRun(t, rec, flight, 2)
 		// The sum of the two partial results: their boards back to back,
 		// their Stats added link by link.
 		board, err := blackboard.NewBoard(k, nil)
@@ -681,6 +768,7 @@ func TestRecorderMatchesStatsOnCrash(t *testing.T) {
 		sum.Stats.BoardBits += b.Stats.BoardBits
 		sum.Stats.Faults.Add(b.Stats.Faults)
 		assertRecorderMatchesStats(t, rec, sum, k)
+		assertAckSamplesMatchHops(t, rec, flight)
 		noRunSamples(t, rec)
 		if got := rec.Counter(telemetry.NetrunCrashes); got != 2 {
 			t.Errorf("recorded %d crashes, want 2", got)

@@ -162,6 +162,11 @@ type topoRun struct {
 	// settled gets a token whenever it drops to zero.
 	inFlight atomic.Int64
 	settled  chan struct{}
+
+	// turnNs holds the duration of every turn completed, kept by the
+	// coordinator's loop when the run has a Collector and published with
+	// the run's ledger.
+	turnNs []float64
 }
 
 // sendFrom sends one application frame from node n toward dst: bare to a
@@ -355,16 +360,13 @@ func runTopology(sched blackboard.Scheduler, players []blackboard.Player, public
 		n.inbox = newMailbox[inbound]()
 		n.inbox.items = n.inboxBuf[:0]
 	}
-	// Both directions of link l record under netrun.topo.<l>.*, mirroring
-	// the per-link Stats breakdown which also sums the two directions. A
-	// hop's ack latency is the one metric recorded per frame: into the
-	// run-wide histogram and its link's, through handles resolved here.
-	r.arq.ackNs = cfg.Recorder.HistHandle(telemetry.NetrunAckNs)
+	// Both directions of link l are published under netrun.topo.<l>.*,
+	// mirroring the per-link Stats breakdown which also sums the two
+	// directions.
 	for l, lid := range links {
 		a, b := &r.nodes[lid.A], &r.nodes[lid.B]
 		wl := &r.wires[l]
 		wl.labels = labelsOf(l)
-		wl.ackNs = cfg.Recorder.HistHandle(wl.labels.ackNs)
 		var injBA, injAB *faults.Injector
 		if streams != nil {
 			injBA, injAB = cfg.Faults.NewInjector(streams[2*l]), cfg.Faults.NewInjector(streams[2*l+1])
@@ -407,11 +409,9 @@ func runTopology(sched blackboard.Scheduler, players []blackboard.Player, public
 	}
 
 	coord := &r.nodes[CoordinatorNode(k)]
-	turnNs := cfg.Recorder.HistHandle(telemetry.NetrunTurnNs)
-	turns := 0
 	// finish is the one end-of-run step, taken on success, crash and abort
 	// alike: it tears the run down, reads its final Stats and publishes
-	// them with the board's accounting.
+	// them with the latency samples and the board's accounting.
 	finish := func(crashed []int) *Result {
 		r.teardown()
 		stats := Stats{
@@ -436,7 +436,7 @@ func runTopology(sched blackboard.Scheduler, players []blackboard.Player, public
 		}
 		stats.BoardBits = st.Board().TotalBits()
 		res := &Result{Board: st.Board(), Stats: stats, Crashed: crashed}
-		r.publish(cfg.Recorder, res, turns)
+		r.publish(cfg.Recorder, res)
 		st.Record(cfg.Recorder)
 		return res
 	}
@@ -508,17 +508,22 @@ func runTopology(sched blackboard.Scheduler, players []blackboard.Player, public
 			}
 		}
 
-		turns++
-		turnNs.Observe(float64(turn.End()))
+		d := turn.End()
+		if cfg.Recorder != nil {
+			r.turnNs = append(r.turnNs, float64(d))
+		}
 	}
 }
 
 // publish writes a finished run's ledger into rec (nil: nothing): each
 // link's Stats as its netrun.topo.<l>.* counters beside their netrun.*
-// totals, the turns completed and the players crashed. A counter that
-// would read zero stays unwritten, so a fault-free run shows no retry,
-// bad-frame, duplicate or fault series.
-func (r *topoRun) publish(rec *telemetry.Collector, res *Result, turns int) {
+// totals, the turns completed and the players crashed, and the latency
+// samples its loops kept, each link's hops as its netrun.topo.<l>.ack_ns
+// beside netrun.ack_ns and the turns as netrun.turn_ns. Each metric is
+// written once. A counter that would read zero stays unwritten, so a
+// fault-free run shows no retry, bad-frame, duplicate or fault series,
+// and a histogram with no samples stays unwritten too.
+func (r *topoRun) publish(rec *telemetry.Collector, res *Result) {
 	if rec == nil {
 		return
 	}
@@ -527,9 +532,22 @@ func (r *topoRun) publish(rec *telemetry.Collector, res *Result, turns int) {
 			rec.Count(name, n)
 		}
 	}
+	hops := 0
+	for l := range r.wires {
+		for e := range r.wires[l].ends {
+			hops += len(r.wires[l].ends[e].ackNs)
+		}
+	}
+	ackNs := make([]float64, 0, hops)
 	var retries, badFrames, dupFrames int64
 	for l, ls := range res.Stats.PerLink {
-		lb := r.wires[l].labels
+		wl := &r.wires[l]
+		lb := wl.labels
+		first := len(ackNs)
+		for e := range wl.ends {
+			ackNs = append(ackNs, wl.ends[e].ackNs...)
+		}
+		rec.Observe(lb.ackNs, ackNs[first:]...)
 		count(lb.wireBits, ls.WireBits)
 		count(lb.retries, ls.Retries)
 		count(lb.badFrames, ls.BadFrames)
@@ -549,8 +567,10 @@ func (r *topoRun) publish(rec *telemetry.Collector, res *Result, turns int) {
 	count(telemetry.NetrunBadFrames, badFrames)
 	count(telemetry.NetrunDupFrames, dupFrames)
 	count(telemetry.NetrunFaults, int64(res.Stats.Faults.Total()))
-	count(telemetry.NetrunTurns, int64(turns))
+	count(telemetry.NetrunTurns, int64(len(r.turnNs)))
 	count(telemetry.NetrunCrashes, int64(len(res.Crashed)))
+	rec.Observe(telemetry.NetrunAckNs, ackNs...)
+	rec.Observe(telemetry.NetrunTurnNs, r.turnNs...)
 }
 
 // teardown stops the node loops first, then severs every link and waits

@@ -267,25 +267,22 @@ type linkStats struct {
 }
 
 // wireLink is one physical link of a run: its two endpoints and what they
-// share — the link's labels, the handle of its ack-latency histogram (nil:
-// no Collector) and its wire counters. A run allocates all of its links at
-// once.
+// share — the link's labels and its wire counters. A run allocates all of
+// its links at once.
 type wireLink struct {
 	labels *linkLabels
-	ackNs  *telemetry.HistHandle
 	stats  linkStats
 	ends   [2]endpoint // the higher node id's end, then the lower's
 }
 
 // arqConfig is what every endpoint of a run shares: the retransmission
-// budget, the Collector that times its hops with the handle of the
-// run-wide ack-latency histogram, and the trace it records into (nil and
-// the zero Context: disabled).
+// budget, the Collector the run publishes to (nil: none; when set, the
+// endpoints time their hops and keep the durations), and the trace they
+// record into (the zero Context: disabled).
 type arqConfig struct {
 	timeout    time.Duration
 	maxRetries int
 	rec        *telemetry.Collector
-	ackNs      *telemetry.HistHandle
 	cause      causal.Context
 }
 
@@ -344,10 +341,13 @@ type endpoint struct {
 	peer int
 
 	// Owned by the sending goroutine: the sequence number of the last
-	// frame sent and its copy of the peer's nackPending (advanced by the
-	// frames it puts on the wire).
+	// frame sent, its copy of the peer's nackPending (advanced by the
+	// frames it puts on the wire), and, when the run has a Collector, the
+	// duration of every hop it completed, which the run publishes as
+	// ack_ns samples when it ends.
 	sendSeq         uint32
 	peerNackPending bool
+	ackNs           []float64
 
 	// Owned by receive's data path, which runs on one goroutine at a time
 	// (the peer's sender, or the stream reader): the last accepted
@@ -371,7 +371,7 @@ type endpoint struct {
 
 // linkLabels are the metric names and causal attributes of the link with
 // a given index in a run's topology: the names a run publishes the link's
-// counters under, its ack-latency histogram's, and the attributes of its
+// counters and ack-latency samples under, and the attributes of its
 // endpoints' trace records. They depend on the index alone, so each is
 // built once per process and shared by every run, and recording formats
 // and allocates nothing.
@@ -569,7 +569,7 @@ func (ep *endpoint) send(kind byte, payload []byte) error {
 	// The hop span covers first transmission to matching ack, retransmissions
 	// included, and its duration is the ack-latency sample. It is ended only
 	// on successful delivery, so a hop that exhausted its retry budget (or
-	// died with the link) is absent from the dump and the histograms — the
+	// died with the link) is absent from the dump and the samples — the
 	// retry events and the eventual crash record tell that story instead.
 	hop := ep.cfg.cause.StartSpanShared(ep.cfg.rec, causal.NetrunHop, ep.link.labels.hop[kind])
 	for attempt := 0; ; attempt++ {
@@ -591,9 +591,10 @@ func (ep *endpoint) send(kind byte, payload []byte) error {
 				return err
 			}
 			if acked {
-				ackNs := float64(hop.End())
-				ep.cfg.ackNs.Observe(ackNs)
-				ep.link.ackNs.Observe(ackNs)
+				d := hop.End()
+				if ep.cfg.rec != nil {
+					ep.ackNs = append(ep.ackNs, float64(d))
+				}
 				return nil
 			}
 		}

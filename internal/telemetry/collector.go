@@ -8,73 +8,35 @@ import (
 
 // Collector is the metrics plane: in-memory, cheap enough to leave on for
 // whole experiment suites, and safe for concurrent use, since the
-// networked runtime records from the coordinator and every link endpoint,
-// the experiment engine from every pool worker and the job service from
-// every fleet worker. Counters are exact int64 sums; gauges hold the last
-// level set; histograms keep streaming moments (count/sum/min/max) plus
-// power-of-two magnitude buckets, so a snapshot reconstructs means and
-// coarse distributions without storing samples.
+// networked runtime publishes from every run, the experiment engine from
+// every pool worker and the job service from every fleet worker. Counters
+// are exact int64 sums; gauges hold the last level set; histograms keep
+// streaming moments (count/sum/min/max) plus power-of-two magnitude
+// buckets, so a snapshot reconstructs means and coarse distributions
+// without storing samples.
 //
-// # Concurrency
+// # One write path
 //
-// One mutex guards the counters, the gauges and the histogram index. By
-// name, traffic is light: a networked run publishes its ledger once when
-// it ends, so a job records tens of metrics by name, not one per frame.
-// Each histogram also has a lock of its own, which its samples take.
+// Every metric is written by name, under one mutex that guards the
+// counters, the gauges and the histograms alike. Traffic by name is light
+// because no layer writes per event: the layers that count or time per
+// event (netrun's links and turns, the blackboard) keep their own ledger
+// and publish it when a run ends, with one Count per counter and one
+// Observe per histogram, which takes all of the run's samples at once. So
+// a metric is written at most once per sweep cell, estimator shard, job
+// or run.
 //
-// # Handles
-//
-// A path that adds a sample to the same histogram on every event resolves
-// its name once, with HistHandle, and then observes through the handle:
-// one histogram lock per sample, never the Collector's mutex, and no
-// allocation. Resolving a handle does not make its histogram visible; it
-// appears in Hist, Snapshot and Export at its first sample, exactly as if
-// that sample had gone by name. Counters have no handles: the layers that
-// count per event (netrun's links and fault injectors, the blackboard)
-// keep their own tallies, and a run publishes them with one Count per
-// counter when it ends.
-//
-// # Reads
-//
-// Snapshot and Export read every metric under the mutex, so what was
-// recorded by name they see at one instant. Only samples that go through
-// a handle can land while they read: a read that races with them may see
-// one handle's histogram before a sample and another's after one. Once
-// recording stops, every read sees every event.
+// Snapshot and Export read every metric under the mutex, so they see what
+// was recorded at one instant.
 //
 // A live Collector comes from NewCollector, which makes its maps. A nil
-// *Collector is the disabled plane: Count, Observe and Gauge do nothing,
-// Counter reads 0, and the handles it resolves are nil, whose Observe
-// does nothing, each at one branch.
+// *Collector is the disabled plane: Count, Observe and Gauge do nothing
+// and Counter reads 0, each at one branch.
 type Collector struct {
 	mu       sync.Mutex
 	counters map[string]int64
 	gauges   map[string]float64
-	hists    map[string]*HistHandle
-}
-
-// HistHandle is one histogram behind its own lock. A nil handle records
-// nothing.
-type HistHandle struct {
-	mu sync.Mutex
-	h  histogram
-}
-
-// Observe adds one sample to the histogram.
-func (h *HistHandle) Observe(value float64) {
-	if h == nil {
-		return
-	}
-	h.mu.Lock()
-	h.h.observe(value)
-	h.mu.Unlock()
-}
-
-// load copies the histogram under its lock.
-func (h *HistHandle) load() histogram {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.h
+	hists    map[string]*histogram
 }
 
 // histBuckets spans 2^0 .. 2^62 magnitudes; bucket i counts samples with
@@ -120,30 +82,8 @@ func NewCollector() *Collector {
 	return &Collector{
 		counters: make(map[string]int64),
 		gauges:   make(map[string]float64),
-		hists:    make(map[string]*HistHandle),
+		hists:    make(map[string]*histogram),
 	}
-}
-
-// HistHandle returns the named histogram's handle (nil on a nil
-// Collector).
-func (c *Collector) HistHandle(name string) *HistHandle {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.histLocked(name)
-}
-
-// histLocked returns the named histogram, making it on first use. Callers
-// hold mu.
-func (c *Collector) histLocked(name string) *HistHandle {
-	h := c.hists[name]
-	if h == nil {
-		h = new(HistHandle)
-		c.hists[name] = h
-	}
-	return h
 }
 
 // Count adds delta to the named counter.
@@ -156,15 +96,22 @@ func (c *Collector) Count(name string, delta int64) {
 	c.mu.Unlock()
 }
 
-// Observe adds one sample to the named histogram. The sample lands under
-// the mutex, so Snapshot and Export see it at one instant with the
-// counters and gauges.
-func (c *Collector) Observe(name string, value float64) {
-	if c == nil {
+// Observe adds values to the named histogram, in one step under the
+// mutex, so Snapshot and Export see all of them or none. With no values it
+// records nothing and creates no series.
+func (c *Collector) Observe(name string, values ...float64) {
+	if c == nil || len(values) == 0 {
 		return
 	}
 	c.mu.Lock()
-	c.histLocked(name).Observe(value)
+	h := c.hists[name]
+	if h == nil {
+		h = new(histogram)
+		c.hists[name] = h
+	}
+	for _, v := range values {
+		h.observe(v)
+	}
 	c.mu.Unlock()
 }
 
@@ -205,20 +152,18 @@ func (c *Collector) Hist(name string) HistSummary {
 		return HistSummary{}
 	}
 	c.mu.Lock()
-	hh := c.hists[name]
-	c.mu.Unlock()
-	if hh == nil {
+	defer c.mu.Unlock()
+	h := c.hists[name]
+	if h == nil {
 		return HistSummary{}
 	}
-	h := hh.load()
 	return HistSummary{Count: h.count, Sum: h.sum, Min: h.min, Max: h.max}
 }
 
 // rangeMetrics calls counter with every counter written so far, then
 // gauge with every gauge set, then hist with every histogram observed, in
-// no order within a kind. It holds the mutex throughout, taking each
-// histogram's lock after it, so the counters and gauges it passes on are
-// those of one instant.
+// no order within a kind. It holds the mutex throughout, so the metrics it
+// passes on are those of one instant.
 func (c *Collector) rangeMetrics(counter func(string, int64), gauge func(string, float64), hist func(string, *histogram)) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -228,10 +173,8 @@ func (c *Collector) rangeMetrics(counter func(string, int64), gauge func(string,
 	for name, v := range c.gauges {
 		gauge(name, v)
 	}
-	for name, hh := range c.hists {
-		if h := hh.load(); h.count > 0 {
-			hist(name, &h)
-		}
+	for name, h := range c.hists {
+		hist(name, h)
 	}
 }
 
@@ -239,8 +182,7 @@ func (c *Collector) rangeMetrics(counter func(string, int64), gauge func(string,
 // gauges as exact values, histograms as their means under "<name>" with
 // "<name>.count" alongside. Where a gauge or histogram shares a counter's
 // name, the later kind in that order wins. The map is detached from the
-// collector; its counters and gauges were read at one instant (see the
-// Collector doc).
+// collector, and was read at one instant.
 func (c *Collector) Snapshot() map[string]float64 {
 	out := make(map[string]float64)
 	c.rangeMetrics(
@@ -303,8 +245,8 @@ type Export struct {
 }
 
 // Export snapshots every counter, gauge and histogram in sorted name
-// order. The result is detached: later recording does not mutate it. Its
-// counters and gauges were read at one instant (see the Collector doc).
+// order. The result is detached: later recording does not mutate it, and
+// it was read at one instant.
 func (c *Collector) Export() Export {
 	ex := Export{Counters: []CounterPoint{}, Gauges: []GaugePoint{}, Histograms: []HistogramPoint{}}
 	c.rangeMetrics(

@@ -5,11 +5,10 @@ import (
 	"testing"
 )
 
-// The recording paths under parallel load: every netrun hop records its
-// ack latency from the goroutine that sent the frame, every finished run
-// publishes its counters from the goroutine that ran it, and the job fleet
-// runs several such goroutines at once. Each benchmark records from
-// GOMAXPROCS goroutines into one long-lived Collector.
+// The recording paths under parallel load: every finished run publishes
+// its counters and latency samples from the goroutine that ran it, and the
+// job fleet runs several such goroutines at once. Each benchmark records
+// from GOMAXPROCS goroutines into one long-lived Collector.
 
 // BenchmarkCountSharedName has every goroutine add to one counter by
 // name, as finished runs add to the fleet-wide netrun.* totals.
@@ -38,8 +37,8 @@ func BenchmarkCountDistinctNames(b *testing.B) {
 }
 
 // BenchmarkObserve has every goroutine add samples to one histogram by
-// name, under the Collector's mutex, as pool workers add their cells'
-// sim.cell_ns samples.
+// name, one at a time under the Collector's mutex, as pool workers add
+// their cells' sim.cell_ns samples.
 func BenchmarkObserve(b *testing.B) {
 	c := NewCollector()
 	b.ReportAllocs()
@@ -47,22 +46,6 @@ func BenchmarkObserve(b *testing.B) {
 		v := 1000.0
 		for pb.Next() {
 			c.Observe(NetrunAckNs, v)
-			v += 1
-		}
-	})
-}
-
-// BenchmarkHistHandleObserve has every goroutine add samples to one
-// histogram through a shared handle, as every hop adds its sample to the
-// run-wide netrun.ack_ns: that histogram's lock, never the Collector's
-// mutex.
-func BenchmarkHistHandleObserve(b *testing.B) {
-	h := NewCollector().HistHandle(NetrunAckNs)
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		v := 1000.0
-		for pb.Next() {
-			h.Observe(v)
 			v += 1
 		}
 	})

@@ -24,8 +24,8 @@ const (
 	// Concurrent networked runtime (internal/netrun). Per-link metrics use
 	// Indexed(NetrunTopo, link, field) with fields "wire_bits", "retries",
 	// "bad_frames", "dup_frames", "ack_ns" and "faults.<kind>". A run
-	// publishes its counters from its Stats when it ends; ack_ns and
-	// turn_ns take one sample per delivered frame and per turn.
+	// publishes its counters from its Stats when it ends, and with them its
+	// latency samples: ack_ns one per delivered frame, turn_ns one per turn.
 	NetrunTurns     = "netrun.turns"      // counter: turns completed
 	NetrunWireBits  = "netrun.wire_bits"  // counter: bits on all links, both directions
 	NetrunRetries   = "netrun.retries"    // counter: retransmission attempts beyond the first send

@@ -14,14 +14,13 @@
 // the disabled plane — Count, Observe, Gauge and Counter return at one
 // predictable branch on a nil receiver, so a call site needs no guard.
 // The hot paths that keep one do so to skip formatting a per-entity name,
-// or to pay one branch for several events. A layer that counts per event
-// keeps its own ledger and publishes it once: a networked run its Stats
-// and board when it ends, so its counters appear then, not frame by
-// frame. That leaves a live Collector light by-name traffic, which one
-// mutex serves, and histogram samples recorded per event through handles
-// resolved once per run, which take only their histogram's lock (see
-// Collector). The conformance suites pin that a live Collector changes no
-// transcript, table or experiment output bit.
+// or to pay one branch for several events. A layer that counts or times
+// per event keeps its own ledger and publishes it once: a networked run
+// its Stats, board and latency samples when it ends, so its metrics appear
+// then, not frame by frame. Every metric is written by name, which leaves
+// a live Collector light traffic that one mutex serves (see Collector).
+// The conformance suites pin that a live Collector changes no transcript,
+// table or experiment output bit.
 //
 // Metric names are dot-separated paths (e.g. "blackboard.bits",
 // "netrun.topo.3.wire_bits"); per-entity metrics embed the entity index so

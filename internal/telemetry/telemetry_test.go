@@ -16,6 +16,7 @@ func TestNilSafeHelpers(t *testing.T) {
 	var c *Collector
 	c.Count("x", 1)
 	c.Observe("x", 1)
+	c.Observe("x", 1, 2, 3)
 	c.Gauge("x", 1)
 	if got := c.Counter("x"); got != 0 {
 		t.Fatalf("nil collector counter = %d, want 0", got)
@@ -23,35 +24,29 @@ func TestNilSafeHelpers(t *testing.T) {
 	if got := c.Hist("x"); got != (HistSummary{}) {
 		t.Fatalf("nil collector histogram = %+v, want zero", got)
 	}
-	hh := c.HistHandle("x")
-	if hh != nil {
-		t.Fatalf("nil collector resolved handle %p", hh)
-	}
-	hh.Observe(1)
 }
 
-// A handle records into the same cell as the name it was resolved from,
-// and resolving one makes nothing visible: the metric appears at its
-// first write, as if recorded by name.
-func TestHandlesShareCellsAndStayHiddenUntilWritten(t *testing.T) {
+// Observe with several values adds each as one sample, and Observe with
+// none records nothing: no series appears until a histogram holds a
+// sample, so a run that timed nothing shows no empty histogram.
+func TestObserveWithoutValuesCreatesNoSeries(t *testing.T) {
 	c := NewCollector()
-	hh := c.HistHandle("h")
-	if hh != c.HistHandle("h") {
-		t.Fatal("one name resolved to two cells")
-	}
+	c.Observe("h")
+	c.Observe("h", []float64{}...)
 	if snap := c.Snapshot(); len(snap) != 0 {
-		t.Fatalf("unwritten handles are visible: %v", snap)
+		t.Fatalf("empty observes are visible: %v", snap)
 	}
 	if ex := c.Export(); len(ex.Counters)+len(ex.Gauges)+len(ex.Histograms) != 0 {
-		t.Fatalf("unwritten handles are exported: %+v", ex)
+		t.Fatalf("empty observes are exported: %+v", ex)
 	}
-	hh.Observe(2)
-	c.Observe("h", 4)
-	if h := c.Hist("h"); h.Count != 2 || h.Sum != 6 || h.Min != 2 || h.Max != 4 {
+	c.Observe("h", 2, 4)
+	c.Observe("h")
+	c.Observe("h", 6)
+	if h := c.Hist("h"); h.Count != 3 || h.Sum != 12 || h.Min != 2 || h.Max != 6 {
 		t.Fatalf("hist = %+v", h)
 	}
 	snap := c.Snapshot()
-	if snap["h"] != 3 || snap["h.count"] != 2 || len(snap) != 2 {
+	if snap["h"] != 4 || snap["h.count"] != 3 || len(snap) != 2 {
 		t.Fatalf("snapshot = %v", snap)
 	}
 }
@@ -94,12 +89,20 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
-// Recording through a handle allocates nothing.
-func TestHandlesAllocateNothing(t *testing.T) {
+// Adding samples to an existing histogram allocates nothing, one value at
+// a time or several at once.
+func TestObserveAllocatesNothing(t *testing.T) {
 	c := NewCollector()
-	hh := c.HistHandle("h")
-	if n := testing.AllocsPerRun(1000, func() { hh.Observe(1234) }); n != 0 {
-		t.Errorf("histogram Observe allocates %v times", n)
+	c.Observe("h", 1)
+	if n := testing.AllocsPerRun(1000, func() { c.Observe("h", 1234) }); n != 0 {
+		t.Errorf("Observe of one value allocates %v times", n)
+	}
+	if n := testing.AllocsPerRun(1000, func() { c.Observe("h", 1, 20, 300) }); n != 0 {
+		t.Errorf("Observe of three values allocates %v times", n)
+	}
+	batch := []float64{5, 50, 500, 5000}
+	if n := testing.AllocsPerRun(1000, func() { c.Observe("h", batch...) }); n != 0 {
+		t.Errorf("Observe of a slice allocates %v times", n)
 	}
 }
 
@@ -260,12 +263,11 @@ func TestCollectorExportSorted(t *testing.T) {
 	}
 }
 
-// TestCollectorConcurrentHammer drives writers, by name and through
-// handles, against every reader — Snapshot, Export, Counter, Hist —
+// TestCollectorConcurrentHammer drives writers, one sample at a time and
+// in batches, against every reader — Snapshot, Export, Counter, Hist —
 // concurrently. It asserts no torn reads panic, that (under -race, as CI
 // runs it) the Collector is data-race free across its whole surface, and
-// that no event is lost, also where name and handle writers share a
-// metric.
+// that no event is lost, also where writers share a metric.
 func TestCollectorConcurrentHammer(t *testing.T) {
 	c := NewCollector()
 	const writers, iters = 8, 500
@@ -308,20 +310,21 @@ func TestCollectorConcurrentHammer(t *testing.T) {
 			defer writersWG.Done()
 			name := "hammer.count." + string(rune('0'+g))
 			hist := "hammer.hist." + string(rune('0'+g))
-			// Every writer also resolves its own histogram handle, adds to
-			// one shared counter, and records into one shared histogram
-			// both by name and through a handle, so name and handle
-			// writers race on the same cell.
-			hh := c.HistHandle(hist + ".h")
-			sharedH := c.HistHandle("hammer.shared_hist")
+			// Every writer also adds batches of samples to a histogram of
+			// its own, adds to one shared counter, and records into one
+			// shared histogram two samples at a time, so writers race on
+			// the same metric.
+			var batch []float64
 			for i := 0; i < iters; i++ {
 				c.Count(name, 1)
 				c.Observe(hist, float64(i))
 				c.Gauge("hammer.gauge", float64(i))
-				hh.Observe(float64(i))
+				if batch = append(batch, float64(i)); len(batch) == 50 || i == iters-1 {
+					c.Observe(hist+".h", batch...)
+					batch = batch[:0]
+				}
 				c.Count("hammer.shared", 1)
-				sharedH.Observe(1)
-				c.Observe("hammer.shared_hist", 1)
+				c.Observe("hammer.shared_hist", 1, 1)
 			}
 		}(g)
 	}
@@ -354,8 +357,9 @@ func TestCollectorConcurrentHammer(t *testing.T) {
 }
 
 // TestCollectorReadsOneInstant pins the one-instant read: a writer adds
-// to a, then to b, so at every instant a-b is 0 or 1, and every Export and
-// Snapshot taken meanwhile must read a pair from one instant.
+// to a, then to b, then a sample to h, then to c, so at every instant a-b
+// and h.count-c are 0 or 1, and every Export and Snapshot taken meanwhile
+// must read both pairs from one instant.
 func TestCollectorReadsOneInstant(t *testing.T) {
 	c := NewCollector()
 	const iters = 20000
@@ -365,11 +369,17 @@ func TestCollectorReadsOneInstant(t *testing.T) {
 		for i := 0; i < iters; i++ {
 			c.Count("a", 1)
 			c.Count("b", 1)
+			c.Observe("h", 1)
+			c.Count("c", 1)
 		}
 	}()
-	check := func(read string, a, b float64) bool {
+	check := func(read string, a, b, h, cnt float64) bool {
 		if d := a - b; d < 0 || d > 1 {
 			t.Errorf("%s read a=%v, b=%v: not one instant", read, a, b)
+			return false
+		}
+		if d := h - cnt; d < 0 || d > 1 {
+			t.Errorf("%s read h.count=%v, c=%v: not one instant", read, h, cnt)
 			return false
 		}
 		return true
@@ -383,17 +393,25 @@ func TestCollectorReadsOneInstant(t *testing.T) {
 			return
 		default:
 		}
-		var a, b float64
-		for _, p := range c.Export().Counters {
+		var a, b, h, cnt float64
+		ex := c.Export()
+		for _, p := range ex.Counters {
 			switch p.Name {
 			case "a":
 				a = float64(p.Value)
 			case "b":
 				b = float64(p.Value)
+			case "c":
+				cnt = float64(p.Value)
+			}
+		}
+		for _, p := range ex.Histograms {
+			if p.Name == "h" {
+				h = float64(p.Count)
 			}
 		}
 		snap := c.Snapshot()
-		if !check("Export", a, b) || !check("Snapshot", snap["a"], snap["b"]) {
+		if !check("Export", a, b, h, cnt) || !check("Snapshot", snap["a"], snap["b"], snap["h.count"], snap["c"]) {
 			return
 		}
 	}
