@@ -174,9 +174,9 @@ type optimalRun struct {
 	coveredCount int
 
 	started       bool
-	endgame       bool // z < k²: final naive cycle
-	zCycle        []int
-	w             int // batch size ⌈z/k⌉ (phase 1)
+	endgame       bool    // z < k²: final naive cycle
+	zCycle        []int32 // live coordinates; int32 halves the largest per-run buffer
+	w             int     // batch size ⌈z/k⌉ (phase 1)
 	posInCycle    int
 	contributions int // batches written this cycle
 	processed     int // board messages decoded so far
@@ -195,7 +195,7 @@ func newOptimalRun(inst *Instance, opts Options) *optimalRun {
 		covered: make([]bool, inst.N),
 		// The first cycle's live set is every coordinate, and later ones
 		// only shrink.
-		zCycle: make([]int, 0, inst.N),
+		zCycle: make([]int32, 0, inst.N),
 	}
 }
 
@@ -205,7 +205,7 @@ func (p *optimalRun) startCycle() {
 	p.zCycle = p.zCycle[:0]
 	for j := 0; j < p.n; j++ {
 		if !p.covered[j] {
-			p.zCycle = append(p.zCycle, j)
+			p.zCycle = append(p.zCycle, int32(j))
 		}
 	}
 	z := len(p.zCycle)
@@ -287,7 +287,7 @@ func (p *optimalRun) decode(m blackboard.Message) error {
 			if int(pos) >= z {
 				return fmt.Errorf("disj: endgame coordinate %d outside live set of %d", pos, z)
 			}
-			p.cover(p.zCycle[pos])
+			p.cover(int(p.zCycle[pos]))
 		}
 		p.posInCycle++
 		return p.expectEnd(r, m)
@@ -309,7 +309,7 @@ func (p *optimalRun) decode(m blackboard.Message) error {
 				if int(pos) >= z {
 					return fmt.Errorf("disj: coordinate %d outside live set of %d", pos, z)
 				}
-				p.cover(p.zCycle[pos])
+				p.cover(int(p.zCycle[pos]))
 			}
 		} else {
 			positions, err := encoding.ReadSubsetFast(r, z, p.w)
@@ -317,7 +317,7 @@ func (p *optimalRun) decode(m blackboard.Message) error {
 				return fmt.Errorf("disj: phase-1 batch: %w", err)
 			}
 			for _, pos := range positions {
-				p.cover(p.zCycle[pos])
+				p.cover(int(p.zCycle[pos]))
 			}
 		}
 		p.contributions++
@@ -365,7 +365,7 @@ func (pl *optimalPlayer) Speak(b *blackboard.Board) (blackboard.Message, error) 
 	// passes.
 	newZeros := pl.newZeros[:0]
 	for pos, coord := range p.zCycle {
-		if !p.inst.Sets[pl.id].Get(coord) && !p.covered[coord] {
+		if !p.inst.Sets[pl.id].Get(int(coord)) && !p.covered[coord] {
 			newZeros = append(newZeros, pos)
 			if !p.endgame && len(newZeros) == p.w {
 				break

@@ -299,7 +299,7 @@ func (s *Service) SubmitTraced(tenant string, spec JobSpec, cause causal.Context
 		return Job{}, err
 	}
 
-	var cached []byte
+	var cached string
 	hit := false
 	if s.opts.Cache != nil {
 		cached, hit = s.opts.Cache.Get(key)
@@ -341,7 +341,7 @@ func (s *Service) SubmitTraced(tenant string, spec JobSpec, cause causal.Context
 	if hit {
 		j.State = Done
 		j.CacheHit = true
-		j.Result = string(cached)
+		j.Result = cached
 		j.FinishedMs = j.SubmittedMs
 		s.finishLocked(j)
 		cause.Event(causal.JobCacheHit, causal.String("job", j.ID))
@@ -544,8 +544,12 @@ func (s *Service) worker() {
 		})
 		s.opts.Recorder.Observe(telemetry.JobsJobNs, float64(exec.End()))
 
+		// With a cache, the job's result is the cache's own string.
+		var res string
 		if err == nil && s.opts.Cache != nil {
-			s.opts.Cache.Put(j.Key, result)
+			res = s.opts.Cache.Put(j.Key, result)
+		} else if err == nil {
+			res = string(result)
 		}
 		s.mu.Lock()
 		now := nowMs()
@@ -565,11 +569,11 @@ func (s *Service) worker() {
 			cause.Fail(causal.JobFail, causal.String("job", id), causal.String("error", err.Error()))
 		} else {
 			j.State = Done
-			j.Result = string(result)
+			j.Result = res
 			j.FinishedMs = now
 			s.opts.Recorder.Count(telemetry.JobsCompleted, 1)
-			s.recordBitsServed(tn, len(result))
-			cause.Event(causal.JobDone, causal.Int("bytes", len(result)))
+			s.recordBitsServed(tn, len(res))
+			cause.Event(causal.JobDone, causal.Int("bytes", len(res)))
 		}
 		s.finishLocked(j)
 		s.mu.Unlock()

@@ -73,6 +73,7 @@ const (
 	JobsCacheDiskHits  = "jobs.cache.disk_hits" // counter: results recovered from the disk spill
 	JobsCacheMisses    = "jobs.cache.misses"    // counter: lookups that found nothing anywhere
 	JobsCacheEvictions = "jobs.cache.evictions" // counter: entries pushed out of memory by the LRU
+	JobsCacheCorrupt   = "jobs.cache.corrupt"   // counter: spill files that failed their checksum, deleted and read as misses
 	JobsCacheBytes     = "jobs.cache.bytes"     // gauge: result bytes resident in memory
 )
 
