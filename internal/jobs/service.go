@@ -125,20 +125,13 @@ type job struct {
 	queueSpan causal.Span // submit -> dispatch, timing the queue wait; never ended if canceled while queued
 }
 
-// tenant is one tenant's record: its FIFO of queued jobs, its
-// pre-rendered labeled metric names, and its cache hit/miss tally (for the
-// hit-ratio gauge). The service's mu guards all of it.
+// tenant is one tenant's FIFO of queued jobs. The service holds a tenant
+// only while its queue is non-empty: it joins the tenant map and the back
+// of the dispatch ring with its first queued job and leaves both when its
+// queue empties, by dispatch, cancel or Close. The service's mu guards it.
 type tenant struct {
-	queue        []*job
-	hits, misses int
-
-	submitted  string
-	rejected   string
-	cacheHits  string
-	queueDepth string
-	waitNs     string
-	bitsServed string
-	hitRatio   string
+	name  string
+	queue []*job
 }
 
 // Service schedules jobs over per-tenant FIFO queues onto a bounded
@@ -149,17 +142,17 @@ type Service struct {
 	queueCap int
 	buildSHA string
 
-	mu      sync.Mutex
-	cond    *sync.Cond
+	mu   sync.Mutex
+	cond *sync.Cond
+	// tenants and ring hold the same tenants, those with queued jobs: the
+	// map by name, the ring in dispatch order, each tenant once. ringPos
+	// is the tenant to dispatch from next.
 	tenants map[string]*tenant
-	// ring holds the tenants with queued jobs, each once: a tenant joins
-	// at the back when its queue stops being empty and leaves when it
-	// empties. ringPos is the tenant to dispatch from next.
 	ring    []*tenant
 	ringPos int
 	jobs    map[int]*job // queued, running and retained finished jobs, by seq
 	nextID  int          // seq of the latest job issued
-	queued  int          // jobs across all queues, for the global depth gauge
+	queued  int          // jobs across all queues, for the queue-depth gauge
 	closed  bool
 	wg      sync.WaitGroup
 
@@ -172,52 +165,6 @@ type Service struct {
 // Flight returns the causal flight recorder the service records into
 // (nil when tracing is disabled).
 func (s *Service) Flight() *causal.Recorder { return s.opts.Flight }
-
-// tenantLocked returns the tenant's record, building it at the tenant's
-// first submission. Callers hold mu.
-func (s *Service) tenantLocked(name string) *tenant {
-	tn := s.tenants[name]
-	if tn == nil {
-		tn = &tenant{
-			submitted:  telemetry.Labeled(telemetry.JobsTenantSubmitted, "tenant", name),
-			rejected:   telemetry.Labeled(telemetry.JobsTenantRejected, "tenant", name),
-			cacheHits:  telemetry.Labeled(telemetry.JobsTenantCacheHits, "tenant", name),
-			queueDepth: telemetry.Labeled(telemetry.JobsQueueDepth, "tenant", name),
-			waitNs:     telemetry.Labeled(telemetry.JobsQueueWaitNs, "tenant", name),
-			bitsServed: telemetry.Labeled(telemetry.JobsBitsServed, "tenant", name),
-			hitRatio:   telemetry.Labeled(telemetry.JobsCacheHitRatio, "tenant", name),
-		}
-		s.tenants[name] = tn
-	}
-	return tn
-}
-
-// recordLookupLocked tallies one cache consult for the tenant and
-// refreshes its hit-ratio gauge. Callers hold mu.
-func (s *Service) recordLookupLocked(tn *tenant, hit bool) {
-	if hit {
-		tn.hits++
-		s.opts.Recorder.Count(tn.cacheHits, 1)
-	} else {
-		tn.misses++
-	}
-	s.opts.Recorder.Gauge(tn.hitRatio, float64(tn.hits)/float64(tn.hits+tn.misses))
-}
-
-// depthGaugesLocked refreshes the tenant's and the global queue-depth
-// gauges. Callers hold mu.
-func (s *Service) depthGaugesLocked(tn *tenant) {
-	s.opts.Recorder.Gauge(tn.queueDepth, float64(len(tn.queue)))
-	s.opts.Recorder.Gauge(telemetry.JobsQueueDepth, float64(s.queued))
-}
-
-// recordBitsServed counts a result's bits toward the fleet and tenant
-// totals.
-func (s *Service) recordBitsServed(tn *tenant, resultBytes int) {
-	bits := int64(resultBytes) * 8
-	s.opts.Recorder.Count(telemetry.JobsBitsServed, bits)
-	s.opts.Recorder.Count(tn.bitsServed, bits)
-}
 
 // New starts a service and its worker fleet. Callers must Close it.
 func New(opts Options) *Service {
@@ -266,10 +213,12 @@ func (s *Service) Close() {
 			s.opts.Recorder.Count(telemetry.JobsCanceled, 1)
 			j.cause.Event(causal.JobCanceled, causal.String("job", j.ID), causal.String("reason", "service closed"))
 		}
-		s.queued -= len(tn.queue)
-		tn.queue = nil
-		s.depthGaugesLocked(tn)
 	}
+	if len(s.ring) > 0 {
+		s.queued = 0
+		s.opts.Recorder.Gauge(telemetry.JobsQueueDepth, 0)
+	}
+	clear(s.tenants)
 	s.ring, s.ringPos = nil, 0
 	s.cond.Broadcast()
 	s.mu.Unlock()
@@ -278,9 +227,9 @@ func (s *Service) Close() {
 
 // SubmitTraced validates and keys the spec in one pass (Key runs Validate
 // once, and rejects with its error), consults the cache outside the lock,
-// records the lookup under it, and only then checks for a closed service.
-// It either answers immediately (cache hit: the job is born Done with
-// CacheHit set and no worker is dispatched) or enqueues on the tenant's
+// and only then checks for a closed service. It either answers
+// immediately (cache hit: the job is born Done with CacheHit set, no
+// worker is dispatched and no tenant is held) or enqueues on the tenant's
 // FIFO. A full tenant queue rejects with ErrQueueFull without touching
 // other tenants.
 //
@@ -306,19 +255,15 @@ func (s *Service) SubmitTraced(tenant string, spec JobSpec, cause causal.Context
 	}
 
 	s.mu.Lock()
-	tn := s.tenantLocked(tenant)
-	if s.opts.Cache != nil {
-		s.recordLookupLocked(tn, hit)
-	}
 	if s.closed {
 		s.mu.Unlock()
 		cause.Fault(causal.JobRejected, causal.String("reason", "service closed"))
 		return Job{}, ErrClosed
 	}
-	if !hit && len(tn.queue) >= s.queueCap {
+	tn := s.tenants[tenant]
+	if !hit && tn != nil && len(tn.queue) >= s.queueCap {
 		s.mu.Unlock()
 		s.opts.Recorder.Count(telemetry.JobsRejected, 1)
-		s.opts.Recorder.Count(tn.rejected, 1)
 		cause.Fault(causal.JobRejected, causal.String("reason", "queue full"))
 		return Job{}, fmt.Errorf("%w (tenant %q, cap %d)", ErrQueueFull, tenant, s.queueCap)
 	}
@@ -347,8 +292,8 @@ func (s *Service) SubmitTraced(tenant string, spec JobSpec, cause causal.Context
 		cause.Event(causal.JobCacheHit, causal.String("job", j.ID))
 	} else {
 		j.State = Queued
-		if len(tn.queue) == 0 {
-			s.ring = append(s.ring, tn)
+		if tn == nil {
+			tn = s.joinLocked(tenant)
 		}
 		tn.queue = append(tn.queue, j)
 		s.queued++
@@ -356,15 +301,14 @@ func (s *Service) SubmitTraced(tenant string, spec JobSpec, cause causal.Context
 		// job up; a job canceled while queued never ends it, so only
 		// dispatched jobs contribute queue-wait records and observations.
 		j.queueSpan = cause.StartSpan(s.opts.Recorder, causal.JobQueueWait, causal.String("job", j.ID))
-		s.depthGaugesLocked(tn)
+		s.opts.Recorder.Gauge(telemetry.JobsQueueDepth, float64(s.queued))
 		s.cond.Signal()
 	}
 	view := j.Job
 	s.mu.Unlock()
 	s.opts.Recorder.Count(telemetry.JobsSubmitted, 1)
-	s.opts.Recorder.Count(tn.submitted, 1)
 	if hit {
-		s.recordBitsServed(tn, len(cached))
+		s.opts.Recorder.Count(telemetry.JobsBitsServed, int64(len(cached))*8)
 	}
 	return view, nil
 }
@@ -465,14 +409,14 @@ func (s *Service) Cancel(id string) (Job, bool) {
 			}
 		}
 		if len(tn.queue) == 0 {
-			s.leaveRingLocked(slices.Index(s.ring, tn))
+			s.leaveLocked(slices.Index(s.ring, tn))
 		}
 		j.State = Canceled
 		j.cancelled = true
 		j.FinishedMs = nowMs()
 		s.finishLocked(j)
 		s.opts.Recorder.Count(telemetry.JobsCanceled, 1)
-		s.depthGaugesLocked(tn)
+		s.opts.Recorder.Gauge(telemetry.JobsQueueDepth, float64(s.queued))
 		// The queue-wait span is deliberately never ended: a canceled-while-
 		// queued job was never dispatched, so it contributes no wait record.
 		j.cause.Event(causal.JobCanceled, causal.String("job", j.ID), causal.String("reason", "client cancel"))
@@ -486,8 +430,8 @@ func (s *Service) Cancel(id string) (Job, bool) {
 	return j.Job, true
 }
 
-// QueueDepth reports the tenant's current queue length (tests, /metrics
-// consumers derive global depth from the counters instead).
+// QueueDepth reports the tenant's current queue length, 0 for a tenant
+// with no queued job (tests; /metrics has only the jobs.queue_depth total).
 func (s *Service) QueueDepth(tenant string) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -503,16 +447,13 @@ func (s *Service) worker() {
 	defer s.wg.Done()
 	for {
 		s.mu.Lock()
-		var (
-			j  *job
-			tn *tenant
-		)
+		var j *job
 		for {
 			if s.closed {
 				s.mu.Unlock()
 				return
 			}
-			if j, tn = s.popLocked(); j != nil {
+			if j = s.popLocked(); j != nil {
 				break
 			}
 			s.cond.Wait()
@@ -521,14 +462,13 @@ func (s *Service) worker() {
 		j.StartedMs = nowMs()
 		id, spec := j.ID, j.Spec
 		cause := j.cause
-		s.depthGaugesLocked(tn)
+		s.opts.Recorder.Gauge(telemetry.JobsQueueDepth, float64(s.queued))
 		wait := float64(j.queueSpan.End())
 		s.mu.Unlock()
 
 		// Queue wait is observed exactly once per dispatched job, at
 		// dispatch; canceled-while-queued jobs never reach this point.
 		s.opts.Recorder.Observe(telemetry.JobsQueueWaitNs, wait)
-		s.opts.Recorder.Observe(tn.waitNs, wait)
 		cause.Event(causal.JobDispatch, causal.String("job", id))
 
 		var progress func(done, total int)
@@ -572,7 +512,7 @@ func (s *Service) worker() {
 			j.Result = res
 			j.FinishedMs = now
 			s.opts.Recorder.Count(telemetry.JobsCompleted, 1)
-			s.recordBitsServed(tn, len(res))
+			s.opts.Recorder.Count(telemetry.JobsBitsServed, int64(len(res))*8)
 			cause.Event(causal.JobDone, causal.Int("bytes", len(res)))
 		}
 		s.finishLocked(j)
@@ -580,12 +520,12 @@ func (s *Service) worker() {
 	}
 }
 
-// popLocked dequeues the next job fairly, with its tenant: it takes the
-// head of the queue of the tenant at ringPos and moves on to the next
-// tenant, so one chatty tenant cannot starve the rest. Callers hold mu.
-func (s *Service) popLocked() (*job, *tenant) {
+// popLocked dequeues the next job fairly: it takes the head of the queue
+// of the tenant at ringPos and moves on to the next tenant, so one chatty
+// tenant cannot starve the rest. Callers hold mu.
+func (s *Service) popLocked() *job {
 	if len(s.ring) == 0 {
-		return nil, nil
+		return nil
 	}
 	tn := s.ring[s.ringPos]
 	j := tn.queue[0]
@@ -595,16 +535,27 @@ func (s *Service) popLocked() (*job, *tenant) {
 	tn.queue = tn.queue[1:]
 	s.queued--
 	if len(tn.queue) == 0 {
-		s.leaveRingLocked(s.ringPos)
+		s.leaveLocked(s.ringPos)
 	} else {
 		s.ringPos = (s.ringPos + 1) % len(s.ring)
 	}
-	return j, tn
+	return j
 }
 
-// leaveRingLocked takes the tenant at index i out of the ring, keeping
-// ringPos on the tenant that was to go next. Callers hold mu.
-func (s *Service) leaveRingLocked(i int) {
+// joinLocked adds a tenant to the map and the back of the ring, for its
+// first queued job, which the caller appends. Callers hold mu.
+func (s *Service) joinLocked(name string) *tenant {
+	tn := &tenant{name: name}
+	s.tenants[name] = tn
+	s.ring = append(s.ring, tn)
+	return tn
+}
+
+// leaveLocked drops the tenant at ring index i, whose queue has emptied,
+// from the ring and the map, keeping ringPos on the tenant that was to go
+// next. Callers hold mu.
+func (s *Service) leaveLocked(i int) {
+	delete(s.tenants, s.ring[i].name)
 	s.ring = slices.Delete(s.ring, i, i+1)
 	if i < s.ringPos {
 		s.ringPos--

@@ -289,12 +289,15 @@ func TestRoundRobinFairness(t *testing.T) {
 	}
 }
 
-// TestRingHoldsOnlyQueuedTenants pins the dispatch ring's size: a tenant
-// leaves it when its last queued job is dispatched, so after 1000 tenants
-// have each had one job run the ring is empty, and a client that varies
-// its tenant does not make later dispatches slower.
+// TestRingHoldsOnlyQueuedTenants pins what the service holds per tenant:
+// the tenant map and the dispatch ring hold the same tenants, those with
+// queued jobs. A tenant leaves both when its last queued job is
+// dispatched, so after 1000 tenants have each had one job run both are
+// empty: a client that varies its tenant neither grows the service nor
+// makes later dispatches slower. A cache hit joins neither, and a tenant
+// whose last queued job is canceled, or canceled by Close, leaves both.
 func TestRingHoldsOnlyQueuedTenants(t *testing.T) {
-	svc := New(Options{Workers: 1, Run: func(JobSpec, RunContext) ([]byte, error) {
+	svc := New(Options{Workers: 1, Cache: NewCache(4, 0, "", nil), Run: func(JobSpec, RunContext) ([]byte, error) {
 		return []byte("result"), nil
 	}})
 	defer svc.Close()
@@ -312,10 +315,19 @@ func TestRingHoldsOnlyQueuedTenants(t *testing.T) {
 	ringLen := func(s *Service) int {
 		s.mu.Lock()
 		defer s.mu.Unlock()
+		if len(s.tenants) != len(s.ring) {
+			t.Fatalf("service holds %d tenants, ring %d", len(s.tenants), len(s.ring))
+		}
 		return len(s.ring)
 	}
 	if n := ringLen(svc); n != 0 {
 		t.Fatalf("ring holds %d tenants with no queued job", n)
+	}
+	if j, err := svc.SubmitTraced("late", JobSpec{Experiment: "E10", Seed: 1000, Scale: "quick"}, causal.Context{}); err != nil || !j.CacheHit {
+		t.Fatalf("resubmit = %+v, %v; want a cache hit", j, err)
+	}
+	if n := ringLen(svc); n != 0 {
+		t.Fatalf("ring holds %d tenants after a cache hit", n)
 	}
 
 	// A tenant whose last queued job is canceled leaves the ring too.
@@ -342,6 +354,24 @@ func TestRingHoldsOnlyQueuedTenants(t *testing.T) {
 	if n := ringLen(blocked); n != 0 {
 		t.Fatalf("ring holds %d tenants after the last queued job was canceled", n)
 	}
+
+	// Close cancels the queued jobs and drops their tenants, before it
+	// waits for the running job.
+	if _, err := blocked.SubmitTraced("c", JobSpec{Experiment: "E10", Seed: 3, Scale: "quick"}, causal.Context{}); err != nil {
+		t.Fatal(err)
+	}
+	closed := make(chan struct{})
+	go func() {
+		blocked.Close()
+		close(closed)
+	}()
+	for deadline := time.Now().Add(10 * time.Second); ringLen(blocked) != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("Close left tenant c queued")
+		}
+	}
+	br.releaseAll()
+	<-closed
 }
 
 func TestCancel(t *testing.T) {

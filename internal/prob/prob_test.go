@@ -1,7 +1,6 @@
 package prob
 
 import (
-	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -112,50 +111,6 @@ func TestSupportAndMean(t *testing.T) {
 	}
 }
 
-func TestMix(t *testing.T) {
-	a, _ := NewDist([]float64{1, 0})
-	b, _ := NewDist([]float64{0, 1})
-	m, err := Mix(a, b, 0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(m.P(0)-0.25) > 1e-15 {
-		t.Fatalf("Mix = %v", m.Probs())
-	}
-	if _, err := Mix(a, b, 2); err == nil {
-		t.Fatal("Mix with weight 2 succeeded")
-	}
-}
-
-func TestConditional(t *testing.T) {
-	d, _ := NewDist([]float64{0.2, 0.3, 0.5})
-	c, err := d.Conditional(func(x int) bool { return x >= 1 })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(c.P(1)-0.375) > 1e-12 || math.Abs(c.P(2)-0.625) > 1e-12 || c.P(0) != 0 {
-		t.Fatalf("Conditional = %v", c.Probs())
-	}
-	if _, err := d.Conditional(func(int) bool { return false }); err == nil {
-		t.Fatal("conditioning on empty event succeeded")
-	}
-}
-
-func TestProduct(t *testing.T) {
-	a, _ := NewDist([]float64{0.25, 0.75})
-	b, _ := NewDist([]float64{0.5, 0.5})
-	p := Product(a, b)
-	if p.Size() != 4 {
-		t.Fatalf("Product size = %d", p.Size())
-	}
-	if math.Abs(p.P(0*2+1)-0.125) > 1e-15 {
-		t.Fatalf("Product P(0,1) = %v", p.P(1))
-	}
-	if math.Abs(p.P(1*2+0)-0.375) > 1e-15 {
-		t.Fatalf("Product P(1,0) = %v", p.P(2))
-	}
-}
-
 func TestNormalizeIsDistribution(t *testing.T) {
 	src := rng.New(30)
 	check := func(seed uint16) bool {
@@ -249,49 +204,6 @@ func (d Dist) Mean() float64 {
 		m += float64(i) * v
 	}
 	return m
-}
-
-// Mix returns the mixture w·d + (1-w)·e.
-func Mix(d, e Dist, w float64) (Dist, error) {
-	if d.Size() != e.Size() {
-		return Dist{}, fmt.Errorf("prob: Mix support mismatch %d vs %d", d.Size(), e.Size())
-	}
-	if w < 0 || w > 1 {
-		return Dist{}, fmt.Errorf("prob: mixture weight %v outside [0,1]", w)
-	}
-	p := make([]float64, d.Size())
-	for i := range p {
-		p[i] = w*d.p[i] + (1-w)*e.p[i]
-	}
-	return distFromOwned(p), nil
-}
-
-// Conditional returns d conditioned on the outcome lying in keep (a
-// predicate over outcomes). Errors if the kept event has zero mass.
-func (d Dist) Conditional(keep func(int) bool) (Dist, error) {
-	w := make([]float64, d.Size())
-	for i, v := range d.p {
-		if keep(i) {
-			w[i] = v
-		}
-	}
-	cond, err := Normalize(w)
-	if err != nil {
-		return Dist{}, fmt.Errorf("prob: conditioning on zero-mass event: %w", err)
-	}
-	return cond, nil
-}
-
-// Product returns the product distribution of d and e over the flattened
-// support of size d.Size()*e.Size(), indexed as x*e.Size()+y.
-func Product(d, e Dist) Dist {
-	p := make([]float64, d.Size()*e.Size())
-	for x, px := range d.p {
-		for y, py := range e.p {
-			p[x*e.Size()+y] = px * py
-		}
-	}
-	return distFromOwned(p)
 }
 
 // Support returns the outcomes with strictly positive probability.

@@ -22,6 +22,13 @@ type submitRequest struct {
 // 16-point grids and a fault plan — is under 1 KiB.
 const maxSpecBytes = 64 << 10
 
+// maxNameBytes bounds the tenant and the experiment a POST /jobs names.
+// Both are kept whole where the service retains them (the job, its
+// admission record in the flight recorder, a rejection's reason), and the
+// flight recorder caps records, not bytes, so a longer name is refused
+// before admission.
+const maxNameBytes = 256
+
 // decodeSubmit decodes a POST /jobs body: one JSON object with no unknown
 // fields and nothing but whitespace after it. It reads the body through
 // http.MaxBytesReader, so it never reads more than limit+1 bytes, and a
@@ -47,9 +54,10 @@ func decodeSubmit(w http.ResponseWriter, body io.ReadCloser, limit int64) (submi
 //
 //	POST   /jobs      — submit a spec; 202 queued, 200 on a cache hit,
 //	                    400 invalid (including bytes after the JSON
-//	                    value), 413 when the body is over maxSpecBytes,
-//	                    429 (+ Retry-After) on queue-full, 503 when the
-//	                    service is shutting down.
+//	                    value, and a tenant or experiment over
+//	                    maxNameBytes), 413 when the body is over
+//	                    maxSpecBytes, 429 (+ Retry-After) on queue-full,
+//	                    503 when the service is shutting down.
 //	GET    /jobs      — list the jobs the service holds (queued,
 //	                    running and the jobs.Retain latest finished),
 //	                    submission order.
@@ -78,6 +86,10 @@ func AttachJobs(mux *http.ServeMux, svc *jobs.Service) {
 		}
 		if tenant == "" {
 			tenant = "default"
+		}
+		if len(tenant) > maxNameBytes || len(req.Experiment) > maxNameBytes {
+			httpError(w, http.StatusBadRequest, fmt.Sprintf("tenant or experiment over %d bytes", maxNameBytes))
+			return
 		}
 		// Admission is where the causal root is minted: everything that
 		// happens to this submission — rejection included — records under

@@ -266,6 +266,48 @@ func TestJobsHTTPBodyLimit(t *testing.T) {
 	}
 }
 
+// TestLongNamesRejectedBeforeAdmission pins the name bound: a tenant (by
+// header or body) or an experiment over maxNameBytes answers 400 before
+// the admission trace is minted, so the refusal leaves no record in the
+// flight recorder and no job in GET /jobs. A tenant of exactly
+// maxNameBytes is admitted.
+func TestLongNamesRejectedBeforeAdmission(t *testing.T) {
+	fr := causal.NewRecorder(0)
+	svc := jobs.New(jobs.Options{
+		Workers: 1, Flight: fr,
+		Run: func(jobs.JobSpec, jobs.RunContext) ([]byte, error) {
+			return []byte("x"), nil
+		},
+	})
+	defer svc.Close()
+	mux := http.NewServeMux()
+	AttachJobs(mux, svc)
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+
+	long := strings.Repeat("n", 1<<10)
+	spec := `{"experiment":"E10","seed":1,"scale":"quick"}`
+	for _, tc := range []struct{ name, tenant, body string }{
+		{"X-Tenant", long, spec},
+		{"body tenant", "", `{"tenant":"` + long + `","experiment":"E10","seed":1,"scale":"quick"}`},
+		{"experiment", "t", `{"experiment":"` + long + `","seed":1,"scale":"quick"}`},
+	} {
+		if code, _, _ := postJob(t, ts.URL, tc.tenant, tc.body); code != http.StatusBadRequest {
+			t.Errorf("POST with a %d-byte %s = %d, want 400", len(long), tc.name, code)
+		}
+	}
+	if _, appended, _ := fr.Stats(); appended != 0 {
+		t.Errorf("refused submissions appended %d flight records, want 0", appended)
+	}
+	if _, body, _ := get(t, ts.URL+"/jobs"); strings.TrimSpace(body) != "[]" {
+		t.Errorf("GET /jobs = %s, want no jobs", body)
+	}
+
+	if code, _, _ := postJob(t, ts.URL, strings.Repeat("n", maxNameBytes), spec); code != http.StatusAccepted {
+		t.Errorf("POST with a %d-byte X-Tenant = %d, want 202", maxNameBytes, code)
+	}
+}
+
 func TestJobsHTTPListAndCancel(t *testing.T) {
 	release := make(chan struct{})
 	svc := jobs.New(jobs.Options{

@@ -66,24 +66,12 @@ const (
 	JobsCanceled       = "jobs.canceled"        // counter: jobs canceled by the client
 	JobsJobNs          = "jobs.job_ns"          // histogram: wall time per executed job
 	JobsQueueWaitNs    = "jobs.queue_wait_ns"   // histogram: submit-to-dispatch wait per executed job
-	JobsQueueDepth     = "jobs.queue_depth"     // gauge: queued jobs (per-tenant via Labeled)
-	JobsBitsServed     = "jobs.bits_served"     // counter: result bits returned to clients (per-tenant via Labeled)
-	JobsCacheHitRatio  = "jobs.cache.hit_ratio" // gauge: hits/(hits+misses) of a tenant's submissions (per-tenant via Labeled)
+	JobsQueueDepth     = "jobs.queue_depth"     // gauge: queued jobs across tenants
+	JobsBitsServed     = "jobs.bits_served"     // counter: result bits returned to clients
 	JobsCacheHits      = "jobs.cache.hits"      // counter: results served from the in-memory cache
 	JobsCacheDiskHits  = "jobs.cache.disk_hits" // counter: results recovered from the disk spill
 	JobsCacheMisses    = "jobs.cache.misses"    // counter: lookups that found nothing anywhere
 	JobsCacheEvictions = "jobs.cache.evictions" // counter: entries pushed out of memory by the LRU
 	JobsCacheCorrupt   = "jobs.cache.corrupt"   // counter: spill files that failed their checksum, deleted and read as misses
 	JobsCacheBytes     = "jobs.cache.bytes"     // gauge: result bytes resident in memory
-)
-
-// Per-tenant quota accounting (internal/jobs). Each name is emitted only
-// in its Labeled(name, "tenant", t) form; the unlabeled jobs.* counters
-// above stay the fleet-wide totals. JobsQueueWaitNs, JobsQueueDepth,
-// JobsBitsServed and JobsCacheHitRatio likewise gain tenant-labeled
-// series alongside (or instead of) their unlabeled forms.
-const (
-	JobsTenantSubmitted = "jobs.tenant.submitted"  // counter: specs accepted from the tenant
-	JobsTenantRejected  = "jobs.tenant.rejected"   // counter: tenant submissions refused by backpressure
-	JobsTenantCacheHits = "jobs.tenant.cache_hits" // counter: tenant submissions served from cache
 )

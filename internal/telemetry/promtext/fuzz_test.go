@@ -55,7 +55,7 @@ func FuzzWrite(f *testing.F) {
 	f.Add("a.b", "a_b", int64(1), math.NaN())
 	f.Add("dup", "dup", int64(5), math.Inf(-1))
 	f.Add("# TYPE evil counter\nevil 1", "le=\"inject\"", int64(0), -0.0)
-	f.Add(telemetry.Labeled("jobs.queue_depth", "tenant", "t1"), telemetry.Labeled("jobs.queue_wait_ns", "tenant", `ev"il\`+"\n"), int64(2), 9.0)
+	f.Add(`jobs.queue_depth{tenant="t1"}`, `jobs.queue_wait_ns{tenant="ev\"il\\\n"}`, int64(2), 9.0)
 	f.Add(`half{tenant="unclosed`, `dup.keys{a.b="1",a_b="2"}`, int64(1), 1.0)
 	f.Add(`hist{le="user"}`, `hist{le="user"}`, int64(1), 2.0)
 	f.Fuzz(func(t *testing.T, counterName, histName string, delta int64, obs float64) {

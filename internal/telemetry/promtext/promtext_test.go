@@ -2,6 +2,7 @@ package promtext
 
 import (
 	"math"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -178,57 +179,18 @@ func TestWriteGauge(t *testing.T) {
 	}
 }
 
-// TestWriteLabeledSeries pins the label grammar: telemetry.Labeled names
-// render as labeled series grouped with their unlabeled family under one
-// TYPE line, with values escaped on the way out.
-func TestWriteLabeledSeries(t *testing.T) {
+// TestWriteBracedNamesSanitizedWhole pins that a name is sanitized whole,
+// braces and quotes included, so no metric name can add a label to the
+// exposition: the only label block on the wire is a histogram bucket's
+// generated le.
+func TestWriteBracedNamesSanitizedWhole(t *testing.T) {
 	col := telemetry.NewCollector()
-	col.Gauge("jobs.queue_depth", 7)
-	col.Gauge(telemetry.Labeled("jobs.queue_depth", "tenant", "t1"), 3)
-	col.Gauge(telemetry.Labeled("jobs.queue_depth", "tenant", "t2"), 4)
-	col.Count(telemetry.Labeled("jobs.tenant.submitted", "tenant", `ev"il\te`+"\n"+`nant`), 1)
-	col.Observe(telemetry.Labeled("jobs.queue_wait_ns", "tenant", "t1"), 50)
-	col.Observe("jobs.queue_wait_ns", 50)
-	var sb strings.Builder
-	if _, err := WriteCollector(&sb, col); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{
-		// One TYPE line, unlabeled series first (sorted raw-name order),
-		// labeled variants consecutive after it.
-		"# TYPE jobs_queue_depth gauge\njobs_queue_depth 7\njobs_queue_depth{tenant=\"t1\"} 3\njobs_queue_depth{tenant=\"t2\"} 4\n",
-		// Escapes survive the round trip.
-		`jobs_tenant_submitted{tenant="ev\"il\\te\nnant"} 1` + "\n",
-		// Histogram labels merge with the generated le label.
-		`jobs_queue_wait_ns_bucket{tenant="t1",le="64"} 1` + "\n",
-		`jobs_queue_wait_ns_sum{tenant="t1"} 50` + "\n",
-		`jobs_queue_wait_ns_count{tenant="t1"} 1` + "\n",
-		`jobs_queue_wait_ns_min{tenant="t1"} 50` + "\n",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("exposition missing %q; got:\n%s", want, out)
-		}
-	}
-	if got := strings.Count(out, "# TYPE jobs_queue_depth gauge"); got != 1 {
-		t.Errorf("family has %d TYPE lines, want 1:\n%s", got, out)
-	}
-	if got := strings.Count(out, "# TYPE jobs_queue_wait_ns histogram"); got != 1 {
-		t.Errorf("histogram family has %d TYPE lines, want 1:\n%s", got, out)
-	}
-}
-
-// TestWriteMalformedLabelBlocks pins total sanitization: names whose label
-// block does not parse back fall into whole-name sanitization, a user "le"
-// key on a histogram is renamed, and duplicate label keys invalidate the
-// block rather than emitting an illegal duplicate.
-func TestWriteMalformedLabelBlocks(t *testing.T) {
-	col := telemetry.NewCollector()
-	col.Count(`half{tenant="unclosed`, 1)   // no closing brace
-	col.Count(`bad{tenant=noquote}`, 2)     // unquoted value
-	col.Count(`dup{a.b="1",a_b="2"}`, 3)    // keys collide after sanitizing
-	col.Observe(`hist{le="user"}`, 9)       // user le on a histogram
-	col.Gauge(`g{tenant="ok",empty=""}`, 1) // empty value is legal
+	col.Count(`half{tenant="unclosed`, 1)
+	col.Count(`bad{tenant=noquote}`, 2)
+	col.Count(`dup{a.b="1",a_b="2"}`, 3)
+	col.Observe(`hist{le="user"}`, 9)
+	col.Gauge(`g{tenant="ok",empty=""}`, 1)
+	col.Gauge(`jobs.queue_depth{tenant="t1"}`, 3)
 	var sb strings.Builder
 	if _, err := WriteCollector(&sb, col); err != nil {
 		t.Fatal(err)
@@ -238,20 +200,22 @@ func TestWriteMalformedLabelBlocks(t *testing.T) {
 		"half_tenant__unclosed 1\n",
 		"bad_tenant_noquote_ 2\n",
 		"dup_a_b__1__a_b__2__ 3\n",
-		`hist_bucket{le_="user",le="16"} 1` + "\n",
-		`g{tenant="ok",empty=""} 1` + "\n",
+		`hist_le__user___bucket{le="16"} 1` + "\n",
+		"hist_le__user___sum 9\n",
+		"g_tenant__ok__empty____ 1\n",
+		"jobs_queue_depth_tenant__t1__ 3\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q; got:\n%s", want, out)
 		}
 	}
-	// Every sample line still matches the exposition grammar.
-	for _, line := range strings.Split(strings.TrimSuffix(out, "\n"), "\n") {
-		if strings.HasPrefix(line, "#") {
-			continue
-		}
-		if !sampleLineRe.MatchString(line) {
-			t.Errorf("invalid sample line %q", line)
+	if err := checkExposition(out); err != nil {
+		t.Errorf("braced names broke the exposition grammar: %v\n%s", err, out)
+	}
+	bucket := regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*_bucket\{le="[^"]*"\} `)
+	for _, line := range strings.Split(out, "\n") {
+		if strings.Contains(line, "{") && !bucket.MatchString(line) {
+			t.Errorf("line %q carries a label other than a bucket's le", line)
 		}
 	}
 }

@@ -28,10 +28,7 @@
 // by the instrumented layers are declared in names.go.
 package telemetry
 
-import (
-	"strconv"
-	"strings"
-)
+import "strconv"
 
 // Indexed renders a per-entity metric name, e.g. Indexed("netrun.topo",
 // 3, "wire_bits") -> "netrun.topo.3.wire_bits". Only recording paths call
@@ -39,34 +36,4 @@ import (
 // installed.
 func Indexed(prefix string, index int, field string) string {
 	return prefix + "." + strconv.Itoa(index) + "." + field
-}
-
-// Labeled renders a metric name with one label in the canonical encoded
-// form the promtext writer parses back into Prometheus label sets:
-//
-//	Labeled("jobs.queue_depth", "tenant", "t1") -> `jobs.queue_depth{tenant="t1"}`
-//
-// The value is escaped (backslash, quote, newline) so any tenant string
-// round-trips. Callers cache the result per entity — like Indexed, this is
-// a recording-path helper.
-func Labeled(name, key, value string) string {
-	var b strings.Builder
-	b.WriteString(name)
-	b.WriteByte('{')
-	b.WriteString(key)
-	b.WriteString(`="`)
-	for i := 0; i < len(value); i++ {
-		switch c := value[i]; c {
-		case '\\':
-			b.WriteString(`\\`)
-		case '"':
-			b.WriteString(`\"`)
-		case '\n':
-			b.WriteString(`\n`)
-		default:
-			b.WriteByte(c)
-		}
-	}
-	b.WriteString(`"}`)
-	return b.String()
 }

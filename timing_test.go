@@ -161,7 +161,6 @@ func TestOneDurationPerSpan(t *testing.T) {
 		assertNothingEvicted(t, fr)
 		spans := spansByName(fr)
 		assertSameDurations(t, col, telemetry.JobsQueueWaitNs, spans[causal.JobQueueWait])
-		assertSameDurations(t, col, telemetry.Labeled(telemetry.JobsQueueWaitNs, "tenant", "acme"), spans[causal.JobQueueWait])
 		assertSameDurations(t, col, telemetry.JobsJobNs, spans[causal.JobExecute])
 		assertSameDurations(t, col, telemetry.SimCellNs, spans[causal.SimCell])
 		assertSameDurations(t, col, telemetry.NetrunTurnNs, spans[causal.NetrunTurn])
